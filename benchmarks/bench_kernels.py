@@ -1,17 +1,11 @@
-"""Timing comparison of the numba and pure-numpy kernel implementations.
+"""Timings of the hot numpy kernels.
 
-Runs both variants of each hot kernel on identical inputs, checks that they
-agree, and reports mean wall time plus the numba speedup.  The jitted
-functions are called once before timing so compilation cost stays out of the
-numbers.
+Times each kernel on synthetic inputs and reports the mean wall time per
+call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 1000,10000 --repeats 5
-
-When numba is unavailable (or TFSHELL_PURE_NUMPY is set) only the numpy
-variant is timed, since the loop implementations would run as interpreted
-Python and the comparison would be meaningless.
 """
 
 from __future__ import annotations
@@ -22,14 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from tfshell._kernels import (
-    NUMBA_AVAILABLE,
-    _exp_poly_eval_loops,
-    _exp_poly_eval_numpy,
-    _shell_profile_loops,
-    _shell_profile_numpy,
-    backend_name,
-)
+from tfshell._kernels import exp_poly_eval, shell_profile
 
 
 def time_call(func: Callable, args: tuple, repeats: int) -> float:
@@ -40,16 +27,6 @@ def time_call(func: Callable, args: tuple, repeats: int) -> float:
         func(*args)
         times.append(time.perf_counter() - start)
     return 1e3 * float(np.mean(times))
-
-
-def agreement(a, b) -> float:
-    """Largest relative mismatch between two results (arrays or tuples)."""
-    if isinstance(a, tuple):
-        return max(agreement(x, y) for x, y in zip(a, b))
-    scale = np.maximum(np.abs(a), np.abs(b))
-    diff = np.abs(a - b)
-    mask = scale > 0
-    return float(np.max(diff[mask] / scale[mask])) if mask.any() else 0.0
 
 
 def exp_poly_inputs(n_points: int, rng: np.random.Generator) -> tuple:
@@ -66,21 +43,8 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
     return z, n_max, r
 
 
-def run_pair(name: str, jitted: Callable, plain: Callable, args: tuple, repeats: int) -> None:
-    res_plain = plain(*args)
-    if NUMBA_AVAILABLE:
-        res_jit = jitted(*args)  # also triggers compilation
-        mismatch = agreement(res_jit, res_plain)
-        t_jit = time_call(jitted, args, repeats)
-        t_plain = time_call(plain, args, repeats)
-        speedup = t_plain / t_jit if t_jit > 0 else float("inf")
-        print(
-            f"{name:<34} numba {t_jit:9.3f} ms   numpy {t_plain:9.3f} ms"
-            f"   speedup {speedup:6.2f}x   agree {mismatch:.2e}"
-        )
-    else:
-        t_plain = time_call(plain, args, repeats)
-        print(f"{name:<34} numpy {t_plain:9.3f} ms   (numba not active)")
+def report(name: str, func: Callable, args: tuple, repeats: int) -> None:
+    print(f"{name:<34} {time_call(func, args, repeats):9.3f} ms")
 
 
 def main() -> None:
@@ -103,23 +67,19 @@ def main() -> None:
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    print(f"active backend: {backend_name()}")
-    print()
     for n_points in sizes:
-        run_pair(
+        report(
             f"exp_poly_eval[{n_points} pts]",
-            _exp_poly_eval_loops,
-            _exp_poly_eval_numpy,
+            exp_poly_eval,
             exp_poly_inputs(n_points, rng),
             args.repeats,
         )
     print()
     for n_max in shells:
         for n_points in sizes:
-            run_pair(
+            report(
                 f"shell_profile[n_max={n_max}, {n_points} pts]",
-                _shell_profile_loops,
-                _shell_profile_numpy,
+                shell_profile,
                 shell_inputs(n_points, n_max),
                 args.repeats,
             )

@@ -62,6 +62,7 @@ from .kedf import (
     EnergyBreakdown,
     GridError,
     RadialGrid,
+    energies,
     fourth_order_energy,
     make_grid,
     tf_energy,
@@ -94,6 +95,7 @@ __all__ = [
     "tf_energy",
     "weizsacker_energy",
     "fourth_order_energy",
+    "energies",
     "CorrectionTable",
     "INTERPOLATION_MAX_Z",
     "delta_t_exact",

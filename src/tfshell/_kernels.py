@@ -1,4 +1,4 @@
-"""Hot evaluation kernels with a numba path and a pure-numpy fallback.
+"""Hot evaluation kernels, vectorized in numpy.
 
 Two kernels dominate the runtime of every functional in this package:
 
@@ -12,52 +12,19 @@ a many-shell density suffers catastrophic cancellation near the outer edge
 (alternating Laguerre coefficients grow roughly as 10^(0.3 k) for degree k),
 while summing squared orbitals keeps every contribution non-negative in the
 density and mildly signed in the derivatives.
-
-Backend selection: numba is used when importable unless the environment
-variable ``TFSHELL_PURE_NUMPY`` is set to a truthy value, in which case the
-vectorized numpy implementations run instead.  Both implementations are
-importable under private names for parity testing and benchmarking.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-PURE_NUMPY_ENV = "TFSHELL_PURE_NUMPY"
-
-
-def _env_disables_numba() -> bool:
-    return os.environ.get(PURE_NUMPY_ENV, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    if _env_disables_numba():
-        raise ImportError("numba disabled by environment")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        # identity decorator so the loop implementations stay importable
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
 
 # ---------------------------------------------------------------------------
 # exponential-polynomial fields
 
 
-def _exp_poly_eval_numpy(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
+def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum_g exp(-beta_g r) * Horner(coefs[g], r), vectorized over r."""
     out = np.zeros_like(r)
     n_deg = coefs.shape[1]
@@ -67,23 +34,6 @@ def _exp_poly_eval_numpy(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray
             for d in range(n_deg - 2, -1, -1):
                 poly = poly * r + coefs[g, d]
             out += poly * np.exp(-exponents[g] * r)
-    return out
-
-
-@njit(cache=True)
-def _exp_poly_eval_loops(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    out = np.empty_like(r)
-    n_grp = exponents.shape[0]
-    n_deg = coefs.shape[1]
-    for i in range(r.shape[0]):
-        ri = r[i]
-        acc = 0.0
-        for g in range(n_grp):
-            poly = coefs[g, n_deg - 1]
-            for d in range(n_deg - 2, -1, -1):
-                poly = poly * ri + coefs[g, d]
-            acc += poly * math.exp(-exponents[g] * ri)
-        out[i] = acc
     return out
 
 
@@ -103,56 +53,8 @@ def _exp_poly_eval_loops(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray
 # carries 1/(4 pi) from the angular average.
 
 
-@njit(cache=True)
-def _laguerre_scalar(k: int, alpha: float, x: float) -> float:
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    cur = alpha + 1.0 - x
-    for j in range(1, k):
-        nxt = ((2.0 * j + alpha + 1.0 - x) * cur - (j + alpha) * prev) / (j + 1.0)
-        prev = cur
-        cur = nxt
-    return cur
-
-
-@njit(cache=True)
-def _shell_profile_loops(z: float, n_max: int, r: np.ndarray) -> tuple:
-    rho = np.zeros_like(r)
-    drho = np.zeros_like(r)
-    d2rho = np.zeros_like(r)
-    inv4pi = 1.0 / (4.0 * math.pi)
-    for n in range(1, n_max + 1):
-        g = 2.0 * z / n
-        base = g * g * g / (2.0 * n)
-        for l in range(n):
-            k = n - l - 1
-            alpha = 2.0 * l + 1.0
-            # A^2 = base * (n-l-1)!/(n+l)!
-            a_sq = base * math.exp(math.lgamma(k + 1.0) - math.lgamma(n + l + 1.0))
-            w_occ = 2.0 * (2.0 * l + 1.0) * a_sq * inv4pi
-            for i in range(r.shape[0]):
-                x = g * r[i]
-                p0 = _laguerre_scalar(k, alpha, x)
-                p1 = -_laguerre_scalar(k - 1, alpha + 1.0, x) if k >= 1 else 0.0
-                p2 = _laguerre_scalar(k - 2, alpha + 2.0, x) if k >= 2 else 0.0
-                xl = x**l
-                xlm1 = x ** (l - 1) if l >= 1 else 0.0
-                xlm2 = x ** (l - 2) if l >= 2 else 0.0
-                q0 = xl * p0
-                q1 = l * xlm1 * p0 + xl * p1
-                q2 = l * (l - 1) * xlm2 * p0 + 2.0 * l * xlm1 * p1 + xl * p2
-                e = math.exp(-0.5 * x)
-                w0 = q0 * e
-                w1 = (q1 - 0.5 * q0) * e
-                w2 = (q2 - q1 + 0.25 * q0) * e
-                rho[i] += w_occ * w0 * w0
-                drho[i] += w_occ * 2.0 * w0 * w1 * g
-                d2rho[i] += w_occ * 2.0 * (w1 * w1 + w0 * w2) * g * g
-    return rho, drho, d2rho
-
-
 def _laguerre_array(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_k^alpha(x) by the forward three-term recurrence in the degree."""
     if k == 0:
         return np.ones_like(x)
     prev = np.ones_like(x)
@@ -164,7 +66,8 @@ def _laguerre_array(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _shell_profile_numpy(z: float, n_max: int, r: np.ndarray) -> tuple:
+def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
+    """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z."""
     rho = np.zeros_like(r)
     drho = np.zeros_like(r)
     d2rho = np.zeros_like(r)
@@ -178,6 +81,7 @@ def _shell_profile_numpy(z: float, n_max: int, r: np.ndarray) -> tuple:
             for l in range(n):
                 k = n - l - 1
                 alpha = 2.0 * l + 1.0
+                # A^2 = base * (n-l-1)!/(n+l)!
                 a_sq = base * math.exp(math.lgamma(k + 1.0) - math.lgamma(n + l + 1.0))
                 w_occ = 2.0 * (2.0 * l + 1.0) * a_sq * inv4pi
                 p0 = _laguerre_array(k, alpha, x)
@@ -196,21 +100,3 @@ def _shell_profile_numpy(z: float, n_max: int, r: np.ndarray) -> tuple:
                 drho += w_occ * 2.0 * w0 * w1 * g
                 d2rho += w_occ * 2.0 * (w1 * w1 + w0 * w2) * g * g
     return rho, drho, d2rho
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-
-if NUMBA_AVAILABLE:
-    exp_poly_eval = _exp_poly_eval_loops
-    shell_profile = _shell_profile_loops
-    BACKEND = "numba"
-else:
-    exp_poly_eval = _exp_poly_eval_numpy
-    shell_profile = _shell_profile_numpy
-    BACKEND = "numpy"
-
-
-def backend_name() -> str:
-    """Active kernel backend, 'numba' or 'numpy'."""
-    return BACKEND

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .hydrogenic import HydrogenicDensity, ShellConfiguration, model_density
-from .kedf import fourth_order_energy, make_grid, tf_energy, weizsacker_energy
+from .kedf import energies, make_grid
 
 __all__ = [
     "TURNING_POINT",
@@ -294,15 +294,13 @@ def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
     cfg = ShellConfiguration.closed_shell(n_max)
     rho = model_density(cfg)
     grid = make_grid(n_points=grid_points, r_span=(0.0, rho.suggested_r_max()))
-    t0 = tf_energy(rho, grid, verify=verify)
-    _, t2 = weizsacker_energy(rho, grid, verify=verify)
-    t4 = fourth_order_energy(rho, grid, verify=verify)
+    t0, t_w, t4 = energies(rho, grid, verify=verify)
     return SequencePoint(
         n_max=cfg.n_max,
         z=cfg.nuclear_charge,
         t_exact=float(cfg.n_max) * cfg.nuclear_charge**2,
         t_tf=t0,
-        t2=t2,
+        t2=t_w / 9.0,
         t4=t4,
     )
 

@@ -53,7 +53,7 @@ from .hydrogenic import (
     model_kinetic_energy_continuous,
     shell_count_for,
 )
-from .kedf import ConvergenceError, GridError, fourth_order_energy, make_grid, tf_energy, weizsacker_energy
+from .kedf import ConvergenceError, GridError, energies, make_grid
 
 __all__ = ["RunConfig", "main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
@@ -188,9 +188,8 @@ def cmd_table1(config: RunConfig) -> int:
     for rec in chosen:
         try:
             field = atom_density(rec)
-            t_tf = tf_energy(field, grid)
-            _, t2 = weizsacker_energy(field, grid)
-            t4 = fourth_order_energy(field, grid)
+            t_tf, t_w, t4 = energies(field, grid)
+            t2 = t_w / 9.0
             delta = _shell_correction(t_tf, rec.atomic_number, config.interpolation)
         except (ConvergenceError, ExtrapolationError) as exc:
             numeric_failures += 1

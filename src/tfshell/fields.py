@@ -7,9 +7,10 @@ derivatives exact term-by-term operations; no finite differencing ever
 enters the functionals built on top.
 
 Evaluation groups terms by common exponent into dense polynomial rows and
-runs through the kernels module, so the numba/numpy backend choice applies
-uniformly.  Radial moments and tail masses have closed forms through the
-(incomplete) Gamma function and are used to place quadrature cutoffs.
+runs through the ``_kernels.exp_poly_eval`` kernel.  Radial moments and tail
+masses have closed forms through the (incomplete) Gamma function and are used
+to place quadrature cutoffs; scipy, which supplies the incomplete Gamma
+function, is imported only when a tail mass is asked for.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from . import _kernels
 
@@ -155,6 +155,8 @@ class RadialField:
 
     def tail_charge(self, r_cut: float) -> float:
         """Integral of 4 pi r^2 rho over [r_cut, inf), term-exact."""
+        from scipy.special import gammaincc
+
         if r_cut < 0:
             raise ValueError("r_cut must be non-negative")
         total = 0.0

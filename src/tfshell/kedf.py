@@ -5,6 +5,14 @@ Functionals (all as 4 pi * integral of r^2 * tau dr, hartree):
 * ``tf_energy``       tau_0 = (3/10)(3 pi^2)^{2/3} rho^{5/3}
 * ``weizsacker_energy``  tau_W = (rho')^2 / (8 rho); returns (T_W, T_W/9)
 * ``fourth_order_energy``  tau_4 built from rho', rho'' (see below)
+* ``energies``        all three, (T_TF, T_W, T_4), from one shared pass
+
+All three integrands depend on the same (rho, rho', rho'').  ``energies``
+evaluates that profile once on the grid and once on the refined grid and
+integrates every functional from those arrays, so it costs one density
+evaluation per grid where the three single-functional calls cost several.
+Each integrand is written once and shared by both paths, so the values are
+identical bit for bit.
 
 The fourth-order integrand is evaluated in the algebraically equivalent form
 
@@ -19,14 +27,17 @@ mapped coordinate r = r_min + (r_max - r_min)(e^{a t} - 1)/(e^a - 1),
 t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
 Every constructed grid must pass the scheme self-test (the Gamma integral
 of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
-rather than returned.  Each functional re-evaluates on a doubled grid and
-signals non-convergence when the two results disagree beyond 1e-8 relative.
+rather than returned.  Each functional re-evaluates on a doubled grid (built
+once per grid and cached) and signals non-convergence when the two results
+disagree beyond 1e-8 relative; ``energies`` applies that gate to each of its
+three values separately, and the ConvergenceError names the functional that
+failed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,6 +55,7 @@ __all__ = [
     "tf_energy",
     "weizsacker_energy",
     "fourth_order_energy",
+    "energies",
 ]
 
 TF_CONSTANT = 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0)
@@ -81,16 +93,25 @@ class RadialGrid:
     r_min: float
     r_max: float
     alpha: float
+    _refined: dict[int, "RadialGrid"] = field(default_factory=dict, init=False, repr=False)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum approximating the integral of the sampled function."""
         return float(np.dot(self.weights, values))
 
     def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same scheme and span at ``factor`` times the resolution."""
-        return make_grid(
-            self.scheme, self.n_points * factor, (self.r_min, self.r_max), alpha=self.alpha
-        )
+        """Same scheme and span at ``factor`` times the resolution.
+
+        Built and self-tested once per grid and factor; later calls return
+        the same grid object.
+        """
+        grid = self._refined.get(factor)
+        if grid is None:
+            grid = make_grid(
+                self.scheme, self.n_points * factor, (self.r_min, self.r_max), alpha=self.alpha
+            )
+            self._refined[factor] = grid
+        return grid
 
 
 def _build_expmap(n_points: int, r_min: float, r_max: float, alpha: float):
@@ -156,40 +177,41 @@ def make_grid(
     return grid
 
 
-def _density_on_grid(rho: RadialField, grid: RadialGrid) -> np.ndarray:
-    values = np.asarray(rho.value(grid.nodes), dtype=float)
+def _checked_density(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
     floor = -1e-12 * max(float(values.max(initial=0.0)), 1.0)
     if values.min(initial=0.0) < floor:
         raise ValueError("density is negative on the evaluation grid")
     return np.clip(values, 0.0, None)
 
 
-def _converged(evaluate: Callable[[RadialGrid], float], grid: RadialGrid, verify: bool) -> float:
-    value = evaluate(grid)
+def _converged(
+    names: tuple[str, ...],
+    evaluate: Callable[[RadialGrid], tuple[float, ...]],
+    grid: RadialGrid,
+    verify: bool,
+) -> tuple[float, ...]:
+    values = evaluate(grid)
     if verify:
-        refined = evaluate(grid.refined(2))
-        scale = max(abs(refined), abs(value), 1e-30)
-        if abs(refined - value) > _CONVERGENCE_TOL * scale:
-            raise ConvergenceError(
-                f"grid refinement moved the result from {value!r} to {refined!r}; "
-                "increase grid points or the radial span"
-            )
-    return value
+        for name, value, refined in zip(names, values, evaluate(grid.refined(2))):
+            scale = max(abs(refined), abs(value), 1e-30)
+            if abs(refined - value) > _CONVERGENCE_TOL * scale:
+                raise ConvergenceError(
+                    f"{name}: grid refinement moved the result from {value!r} to {refined!r}; "
+                    "increase grid points or the radial span"
+                )
+    return values
 
 
-def tf_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = True) -> float:
-    """Thomas-Fermi kinetic energy of a radial density (hartree)."""
+def _cutoff_mask(rho: RadialField, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Nodes where the ratio-valued integrands are evaluated.
 
-    def evaluate(g: RadialGrid) -> float:
-        values = _density_on_grid(rho, g)
-        return 4.0 * math.pi * g.integrate(g.nodes**2 * TF_CONSTANT * values ** (5.0 / 3.0))
-
-    return _converged(evaluate, grid, verify)
-
-
-def _cutoff_mass_check(rho: RadialField, grid: RadialGrid, mask: np.ndarray) -> None:
+    Raises ConvergenceError when the density treated as vacuum carries a
+    non-negligible share of the charge.
+    """
+    mask = values > RHO_CUTOFF
     if mask.all():
-        return
+        return mask
     skipped = 4.0 * math.pi * float(
         np.dot(grid.weights[~mask], grid.nodes[~mask] ** 2 * rho.value(grid.nodes[~mask]))
     )
@@ -199,6 +221,52 @@ def _cutoff_mass_check(rho: RadialField, grid: RadialGrid, mask: np.ndarray) -> 
             f"density below the {RHO_CUTOFF:g} cutoff carries {skipped:g} electrons "
             "of the integration region; shrink r_max or improve the density"
         )
+    return mask
+
+
+# One integral per functional; the single-functional entry points and the
+# shared pass in ``energies`` both go through these.
+
+
+def _tf_integral(grid: RadialGrid, values: np.ndarray) -> float:
+    return 4.0 * math.pi * grid.integrate(grid.nodes**2 * TF_CONSTANT * values ** (5.0 / 3.0))
+
+
+def _weizsacker_integral(
+    grid: RadialGrid, values: np.ndarray, deriv: np.ndarray, mask: np.ndarray
+) -> float:
+    integrand = np.zeros_like(values)
+    np.divide(deriv * deriv, 8.0 * values, out=integrand, where=mask)
+    return 4.0 * math.pi * grid.integrate(grid.nodes**2 * integrand)
+
+
+def _fourth_order_integral(
+    grid: RadialGrid,
+    values: np.ndarray,
+    deriv: np.ndarray,
+    deriv2: np.ndarray,
+    mask: np.ndarray,
+) -> float:
+    r = grid.nodes
+    s = 2.0 * deriv + r * deriv2
+    integrand = np.zeros_like(values)
+    safe = np.where(mask, values, 1.0)
+    bracket = (
+        (s / safe) ** 2
+        - 1.125 * r * s * deriv**2 / safe**3
+        + (r * deriv * deriv / safe**2) ** 2 / 3.0
+    )
+    np.multiply(FOURTH_ORDER_CONSTANT * safe ** (1.0 / 3.0), bracket, out=integrand, where=mask)
+    return 4.0 * math.pi * grid.integrate(integrand)
+
+
+def tf_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = True) -> float:
+    """Thomas-Fermi kinetic energy of a radial density (hartree)."""
+
+    def evaluate(g: RadialGrid) -> tuple[float]:
+        return (_tf_integral(g, _checked_density(rho.value(g.nodes))),)
+
+    return _converged(("T_TF",), evaluate, grid, verify)[0]
 
 
 def weizsacker_energy(
@@ -206,16 +274,12 @@ def weizsacker_energy(
 ) -> tuple[float, float]:
     """Weizsacker energy T_W and the gradient correction T_2 = T_W / 9."""
 
-    def evaluate(g: RadialGrid) -> float:
-        values = _density_on_grid(rho, g)
+    def evaluate(g: RadialGrid) -> tuple[float]:
+        values = _checked_density(rho.value(g.nodes))
         deriv = np.asarray(rho.derivative(g.nodes), dtype=float)
-        mask = values > RHO_CUTOFF
-        _cutoff_mass_check(rho, g, mask)
-        integrand = np.zeros_like(values)
-        np.divide(deriv * deriv, 8.0 * values, out=integrand, where=mask)
-        return 4.0 * math.pi * g.integrate(g.nodes**2 * integrand)
+        return (_weizsacker_integral(g, values, deriv, _cutoff_mask(rho, g, values)),)
 
-    t_w = _converged(evaluate, grid, verify)
+    (t_w,) = _converged(("T_W",), evaluate, grid, verify)
     return t_w, t_w / 9.0
 
 
@@ -227,26 +291,38 @@ def fourth_order_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = Tr
     docstring, so no explicit 1/r appears and the r -> 0 limit is finite.
     """
 
-    def evaluate(g: RadialGrid) -> float:
-        r = g.nodes
-        values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
+    def evaluate(g: RadialGrid) -> tuple[float]:
+        values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
         values = np.clip(values, 0.0, None)
-        mask = values > RHO_CUTOFF
-        _cutoff_mass_check(rho, g, mask)
-        s = 2.0 * deriv + r * deriv2
-        integrand = np.zeros_like(values)
-        safe = np.where(mask, values, 1.0)
-        bracket = (
-            (s / safe) ** 2
-            - 1.125 * r * s * deriv**2 / safe**3
-            + (r * deriv * deriv / safe**2) ** 2 / 3.0
-        )
-        np.multiply(
-            FOURTH_ORDER_CONSTANT * safe ** (1.0 / 3.0), bracket, out=integrand, where=mask
-        )
-        return 4.0 * math.pi * g.integrate(integrand)
+        mask = _cutoff_mask(rho, g, values)
+        return (_fourth_order_integral(g, values, deriv, deriv2, mask),)
 
-    return _converged(evaluate, grid, verify)
+    return _converged(("T_4",), evaluate, grid, verify)[0]
+
+
+def energies(
+    rho: RadialField, grid: RadialGrid, *, verify: bool = True
+) -> tuple[float, float, float]:
+    """(T_TF, T_W, T_4) from one density profile per grid (hartree).
+
+    The same values, bit for bit, as ``tf_energy``, ``weizsacker_energy``
+    and ``fourth_order_energy`` called one by one, which evaluate the
+    density separately for each functional.  With ``verify`` each
+    functional must pass the refinement gate on its own; the
+    ConvergenceError names the first that fails.
+    """
+
+    def evaluate(g: RadialGrid) -> tuple[float, float, float]:
+        values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
+        values = _checked_density(values)
+        mask = _cutoff_mask(rho, g, values)
+        return (
+            _tf_integral(g, values),
+            _weizsacker_integral(g, values, deriv, mask),
+            _fourth_order_integral(g, values, deriv, deriv2, mask),
+        )
+
+    return _converged(("T_TF", "T_W", "T_4"), evaluate, grid, verify)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ degree,
     (j+1) L_{j+1}^a(x) = (2j + a + 1 - x) L_j^a(x) - (j + a) L_{j-1}^a(x),
 
 which is stable over the argument range where the accompanying exponential
-weight exp(-x/2) is non-negligible.  Degrees beyond ``MAX_DEGREE`` are
-rejected rather than evaluated with silently degraded accuracy.
+weight exp(-x/2) is non-negligible; it is the same recurrence the
+orbital-summation kernel runs (``_kernels._laguerre_array``).  Degrees beyond
+``MAX_DEGREE`` are rejected rather than evaluated with silently degraded
+accuracy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._kernels import _laguerre_array
 
 __all__ = ["MAX_DEGREE", "LaguerreSpec", "laguerre", "log_factorial"]
 
@@ -50,18 +54,7 @@ def laguerre(spec: LaguerreSpec, x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("laguerre argument must be non-negative")
-    k = spec.degree
-    a = float(spec.order)
-    if k == 0:
-        out = np.ones_like(arr)
-    else:
-        prev = np.ones_like(arr)
-        cur = a + 1.0 - arr
-        for j in range(1, k):
-            nxt = ((2.0 * j + a + 1.0 - arr) * cur - (j + a) * prev) / (j + 1.0)
-            prev = cur
-            cur = nxt
-        out = cur
+    out = _laguerre_array(spec.degree, float(spec.order), arr)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out

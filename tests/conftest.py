@@ -2,23 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from tfshell import _kernels
 from tfshell.atomic_data import load_bundled
 
 # Filled by test_acceptance via record_criterion; printed after the run so
 # the one-line-per-criterion summary survives pytest's output capture.
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first kernel call pays jit compilation; keep it out of timed tests
-    r = np.linspace(0.1, 1.0, 8)
-    _kernels.exp_poly_eval(np.array([1.0]), np.array([[1.0, 0.5]]), r)
-    _kernels.shell_profile(2.0, 2, r)
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import quad
 
+from tfshell import _kernels
 from tfshell.asymptotics import (
     TURNING_POINT,
     ExtrapolationError,
@@ -23,6 +24,7 @@ from tfshell.asymptotics import (
     scaled_model_density,
     shell_oscillation_maxima,
     tf_limit_density,
+    _ladder_point,
 )
 from tfshell.hydrogenic import (
     ShellConfiguration,
@@ -493,6 +495,21 @@ def test_sequence_points_are_cached_and_exact() -> None:
     assert first.z == 28.0
     assert first.t_exact == 3 * 28.0**2
     assert first.n_max == 3
+
+
+@pytest.mark.parametrize("verify,expected", [(True, 2), (False, 1)])
+def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, expected) -> None:
+    calls = []
+    kernel = _kernels.shell_profile
+
+    def counting(z, n_max, r):
+        calls.append(r.size)
+        return kernel(z, n_max, r)
+
+    monkeypatch.setattr(_kernels, "shell_profile", counting)
+    # bypass the ladder cache so the point is computed here
+    _ladder_point.__wrapped__(3, 2000, verify)
+    assert len(calls) == expected
 
 
 def test_figure_density_rows_structure() -> None:

@@ -74,6 +74,17 @@ def test_console_script_matches_module_invocation():
     assert proc.stdout == run_cli("--help").stdout
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy only serves RadialField.tail_charge, which no subcommand reaches
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tfshell.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
 # -- table1 ----------------------------------------------------------------
 
 
@@ -162,7 +173,7 @@ def test_table1_all_rows_failing_numerically_exits_3(monkeypatch, capsys):
     def boom(field, grid):
         raise ConvergenceError("forced failure")
 
-    monkeypatch.setattr(cli, "tf_energy", boom)
+    monkeypatch.setattr(cli, "energies", boom)
     code = cli.main(["table1", "--atoms", "He"])
     assert code == 3
     err = capsys.readouterr().err

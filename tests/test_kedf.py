@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tfshell.atomic_data import atom_density
 from tfshell.fields import RadialField
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
 from tfshell.kedf import (
@@ -16,6 +17,7 @@ from tfshell.kedf import (
     EnergyBreakdown,
     GridError,
     RadialGrid,
+    energies,
     fourth_order_energy,
     make_grid,
     tf_energy,
@@ -204,6 +206,9 @@ def test_grid_refined(grid: RadialGrid) -> None:
         grid.scheme,
         grid.alpha,
     )
+    # built once per grid and factor
+    assert grid.refined(2) is finer
+    assert grid.refined(3).n_points == 3 * grid.n_points
 
 
 def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
@@ -241,6 +246,8 @@ def test_negative_density_rejected(grid: RadialGrid) -> None:
         tf_energy(field, grid)
     with pytest.raises(ValueError, match="negative"):
         weizsacker_energy(field, grid)
+    with pytest.raises(ValueError, match="negative"):
+        energies(field, grid)
 
 
 def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
@@ -251,6 +258,57 @@ def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
         weizsacker_energy(field, grid)
     with pytest.raises(ConvergenceError, match="cutoff"):
         fourth_order_energy(field, grid)
+    with pytest.raises(ConvergenceError, match="cutoff"):
+        energies(field, grid)
+
+
+# --- shared density pass ----------------------------------------------------
+
+
+def _shared_pass_cases(bundled):
+    closed = HydrogenicDensity(ShellConfiguration.closed_shell(10))
+    return [
+        (atom_density(bundled["Ne"]), make_grid("expmap", 2000, (0.0, 45.0))),
+        (closed, make_grid("expmap", 3008, (0.0, closed.suggested_r_max()))),
+    ]
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_energies_equal_single_functionals_bitwise(bundled, verify: bool) -> None:
+    for rho, g in _shared_pass_cases(bundled):
+        t_tf, t_w, t4 = energies(rho, g, verify=verify)
+        assert t_tf == tf_energy(rho, g, verify=verify)
+        assert (t_w, t_w / 9.0) == weizsacker_energy(rho, g, verify=verify)
+        assert t4 == fourth_order_energy(rho, g, verify=verify)
+
+
+class DriftingField(RadialField):
+    """Scales one profile component on grids finer than ``coarse_size`` nodes.
+
+    Only the functionals that read that component move under refinement.
+    """
+
+    def __init__(self, terms, component: int, coarse_size: int) -> None:
+        super().__init__(terms)
+        self.component = component
+        self.coarse_size = coarse_size
+
+    def profile(self, r):
+        parts = list(super().profile(r))
+        if np.size(r) > self.coarse_size:
+            parts[self.component] = parts[self.component] * 1.001
+        return tuple(parts)
+
+
+@pytest.mark.parametrize("component,name", [(0, "T_TF"), (1, "T_W"), (2, "T_4")])
+def test_energies_refinement_failure_names_functional(
+    grid: RadialGrid, component: int, name: str
+) -> None:
+    field = DriftingField([(1.0, 0, 2.0)], component, grid.nodes.size)
+    with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
+        energies(field, grid)
+    # the unverified pass never sees the refined grid
+    energies(field, grid, verify=False)
 
 
 # --- breakdown container ----------------------------------------------------

@@ -1,14 +1,75 @@
-"""Backend parity and selection for the hot evaluation kernels."""
+"""The vectorized kernels against pointwise scalar references."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
 
 from tfshell import _kernels
 from tfshell.special import LaguerreSpec, laguerre
+
+
+# ---------------------------------------------------------------------------
+# pointwise references: one radius at a time, plain floats, the same formulas
+# the kernels vectorize
+
+
+def _exp_poly_reference(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    out = np.empty_like(r)
+    n_deg = coefs.shape[1]
+    for i, ri in enumerate(r):
+        acc = 0.0
+        for g in range(exponents.shape[0]):
+            poly = coefs[g, n_deg - 1]
+            for d in range(n_deg - 2, -1, -1):
+                poly = poly * ri + coefs[g, d]
+            acc += poly * math.exp(-exponents[g] * ri)
+        out[i] = acc
+    return out
+
+
+def _laguerre_reference(k: int, alpha: float, x: float) -> float:
+    if k < 0:
+        return 0.0
+    if k == 0:
+        return 1.0
+    prev = 1.0
+    cur = alpha + 1.0 - x
+    for j in range(1, k):
+        prev, cur = cur, ((2.0 * j + alpha + 1.0 - x) * cur - (j + alpha) * prev) / (j + 1.0)
+    return cur
+
+
+def _shell_profile_reference(z: float, n_max: int, r: np.ndarray) -> tuple:
+    rho = np.zeros_like(r)
+    drho = np.zeros_like(r)
+    d2rho = np.zeros_like(r)
+    for n in range(1, n_max + 1):
+        g = 2.0 * z / n
+        for l in range(n):
+            k = n - l - 1
+            alpha = 2.0 * l + 1.0
+            a_sq = g**3 / (2.0 * n) * math.exp(math.lgamma(k + 1.0) - math.lgamma(n + l + 1.0))
+            w_occ = 2.0 * (2.0 * l + 1.0) * a_sq / (4.0 * math.pi)
+            for i, ri in enumerate(r):
+                x = g * ri
+                p0 = _laguerre_reference(k, alpha, x)
+                p1 = -_laguerre_reference(k - 1, alpha + 1.0, x)
+                p2 = _laguerre_reference(k - 2, alpha + 2.0, x)
+                xl = x**l
+                xlm1 = x ** (l - 1) if l >= 1 else 0.0
+                xlm2 = x ** (l - 2) if l >= 2 else 0.0
+                q0 = xl * p0
+                q1 = l * xlm1 * p0 + xl * p1
+                q2 = l * (l - 1) * xlm2 * p0 + 2.0 * l * xlm1 * p1 + xl * p2
+                e = math.exp(-0.5 * x)
+                w0 = q0 * e
+                w1 = (q1 - 0.5 * q0) * e
+                w2 = (q2 - q1 + 0.25 * q0) * e
+                rho[i] += w_occ * w0 * w0
+                drho[i] += w_occ * 2.0 * w0 * w1 * g
+                d2rho[i] += w_occ * 2.0 * (w1 * w1 + w0 * w2) * g * g
+    return rho, drho, d2rho
 
 
 def _exp_poly_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -22,18 +83,18 @@ def _exp_poly_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def test_exp_poly_backends_agree() -> None:
     exponents, coefs, r = _exp_poly_inputs()
-    loops = _kernels._exp_poly_eval_loops(exponents, coefs, r)
-    vector = _kernels._exp_poly_eval_numpy(exponents, coefs, r)
+    reference = _exp_poly_reference(exponents, coefs, r)
+    vector = _kernels.exp_poly_eval(exponents, coefs, r)
     scale = np.max(np.abs(vector))
-    np.testing.assert_allclose(loops, vector, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(reference, vector, rtol=1e-12, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("z,n_max", [(2.0, 1), (28.0, 3), (110.0, 5)])
 def test_shell_profile_backends_agree(z: float, n_max: int) -> None:
     r = np.geomspace(1e-5, 40.0 / z * n_max**2 + 1.0, 900)
-    loops = _kernels._shell_profile_loops(z, n_max, r)
-    vector = _kernels._shell_profile_numpy(z, n_max, r)
-    for a, b in zip(loops, vector):
+    reference = _shell_profile_reference(z, n_max, r)
+    vector = _kernels.shell_profile(z, n_max, r)
+    for a, b in zip(reference, vector):
         scale = np.max(np.abs(b))
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
 
@@ -45,49 +106,3 @@ def test_laguerre_array_matches_reference() -> None:
         reference = laguerre(LaguerreSpec(k, int(alpha)), x)
         scale = max(1.0, float(np.max(np.abs(reference))))
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-12 * scale)
-
-
-def test_laguerre_scalar_matches_array() -> None:
-    for k, alpha in [(2, 3.0), (6, 1.0)]:
-        for x in (0.0, 0.8, 7.3):
-            scalar = _kernels._laguerre_scalar(k, alpha, x)
-            array = _kernels._laguerre_array(k, alpha, np.array([x]))[0]
-            assert scalar == pytest.approx(array, rel=1e-13, abs=1e-300)
-
-
-def test_dispatch_matches_backend_flag() -> None:
-    if _kernels.NUMBA_AVAILABLE:
-        assert _kernels.BACKEND == "numba"
-        assert _kernels.exp_poly_eval is _kernels._exp_poly_eval_loops
-        assert _kernels.shell_profile is _kernels._shell_profile_loops
-    else:
-        assert _kernels.BACKEND == "numpy"
-        assert _kernels.exp_poly_eval is _kernels._exp_poly_eval_numpy
-        assert _kernels.shell_profile is _kernels._shell_profile_numpy
-    assert _kernels.backend_name() == _kernels.BACKEND
-
-
-def _backend_in_subprocess(env_value: str | None) -> str:
-    env = dict(os.environ)
-    env.pop(_kernels.PURE_NUMPY_ENV, None)
-    if env_value is not None:
-        env[_kernels.PURE_NUMPY_ENV] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "from tfshell._kernels import backend_name; print(backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend() -> None:
-    assert _backend_in_subprocess("1") == "numpy"
-    assert _backend_in_subprocess("true") == "numpy"
-
-
-def test_env_flag_absent_or_off_keeps_default() -> None:
-    expected = "numba" if _kernels.NUMBA_AVAILABLE else "numpy"
-    assert _backend_in_subprocess(None) == expected
-    assert _backend_in_subprocess("0") == expected
