@@ -1,32 +1,49 @@
-"""Timings of the hot numpy kernels.
+"""Timings and memory peaks of the hot numpy kernels.
 
-Times each kernel on synthetic inputs and reports the mean wall time per
-call.
+The shell-density kernel runs on the closed-shell ladder's own quadrature
+grids: the expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
+density, at the library default of 3008 nodes and at its 6016-node
+refinement.  The exponential-polynomial kernel runs on synthetic inputs.
+Each case reports the median wall time of the timed calls and the
+tracemalloc peak of one further, untimed call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --sizes 1000,10000 --repeats 5
+    python3 benchmarks/bench_kernels.py --shells 25,40 --points 6016 --repeats 5
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+import tracemalloc
 from typing import Callable
 
 import numpy as np
 
 from tfshell._kernels import exp_poly_eval, shell_profile
+from tfshell.hydrogenic import ShellConfiguration, model_density
+from tfshell.kedf import make_grid
 
 
 def time_call(func: Callable, args: tuple, repeats: int) -> float:
-    """Mean wall time in milliseconds over `repeats` calls."""
+    """Median wall time in milliseconds over `repeats` calls."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         func(*args)
         times.append(time.perf_counter() - start)
-    return 1e3 * float(np.mean(times))
+    return 1e3 * float(np.median(times))
+
+
+def peak_call(func: Callable, args: tuple) -> float:
+    """tracemalloc peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def exp_poly_inputs(n_points: int, rng: np.random.Generator) -> tuple:
@@ -38,13 +55,16 @@ def exp_poly_inputs(n_points: int, rng: np.random.Generator) -> tuple:
 
 
 def shell_inputs(n_points: int, n_max: int) -> tuple:
-    z = n_max * (n_max + 1) * (2 * n_max + 1) / 3.0
-    r = np.linspace(1e-5, 3.0, n_points)
-    return z, n_max, r
+    """(Z, n_max, nodes) of the ladder point with n_max filled shells."""
+    cfg = ShellConfiguration.closed_shell(n_max)
+    rho = model_density(cfg)
+    grid = make_grid(n_points=n_points, r_span=(0.0, rho.suggested_r_max()))
+    return cfg.nuclear_charge, n_max, grid.nodes
 
 
 def report(name: str, func: Callable, args: tuple, repeats: int) -> None:
-    print(f"{name:<34} {time_call(func, args, repeats):9.3f} ms")
+    ms = time_call(func, args, repeats)
+    print(f"{name:<38} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
 
 
 def main() -> None:
@@ -52,18 +72,24 @@ def main() -> None:
     parser.add_argument(
         "--sizes",
         default="2000,20000",
-        help="comma-separated grid sizes (default: 2000,20000)",
+        help="comma-separated grid sizes for exp_poly_eval (default: 2000,20000)",
+    )
+    parser.add_argument(
+        "--points",
+        default="3008,6016",
+        help="comma-separated ladder grid sizes for shell_profile (default: 3008,6016)",
     )
     parser.add_argument(
         "--shells",
-        default="5,12",
-        help="comma-separated shell counts for the orbital-summation kernel",
+        default="5,12,25,40",
+        help="comma-separated shell counts for shell_profile (default: 5,12,25,40)",
     )
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per case")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    points = [int(s) for s in args.points.split(",") if s.strip()]
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
@@ -76,7 +102,7 @@ def main() -> None:
         )
     print()
     for n_max in shells:
-        for n_points in sizes:
+        for n_points in points:
             report(
                 f"shell_profile[n_max={n_max}, {n_points} pts]",
                 shell_profile,

@@ -42,6 +42,7 @@ from .correction import (
     INTERPOLATION_MAX_Z,
     CorrectionTable,
     corrected_energy,
+    delta_t,
     delta_t_exact,
     delta_t_interpolated,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "INTERPOLATION_MAX_Z",
     "delta_t_exact",
     "delta_t_interpolated",
+    "delta_t",
     "corrected_energy",
     "TURNING_POINT",
     "ExtrapolationError",

@@ -43,7 +43,7 @@ from .asymptotics import (
     richardson_extrapolate,
 )
 from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, parse_sto_file
-from .correction import INTERPOLATION_MAX_Z, delta_t_exact, delta_t_interpolated
+from .correction import INTERPOLATION_MAX_Z, delta_t
 from .hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
@@ -53,7 +53,14 @@ from .hydrogenic import (
     model_kinetic_energy_continuous,
     shell_count_for,
 )
-from .kedf import ConvergenceError, GridError, energies, make_grid
+from .kedf import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_R_MAX,
+    ConvergenceError,
+    GridError,
+    energies,
+    make_grid,
+)
 
 __all__ = ["RunConfig", "main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
@@ -61,8 +68,6 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_GRID_POINTS = 2000
-DEFAULT_R_MAX = 45.0
 # Correction nodes stop at four filled shells (60 electrons); interpolation
 # beyond that is extrapolation and gets a warning.
 INTERPOLATION_COMFORT_Z = 60
@@ -164,16 +169,13 @@ def _select_records(
     return chosen, missing
 
 
-def _shell_correction(t_tf: float, z: int, mode: str) -> float:
-    n_max = shell_count_for(z)
-    if n_max is not None:
-        return delta_t_exact(n_max)
-    if z > INTERPOLATION_COMFORT_Z:
+def _shell_correction(z: int, mode: str) -> float:
+    if shell_count_for(z) is None and z > INTERPOLATION_COMFORT_Z:
         _warn(
             f"Z={z} lies beyond the last filled-shell node at {INTERPOLATION_COMFORT_Z}; "
             "the interpolated correction is an extrapolation there"
         )
-    return delta_t_interpolated(z, mode=mode)
+    return delta_t(z, mode)
 
 
 def cmd_table1(config: RunConfig) -> int:
@@ -190,7 +192,7 @@ def cmd_table1(config: RunConfig) -> int:
             field = atom_density(rec)
             t_tf, t_w, t4 = energies(field, grid)
             t2 = t_w / 9.0
-            delta = _shell_correction(t_tf, rec.atomic_number, config.interpolation)
+            delta = _shell_correction(rec.atomic_number, config.interpolation)
         except (ConvergenceError, ExtrapolationError) as exc:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
@@ -272,22 +274,16 @@ def cmd_model(config: RunConfig) -> int:
     magic = n_max is not None
     if magic:
         t_exact = model_kinetic_energy(ShellConfiguration.closed_shell(n_max))
-        delta = delta_t_exact(n_max)
         delta_kind = f"exact at {n_max} filled shells"
     else:
         t_exact = model_kinetic_energy_continuous(z)
-        if z > INTERPOLATION_COMFORT_Z:
-            _warn(
-                f"Z={z} lies beyond the last filled-shell node at {INTERPOLATION_COMFORT_Z}; "
-                "the interpolated correction is an extrapolation there"
-            )
-        delta = delta_t_interpolated(z, mode=config.interpolation)
         lower = [n for n in MAGIC_NUMBERS if n < z]
         above = min(n for n in MAGIC_NUMBERS if n > z)
         if lower:
             delta_kind = f"interpolated, not exact (Z between filled-shell counts {lower[-1]} and {above})"
         else:
             delta_kind = f"interpolated, not exact (Z below the first filled-shell count {above})"
+    delta = _shell_correction(z, config.interpolation)
     t_tf = t_exact - delta
 
     series = model_expansion(5)

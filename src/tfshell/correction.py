@@ -37,6 +37,7 @@ __all__ = [
     "CorrectionTable",
     "delta_t_exact",
     "delta_t_interpolated",
+    "delta_t",
     "corrected_energy",
 ]
 
@@ -79,8 +80,7 @@ class CorrectionTable:
     mode: str
 
     def evaluate(self, z: float) -> float:
-        c0, c1, c2, c3 = self.coefficients
-        return c0 + z * (c1 + z * (c2 + z * c3))
+        return _horner(self.coefficients, z)
 
     @classmethod
     def published(cls) -> "CorrectionTable":
@@ -129,14 +129,19 @@ def delta_t_interpolated(z: int, mode: str = "refit") -> float:
     return _table(mode).evaluate(float(z))
 
 
-def corrected_energy(t_tf: float, z: int, mode: str = "refit") -> float:
-    """Corrected kinetic energy T_TF + delta_T for atomic number ``z``.
+def delta_t(z: int, mode: str = "refit") -> float:
+    """Deficit delta_T for atomic number ``z``.
 
-    The deficit is the exact node value when ``z`` is a shell-filling
-    number (2, 10, 28, 60, 110) and the cubic value otherwise.
+    The exact node value when ``z`` is a shell-filling number
+    (2, 10, 28, 60, 110) and the cubic value otherwise.
     """
     z = _as_atomic_number(z)
     n_max = shell_count_for(z)
     if n_max is not None:
-        return t_tf + delta_t_exact(n_max)
-    return t_tf + delta_t_interpolated(z, mode)
+        return delta_t_exact(n_max)
+    return delta_t_interpolated(z, mode)
+
+
+def corrected_energy(t_tf: float, z: int, mode: str = "refit") -> float:
+    """Corrected kinetic energy T_TF + delta_T for atomic number ``z`` (see ``delta_t``)."""
+    return t_tf + delta_t(z, mode)

@@ -12,9 +12,12 @@ wavefunctions and is represented both ways:
 * through a stable orbital-summation kernel used for evaluation, which is
   what keeps many-shell configurations accurate in double precision.
 
-Shell counts above ``MAX_SHELLS`` are rejected: beyond that the rescaled
-Laguerre recurrences leave the comfortably-exact range of double precision
-and results would silently degrade.
+Shell counts above ``MAX_SHELLS`` are rejected.  The orbital-summation
+kernel (``_kernels.shell_profile``: one Laguerre recurrence per pair of
+orbitals, whose running sums give the derivative orders) is checked against
+a 32-digit mpmath oracle to 1e-13 at 25 and 40 shells; beyond that its
+recurrences and running sums are longer than any verified case, and results
+could silently degrade.
 """
 
 from __future__ import annotations

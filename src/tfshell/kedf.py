@@ -46,6 +46,7 @@ from .fields import RadialField
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
+    "DEFAULT_R_MAX",
     "RHO_CUTOFF",
     "GridError",
     "ConvergenceError",

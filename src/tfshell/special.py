@@ -7,10 +7,11 @@ degree,
     (j+1) L_{j+1}^a(x) = (2j + a + 1 - x) L_j^a(x) - (j + a) L_{j-1}^a(x),
 
 which is stable over the argument range where the accompanying exponential
-weight exp(-x/2) is non-negligible; it is the same recurrence the
-orbital-summation kernel runs (``_kernels._laguerre_array``).  Degrees beyond
-``MAX_DEGREE`` are rejected rather than evaluated with silently degraded
-accuracy.
+weight exp(-x/2) is non-negligible.  ``laguerre`` runs it through
+``_kernels._laguerre_array``, whose recurrence step (``_kernels._laguerre_step``)
+is the one the orbital-summation kernel runs once per pair of orbitals.
+Degrees beyond ``MAX_DEGREE`` are rejected rather than evaluated with
+silently degraded accuracy.
 """
 
 from __future__ import annotations

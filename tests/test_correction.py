@@ -11,6 +11,7 @@ from tfshell.correction import (
     PUBLISHED_COEFFICIENTS,
     CorrectionTable,
     corrected_energy,
+    delta_t,
     delta_t_exact,
     delta_t_interpolated,
 )
@@ -96,6 +97,15 @@ def test_corrected_energy_uses_exact_nodes() -> None:
     # shell-filling numbers take the exact node in either mode
     assert corrected_energy(0.0, 10, "published") == delta_t_exact(2)
     assert corrected_energy(0.0, 110, "refit") == delta_t_exact(5)
+
+
+def test_delta_t_takes_node_or_cubic() -> None:
+    assert delta_t(60) == delta_t_exact(4)
+    assert delta_t(110, "published") == delta_t_exact(5)
+    assert delta_t(54, "published") == delta_t_interpolated(54, "published")
+    assert delta_t(17) == delta_t_interpolated(17)
+    with pytest.raises(ValueError):
+        delta_t(7.5)
 
 
 def test_corrected_energy_interpolates_between_nodes() -> None:

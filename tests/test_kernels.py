@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -72,6 +73,45 @@ def _shell_profile_reference(z: float, n_max: int, r: np.ndarray) -> tuple:
     return rho, drho, d2rho
 
 
+def _shell_profile_oracle(z: float, n_max: int, r: np.ndarray) -> tuple:
+    """(rho, rho', rho'') summed orbital by orbital in 32-digit mpmath.
+
+    Each L_k^a comes from ``mpmath.laguerre``; its derivatives use
+    dL_k^a/dx = -L_{k-1}^{a+1}, each evaluated by mpmath on its own.
+    """
+    out = np.empty((3, r.size))
+    with mpmath.workdps(32):
+        big_z = mpmath.mpf(z)
+        for i, ri in enumerate(r):
+            sums = [mpmath.mpf(0)] * 3
+            for n in range(1, n_max + 1):
+                g = 2 * big_z / n
+                x = g * mpmath.mpf(float(ri))
+                e = mpmath.exp(-x / 2)
+                for l in range(n):
+                    k, a = n - l - 1, 2 * l + 1
+                    weight = (
+                        g**3 / (2 * n) * mpmath.factorial(k) / mpmath.factorial(n + l)
+                        * 2 * a / (4 * mpmath.pi)
+                    )
+                    p0 = mpmath.laguerre(k, a, x)
+                    p1 = -mpmath.laguerre(k - 1, a + 1, x) if k >= 1 else 0
+                    p2 = mpmath.laguerre(k - 2, a + 2, x) if k >= 2 else 0
+                    q0 = x**l * p0
+                    q1 = (l * x ** (l - 1) * p0 if l >= 1 else 0) + x**l * p1
+                    q2 = (
+                        (l * (l - 1) * x ** (l - 2) * p0 if l >= 2 else 0)
+                        + (2 * l * x ** (l - 1) * p1 if l >= 1 else 0)
+                        + x**l * p2
+                    )
+                    w0, w1, w2 = q0 * e, (q1 - q0 / 2) * e, (q2 - q1 + q0 / 4) * e
+                    sums[0] += weight * w0 * w0
+                    sums[1] += weight * 2 * w0 * w1 * g
+                    sums[2] += weight * 2 * (w1 * w1 + w0 * w2) * g * g
+            out[:, i] = [float(v) for v in sums]
+    return tuple(out)
+
+
 def _exp_poly_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(20260821)
     n_groups, degree = 9, 7
@@ -106,3 +146,38 @@ def test_laguerre_array_matches_reference() -> None:
         reference = laguerre(LaguerreSpec(k, int(alpha)), x)
         scale = max(1.0, float(np.max(np.abs(reference))))
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("n_shell", [5, 6])
+def test_pair_orders_match_laguerre_array(n_shell: int) -> None:
+    # shell 5 pairs (0,1), (2,3) and leaves l = 4 (k = 0) without a partner;
+    # shell 6 pairs all six orbitals; together k runs over 0..5
+    x = np.linspace(0.0, 30.0, 301)
+    work = [np.empty_like(x) for _ in range(7)]
+    for l in range(0, n_shell, 2):
+        k, a = n_shell - l - 1, 2 * l + 1
+        got = _kernels._pair_orders(k, float(a), x, work)
+        wanted = [(k, a), (k - 1, a + 1), (k - 2, a + 2), (k - 1, a + 2), (k - 2, a + 3), (k - 3, a + 4)]
+        for value, (degree, order) in zip(got, wanted):
+            if degree < 0:
+                np.testing.assert_array_equal(value, 0.0)
+                continue
+            reference = _kernels._laguerre_array(degree, float(order), x)
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-13 * scale)
+        assert len({id(v) for v in got}) == 6
+
+
+@pytest.mark.parametrize("n_max", [25, 40])
+def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
+    z = n_max * (n_max + 1) * (2 * n_max + 1) / 3.0
+    r_max = (6.0 * n_max**2 + 40.0) / z
+    # the cusp, the shell region and the tail out to the quadrature cutoff
+    r = r_max * np.array([1e-7, 1e-4, 1e-2, 0.1, 0.5, 1.0])
+    rho, drho, d2rho = _kernels.shell_profile(z, n_max, r)
+    ref_rho, ref_drho, ref_d2rho = _shell_profile_oracle(z, n_max, r)
+    live = ref_rho > 1e-250
+    assert live.all()
+    np.testing.assert_allclose(rho[live], ref_rho[live], rtol=1e-13, atol=0.0)
+    for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
