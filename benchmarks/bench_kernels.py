@@ -3,9 +3,13 @@
 The shell-density kernel runs on the closed-shell ladder's own quadrature
 grids: the expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
 density, at the library default of 3008 nodes and at its 6016-node
-refinement.  The exponential-polynomial kernel runs on synthetic inputs.
-Each case reports the median wall time of the timed calls and the
-tracemalloc peak of one further, untimed call.
+refinement.  The exponential-polynomial kernel runs on synthetic inputs
+and on the Ne and Xe densities over the ``table1`` grid (2000 nodes on
+[0, 45]) and its 4000-node refinement, once with the density row alone and
+once with the three stacked rows (rho, rho', rho'') that
+``RadialField.profile`` evaluates in one call.  Each case reports the median
+wall time of the timed calls and the tracemalloc peak of one further,
+untimed call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
@@ -22,8 +26,9 @@ from typing import Callable
 import numpy as np
 
 from tfshell._kernels import exp_poly_eval, shell_profile
+from tfshell.atomic_data import atom_density, load_bundled
 from tfshell.hydrogenic import ShellConfiguration, model_density
-from tfshell.kedf import make_grid
+from tfshell.kedf import DEFAULT_R_MAX, make_grid
 
 
 def time_call(func: Callable, args: tuple, repeats: int) -> float:
@@ -52,6 +57,14 @@ def exp_poly_inputs(n_points: int, rng: np.random.Generator) -> tuple:
     coefs = rng.standard_normal((12, 9))
     r = np.linspace(1e-4, 40.0, n_points)
     return exponents, coefs, r
+
+
+def atom_field_inputs(symbol: str, n_points: int, stacked: bool) -> tuple:
+    """(exponents, coefs, nodes) of a bundled atom's density on [0, 45]."""
+    field = atom_density(load_bundled([symbol])[symbol])
+    exponents, coefs = field._groups
+    rows = field._profile_coefs if stacked else coefs
+    return exponents, rows, make_grid(n_points=n_points, r_span=(0.0, DEFAULT_R_MAX)).nodes
 
 
 def shell_inputs(n_points: int, n_max: int) -> tuple:
@@ -100,6 +113,15 @@ def main() -> None:
             exp_poly_inputs(n_points, rng),
             args.repeats,
         )
+    for symbol in ("Ne", "Xe"):
+        for n_points in (2000, 4000):
+            for stacked, label in ((False, "1 row"), (True, "3 rows")):
+                report(
+                    f"exp_poly_eval[{symbol}, {n_points} pts, {label}]",
+                    exp_poly_eval,
+                    atom_field_inputs(symbol, n_points, stacked),
+                    args.repeats,
+                )
     print()
     for n_max in shells:
         for n_points in points:

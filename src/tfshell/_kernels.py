@@ -3,7 +3,9 @@
 Two kernels dominate the runtime of every functional in this package:
 
 * evaluation of exponential-polynomial radial fields
-  rho(r) = sum_g exp(-beta_g r) * P_g(r)  (P_g a dense polynomial), and
+  rho(r) = sum_g exp(-beta_g r) * P_g(r)  (P_g a dense polynomial), for
+  one or several coefficient sets at once (a field and its derivatives
+  share the exponentials e^{-beta_g r}, so one call evaluates all three), and
 * direct evaluation of filled-shell Coulomb densities and their first two
   radial derivatives by orbital summation, with one Laguerre recurrence per
   pair of orbitals feeding the polynomial and both its derivatives.
@@ -28,16 +30,30 @@ import numpy as np
 
 
 def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_g exp(-beta_g r) * Horner(coefs[g], r), vectorized over r."""
-    out = np.zeros_like(r)
-    n_deg = coefs.shape[1]
+    """sum_g exp(-beta_g r) * Horner(coefs[g], r), vectorized over r.
+
+    ``coefs`` of shape (G, D) gives one row, shaped like ``r``.  A stack of
+    R coefficient sets, shape (R, G, D), gives R rows, shape (R, N): each
+    group's exponential is computed once and shared by every set, and each
+    row equals the one-set call on its coefficients bit for bit.
+    """
+    sets = coefs if coefs.ndim == 3 else coefs[None]
+    out = np.zeros((sets.shape[0], *r.shape), dtype=r.dtype)
+    n_deg = sets.shape[2]
+    poly = np.empty_like(r)
+    decay = np.empty_like(r)
     with np.errstate(under="ignore"):
         for g in range(exponents.shape[0]):
-            poly = np.full_like(r, coefs[g, n_deg - 1])
-            for d in range(n_deg - 2, -1, -1):
-                poly = poly * r + coefs[g, d]
-            out += poly * np.exp(-exponents[g] * r)
-    return out
+            np.multiply(-exponents[g], r, out=decay)
+            np.exp(decay, out=decay)
+            for row, c in zip(out, sets[:, g]):
+                poly.fill(c[n_deg - 1])
+                for d in range(n_deg - 2, -1, -1):
+                    poly *= r
+                    poly += c[d]
+                poly *= decay
+                row += poly
+    return out if coefs.ndim == 3 else out[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .kedf import energies, make_grid
 
 __all__ = [
     "TURNING_POINT",
+    "TARGETS",
     "ExtrapolationError",
     "ZExpansion",
     "ScaledDensity",
@@ -47,6 +48,29 @@ __all__ = [
 TURNING_POINT = 18.0 ** (1.0 / 3.0)
 
 _MAX_ELIMINATION_DEPTH = 5
+
+
+class FitTarget(NamedTuple):
+    """Regression target of one extrapolated ladder quantity."""
+
+    quantity: str
+    value: float
+    tolerance: float
+
+
+# Regression targets of the Richardson fits on the closed-shell ladder, keyed
+# by (series, power), in report order.  Every value is the paper's printed
+# number.  The T_TF Z^2 entry (-0.625856) is not the Z^2 coefficient of the
+# ladder's local-density energy: an independent core-scaling oracle puts that
+# at -0.65282, and the acceptance tests check the fit against the oracle.
+TARGETS: dict[tuple[str, str], FitTarget] = {
+    ("T_TF", "Z^{7/3}"): FitTarget("coefficient", 1.144714, 1e-5),
+    ("T_TF", "Z^2"): FitTarget("coefficient", -0.625856, 1e-3),
+    ("T_TF", "Z^{5/3}"): FitTarget("coefficient", 0.146878, 1e-2),
+    ("T2", "Z^{7/3}"): FitTarget("coefficient", 0.0, 1e-4),
+    ("T2", "Z^{-1/3}"): FitTarget("fraction of exact energy", 0.10942, 1e-3),
+    ("T4", "Z^{-1/3}"): FitTarget("fraction of exact energy", 0.015052, 1e-3),
+}
 
 
 class ExtrapolationError(RuntimeError):
@@ -344,9 +368,12 @@ def figure_error_rows(
 
     Errors follow the underestimate-positive convention
     (reference - approximation)/reference, where the approximations are
-    the cumulative sums T0, T0+T2, T0+T2+T4.  The T0 column is always
-    positive; the corrected sums overshoot small systems, so the T2 column
-    goes positive from three shells and the T4 column only from eight.
+    the cumulative sums T0, T0+T2, T0+T2+T4.  That is the opposite sign of
+    ``kedf.EnergyBreakdown`` and of ``tfshell table1``, on purpose: the
+    local-density energy of the ladder always underestimates, and its error
+    curve is plotted positive.  The T0 column is always positive; the
+    corrected sums overshoot small systems, so the T2 column goes positive
+    from three shells and the T4 column only from eight.
     """
     rows = []
     for pt in model_energy_sequence(shell_counts, grid_points=grid_points, verify=verify):

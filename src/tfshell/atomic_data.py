@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import IO, Iterable, Union
 
@@ -94,9 +95,13 @@ class STOPrimitive:
         if not math.isfinite(self.coefficient):
             raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
 
-    @property
+    @cached_property
     def normalization(self) -> float:
-        """N = (2 zeta)^{n + 1/2} / sqrt((2n)!), unit-norm single primitive."""
+        """N = (2 zeta)^{n + 1/2} / sqrt((2n)!), unit-norm single primitive.
+
+        Computed once per primitive: the norm check and every density built
+        from the orbital read it.
+        """
         return math.sqrt((2.0 * self.zeta) ** (2 * self.n + 1) / math.factorial(2 * self.n))
 
 

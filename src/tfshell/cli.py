@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .asymptotics import (
+    TARGETS,
     ExtrapolationError,
     figure_density_rows,
     figure_error_rows,
@@ -57,6 +58,7 @@ from .kedf import (
     DEFAULT_GRID_POINTS,
     DEFAULT_R_MAX,
     ConvergenceError,
+    EnergyBreakdown,
     GridError,
     energies,
     make_grid,
@@ -117,24 +119,11 @@ def _format_value(value: float) -> str:
 @dataclass(frozen=True)
 class AtomRow:
     record: STOAtomRecord
-    t_tf: float
-    t2: float
-    t4: float
-    delta_t: float
-
-    @property
-    def corrected(self) -> float:
-        return self.t_tf + self.delta_t
+    energies: EnergyBreakdown
 
     def errors_percent(self) -> tuple[float, float, float, float]:
-        ref = self.record.reference_hf_kinetic
-        rel = lambda approx: (approx - ref) / ref * 100.0
-        return (
-            rel(self.t_tf),
-            rel(self.t_tf + self.t2),
-            rel(self.t_tf + self.t2 + self.t4),
-            rel(self.corrected),
-        )
+        e = self.energies
+        return tuple(100.0 * err for err in (e.err_tf, e.err_second, e.err_fourth, e.err_corrected))
 
 
 def _load_records(config: RunConfig) -> dict[str, STOAtomRecord]:
@@ -197,7 +186,12 @@ def cmd_table1(config: RunConfig) -> int:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
             continue
-        rows.append(AtomRow(rec, t_tf, t2, t4, delta))
+        rows.append(
+            AtomRow(
+                rec,
+                EnergyBreakdown.from_components(t_tf, t2, t4, delta, rec.reference_hf_kinetic),
+            )
+        )
 
     if not rows:
         return EXIT_NUMERIC if numeric_failures and not missing else EXIT_DATA
@@ -225,17 +219,18 @@ def cmd_table1(config: RunConfig) -> int:
     else:
         for row in rows:
             errs = row.errors_percent()
+            e = row.energies
             print(
                 json.dumps(
                     {
                         "z": row.record.atomic_number,
                         "atom": row.record.element,
                         "reference_hf_kinetic": row.record.reference_hf_kinetic,
-                        "t_tf": row.t_tf,
-                        "t2": row.t2,
-                        "t4": row.t4,
-                        "delta_t": row.delta_t,
-                        "corrected": row.corrected,
+                        "t_tf": e.t_tf,
+                        "t2": e.t2,
+                        "t4": e.t4,
+                        "delta_t": e.delta_t,
+                        "corrected": e.corrected,
                         "err_tf_pct": errs[0],
                         "err_tf_t2_pct": errs[1],
                         "err_tf_t2_t4_pct": errs[2],
@@ -400,13 +395,19 @@ def cmd_asymptotics(config: RunConfig) -> int:
     t2_ratio = richardson_extrapolate([(p.z, p.t2 / p.t_exact) for p in points], ratio_powers)
     t4_ratio = richardson_extrapolate([(p.z, p.t4 / p.t_exact) for p in points], ratio_powers)
 
+    fitted = {
+        ("T_TF", "Z^{7/3}"): fitted_tf[0],
+        ("T_TF", "Z^2"): fitted_tf[1],
+        ("T_TF", "Z^{5/3}"): fitted_tf[2],
+        ("T2", "Z^{7/3}"): t2_lead[0],
+        ("T2", "Z^{-1/3}"): t2_ratio[0],
+        ("T4", "Z^{-1/3}"): t4_ratio[0],
+    }
     rows = [
-        _FitRow("T_TF", "coefficient", "Z^{7/3}", fitted_tf[0], 1.144714, 1e-5),
-        _FitRow("T_TF", "coefficient", "Z^2", fitted_tf[1], -0.625856, 1e-3),
-        _FitRow("T_TF", "coefficient", "Z^{5/3}", fitted_tf[2], 0.146878, 1e-2),
-        _FitRow("T2", "coefficient", "Z^{7/3}", t2_lead[0], 0.0, 1e-4),
-        _FitRow("T2", "fraction of exact energy", "Z^{-1/3}", t2_ratio[0], 0.10942, 1e-3),
-        _FitRow("T4", "fraction of exact energy", "Z^{-1/3}", t4_ratio[0], 0.015052, 1e-3),
+        _FitRow(
+            series, target.quantity, power, fitted[series, power], target.value, target.tolerance
+        )
+        for (series, power), target in TARGETS.items()
     ]
     checks = _self_tests()
 

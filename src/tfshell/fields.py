@@ -7,7 +7,9 @@ derivatives exact term-by-term operations; no finite differencing ever
 enters the functionals built on top.
 
 Evaluation groups terms by common exponent into dense polynomial rows and
-runs through the ``_kernels.exp_poly_eval`` kernel.  Radial moments and tail
+runs through the ``_kernels.exp_poly_eval`` kernel; ``profile`` stacks the
+rows of rho, rho' and rho'' into one kernel call, so each exponential
+e^{-beta r} is computed once for all three.  Radial moments and tail
 masses have closed forms through the (incomplete) Gamma function and are used
 to place quadrature cutoffs; scipy, which supplies the incomplete Gamma
 function, is imported only when a tail mass is asked for.
@@ -117,16 +119,18 @@ class RadialField:
                 out[g, d] = v
         return out
 
-    def _eval(self, coefs: np.ndarray, r) -> np.ndarray | float:
+    @cached_property
+    def _profile_coefs(self) -> np.ndarray:
+        """The rows of rho, rho' and rho'' stacked, shape (3, G, D+1)."""
+        return np.stack([self._groups[1], self._deriv_coefs, self._deriv2_coefs])
+
+    def _eval(self, coefs: np.ndarray, r):
+        """Kernel rows of ``coefs`` at r: arrays, or floats for a scalar r."""
         arr, scalar = _as_array(r)
         if np.any(arr < 0):
             raise ValueError("radius must be non-negative")
-        exps, _ = self._groups
-        if exps.size == 0:
-            out = np.zeros_like(arr)
-        else:
-            out = _kernels.exp_poly_eval(exps, coefs, arr)
-        return float(out[0]) if scalar else out
+        out = _kernels.exp_poly_eval(self._groups[0], coefs, arr)
+        return out[..., 0].tolist() if scalar else out
 
     def value(self, r):
         """rho(r), scalar or array."""
@@ -141,8 +145,8 @@ class RadialField:
         return self._eval(self._deriv2_coefs, r)
 
     def profile(self, r):
-        """(rho, rho', rho'') evaluated together."""
-        return self.value(r), self.derivative(r), self.second_derivative(r)
+        """(rho, rho', rho'') evaluated together, in one kernel call."""
+        return tuple(self._eval(self._profile_coefs, r))
 
     # -- closed-form moments ----------------------------------------------
 

@@ -8,9 +8,10 @@ Functionals (all as 4 pi * integral of r^2 * tau dr, hartree):
 * ``energies``        all three, (T_TF, T_W, T_4), from one shared pass
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
-evaluates that profile once on the grid and once on the refined grid and
-integrates every functional from those arrays, so it costs one density
-evaluation per grid where the three single-functional calls cost several.
+evaluates that profile in one call on the nodes of the grid and of its
+refinement together, then integrates every functional from each grid's
+slice, so it costs one density evaluation where the three
+single-functional calls cost several per grid.
 Each integrand is written once and shared by both paths, so the values are
 identical bit for bit.
 
@@ -27,17 +28,21 @@ mapped coordinate r = r_min + (r_max - r_min)(e^{a t} - 1)/(e^a - 1),
 t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
 Every constructed grid must pass the scheme self-test (the Gamma integral
 of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
-rather than returned.  Each functional re-evaluates on a doubled grid (built
-once per grid and cached) and signals non-convergence when the two results
-disagree beyond 1e-8 relative; ``energies`` applies that gate to each of its
-three values separately, and the ConvergenceError names the functional that
-failed.
+rather than returned.  The 16-point Gauss-Legendre rule is built once per
+process, on first use, and the self-test value of a short-span surrogate
+grid once per (n_points, alpha); the comparison against the 1e-10 gate
+runs on every construction.  Each functional is checked against a
+doubled grid (built once per grid and cached) and signals non-convergence
+when the two results disagree beyond 1e-8 relative; ``energies`` applies
+that gate to each of its three values separately, and the
+ConvergenceError names the functional that failed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -115,9 +120,18 @@ class RadialGrid:
         return grid
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point Gauss-Legendre rule on [-1, 1], built on first use."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    gl_x.setflags(write=False)
+    gl_w.setflags(write=False)
+    return gl_x, gl_w
+
+
 def _build_expmap(n_points: int, r_min: float, r_max: float, alpha: float):
     n_panels = -(-n_points // _PANEL_ORDER)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    gl_x, gl_w = _gauss_legendre()
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -129,6 +143,17 @@ def _build_expmap(n_points: int, r_min: float, r_max: float, alpha: float):
     nodes = r_min + span * (e_at - 1.0) / denom
     jac = span * alpha * e_at / denom
     return nodes, wt * jac
+
+
+def _self_test_probe(nodes: np.ndarray, weights: np.ndarray) -> float:
+    """The rule's value for the Gamma(3) integral of r^2 e^{-r}, exactly 2."""
+    return float(np.dot(weights, nodes**2 * np.exp(-nodes)))
+
+
+@lru_cache(maxsize=256)
+def _surrogate_probe(n_points: int, alpha: float) -> float:
+    """Self-test value of the same-resolution grid on [0, 45]."""
+    return _self_test_probe(*_build_expmap(n_points, 0.0, _SELF_TEST_SPAN, alpha))
 
 
 def make_grid(
@@ -161,15 +186,11 @@ def make_grid(
 
     # Scheme self-test on a span long enough that truncation of the test
     # integrand is negligible; short-span grids are validated through a
-    # same-resolution surrogate.
+    # same-resolution surrogate, whose value is computed once.
     if r_min == 0.0 and r_max >= _SELF_TEST_SPAN:
-        test_grid = grid
+        probe = _self_test_probe(nodes, weights)
     else:
-        t_nodes, t_weights = _build_expmap(int(n_points), 0.0, _SELF_TEST_SPAN, float(alpha))
-        test_grid = RadialGrid(
-            t_nodes, t_weights, kind, int(n_points), 0.0, _SELF_TEST_SPAN, float(alpha)
-        )
-    probe = test_grid.integrate(test_grid.nodes**2 * np.exp(-test_grid.nodes))
+        probe = _surrogate_probe(int(n_points), float(alpha))
     if abs(probe - 2.0) > 2.0 * _SELF_TEST_TOL:
         raise GridError(
             f"scheme self-test failed at {n_points} points "
@@ -186,6 +207,18 @@ def _checked_density(values) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
+def _check_refinement(
+    names: tuple[str, ...], values: tuple[float, ...], refined_values: tuple[float, ...]
+) -> None:
+    for name, value, refined in zip(names, values, refined_values):
+        scale = max(abs(refined), abs(value), 1e-30)
+        if abs(refined - value) > _CONVERGENCE_TOL * scale:
+            raise ConvergenceError(
+                f"{name}: grid refinement moved the result from {value!r} to {refined!r}; "
+                "increase grid points or the radial span"
+            )
+
+
 def _converged(
     names: tuple[str, ...],
     evaluate: Callable[[RadialGrid], tuple[float, ...]],
@@ -194,13 +227,7 @@ def _converged(
 ) -> tuple[float, ...]:
     values = evaluate(grid)
     if verify:
-        for name, value, refined in zip(names, values, evaluate(grid.refined(2))):
-            scale = max(abs(refined), abs(value), 1e-30)
-            if abs(refined - value) > _CONVERGENCE_TOL * scale:
-                raise ConvergenceError(
-                    f"{name}: grid refinement moved the result from {value!r} to {refined!r}; "
-                    "increase grid points or the radial span"
-                )
+        _check_refinement(names, values, evaluate(grid.refined(2)))
     return values
 
 
@@ -304,26 +331,37 @@ def fourth_order_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = Tr
 def energies(
     rho: RadialField, grid: RadialGrid, *, verify: bool = True
 ) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) from one density profile per grid (hartree).
+    """(T_TF, T_W, T_4) from one density profile call (hartree).
 
     The same values, bit for bit, as ``tf_energy``, ``weizsacker_energy``
     and ``fourth_order_energy`` called one by one, which evaluate the
-    density separately for each functional.  With ``verify`` each
-    functional must pass the refinement gate on its own; the
-    ConvergenceError names the first that fails.
+    density separately for each functional.  With ``verify`` the nodes of
+    the grid and of its refinement go to ``rho.profile`` in one array, and
+    the density checks, the vacuum cutoff and the integrals then run on
+    each grid's own slice.  Each functional must pass the refinement gate
+    on its own; the ConvergenceError names the first that fails.
     """
 
-    def evaluate(g: RadialGrid) -> tuple[float, float, float]:
-        values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
+    grids = (grid, grid.refined(2)) if verify else (grid,)
+    nodes = np.concatenate([g.nodes for g in grids])
+    profile = [np.asarray(a, dtype=float) for a in rho.profile(nodes)]
+    results = []
+    start = 0
+    for g in grids:
+        values, deriv, deriv2 = (a[start:start + g.nodes.size] for a in profile)
+        start += g.nodes.size
         values = _checked_density(values)
         mask = _cutoff_mask(rho, g, values)
-        return (
-            _tf_integral(g, values),
-            _weizsacker_integral(g, values, deriv, mask),
-            _fourth_order_integral(g, values, deriv, deriv2, mask),
+        results.append(
+            (
+                _tf_integral(g, values),
+                _weizsacker_integral(g, values, deriv, mask),
+                _fourth_order_integral(g, values, deriv, deriv2, mask),
+            )
         )
-
-    return _converged(("T_TF", "T_W", "T_4"), evaluate, grid, verify)
+    if verify:
+        _check_refinement(("T_TF", "T_W", "T_4"), *results)
+    return results[0]
 
 
 @dataclass(frozen=True)

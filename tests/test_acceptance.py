@@ -40,6 +40,7 @@ from scipy import integrate, special
 import conftest
 from tfshell._kernels import _laguerre_array
 from tfshell.asymptotics import (
+    TARGETS,
     TURNING_POINT,
     model_energy_sequence,
     model_expansion,
@@ -140,17 +141,26 @@ def test_criterion_3_extrapolated_ladder_coefficients():
     oracle = _core_scaling_z2_coefficient(100, 250.0)
     oracle_elapsed = time.perf_counter() - oracle_start
 
+    def near(series: str, power: str, fitted: float) -> tuple[str, bool]:
+        target = TARGETS[(series, power)]
+        name = f"{series} {power} within {target.tolerance:g} of {target.value!r}"
+        return name, abs(fitted - target.value) <= target.tolerance
+
+    t2_lead_target = TARGETS[("T2", "Z^{7/3}")]
     checks = [
-        ("Z^{7/3} within 1e-5 of 1.144714", abs(tf_fit[0] - 1.144714) <= 1e-5),
-        ("Z^2 within 1e-3 of the core-scaling oracle", abs(tf_fit[1] - oracle) <= 1e-3),
+        near("T_TF", "Z^{7/3}", tf_fit[0]),
+        ("T_TF Z^2 within 1e-3 of the core-scaling oracle", abs(tf_fit[1] - oracle) <= 1e-3),
         (
             "oracle at (N, X) = (80, 200) within 3e-4 of (100, 250)",
             abs(oracle_coarse - oracle) <= 3e-4,
         ),
-        ("Z^{5/3} within 1e-2 of 0.146878", abs(tf_fit[2] - 0.146878) <= 1e-2),
-        ("T2 leading coefficient |a| < 1e-4", abs(t2_lead) < 1e-4),
-        ("T2 fraction within 1e-3 of 0.10942", abs(t2_gamma - 0.10942) <= 1e-3),
-        ("T4 fraction within 1e-3 of 0.015052", abs(t4_gamma - 0.015052) <= 1e-3),
+        near("T_TF", "Z^{5/3}", tf_fit[2]),
+        (
+            "T2 leading coefficient |a| < 1e-4",
+            abs(t2_lead - t2_lead_target.value) < t2_lead_target.tolerance,
+        ),
+        near("T2", "Z^{-1/3}", t2_gamma),
+        near("T4", "Z^{-1/3}", t4_gamma),
         ("runtime under 300s", elapsed < 300.0),
         ("oracle runtime under 15s", oracle_elapsed < 15.0),
     ]

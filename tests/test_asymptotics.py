@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from tfshell import _kernels
 from tfshell.asymptotics import (
+    TARGETS,
     TURNING_POINT,
     ExtrapolationError,
     ScaledDensity,
@@ -209,6 +210,11 @@ def test_divergence_overflow_is_nonfinite() -> None:
 # --- fits along the closed-shell ladder ------------------------------------
 
 
+def _near_target(series: str, power: str):
+    target = TARGETS[(series, power)]
+    return pytest.approx(target.value, abs=target.tolerance)
+
+
 @pytest.fixture(scope="module")
 def ladder():
     return model_energy_sequence(range(2, 26), grid_points=2000, verify=False)
@@ -221,7 +227,7 @@ def test_three_power_fit_of_tf_energy(ladder) -> None:
     # the fitted Z^2 coefficient; frozen from this pipeline, stable to the
     # grid and ladder choices at the 1e-3 level
     assert b == pytest.approx(-0.652859, abs=1e-3)
-    assert c == pytest.approx(0.146878, abs=1e-2)
+    assert c == _near_target("T_TF", "Z^{5/3}")
 
 
 def test_two_power_fit_biases_subleading_term(ladder) -> None:
@@ -236,25 +242,29 @@ def test_two_power_fit_biases_subleading_term(ladder) -> None:
 def test_gradient_terms_are_subleading(ladder) -> None:
     seq = [(p.z, p.t2) for p in ladder]
     (lead,) = richardson_extrapolate(seq, [Fraction(7, 3)])
-    assert abs(lead) < 1e-4
+    target = TARGETS[("T2", "Z^{7/3}")]
+    assert abs(lead - target.value) < target.tolerance
 
 
 def test_gradient_correction_ratio_coefficients(ladder) -> None:
     t2_ratio = [(p.z, p.t2 / p.t_exact) for p in ladder]
     g1, g2 = richardson_extrapolate(t2_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
-    assert g1 == pytest.approx(0.10942, abs=1e-3)
+    assert g1 == _near_target("T2", "Z^{-1/3}")
     assert g2 == pytest.approx(0.045, abs=0.009)
 
     t4_ratio = [(p.z, p.t4 / p.t_exact) for p in ladder]
     g1, g2 = richardson_extrapolate(t4_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
-    assert g1 == pytest.approx(0.015052, abs=1e-3)
+    assert g1 == _near_target("T4", "Z^{-1/3}")
     assert g2 == pytest.approx(0.0078, abs=0.00156)
 
 
 def test_resummation_of_z2_coefficients(ladder) -> None:
     # literature arithmetic: the three printed Z^2-level numbers sum to
     # within 0.3% of the -1/2 expected from the exact series
-    assert -0.625856 + 0.10942 + 0.015052 == pytest.approx(-0.5, abs=0.0015)
+    printed = sum(
+        TARGETS[key].value for key in (("T_TF", "Z^2"), ("T2", "Z^{-1/3}"), ("T4", "Z^{-1/3}"))
+    )
+    assert printed == pytest.approx(-0.5, abs=0.0015)
 
     # the same sum rebuilt from this pipeline's fits lands close to, but
     # measurably off, -1/2; the residual is real, not noise
@@ -497,8 +507,8 @@ def test_sequence_points_are_cached_and_exact() -> None:
     assert first.n_max == 3
 
 
-@pytest.mark.parametrize("verify,expected", [(True, 2), (False, 1)])
-def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, expected) -> None:
+@pytest.mark.parametrize("verify,grids", [(True, 2), (False, 1)])
+def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, grids) -> None:
     calls = []
     kernel = _kernels.shell_profile
 
@@ -509,7 +519,8 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, expec
     monkeypatch.setattr(_kernels, "shell_profile", counting)
     # bypass the ladder cache so the point is computed here
     _ladder_point.__wrapped__(3, 2000, verify)
-    assert len(calls) == expected
+    # one kernel call covers the base grid and, with verify, its refinement
+    assert calls == [sum(2000 * 2**i for i in range(grids))]
 
 
 def test_figure_density_rows_structure() -> None:

@@ -55,6 +55,23 @@ def test_profile_bundles_the_three_evaluations():
     assert np.array_equal(dd, field.second_derivative(radii))
 
 
+def test_profile_is_one_kernel_call(monkeypatch):
+    from tfshell import _kernels
+
+    calls = []
+    kernel = _kernels.exp_poly_eval
+
+    def counting(exponents, coefs, r):
+        calls.append(coefs.shape)
+        return kernel(exponents, coefs, r)
+
+    monkeypatch.setattr(_kernels, "exp_poly_eval", counting)
+    field = RadialField(RICH_TERMS)
+    field.profile(np.linspace(0.0, 5.0, 11))
+    field.profile(2.5)
+    assert [shape[0] for shape in calls] == [3, 3]
+
+
 def test_total_charge_against_quadrature():
     field = RadialField(RICH_TERMS)
     numeric, err = quad(lambda r: 4.0 * math.pi * r * r * field.value(r), 0.0, 80.0, limit=200)

@@ -161,6 +161,28 @@ def test_grid_minimum_resolution() -> None:
     assert grid.n_points == 64
 
 
+def test_short_span_self_test_fails_on_every_call() -> None:
+    # the surrogate's self-test value is memoized, its gate is not
+    for _ in range(2):
+        with pytest.raises(GridError, match="self-test"):
+            make_grid("expmap", 48, (0.0, 5.0))
+
+
+def test_gauss_legendre_rule_is_built_once(monkeypatch) -> None:
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(order):
+        calls.append(order)
+        return leggauss(order)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    grids = [make_grid("expmap", n, (0.0, span)) for n in (64, 2000, 2000) for span in (5.0, 45.0)]
+    assert len(calls) <= 1
+    # the rule in use is the 16-point one, whoever built it
+    assert {len(g.nodes) % 16 for g in grids} == {0}
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -282,21 +304,41 @@ def test_energies_equal_single_functionals_bitwise(bundled, verify: bool) -> Non
         assert t4 == fourth_order_energy(rho, g, verify=verify)
 
 
+class ProfileCountingField(RadialField):
+    """Records the size of every profile() call."""
+
+    def __init__(self, terms) -> None:
+        super().__init__(terms)
+        self.profile_sizes: list[int] = []
+
+    def profile(self, r):
+        self.profile_sizes.append(np.size(r))
+        return super().profile(r)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_energies_evaluates_profile_once(grid: RadialGrid, verify: bool) -> None:
+    field = ProfileCountingField([(1.0, 0, 2.0), (0.3, 1, 0.7)])
+    energies(field, grid, verify=verify)
+    expected = grid.nodes.size + (grid.refined(2).nodes.size if verify else 0)
+    assert field.profile_sizes == [expected]
+
+
 class DriftingField(RadialField):
-    """Scales one profile component on grids finer than ``coarse_size`` nodes.
+    """Scales one profile component on nodes outside ``coarse_nodes``.
 
     Only the functionals that read that component move under refinement.
     """
 
-    def __init__(self, terms, component: int, coarse_size: int) -> None:
+    def __init__(self, terms, component: int, coarse_nodes: np.ndarray) -> None:
         super().__init__(terms)
         self.component = component
-        self.coarse_size = coarse_size
+        self.coarse_nodes = coarse_nodes
 
     def profile(self, r):
         parts = list(super().profile(r))
-        if np.size(r) > self.coarse_size:
-            parts[self.component] = parts[self.component] * 1.001
+        drift = np.where(np.isin(r, self.coarse_nodes), 1.0, 1.001)
+        parts[self.component] = parts[self.component] * drift
         return tuple(parts)
 
 
@@ -304,7 +346,7 @@ class DriftingField(RadialField):
 def test_energies_refinement_failure_names_functional(
     grid: RadialGrid, component: int, name: str
 ) -> None:
-    field = DriftingField([(1.0, 0, 2.0)], component, grid.nodes.size)
+    field = DriftingField([(1.0, 0, 2.0)], component, grid.nodes)
     with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
         energies(field, grid)
     # the unverified pass never sees the refined grid

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from tfshell import _kernels
+from tfshell.atomic_data import atom_density
+from tfshell.fields import RadialField
+from tfshell.kedf import make_grid
 from tfshell.special import LaguerreSpec, laguerre
 
 
@@ -127,6 +130,22 @@ def test_exp_poly_backends_agree() -> None:
     vector = _kernels.exp_poly_eval(exponents, coefs, r)
     scale = np.max(np.abs(vector))
     np.testing.assert_allclose(reference, vector, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("atom", ["Ne", "Xe", None])
+def test_exp_poly_stacked_rows_match_single_rows(bundled, atom) -> None:
+    field = RadialField([]) if atom is None else atom_density(bundled[atom])
+    # the (value, first, second derivative) rows that RadialField.profile stacks
+    exponents, stacked = field._groups[0], field._profile_coefs
+    r = make_grid("expmap", 2000, (0.0, 45.0)).nodes
+    rows = _kernels.exp_poly_eval(exponents, stacked, r)
+    assert rows.shape == (3, r.size)
+    for row, coefs in zip(rows, stacked):
+        single = _kernels.exp_poly_eval(exponents, coefs, r)
+        assert single.shape == r.shape
+        assert np.array_equal(row, single)
+    if atom is None:
+        assert not rows.any()
 
 
 @pytest.mark.parametrize("z,n_max", [(2.0, 1), (28.0, 3), (110.0, 5)])
