@@ -359,7 +359,7 @@ def atom_density(record: STOAtomRecord) -> RadialField:
                 terms.append(
                     (w * ca * b.coefficient * b.normalization, a.n + b.n - 2, a.zeta + b.zeta)
                 )
-    return RadialField(terms).merged()
+    return RadialField.merged_from(terms)
 
 
 def load_bundled(symbols: Iterable[str] | None = None) -> dict[str, STOAtomRecord]:

@@ -91,32 +91,25 @@ class RadialField:
     def _deriv_coefs(self) -> np.ndarray:
         """Polynomial rows of d/dr applied to each group: P' - beta P."""
         exps, coefs = self._groups
-        out = np.zeros_like(coefs)
         n_deg = coefs.shape[1]
-        for g in range(exps.size):
-            b = exps[g]
-            for d in range(n_deg):
-                v = -b * coefs[g, d]
-                if d + 1 < n_deg:
-                    v += (d + 1) * coefs[g, d + 1]
-                out[g, d] = v
+        out = -exps[:, None] * coefs
+        out[:, :-1] += np.arange(1, n_deg) * coefs[:, 1:]
         return out
 
     @cached_property
     def _deriv2_coefs(self) -> np.ndarray:
-        """Rows of d2/dr2: P'' - 2 beta P' + beta^2 P."""
+        """Rows of d2/dr2: P'' - 2 beta P' + beta^2 P.
+
+        Each element takes the operations of the scalar formula in order,
+        (b * b) c_d - ((2 b)(d + 1)) c_{d+1} + ((d + 2)(d + 1)) c_{d+2},
+        so the rows do not depend on how they are vectorised.
+        """
         exps, coefs = self._groups
-        out = np.zeros_like(coefs)
+        b = exps[:, None]
         n_deg = coefs.shape[1]
-        for g in range(exps.size):
-            b = exps[g]
-            for d in range(n_deg):
-                v = b * b * coefs[g, d]
-                if d + 1 < n_deg:
-                    v -= 2.0 * b * (d + 1) * coefs[g, d + 1]
-                if d + 2 < n_deg:
-                    v += (d + 2) * (d + 1) * coefs[g, d + 2]
-                out[g, d] = v
+        out = (b * b) * coefs
+        out[:, :-1] -= ((2.0 * b) * np.arange(1, n_deg)) * coefs[:, 1:]
+        out[:, :-2] += (np.arange(2, n_deg) * np.arange(1, n_deg - 1)) * coefs[:, 2:]
         return out
 
     @cached_property
@@ -195,13 +188,22 @@ class RadialField:
 
     # -- structural operations --------------------------------------------
 
-    def merged(self) -> "RadialField":
-        """Canonical form: one term per (power, exponent), sorted."""
+    @classmethod
+    def merged_from(cls, terms: Iterable[Sequence]) -> "RadialField":
+        """The canonical field of ``terms``, merged before it is validated.
+
+        Equal to ``RadialField(terms).merged()`` for numeric terms, but
+        each merged term is validated once instead of each raw term too.
+        """
         acc: dict[tuple[int, float], float] = {}
-        for c, p, b in self._terms:
+        for c, p, b in terms:
             acc[(p, b)] = acc.get((p, b), 0.0) + c
         merged = sorted((b, p, c) for (p, b), c in acc.items())
-        return RadialField((c, p, b) for b, p, c in merged)
+        return cls((c, p, b) for b, p, c in merged)
+
+    def merged(self) -> "RadialField":
+        """Canonical form: one term per (power, exponent), sorted."""
+        return RadialField.merged_from(self._terms)
 
     def scaled(self, lam: float) -> "RadialField":
         """The norm-preserving dilation lam^3 * rho(lam r)."""

@@ -28,9 +28,9 @@ mapped coordinate r = r_min + (r_max - r_min)(e^{a t} - 1)/(e^a - 1),
 t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
 Every constructed grid must pass the scheme self-test (the Gamma integral
 of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
-rather than returned.  The 16-point Gauss-Legendre rule is built once per
-process, on first use, and the self-test value of a short-span surrogate
-grid once per (n_points, alpha); the comparison against the 1e-10 gate
+rather than returned.  The 16-point Gauss-Legendre rule is held as float
+literals, and the self-test value of a short-span surrogate grid is
+computed once per (n_points, alpha); the comparison against the 1e-10 gate
 runs on every construction.  Each functional is checked against a
 doubled grid (built once per grid and cached) and signals non-convergence
 when the two results disagree beyond 1e-8 relative; ``energies`` applies
@@ -120,23 +120,60 @@ class RadialGrid:
         return grid
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 16-point Gauss-Legendre rule on [-1, 1], built on first use."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
-    gl_x.setflags(write=False)
-    gl_w.setflags(write=False)
-    return gl_x, gl_w
+# The 16-point Gauss-Legendre rule on [-1, 1] as round-trip float literals,
+# equal bit for bit to numpy.polynomial.legendre.leggauss(16), which a test
+# checks; holding them here keeps numpy.polynomial out of every run.
+_GL_NODES = np.array(
+    [
+        -0.9894009349916499,
+        -0.9445750230732326,
+        -0.8656312023878318,
+        -0.755404408355003,
+        -0.6178762444026438,
+        -0.45801677765722737,
+        -0.2816035507792589,
+        -0.09501250983763744,
+        0.09501250983763744,
+        0.2816035507792589,
+        0.45801677765722737,
+        0.6178762444026438,
+        0.755404408355003,
+        0.8656312023878318,
+        0.9445750230732326,
+        0.9894009349916499,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.027152459411754176,
+        0.062253523938647456,
+        0.0951585116824926,
+        0.12462897125553407,
+        0.1495959888165767,
+        0.16915651939500265,
+        0.18260341504492364,
+        0.18945061045506864,
+        0.18945061045506864,
+        0.18260341504492364,
+        0.16915651939500265,
+        0.1495959888165767,
+        0.12462897125553407,
+        0.0951585116824926,
+        0.062253523938647456,
+        0.027152459411754176,
+    ]
+)
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 
 
 def _build_expmap(n_points: int, r_min: float, r_max: float, alpha: float):
     n_panels = -(-n_points // _PANEL_ORDER)
-    gl_x, gl_w = _gauss_legendre()
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    wt = (half[:, None] * gl_w[None, :]).ravel()
+    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     span = r_max - r_min
     denom = math.expm1(alpha)
     e_at = np.exp(alpha * t)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from tfshell.atomic_data import load_bundled
@@ -14,6 +16,17 @@ ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 @pytest.fixture(scope="session")
 def bundled():
     return load_bundled()
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_child_processes():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process behind (waitpid: pid {pid}, status {status})")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

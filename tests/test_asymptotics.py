@@ -1,6 +1,9 @@
 """Large-Z series, extrapolation machinery, and the scaled-density limit."""
 
 import math
+import os
+import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +12,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import quad
 
-from tfshell import _kernels
+from tfshell import _kernels, asymptotics
 from tfshell.asymptotics import (
     TARGETS,
     TURNING_POINT,
@@ -26,6 +29,7 @@ from tfshell.asymptotics import (
     shell_oscillation_maxima,
     tf_limit_density,
     _ladder_point,
+    _split_by_cost,
 )
 from tfshell.hydrogenic import (
     ShellConfiguration,
@@ -33,7 +37,7 @@ from tfshell.hydrogenic import (
     model_density,
     model_kinetic_energy_continuous,
 )
-from tfshell.kedf import make_grid
+from tfshell.kedf import ConvergenceError, make_grid
 
 SURD_LEADING = (3.0 / 2.0) ** (1.0 / 3.0)
 
@@ -521,6 +525,172 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, grids
     _ladder_point.__wrapped__(3, 2000, verify)
     # one kernel call covers the base grid and, with verify, its refinement
     assert calls == [sum(2000 * 2**i for i in range(grids))]
+
+
+# --- the ladder across processes ------------------------------------------
+#
+# Each test runs its ladder at a grid size no other test uses, so its points
+# start uncached; verify=False keeps the small grids cheap.
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _counting_fork(monkeypatch) -> list[int]:
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _bits(point) -> tuple[str, ...]:
+    return tuple(float.hex(v) for v in (point.t_tf, point.t2, point.t4))
+
+
+def _assert_serial_points(points, grid_points: int) -> None:
+    for point in points:
+        reference = _ladder_point.__wrapped__(point.n_max, grid_points, False)
+        assert point == reference
+        assert _bits(point) == _bits(reference)
+        assert all(type(v) is float for v in (point.t_tf, point.t2, point.t4))
+
+
+def test_split_by_cost_is_longest_first_greedy() -> None:
+    keys = [(n, 0, False) for n in range(2, 8)]
+    # costs n^3 + 8 n^2: 40, 99, 192, 325, 504, 735
+    own, worker = _split_by_cost(keys, 2)
+    assert [k[0] for k in own] == [7, 4, 2]
+    assert [k[0] for k in worker] == [6, 5, 3]
+    assert _split_by_cost(keys, 1) == [sorted(keys, reverse=True)]
+
+
+def test_parallel_ladder_equals_serial_points(monkeypatch) -> None:
+    _cpus(monkeypatch, 2)
+    forks = _counting_fork(monkeypatch)
+    cached = model_energy_sequence([3, 5], grid_points=1040, verify=False)
+    before = _ladder_point.cache_info()
+    points = model_energy_sequence(range(2, 9), grid_points=1040, verify=False)
+    after = _ladder_point.cache_info()
+    assert len(forks) == 2  # one per ladder with uncached points
+    assert [p.n_max for p in points] == list(range(2, 9))
+    assert points[1] is cached[0] and points[3] is cached[1]
+    # each requested point is counted once: two hits, five computed
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 5)
+    _assert_serial_points(points, 1040)
+    assert not asymptotics._ahead
+
+
+def _forced_failure(monkeypatch, failing: set[int], log) -> None:
+    energies = asymptotics.energies
+
+    def failing_energies(rho, grid, *, verify):
+        n_max = rho.configuration.n_max
+        if n_max in failing:
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {n_max}\n")
+            raise ConvergenceError(f"T_TF: forced failure at n_max = {n_max}")
+        return energies(rho, grid, verify=verify)
+
+    monkeypatch.setattr(asymptotics, "energies", failing_energies)
+
+
+@pytest.mark.parametrize("failing,first", [({5}, 5), ({3, 4}, 3), ({4, 6}, 4)])
+def test_worker_failure_raises_the_serial_error(monkeypatch, tmp_path, failing, first) -> None:
+    # shells 2..7 split as [7, 4, 2] here and [6, 5, 3] in the worker
+    grid_points = {5: 1104, 3: 1120, 4: 1136}[first]
+    log = tmp_path / "failures"
+    _forced_failure(monkeypatch, failing, log)
+    _cpus(monkeypatch, 1)
+    with pytest.raises(ConvergenceError) as serial:
+        model_energy_sequence(range(2, 8), grid_points=grid_points, verify=False)
+    _cpus(monkeypatch, 2)
+    forks = _counting_fork(monkeypatch)
+    with pytest.raises(ConvergenceError) as parallel:
+        model_energy_sequence(range(2, 8), grid_points=grid_points + 8, verify=False)
+    assert len(forks) == 1
+    assert str(parallel.value) == str(serial.value) == f"T_TF: forced failure at n_max = {first}"
+    # each failing point failed where its share ran, then again in order
+    by_process = [line.split() for line in log.read_text().splitlines()]
+    worker_failures = {int(n) for pid, n in by_process if int(pid) == forks[0]}
+    assert worker_failures == failing & {3, 5, 6}
+    assert not asymptotics._ahead
+
+
+def test_no_fork_when_serial_suffices(monkeypatch) -> None:
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _cpus(monkeypatch, 1)
+    points = model_energy_sequence([2, 3, 4], grid_points=1152, verify=False)
+    _cpus(monkeypatch, 2)
+    # fully cached
+    assert model_energy_sequence([4, 3, 2], grid_points=1152, verify=False) == points[::-1]
+    # one uncached point
+    model_energy_sequence([2, 3, 4, 5], grid_points=1152, verify=False)
+    # no affinity query (not Linux)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    model_energy_sequence([2, 3], grid_points=1168, verify=False)
+    _cpus(monkeypatch, 2)
+    # another Python thread is alive
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        model_energy_sequence([2, 3], grid_points=1184, verify=False)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_dead_worker_points_are_computed_by_the_parent(monkeypatch) -> None:
+    parent = os.getpid()
+    energies = asymptotics.energies
+
+    def dying_in_worker(rho, grid, *, verify):
+        if os.getpid() != parent:
+            os._exit(3)  # no records written, non-zero exit
+        return energies(rho, grid, verify=verify)
+
+    monkeypatch.setattr(asymptotics, "energies", dying_in_worker)
+    _cpus(monkeypatch, 2)
+    forks = _counting_fork(monkeypatch)
+    before = _ladder_point.cache_info()
+    points = model_energy_sequence(range(2, 8), grid_points=1200, verify=False)
+    after = _ladder_point.cache_info()
+    assert len(forks) == 1
+    assert (after.hits - before.hits, after.misses - before.misses) == (0, 6)
+    _assert_serial_points(points, 1200)
+
+
+def test_interrupt_kills_and_reaps_the_worker(monkeypatch) -> None:
+    parent = os.getpid()
+
+    def interrupted(rho, grid, *, verify):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # the worker is killed long before this ends
+
+    monkeypatch.setattr(asymptotics, "energies", interrupted)
+    _cpus(monkeypatch, 2)
+    forks = _counting_fork(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        model_energy_sequence(range(2, 6), grid_points=1216, verify=False)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+    assert not asymptotics._ahead
 
 
 def test_figure_density_rows_structure() -> None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tfshell.atomic_data import atom_density, load_bundled
 from tfshell.fields import RadialField
 
 # a moderately rich field: mixed powers sharing and not sharing exponents
@@ -144,6 +145,70 @@ def test_addition_is_pointwise():
     for r in (0.0, 0.9, 3.3):
         assert s.value(r) == pytest.approx(a.value(r) + b.value(r), rel=1e-14)
     assert a.__add__(3) is NotImplemented
+
+
+def scalar_derivative_rows(field: RadialField) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of d/dr and d2/dr2, one element at a time in the formula's order."""
+    exps, coefs = field._groups
+    first = np.zeros_like(coefs)
+    second = np.zeros_like(coefs)
+    n_deg = coefs.shape[1]
+    for g in range(exps.size):
+        b = exps[g]
+        for d in range(n_deg):
+            v = -b * coefs[g, d]
+            if d + 1 < n_deg:
+                v += (d + 1) * coefs[g, d + 1]
+            first[g, d] = v
+            v = b * b * coefs[g, d]
+            if d + 1 < n_deg:
+                v -= 2.0 * b * (d + 1) * coefs[g, d + 1]
+            if d + 2 < n_deg:
+                v += (d + 2) * (d + 1) * coefs[g, d + 2]
+            second[g, d] = v
+    return first, second
+
+
+BUNDLED = load_bundled()
+
+
+@pytest.mark.parametrize("name", [*BUNDLED, "zero", "rich"])
+def test_derivative_rows_match_scalar_reference(name):
+    if name == "zero":
+        field = RadialField([])
+    elif name == "rich":
+        field = RadialField(RICH_TERMS)
+    else:
+        field = atom_density(BUNDLED[name])
+    first, second = scalar_derivative_rows(field)
+    assert field._deriv_coefs.shape == first.shape
+    assert field._deriv_coefs.tobytes() == first.tobytes()
+    assert field._deriv2_coefs.shape == second.shape
+    assert field._deriv2_coefs.tobytes() == second.tobytes()
+
+
+def test_merged_from_equals_merged_field():
+    raw = [(1.0, 2, 3.0), (0.5, 0, 1.0), (2.0, 2.0, 3.0), (0.25, 0, 1)]
+    raw += [(-0.5, 1, 2.0), (0.5, 1, 2.0)]
+    assert RadialField.merged_from(raw).terms == RadialField(raw).merged().terms
+    for bad in ([(1.0, -1, 1.0)], [(1.0, 0, 0.0)], [(math.inf, 0, 1.0)], [(1.0, 0.5, 1.0)]):
+        with pytest.raises(ValueError):
+            RadialField.merged_from(bad)
+
+
+def test_atom_density_validates_once(monkeypatch):
+    built = []
+    init = RadialField.__init__
+
+    def counting(self, terms):
+        terms = list(terms)
+        built.append(len(terms))
+        init(self, terms)
+
+    monkeypatch.setattr(RadialField, "__init__", counting)
+    field = atom_density(BUNDLED["Ne"])
+    # one field is built, from the merged terms
+    assert built == [len(field.terms)]
 
 
 def test_zero_field():

@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tfshell import kedf
 from tfshell.atomic_data import atom_density
 from tfshell.fields import RadialField
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
@@ -168,19 +171,26 @@ def test_short_span_self_test_fails_on_every_call() -> None:
             make_grid("expmap", 48, (0.0, 5.0))
 
 
-def test_gauss_legendre_rule_is_built_once(monkeypatch) -> None:
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
+def test_gauss_legendre_literals_match_leggauss() -> None:
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(kedf._GL_NODES, nodes)
+    assert np.array_equal(kedf._GL_WEIGHTS, weights)
+    # bit for bit, signed zeros included
+    assert kedf._GL_NODES.tobytes() == nodes.tobytes()
+    assert kedf._GL_WEIGHTS.tobytes() == weights.tobytes()
 
-    def counting(order):
-        calls.append(order)
-        return leggauss(order)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    grids = [make_grid("expmap", n, (0.0, span)) for n in (64, 2000, 2000) for span in (5.0, 45.0)]
-    assert len(calls) <= 1
-    # the rule in use is the 16-point one, whoever built it
-    assert {len(g.nodes) % 16 for g in grids} == {0}
+def test_grids_do_not_import_numpy_polynomial() -> None:
+    code = (
+        "import sys\n"
+        "import tfshell.cli\n"
+        "from tfshell.kedf import make_grid\n"
+        "make_grid()\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
