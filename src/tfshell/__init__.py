@@ -12,7 +12,6 @@ shell oscillations, and the large-Z expansion coefficients.
 from .asymptotics import (
     TURNING_POINT,
     ExtrapolationError,
-    ScaledDensity,
     SequencePoint,
     ZExpansion,
     figure_density_rows,
@@ -106,7 +105,6 @@ __all__ = [
     "TURNING_POINT",
     "ExtrapolationError",
     "ZExpansion",
-    "ScaledDensity",
     "SequencePoint",
     "model_expansion",
     "richardson_extrapolate",

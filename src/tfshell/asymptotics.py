@@ -36,7 +36,7 @@ from typing import BinaryIO, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .hydrogenic import HydrogenicDensity, ShellConfiguration, model_density
+from .hydrogenic import ShellConfiguration, model_density
 from .kedf import energies, make_grid
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "TARGETS",
     "ExtrapolationError",
     "ZExpansion",
-    "ScaledDensity",
     "SequencePoint",
     "model_expansion",
     "richardson_extrapolate",
@@ -244,38 +243,20 @@ def tf_limit_density(r_hat):
     return out
 
 
-@dataclass(frozen=True)
-class ScaledDensity:
-    """The shell-model density in turning-point-scaled coordinates."""
-
-    configuration: ShellConfiguration
-
-    @property
-    def turning_point(self) -> float:
-        return TURNING_POINT
-
-    def evaluate(self, r_hat):
-        """rho_hat(r_hat) = Z^{-2} rho(Z^{-1/3} r_hat)."""
-        z = self.configuration.nuclear_charge
-        rho: HydrogenicDensity = model_density(self.configuration)
-        return rho.value(np.asarray(r_hat, dtype=float) * z ** (-1.0 / 3.0)) / z**2
-
-    def deviation(self, r_hat):
-        """Finite-Z density minus its semiclassical limit, both scaled."""
-        return self.evaluate(r_hat) - tf_limit_density(r_hat)
-
-
 def scaled_model_density(
     cfg: ShellConfiguration, r_hat: np.ndarray | None = None, n_points: int = 2000
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the scaled model density; returns (r_hat, rho_hat) arrays.
 
-    With no grid given, samples n_points uniformly on (0, 18^{1/3}).
+    rho_hat(r_hat) = Z^{-2} rho(Z^{-1/3} r_hat).  With no grid given,
+    samples n_points uniformly on (0, 18^{1/3}).
     """
     if r_hat is None:
         r_hat = np.linspace(0.0, TURNING_POINT, n_points + 1)[1:]
     r_hat = np.asarray(r_hat, dtype=float)
-    return r_hat, np.asarray(ScaledDensity(cfg).evaluate(r_hat), dtype=float)
+    z = cfg.nuclear_charge
+    rho_hat = model_density(cfg).value(r_hat * z ** (-1.0 / 3.0)) / z**2
+    return r_hat, np.asarray(rho_hat, dtype=float)
 
 
 def shell_oscillation_maxima(
@@ -291,9 +272,8 @@ def shell_oscillation_maxima(
     """
     if n_points < 100:
         raise ValueError("n_points too small to resolve oscillations")
-    sd = ScaledDensity(cfg)
-    r = np.linspace(0.0, TURNING_POINT, n_points + 1)[1:-1]
-    dev = np.asarray(sd.deviation(r), dtype=float)
+    r, rho_hat = scaled_model_density(cfg, np.linspace(0.0, TURNING_POINT, n_points + 1)[1:-1])
+    dev = rho_hat - tf_limit_density(r)
     sign = np.sign(np.diff(dev))
     peak = np.where((sign[:-1] > 0) & (sign[1:] < 0))[0] + 1
     cut = (1.0 - boundary_margin) * TURNING_POINT

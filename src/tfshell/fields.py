@@ -1,10 +1,12 @@
 """Spherically symmetric densities as exponential-polynomial term sums.
 
 A ``RadialField`` stores rho(r) = sum_i c_i r^{p_i} exp(-beta_i r) as an
-explicit term list.  Both filled-shell Coulomb densities and Slater-type
-orbital densities reduce to this form, which makes first and second radial
-derivatives exact term-by-term operations; no finite differencing ever
-enters the functionals built on top.
+explicit term list.  Slater-type orbital densities take this form, which
+makes first and second radial derivatives exact term-by-term operations; no
+finite differencing ever enters the functionals built on top.  (Filled-shell
+Coulomb densities have such an expansion too, but it cancels
+catastrophically for many shells; ``hydrogenic`` evaluates them by orbital
+summation instead.)
 
 Evaluation groups terms by common exponent into dense polynomial rows and
 runs through the ``_kernels.exp_poly_eval`` kernel; ``profile`` stacks the
@@ -128,14 +130,6 @@ class RadialField:
     def value(self, r):
         """rho(r), scalar or array."""
         return self._eval(self._groups[1], r)
-
-    def derivative(self, r):
-        """d rho / dr, exact."""
-        return self._eval(self._deriv_coefs, r)
-
-    def second_derivative(self, r):
-        """d2 rho / dr2, exact."""
-        return self._eval(self._deriv2_coefs, r)
 
     def profile(self, r):
         """(rho, rho', rho'') evaluated together, in one kernel call."""

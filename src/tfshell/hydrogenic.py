@@ -5,12 +5,10 @@ filling shells n = 1..n_max completely.  Shell filling gives the
 closed-shell electron counts 2, 10, 28, 60, 110, ...; per-orbital energies
 follow the Rydberg formula, so the total kinetic energy is exactly
 n_max * Z^2.  The density is an analytic sum of squared radial
-wavefunctions and is represented both ways:
-
-* as an exponential-polynomial term list (built in exact rational
-  arithmetic, so construction itself introduces no roundoff), and
-* through a stable orbital-summation kernel used for evaluation, which is
-  what keeps many-shell configurations accurate in double precision.
+wavefunctions.  It is evaluated by orbital summation, never through its
+exponential-polynomial expansion: that expansion cancels catastrophically
+for many shells, while the summation kernel keeps many-shell
+configurations accurate in double precision.
 
 Shell counts above ``MAX_SHELLS`` are rejected.  The orbital-summation
 kernel (``_kernels.shell_profile``: one Laguerre recurrence per pair of
@@ -24,13 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _kernels
-from .fields import RadialField
 from .special import LaguerreSpec, laguerre, log_factorial
 
 __all__ = [
@@ -154,56 +149,11 @@ def radial_wavefunction(z: float, n: int, l: int, r):
     return out
 
 
-@lru_cache(maxsize=64)
-def _exact_shell_terms(z_num: int, z_den: int, n_max: int) -> tuple:
-    """Exponential-polynomial terms of the filled-shell density, exact.
+class HydrogenicDensity:
+    """Filled-shell density, evaluated by the orbital-summation kernel.
 
-    Coefficients are accumulated as Fractions (the 1/(4 pi) factor is
-    applied at float conversion), merged per shell since all orbitals of a
-    shell share the decay 2Z/n.  Returns ((coef, power, exponent), ...).
-    """
-    z = Fraction(z_num, z_den)
-    terms: list[tuple[float, int, float]] = []
-    four_pi = 4.0 * math.pi
-    for n in range(1, n_max + 1):
-        g = 2 * z / n
-        poly: dict[int, Fraction] = {}
-        for l in range(n):
-            k = n - l - 1
-            # Laguerre coefficients of L_k^{2l+1}: a_i = (-1)^i C(k+a, k-i)/i!
-            a = [
-                Fraction((-1) ** i * math.comb(k + 2 * l + 1, k - i), math.factorial(i))
-                for i in range(k + 1)
-            ]
-            # normalization^2 times occupation 2(2l+1)
-            norm_sq = (
-                g**3
-                * Fraction(math.factorial(k), 2 * n * math.factorial(n + l))
-                * 2
-                * (2 * l + 1)
-            )
-            for j in range(2 * k + 1):
-                b_j = sum(a[i] * a[j - i] for i in range(max(0, j - k), min(k, j) + 1))
-                power = 2 * l + j
-                poly[power] = poly.get(power, Fraction(0)) + norm_sq * b_j * g**power
-        beta = float(g)
-        for power in sorted(poly):
-            coef = float(poly[power]) / four_pi
-            if not math.isfinite(coef):
-                raise OverflowError(
-                    f"term coefficients overflow double precision at n_max={n_max}, Z={float(z)}"
-                )
-            terms.append((coef, power, beta))
-    return tuple(terms)
-
-
-class HydrogenicDensity(RadialField):
-    """Filled-shell density with stable orbital-summation evaluation.
-
-    The term list is exact but its evaluation cancels catastrophically for
-    many shells, so ``value``/``derivative``/``second_derivative`` run the
-    orbital-summation kernel instead; the terms stay available for
-    closed-form moments and for cross-checks at small shell counts.
+    Answers the density protocol of ``kedf``: ``profile``, ``value``,
+    ``total_charge`` and ``suggested_r_max``.
     """
 
     def __init__(self, cfg: ShellConfiguration) -> None:
@@ -211,44 +161,25 @@ class HydrogenicDensity(RadialField):
             raise ValueError(f"n_max = {cfg.n_max} beyond supported shell range {MAX_SHELLS}")
         self.configuration = cfg
 
-    @cached_property
-    def _terms(self) -> tuple:  # type: ignore[override]
-        z = Fraction(self.configuration.nuclear_charge).limit_denominator(10**9)
-        return _exact_shell_terms(z.numerator, z.denominator, self.configuration.n_max)
-
-    @property
-    def terms(self) -> tuple:
-        return self._terms
-
-    def _profile(self, r) -> tuple:
+    def profile(self, r):
+        """(rho, rho', rho'') from one kernel call: arrays, or floats for a scalar r."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(arr < 0):
             raise ValueError("radius must be non-negative")
         cfg = self.configuration
-        return _kernels.shell_profile(float(cfg.nuclear_charge), int(cfg.n_max), arr)
+        rows = _kernels.shell_profile(float(cfg.nuclear_charge), int(cfg.n_max), arr)
+        if np.asarray(r).ndim == 0:
+            return tuple(float(row[0]) for row in rows)
+        return rows
 
     def value(self, r):
-        out = self._profile(r)[0]
-        return float(out[0]) if np.asarray(r).ndim == 0 else out
-
-    def derivative(self, r):
-        out = self._profile(r)[1]
-        return float(out[0]) if np.asarray(r).ndim == 0 else out
-
-    def second_derivative(self, r):
-        out = self._profile(r)[2]
-        return float(out[0]) if np.asarray(r).ndim == 0 else out
-
-    def profile(self, r):
-        rho, drho, d2rho = self._profile(r)
-        if np.asarray(r).ndim == 0:
-            return float(rho[0]), float(drho[0]), float(d2rho[0])
-        return rho, drho, d2rho
+        """rho(r), scalar or array."""
+        return self.profile(r)[0]
 
     def total_charge(self) -> float:
         return float(self.configuration.electron_count)
 
-    def suggested_r_max(self, tail_fraction: float = 1e-12) -> float:
+    def suggested_r_max(self) -> float:
         # outermost orbital decays as exp(-2 Z r / n_max) against a degree
         # ~2 n_max polynomial; 6 n_max^2 / Z sits far beyond the turning
         # point ~2 n_max^2 / Z, and the constant floor covers n_max = 1
@@ -261,5 +192,5 @@ class HydrogenicDensity(RadialField):
 
 
 def model_density(cfg: ShellConfiguration) -> HydrogenicDensity:
-    """Density of the filled-shell configuration as a RadialField."""
+    """Density of the filled-shell configuration."""
     return HydrogenicDensity(cfg)

@@ -7,11 +7,16 @@ Functionals (all as 4 pi * integral of r^2 * tau dr, hartree):
 * ``fourth_order_energy``  tau_4 built from rho', rho'' (see below)
 * ``energies``        all three, (T_TF, T_W, T_4), from one shared pass
 
+A density is anything with the three methods of the ``Density`` protocol:
+``profile(r)`` for (rho, rho', rho''), ``value(r)`` for rho alone and
+``total_charge()``.  Slater-type ``fields.RadialField`` term lists and the
+filled-shell ``hydrogenic.HydrogenicDensity`` both answer it.
+
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on the nodes of the grid and of its
 refinement together, then integrates every functional from each grid's
 slice, so it costs one density evaluation where the three
-single-functional calls cost several per grid.
+single-functional calls cost one per functional and grid.
 Each integrand is written once and shared by both paths, so the values are
 identical bit for bit.
 
@@ -43,11 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
-
-from .fields import RadialField
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
@@ -55,6 +58,7 @@ __all__ = [
     "RHO_CUTOFF",
     "GridError",
     "ConvergenceError",
+    "Density",
     "RadialGrid",
     "EnergyBreakdown",
     "make_grid",
@@ -78,6 +82,20 @@ _PANEL_ORDER = 16
 _SELF_TEST_SPAN = 45.0
 _SELF_TEST_TOL = 1e-10
 _CONVERGENCE_TOL = 1e-8
+
+
+class Density(Protocol):
+    """What the functionals ask of a radial density.
+
+    ``profile`` returns (rho, rho', rho'') at an array of radii, ``value``
+    rho alone, and ``total_charge`` the integral of 4 pi r^2 rho.
+    """
+
+    def profile(self, r) -> tuple: ...
+
+    def value(self, r): ...
+
+    def total_charge(self) -> float: ...
 
 
 class GridError(ValueError):
@@ -268,7 +286,7 @@ def _converged(
     return values
 
 
-def _cutoff_mask(rho: RadialField, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+def _cutoff_mask(rho: Density, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Nodes where the ratio-valued integrands are evaluated.
 
     Raises ConvergenceError when the density treated as vacuum carries a
@@ -325,7 +343,7 @@ def _fourth_order_integral(
     return 4.0 * math.pi * grid.integrate(integrand)
 
 
-def tf_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = True) -> float:
+def tf_energy(rho: Density, grid: RadialGrid, *, verify: bool = True) -> float:
     """Thomas-Fermi kinetic energy of a radial density (hartree)."""
 
     def evaluate(g: RadialGrid) -> tuple[float]:
@@ -335,30 +353,30 @@ def tf_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = True) -> flo
 
 
 def weizsacker_energy(
-    rho: RadialField, grid: RadialGrid, *, verify: bool = True
+    rho: Density, grid: RadialGrid, *, verify: bool = True
 ) -> tuple[float, float]:
     """Weizsacker energy T_W and the gradient correction T_2 = T_W / 9."""
 
     def evaluate(g: RadialGrid) -> tuple[float]:
-        values = _checked_density(rho.value(g.nodes))
-        deriv = np.asarray(rho.derivative(g.nodes), dtype=float)
+        values, deriv, _ = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
+        values = _checked_density(values)
         return (_weizsacker_integral(g, values, deriv, _cutoff_mask(rho, g, values)),)
 
     (t_w,) = _converged(("T_W",), evaluate, grid, verify)
     return t_w, t_w / 9.0
 
 
-def fourth_order_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = True) -> float:
+def fourth_order_energy(rho: Density, grid: RadialGrid, *, verify: bool = True) -> float:
     """Fourth-order gradient correction T_4 (hartree).
 
-    Requires exact first and second derivatives from the field; the
+    Requires exact first and second derivatives from ``rho.profile``; the
     integrand is assembled in the r-regular form described in the module
     docstring, so no explicit 1/r appears and the r -> 0 limit is finite.
     """
 
     def evaluate(g: RadialGrid) -> tuple[float]:
         values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
-        values = np.clip(values, 0.0, None)
+        values = _checked_density(values)
         mask = _cutoff_mask(rho, g, values)
         return (_fourth_order_integral(g, values, deriv, deriv2, mask),)
 
@@ -366,7 +384,7 @@ def fourth_order_energy(rho: RadialField, grid: RadialGrid, *, verify: bool = Tr
 
 
 def energies(
-    rho: RadialField, grid: RadialGrid, *, verify: bool = True
+    rho: Density, grid: RadialGrid, *, verify: bool = True
 ) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) from one density profile call (hartree).
 

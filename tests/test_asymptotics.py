@@ -17,7 +17,6 @@ from tfshell.asymptotics import (
     TARGETS,
     TURNING_POINT,
     ExtrapolationError,
-    ScaledDensity,
     ZExpansion,
     figure_density_rows,
     figure_error_rows,
@@ -413,7 +412,7 @@ def test_scaled_density_is_rescaled_model() -> None:
     rho = model_density(cfg)
     r_hat = np.linspace(0.1, 2.5, 40)
     expected = rho.value(r_hat * z ** (-1.0 / 3.0)) / z**2
-    np.testing.assert_allclose(ScaledDensity(cfg).evaluate(r_hat), expected, rtol=1e-14)
+    np.testing.assert_allclose(scaled_model_density(cfg, r_hat=r_hat)[1], expected, rtol=1e-14)
 
 
 def test_scaled_density_unit_norm() -> None:
@@ -421,19 +420,9 @@ def test_scaled_density_unit_norm() -> None:
     z = cfg.nuclear_charge
     r_max_hat = model_density(cfg).suggested_r_max() * z ** (1.0 / 3.0)
     grid = make_grid("expmap", 2000, (0.0, r_max_hat))
-    vals = ScaledDensity(cfg).evaluate(grid.nodes)
+    vals = scaled_model_density(cfg, r_hat=grid.nodes)[1]
     norm = 4.0 * math.pi * grid.integrate(grid.nodes**2 * vals)
     assert norm == pytest.approx(1.0, abs=1e-6)
-
-
-def test_deviation_is_difference() -> None:
-    cfg = ShellConfiguration.closed_shell(2)
-    sd = ScaledDensity(cfg)
-    r_hat = np.linspace(0.2, 2.0, 17)
-    np.testing.assert_allclose(
-        sd.deviation(r_hat), sd.evaluate(r_hat) - tf_limit_density(r_hat), rtol=1e-14
-    )
-    assert sd.turning_point == TURNING_POINT
 
 
 def test_scaled_sampling_default_grid() -> None:

@@ -197,7 +197,7 @@ def test_bundled_densities_nonnegative(bundled) -> None:
 
 def test_helium_nuclear_cusp(bundled) -> None:
     rho = atom_density(bundled["He"])
-    cusp = -rho.derivative(0.0) / (2.0 * rho.value(0.0))
+    cusp = -rho.profile(0.0)[1] / (2.0 * rho.value(0.0))
     assert cusp == pytest.approx(2.0, rel=0.02)
 
 

@@ -1,6 +1,7 @@
 """Closed-shell model: shell counting, orbitals, and the assembled density."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,41 @@ def test_kinetic_sum_matches_closed_form(n_max: int) -> None:
     assert abs(total - exact) <= 1e-7 * exact
 
 
+def _exact_shell_terms(z: Fraction, n_max: int) -> list[tuple[float, int, float]]:
+    """Exponential-polynomial terms (coef, power, exponent) of the filled shells.
+
+    Built in exact rational arithmetic: the coefficients are accumulated as
+    Fractions, merged per shell since all orbitals of a shell share the
+    decay 2Z/n, and converted to float (with the 1/(4 pi) factor) last.
+    """
+    terms = []
+    four_pi = 4.0 * math.pi
+    for n in range(1, n_max + 1):
+        g = 2 * z / n
+        poly: dict[int, Fraction] = {}
+        for l in range(n):
+            k = n - l - 1
+            # Laguerre coefficients of L_k^{2l+1}: a_i = (-1)^i C(k+a, k-i)/i!
+            a = [
+                Fraction((-1) ** i * math.comb(k + 2 * l + 1, k - i), math.factorial(i))
+                for i in range(k + 1)
+            ]
+            # normalization^2 times occupation 2(2l+1)
+            norm_sq = (
+                g**3
+                * Fraction(math.factorial(k), 2 * n * math.factorial(n + l))
+                * 2
+                * (2 * l + 1)
+            )
+            for j in range(2 * k + 1):
+                b_j = sum(a[i] * a[j - i] for i in range(max(0, j - k), min(k, j) + 1))
+                power = 2 * l + j
+                poly[power] = poly.get(power, Fraction(0)) + norm_sq * b_j * g**power
+        for power in sorted(poly):
+            terms.append((float(poly[power]) / four_pi, power, float(g)))
+    return terms
+
+
 def _eval_terms(terms, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = np.zeros_like(r)
     drho = np.zeros_like(r)
@@ -158,14 +194,15 @@ def _eval_terms(terms, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_terms_agree_with_kernel_evaluation(n_max: int) -> None:
     # the exact term list cancels catastrophically for deep ladders but is
-    # dependable at small shell counts; check it against the kernel there
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(n_max))
+    # dependable at small shell counts; check the kernel against it there
+    cfg = ShellConfiguration.closed_shell(n_max)
+    density = HydrogenicDensity(cfg)
     r = np.geomspace(1e-3, 20.0 / n_max, 60)
-    rho_t, drho_t = _eval_terms(density.terms, r)
+    rho_t, drho_t = _eval_terms(_exact_shell_terms(Fraction(cfg.nuclear_charge), n_max), r)
     peak = float(np.max(np.abs(rho_t)))
     np.testing.assert_allclose(density.value(r), rho_t, rtol=1e-9, atol=1e-13 * peak)
     dpeak = float(np.max(np.abs(drho_t)))
-    np.testing.assert_allclose(density.derivative(r), drho_t, rtol=1e-8, atol=1e-12 * dpeak)
+    np.testing.assert_allclose(density.profile(r)[1], drho_t, rtol=1e-8, atol=1e-12 * dpeak)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +217,7 @@ def test_terms_agree_with_kernel_evaluation(n_max: int) -> None:
 def test_nuclear_cusp(cfg: ShellConfiguration) -> None:
     density = HydrogenicDensity(cfg)
     rho0 = density.value(0.0)
-    drho0 = density.derivative(0.0)
+    drho0 = density.profile(0.0)[1]
     assert rho0 > 0.0
     assert -drho0 / (2.0 * rho0) == pytest.approx(cfg.nuclear_charge, rel=1e-12)
 
@@ -232,8 +269,8 @@ def test_profile_consistency() -> None:
     r = np.geomspace(0.01, 8.0, 25)
     rho, drho, d2rho = density.profile(r)
     np.testing.assert_array_equal(rho, density.value(r))
-    np.testing.assert_array_equal(drho, density.derivative(r))
-    np.testing.assert_array_equal(d2rho, density.second_derivative(r))
+    np.testing.assert_array_equal(drho, density.profile(r)[1])
+    np.testing.assert_array_equal(d2rho, density.profile(r)[2])
     scalar = density.profile(1.0)
     assert all(isinstance(x, float) for x in scalar)
     assert scalar[0] == density.value(1.0)
@@ -244,12 +281,7 @@ def test_derivatives_match_finite_differences() -> None:
     for r in (0.3, 1.1, 2.7):
         h = 1e-6 * max(r, 1.0)
         fd = (density.value(r + h) - density.value(r - h)) / (2.0 * h)
-        assert density.derivative(r) == pytest.approx(fd, rel=1e-6)
+        assert density.profile(r)[1] == pytest.approx(fd, rel=1e-6)
         h = 1e-4 * max(r, 1.0)
         fd2 = (density.value(r + h) - 2.0 * density.value(r) + density.value(r - h)) / h**2
-        assert density.second_derivative(r) == pytest.approx(fd2, rel=1e-5)
-
-
-def test_terms_are_cached() -> None:
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
-    assert density.terms is density.terms
+        assert density.profile(r)[2] == pytest.approx(fd2, rel=1e-5)

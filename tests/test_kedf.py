@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from tfshell import kedf
 from tfshell.atomic_data import atom_density
 from tfshell.fields import RadialField
-from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
+from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration, model_density
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
     TF_CONSTANT,
@@ -279,6 +279,8 @@ def test_negative_density_rejected(grid: RadialGrid) -> None:
     with pytest.raises(ValueError, match="negative"):
         weizsacker_energy(field, grid)
     with pytest.raises(ValueError, match="negative"):
+        fourth_order_energy(field, grid)
+    with pytest.raises(ValueError, match="negative"):
         energies(field, grid)
 
 
@@ -312,6 +314,42 @@ def test_energies_equal_single_functionals_bitwise(bundled, verify: bool) -> Non
         assert t_tf == tf_energy(rho, g, verify=verify)
         assert (t_w, t_w / 9.0) == weizsacker_energy(rho, g, verify=verify)
         assert t4 == fourth_order_energy(rho, g, verify=verify)
+
+
+class ProtocolOnly:
+    """A density with only the three methods of ``kedf.Density``."""
+
+    __slots__ = ("_field",)
+
+    def __init__(self, field: RadialField) -> None:
+        self._field = field
+
+    def profile(self, r):
+        return self._field.profile(r)
+
+    def value(self, r):
+        return self._field.value(r)
+
+    def total_charge(self) -> float:
+        return self._field.total_charge()
+
+
+def test_functionals_need_only_the_density_protocol(bundled) -> None:
+    field = atom_density(bundled["Ne"])
+    rho = ProtocolOnly(field)
+    g = make_grid("expmap", 2000, (0.0, 45.0))
+    assert tf_energy(rho, g) == tf_energy(field, g)
+    assert weizsacker_energy(rho, g) == weizsacker_energy(field, g)
+    assert fourth_order_energy(rho, g) == fourth_order_energy(field, g)
+    assert energies(rho, g) == energies(field, g)
+    # the filled-shell density answers the same protocol and nothing of the
+    # term-list format, whose expansion cancels catastrophically for it
+    closed = model_density(ShellConfiguration.closed_shell(20))
+    assert not isinstance(closed, RadialField)
+    for name in ("profile", "value", "total_charge", "suggested_r_max"):
+        assert callable(getattr(closed, name))
+    for name in ("terms", "tail_charge", "scaled", "merged", "derivative"):
+        assert not hasattr(closed, name)
 
 
 class ProfileCountingField(RadialField):

@@ -1,6 +1,10 @@
 """The vectorized kernels against pointwise scalar references."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -200,3 +204,20 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
     np.testing.assert_allclose(rho[live], ref_rho[live], rtol=1e-13, atol=0.0)
     for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_kernel_benchmark_script_runs() -> None:
+    # the script reads RadialField's grouped rows and model_density; one small
+    # case of each kind keeps it in step with them
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    args = ["--sizes", "64", "--points", "3008", "--shells", "2", "--repeats", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "exp_poly_eval[Xe, 4000 pts, 3 rows]" in proc.stdout
+    assert "shell_profile[n_max=2, 3008 pts]" in proc.stdout
