@@ -3,10 +3,12 @@
 The shell-density kernel runs on the closed-shell ladder's own quadrature
 grids: the expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
 density, at the library default of 3008 nodes and at its 6016-node
-refinement.  The exponential-polynomial kernel runs on synthetic inputs
-and on the Ne and Xe densities over the ``table1`` grid (2000 nodes on
-[0, 45]) and its 4000-node refinement, once with the density row alone and
-once with the three stacked rows (rho, rho', rho'') that
+refinement.  Its default shell counts run past the library's 40-shell cap to
+60 and 100, the kernel cost a 100-shell ladder would pay.  The
+exponential-polynomial kernel runs on synthetic inputs and on the Ne and Xe
+densities over the ``table1`` grid (2000 nodes on [0, 45]) and its
+4000-node refinement, once with the density row alone and once with the
+three stacked rows (rho, rho', rho'') that
 ``RadialField.profile`` evaluates in one call.  Each case reports the median
 wall time of the timed calls and the tracemalloc peak of one further,
 untimed call.
@@ -21,13 +23,14 @@ from __future__ import annotations
 import argparse
 import time
 import tracemalloc
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from tfshell._kernels import exp_poly_eval, shell_profile
 from tfshell.atomic_data import atom_density, load_bundled
-from tfshell.hydrogenic import ShellConfiguration, model_density
+from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
 from tfshell.kedf import DEFAULT_R_MAX, make_grid
 
 
@@ -68,10 +71,15 @@ def atom_field_inputs(symbol: str, n_points: int, stacked: bool) -> tuple:
 
 
 def shell_inputs(n_points: int, n_max: int) -> tuple:
-    """(Z, n_max, nodes) of the ladder point with n_max filled shells."""
+    """(Z, n_max, nodes) of the ladder point with n_max filled shells.
+
+    ``suggested_r_max`` reads only the configuration, so it is called on a
+    stand-in holding one: the density's own ``MAX_SHELLS`` check would stop
+    the shell counts beyond it.
+    """
     cfg = ShellConfiguration.closed_shell(n_max)
-    rho = model_density(cfg)
-    grid = make_grid(n_points=n_points, r_span=(0.0, rho.suggested_r_max()))
+    r_max = HydrogenicDensity.suggested_r_max(SimpleNamespace(configuration=cfg))
+    grid = make_grid(n_points=n_points, r_span=(0.0, r_max))
     return cfg.nuclear_charge, n_max, grid.nodes
 
 
@@ -94,8 +102,8 @@ def main() -> None:
     )
     parser.add_argument(
         "--shells",
-        default="5,12,25,40",
-        help="comma-separated shell counts for shell_profile (default: 5,12,25,40)",
+        default="5,12,25,40,60,100",
+        help="comma-separated shell counts for shell_profile (default: 5,12,25,40,60,100)",
     )
     parser.add_argument("--repeats", type=int, default=7, help="timed calls per case")
     parser.add_argument("--seed", type=int, default=0)

@@ -7,16 +7,19 @@ Two kernels dominate the runtime of every functional in this package:
   one or several coefficient sets at once (a field and its derivatives
   share the exponentials e^{-beta_g r}, so one call evaluates all three), and
 * direct evaluation of filled-shell Coulomb densities and their first two
-  radial derivatives by orbital summation, with one Laguerre recurrence per
-  pair of orbitals feeding the polynomial and both its derivatives.
+  radial derivatives, shell by shell, from a closed form in a few Laguerre
+  values per shell (two recurrences of length <= n for shell n, so
+  O(n_max^2) vector steps in all).
 
-The orbital-summation kernel exists because the expanded polynomial form of
-a many-shell density suffers catastrophic cancellation near the outer edge
-(alternating Laguerre coefficients grow roughly as 10^(0.3 k) for degree k),
-while summing squared orbitals keeps every contribution non-negative in the
-density and mildly signed in the derivatives.  It works in a fixed set of
-preallocated arrays updated in place, so its working set does not grow with
-the shell count.
+The shell kernel evaluates Laguerre values by their recurrence, never the
+expanded polynomial of a many-shell density: that expansion suffers
+catastrophic cancellation near the outer edge (alternating Laguerre
+coefficients grow roughly as 10^(0.3 k) for degree k).  The closed form's
+own cancellation is bounded: at large x its two terms n A^2 and x B C
+(below) cancel to about 1/n of their size, so the density loses about
+log10(n) digits there and nothing grows with the degree.  It works in a fixed
+set of preallocated arrays updated in place, so its working set does not
+grow with the shell count.
 """
 
 from __future__ import annotations
@@ -57,28 +60,27 @@ def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# filled-shell Coulomb densities by orbital summation
+# filled-shell Coulomb densities, one closed form per shell
 #
-# Per orbital (n, l), with x = (2Z/n) r, k = n-l-1, a = 2l+1:
-#   R(r)   = A * W(x),        W(x)  = x^l e^{-x/2} L_k^a(x)
-#   R'(r)  = A*g * W'(x),     g = 2Z/n
-#   R''(r) = A*g^2 * W''(x)
-# With f_j = x^j e^{-x/2} (a running product across l, f_j = x f_{j-1}),
-# L = L_k^a, L' = -L_{k-1}^{a+1} and L'' = L_{k-2}^{a+2}:
-#   W   = f_l L
-#   W'  = f_l (L' - L/2) + l f_{l-1} L
-#   W'' = f_l (L'' - L' + L/4) + l f_{l-1} (2L' - L) + l(l-1) f_{l-2} L
-# so no power of x and no division by x is needed.  The orbital's weight
-# A^2 * 2(2l+1) / (4 pi) (occupation times angular average) is folded into
-# the running product as its square root.
-#
-# The three Laguerre polynomials come from one recurrence per pair of
-# orbitals (l, l+1): running the three-term recurrence for L_i^a, i = 0..k,
-# and streaming the prefix sums L_i^{a+m} = sum_{i' <= i} L_{i'}^{a+m-1},
-# m = 1..4, yields L_k^a, L_{k-1}^{a+1}, L_{k-2}^{a+2} for orbital l and
-# L_{k-1}^{a+2}, L_{k-2}^{a+3}, L_{k-3}^{a+4} for orbital l+1 (order a+2,
-# degree k-1).  Reseeding every pair keeps the sums short: running them
-# across a whole shell loses about 5e-10 relative in rho at 40 shells.
+# With x = g r, g = 2Z/n, the orbitals of shell n sum to (Heilmann & Lieb,
+# Phys. Rev. A 52, 3628 (1995))
+#   sum_l (2l+1) (n-l-1)!/(n+l)! x^{2l} [L_{n-l-1}^{2l+1}(x)]^2
+#       = n A^2 + x B C =: S(x),
+# so rho_n = K e^{-x} S with K = g^3 / (4 pi n).  Writing A = L_{n-1}^0,
+# B = L_{n-1}^1, C = L_{n-2}^1, D = L_{n-2}^2, E = L_{n-3}^2, F = L_{n-3}^3,
+# G = L_{n-4}^3 (negative degrees read as zero), dL_k^a/dx = -L_{k-1}^{a+1}
+# gives
+#   S'  = -2n A C + B C - x (D C + B E)
+#   S'' = 2n (C^2 + A E) - 2 (D C + B E) + x (F C + 2 D E + B G)
+#   rho_n'  = K g e^{-x} (S' - S)
+#   rho_n'' = K g^2 e^{-x} (S'' - 2 S' + S)
+# Two forward recurrences give every Laguerre value: order 1 up to degree
+# n-1 and order 3 up to degree n-2; A, D and E follow from
+# L_k^a = L_k^{a+1} - L_{k-1}^{a+1}.  No power of x appears and nothing is
+# divided by x.  K e^{-x} enters as a factor sqrt(K) e^{-x/2} on every
+# Laguerre value: a single e^{-x} is subnormal at the outer edge of a
+# 60-shell grid (x ~ 720) and costs the density about 3 digits there, and
+# the unscaled terms of S reach 1e292 at the edge of a 100-shell grid.
 
 
 def _laguerre_step(
@@ -98,167 +100,100 @@ def _laguerre_step(
     return out
 
 
-def _laguerre_array(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_k^alpha(x) by the forward three-term recurrence in the degree."""
-    if k == 0:
-        return np.ones_like(x)
-    prev = np.ones_like(x)
-    cur = np.subtract(alpha + 1.0, x, out=np.empty_like(x))
-    nxt = np.empty_like(x)
-    for j in range(1, k):
+def _laguerre_top(k: int, alpha: float, x: np.ndarray, work: tuple) -> tuple:
+    """(L_k^alpha, L_{k-1}^alpha, L_{k-2}^alpha, scratch) in the four arrays of ``work``.
+
+    For k >= -1; negative degrees read as zero.  The recurrence step
+    overwrites L_{j-1} while forming L_{j+1}, so L_{k-2} is copied aside
+    before the last step.
+    """
+    prev, cur, nxt, low = work
+    prev.fill(0.0)
+    cur.fill(1.0 if k >= 0 else 0.0)
+    low.fill(0.0)
+    for j in range(k):
+        if j == k - 1:
+            np.copyto(low, prev)
         _laguerre_step(j, alpha, x, prev, cur, nxt)
         prev, cur, nxt = cur, nxt, prev
-    return cur
+    return cur, prev, low, nxt
 
 
-def _seed(buf: np.ndarray, degree: int, order: float, x: np.ndarray) -> np.ndarray:
-    """Fill ``buf`` with L_degree^order for degree < 2 (zero below degree 0)."""
-    if degree < 0:
-        buf.fill(0.0)
-    elif degree == 0:
-        buf.fill(1.0)
-    else:
-        np.subtract(order + 1.0, x, out=buf)
-    return buf
-
-
-def _pair_orders(k: int, a: float, x: np.ndarray, work: list) -> tuple:
-    """The six Laguerre values a pair of orbitals (l, l+1) needs, from one recurrence.
-
-    Returns (L_k^a, L_{k-1}^{a+1}, L_{k-2}^{a+2}, L_{k-1}^{a+2}, L_{k-2}^{a+3},
-    L_{k-3}^{a+4}), with L of negative degree read as zero.  The results are
-    views of the seven arrays in ``work``, which are overwritten; the one
-    array of ``work`` not returned is left as scratch at ``work[0]``.
-    """
-    prev, cur, nxt, s1, s2, s3, s4 = work
-    # last degree each running sum is needed at; the second capture of the
-    # order-(a+2) sum, at k-1, is formed after the loop
-    last = (k - 1, k - 2, k - 2, k - 3)
-    sums = (s1, s2, s3, s4)
-    for m, (buf, top) in enumerate(zip(sums, last), start=1):
-        _seed(buf, min(top, 1), a + m, x)
-    _seed(prev, 0, a, x)
-    _seed(cur, min(k, 1), a, x)
-    for i in range(2, k + 1):
-        _laguerre_step(i - 1, a, x, prev, cur, nxt)
-        prev, cur, nxt = cur, nxt, prev
-        if i <= k - 1:
-            s1 += cur
-            if i <= k - 2:
-                s2 += s1
-                s3 += s2
-                if i <= k - 3:
-                    s4 += s3
-    # after the loop prev holds L_{k-1}^a, which no orbital needs
-    if k - 1 >= 2:
-        np.add(s2, s1, out=nxt)
-    else:
-        _seed(nxt, k - 1, a + 2, x)
-    work[:3] = prev, cur, nxt
-    return cur, s1, s2, nxt, s3, s4
-
-
-def _add_orbital(
-    lag: np.ndarray,
-    lag1: np.ndarray,
-    lag2: np.ndarray,
-    f0: np.ndarray,
-    fm1: np.ndarray,
-    fm2: np.ndarray,
-    c1: float,
-    c2: float,
-    tmp: np.ndarray,
-    rho: np.ndarray,
-    acc1: np.ndarray,
-    acc2: np.ndarray,
-) -> None:
-    """Add one orbital's W^2, -W W' and W'^2 + W W'' to rho, acc1, acc2.
-
-    lag, lag1, lag2 are L_k^a, L_{k-1}^{a+1}, L_{k-2}^{a+2} and are
-    overwritten; f0 is the weighted s x^l e^{-x/2}, and c1 * fm1, c2 * fm2
-    are s l x^{l-1} e^{-x/2} and s l(l-1) x^{l-2} e^{-x/2}.
-    """
-    # u = L/2 - L' and v = L'' - L' + L/4, in lag1 and lag2
-    np.multiply(lag, 0.5, out=tmp)
-    lag1 += tmp
-    lag2 += lag1
-    tmp *= 0.5
-    lag2 -= tmp
-    # W'' = f_l v - 2 l f_{l-1} u + l(l-1) f_{l-2} L
-    lag2 *= f0
-    if c1:
-        np.multiply(fm1, lag1, out=tmp)
-        tmp *= 2.0 * c1
-        lag2 -= tmp
-    if c2:
-        np.multiply(fm2, lag, out=tmp)
-        tmp *= c2
-        lag2 += tmp
-    # -W' = f_l u - l f_{l-1} L
-    lag1 *= f0
-    if c1:
-        np.multiply(fm1, lag, out=tmp)
-        tmp *= c1
-        lag1 -= tmp
-    lag *= f0
-    np.multiply(lag, lag, out=tmp)
-    rho += tmp
-    np.multiply(lag, lag1, out=tmp)
-    acc1 += tmp
-    lag1 *= lag1
-    lag2 *= lag
-    lag2 += lag1
-    acc2 += lag2
+def _laguerre_array(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """L_k^alpha(x) by the forward three-term recurrence in the degree."""
+    return _laguerre_top(k, alpha, x, tuple(np.empty_like(x) for _ in range(4)))[0]
 
 
 def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
     """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z.
 
-    Each shell accumulates sum s_l^2 W^2 into rho and sum s_l^2 (-W W') and
-    sum s_l^2 (W'^2 + W W'') into two buffers, scaled to r-derivatives by
-    -2g and 2g^2 once per shell.
+    Adds each shell's closed form K e^{-x} S and its two r-derivatives,
+    working in place in thirteen arrays whatever the shell count.
     """
     rho = np.zeros_like(r)
     drho = np.zeros_like(r)
     d2rho = np.zeros_like(r)
     x = np.empty_like(r)
-    acc1 = np.empty_like(r)
-    acc2 = np.empty_like(r)
-    f = [np.empty_like(r) for _ in range(3)]
-    work = [np.empty_like(r) for _ in range(7)]
+    half = np.empty_like(r)
+    low = tuple(np.empty_like(r) for _ in range(4))
+    high = tuple(np.empty_like(r) for _ in range(4))
     with np.errstate(under="ignore"):
         for n in range(1, n_max + 1):
             g = 2.0 * z / n
             np.multiply(r, g, out=x)
-            acc1.fill(0.0)
-            acc2.fill(0.0)
-            # s_l^2 = A^2 * 2(2l+1) / (4 pi) with A^2 = g^3/(2n) (n-l-1)!/(n+l)!,
-            # so s_0^2 = g^3 / (4 pi n^2) and step[l] = s_l / s_{l-1}
-            step = [0.0] + [
-                math.sqrt((2.0 * l + 1.0) / ((2.0 * l - 1.0) * (n - l) * (n + l)))
-                for l in range(1, n)
-            ]
-            # f[l % 3] holds s_l x^l e^{-x/2}
-            np.multiply(x, -0.5, out=f[0])
-            np.exp(f[0], out=f[0])
-            f[0] *= math.sqrt(g * g * g / (4.0 * math.pi)) / n
-            for l in range(0, n, 2):
-                k = n - l - 1
-                orders = _pair_orders(k, 2.0 * l + 1.0, x, work)
-                for j, (lag, lag1, lag2) in ((l, orders[:3]), (l + 1, orders[3:])):
-                    if j == n:
-                        break
-                    if j >= 1:
-                        np.multiply(f[(j - 1) % 3], x, out=f[j % 3])
-                        f[j % 3] *= step[j]
-                    c1 = j * step[j]
-                    c2 = j * (j - 1) * step[j] * step[j - 1] if j >= 2 else 0.0
-                    _add_orbital(
-                        lag, lag1, lag2, f[j % 3], f[(j - 1) % 3], f[(j - 2) % 3],
-                        c1, c2, work[0], rho, acc1, acc2,
-                    )
-            acc1 *= -2.0 * g
-            drho += acc1
-            acc2 *= 2.0 * g * g
-            d2rho += acc2
+            # half = sqrt(K) e^{-x/2}
+            np.multiply(x, -0.5, out=half)
+            np.exp(half, out=half)
+            half *= math.sqrt(g * g * g / (4.0 * math.pi * n))
+            b, c, a, e = _laguerre_top(n - 1, 1.0, x, low)
+            d, f, gl, u = _laguerre_top(n - 2, 3.0, x, high)
+            # every term below is a product of two Laguerre values, so
+            # scaling each value by sqrt(K) e^{-x/2} applies K e^{-x}
+            for value in (b, c, d, f, gl):
+                value *= half
+            np.subtract(b, c, out=a)
+            np.subtract(f, gl, out=e)
+            d -= f
+            # f = x (F C + 2 D E + B G)
+            f *= c
+            np.multiply(d, e, out=u)
+            u *= 2.0
+            f += u
+            gl *= b
+            f += gl
+            f *= x
+            # gl = D C + B E
+            np.multiply(d, c, out=gl)
+            np.multiply(b, e, out=u)
+            gl += u
+            # u = S''
+            np.multiply(a, e, out=d)
+            np.multiply(c, c, out=u)
+            u += d
+            u *= 2.0 * n
+            u += f
+            u -= gl
+            u -= gl
+            # d = S'
+            np.multiply(a, c, out=d)
+            d *= -2.0 * n
+            np.multiply(b, c, out=e)
+            d += e
+            gl *= x
+            d -= gl
+            # a = S
+            e *= x
+            a *= a
+            a *= n
+            a += e
+            rho += a
+            # S'' - 2 S' + S and S' - S, scaled to r-derivatives
+            u -= d
+            u -= d
+            u += a
+            u *= g * g
+            d2rho += u
+            d -= a
+            d *= g
+            drho += d
     return rho, drho, d2rho

@@ -316,20 +316,19 @@ def _ladder_energies(n_max: int, grid_points: int, verify: bool) -> tuple[float,
 # by this process or a worker, keyed like the ladder cache; ``_ladder_point``
 # pops each one when it consumes it.
 _ahead: dict[tuple, tuple[float, float, float]] = {}
-# Keys whose point ``_ladder_point`` has computed, so the cache holds them
-# unless it was cleared or evicted since (such a point is then computed in
-# order).
-_computed: set[tuple] = set()
+# Keys of the points ``_ladder_point`` has computed, oldest first.  Its
+# cache never evicts, so after a ``cache_clear()`` every point it computes is
+# a new entry: the cache holds exactly the newest ``currsize`` keys here.
+_computed: list[tuple] = []
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=None)
 def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
     key = (n_max, grid_points, verify)
-    _computed.add(key)
     ahead = _ahead.pop(key, None)
     t0, t_w, t4 = ahead if ahead is not None else _ladder_energies(*key)
     cfg = ShellConfiguration.closed_shell(n_max)
-    return SequencePoint(
+    point = SequencePoint(
         n_max=cfg.n_max,
         z=cfg.nuclear_charge,
         t_exact=float(cfg.n_max) * cfg.nuclear_charge**2,
@@ -337,6 +336,8 @@ def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
         t2=t_w / 9.0,
         t4=t4,
     )
+    _computed.append(key)
+    return point
 
 
 # A worker's record of one point: its index in the worker's share, then
@@ -345,9 +346,17 @@ _RECORD_FIELDS = 4
 
 
 def _ladder_cost(key: tuple) -> int:
-    """Estimated cost of a ladder point, n_max^3 + 8 n_max^2."""
+    """Estimated cost of a ladder point, n_max^2 + 9 n_max.
+
+    The shell kernel runs two Laguerre recurrences of about n steps per
+    shell n plus a fixed closed form, so its time grows as n_max^2 + c n_max.
+    ``benchmarks/bench_kernels.py`` (21 calls per case, 6016 nodes, 2 cores)
+    timed it at n_max 2..100; fitting t = a (n_max^2 + c n_max) to all of
+    them gives c = 9.3, and each n_max on its own gives c = 8.6-9.9 for
+    n_max 2..40 and 11-12 at 60 and 100, where n_max^2 dominates.
+    """
     n_max = key[0]
-    return n_max**3 + 8 * n_max**2
+    return n_max**2 + 9 * n_max
 
 
 def _split_by_cost(keys: Sequence[tuple], parts: int) -> list[list[tuple]]:
@@ -461,7 +470,7 @@ def model_energy_sequence(
     cost nothing extra.  The uncached points are computed across the CPUs
     this process may run on: it forks one worker per extra CPU, once per
     call, splits the points between itself and the workers by estimated
-    cost (n_max^3 + 8 n_max^2, longest first), and receives each worker's
+    cost (n_max^2 + 9 n_max, longest first), and receives each worker's
     energies through a pipe as raw float64, so every value is the one the
     serial path computes.  It runs serially when fewer than two points are
     uncached, on one CPU, where ``os.sched_getaffinity`` is missing (not
@@ -476,6 +485,8 @@ def model_energy_sequence(
             keys.append((int(n_max), grid_points, verify))
         except (TypeError, ValueError, OverflowError):
             break  # the in-order pass raises it at this entry
+    # trim the log to the keys the cache holds now
+    del _computed[: len(_computed) - _ladder_point.cache_info().currsize]
     uncached = [key for key in dict.fromkeys(keys) if key not in _computed]
     try:
         _compute_ahead(uncached)

@@ -5,17 +5,19 @@ filling shells n = 1..n_max completely.  Shell filling gives the
 closed-shell electron counts 2, 10, 28, 60, 110, ...; per-orbital energies
 follow the Rydberg formula, so the total kinetic energy is exactly
 n_max * Z^2.  The density is an analytic sum of squared radial
-wavefunctions.  It is evaluated by orbital summation, never through its
-exponential-polynomial expansion: that expansion cancels catastrophically
-for many shells, while the summation kernel keeps many-shell
-configurations accurate in double precision.
+wavefunctions.  Each shell's sum has a closed form in a few Laguerre
+values (Heilmann & Lieb, Phys. Rev. A 52, 3628 (1995)), which the kernel
+evaluates by recurrence, never through the exponential-polynomial
+expansion: that expansion cancels catastrophically for many shells, while
+the closed form keeps many-shell configurations accurate in double
+precision.
 
-Shell counts above ``MAX_SHELLS`` are rejected.  The orbital-summation
-kernel (``_kernels.shell_profile``: one Laguerre recurrence per pair of
-orbitals, whose running sums give the derivative orders) is checked against
-a 32-digit mpmath oracle to 1e-13 at 25 and 40 shells; beyond that its
-recurrences and running sums are longer than any verified case, and results
-could silently degrade.
+Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel
+(``_kernels.shell_profile``: per shell, two Laguerre recurrences of length
+at most n and a closed form in their last values) is checked against a
+32-digit mpmath oracle to 1e-13 at 25, 40 and 60 shells.  The cap stays at
+40 until the ladder's 1e-8 refinement gate and its fits are checked beyond
+that; the kernel itself is not the limit.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def radial_wavefunction(z: float, n: int, l: int, r):
 
 
 class HydrogenicDensity:
-    """Filled-shell density, evaluated by the orbital-summation kernel.
+    """Filled-shell density, evaluated by the closed-form shell kernel.
 
     Answers the density protocol of ``kedf``: ``profile``, ``value``,
     ``total_charge`` and ``suggested_r_max``.

@@ -9,7 +9,7 @@ degree,
 which is stable over the argument range where the accompanying exponential
 weight exp(-x/2) is non-negligible.  ``laguerre`` runs it through
 ``_kernels._laguerre_array``, whose recurrence step (``_kernels._laguerre_step``)
-is the one the orbital-summation kernel runs once per pair of orbitals.
+is the one the shell-density kernel runs twice per shell.
 Degrees beyond ``MAX_DEGREE`` are rejected rather than evaluated with
 silently degraded accuracy.
 """

@@ -554,7 +554,7 @@ def _assert_serial_points(points, grid_points: int) -> None:
 
 def test_split_by_cost_is_longest_first_greedy() -> None:
     keys = [(n, 0, False) for n in range(2, 8)]
-    # costs n^3 + 8 n^2: 40, 99, 192, 325, 504, 735
+    # costs n^2 + 9 n: 22, 36, 52, 70, 90, 112
     own, worker = _split_by_cost(keys, 2)
     assert [k[0] for k in own] == [7, 4, 2]
     assert [k[0] for k in worker] == [6, 5, 3]
@@ -574,6 +574,20 @@ def test_parallel_ladder_equals_serial_points(monkeypatch) -> None:
     # each requested point is counted once: two hits, five computed
     assert (after.hits - before.hits, after.misses - before.misses) == (2, 5)
     _assert_serial_points(points, 1040)
+    assert not asymptotics._ahead
+
+
+def test_cleared_ladder_points_run_in_parallel_again(monkeypatch) -> None:
+    _cpus(monkeypatch, 2)
+    forks = _counting_fork(monkeypatch)
+    first = model_energy_sequence(range(2, 6), grid_points=1056, verify=False)
+    _ladder_point.cache_clear()
+    points = model_energy_sequence(range(2, 6), grid_points=1056, verify=False)
+    after = _ladder_point.cache_info()
+    assert len(forks) == 2  # the cleared points count as uncached
+    assert (after.hits, after.misses) == (0, 4)
+    assert [_bits(p) for p in points] == [_bits(p) for p in first]
+    _assert_serial_points(points, 1056)
     assert not asymptotics._ahead
 
 

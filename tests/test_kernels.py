@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
@@ -171,31 +172,40 @@ def test_laguerre_array_matches_reference() -> None:
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("n_shell", [5, 6])
-def test_pair_orders_match_laguerre_array(n_shell: int) -> None:
-    # shell 5 pairs (0,1), (2,3) and leaves l = 4 (k = 0) without a partner;
-    # shell 6 pairs all six orbitals; together k runs over 0..5
-    x = np.linspace(0.0, 30.0, 301)
-    work = [np.empty_like(x) for _ in range(7)]
-    for l in range(0, n_shell, 2):
-        k, a = n_shell - l - 1, 2 * l + 1
-        got = _kernels._pair_orders(k, float(a), x, work)
-        wanted = [(k, a), (k - 1, a + 1), (k - 2, a + 2), (k - 1, a + 2), (k - 2, a + 3), (k - 3, a + 4)]
-        for value, (degree, order) in zip(got, wanted):
-            if degree < 0:
-                np.testing.assert_array_equal(value, 0.0)
-                continue
-            reference = _kernels._laguerre_array(degree, float(order), x)
-            scale = max(1.0, float(np.max(np.abs(reference))))
-            np.testing.assert_allclose(value, reference, rtol=1e-12, atol=1e-13 * scale)
-        assert len({id(v) for v in got}) == 6
+def test_shell_closed_form_is_the_orbital_sum() -> None:
+    # the kernel's per-shell identity and its two derivatives, as exact
+    # polynomials over the rationals; negative Laguerre degrees read as zero
+    x = sp.Symbol("x")
+    xp = sp.Poly(x, x, domain="QQ")
+
+    def lag(k: int, a: int) -> sp.Poly:
+        return sp.Poly(sp.assoc_laguerre(k, a, x) if k >= 0 else 0, x, domain="QQ")
+
+    for n in range(1, 13):
+        orbitals = sum(
+            (
+                xp ** (2 * l) * lag(n - l - 1, 2 * l + 1) ** 2
+                * ((2 * l + 1) * sp.factorial(n - l - 1) / sp.factorial(n + l))
+                for l in range(n)
+            ),
+            sp.Poly(0, x, domain="QQ"),
+        )
+        a, b, c = lag(n - 1, 0), lag(n - 1, 1), lag(n - 2, 1)
+        d, e, f, g = lag(n - 2, 2), lag(n - 3, 2), lag(n - 3, 3), lag(n - 4, 3)
+        closed = n * a**2 + xp * b * c
+        first = -2 * n * a * c + b * c - xp * (d * c + b * e)
+        second = 2 * n * (c**2 + a * e) - 2 * (d * c + b * e) + xp * (f * c + 2 * d * e + b * g)
+        assert (orbitals - closed).is_zero, n
+        assert (closed.diff(x) - first).is_zero, n
+        assert (closed.diff((x, 2)) - second).is_zero, n
 
 
-@pytest.mark.parametrize("n_max", [25, 40])
+@pytest.mark.parametrize("n_max", [25, 40, 60])
 def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
     z = n_max * (n_max + 1) * (2 * n_max + 1) / 3.0
     r_max = (6.0 * n_max**2 + 40.0) / z
-    # the cusp, the shell region and the tail out to the quadrature cutoff
+    # the cusp, the shell region and the tail out to the quadrature cutoff;
+    # 60 shells lies beyond MAX_SHELLS and checks the kernel alone
     r = r_max * np.array([1e-7, 1e-4, 1e-2, 0.1, 0.5, 1.0])
     rho, drho, d2rho = _kernels.shell_profile(z, n_max, r)
     ref_rho, ref_drho, ref_d2rho = _shell_profile_oracle(z, n_max, r)
@@ -207,8 +217,9 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
 
 
 def test_kernel_benchmark_script_runs() -> None:
-    # the script reads RadialField's grouped rows and model_density; one small
-    # case of each kind keeps it in step with them
+    # the script reads RadialField's grouped rows and
+    # HydrogenicDensity.suggested_r_max; one small case of each kind keeps it
+    # in step with them
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     args = ["--sizes", "64", "--points", "3008", "--shells", "2", "--repeats", "1"]
