@@ -9,9 +9,11 @@ exponential-polynomial kernel runs on synthetic inputs and on the Ne and Xe
 densities over the ``table1`` grid (2000 nodes on [0, 45]) and its
 4000-node refinement, once with the density row alone and once with the
 three stacked rows (rho, rho', rho'') that
-``RadialField.profile`` evaluates in one call.  Each case reports the median
-wall time of the timed calls and the tracemalloc peak of one further,
-untimed call.
+``RadialField.profile`` evaluates in one call.  One more case times the 17
+kernel calls of a ``table1`` pass: each bundled atom's three rows on the
+2000 + 4000 nodes that ``kedf.energies`` sends in one call.  Each case
+reports the median wall time of the timed calls and the tracemalloc peak of
+one further, untimed call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
@@ -70,6 +72,19 @@ def atom_field_inputs(symbol: str, n_points: int, stacked: bool) -> tuple:
     return exponents, rows, make_grid(n_points=n_points, r_span=(0.0, DEFAULT_R_MAX)).nodes
 
 
+def table1_inputs() -> tuple:
+    """(per-atom (exponents, stacked rows), nodes) of the kernel calls of a table1 pass."""
+    grid = make_grid(n_points=2000, r_span=(0.0, DEFAULT_R_MAX))
+    nodes = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    fields = [atom_density(data) for data in load_bundled().values()]
+    return [(f._groups[0], f._profile_coefs) for f in fields], nodes
+
+
+def table1_profiles(atoms: list, nodes: np.ndarray) -> None:
+    for exponents, rows in atoms:
+        exp_poly_eval(exponents, rows, nodes)
+
+
 def shell_inputs(n_points: int, n_max: int) -> tuple:
     """(Z, n_max, nodes) of the ladder point with n_max filled shells.
 
@@ -85,7 +100,7 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
 
 def report(name: str, func: Callable, args: tuple, repeats: int) -> None:
     ms = time_call(func, args, repeats)
-    print(f"{name:<38} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
+    print(f"{name:<42} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
 
 
 def main() -> None:
@@ -130,6 +145,13 @@ def main() -> None:
                     atom_field_inputs(symbol, n_points, stacked),
                     args.repeats,
                 )
+    atoms, nodes = table1_inputs()
+    report(
+        f"exp_poly_eval[{len(atoms)} atoms, {nodes.size} pts, 3 rows]",
+        table1_profiles,
+        (atoms, nodes),
+        args.repeats,
+    )
     print()
     for n_max in shells:
         for n_points in points:

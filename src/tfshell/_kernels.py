@@ -4,8 +4,12 @@ Two kernels dominate the runtime of every functional in this package:
 
 * evaluation of exponential-polynomial radial fields
   rho(r) = sum_g exp(-beta_g r) * P_g(r)  (P_g a dense polynomial), for
-  one or several coefficient sets at once (a field and its derivatives
-  share the exponentials e^{-beta_g r}, so one call evaluates all three), and
+  one or several coefficient sets at once.  The nodes go in small blocks:
+  one exponential per block, shared by every set (a field and its
+  derivatives, so one call evaluates all three), then per set one matrix
+  product that sums the groups for every degree and a Horner pass in r.
+  The block stays below OpenBLAS's threading cut, where these small
+  products would go multi-threaded and slow down several-fold; and
 * direct evaluation of filled-shell Coulomb densities and their first two
   radial derivatives, shell by shell, from a closed form in a few Laguerre
   values per shell (two recurrences of length <= n for shell n, so
@@ -32,30 +36,71 @@ import numpy as np
 # exponential-polynomial fields
 
 
+# Elements in one block of exponentials, G groups by M nodes (see
+# exp_poly_eval for why it is small).
+_BLOCK_ELEMENTS = 1 << 15
+# Every block is padded to a multiple of this many nodes.
+_BLOCK_LANES = 16
+
+
 def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_g exp(-beta_g r) * Horner(coefs[g], r), vectorized over r.
+    """sum_g exp(-beta_g r) * sum_d coefs[g, d] r^d, vectorized over r.
 
     ``coefs`` of shape (G, D) gives one row, shaped like ``r``.  A stack of
-    R coefficient sets, shape (R, G, D), gives R rows, shape (R, N): each
-    group's exponential is computed once and shared by every set, and each
-    row equals the one-set call on its coefficients bit for bit.
+    R coefficient sets, shape (R, G, D), gives R rows, shape (R, N).
+
+    The nodes go in blocks of M, with G M at most ``_BLOCK_ELEMENTS``.  Per
+    block there is one ``np.exp``, in place, over the (G, M) matrix of
+    -beta_g r, shared by every row.  Per row there is one (D, G) @ (G, M)
+    product, which gives sum_g coefs[g, d] e^{-beta_g r} for every degree
+    d, and a D-step Horner in r over M-node arrays, written straight into
+    the output.  So the G D N multiply-adds run inside BLAS, and the working
+    set is one block plus a (D, M) product.
+
+    The block is small because each product must stay below the size at
+    which OpenBLAS splits a product across threads (of the order of
+    D G M = 2 * 65536 * 4); these products are far too small to gain from
+    it.  On two cores of an AVX-512 Xeon, a 2^17 budget (D G M up to
+    1.2e6) made the 17 bundled atoms' profiles take 136 ms, against
+    11.5 ms with OPENBLAS_NUM_THREADS=1.  At 2^15 (D <= 9 in every bundled
+    atom, so D G M < 3e5) the two agree, 16.7 and 16.8 ms.
+
+    Each row gets its own product of the same shape, so a stacked row
+    equals the one-set call on its coefficients bit for bit.  A block is
+    padded with r = 0 to a multiple of ``_BLOCK_LANES`` nodes: BLAS may
+    compute a ragged last few columns of a product by another code path,
+    with other rounding (and hands a single column to gemv), so without
+    the padding a node's value would depend on where the block boundaries
+    fall.
     """
     sets = coefs if coefs.ndim == 3 else coefs[None]
-    out = np.zeros((sets.shape[0], *r.shape), dtype=r.dtype)
-    n_deg = sets.shape[2]
-    poly = np.empty_like(r)
-    decay = np.empty_like(r)
-    with np.errstate(under="ignore"):
-        for g in range(exponents.shape[0]):
-            np.multiply(-exponents[g], r, out=decay)
-            np.exp(decay, out=decay)
-            for row, c in zip(out, sets[:, g]):
-                poly.fill(c[n_deg - 1])
-                for d in range(n_deg - 2, -1, -1):
-                    poly *= r
-                    poly += c[d]
-                poly *= decay
-                row += poly
+    n_groups, n_deg = sets.shape[1:]
+    nodes = r.reshape(-1)
+    out = np.zeros((sets.shape[0], nodes.size), dtype=r.dtype)
+    if n_groups and nodes.size:
+        # each set as (D, G), so that the product sums over the groups
+        mats = np.ascontiguousarray(sets.transpose(0, 2, 1))
+        width = max(_BLOCK_LANES, _BLOCK_ELEMENTS // n_groups // _BLOCK_LANES * _BLOCK_LANES)
+        width = min(width, -(-nodes.size // _BLOCK_LANES) * _BLOCK_LANES)
+        rates = -exponents[:, None]
+        buffer = np.empty(n_groups * width, dtype=r.dtype)
+        with np.errstate(under="ignore"):
+            for start in range(0, nodes.size, width):
+                x = nodes[start:start + width]
+                m = x.size
+                padded = -(-m // _BLOCK_LANES) * _BLOCK_LANES
+                block = buffer[: n_groups * padded].reshape(n_groups, padded)
+                block[:, m:] = 0.0
+                np.multiply(rates, x, out=block[:, :m])
+                np.exp(block, out=block)
+                for row, mat in zip(out, mats):
+                    sums = mat @ block
+                    acc = row[start:start + m]
+                    np.copyto(acc, sums[n_deg - 1, :m])
+                    for d in range(n_deg - 2, -1, -1):
+                        acc *= x
+                        acc += sums[d, :m]
+    out = out.reshape(sets.shape[0], *r.shape)
     return out if coefs.ndim == 3 else out[0]
 
 

@@ -11,7 +11,12 @@ summation instead.)
 Evaluation groups terms by common exponent into dense polynomial rows and
 runs through the ``_kernels.exp_poly_eval`` kernel; ``profile`` stacks the
 rows of rho, rho' and rho'' into one kernel call, so each exponential
-e^{-beta r} is computed once for all three.  Radial moments and tail
+e^{-beta r} is computed once for all three.  The kernel takes the nodes in
+small blocks and sums the groups of each row for every power of r in one
+matrix product, so its cost is the exponentials plus BLAS work, not a numpy
+call per group and degree; ``profile(r)[0]`` equals ``value(r)`` bit for
+bit, and a node's value does not depend on the other nodes of the call.
+Radial moments and tail
 masses have closed forms through the (incomplete) Gamma function and are used
 to place quadrature cutoffs; scipy, which supplies the incomplete Gamma
 function, is imported only when a tail mass is asked for.

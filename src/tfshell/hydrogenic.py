@@ -45,6 +45,9 @@ __all__ = [
 
 MAX_SHELLS = 40
 
+# np.exp(-x) is exactly 0 for x above about 745.13, the float64 underflow
+_UNDERFLOW_X = 745.2
+
 # electron_count(n) for n = 1..5: the closed-shell counts
 MAGIC_NUMBERS = (2, 10, 28, 60, 110)
 
@@ -169,7 +172,17 @@ class HydrogenicDensity:
         if np.any(arr < 0):
             raise ValueError("radius must be non-negative")
         cfg = self.configuration
-        rows = _kernels.shell_profile(float(cfg.nuclear_charge), int(cfg.n_max), arr)
+        z, n_max = float(cfg.nuclear_charge), int(cfg.n_max)
+        # past Z r / n_max = _UNDERFLOW_X every shell's e^{-Z r / n} is 0,
+        # while its Laguerre recurrence can overflow to inf (0 * inf = nan)
+        r_far = _UNDERFLOW_X * n_max / z
+        if arr.size == 0 or arr.max() <= r_far:
+            rows = _kernels.shell_profile(z, n_max, arr)
+        else:
+            near = arr <= r_far
+            rows = tuple(np.zeros_like(arr) for _ in range(3))
+            for row, part in zip(rows, _kernels.shell_profile(z, n_max, arr[near])):
+                row[near] = part
         if np.asarray(r).ndim == 0:
             return tuple(float(row[0]) for row in rows)
         return rows

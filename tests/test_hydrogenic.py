@@ -1,12 +1,14 @@
 """Closed-shell model: shell counting, orbitals, and the assembled density."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from tfshell import _kernels
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
@@ -285,3 +287,23 @@ def test_derivatives_match_finite_differences() -> None:
         h = 1e-4 * max(r, 1.0)
         fd2 = (density.value(r + h) - 2.0 * density.value(r) + density.value(r - h)) / h**2
         assert density.profile(r)[2] == pytest.approx(fd2, rel=1e-5)
+
+
+def test_density_is_zero_far_outside() -> None:
+    # far out e^{-Z r / n} is 0 in float64 while the Laguerre recurrence
+    # overflows; the product used to be nan
+    assert model_density(ShellConfiguration.closed_shell(40)).value(1e6) == 0.0
+    assert model_density(ShellConfiguration.closed_shell(5)).value(1e300) == 0.0
+    r = np.geomspace(1.0, 1e300, 600)
+    for n_max in (1, 5, 40):
+        cfg = ShellConfiguration.closed_shell(n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = model_density(cfg).profile(r)
+        assert all(np.isfinite(row).all() for row in rows)
+        # the nodes short of the cut keep the kernel's own values
+        near = r * cfg.nuclear_charge / n_max < 745.0
+        kernel = _kernels.shell_profile(cfg.nuclear_charge, n_max, r[near])
+        for row, ref in zip(rows, kernel):
+            assert np.array_equal(row[near], ref)
+            assert not row[~near].any()

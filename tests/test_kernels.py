@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -151,6 +152,79 @@ def test_exp_poly_stacked_rows_match_single_rows(bundled, atom) -> None:
         assert np.array_equal(row, single)
     if atom is None:
         assert not rows.any()
+
+
+def _exp_poly_oracle(terms, r: np.ndarray) -> np.ndarray:
+    """(rho, rho', rho'') of a term list c r^p e^{-b r}, summed in 30-digit mpmath."""
+    out = np.empty((3, r.size))
+    with mpmath.workdps(30):
+        for i, ri in enumerate(r):
+            x = mpmath.mpf(float(ri))
+            sums = [mpmath.mpf(0)] * 3
+            for c, p, b in terms:
+                b = mpmath.mpf(b)
+                e = mpmath.mpf(c) * mpmath.exp(-b * x)
+                # r^p and its first two r-derivatives
+                q0 = x**p
+                q1 = p * x ** (p - 1) if p >= 1 else 0
+                q2 = p * (p - 1) * x ** (p - 2) if p >= 2 else 0
+                sums[0] += e * q0
+                sums[1] += e * (q1 - b * q0)
+                sums[2] += e * (q2 - 2 * b * q1 + b * b * q0)
+            out[:, i] = [float(v) for v in sums]
+    return out
+
+
+@pytest.mark.parametrize("atom", ["Ne", "Xe"])
+def test_exp_poly_matches_mpmath_oracle(bundled, atom) -> None:
+    field = atom_density(bundled[atom])
+    # the cusp, the shell region and the tail out to the table1 cutoff
+    r = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 45.0])
+    rho, drho, d2rho = _kernels.exp_poly_eval(field._groups[0], field._profile_coefs, r)
+    ref_rho, ref_drho, ref_d2rho = _exp_poly_oracle(field.terms, r)
+    live = ref_rho > 1e-250
+    assert live.all()
+    np.testing.assert_allclose(rho[live], ref_rho[live], rtol=1e-13, atol=0.0)
+    for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
+def test_exp_poly_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
+    field = atom_density(bundled[atom])
+    exponents, stacked = field._groups[0], field._profile_coefs
+    # the nodes of a table1 row: its grid and the refinement
+    grid = make_grid("expmap", 2000, (0.0, 45.0))
+    r = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    whole = _kernels.exp_poly_eval(exponents, stacked, r)
+    # uneven pieces, single nodes among them, concatenated
+    cuts = [0, 1, 2, 7, 300, 1001, 4999, r.size]
+    pieces = [_kernels.exp_poly_eval(exponents, stacked, r[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+    # a 2-D r gives the 1-D result reshaped, for one row and for three
+    square = r.reshape(60, 100)
+    stack = _kernels.exp_poly_eval(exponents, stacked, square)
+    assert np.array_equal(stack, whole.reshape(3, 60, 100))
+    single = _kernels.exp_poly_eval(exponents, stacked[0], square)
+    assert np.array_equal(single, whole[0].reshape(60, 100))
+    # other block sizes move every block boundary
+    for budget in (2**10, 2**14):
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(_kernels.exp_poly_eval(exponents, stacked, r), whole)
+
+
+def test_exp_poly_working_set_is_one_block(bundled) -> None:
+    field = atom_density(bundled["Xe"])
+    exponents, stacked = field._groups[0], field._profile_coefs
+    r = np.linspace(0.0, 45.0, 60_000)
+    tracemalloc.start()
+    try:
+        out = _kernels.exp_poly_eval(exponents, stacked, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3, r.size)
+    assert peak - out.nbytes < 2**20
 
 
 @pytest.mark.parametrize("z,n_max", [(2.0, 1), (28.0, 3), (110.0, 5)])
