@@ -12,8 +12,8 @@ Two kernels dominate the runtime of every functional in this package:
   products would go multi-threaded and slow down several-fold; and
 * direct evaluation of filled-shell Coulomb densities and their first two
   radial derivatives, shell by shell, from a closed form in a few Laguerre
-  values per shell (two recurrences of length <= n for shell n, so
-  O(n_max^2) vector steps in all).
+  values per shell (two recurrences of length <= n for shell n, run in one
+  loop at three vector ops per step, so O(n_max^2) vector ops in all).
 
 The shell kernel evaluates Laguerre values by their recurrence, never the
 expanded polynomial of a many-shell density: that expansion suffers
@@ -84,14 +84,18 @@ def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np
         width = min(width, -(-nodes.size // _BLOCK_LANES) * _BLOCK_LANES)
         rates = -exponents[:, None]
         buffer = np.empty(n_groups * width, dtype=r.dtype)
+        row_x = np.empty((1, width), dtype=r.dtype)
         with np.errstate(under="ignore"):
             for start in range(0, nodes.size, width):
                 x = nodes[start:start + width]
                 m = x.size
                 padded = -(-m // _BLOCK_LANES) * _BLOCK_LANES
                 block = buffer[: n_groups * padded].reshape(n_groups, padded)
-                block[:, m:] = 0.0
-                np.multiply(rates, x, out=block[:, :m])
+                # -beta r as the product (G, 1) @ (1, M) into the contiguous
+                # block: a broadcast multiply allocates numpy iterator buffers
+                row_x[0, :m] = x
+                row_x[0, m:padded] = 0.0
+                np.dot(rates, row_x[:, :padded], out=block)
                 np.exp(block, out=block)
                 for row, mat in zip(out, mats):
                     sums = mat @ block
@@ -119,8 +123,12 @@ def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np
 #   S'' = 2n (C^2 + A E) - 2 (D C + B E) + x (F C + 2 D E + B G)
 #   rho_n'  = K g e^{-x} (S' - S)
 #   rho_n'' = K g^2 e^{-x} (S'' - 2 S' + S)
-# Two forward recurrences give every Laguerre value: order 1 up to degree
-# n-1 and order 3 up to degree n-2; A, D and E follow from
+# Two forward recurrences, run in one loop, give every Laguerre value: order
+# 1 up to degree n-1 and order 3 up to degree n-2, whose step j shares the
+# vector 2j + 4 - x with order 1's step j+1.  Each carries M_j = (j!/k!) L_j
+# for its top degree k, so a step is three vector ops with no division, the
+# top degree comes out unscaled, and C, F and G each take one scalar factor;
+# 1/k! stays a normal float up to k = 170.  A, D and E follow from
 # L_k^a = L_k^{a+1} - L_{k-1}^{a+1}.  No power of x appears and nothing is
 # divided by x.  K e^{-x} enters as a factor sqrt(K) e^{-x/2} on every
 # Laguerre value: a single e^{-x} is subnormal at the outer edge of a
@@ -128,74 +136,65 @@ def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np
 # the unscaled terms of S reach 1e292 at the edge of a 100-shell grid.
 
 
-def _laguerre_step(
-    j: int, alpha: float, x: np.ndarray, prev: np.ndarray, cur: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Write L_{j+1}^alpha into ``out`` from cur = L_j^alpha, prev = L_{j-1}^alpha.
+def _laguerre_tops(k: int, alpha: float, x: np.ndarray, scratch: tuple, tracks: tuple) -> None:
+    """Run L^alpha up to degree k, L^{alpha+2} up to k-1, ... in one loop.
 
-    The forward three-term recurrence in the degree,
-    (j+1) L_{j+1} = (2j + alpha + 1 - x) L_j - (j + alpha) L_{j-1};
-    ``prev`` is used as scratch and holds garbage afterwards.
+    Track i, a list [prev, cur, spent] of three arrays, carries order
+    alpha + 2i up to top = k - i in the scaled variable M_j = (j!/top!) L_j.
+    Its step M_{j+1} = t M_j - j (j + alpha + 2i) M_{j-1} needs the vector
+    t = 2(j+i) + alpha + 1 - x, the same for every track in one iteration,
+    and nothing is divided.  The track is left holding [M_{top-1}, M_top,
+    M_{top-2}] = [L_{top-1} / top, L_top, L_{top-2} / (top (top-1))], with
+    negative degrees reading as zero.  ``scratch`` is two arrays.  M_0 =
+    1/top! is a normal float for top <= 170; beyond, the division raises.
     """
-    np.subtract(2.0 * j + alpha + 1.0, x, out=out)
-    out *= cur
-    prev *= j + alpha
-    out -= prev
-    out /= j + 1.0
-    return out
-
-
-def _laguerre_top(k: int, alpha: float, x: np.ndarray, work: tuple) -> tuple:
-    """(L_k^alpha, L_{k-1}^alpha, L_{k-2}^alpha, scratch) in the four arrays of ``work``.
-
-    For k >= -1; negative degrees read as zero.  The recurrence step
-    overwrites L_{j-1} while forming L_{j+1}, so L_{k-2} is copied aside
-    before the last step.
-    """
-    prev, cur, nxt, low = work
-    prev.fill(0.0)
-    cur.fill(1.0 if k >= 0 else 0.0)
-    low.fill(0.0)
+    for i, (prev, cur, spent) in enumerate(tracks):
+        prev.fill(0.0)
+        cur.fill(1.0 / math.factorial(k - i) if k >= i else 0.0)
+        spent.fill(0.0)
+    t, scaled = scratch
     for j in range(k):
-        if j == k - 1:
-            np.copyto(low, prev)
-        _laguerre_step(j, alpha, x, prev, cur, nxt)
-        prev, cur, nxt = cur, nxt, prev
-    return cur, prev, low, nxt
+        np.subtract(2.0 * j + alpha + 1.0, x, out=t)
+        for i, work in enumerate(tracks[: j + 1]):
+            prev, cur, nxt = work
+            np.multiply(prev, (j - i) * (j + i + alpha), out=scaled)
+            np.multiply(t, cur, out=nxt)
+            nxt -= scaled
+            work[:] = cur, nxt, prev
 
 
 def _laguerre_array(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
     """L_k^alpha(x) by the forward three-term recurrence in the degree."""
-    return _laguerre_top(k, alpha, x, tuple(np.empty_like(x) for _ in range(4)))[0]
+    work = [np.empty_like(x) for _ in range(3)]
+    _laguerre_tops(k, alpha, x, (np.empty_like(x), np.empty_like(x)), (work,))
+    return work[1]
 
 
 def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
     """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z.
 
     Adds each shell's closed form K e^{-x} S and its two r-derivatives,
-    working in place in thirteen arrays whatever the shell count.
+    working in place in twelve arrays whatever the shell count.
     """
-    rho = np.zeros_like(r)
-    drho = np.zeros_like(r)
-    d2rho = np.zeros_like(r)
-    x = np.empty_like(r)
-    half = np.empty_like(r)
-    low = tuple(np.empty_like(r) for _ in range(4))
-    high = tuple(np.empty_like(r) for _ in range(4))
+    rho, drho, d2rho = (np.zeros_like(r) for _ in range(3))
+    x, e, u = (np.empty_like(r) for _ in range(3))
+    low, high = ([np.empty_like(r) for _ in range(3)] for _ in range(2))
     with np.errstate(under="ignore"):
         for n in range(1, n_max + 1):
             g = 2.0 * z / n
             np.multiply(r, g, out=x)
-            # half = sqrt(K) e^{-x/2}
-            np.multiply(x, -0.5, out=half)
-            np.exp(half, out=half)
-            half *= math.sqrt(g * g * g / (4.0 * math.pi * n))
-            b, c, a, e = _laguerre_top(n - 1, 1.0, x, low)
-            d, f, gl, u = _laguerre_top(n - 2, 3.0, x, high)
-            # every term below is a product of two Laguerre values, so
-            # scaling each value by sqrt(K) e^{-x/2} applies K e^{-x}
+            _laguerre_tops(n - 1, 1.0, x, (e, u), (low, high))
+            (c, b, a), (f, d, gl) = low, high
+            c *= n - 1.0
+            f *= n - 2.0
+            gl *= (n - 2.0) * (n - 3.0)
+            # e = sqrt(K) e^{-x/2} until E is formed; every term below is a
+            # product of two Laguerre values, so this scaling applies K e^{-x}
+            np.multiply(x, -0.5, out=e)
+            np.exp(e, out=e)
+            e *= math.sqrt(g * g * g / (4.0 * math.pi * n))
             for value in (b, c, d, f, gl):
-                value *= half
+                value *= e
             np.subtract(b, c, out=a)
             np.subtract(f, gl, out=e)
             d -= f

@@ -346,17 +346,17 @@ _RECORD_FIELDS = 4
 
 
 def _ladder_cost(key: tuple) -> int:
-    """Estimated cost of a ladder point, n_max^2 + 9 n_max.
+    """Estimated cost of a ladder point, n_max^2 + 15 n_max.
 
     The shell kernel runs two Laguerre recurrences of about n steps per
-    shell n plus a fixed closed form, so its time grows as n_max^2 + c n_max.
-    ``benchmarks/bench_kernels.py`` (21 calls per case, 6016 nodes, 2 cores)
-    timed it at n_max 2..100; fitting t = a (n_max^2 + c n_max) to all of
-    them gives c = 9.3, and each n_max on its own gives c = 8.6-9.9 for
-    n_max 2..40 and 11-12 at 60 and 100, where n_max^2 dominates.
+    shell n plus a fixed closed form, so its time grows as n_max^2 + c n_max;
+    counting vector ops gives c = 13.3.  ``benchmarks/bench_kernels.py``
+    (21 calls per case, 2 cores) timed it at n_max 2..100, and fitting
+    t = a (n_max^2 + c n_max) gives c = 13.4 over all of them at 6016 nodes
+    (11.3 at 3008), and 17.1 (14.8) over n_max 2..40, the ladder's range.
     """
     n_max = key[0]
-    return n_max**2 + 9 * n_max
+    return n_max**2 + 15 * n_max
 
 
 def _split_by_cost(keys: Sequence[tuple], parts: int) -> list[list[tuple]]:
@@ -470,7 +470,7 @@ def model_energy_sequence(
     cost nothing extra.  The uncached points are computed across the CPUs
     this process may run on: it forks one worker per extra CPU, once per
     call, splits the points between itself and the workers by estimated
-    cost (n_max^2 + 9 n_max, longest first), and receives each worker's
+    cost (n_max^2 + 15 n_max, longest first), and receives each worker's
     energies through a pipe as raw float64, so every value is the one the
     serial path computes.  It runs serially when fewer than two points are
     uncached, on one CPU, where ``os.sched_getaffinity`` is missing (not

@@ -14,10 +14,11 @@ precision.
 
 Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel
 (``_kernels.shell_profile``: per shell, two Laguerre recurrences of length
-at most n and a closed form in their last values) is checked against a
-32-digit mpmath oracle to 1e-13 at 25, 40 and 60 shells.  The cap stays at
-40 until the ladder's 1e-8 refinement gate and its fits are checked beyond
-that; the kernel itself is not the limit.
+at most n, run in one loop, and a closed form in their last values) is
+checked to 1e-13 against a 32-digit mpmath orbital sum at 25, 40 and 60
+shells and a 40-digit mpmath closed form at 100.  The cap stays at 40 until
+the ladder's 1e-8 refinement gate and its fits are checked beyond that; the
+kernel itself is not the limit.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ degree,
 
 which is stable over the argument range where the accompanying exponential
 weight exp(-x/2) is non-negligible.  ``laguerre`` runs it through
-``_kernels._laguerre_array``, whose recurrence step (``_kernels._laguerre_step``)
-is the one the shell-density kernel runs twice per shell.
-Degrees beyond ``MAX_DEGREE`` are rejected rather than evaluated with
-silently degraded accuracy.
+``_kernels._laguerre_array``, on the loop (``_kernels._laguerre_tops``) that
+the shell-density kernel runs for two orders at once: it carries
+(j!/k!) L_j^a, whose step needs no division by j+1 and whose last value is
+L_k^a itself.  Degrees beyond ``MAX_DEGREE`` are rejected rather than
+evaluated with silently degraded accuracy.
 """
 
 from __future__ import annotations

@@ -554,7 +554,7 @@ def _assert_serial_points(points, grid_points: int) -> None:
 
 def test_split_by_cost_is_longest_first_greedy() -> None:
     keys = [(n, 0, False) for n in range(2, 8)]
-    # costs n^2 + 9 n: 22, 36, 52, 70, 90, 112
+    # costs n^2 + 15 n: 34, 54, 76, 100, 126, 154
     own, worker = _split_by_cost(keys, 2)
     assert [k[0] for k in own] == [7, 4, 2]
     assert [k[0] for k in worker] == [6, 5, 3]

@@ -121,6 +121,39 @@ def _shell_profile_oracle(z: float, n_max: int, r: np.ndarray) -> tuple:
     return tuple(out)
 
 
+def _shell_closed_form_oracle(z: float, n_max: int, r: np.ndarray) -> tuple:
+    """(rho, rho', rho'') from each shell's closed form n A^2 + x B C in 40-digit mpmath.
+
+    The kernel's formulas for S, S' and S'' (proved equal to the orbital sum
+    by ``test_shell_closed_form_is_the_orbital_sum``), with every Laguerre
+    value from ``mpmath.laguerre``: fast enough for 100 shells, where the
+    orbital sum has 5050 orbitals.
+    """
+    out = np.empty((3, r.size))
+    with mpmath.workdps(40):
+        big_z = mpmath.mpf(z)
+        for i, ri in enumerate(r):
+            sums = [mpmath.mpf(0)] * 3
+            for n in range(1, n_max + 1):
+                g = 2 * big_z / n
+                x = g * mpmath.mpf(float(ri))
+
+                def lag(k: int, a: int):
+                    return mpmath.laguerre(k, a, x) if k >= 0 else 0
+
+                a, b, c = lag(n - 1, 0), lag(n - 1, 1), lag(n - 2, 1)
+                d, e, f, gl = lag(n - 2, 2), lag(n - 3, 2), lag(n - 3, 3), lag(n - 4, 3)
+                s0 = n * a * a + x * b * c
+                s1 = -2 * n * a * c + b * c - x * (d * c + b * e)
+                s2 = 2 * n * (c * c + a * e) - 2 * (d * c + b * e) + x * (f * c + 2 * d * e + b * gl)
+                weight = g**3 / (4 * mpmath.pi * n) * mpmath.exp(-x)
+                sums[0] += weight * s0
+                sums[1] += weight * g * (s1 - s0)
+                sums[2] += weight * g * g * (s2 - 2 * s1 + s0)
+            out[:, i] = [float(v) for v in sums]
+    return tuple(out)
+
+
 def _exp_poly_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(20260821)
     n_groups, degree = 9, 7
@@ -224,7 +257,10 @@ def test_exp_poly_working_set_is_one_block(bundled) -> None:
     finally:
         tracemalloc.stop()
     assert out.shape == (3, r.size)
-    assert peak - out.nbytes < 2**20
+    # one block of exponentials plus the (D, M) products and the transposed
+    # coefficients, about 1.25 blocks here; filling the block by a broadcast
+    # multiply, whose numpy iterator allocates its own buffers, takes it to 1.7
+    assert peak - out.nbytes < 1.5 * 8 * _kernels._BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("z,n_max", [(2.0, 1), (28.0, 3), (110.0, 5)])
@@ -239,9 +275,12 @@ def test_shell_profile_backends_agree(z: float, n_max: int) -> None:
 
 def test_laguerre_array_matches_reference() -> None:
     x = np.linspace(0.0, 25.0, 400)
-    for k, alpha in [(0, 1.0), (1, 3.0), (4, 5.0), (9, 2.0)]:
+    # degree 80 is special.MAX_DEGREE
+    for k, alpha in [(0, 1.0), (1, 3.0), (4, 5.0), (9, 2.0), (40, 1.0), (80, 3.0)]:
         ours = _kernels._laguerre_array(k, alpha, x)
-        reference = laguerre(LaguerreSpec(k, int(alpha)), x)
+        with mpmath.workdps(40):
+            reference = np.array([float(mpmath.laguerre(k, alpha, mpmath.mpf(float(v)))) for v in x])
+        assert np.array_equal(laguerre(LaguerreSpec(k, int(alpha)), x), ours)
         scale = max(1.0, float(np.max(np.abs(reference))))
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-12 * scale)
 
@@ -274,15 +313,17 @@ def test_shell_closed_form_is_the_orbital_sum() -> None:
         assert (closed.diff((x, 2)) - second).is_zero, n
 
 
-@pytest.mark.parametrize("n_max", [25, 40, 60])
+@pytest.mark.parametrize("n_max", [25, 40, 60, 100])
 def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
     z = n_max * (n_max + 1) * (2 * n_max + 1) / 3.0
     r_max = (6.0 * n_max**2 + 40.0) / z
     # the cusp, the shell region and the tail out to the quadrature cutoff;
-    # 60 shells lies beyond MAX_SHELLS and checks the kernel alone
+    # 60 and 100 shells lie beyond MAX_SHELLS and check the kernel alone, and
+    # 100 shells is checked against the closed form, not the orbital sum
     r = r_max * np.array([1e-7, 1e-4, 1e-2, 0.1, 0.5, 1.0])
     rho, drho, d2rho = _kernels.shell_profile(z, n_max, r)
-    ref_rho, ref_drho, ref_d2rho = _shell_profile_oracle(z, n_max, r)
+    oracle = _shell_profile_oracle if n_max <= 60 else _shell_closed_form_oracle
+    ref_rho, ref_drho, ref_d2rho = oracle(z, n_max, r)
     live = ref_rho > 1e-250
     assert live.all()
     np.testing.assert_allclose(rho[live], ref_rho[live], rtol=1e-13, atol=0.0)
