@@ -11,8 +11,11 @@ densities over the ``table1`` grid (2000 nodes on [0, 45]) and its
 three stacked rows (rho, rho', rho'') that
 ``RadialField.profile`` evaluates in one call.  One more case times the 17
 kernel calls of a ``table1`` pass: each bundled atom's three rows on the
-2000 + 4000 nodes that ``kedf.energies`` sends in one call.  Each case
-reports the median wall time of the timed calls and the tracemalloc peak of
+2000 + 4000 nodes that ``kedf.energies`` sends in one call.  The cases are
+timed round-robin, one call of each case per round for ``--repeats`` rounds,
+so that a drift in machine speed over the run spreads over every case
+rather than landing on the cases that happened to run during it.  Each case
+reports the median wall time of its timed calls and the tracemalloc peak of
 one further, untimed call.
 
 Usage:
@@ -36,14 +39,15 @@ from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
 from tfshell.kedf import DEFAULT_R_MAX, make_grid
 
 
-def time_call(func: Callable, args: tuple, repeats: int) -> float:
-    """Median wall time in milliseconds over `repeats` calls."""
-    times = []
+def time_round_robin(cases: list[tuple[str, Callable, tuple]], repeats: int) -> list[float]:
+    """Median wall time in milliseconds of each case over `repeats` rounds of one call each."""
+    times: list[list[float]] = [[] for _ in cases]
     for _ in range(repeats):
-        start = time.perf_counter()
-        func(*args)
-        times.append(time.perf_counter() - start)
-    return 1e3 * float(np.median(times))
+        for case_times, (_, func, args) in zip(times, cases):
+            start = time.perf_counter()
+            func(*args)
+            case_times.append(time.perf_counter() - start)
+    return [1e3 * float(np.median(t)) for t in times]
 
 
 def peak_call(func: Callable, args: tuple) -> float:
@@ -98,9 +102,9 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
     return cfg.nuclear_charge, n_max, grid.nodes
 
 
-def report(name: str, func: Callable, args: tuple, repeats: int) -> None:
-    ms = time_call(func, args, repeats)
-    print(f"{name:<42} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
+def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> None:
+    for (name, func, args), ms in zip(cases, medians):
+        print(f"{name:<42} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
 
 
 def main() -> None:
@@ -120,7 +124,7 @@ def main() -> None:
         default="5,12,25,40,60,100",
         help="comma-separated shell counts for shell_profile (default: 5,12,25,40,60,100)",
     )
-    parser.add_argument("--repeats", type=int, default=7, help="timed calls per case")
+    parser.add_argument("--repeats", type=int, default=7, help="rounds of one timed call per case")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
@@ -129,38 +133,42 @@ def main() -> None:
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
     rng = np.random.default_rng(args.seed)
 
-    for n_points in sizes:
-        report(
-            f"exp_poly_eval[{n_points} pts]",
-            exp_poly_eval,
-            exp_poly_inputs(n_points, rng),
-            args.repeats,
-        )
+    exp_cases = [
+        (f"exp_poly_eval[{n_points} pts]", exp_poly_eval, exp_poly_inputs(n_points, rng))
+        for n_points in sizes
+    ]
     for symbol in ("Ne", "Xe"):
         for n_points in (2000, 4000):
             for stacked, label in ((False, "1 row"), (True, "3 rows")):
-                report(
-                    f"exp_poly_eval[{symbol}, {n_points} pts, {label}]",
-                    exp_poly_eval,
-                    atom_field_inputs(symbol, n_points, stacked),
-                    args.repeats,
+                exp_cases.append(
+                    (
+                        f"exp_poly_eval[{symbol}, {n_points} pts, {label}]",
+                        exp_poly_eval,
+                        atom_field_inputs(symbol, n_points, stacked),
+                    )
                 )
     atoms, nodes = table1_inputs()
-    report(
-        f"exp_poly_eval[{len(atoms)} atoms, {nodes.size} pts, 3 rows]",
-        table1_profiles,
-        (atoms, nodes),
-        args.repeats,
+    exp_cases.append(
+        (
+            f"exp_poly_eval[{len(atoms)} atoms, {nodes.size} pts, 3 rows]",
+            table1_profiles,
+            (atoms, nodes),
+        )
     )
+    shell_cases = [
+        (
+            f"shell_profile[n_max={n_max}, {n_points} pts]",
+            shell_profile,
+            shell_inputs(n_points, n_max),
+        )
+        for n_max in shells
+        for n_points in points
+    ]
+
+    medians = time_round_robin(exp_cases + shell_cases, args.repeats)
+    report(exp_cases, medians[: len(exp_cases)])
     print()
-    for n_max in shells:
-        for n_points in points:
-            report(
-                f"shell_profile[n_max={n_max}, {n_points} pts]",
-                shell_profile,
-                shell_inputs(n_points, n_max),
-                args.repeats,
-            )
+    report(shell_cases, medians[len(exp_cases) :])
 
 
 if __name__ == "__main__":

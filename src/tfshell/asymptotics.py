@@ -12,27 +12,15 @@ Three strands live here:
 Scaling conventions: r_hat = Z^{1/3} r and rho_hat = rho / Z^2, in which
 the limit density is Z-independent, vanishes at the turning point
 r_hat = 18^{1/3}, and integrates (times 4 pi r_hat^2) to exactly 1.
-
-The ladder points of ``model_energy_sequence`` are independent, so its
-uncached points run in parallel: the calling process forks one worker per
-extra CPU it may use (``os.sched_getaffinity``), once per call, and every
-process computes a share of similar estimated cost.  Workers return their
-energies as raw float64 through pipes, so the results are those of the
-serial path bit for bit.  The ladder runs serially in this process when
-fewer than two points are uncached, on one CPU, off Linux, or while other
-Python threads are alive.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import BinaryIO, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -305,30 +293,13 @@ class SequencePoint:
     t4: float
 
 
-def _ladder_energies(n_max: int, grid_points: int, verify: bool) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) of the closed-shell density with ``n_max`` filled shells."""
-    rho = model_density(ShellConfiguration.closed_shell(n_max))
-    grid = make_grid(n_points=grid_points, r_span=(0.0, rho.suggested_r_max()))
-    return energies(rho, grid, verify=verify)
-
-
-# Energies computed ahead of the in-order pass of ``model_energy_sequence``,
-# by this process or a worker, keyed like the ladder cache; ``_ladder_point``
-# pops each one when it consumes it.
-_ahead: dict[tuple, tuple[float, float, float]] = {}
-# Keys of the points ``_ladder_point`` has computed, oldest first.  Its
-# cache never evicts, so after a ``cache_clear()`` every point it computes is
-# a new entry: the cache holds exactly the newest ``currsize`` keys here.
-_computed: list[tuple] = []
-
-
 @lru_cache(maxsize=None)
 def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
-    key = (n_max, grid_points, verify)
-    ahead = _ahead.pop(key, None)
-    t0, t_w, t4 = ahead if ahead is not None else _ladder_energies(*key)
     cfg = ShellConfiguration.closed_shell(n_max)
-    point = SequencePoint(
+    rho = model_density(cfg)
+    grid = make_grid(n_points=grid_points, r_span=(0.0, rho.suggested_r_max()))
+    t0, t_w, t4 = energies(rho, grid, verify=verify)
+    return SequencePoint(
         n_max=cfg.n_max,
         z=cfg.nuclear_charge,
         t_exact=float(cfg.n_max) * cfg.nuclear_charge**2,
@@ -336,129 +307,6 @@ def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
         t2=t_w / 9.0,
         t4=t4,
     )
-    _computed.append(key)
-    return point
-
-
-# A worker's record of one point: its index in the worker's share, then
-# T_TF, T_W and T_4, all as raw float64.
-_RECORD_FIELDS = 4
-
-
-def _ladder_cost(key: tuple) -> int:
-    """Estimated cost of a ladder point, n_max^2 + 15 n_max.
-
-    The shell kernel runs two Laguerre recurrences of about n steps per
-    shell n plus a fixed closed form, so its time grows as n_max^2 + c n_max;
-    counting vector ops gives c = 13.3.  ``benchmarks/bench_kernels.py``
-    (21 calls per case, 2 cores) timed it at n_max 2..100, and fitting
-    t = a (n_max^2 + c n_max) gives c = 13.4 over all of them at 6016 nodes
-    (11.3 at 3008), and 17.1 (14.8) over n_max 2..40, the ladder's range.
-    """
-    n_max = key[0]
-    return n_max**2 + 15 * n_max
-
-
-def _split_by_cost(keys: Sequence[tuple], parts: int) -> list[list[tuple]]:
-    """Longest-first greedy split of ``keys`` into ``parts`` shares of similar cost."""
-    shares: list[list[tuple]] = [[] for _ in range(parts)]
-    loads = [0] * parts
-    for key in sorted(keys, key=_ladder_cost, reverse=True):
-        least = loads.index(min(loads))
-        shares[least].append(key)
-        loads[least] += _ladder_cost(key)
-    return shares
-
-
-def _worker_count(n_points: int) -> int:
-    """Forked workers for ``n_points`` uncached points: one per extra usable CPU.
-
-    None without ``os.sched_getaffinity`` (not Linux), with fewer than two
-    points or one CPU, or while other Python threads run, which a fork
-    could catch holding a lock.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or n_points < 2 or threading.active_count() > 1:
-        return 0
-    return min(len(affinity(0)), n_points) - 1
-
-
-def _run_worker(share: list[tuple], write_fd: int) -> NoReturn:
-    """Body of a forked worker: compute ``share``, write its records, exit.
-
-    Writes the records of the points that succeeded; a failed point is left
-    to the caller's in-order pass.  Always leaves through ``os._exit``, so it
-    never flushes the inherited stdio buffers, runs atexit handlers or
-    returns into the caller's frames.
-    """
-    code = 1
-    try:
-        rows = []
-        for index, key in enumerate(share):
-            try:
-                rows.append((index, *_ladder_energies(*key)))
-            except Exception:
-                continue  # not written; the in-order pass raises it
-        data = memoryview(np.array(rows, dtype=np.float64).tobytes())
-        while data:
-            data = data[os.write(write_fd, data) :]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _compute_ahead(keys: list[tuple]) -> None:
-    """Compute the uncached ladder points ``keys`` into ``_ahead`` on every usable CPU.
-
-    Forks one worker per extra CPU and splits the points by cost; this
-    process computes its own share meanwhile.  A point that failed, or
-    that a worker did not deliver whole with exit code 0, is left out, so
-    the in-order pass computes it and raises what the serial path raises.
-    Every worker is reaped before this returns or raises.
-    """
-    n_workers = _worker_count(len(keys))
-    if n_workers == 0:
-        return
-    own, *shares = _split_by_cost(keys, 1 + n_workers)
-    workers: dict[int, tuple[BinaryIO, list[tuple]]] = {}
-    try:
-        for share in shares:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                continue
-            if pid == 0:
-                os.close(read_fd)
-                _run_worker(share, write_fd)
-            os.close(write_fd)
-            workers[pid] = (open(read_fd, "rb"), share)
-        for key in own:
-            try:
-                _ahead[key] = _ladder_energies(*key)
-            except Exception:
-                continue  # not stored; the in-order pass raises it
-        for pid, (reader, share) in list(workers.items()):
-            with reader:
-                data = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
-            if os.waitstatus_to_exitcode(status) == 0 and len(data) % (8 * _RECORD_FIELDS) == 0:
-                records = np.frombuffer(data, dtype=np.float64).reshape(-1, _RECORD_FIELDS)
-                for index, *values in records.tolist():
-                    _ahead[share[int(index)]] = tuple(values)
-    finally:
-        if workers:
-            import signal  # only this error path needs it
-
-            for pid, (reader, _) in workers.items():
-                reader.close()
-                # a worker reaped just before the error is already gone
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
 
 
 def model_energy_sequence(
@@ -466,34 +314,11 @@ def model_energy_sequence(
 ) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
-    Points are cached per (shell count, grid size), so overlapping ladders
-    cost nothing extra.  The uncached points are computed across the CPUs
-    this process may run on: it forks one worker per extra CPU, once per
-    call, splits the points between itself and the workers by estimated
-    cost (n_max^2 + 15 n_max, longest first), and receives each worker's
-    energies through a pipe as raw float64, so every value is the one the
-    serial path computes.  It runs serially when fewer than two points are
-    uncached, on one CPU, where ``os.sched_getaffinity`` is missing (not
-    Linux), or while other Python threads run.  A point that failed or was
-    not delivered is computed again in input order, so errors are those of
-    the serial path, raised for the first failing point.
+    Points are computed in input order and cached per (shell count, grid
+    size, verify), so overlapping ladders cost nothing extra; a failing
+    point raises for the first failing shell count.
     """
-    counts = list(shell_counts)
-    keys = []
-    for n_max in counts:
-        try:
-            keys.append((int(n_max), grid_points, verify))
-        except (TypeError, ValueError, OverflowError):
-            break  # the in-order pass raises it at this entry
-    # trim the log to the keys the cache holds now
-    del _computed[: len(_computed) - _ladder_point.cache_info().currsize]
-    uncached = [key for key in dict.fromkeys(keys) if key not in _computed]
-    try:
-        _compute_ahead(uncached)
-        return [_ladder_point(int(n_max), grid_points, verify) for n_max in counts]
-    finally:
-        for key in uncached:
-            _ahead.pop(key, None)
+    return [_ladder_point(int(n_max), grid_points, verify) for n_max in shell_counts]
 
 
 def figure_density_rows(

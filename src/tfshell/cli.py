@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 from .asymptotics import (
     TARGETS,
     ExtrapolationError,
+    SequencePoint,
     figure_density_rows,
     figure_error_rows,
     model_energy_sequence,
@@ -74,7 +75,8 @@ EXIT_NUMERIC = 3
 # beyond that is extrapolation and gets a warning.
 INTERPOLATION_COMFORT_Z = 60
 
-_LADDER_SHELLS = tuple(range(2, 26))
+# Neville at depth _MAX_ELIMINATION_DEPTH = 5 reads only the last six points.
+_LADDER_SHELLS = tuple(range(20, 26))
 _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
 _FIG2A_SHELLS = tuple(range(2, MAX_SHELLS + 1, 2))
 
@@ -386,16 +388,15 @@ def _self_tests() -> list[tuple[str, bool, str]]:
     ]
 
 
-def cmd_asymptotics(config: RunConfig) -> int:
-    points = model_energy_sequence(_LADDER_SHELLS, grid_points=config.grid_points)
+def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float]:
+    """The fitted coefficients of ``TARGETS`` from four fits on the ladder ``points``."""
     tf_seq = [(p.z, p.t_tf) for p in points]
     fitted_tf = richardson_extrapolate(tf_seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
     t2_lead = richardson_extrapolate([(p.z, p.t2) for p in points], [Fraction(7, 3)])
     ratio_powers = [Fraction(-1, 3), Fraction(-2, 3)]
     t2_ratio = richardson_extrapolate([(p.z, p.t2 / p.t_exact) for p in points], ratio_powers)
     t4_ratio = richardson_extrapolate([(p.z, p.t4 / p.t_exact) for p in points], ratio_powers)
-
-    fitted = {
+    return {
         ("T_TF", "Z^{7/3}"): fitted_tf[0],
         ("T_TF", "Z^2"): fitted_tf[1],
         ("T_TF", "Z^{5/3}"): fitted_tf[2],
@@ -403,6 +404,10 @@ def cmd_asymptotics(config: RunConfig) -> int:
         ("T2", "Z^{-1/3}"): t2_ratio[0],
         ("T4", "Z^{-1/3}"): t4_ratio[0],
     }
+
+
+def cmd_asymptotics(config: RunConfig) -> int:
+    fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS, grid_points=config.grid_points))
     rows = [
         _FitRow(
             series, target.quantity, power, fitted[series, power], target.value, target.tolerance
@@ -462,36 +467,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, atoms: bool = False) -> None:
-        if atoms:
-            p.add_argument("--atoms", action="append",
-                           help="comma-separated element symbols or atomic numbers (repeatable)")
-            p.add_argument("--data", action="append", metavar="PATH",
-                           help=".sto data file replacing the bundled set (repeatable)")
-            p.add_argument("--r-max", type=float, default=DEFAULT_R_MAX,
-                           help=f"outer quadrature radius for atoms (default {DEFAULT_R_MAX:g})")
-        p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS,
-                       help=f"quadrature points (default {DEFAULT_GRID_POINTS})")
-        p.add_argument("--interp", choices=("published", "refit"), default="refit",
-                       help="interpolation coefficients for the shell correction (default refit)")
-        p.add_argument("--format", choices=("table", "csv", "jsonl"), default="table",
-                       help="output format (default table)")
+    common = {
+        "--grid-points": dict(type=int, default=DEFAULT_GRID_POINTS,
+                              help=f"quadrature points (default {DEFAULT_GRID_POINTS})"),
+        "--interp": dict(choices=("published", "refit"), default="refit",
+                         help="interpolation coefficients for the shell correction (default refit)"),
+        "--format": dict(choices=("table", "csv", "jsonl"), default="table",
+                         help="output format (default table)"),
+    }
+
+    def add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+        """Give ``p`` the shared ``flags`` its command reads, and no others."""
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p_table = sub.add_parser("table1", help="per-atom relative errors of the functionals")
-    add_common(p_table, atoms=True)
+    p_table.add_argument("--atoms", action="append",
+                         help="comma-separated element symbols or atomic numbers (repeatable)")
+    p_table.add_argument("--data", action="append", metavar="PATH",
+                         help=".sto data file replacing the bundled set (repeatable)")
+    p_table.add_argument("--r-max", type=float, default=DEFAULT_R_MAX,
+                         help=f"outer quadrature radius for atoms (default {DEFAULT_R_MAX:g})")
+    add_common(p_table, "--grid-points", "--interp", "--format")
 
     p_model = sub.add_parser("model", help="exact ladder energies and the shell correction")
     group = p_model.add_mutually_exclusive_group(required=True)
     group.add_argument("--z", type=int, help="nuclear charge (= electron count)")
     group.add_argument("--n-max", type=int, help="number of filled shells")
-    add_common(p_model)
+    add_common(p_model, "--interp", "--format")
 
     p_fig = sub.add_parser("figures", help="write fig1.csv, fig1a.csv, fig2a.csv")
-    add_common(p_fig)
+    add_common(p_fig, "--grid-points")
     p_fig.add_argument("--out", default=".", metavar="DIR", help="output directory (default .)")
 
     p_asym = sub.add_parser("asymptotics", help="large-Z coefficients vs targets")
-    add_common(p_asym)
+    add_common(p_asym, "--grid-points", "--format")
     return parser
 
 
@@ -504,10 +514,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command,
         atoms=atoms,
         data_paths=tuple(getattr(args, "data", None) or ()),
-        grid_points=args.grid_points,
+        grid_points=getattr(args, "grid_points", DEFAULT_GRID_POINTS),
         r_max=getattr(args, "r_max", DEFAULT_R_MAX),
-        interpolation=args.interp,
-        output_format=args.format,
+        interpolation=getattr(args, "interp", "refit"),
+        output_format=getattr(args, "format", "table"),
         out_dir=getattr(args, "out", "."),
         z=getattr(args, "z", None),
         n_max=getattr(args, "n_max", None),

@@ -16,10 +16,7 @@ small blocks and sums the groups of each row for every power of r in one
 matrix product, so its cost is the exponentials plus BLAS work, not a numpy
 call per group and degree; ``profile(r)[0]`` equals ``value(r)`` bit for
 bit, and a node's value does not depend on the other nodes of the call.
-Radial moments and tail
-masses have closed forms through the (incomplete) Gamma function and are used
-to place quadrature cutoffs; scipy, which supplies the incomplete Gamma
-function, is imported only when a tail mass is asked for.
+The total charge has a closed form as a sum of Gamma-function moments.
 """
 
 from __future__ import annotations
@@ -148,42 +145,6 @@ class RadialField:
         for c, p, b in self._terms:
             total += c * math.exp(math.lgamma(p + 3.0) - (p + 3.0) * math.log(b))
         return 4.0 * math.pi * total
-
-    def tail_charge(self, r_cut: float) -> float:
-        """Integral of 4 pi r^2 rho over [r_cut, inf), term-exact."""
-        from scipy.special import gammaincc
-
-        if r_cut < 0:
-            raise ValueError("r_cut must be non-negative")
-        total = 0.0
-        for c, p, b in self._terms:
-            moment = math.exp(math.lgamma(p + 3.0) - (p + 3.0) * math.log(b))
-            total += c * moment * float(gammaincc(p + 3.0, b * r_cut))
-        return 4.0 * math.pi * total
-
-    def suggested_r_max(self, tail_fraction: float = 1e-12) -> float:
-        """Radius beyond which the remaining charge is below the fraction.
-
-        Doubles outward from the slowest decay scale, then bisects; used to
-        size quadrature domains so truncation is negligible against the
-        requested tolerances.
-        """
-        total = abs(self.total_charge())
-        if total == 0.0:
-            return 1.0
-        target = total * tail_fraction
-        slowest = min(b for _, _, b in self._terms)
-        hi = 10.0 / slowest
-        while abs(self.tail_charge(hi)) > target and hi < 1e8:
-            hi *= 2.0
-        lo = hi / 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if abs(self.tail_charge(mid)) > target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
 
     # -- structural operations --------------------------------------------
 

@@ -40,7 +40,9 @@ runs on every construction.  Each functional is checked against a
 doubled grid (built once per grid and cached) and signals non-convergence
 when the two results disagree beyond 1e-8 relative; ``energies`` applies
 that gate to each of its three values separately, and the
-ConvergenceError names the functional that failed.
+ConvergenceError names the functional that failed.  A value that is not
+finite fails the same gate, with or without the refinement check, and a
+density that is negative or NaN on a grid raises ValueError.
 """
 
 from __future__ import annotations
@@ -257,15 +259,29 @@ def make_grid(
 def _checked_density(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     floor = -1e-12 * max(float(values.max(initial=0.0)), 1.0)
-    if values.min(initial=0.0) < floor:
-        raise ValueError("density is negative on the evaluation grid")
+    # written so that a NaN anywhere (which makes min, max and floor NaN) fails
+    if not values.min(initial=0.0) >= floor:
+        raise ValueError("density is negative or NaN on the evaluation grid")
     return np.clip(values, 0.0, None)
 
 
 def _check_refinement(
-    names: tuple[str, ...], values: tuple[float, ...], refined_values: tuple[float, ...]
+    names: tuple[str, ...],
+    values: tuple[float, ...],
+    refined_values: tuple[float, ...] | None,
 ) -> None:
-    for name, value, refined in zip(names, values, refined_values):
+    """Raise ConvergenceError naming the first functional that fails the gate.
+
+    A value fails when it is not finite or, given ``refined_values``, when
+    its refined value is not finite or moved beyond 1e-8 relative.
+    """
+    for name, value, refined in zip(names, values, refined_values or values):
+        if not (math.isfinite(value) and math.isfinite(refined)):
+            bad = refined if math.isfinite(value) else value
+            raise ConvergenceError(
+                f"{name}: the result is {bad!r}, not a finite number; "
+                "shrink the radial span or improve the density"
+            )
         scale = max(abs(refined), abs(value), 1e-30)
         if abs(refined - value) > _CONVERGENCE_TOL * scale:
             raise ConvergenceError(
@@ -281,8 +297,7 @@ def _converged(
     verify: bool,
 ) -> tuple[float, ...]:
     values = evaluate(grid)
-    if verify:
-        _check_refinement(names, values, evaluate(grid.refined(2)))
+    _check_refinement(names, values, evaluate(grid.refined(2)) if verify else None)
     return values
 
 
@@ -414,8 +429,7 @@ def energies(
                 _fourth_order_integral(g, values, deriv, deriv2, mask),
             )
         )
-    if verify:
-        _check_refinement(("T_TF", "T_W", "T_4"), *results)
+    _check_refinement(("T_TF", "T_W", "T_4"), results[0], results[1] if verify else None)
     return results[0]
 
 

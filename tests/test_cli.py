@@ -68,6 +68,23 @@ def test_unknown_subcommand_and_bad_choice_exit_2():
     assert run_cli("table1", "--format", "yaml").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("figures", "--format", "csv"),
+        ("figures", "--interp", "published"),
+        ("asymptotics", "--interp", "published"),
+        ("model", "--z", "54", "--grid-points", "4000"),
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(args, capsys):
+    # each subcommand takes only the flags its command reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(args))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_console_script_matches_module_invocation():
     proc = subprocess.run(["tfshell", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
@@ -75,7 +92,7 @@ def test_console_script_matches_module_invocation():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy only serves RadialField.tail_charge, which no subcommand reaches
+    # scipy is a test dependency only; the package never imports it
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, tfshell.cli; print('scipy' in sys.modules)"],
         capture_output=True,
@@ -167,6 +184,15 @@ def test_table1_coarse_grid_exits_data():
     proc = run_cli("table1", "--grid-points", "48")
     assert proc.returncode == 2
     assert "self-test" in proc.stderr
+
+
+def test_table1_non_finite_functional_exits_3():
+    # on a 150-bohr span the T_4 integrand of He underflows to NaN far out
+    proc = run_cli("table1", "--atoms", "He", "--r-max", "150", "--format", "jsonl")
+    assert proc.returncode == 3
+    assert "error: He: T_4: the result is nan" in proc.stderr
+    assert "NaN" not in proc.stdout
+    assert proc.stdout == ""
 
 
 def test_table1_all_rows_failing_numerically_exits_3(monkeypatch, capsys):
@@ -372,7 +398,7 @@ def test_asymptotics_table_flags_one_outlier():
     proc = run_cli("asymptotics")
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
-    assert lines[0] == "extrapolated coefficients on the filled-shell ladder (n_max = 2..25)"
+    assert lines[0] == "extrapolated coefficients on the filled-shell ladder (n_max = 20..25)"
     outside = [line for line in lines if "OUTSIDE TOLERANCE" in line]
     assert len(outside) == 1
     assert "Z^2" in outside[0]

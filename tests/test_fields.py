@@ -79,26 +79,6 @@ def test_total_charge_against_quadrature():
     assert field.total_charge() == pytest.approx(numeric, rel=1e-9)
 
 
-def test_tail_charge_properties():
-    field = RadialField(RICH_TERMS)
-    total = field.total_charge()
-    assert field.tail_charge(0.0) == pytest.approx(total, rel=1e-13)
-    cuts = [0.5, 1.0, 2.0, 5.0, 10.0]
-    tails = [field.tail_charge(c) for c in cuts]
-    assert all(a > b for a, b in zip(tails, tails[1:]))  # positive field: decreasing
-    head, _ = quad(lambda r: 4.0 * math.pi * r * r * field.value(r), 0.0, 2.0, limit=200)
-    assert head + field.tail_charge(2.0) == pytest.approx(total, rel=1e-9)
-    with pytest.raises(ValueError):
-        field.tail_charge(-1.0)
-
-
-def test_suggested_r_max_bounds_the_tail():
-    field = RadialField(RICH_TERMS)
-    for fraction in (1e-8, 1e-12):
-        r_max = field.suggested_r_max(fraction)
-        assert abs(field.tail_charge(r_max)) <= 1.01 * fraction * abs(field.total_charge())
-
-
 term_strategy = st.tuples(
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3),
     st.integers(min_value=0, max_value=6),
@@ -214,7 +194,6 @@ def test_zero_field():
     zero = RadialField([])
     assert zero.value(1.0) == 0.0
     assert zero.total_charge() == 0.0
-    assert zero.suggested_r_max() == 1.0
     arr = zero.profile(np.array([0.0, 1.0]))[1]
     assert np.array_equal(arr, np.zeros(2))
 

@@ -296,6 +296,56 @@ def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
         energies(field, grid)
 
 
+class PoisonedField(RadialField):
+    """Returns NaN at node ``index`` of every call in profile component ``component``."""
+
+    def __init__(self, terms, component: int, index: int = 100) -> None:
+        super().__init__(terms)
+        self.component = component
+        self.index = index
+
+    def value(self, r):
+        return self.profile(r)[0]
+
+    def profile(self, r):
+        parts = [np.array(a) for a in super().profile(r)]
+        parts[self.component][self.index] = np.nan
+        return tuple(parts)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_nan_density_rejected(grid: RadialGrid, verify: bool) -> None:
+    field = PoisonedField([(1.0, 0, 2.0)], component=0)
+    for functional in (tf_energy, weizsacker_energy, fourth_order_energy, energies):
+        with pytest.raises(ValueError, match="NaN"):
+            functional(field, grid, verify=verify)
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_non_finite_functional_value_names_functional(grid: RadialGrid, verify: bool) -> None:
+    # a finite density whose rho'' is NaN at one node: only T_4 reads it
+    field = PoisonedField([(1.0, 0, 2.0)], component=2)
+    with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
+        fourth_order_energy(field, grid, verify=verify)
+    with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
+        energies(field, grid, verify=verify)
+    assert math.isfinite(tf_energy(field, grid, verify=verify))
+    assert all(math.isfinite(t) for t in weizsacker_energy(field, grid, verify=verify))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
+    names = ("T_TF", "T_4")
+    with pytest.raises(ConvergenceError, match="^T_4: the result is"):
+        kedf._check_refinement(names, (1.0, bad), (1.0, bad))
+    with pytest.raises(ConvergenceError, match="^T_4: the result is"):
+        kedf._check_refinement(names, (1.0, bad), None)
+    # a finite value whose refinement is not finite
+    with pytest.raises(ConvergenceError, match="^T_4: the result is"):
+        kedf._check_refinement(names, (1.0, 1.0), (1.0, bad))
+    kedf._check_refinement(names, (1.0, 1.0), (1.0, 1.0 + 1e-12))
+
+
 # --- shared density pass ----------------------------------------------------
 
 
