@@ -5,12 +5,11 @@ grids: the expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
 density, at the library default of 3008 nodes and at its 6016-node
 refinement.  Its default shell counts run past the library's 40-shell cap to
 60 and 100, the kernel cost a 100-shell ladder would pay.  The
-exponential-polynomial kernel runs on synthetic inputs and on the Ne and Xe
-densities over the ``table1`` grid (2000 nodes on [0, 45]) and its
-4000-node refinement, once with the density row alone and once with the
-three stacked rows (rho, rho', rho'') that
-``RadialField.profile`` evaluates in one call.  One more case times the 17
-kernel calls of a ``table1`` pass: each bundled atom's three rows on the
+exponential-polynomial kernel of ``RadialField`` runs on synthetic inputs.
+The Slater-type orbital kernel runs on the Ne and Xe densities over the
+``table1`` grid (2000 nodes on [0, 45]) and its 4000-node refinement,
+giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
+times the 17 kernel calls of a ``table1`` pass: each bundled atom on the
 2000 + 4000 nodes that ``kedf.energies`` sends in one call.  The cases are
 timed round-robin, one call of each case per round for ``--repeats`` rounds,
 so that a drift in machine speed over the run spreads over every case
@@ -33,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from tfshell._kernels import exp_poly_eval, shell_profile
+from tfshell._kernels import exp_poly_eval, orbital_profile, shell_profile
 from tfshell.atomic_data import atom_density, load_bundled
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
 from tfshell.kedf import DEFAULT_R_MAX, make_grid
@@ -68,25 +67,28 @@ def exp_poly_inputs(n_points: int, rng: np.random.Generator) -> tuple:
     return exponents, coefs, r
 
 
-def atom_field_inputs(symbol: str, n_points: int, stacked: bool) -> tuple:
-    """(exponents, coefs, nodes) of a bundled atom's density on [0, 45]."""
-    field = atom_density(load_bundled([symbol])[symbol])
-    exponents, coefs = field._groups
-    rows = field._profile_coefs if stacked else coefs
-    return exponents, rows, make_grid(n_points=n_points, r_span=(0.0, DEFAULT_R_MAX)).nodes
+def orbital_inputs(density) -> tuple:
+    """The kernel arguments of an ``STODensity``, without the nodes."""
+    return density.exponents, density.powers, density.coefs, density.weights
+
+
+def atom_inputs(symbol: str, n_points: int) -> tuple:
+    """(exponents, powers, coefs, weights, nodes) of a bundled atom's density on [0, 45]."""
+    density = atom_density(load_bundled([symbol])[symbol])
+    nodes = make_grid(n_points=n_points, r_span=(0.0, DEFAULT_R_MAX)).nodes
+    return (*orbital_inputs(density), nodes)
 
 
 def table1_inputs() -> tuple:
-    """(per-atom (exponents, stacked rows), nodes) of the kernel calls of a table1 pass."""
+    """(per-atom kernel arguments, nodes) of the kernel calls of a table1 pass."""
     grid = make_grid(n_points=2000, r_span=(0.0, DEFAULT_R_MAX))
     nodes = np.concatenate([grid.nodes, grid.refined(2).nodes])
-    fields = [atom_density(data) for data in load_bundled().values()]
-    return [(f._groups[0], f._profile_coefs) for f in fields], nodes
+    return [orbital_inputs(atom_density(data)) for data in load_bundled().values()], nodes
 
 
 def table1_profiles(atoms: list, nodes: np.ndarray) -> None:
-    for exponents, rows in atoms:
-        exp_poly_eval(exponents, rows, nodes)
+    for inputs in atoms:
+        orbital_profile(*inputs, nodes)
 
 
 def shell_inputs(n_points: int, n_max: int) -> tuple:
@@ -139,21 +141,16 @@ def main() -> None:
     ]
     for symbol in ("Ne", "Xe"):
         for n_points in (2000, 4000):
-            for stacked, label in ((False, "1 row"), (True, "3 rows")):
-                exp_cases.append(
-                    (
-                        f"exp_poly_eval[{symbol}, {n_points} pts, {label}]",
-                        exp_poly_eval,
-                        atom_field_inputs(symbol, n_points, stacked),
-                    )
+            exp_cases.append(
+                (
+                    f"orbital_profile[{symbol}, {n_points} pts]",
+                    orbital_profile,
+                    atom_inputs(symbol, n_points),
                 )
+            )
     atoms, nodes = table1_inputs()
     exp_cases.append(
-        (
-            f"exp_poly_eval[{len(atoms)} atoms, {nodes.size} pts, 3 rows]",
-            table1_profiles,
-            (atoms, nodes),
-        )
+        (f"orbital_profile[{len(atoms)} atoms, {nodes.size} pts]", table1_profiles, (atoms, nodes))
     )
     shell_cases = [
         (

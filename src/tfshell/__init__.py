@@ -27,6 +27,7 @@ from .asymptotics import (
 from .atomic_data import (
     STOAtomRecord,
     STODataError,
+    STODensity,
     STOOrbital,
     STOParseError,
     STOPrimitive,
@@ -121,6 +122,7 @@ __all__ = [
     "STOPrimitive",
     "STOOrbital",
     "STOAtomRecord",
+    "STODensity",
     "parse_sto_text",
     "parse_sto_file",
     "serialize_records",

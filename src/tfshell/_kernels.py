@@ -1,15 +1,23 @@
 """Hot evaluation kernels, vectorized in numpy.
 
-Two kernels dominate the runtime of every functional in this package:
+Three kernels evaluate every density the functionals of this package see:
 
+* sums of squared Slater-type orbitals, rho = sum_k w_k phi_k^2 with
+  phi_k = sum_i c_ki r^{p_i} e^{-zeta_i r}, and their first two radial
+  derivatives.  Each primitive's exponential is computed once per node and
+  shared by every orbital, and one matrix product per derivative order
+  gives every orbital's value; the squares are never expanded into pair
+  terms.  This is how every Hartree-Fock atom is evaluated;
 * evaluation of exponential-polynomial radial fields
   rho(r) = sum_g exp(-beta_g r) * P_g(r)  (P_g a dense polynomial), for
-  one or several coefficient sets at once.  The nodes go in small blocks:
+  one or several coefficient sets at once: the term lists of
+  ``fields.RadialField``.  The nodes go in small blocks:
   one exponential per block, shared by every set (a field and its
   derivatives, so one call evaluates all three), then per set one matrix
   product that sums the groups for every degree and a Horner pass in r.
-  The block stays below OpenBLAS's threading cut, where these small
-  products would go multi-threaded and slow down several-fold; and
+  Both of these kernels keep their blocks below OpenBLAS's threading cut,
+  where such small products would go multi-threaded and slow down
+  several-fold; and
 * direct evaluation of filled-shell Coulomb densities and their first two
   radial derivatives, shell by shell, from a closed form in a few Laguerre
   values per shell (two recurrences of length <= n for shell n, run in one
@@ -106,6 +114,110 @@ def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np
                         acc += sums[d, :m]
     out = out.reshape(sets.shape[0], *r.shape)
     return out if coefs.ndim == 3 else out[0]
+
+
+# ---------------------------------------------------------------------------
+# sums of squared Slater-type orbitals
+
+
+def orbital_profile(
+    exponents: np.ndarray,
+    powers: np.ndarray,
+    coefs: np.ndarray,
+    weights: np.ndarray,
+    r: np.ndarray,
+) -> tuple:
+    """(rho, rho', rho'') of sum_k weights[k] phi_k^2, vectorized over r.
+
+    phi_k = sum_i coefs[k, i] r^{p_i} e^{-zeta_i r} is a sum over P
+    primitives with exponents zeta_i and non-negative integer powers p_i;
+    ``coefs`` has shape (K, P) and the K weights are non-negative.  The
+    three arrays are shaped like ``r``.
+
+    With the primitives ordered by falling power, the P rows r^p e, the
+    rows p r^{p-1} e of the powers p >= 1 and the rows p (p-1) r^{p-2} e
+    of the powers p >= 2 (e = e^{-zeta r}) fill one buffer of at most
+    ``_BLOCK_ELEMENTS`` elements per block of M nodes, padded to a multiple
+    of ``_BLOCK_LANES`` as in ``exp_poly_eval``.  Per block there is one
+    in-place ``np.exp`` over the P M exponentials, a few scalings and
+    multiplications by r that build the other rows, and then one product
+    per derivative order over a prefix of the buffer, which gives
+    sqrt(w_k) times phi_k, phi_k' or phi_k'' for every orbital at once.
+    rho = sum w phi^2, rho' = 2 sum w phi phi' and
+    rho'' = 2 sum w (phi'^2 + phi phi'') are then summed over the orbitals
+    straight into the output, row by row in a fixed order.
+
+    A product is at most K times the block, so it stays below OpenBLAS's
+    threading cut for the few orbitals of an atom (K <= 11 in every bundled
+    atom, so K M times the rows is under 3.7e5; see ``exp_poly_eval``).
+    Each node's values depend on its radius alone, not on the other nodes
+    of the call or on where the blocks fall.
+    """
+    n_orb, n_prim = coefs.shape
+    nodes = r.reshape(-1)
+    lanes = -(-nodes.size // _BLOCK_LANES) * _BLOCK_LANES
+    out = np.zeros((3, lanes), dtype=float)
+    if n_orb and n_prim and nodes.size:
+        order = np.argsort(-powers, kind="stable")
+        counts = np.bincount(powers[order].astype(int))
+        # above[j] = number of primitives with power >= j, for j = 0..top+2
+        above = np.append(np.cumsum(counts[::-1])[::-1], [0, 0])
+        top = counts.size - 1
+        n1, n2 = int(above[1]), int(above[2])
+        n_rows = n_prim + n1 + n2
+        zeta = exponents[order]
+        c = coefs[:, order] * np.sqrt(weights)[:, None]
+        zc = c * zeta
+        mats = (
+            c,
+            np.hstack([-zc, c[:, :n1]]),
+            np.hstack([zc * zeta, -2.0 * zc[:, :n1], c[:, :n2]]),
+        )
+        width = max(_BLOCK_LANES, _BLOCK_ELEMENTS // n_rows // _BLOCK_LANES * _BLOCK_LANES)
+        width = min(width, lanes)
+        rates = -zeta[:, None]
+        buffer = np.empty(n_rows * width)
+        orbitals = np.empty((3, n_orb * width))
+        row_x = np.empty((1, width))
+        with np.errstate(under="ignore"):
+            for start in range(0, nodes.size, width):
+                x = nodes[start:start + width]
+                m = x.size
+                padded = -(-m // _BLOCK_LANES) * _BLOCK_LANES
+                block = buffer[: n_rows * padded].reshape(n_rows, padded)
+                basis, first, second = block[:n_prim], block[n_prim:n_prim + n1], block[n_prim + n1:]
+                row_x[0, :m] = x
+                row_x[0, m:padded] = 0.0
+                xs = row_x[0, :padded]
+                np.dot(rates, row_x[:, :padded], out=basis)
+                np.exp(basis, out=basis)
+                # before its j-th factor r, the row of a primitive holds
+                # r^{j-1} e: the power-j rows give p r^{p-1} e and the
+                # power-(j+1) rows p (p-1) r^{p-2} e
+                for j in range(1, top + 1):
+                    lo, hi = above[j + 1], above[j]
+                    np.multiply(basis[lo:hi], j, out=first[lo:hi])
+                    if above[j + 2] < lo:
+                        np.multiply(basis[above[j + 2]:lo], (j + 1) * j, out=second[above[j + 2]:lo])
+                    basis[:hi] *= xs
+                phi, dphi, scratch = (a[: n_orb * padded].reshape(n_orb, padded) for a in orbitals)
+                rho, drho, d2rho = (row[start:start + padded] for row in out)
+                # the orbital sums are row reductions in a fixed order, not a
+                # vector product: BLAS may split a gemv's columns across threads
+                np.dot(mats[0], basis, out=phi)
+                np.dot(mats[1], block[: n_prim + n1], out=dphi)
+                np.multiply(phi, phi, out=scratch)
+                np.add.reduce(scratch, axis=0, out=rho)
+                np.multiply(phi, dphi, out=scratch)
+                np.add.reduce(scratch, axis=0, out=drho)
+                drho *= 2.0
+                np.dot(mats[2], block, out=scratch)
+                phi *= scratch
+                dphi *= dphi
+                phi += dphi
+                np.add.reduce(phi, axis=0, out=d2rho)
+                d2rho *= 2.0
+    return tuple(row[: nodes.size].reshape(r.shape) for row in out)
 
 
 # ---------------------------------------------------------------------------

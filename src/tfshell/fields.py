@@ -1,12 +1,15 @@
 """Spherically symmetric densities as exponential-polynomial term sums.
 
 A ``RadialField`` stores rho(r) = sum_i c_i r^{p_i} exp(-beta_i r) as an
-explicit term list.  Slater-type orbital densities take this form, which
-makes first and second radial derivatives exact term-by-term operations; no
-finite differencing ever enters the functionals built on top.  (Filled-shell
-Coulomb densities have such an expansion too, but it cancels
-catastrophically for many shells; ``hydrogenic`` evaluates them by orbital
-summation instead.)
+explicit term list, which makes first and second radial derivatives exact
+term-by-term operations; no finite differencing ever enters the functionals
+built on top.  It is the type for densities given as term lists, with the
+term-list operations (merging, dilation, addition, Gamma moments).
+Densities known as sums of squared orbitals are evaluated without the
+expansion: Slater-type atoms by ``atomic_data.STODensity``, orbital by
+orbital, whose squares would expand into one term per pair of primitives,
+and filled-shell Coulomb densities by ``hydrogenic``, whose expansion also
+cancels catastrophically for many shells.
 
 Evaluation groups terms by common exponent into dense polynomial rows and
 runs through the ``_kernels.exp_poly_eval`` kernel; ``profile`` stacks the

@@ -9,8 +9,9 @@ Functionals (all as 4 pi * integral of r^2 * tau dr, hartree):
 
 A density is anything with the three methods of the ``Density`` protocol:
 ``profile(r)`` for (rho, rho', rho''), ``value(r)`` for rho alone and
-``total_charge()``.  Slater-type ``fields.RadialField`` term lists and the
-filled-shell ``hydrogenic.HydrogenicDensity`` both answer it.
+``total_charge()``.  Slater-type atoms (``atomic_data.STODensity``), term
+lists (``fields.RadialField``) and the filled-shell
+``hydrogenic.HydrogenicDensity`` all answer it.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on the nodes of the grid and of its
@@ -26,7 +27,11 @@ The fourth-order integrand is evaluated in the algebraically equivalent form
                                + (1/3) r^2 (rho')^4/rho^4 ],   s = 2 rho' + r rho''
 
 (s is r times the spherical Laplacian of rho), which removes every explicit
-1/r and keeps the integrand finite down to r = 0 for cusped densities.
+1/r and keeps the integrand finite down to r = 0 for cusped densities.  The
+bracket is computed from the ratios y = rho'/rho, w = s/rho and q = r y^2
+as w^2 - (9/8) w q + q^2/3, so no power of rho is formed: rho^3 and rho^2
+underflow to zero below about 1e-103 and 1e-154, well above the 1e-280
+cutoff, and would turn the integrand into inf or NaN there.
 
 Quadrature: composite 16-point Gauss-Legendre panels on the exponentially
 mapped coordinate r = r_min + (r_max - r_min)(e^{a t} - 1)/(e^a - 1),
@@ -346,14 +351,12 @@ def _fourth_order_integral(
     mask: np.ndarray,
 ) -> float:
     r = grid.nodes
-    s = 2.0 * deriv + r * deriv2
     integrand = np.zeros_like(values)
     safe = np.where(mask, values, 1.0)
-    bracket = (
-        (s / safe) ** 2
-        - 1.125 * r * s * deriv**2 / safe**3
-        + (r * deriv * deriv / safe**2) ** 2 / 3.0
-    )
+    y = deriv / safe
+    w = (2.0 * deriv + r * deriv2) / safe
+    q = r * y * y
+    bracket = w * w - 1.125 * w * q + q * q / 3.0
     np.multiply(FOURTH_ORDER_CONSTANT * safe ** (1.0 / 3.0), bracket, out=integrand, where=mask)
     return 4.0 * math.pi * grid.integrate(integrand)
 

@@ -4,6 +4,7 @@ import io
 import math
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -155,22 +156,21 @@ def test_norm_integral_of_unit_primitive_is_exact() -> None:
 def test_single_primitive_density_by_hand() -> None:
     (rec,) = parse_sto_text(MINIMAL)
     field = atom_density(rec)
-    # rho = (occ / 4 pi) N^2 e^{-2 zeta r}; N^2 = (2 zeta)^3 / 2 = 32
+    # rho = (occ / 4 pi) N^2 e^{-2 zeta r}; N^2 = (2 zeta)^3 / 2 = 32, zeta = 2
     n_sq = (2.0 * 2.0) ** 3 / 2.0
-    assert len(field.terms) == 1
-    coef, power, exponent = field.terms[0]
-    assert power == 0
-    assert exponent == 4.0
-    assert coef == pytest.approx(2.0 * n_sq / (4.0 * math.pi), rel=1e-14)
+    coef = 2.0 * n_sq / (4.0 * math.pi)
+    assert field.value(0.0) == pytest.approx(coef, rel=1e-14)
     r = 0.7
-    assert field.value(r) == pytest.approx(
-        2.0 * n_sq / (4.0 * math.pi) * math.exp(-4.0 * r), rel=1e-14
-    )
+    rho = coef * math.exp(-4.0 * r)
+    assert field.value(r) == pytest.approx(rho, rel=1e-14)
+    # rho' = -4 rho and rho'' = 16 rho
+    got = field.profile(r)
+    assert got == pytest.approx((rho, -4.0 * rho, 16.0 * rho), rel=1e-14)
     assert field.total_charge() == pytest.approx(2.0, rel=1e-13)
 
 
 def test_density_matches_orbital_squares(bundled) -> None:
-    # merged-term evaluation against the direct occupation-weighted sum of
+    # the kernel's evaluation against the direct occupation-weighted sum of
     # squared radial orbitals
     r = np.geomspace(1e-4, 30.0, 200)
     for symbol in ("He", "Ne", "Ar"):
@@ -199,6 +199,66 @@ def test_helium_nuclear_cusp(bundled) -> None:
     rho = atom_density(bundled["He"])
     cusp = -rho.profile(0.0)[1] / (2.0 * rho.value(0.0))
     assert cusp == pytest.approx(2.0, rel=0.02)
+
+
+def test_density_radius_checks_and_scalars(bundled) -> None:
+    rho = atom_density(bundled["Ne"])
+    with pytest.raises(ValueError, match="non-negative"):
+        rho.value(-0.1)
+    with pytest.raises(ValueError, match="non-negative"):
+        rho.profile(np.array([0.5, -1e-9]))
+    value = rho.value(0.7)
+    assert type(value) is float
+    profile = rho.profile(0.7)
+    assert [type(v) for v in profile] == [float] * 3
+    assert profile[0] == value
+    rows = rho.profile(np.array([0.3, 0.7]))
+    assert [row[1] for row in rows] == list(profile)
+
+
+def test_density_ignores_empty_orbitals() -> None:
+    (bare,) = parse_sto_text(MINIMAL)
+    (padded,) = parse_sto_text(MINIMAL + "ORB 2s 0\nPRM 2 1.0 1.0\n")
+    assert padded.orbitals[1].occupation == 0
+    rho, ref = atom_density(padded), atom_density(bare)
+    # the empty orbital's primitive is not a column of the density either
+    assert rho.coefs.shape == ref.coefs.shape == (1, 1)
+    r = np.geomspace(1e-4, 30.0, 50)
+    assert np.array_equal(np.array(rho.profile(r)), np.array(ref.profile(r)))
+    assert rho.total_charge() == ref.total_charge()
+
+
+def test_density_charge_reuses_validated_norms(bundled, monkeypatch) -> None:
+    expected = {
+        symbol: sum(orb.occupation * orb.norm_integral() for orb in rec.orbitals)
+        for symbol, rec in bundled.items()
+    }
+
+    def refuse(self):
+        raise AssertionError("norm integral computed again")
+
+    monkeypatch.setattr(STOOrbital, "norm_integral", refuse)
+    for symbol, rec in bundled.items():
+        assert atom_density(rec).total_charge() == expected[symbol]
+
+
+def test_norm_integral_is_the_ordered_pair_sum(bundled) -> None:
+    # every ordered pair (i, j), in 30-digit mpmath
+    with mpmath.workdps(30):
+        for symbol in ("Ne", "Xe"):
+            for orb in bundled[symbol].orbitals:
+                total = mpmath.mpf(0)
+                for a in orb.primitives:
+                    for b in orb.primitives:
+                        za, zb = mpmath.mpf(a.zeta), mpmath.mpf(b.zeta)
+                        na = mpmath.sqrt((2 * za) ** (2 * a.n + 1) / mpmath.factorial(2 * a.n))
+                        nb = mpmath.sqrt((2 * zb) ** (2 * b.n + 1) / mpmath.factorial(2 * b.n))
+                        power = a.n + b.n
+                        total += (
+                            mpmath.mpf(a.coefficient) * mpmath.mpf(b.coefficient) * na * nb
+                            * mpmath.factorial(power) / (za + zb) ** (power + 1)
+                        )
+                assert orb.norm_integral() == pytest.approx(float(total), rel=1e-14, abs=0.0)
 
 
 # --- the bundle -------------------------------------------------------------

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tfshell.atomic_data import atom_density, load_bundled
+from pair_reference import pair_field
+from tfshell.atomic_data import load_bundled
 from tfshell.fields import RadialField
 
 # a moderately rich field: mixed powers sharing and not sharing exponents
@@ -158,7 +159,7 @@ def test_derivative_rows_match_scalar_reference(name):
     elif name == "rich":
         field = RadialField(RICH_TERMS)
     else:
-        field = atom_density(BUNDLED[name])
+        field = pair_field(BUNDLED[name])
     first, second = scalar_derivative_rows(field)
     assert field._deriv_coefs.shape == first.shape
     assert field._deriv_coefs.tobytes() == first.tobytes()
@@ -173,21 +174,6 @@ def test_merged_from_equals_merged_field():
     for bad in ([(1.0, -1, 1.0)], [(1.0, 0, 0.0)], [(math.inf, 0, 1.0)], [(1.0, 0.5, 1.0)]):
         with pytest.raises(ValueError):
             RadialField.merged_from(bad)
-
-
-def test_atom_density_validates_once(monkeypatch):
-    built = []
-    init = RadialField.__init__
-
-    def counting(self, terms):
-        terms = list(terms)
-        built.append(len(terms))
-        init(self, terms)
-
-    monkeypatch.setattr(RadialField, "__init__", counting)
-    field = atom_density(BUNDLED["Ne"])
-    # one field is built, from the merged terms
-    assert built == [len(field.terms)]
 
 
 def test_zero_field():

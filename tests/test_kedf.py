@@ -333,6 +333,16 @@ def test_non_finite_functional_value_names_functional(grid: RadialGrid, verify: 
     assert all(math.isfinite(t) for t in weizsacker_energy(field, grid, verify=verify))
 
 
+def test_fourth_order_is_finite_far_out(bundled) -> None:
+    # He's density falls below 1e-103 well inside a 150-bohr span, where
+    # rho^2 and rho^3 of the plain bracket underflow; the ratio form does not
+    field = atom_density(bundled["He"])
+    near = fourth_order_energy(field, make_grid("expmap", 2000, (0.0, 45.0)))
+    with np.errstate(all="raise"):
+        far = fourth_order_energy(field, make_grid("expmap", 2000, (0.0, 150.0)))
+    assert far == pytest.approx(near, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
     names = ("T_TF", "T_4")

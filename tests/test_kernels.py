@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from pair_reference import pair_field
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
 from tfshell.fields import RadialField
@@ -173,7 +174,7 @@ def test_exp_poly_backends_agree() -> None:
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe", None])
 def test_exp_poly_stacked_rows_match_single_rows(bundled, atom) -> None:
-    field = RadialField([]) if atom is None else atom_density(bundled[atom])
+    field = RadialField([]) if atom is None else pair_field(bundled[atom])
     # the (value, first, second derivative) rows that RadialField.profile stacks
     exponents, stacked = field._groups[0], field._profile_coefs
     r = make_grid("expmap", 2000, (0.0, 45.0)).nodes
@@ -210,7 +211,7 @@ def _exp_poly_oracle(terms, r: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe"])
 def test_exp_poly_matches_mpmath_oracle(bundled, atom) -> None:
-    field = atom_density(bundled[atom])
+    field = pair_field(bundled[atom])
     # the cusp, the shell region and the tail out to the table1 cutoff
     r = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 45.0])
     rho, drho, d2rho = _kernels.exp_poly_eval(field._groups[0], field._profile_coefs, r)
@@ -224,7 +225,7 @@ def test_exp_poly_matches_mpmath_oracle(bundled, atom) -> None:
 
 @pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
 def test_exp_poly_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
-    field = atom_density(bundled[atom])
+    field = pair_field(bundled[atom])
     exponents, stacked = field._groups[0], field._profile_coefs
     # the nodes of a table1 row: its grid and the refinement
     grid = make_grid("expmap", 2000, (0.0, 45.0))
@@ -247,7 +248,7 @@ def test_exp_poly_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
 
 
 def test_exp_poly_working_set_is_one_block(bundled) -> None:
-    field = atom_density(bundled["Xe"])
+    field = pair_field(bundled["Xe"])
     exponents, stacked = field._groups[0], field._profile_coefs
     r = np.linspace(0.0, 45.0, 60_000)
     tracemalloc.start()
@@ -261,6 +262,102 @@ def test_exp_poly_working_set_is_one_block(bundled) -> None:
     # coefficients, about 1.25 blocks here; filling the block by a broadcast
     # multiply, whose numpy iterator allocates its own buffers, takes it to 1.7
     assert peak - out.nbytes < 1.5 * 8 * _kernels._BLOCK_ELEMENTS
+
+
+def _orbital_oracle(record, r: np.ndarray) -> np.ndarray:
+    """(rho, rho', rho'') of (1/4pi) sum occ R^2, orbital by orbital in 30-digit mpmath.
+
+    Each R and its two r-derivatives are summed from the record's
+    primitives, with their normalizations recomputed in mpmath.
+    """
+    out = np.empty((3, r.size))
+    with mpmath.workdps(30):
+        for i, ri in enumerate(r):
+            x = mpmath.mpf(float(ri))
+            sums = [mpmath.mpf(0)] * 3
+            for orb in record.orbitals:
+                radial = [mpmath.mpf(0)] * 3
+                for prim in orb.primitives:
+                    zeta, p = mpmath.mpf(prim.zeta), prim.n - 1
+                    norm = mpmath.sqrt((2 * zeta) ** (2 * prim.n + 1) / mpmath.factorial(2 * prim.n))
+                    e = mpmath.mpf(prim.coefficient) * norm * mpmath.exp(-zeta * x)
+                    q0 = x**p
+                    q1 = p * x ** (p - 1) if p >= 1 else 0
+                    q2 = p * (p - 1) * x ** (p - 2) if p >= 2 else 0
+                    radial[0] += e * q0
+                    radial[1] += e * (q1 - zeta * q0)
+                    radial[2] += e * (q2 - 2 * zeta * q1 + zeta * zeta * q0)
+                w = orb.occupation / (4 * mpmath.pi)
+                r0, r1, r2 = radial
+                sums[0] += w * r0 * r0
+                sums[1] += w * 2 * r0 * r1
+                sums[2] += w * 2 * (r1 * r1 + r0 * r2)
+            out[:, i] = [float(v) for v in sums]
+    return out
+
+
+def _orbital_inputs(density) -> tuple:
+    return density.exponents, density.powers, density.coefs, density.weights
+
+
+@pytest.mark.parametrize("atom", ["Ne", "Xe"])
+def test_orbital_profile_matches_mpmath_oracle(bundled, atom) -> None:
+    density = atom_density(bundled[atom])
+    # the radii of the exp_poly_eval oracle test
+    r = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 45.0])
+    rho, drho, d2rho = _kernels.orbital_profile(*_orbital_inputs(density), r)
+    ref_rho, ref_drho, ref_d2rho = _orbital_oracle(bundled[atom], r)
+    assert (ref_rho > 1e-250).all()
+    np.testing.assert_allclose(rho, ref_rho, rtol=1e-13, atol=0.0)
+    for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
+def test_orbital_profile_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
+    inputs = _orbital_inputs(atom_density(bundled[atom]))
+    grid = make_grid("expmap", 2000, (0.0, 45.0))
+    r = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    whole = np.array(_kernels.orbital_profile(*inputs, r))
+    # uneven pieces, single nodes among them, concatenated
+    cuts = [0, 1, 2, 7, 300, 1001, 4999, r.size]
+    pieces = [np.array(_kernels.orbital_profile(*inputs, r[a:b])) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces, axis=1), whole)
+    # a 2-D r gives the 1-D result reshaped
+    square = _kernels.orbital_profile(*inputs, r.reshape(60, 100))
+    assert np.array_equal(np.array(square), whole.reshape(3, 60, 100))
+    # other block sizes move every block boundary
+    for budget in (2**10, 2**14):
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(np.array(_kernels.orbital_profile(*inputs, r)), whole)
+
+
+def test_orbital_profile_working_set_is_one_block(bundled) -> None:
+    inputs = _orbital_inputs(atom_density(bundled["Xe"]))
+    r = np.linspace(0.0, 45.0, 60_000)
+    tracemalloc.start()
+    try:
+        rows = _kernels.orbital_profile(*inputs, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.shape for row in rows] == [r.shape] * 3
+    # one block of basis rows (256 KiB) and the three (K, M) orbital rows
+    assert peak - sum(row.nbytes for row in rows) < 2**20
+
+
+def test_orbital_profile_matches_pair_expansion(bundled) -> None:
+    # the nodes of a table1 row: its grid and the refinement
+    grid = make_grid("expmap", 2000, (0.0, 45.0))
+    r = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    for symbol, record in bundled.items():
+        rho, drho, d2rho = atom_density(record).profile(r)
+        ref_rho, ref_drho, ref_d2rho = pair_field(record).profile(r)
+        np.testing.assert_allclose(rho, ref_rho, rtol=1e-13, atol=0.0, err_msg=symbol)
+        for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
+            np.testing.assert_allclose(
+                got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)), err_msg=symbol
+            )
 
 
 @pytest.mark.parametrize("z,n_max", [(2.0, 1), (28.0, 3), (110.0, 5)])
@@ -332,7 +429,7 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
 
 
 def test_kernel_benchmark_script_runs() -> None:
-    # the script reads RadialField's grouped rows and
+    # the script reads STODensity's kernel arguments and
     # HydrogenicDensity.suggested_r_max; one small case of each kind keeps it
     # in step with them
     root = Path(__file__).resolve().parents[1]
@@ -345,5 +442,6 @@ def test_kernel_benchmark_script_runs() -> None:
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "exp_poly_eval[Xe, 4000 pts, 3 rows]" in proc.stdout
+    assert "exp_poly_eval[64 pts]" in proc.stdout
+    assert "orbital_profile[Xe, 4000 pts]" in proc.stdout
     assert "shell_profile[n_max=2, 3008 pts]" in proc.stdout
