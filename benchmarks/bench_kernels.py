@@ -4,11 +4,9 @@ The shell-density kernel runs on the closed-shell ladder's own quadrature
 grids: the expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
 density, at the library default of 3008 nodes and at its 6016-node
 refinement.  Its default shell counts run past the library's 40-shell cap to
-60 and 100, the kernel cost a 100-shell ladder would pay.  The
-exponential-polynomial kernel of ``RadialField`` runs on synthetic inputs.
-The Slater-type orbital kernel runs on the Ne and Xe densities over the
-``table1`` grid (2000 nodes on [0, 45]) and its 4000-node refinement,
-giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
+60 and 100, the kernel cost a 100-shell ladder would pay.  The Slater-type
+orbital kernel runs on the Ne and Xe densities over the ``table1`` grid
+(2000 nodes on [0, 45]) and its 4000-node refinement, giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
 times the 17 kernel calls of a ``table1`` pass: each bundled atom on the
 2000 + 4000 nodes that ``kedf.energies`` sends in one call.  The cases are
 timed round-robin, one call of each case per round for ``--repeats`` rounds,
@@ -32,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from tfshell._kernels import exp_poly_eval, orbital_profile, shell_profile
+from tfshell._kernels import orbital_profile, shell_profile
 from tfshell.atomic_data import atom_density, load_bundled
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
 from tfshell.kedf import DEFAULT_R_MAX, make_grid
@@ -57,14 +55,6 @@ def peak_call(func: Callable, args: tuple) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-
-
-def exp_poly_inputs(n_points: int, rng: np.random.Generator) -> tuple:
-    # a realistic composite field: 12 exponential groups, degree-8 polynomials
-    exponents = rng.uniform(0.5, 20.0, size=12)
-    coefs = rng.standard_normal((12, 9))
-    r = np.linspace(1e-4, 40.0, n_points)
-    return exponents, coefs, r
 
 
 def orbital_inputs(density) -> tuple:
@@ -112,11 +102,6 @@ def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> No
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sizes",
-        default="2000,20000",
-        help="comma-separated grid sizes for exp_poly_eval (default: 2000,20000)",
-    )
-    parser.add_argument(
         "--points",
         default="3008,6016",
         help="comma-separated ladder grid sizes for shell_profile (default: 3008,6016)",
@@ -127,29 +112,18 @@ def main() -> None:
         help="comma-separated shell counts for shell_profile (default: 5,12,25,40,60,100)",
     )
     parser.add_argument("--repeats", type=int, default=7, help="rounds of one timed call per case")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     points = [int(s) for s in args.points.split(",") if s.strip()]
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
-    rng = np.random.default_rng(args.seed)
 
-    exp_cases = [
-        (f"exp_poly_eval[{n_points} pts]", exp_poly_eval, exp_poly_inputs(n_points, rng))
-        for n_points in sizes
+    orbital_cases = [
+        (f"orbital_profile[{symbol}, {n_points} pts]", orbital_profile, atom_inputs(symbol, n_points))
+        for symbol in ("Ne", "Xe")
+        for n_points in (2000, 4000)
     ]
-    for symbol in ("Ne", "Xe"):
-        for n_points in (2000, 4000):
-            exp_cases.append(
-                (
-                    f"orbital_profile[{symbol}, {n_points} pts]",
-                    orbital_profile,
-                    atom_inputs(symbol, n_points),
-                )
-            )
     atoms, nodes = table1_inputs()
-    exp_cases.append(
+    orbital_cases.append(
         (f"orbital_profile[{len(atoms)} atoms, {nodes.size} pts]", table1_profiles, (atoms, nodes))
     )
     shell_cases = [
@@ -162,10 +136,10 @@ def main() -> None:
         for n_points in points
     ]
 
-    medians = time_round_robin(exp_cases + shell_cases, args.repeats)
-    report(exp_cases, medians[: len(exp_cases)])
+    medians = time_round_robin(orbital_cases + shell_cases, args.repeats)
+    report(orbital_cases, medians[: len(orbital_cases)])
     print()
-    report(shell_cases, medians[len(exp_cases) :])
+    report(shell_cases, medians[len(orbital_cases) :])
 
 
 if __name__ == "__main__":

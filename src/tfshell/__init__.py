@@ -46,7 +46,6 @@ from .correction import (
     delta_t_exact,
     delta_t_interpolated,
 )
-from .fields import RadialField
 from .hydrogenic import (
     MAGIC_NUMBERS,
     HydrogenicDensity,
@@ -78,7 +77,6 @@ __all__ = [
     "LaguerreSpec",
     "laguerre",
     "log_factorial",
-    "RadialField",
     "MAGIC_NUMBERS",
     "ShellConfiguration",
     "HydrogenicDensity",

@@ -1,21 +1,14 @@
 """Hot evaluation kernels, vectorized in numpy.
 
-Three kernels evaluate every density the functionals of this package see:
+Two kernels evaluate every density the functionals of this package see:
 
 * sums of squared Slater-type orbitals, rho = sum_k w_k phi_k^2 with
   phi_k = sum_i c_ki r^{p_i} e^{-zeta_i r}, and their first two radial
   derivatives.  Each primitive's exponential is computed once per node and
   shared by every orbital, and one matrix product per derivative order
   gives every orbital's value; the squares are never expanded into pair
-  terms.  This is how every Hartree-Fock atom is evaluated;
-* evaluation of exponential-polynomial radial fields
-  rho(r) = sum_g exp(-beta_g r) * P_g(r)  (P_g a dense polynomial), for
-  one or several coefficient sets at once: the term lists of
-  ``fields.RadialField``.  The nodes go in small blocks:
-  one exponential per block, shared by every set (a field and its
-  derivatives, so one call evaluates all three), then per set one matrix
-  product that sums the groups for every degree and a Horner pass in r.
-  Both of these kernels keep their blocks below OpenBLAS's threading cut,
+  terms.  This is how every Hartree-Fock atom is evaluated.  The nodes go
+  in small blocks, which keep each product below OpenBLAS's threading cut,
   where such small products would go multi-threaded and slow down
   several-fold; and
 * direct evaluation of filled-shell Coulomb densities and their first two
@@ -41,83 +34,14 @@ import math
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# exponential-polynomial fields
+# sums of squared Slater-type orbitals
 
 
-# Elements in one block of exponentials, G groups by M nodes (see
-# exp_poly_eval for why it is small).
+# Elements in one block of basis rows, rows by M nodes (see orbital_profile
+# for why it is small).
 _BLOCK_ELEMENTS = 1 << 15
 # Every block is padded to a multiple of this many nodes.
 _BLOCK_LANES = 16
-
-
-def exp_poly_eval(exponents: np.ndarray, coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_g exp(-beta_g r) * sum_d coefs[g, d] r^d, vectorized over r.
-
-    ``coefs`` of shape (G, D) gives one row, shaped like ``r``.  A stack of
-    R coefficient sets, shape (R, G, D), gives R rows, shape (R, N).
-
-    The nodes go in blocks of M, with G M at most ``_BLOCK_ELEMENTS``.  Per
-    block there is one ``np.exp``, in place, over the (G, M) matrix of
-    -beta_g r, shared by every row.  Per row there is one (D, G) @ (G, M)
-    product, which gives sum_g coefs[g, d] e^{-beta_g r} for every degree
-    d, and a D-step Horner in r over M-node arrays, written straight into
-    the output.  So the G D N multiply-adds run inside BLAS, and the working
-    set is one block plus a (D, M) product.
-
-    The block is small because each product must stay below the size at
-    which OpenBLAS splits a product across threads (of the order of
-    D G M = 2 * 65536 * 4); these products are far too small to gain from
-    it.  On two cores of an AVX-512 Xeon, a 2^17 budget (D G M up to
-    1.2e6) made the 17 bundled atoms' profiles take 136 ms, against
-    11.5 ms with OPENBLAS_NUM_THREADS=1.  At 2^15 (D <= 9 in every bundled
-    atom, so D G M < 3e5) the two agree, 16.7 and 16.8 ms.
-
-    Each row gets its own product of the same shape, so a stacked row
-    equals the one-set call on its coefficients bit for bit.  A block is
-    padded with r = 0 to a multiple of ``_BLOCK_LANES`` nodes: BLAS may
-    compute a ragged last few columns of a product by another code path,
-    with other rounding (and hands a single column to gemv), so without
-    the padding a node's value would depend on where the block boundaries
-    fall.
-    """
-    sets = coefs if coefs.ndim == 3 else coefs[None]
-    n_groups, n_deg = sets.shape[1:]
-    nodes = r.reshape(-1)
-    out = np.zeros((sets.shape[0], nodes.size), dtype=r.dtype)
-    if n_groups and nodes.size:
-        # each set as (D, G), so that the product sums over the groups
-        mats = np.ascontiguousarray(sets.transpose(0, 2, 1))
-        width = max(_BLOCK_LANES, _BLOCK_ELEMENTS // n_groups // _BLOCK_LANES * _BLOCK_LANES)
-        width = min(width, -(-nodes.size // _BLOCK_LANES) * _BLOCK_LANES)
-        rates = -exponents[:, None]
-        buffer = np.empty(n_groups * width, dtype=r.dtype)
-        row_x = np.empty((1, width), dtype=r.dtype)
-        with np.errstate(under="ignore"):
-            for start in range(0, nodes.size, width):
-                x = nodes[start:start + width]
-                m = x.size
-                padded = -(-m // _BLOCK_LANES) * _BLOCK_LANES
-                block = buffer[: n_groups * padded].reshape(n_groups, padded)
-                # -beta r as the product (G, 1) @ (1, M) into the contiguous
-                # block: a broadcast multiply allocates numpy iterator buffers
-                row_x[0, :m] = x
-                row_x[0, m:padded] = 0.0
-                np.dot(rates, row_x[:, :padded], out=block)
-                np.exp(block, out=block)
-                for row, mat in zip(out, mats):
-                    sums = mat @ block
-                    acc = row[start:start + m]
-                    np.copyto(acc, sums[n_deg - 1, :m])
-                    for d in range(n_deg - 2, -1, -1):
-                        acc *= x
-                        acc += sums[d, :m]
-    out = out.reshape(sets.shape[0], *r.shape)
-    return out if coefs.ndim == 3 else out[0]
-
-
-# ---------------------------------------------------------------------------
-# sums of squared Slater-type orbitals
 
 
 def orbital_profile(
@@ -138,7 +62,7 @@ def orbital_profile(
     rows p r^{p-1} e of the powers p >= 1 and the rows p (p-1) r^{p-2} e
     of the powers p >= 2 (e = e^{-zeta r}) fill one buffer of at most
     ``_BLOCK_ELEMENTS`` elements per block of M nodes, padded to a multiple
-    of ``_BLOCK_LANES`` as in ``exp_poly_eval``.  Per block there is one
+    of ``_BLOCK_LANES``.  Per block there is one
     in-place ``np.exp`` over the P M exponentials, a few scalings and
     multiplications by r that build the other rows, and then one product
     per derivative order over a prefix of the buffer, which gives
@@ -147,11 +71,24 @@ def orbital_profile(
     rho'' = 2 sum w (phi'^2 + phi phi'') are then summed over the orbitals
     straight into the output, row by row in a fixed order.
 
-    A product is at most K times the block, so it stays below OpenBLAS's
-    threading cut for the few orbitals of an atom (K <= 11 in every bundled
-    atom, so K M times the rows is under 3.7e5; see ``exp_poly_eval``).
+    The block is small because each product must stay below the size at
+    which OpenBLAS splits a product across threads (of the order of
+    2 * 65536 * 4 multiply-adds); these products are far too small to gain
+    from it.  A product is at most K times the block, so it stays below
+    the cut for the few orbitals of an atom (K <= 11 in every bundled atom,
+    so K M times the rows is under 3.7e5).  The budget was set on the
+    pair-term kernel this one replaced, which had the same block policy:
+    on two cores of an AVX-512 Xeon, a 2^17 budget (products of up to
+    1.2e6 multiply-adds) made the 17 bundled atoms' profiles take 136 ms,
+    against 11.5 ms with OPENBLAS_NUM_THREADS=1, and at 2^15 (products
+    under 3e5) the two agreed, 16.7 and 16.8 ms.
+
     Each node's values depend on its radius alone, not on the other nodes
-    of the call or on where the blocks fall.
+    of the call or on where the blocks fall.  A block is padded with r = 0
+    to a multiple of ``_BLOCK_LANES`` nodes because BLAS may compute a
+    ragged last few columns of a product by another code path, with other
+    rounding (and hands a single column to gemv); without the padding a
+    node's value would depend on where the block boundaries fall.
     """
     n_orb, n_prim = coefs.shape
     nodes = r.reshape(-1)

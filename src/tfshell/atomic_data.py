@@ -358,9 +358,14 @@ class STODensity:
     Answers the density protocol of ``kedf``: ``profile`` gives
     (rho, rho', rho'') from one ``_kernels.orbital_profile`` call, with
     exact derivatives, ``value`` is ``profile(r)[0]``, and ``total_charge``
-    is sum_k occ_k times the orbital's norm integral.  It has no term list
-    and no term-list operations; ``fields.RadialField`` is the type for
-    those.
+    is sum_k occ_k times the orbital's norm integral.  It is the package's
+    only exponential-type density and has no term list and no term-list
+    operations.
+
+    The constructor keeps read-only copies of the four arrays and raises
+    ValueError unless the powers are non-negative integers, the exponents
+    positive and finite, the coefficients finite, the weights non-negative
+    and finite, and the shapes (P,), (P,), (K, P) and (K,).
     """
 
     def __init__(
@@ -371,9 +376,32 @@ class STODensity:
         weights: np.ndarray,
         total_charge: float,
     ) -> None:
-        self.exponents, self.powers, self.coefs, self.weights = exponents, powers, coefs, weights
+        exponents, powers, coefs, weights = (
+            np.array(a, dtype=float) for a in (exponents, powers, coefs, weights)
+        )
+        if not (
+            exponents.ndim == 1
+            and powers.shape == exponents.shape
+            and coefs.ndim == 2
+            and coefs.shape[1] == exponents.size
+            and weights.shape == coefs.shape[:1]
+        ):
+            raise ValueError(
+                "shapes must be (P,), (P,), (K, P) and (K,), got "
+                f"{exponents.shape}, {powers.shape}, {coefs.shape} and {weights.shape}"
+            )
+        if not np.all(np.isfinite(powers) & (powers >= 0) & (powers == np.floor(powers))):
+            raise ValueError(f"powers must be non-negative integers, got {powers}")
+        if not np.all(np.isfinite(exponents) & (exponents > 0)):
+            raise ValueError(f"exponents must be positive and finite, got {exponents}")
+        if not np.all(np.isfinite(coefs)):
+            raise ValueError("coefficients must be finite")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise ValueError(f"weights must be non-negative and finite, got {weights}")
+        powers = powers.astype(int)
         for arr in (exponents, powers, coefs, weights):
             arr.setflags(write=False)
+        self.exponents, self.powers, self.coefs, self.weights = exponents, powers, coefs, weights
         self._total_charge = total_charge
 
     def profile(self, r):

@@ -9,9 +9,8 @@ Functionals (all as 4 pi * integral of r^2 * tau dr, hartree):
 
 A density is anything with the three methods of the ``Density`` protocol:
 ``profile(r)`` for (rho, rho', rho''), ``value(r)`` for rho alone and
-``total_charge()``.  Slater-type atoms (``atomic_data.STODensity``), term
-lists (``fields.RadialField``) and the filled-shell
-``hydrogenic.HydrogenicDensity`` all answer it.
+``total_charge()``.  Slater-type atoms (``atomic_data.STODensity``) and
+the filled-shell ``hydrogenic.HydrogenicDensity`` both answer it.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on the nodes of the grid and of its

@@ -38,6 +38,7 @@ import sympy as sp
 from scipy import integrate, special
 
 import conftest
+from orbitals import orbital_density
 from tfshell._kernels import _laguerre_array
 from tfshell.asymptotics import (
     TARGETS,
@@ -50,7 +51,6 @@ from tfshell.asymptotics import (
     tf_limit_density,
 )
 from tfshell.correction import delta_t_exact, delta_t_interpolated
-from tfshell.fields import RadialField
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     ShellConfiguration,
@@ -410,9 +410,14 @@ def test_criterion_7_property_suite():
         failures.append(f"kinetic sum dev {kinetic_dev:.1e}")
 
     # uniform-dilation scaling of all three functionals
-    field = RadialField([(2.0, 0, 1.5), (0.7, 2, 0.9)])
+    # 2 e^{-1.5 r} + 0.7 r^2 e^{-0.9 r} as two orbitals; its dilation
+    # lam^3 rho(lam r) scales exponents by lam, coefficients by lam^{p + 3/2}
+    orbitals = [[(math.sqrt(2.0), 0, 0.75)], [(math.sqrt(0.7), 1, 0.45)]]
+    field = orbital_density(orbitals)
     lam = 1.7
-    scaled = field.scaled(lam)
+    scaled = orbital_density(
+        [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
+    )
     base_grid = make_grid("expmap", 2000, (0.0, 60.0))
     scaled_grid = make_grid("expmap", 2000, (0.0, 60.0 / lam))
     base_tw, base_t2 = weizsacker_energy(field, base_grid)

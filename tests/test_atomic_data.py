@@ -12,6 +12,7 @@ from tfshell.atomic_data import (
     NORM_TOLERANCE,
     STOAtomRecord,
     STODataError,
+    STODensity,
     STOOrbital,
     STOParseError,
     STOPrimitive,
@@ -226,6 +227,74 @@ def test_density_ignores_empty_orbitals() -> None:
     r = np.geomspace(1e-4, 30.0, 50)
     assert np.array_equal(np.array(rho.profile(r)), np.array(ref.profile(r)))
     assert rho.total_charge() == ref.total_charge()
+
+
+# one primitive r^p e^{-zeta r} in one orbital of weight 1: (exponents,
+# powers, coefs, weights) for the constructor checks below
+ONE_PRIMITIVE = ([1.0], [1], [[1.0]], [1.0])
+
+
+def _density_with(**changes) -> STODensity:
+    names = ("exponents", "powers", "coefs", "weights")
+    args = [changes.get(name, value) for name, value in zip(names, ONE_PRIMITIVE)]
+    return STODensity(*(np.array(a) for a in args), 1.0)
+
+
+@pytest.mark.parametrize("powers", [[0.5], [-1], [np.nan], [np.inf]])
+def test_density_rejects_non_integer_or_negative_powers(powers) -> None:
+    # a power of 0.5 used to be truncated to 0: rho = r e^{-2r} gave
+    # rho'(1) = -0.2707 instead of -e^{-2} = -0.1353
+    with pytest.raises(ValueError, match="powers must be non-negative integers"):
+        _density_with(powers=powers)
+
+
+@pytest.mark.parametrize("exponents", [[0.0], [-1.0], [np.nan], [np.inf]])
+def test_density_rejects_non_positive_exponents(exponents) -> None:
+    # a negative exponent used to overflow to inf far out
+    with pytest.raises(ValueError, match="exponents must be positive"):
+        _density_with(exponents=exponents)
+
+
+@pytest.mark.parametrize("coefs", [[[np.nan]], [[np.inf]], [[-np.inf]]])
+def test_density_rejects_non_finite_coefficients(coefs) -> None:
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        _density_with(coefs=coefs)
+
+
+@pytest.mark.parametrize("weights", [[-0.5], [np.nan], [np.inf]])
+def test_density_rejects_negative_weights(weights) -> None:
+    # a negative weight used to give NaN through its square root
+    with pytest.raises(ValueError, match="weights must be non-negative"):
+        _density_with(weights=weights)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"exponents": [1.0, 2.0]},
+        {"powers": [1, 1]},
+        {"coefs": [1.0]},
+        {"coefs": [[1.0, 2.0]]},
+        {"weights": [1.0, 1.0]},
+        {"exponents": [[1.0]], "powers": [[1]]},
+    ],
+)
+def test_density_rejects_mismatched_shapes(changes) -> None:
+    with pytest.raises(ValueError, match="shapes must be"):
+        _density_with(**changes)
+
+
+def test_density_leaves_caller_arrays_writeable() -> None:
+    args = [np.array(a, dtype=float) for a in ONE_PRIMITIVE]
+    rho = STODensity(*args, 1.0)
+    assert all(a.flags.writeable for a in args)
+    # the density keeps read-only copies: the caller's writes do not reach it
+    before = rho.value(1.0)
+    for a in args:
+        a *= 2.0
+    assert rho.value(1.0) == before
+    for a in (rho.exponents, rho.powers, rho.coefs, rho.weights):
+        assert not a.flags.writeable
 
 
 def test_density_charge_reuses_validated_norms(bundled, monkeypatch) -> None:

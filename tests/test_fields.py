@@ -1,4 +1,4 @@
-"""RadialField: evaluation, exact derivatives, Gamma moments, dilations."""
+"""STODensity as a radial field: evaluation, exact derivatives, charge, dilations."""
 
 from __future__ import annotations
 
@@ -11,32 +11,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from pair_reference import pair_field
-from tfshell.atomic_data import load_bundled
-from tfshell.fields import RadialField
+from orbitals import orbital_density
+from tfshell import _kernels
+from tfshell.atomic_data import STODensity, atom_density, load_bundled, parse_sto_text
 
-# a moderately rich field: mixed powers sharing and not sharing exponents
-RICH_TERMS = [(2.3, 0, 1.7), (-0.4, 2, 1.7), (1.1, 1, 0.9), (0.05, 4, 3.2)]
+# a moderately rich density: two orbitals, one with a node, mixed powers
+# sharing and not sharing exponents
+RICH_ORBITALS = [
+    [(1.5, 0, 0.85), (-0.6, 1, 0.85), (0.3, 2, 1.6)],
+    [(0.9, 1, 0.45), (0.2, 3, 1.6)],
+]
 
 
-def naive_value(terms, r: float) -> float:
-    return sum(c * r**p * math.exp(-b * r) for c, p, b in terms)
+def naive_value(orbitals, r: float) -> float:
+    return sum(sum(c * r**p * math.exp(-z * r) for c, p, z in orb) ** 2 for orb in orbitals)
 
 
 def test_value_matches_direct_sum():
-    field = RadialField(RICH_TERMS)
+    field = orbital_density(RICH_ORBITALS)
     rng = np.random.default_rng(7)
     for r in rng.uniform(0.0, 20.0, size=60):
-        expected = naive_value(RICH_TERMS, float(r))
+        expected = naive_value(RICH_ORBITALS, float(r))
         assert field.value(float(r)) == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
 def test_derivatives_match_symbolic():
     r = sp.Symbol("r", nonnegative=True)
-    expr = sum(c * r**p * sp.exp(-b * r) for c, p, b in RICH_TERMS)
+    expr = sum(
+        sum(c * r**p * sp.exp(-z * r) for c, p, z in orb) ** 2 for orb in RICH_ORBITALS
+    )
     d1 = sp.lambdify(r, sp.diff(expr, r), "numpy")
     d2 = sp.lambdify(r, sp.diff(expr, r, 2), "numpy")
-    field = RadialField(RICH_TERMS)
+    field = orbital_density(RICH_ORBITALS)
     radii = np.concatenate([[0.0], np.geomspace(1e-4, 25.0, 40)])
     _, got1, got2 = field.profile(radii)
     ref1 = d1(radii)
@@ -48,7 +54,7 @@ def test_derivatives_match_symbolic():
 
 
 def test_profile_bundles_the_three_evaluations():
-    field = RadialField(RICH_TERMS)
+    field = orbital_density(RICH_ORBITALS)
     radii = np.linspace(0.0, 5.0, 11)
     v, d, dd = field.profile(radii)
     assert np.array_equal(v, field.value(radii))
@@ -57,96 +63,123 @@ def test_profile_bundles_the_three_evaluations():
 
 
 def test_profile_is_one_kernel_call(monkeypatch):
-    from tfshell import _kernels
-
     calls = []
-    kernel = _kernels.exp_poly_eval
+    kernel = _kernels.orbital_profile
 
-    def counting(exponents, coefs, r):
-        calls.append(coefs.shape)
-        return kernel(exponents, coefs, r)
+    def counting(exponents, powers, coefs, weights, r):
+        calls.append(r.shape)
+        return kernel(exponents, powers, coefs, weights, r)
 
-    monkeypatch.setattr(_kernels, "exp_poly_eval", counting)
-    field = RadialField(RICH_TERMS)
+    monkeypatch.setattr(_kernels, "orbital_profile", counting)
+    field = orbital_density(RICH_ORBITALS)
     field.profile(np.linspace(0.0, 5.0, 11))
     field.profile(2.5)
-    assert [shape[0] for shape in calls] == [3, 3]
+    assert calls == [(11,), (1,)]
 
 
 def test_total_charge_against_quadrature():
-    field = RadialField(RICH_TERMS)
+    field = orbital_density(RICH_ORBITALS)
     numeric, err = quad(lambda r: 4.0 * math.pi * r * r * field.value(r), 0.0, 80.0, limit=200)
     assert err < 1e-6 * abs(numeric)
     assert field.total_charge() == pytest.approx(numeric, rel=1e-9)
 
 
-term_strategy = st.tuples(
+# an orbital's primitive c r^p e^{-zeta r} squares to exponents 2 zeta in
+# 0.2..8, the range of the density terms of a term-list field
+primitive_strategy = st.tuples(
     st.floats(min_value=-2.0, max_value=2.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3),
-    st.integers(min_value=0, max_value=6),
-    st.floats(min_value=0.2, max_value=8.0, allow_nan=False),
+    st.integers(min_value=0, max_value=3),
+    st.floats(min_value=0.1, max_value=4.0, allow_nan=False),
 )
 
 
 @settings(max_examples=50, deadline=None)
-@given(terms=st.lists(term_strategy, min_size=1, max_size=5),
+@given(orbitals=st.lists(st.lists(primitive_strategy, min_size=1, max_size=3), min_size=1, max_size=3),
        lam=st.floats(min_value=0.3, max_value=3.0, allow_nan=False))
-def test_dilation_identity_and_charge_invariance(terms, lam):
-    field = RadialField(terms)
-    scaled = field.scaled(lam)
+def test_dilation_identity_and_charge_invariance(orbitals, lam):
+    field = orbital_density(orbitals)
+    # lam^3 rho(lam r): exponents times lam, coefficients times lam^{p + 3/2}
+    scaled = orbital_density(
+        [[(c * lam ** (p + 1.5), p, z * lam) for c, p, z in orb] for orb in orbitals]
+    )
     for r in (0.0, 0.17, 1.0, 4.2):
         expected = lam**3 * field.value(lam * r)
         assert scaled.value(r) == pytest.approx(expected, rel=1e-12, abs=1e-250)
-    charge_scale = sum(
-        abs(c) * math.exp(math.lgamma(p + 3.0) - (p + 3.0) * math.log(b)) for c, p, b in terms
-    ) * 4.0 * math.pi
+    charge_scale = 4.0 * math.pi * sum(
+        abs(c_a * c_b) * math.exp(math.lgamma(p_a + p_b + 3.0) - (p_a + p_b + 3.0) * math.log(z_a + z_b))
+        for orb in orbitals
+        for c_a, p_a, z_a in orb
+        for c_b, p_b, z_b in orb
+    )
     assert abs(scaled.total_charge() - field.total_charge()) <= 1e-12 * charge_scale
 
 
 def test_merged_is_equivalent_and_canonical():
-    messy = RadialField([(1.0, 2, 3.0), (0.5, 0, 1.0), (2.0, 2, 3.0), (0.25, 0, 1.0)])
-    merged = messy.merged()
-    assert merged.terms == ((0.75, 0, 1.0), (3.0, 2, 3.0))  # one term per (power, exponent), sorted
+    # atom_density gives a primitive shared by several orbitals one column,
+    # in order of first appearance; the same orbitals with a column per
+    # orbital and primitive give the same density
+    record = BUNDLED["Ne"]
+    merged = atom_density(record)
+    keys = list(dict.fromkeys((p.n - 1, p.zeta) for orb in record.orbitals for p in orb.primitives))
+    assert list(zip(merged.powers.tolist(), merged.exponents.tolist())) == keys
+    prims = [(k, p) for k, orb in enumerate(record.orbitals) for p in orb.primitives]
+    coefs = np.zeros((len(record.orbitals), len(prims)))
+    for column, (k, p) in enumerate(prims):
+        coefs[k, column] = p.coefficient * p.normalization
+    unmerged = STODensity(
+        np.array([p.zeta for _, p in prims]),
+        np.array([p.n - 1 for _, p in prims]),
+        coefs,
+        np.array([orb.occupation / (4.0 * math.pi) for orb in record.orbitals]),
+        merged.total_charge(),
+    )
+    assert merged.coefs.shape[1] < unmerged.coefs.shape[1]
     radii = np.linspace(0.0, 10.0, 21)
-    assert np.allclose(merged.value(radii), messy.value(radii), rtol=1e-13, atol=0.0)
+    assert np.allclose(merged.value(radii), unmerged.value(radii), rtol=1e-13, atol=0.0)
 
 
 def test_merged_keeps_cancelled_pairs_as_zero_terms():
-    # exact cancellation collapses to a single zero coefficient, not a dropped term
-    messy = RadialField([(0.5, 1, 2.0), (-0.5, 1, 2.0)])
-    merged = messy.merged()
-    assert merged.terms == ((0.0, 1, 2.0),)
-    assert merged.value(1.3) == 0.0
+    # a repeated primitive whose coefficients cancel keeps its column, at zero
+    (bare,) = parse_sto_text("ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n")
+    (padded,) = parse_sto_text(
+        "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\nPRM 2 1.0 0.5\nPRM 2 1.0 -0.5\n"
+    )
+    rho, ref = atom_density(padded), atom_density(bare)
+    assert rho.coefs.shape == (1, 2)
+    assert rho.coefs[0, 1] == 0.0
+    r = np.geomspace(1e-4, 30.0, 50)
+    assert np.array_equal(np.array(rho.profile(r)), np.array(ref.profile(r)))
 
 
 def test_addition_is_pointwise():
-    a = RadialField([(1.0, 0, 1.0)])
-    b = RadialField([(0.5, 2, 2.0)])
-    s = a + b
+    # a density of two orbitals is the sum of the two one-orbital densities
+    a = orbital_density([[(1.0, 0, 0.5)]])
+    b = orbital_density([[(0.5, 1, 1.0)]])
+    s = orbital_density([[(1.0, 0, 0.5)], [(0.5, 1, 1.0)]])
     for r in (0.0, 0.9, 3.3):
         assert s.value(r) == pytest.approx(a.value(r) + b.value(r), rel=1e-14)
-    assert a.__add__(3) is NotImplemented
+    assert s.total_charge() == pytest.approx(a.total_charge() + b.total_charge(), rel=1e-14)
+    # no term-list arithmetic on the density itself
+    assert not hasattr(s, "__add__")
 
 
-def scalar_derivative_rows(field: RadialField) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of d/dr and d2/dr2, one element at a time in the formula's order."""
-    exps, coefs = field._groups
-    first = np.zeros_like(coefs)
-    second = np.zeros_like(coefs)
-    n_deg = coefs.shape[1]
-    for g in range(exps.size):
-        b = exps[g]
-        for d in range(n_deg):
-            v = -b * coefs[g, d]
-            if d + 1 < n_deg:
-                v += (d + 1) * coefs[g, d + 1]
-            first[g, d] = v
-            v = b * b * coefs[g, d]
-            if d + 1 < n_deg:
-                v -= 2.0 * b * (d + 1) * coefs[g, d + 1]
-            if d + 2 < n_deg:
-                v += (d + 2) * (d + 1) * coefs[g, d + 2]
-            second[g, d] = v
-    return first, second
+def scalar_profile(field: STODensity, r: float) -> tuple[float, float, float]:
+    """(rho, rho', rho'') at one radius, orbital by orbital in plain floats."""
+    sums = [0.0, 0.0, 0.0]
+    for row, w in zip(field.coefs, field.weights):
+        phi = [0.0, 0.0, 0.0]
+        for c, p, z in zip(row, field.powers, field.exponents):
+            e = c * math.exp(-z * r)
+            q0 = r**p
+            q1 = p * r ** (p - 1) if p >= 1 else 0.0
+            q2 = p * (p - 1) * r ** (p - 2) if p >= 2 else 0.0
+            phi[0] += e * q0
+            phi[1] += e * (q1 - z * q0)
+            phi[2] += e * (q2 - 2.0 * z * q1 + z * z * q0)
+        sums[0] += w * phi[0] * phi[0]
+        sums[1] += w * 2.0 * phi[0] * phi[1]
+        sums[2] += w * 2.0 * (phi[1] * phi[1] + phi[0] * phi[2])
+    return tuple(sums)
 
 
 BUNDLED = load_bundled()
@@ -155,29 +188,22 @@ BUNDLED = load_bundled()
 @pytest.mark.parametrize("name", [*BUNDLED, "zero", "rich"])
 def test_derivative_rows_match_scalar_reference(name):
     if name == "zero":
-        field = RadialField([])
+        field = orbital_density([])
     elif name == "rich":
-        field = RadialField(RICH_TERMS)
+        field = orbital_density(RICH_ORBITALS)
     else:
-        field = pair_field(BUNDLED[name])
-    first, second = scalar_derivative_rows(field)
-    assert field._deriv_coefs.shape == first.shape
-    assert field._deriv_coefs.tobytes() == first.tobytes()
-    assert field._deriv2_coefs.shape == second.shape
-    assert field._deriv2_coefs.tobytes() == second.tobytes()
-
-
-def test_merged_from_equals_merged_field():
-    raw = [(1.0, 2, 3.0), (0.5, 0, 1.0), (2.0, 2.0, 3.0), (0.25, 0, 1)]
-    raw += [(-0.5, 1, 2.0), (0.5, 1, 2.0)]
-    assert RadialField.merged_from(raw).terms == RadialField(raw).merged().terms
-    for bad in ([(1.0, -1, 1.0)], [(1.0, 0, 0.0)], [(math.inf, 0, 1.0)], [(1.0, 0.5, 1.0)]):
-        with pytest.raises(ValueError):
-            RadialField.merged_from(bad)
+        field = atom_density(BUNDLED[name])
+    radii = np.concatenate([[0.0], np.geomspace(1e-4, 45.0, 40)])
+    rows = field.profile(radii)
+    ref = np.array([scalar_profile(field, float(r)) for r in radii]).T
+    assert [row.shape for row in rows] == [radii.shape] * 3
+    np.testing.assert_allclose(rows[0], ref[0], rtol=1e-13, atol=0.0)
+    for got, want in zip(rows[1:], ref[1:]):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_zero_field():
-    zero = RadialField([])
+    zero = orbital_density([])
     assert zero.value(1.0) == 0.0
     assert zero.total_charge() == 0.0
     arr = zero.profile(np.array([0.0, 1.0]))[1]
@@ -185,21 +211,20 @@ def test_zero_field():
 
 
 def test_term_validation():
-    with pytest.raises(ValueError):
-        RadialField([(1.0, -1, 1.0)])  # negative power
-    with pytest.raises(ValueError):
-        RadialField([(1.0, 0.5, 1.0)])  # fractional power
-    with pytest.raises(ValueError):
-        RadialField([(1.0, 0, 0.0)])  # exponent must be positive
-    with pytest.raises(ValueError):
-        RadialField([(math.inf, 0, 1.0)])
-    with pytest.raises(ValueError):
-        RadialField([(1.0, 0, 1.0)]).value(-0.1)
-    with pytest.raises(ValueError):
-        RadialField([(1.0, 0, 1.0)]).scaled(0.0)
+    # a bad primitive of a hand-written orbital meets the constructor's checks
+    # (test_atomic_data has one test per check)
+    with pytest.raises(ValueError, match="powers"):
+        orbital_density([[(1.0, -1, 1.0)]])  # negative power
+    with pytest.raises(ValueError, match="powers"):
+        orbital_density([[(1.0, 0.5, 1.0)]])  # fractional power
+    with pytest.raises(ValueError, match="coefficients"):
+        orbital_density([[(math.inf, 0, 1.0)]])
+    with pytest.raises(ValueError, match="non-negative"):
+        orbital_density([[(1.0, 0, 1.0)]]).value(-0.1)
 
 
 def test_integer_like_inputs_are_normalized():
-    field = RadialField([(1, 2, 3)])
-    assert field.terms == ((1.0, 2, 3.0),)
-    assert isinstance(field.terms[0][1], int)
+    field = STODensity([3], [2.0], [[1]], [1], 1.0)
+    assert field.powers.dtype.kind == "i" and field.powers.tolist() == [2]
+    for arr in (field.exponents, field.coefs, field.weights):
+        assert arr.dtype == np.float64

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from orbitals import orbital_density
 from tfshell import kedf
-from tfshell.atomic_data import atom_density
-from tfshell.fields import RadialField
+from tfshell.atomic_data import STODensity, atom_density
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration, model_density
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
@@ -74,7 +74,8 @@ def test_constants() -> None:
 @pytest.mark.parametrize("c,beta,span", [(16.0 / math.pi, 4.0, 45.0), (0.37, 0.8, 150.0), (5.1, 2.6, 45.0)])
 def test_single_exponential_closed_forms(c: float, beta: float, span: float) -> None:
     grid = make_grid("expmap", 2000, (0.0, span))
-    field = RadialField([(c, 0, beta)])
+    # c e^{-beta r} as the square of one orbital
+    field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     assert tf_energy(field, grid) == pytest.approx(tf_closed(c, beta), rel=1e-10)
     t_w, t2 = weizsacker_energy(field, grid)
     assert t_w == pytest.approx(tw_closed(c, beta), rel=1e-10)
@@ -123,7 +124,7 @@ def test_t4_regular_form_matches_standard_form_single_exponential() -> None:
 
     reference = _standard_form_t4(rho_of, (1e-9, 60.0))
     grid = make_grid("expmap", 2000, (0.0, 60.0))
-    field = RadialField([(c, 0, beta)])
+    field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     assert fourth_order_energy(field, grid) == pytest.approx(reference, rel=2e-9)
 
 
@@ -139,10 +140,15 @@ def test_t4_regular_form_matches_standard_form_two_shells() -> None:
 
 @pytest.mark.parametrize("lam", [0.5, 1.3, 2.7])
 def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
-    field = RadialField([(2.0, 0, 1.5), (0.7, 2, 0.9)])
+    # 2 e^{-1.5 r} + 0.7 r^2 e^{-0.9 r} as two orbitals; lam^3 rho(lam r)
+    # scales each exponent by lam and each coefficient by lam^{p + 3/2}
+    orbitals = [[(math.sqrt(2.0), 0, 0.75)], [(math.sqrt(0.7), 1, 0.45)]]
+    field = orbital_density(orbitals)
+    scaled = orbital_density(
+        [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
+    )
     base = make_grid("expmap", 2000, (0.0, 60.0))
     scaled_grid = make_grid("expmap", 2000, (0.0, 60.0 / lam))
-    scaled = field.scaled(lam)
     assert tf_energy(scaled, scaled_grid) == pytest.approx(
         lam**2 * tf_energy(field, base), rel=1e-8
     )
@@ -251,11 +257,11 @@ def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
 # --- failure modes ----------------------------------------------------------
 
 
-class CountingField(RadialField):
+class CountingField(STODensity):
     """Counts value() calls to observe the refinement pass."""
 
-    def __init__(self, terms) -> None:
-        super().__init__(terms)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.value_calls = 0
 
     def value(self, r):
@@ -264,7 +270,7 @@ class CountingField(RadialField):
 
 
 def test_verify_flag_controls_refinement(grid: RadialGrid) -> None:
-    field = CountingField([(1.0, 0, 2.0)])
+    field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
     tf_energy(field, grid, verify=False)
     assert field.value_calls == 1
     field.value_calls = 0
@@ -272,8 +278,22 @@ def test_verify_flag_controls_refinement(grid: RadialGrid) -> None:
     assert field.value_calls == 2
 
 
+class NegativeDensity:
+    """-e^{-r} with its derivatives: the density protocol and nothing else."""
+
+    def profile(self, r):
+        e = np.exp(-np.asarray(r, dtype=float))
+        return -e, e, -e
+
+    def value(self, r):
+        return self.profile(r)[0]
+
+    def total_charge(self) -> float:
+        return -8.0 * math.pi
+
+
 def test_negative_density_rejected(grid: RadialGrid) -> None:
-    field = RadialField([(-1.0, 0, 1.0)])
+    field = NegativeDensity()
     with pytest.raises(ValueError, match="negative"):
         tf_energy(field, grid)
     with pytest.raises(ValueError, match="negative"):
@@ -287,7 +307,7 @@ def test_negative_density_rejected(grid: RadialGrid) -> None:
 def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
     # all mass sits within a few orders of the vacuum cutoff, so the masked
     # region carries a non-negligible share of the charge
-    field = RadialField([(1e-270, 0, 1.0)])
+    field = orbital_density([[(1e-135, 0, 0.5)]])
     with pytest.raises(ConvergenceError, match="cutoff"):
         weizsacker_energy(field, grid)
     with pytest.raises(ConvergenceError, match="cutoff"):
@@ -296,11 +316,11 @@ def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
         energies(field, grid)
 
 
-class PoisonedField(RadialField):
+class PoisonedField(STODensity):
     """Returns NaN at node ``index`` of every call in profile component ``component``."""
 
-    def __init__(self, terms, component: int, index: int = 100) -> None:
-        super().__init__(terms)
+    def __init__(self, *args, component: int, index: int = 100) -> None:
+        super().__init__(*args)
         self.component = component
         self.index = index
 
@@ -315,7 +335,7 @@ class PoisonedField(RadialField):
 
 @pytest.mark.parametrize("verify", [True, False])
 def test_nan_density_rejected(grid: RadialGrid, verify: bool) -> None:
-    field = PoisonedField([(1.0, 0, 2.0)], component=0)
+    field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=0)
     for functional in (tf_energy, weizsacker_energy, fourth_order_energy, energies):
         with pytest.raises(ValueError, match="NaN"):
             functional(field, grid, verify=verify)
@@ -324,7 +344,7 @@ def test_nan_density_rejected(grid: RadialGrid, verify: bool) -> None:
 @pytest.mark.parametrize("verify", [True, False])
 def test_non_finite_functional_value_names_functional(grid: RadialGrid, verify: bool) -> None:
     # a finite density whose rho'' is NaN at one node: only T_4 reads it
-    field = PoisonedField([(1.0, 0, 2.0)], component=2)
+    field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=2)
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
         fourth_order_energy(field, grid, verify=verify)
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
@@ -381,7 +401,7 @@ class ProtocolOnly:
 
     __slots__ = ("_field",)
 
-    def __init__(self, field: RadialField) -> None:
+    def __init__(self, field: STODensity) -> None:
         self._field = field
 
     def profile(self, r):
@@ -405,18 +425,17 @@ def test_functionals_need_only_the_density_protocol(bundled) -> None:
     # the filled-shell density answers the same protocol and nothing of the
     # term-list format, whose expansion cancels catastrophically for it
     closed = model_density(ShellConfiguration.closed_shell(20))
-    assert not isinstance(closed, RadialField)
     for name in ("profile", "value", "total_charge", "suggested_r_max"):
         assert callable(getattr(closed, name))
     for name in ("terms", "tail_charge", "scaled", "merged", "derivative"):
         assert not hasattr(closed, name)
 
 
-class ProfileCountingField(RadialField):
+class ProfileCountingField(STODensity):
     """Records the size of every profile() call."""
 
-    def __init__(self, terms) -> None:
-        super().__init__(terms)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.profile_sizes: list[int] = []
 
     def profile(self, r):
@@ -426,20 +445,20 @@ class ProfileCountingField(RadialField):
 
 @pytest.mark.parametrize("verify", [True, False])
 def test_energies_evaluates_profile_once(grid: RadialGrid, verify: bool) -> None:
-    field = ProfileCountingField([(1.0, 0, 2.0), (0.3, 1, 0.7)])
+    field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], ProfileCountingField)
     energies(field, grid, verify=verify)
     expected = grid.nodes.size + (grid.refined(2).nodes.size if verify else 0)
     assert field.profile_sizes == [expected]
 
 
-class DriftingField(RadialField):
+class DriftingField(STODensity):
     """Scales one profile component on nodes outside ``coarse_nodes``.
 
     Only the functionals that read that component move under refinement.
     """
 
-    def __init__(self, terms, component: int, coarse_nodes: np.ndarray) -> None:
-        super().__init__(terms)
+    def __init__(self, *args, component: int, coarse_nodes: np.ndarray) -> None:
+        super().__init__(*args)
         self.component = component
         self.coarse_nodes = coarse_nodes
 
@@ -454,7 +473,9 @@ class DriftingField(RadialField):
 def test_energies_refinement_failure_names_functional(
     grid: RadialGrid, component: int, name: str
 ) -> None:
-    field = DriftingField([(1.0, 0, 2.0)], component, grid.nodes)
+    field = orbital_density(
+        [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=grid.nodes
+    )
     with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
         energies(field, grid)
     # the unverified pass never sees the refined grid

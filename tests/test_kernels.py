@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from pair_reference import pair_field
+from orbitals import orbital_density
+from pair_reference import pair_field, term_profile
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
-from tfshell.fields import RadialField
 from tfshell.kedf import make_grid
 from tfshell.special import LaguerreSpec, laguerre
 
@@ -165,25 +165,31 @@ def _exp_poly_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def test_exp_poly_backends_agree() -> None:
+    # the term-by-term evaluation of the pair-expansion reference against
+    # the pointwise Horner sum
     exponents, coefs, r = _exp_poly_inputs()
     reference = _exp_poly_reference(exponents, coefs, r)
-    vector = _kernels.exp_poly_eval(exponents, coefs, r)
+    terms = [(c, d, b) for b, row in zip(exponents, coefs) for d, c in enumerate(row)]
+    vector = term_profile(terms, r)[0]
     scale = np.max(np.abs(vector))
     np.testing.assert_allclose(reference, vector, rtol=1e-12, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe", None])
 def test_exp_poly_stacked_rows_match_single_rows(bundled, atom) -> None:
-    field = RadialField([]) if atom is None else pair_field(bundled[atom])
-    # the (value, first, second derivative) rows that RadialField.profile stacks
-    exponents, stacked = field._groups[0], field._profile_coefs
+    # the K orbital rows of one orbital_profile call against K one-orbital calls
+    density = orbital_density([]) if atom is None else atom_density(bundled[atom])
+    inputs = _orbital_inputs(density)
+    exponents, powers, coefs, weights = inputs
     r = make_grid("expmap", 2000, (0.0, 45.0)).nodes
-    rows = _kernels.exp_poly_eval(exponents, stacked, r)
+    rows = np.array(_kernels.orbital_profile(*inputs, r))
     assert rows.shape == (3, r.size)
-    for row, coefs in zip(rows, stacked):
-        single = _kernels.exp_poly_eval(exponents, coefs, r)
-        assert single.shape == r.shape
-        assert np.array_equal(row, single)
+    singles = np.zeros_like(rows)
+    for k in range(coefs.shape[0]):
+        singles += _kernels.orbital_profile(exponents, powers, coefs[k:k + 1], weights[k:k + 1], r)
+    np.testing.assert_allclose(rows[0], singles[0], rtol=1e-13, atol=0.0)
+    for got, ref in zip(rows[1:], singles[1:]):
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
     if atom is None:
         assert not rows.any()
 
@@ -211,57 +217,17 @@ def _exp_poly_oracle(terms, r: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe"])
 def test_exp_poly_matches_mpmath_oracle(bundled, atom) -> None:
-    field = pair_field(bundled[atom])
+    # the pair-expansion reference that test_orbital_profile_matches_pair_expansion reads
+    terms = pair_field(bundled[atom])
     # the cusp, the shell region and the tail out to the table1 cutoff
     r = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 45.0])
-    rho, drho, d2rho = _kernels.exp_poly_eval(field._groups[0], field._profile_coefs, r)
-    ref_rho, ref_drho, ref_d2rho = _exp_poly_oracle(field.terms, r)
+    rho, drho, d2rho = term_profile(terms, r)
+    ref_rho, ref_drho, ref_d2rho = _exp_poly_oracle(terms, r)
     live = ref_rho > 1e-250
     assert live.all()
     np.testing.assert_allclose(rho[live], ref_rho[live], rtol=1e-13, atol=0.0)
     for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
-
-
-@pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
-def test_exp_poly_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
-    field = pair_field(bundled[atom])
-    exponents, stacked = field._groups[0], field._profile_coefs
-    # the nodes of a table1 row: its grid and the refinement
-    grid = make_grid("expmap", 2000, (0.0, 45.0))
-    r = np.concatenate([grid.nodes, grid.refined(2).nodes])
-    whole = _kernels.exp_poly_eval(exponents, stacked, r)
-    # uneven pieces, single nodes among them, concatenated
-    cuts = [0, 1, 2, 7, 300, 1001, 4999, r.size]
-    pieces = [_kernels.exp_poly_eval(exponents, stacked, r[a:b]) for a, b in zip(cuts, cuts[1:])]
-    assert np.array_equal(np.concatenate(pieces, axis=1), whole)
-    # a 2-D r gives the 1-D result reshaped, for one row and for three
-    square = r.reshape(60, 100)
-    stack = _kernels.exp_poly_eval(exponents, stacked, square)
-    assert np.array_equal(stack, whole.reshape(3, 60, 100))
-    single = _kernels.exp_poly_eval(exponents, stacked[0], square)
-    assert np.array_equal(single, whole[0].reshape(60, 100))
-    # other block sizes move every block boundary
-    for budget in (2**10, 2**14):
-        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", budget)
-        assert np.array_equal(_kernels.exp_poly_eval(exponents, stacked, r), whole)
-
-
-def test_exp_poly_working_set_is_one_block(bundled) -> None:
-    field = pair_field(bundled["Xe"])
-    exponents, stacked = field._groups[0], field._profile_coefs
-    r = np.linspace(0.0, 45.0, 60_000)
-    tracemalloc.start()
-    try:
-        out = _kernels.exp_poly_eval(exponents, stacked, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (3, r.size)
-    # one block of exponentials plus the (D, M) products and the transposed
-    # coefficients, about 1.25 blocks here; filling the block by a broadcast
-    # multiply, whose numpy iterator allocates its own buffers, takes it to 1.7
-    assert peak - out.nbytes < 1.5 * 8 * _kernels._BLOCK_ELEMENTS
 
 
 def _orbital_oracle(record, r: np.ndarray) -> np.ndarray:
@@ -303,7 +269,7 @@ def _orbital_inputs(density) -> tuple:
 @pytest.mark.parametrize("atom", ["Ne", "Xe"])
 def test_orbital_profile_matches_mpmath_oracle(bundled, atom) -> None:
     density = atom_density(bundled[atom])
-    # the radii of the exp_poly_eval oracle test
+    # the radii of the pair-expansion oracle test
     r = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 45.0])
     rho, drho, d2rho = _kernels.orbital_profile(*_orbital_inputs(density), r)
     ref_rho, ref_drho, ref_d2rho = _orbital_oracle(bundled[atom], r)
@@ -352,7 +318,7 @@ def test_orbital_profile_matches_pair_expansion(bundled) -> None:
     r = np.concatenate([grid.nodes, grid.refined(2).nodes])
     for symbol, record in bundled.items():
         rho, drho, d2rho = atom_density(record).profile(r)
-        ref_rho, ref_drho, ref_d2rho = pair_field(record).profile(r)
+        ref_rho, ref_drho, ref_d2rho = term_profile(pair_field(record), r)
         np.testing.assert_allclose(rho, ref_rho, rtol=1e-13, atol=0.0, err_msg=symbol)
         for got, ref in ((drho, ref_drho), (d2rho, ref_d2rho)):
             np.testing.assert_allclose(
@@ -434,7 +400,7 @@ def test_kernel_benchmark_script_runs() -> None:
     # in step with them
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    args = ["--sizes", "64", "--points", "3008", "--shells", "2", "--repeats", "1"]
+    args = ["--points", "3008", "--shells", "2", "--repeats", "1"]
     proc = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), *args],
         capture_output=True,
@@ -442,6 +408,5 @@ def test_kernel_benchmark_script_runs() -> None:
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "exp_poly_eval[64 pts]" in proc.stdout
     assert "orbital_profile[Xe, 4000 pts]" in proc.stdout
     assert "shell_profile[n_max=2, 3008 pts]" in proc.stdout
