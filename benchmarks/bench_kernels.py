@@ -72,7 +72,7 @@ def atom_inputs(symbol: str, n_points: int) -> tuple:
 def table1_inputs() -> tuple:
     """(per-atom kernel arguments, nodes) of the kernel calls of a table1 pass."""
     grid = make_grid(n_points=2000, r_span=(0.0, DEFAULT_R_MAX))
-    nodes = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    nodes = np.concatenate([grid.nodes, grid.refined().nodes])
     return [orbital_inputs(atom_density(data)) for data in load_bundled().values()], nodes
 
 

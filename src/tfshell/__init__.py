@@ -68,15 +68,11 @@ from .kedf import (
     tf_energy,
     weizsacker_energy,
 )
-from .special import LaguerreSpec, laguerre, log_factorial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "LaguerreSpec",
-    "laguerre",
-    "log_factorial",
     "MAGIC_NUMBERS",
     "ShellConfiguration",
     "HydrogenicDensity",

@@ -214,14 +214,15 @@ def richardson_extrapolate(
 def tf_limit_density(r_hat):
     """Scaled semiclassical density: (2*sqrt(2)/3 pi^2)(1/r_hat - 18^{-1/3})^{3/2}.
 
-    Valid for r_hat > 0; identically zero at and beyond the turning point
-    18^{1/3}.  The r_hat -> 0 divergence is integrable under the 4 pi
+    Valid for finite r_hat > 0; identically zero at and beyond the turning
+    point 18^{1/3}.  The r_hat -> 0 divergence is integrable under the 4 pi
     r_hat^2 weight (the total scaled charge is exactly 1), but the point
-    r_hat = 0 itself is rejected.
+    r_hat = 0 itself is rejected, and so are NaN and inf.
     """
     arr = np.asarray(r_hat, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("tf_limit_density requires r_hat > 0")
+    # a NaN makes min and max NaN, which fails both comparisons
+    if not (arr.min(initial=1.0) > 0.0 and arr.max(initial=1.0) < math.inf):
+        raise ValueError("tf_limit_density requires finite r_hat > 0")
     const = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
     inside = arr < TURNING_POINT
     out = np.zeros_like(arr)
@@ -294,11 +295,11 @@ class SequencePoint:
 
 
 @lru_cache(maxsize=None)
-def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
+def _ladder_point(n_max: int, grid_points: int) -> SequencePoint:
     cfg = ShellConfiguration.closed_shell(n_max)
     rho = model_density(cfg)
     grid = make_grid(n_points=grid_points, r_span=(0.0, rho.suggested_r_max()))
-    t0, t_w, t4 = energies(rho, grid, verify=verify)
+    t0, t_w, t4 = energies(rho, grid)
     return SequencePoint(
         n_max=cfg.n_max,
         z=cfg.nuclear_charge,
@@ -310,15 +311,15 @@ def _ladder_point(n_max: int, grid_points: int, verify: bool) -> SequencePoint:
 
 
 def model_energy_sequence(
-    shell_counts: Iterable[int], grid_points: int = 3008, verify: bool = True
+    shell_counts: Iterable[int], grid_points: int = 3008
 ) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
     Points are computed in input order and cached per (shell count, grid
-    size, verify), so overlapping ladders cost nothing extra; a failing
-    point raises for the first failing shell count.
+    size), so overlapping ladders cost nothing extra; a failing point
+    raises for the first failing shell count.
     """
-    return [_ladder_point(int(n_max), grid_points, verify) for n_max in shell_counts]
+    return [_ladder_point(int(n_max), grid_points) for n_max in shell_counts]
 
 
 def figure_density_rows(
@@ -342,9 +343,7 @@ def figure_density_rows(
     return rows
 
 
-def figure_error_rows(
-    shell_counts: Iterable[int], grid_points: int = 3008, verify: bool = True
-) -> list[dict]:
+def figure_error_rows(shell_counts: Iterable[int], grid_points: int = 3008) -> list[dict]:
     """Rows (n_max, Z, rel_err_T0, rel_err_T2, rel_err_T4) for error plots.
 
     Errors follow the underestimate-positive convention
@@ -357,7 +356,7 @@ def figure_error_rows(
     from three shells and the T4 column only from eight.
     """
     rows = []
-    for pt in model_energy_sequence(shell_counts, grid_points=grid_points, verify=verify):
+    for pt in model_energy_sequence(shell_counts, grid_points=grid_points):
         rows.append(
             {
                 "n_max": pt.n_max,

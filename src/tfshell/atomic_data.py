@@ -407,8 +407,9 @@ class STODensity:
     def profile(self, r):
         """(rho, rho', rho'') in one kernel call: arrays, or floats for a scalar r."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(arr < 0):
-            raise ValueError("radius must be non-negative")
+        # a NaN makes min and max NaN, which fails both comparisons
+        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+            raise ValueError("radius must be finite and non-negative")
         rows = _kernels.orbital_profile(self.exponents, self.powers, self.coefs, self.weights, arr)
         if np.asarray(r).ndim == 0:
             return tuple(float(row[0]) for row in rows)

@@ -65,7 +65,7 @@ from .kedf import (
     make_grid,
 )
 
-__all__ = ["RunConfig", "main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
+__all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -79,22 +79,6 @@ INTERPOLATION_COMFORT_Z = 60
 _LADDER_SHELLS = tuple(range(20, 26))
 _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
 _FIG2A_SHELLS = tuple(range(2, MAX_SHELLS + 1, 2))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: command, atom selection, overrides, formats."""
-
-    command: str
-    atoms: tuple[str, ...] | None = None
-    data_paths: tuple[str, ...] = ()
-    grid_points: int = DEFAULT_GRID_POINTS
-    r_max: float = DEFAULT_R_MAX
-    interpolation: str = "refit"
-    output_format: str = "table"
-    out_dir: str = "."
-    z: int | None = None
-    n_max: int | None = None
 
 
 def _warn(message: str) -> None:
@@ -128,10 +112,10 @@ class AtomRow:
         return tuple(100.0 * err for err in (e.err_tf, e.err_second, e.err_fourth, e.err_corrected))
 
 
-def _load_records(config: RunConfig) -> dict[str, STOAtomRecord]:
-    if config.data_paths:
+def _load_records(data_paths: Sequence[str] | None) -> dict[str, STOAtomRecord]:
+    if data_paths:
         records: dict[str, STOAtomRecord] = {}
-        for path in config.data_paths:
+        for path in data_paths:
             for rec in parse_sto_file(path):
                 records[rec.element] = rec
         return dict(sorted(records.items(), key=lambda kv: kv[1].atomic_number))
@@ -139,15 +123,15 @@ def _load_records(config: RunConfig) -> dict[str, STOAtomRecord]:
 
 
 def _select_records(
-    config: RunConfig, records: dict[str, STOAtomRecord]
+    atoms: Sequence[str] | None, records: dict[str, STOAtomRecord]
 ) -> tuple[list[STOAtomRecord], list[str]]:
-    if config.atoms is None:
+    if atoms is None:
         return list(records.values()), []
     by_fold = {sym.lower(): rec for sym, rec in records.items()}
     by_z = {rec.atomic_number: rec for rec in records.values()}
     chosen: list[STOAtomRecord] = []
     missing: list[str] = []
-    for token in config.atoms:
+    for token in atoms:
         rec = None
         if token.lstrip("+-").isdigit():
             rec = by_z.get(int(token))
@@ -169,13 +153,19 @@ def _shell_correction(z: int, mode: str) -> float:
     return delta_t(z, mode)
 
 
-def cmd_table1(config: RunConfig) -> int:
-    records = _load_records(config)
-    chosen, missing = _select_records(config, records)
+def cmd_table1(args: argparse.Namespace) -> int:
+    atoms = None
+    if args.atoms is not None:
+        atoms = [t.strip() for chunk in args.atoms for t in chunk.split(",") if t.strip()]
+        if not atoms:
+            print("error: --atoms names no atom", file=sys.stderr)
+            return EXIT_DATA
+    records = _load_records(args.data)
+    chosen, missing = _select_records(atoms, records)
     for token in missing:
         print(f"error: no data for atom {token!r}", file=sys.stderr)
 
-    grid = make_grid(n_points=config.grid_points, r_span=(0.0, config.r_max))
+    grid = make_grid(n_points=args.grid_points, r_span=(0.0, args.r_max))
     rows: list[AtomRow] = []
     numeric_failures = 0
     for rec in chosen:
@@ -183,7 +173,7 @@ def cmd_table1(config: RunConfig) -> int:
             field = atom_density(rec)
             t_tf, t_w, t4 = energies(field, grid)
             t2 = t_w / 9.0
-            delta = _shell_correction(rec.atomic_number, config.interpolation)
+            delta = _shell_correction(rec.atomic_number, args.interp)
         except (ConvergenceError, ExtrapolationError) as exc:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
@@ -199,7 +189,7 @@ def cmd_table1(config: RunConfig) -> int:
         return EXIT_NUMERIC if numeric_failures and not missing else EXIT_DATA
 
     out = sys.stdout
-    if config.output_format == "table":
+    if args.format == "table":
         print("relative error vs Hartree-Fock reference kinetic energy, %", file=out)
         print(f"{'Z':>3} {'atom':<4} {'T_TF':>8} {'+T2':>8} {'+T2+T4':>8} {'corrected':>10}", file=out)
         for row in rows:
@@ -210,7 +200,7 @@ def cmd_table1(config: RunConfig) -> int:
                 f"{format_percent(errs[2]):>8} {format_percent(errs[3]):>10}",
                 file=out,
             )
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["Z", "atom", "err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct"])
         for row in rows:
@@ -247,15 +237,15 @@ def cmd_table1(config: RunConfig) -> int:
 # -- model -----------------------------------------------------------------
 
 
-def cmd_model(config: RunConfig) -> int:
-    if config.n_max is not None:
-        n_max = config.n_max
+def cmd_model(args: argparse.Namespace) -> int:
+    if args.n_max is not None:
+        n_max = args.n_max
         if not 1 <= n_max <= MAX_SHELLS:
             print(f"error: n-max must lie in 1..{MAX_SHELLS}", file=sys.stderr)
             return EXIT_DATA
         z = electron_count(n_max)
     else:
-        z = config.z
+        z = args.z
         if z is None or z < 1:
             print("error: provide --z or --n-max", file=sys.stderr)
             return EXIT_DATA
@@ -280,7 +270,7 @@ def cmd_model(config: RunConfig) -> int:
             delta_kind = f"interpolated, not exact (Z between filled-shell counts {lower[-1]} and {above})"
         else:
             delta_kind = f"interpolated, not exact (Z below the first filled-shell count {above})"
-    delta = _shell_correction(z, config.interpolation)
+    delta = _shell_correction(z, args.interp)
     t_tf = t_exact - delta
 
     series = model_expansion(5)
@@ -297,11 +287,11 @@ def cmd_model(config: RunConfig) -> int:
         "delta_kind": delta_kind,
         "series_value": series_value,
         "series_relative_gap": series_gap,
-        "interpolation_mode": config.interpolation,
+        "interpolation_mode": args.interp,
     }
-    if config.output_format == "jsonl":
+    if args.format == "jsonl":
         print(json.dumps(payload))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(list(payload))
         writer.writerow([payload[k] if not isinstance(payload[k], float) else _format_value(payload[k]) for k in payload])
@@ -326,8 +316,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
             writer.writerow([x if isinstance(x, (int, str)) else _format_value(x) for x in row])
 
 
-def cmd_figures(config: RunConfig) -> int:
-    out_dir = Path(config.out_dir)
+def cmd_figures(args: argparse.Namespace) -> int:
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     density_rows = figure_density_rows()
@@ -340,7 +330,7 @@ def cmd_figures(config: RunConfig) -> int:
     print(f"wrote {fig1}")
 
     for name, shells in (("fig1a.csv", _FIG1A_SHELLS), ("fig2a.csv", _FIG2A_SHELLS)):
-        rows = figure_error_rows(shells, grid_points=config.grid_points)
+        rows = figure_error_rows(shells, grid_points=args.grid_points)
         path = out_dir / name
         _write_csv(
             path,
@@ -406,8 +396,8 @@ def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float
     }
 
 
-def cmd_asymptotics(config: RunConfig) -> int:
-    fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS, grid_points=config.grid_points))
+def cmd_asymptotics(args: argparse.Namespace) -> int:
+    fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS, grid_points=args.grid_points))
     rows = [
         _FitRow(
             series, target.quantity, power, fitted[series, power], target.value, target.tolerance
@@ -416,7 +406,7 @@ def cmd_asymptotics(config: RunConfig) -> int:
     ]
     checks = _self_tests()
 
-    if config.output_format == "jsonl":
+    if args.format == "jsonl":
         for row in rows:
             print(
                 json.dumps(
@@ -434,7 +424,7 @@ def cmd_asymptotics(config: RunConfig) -> int:
             )
         for name, ok, detail in checks:
             print(json.dumps({"self_test": name, "passed": ok, "detail": detail}))
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["series", "quantity", "power", "fitted", "target", "deviation", "tolerance", "within_tolerance"])
         for row in rows:
@@ -505,26 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    atoms: tuple[str, ...] | None = None
-    if getattr(args, "atoms", None):
-        tokens = [t.strip() for chunk in args.atoms for t in chunk.split(",") if t.strip()]
-        atoms = tuple(tokens)
-    return RunConfig(
-        command=args.command,
-        atoms=atoms,
-        data_paths=tuple(getattr(args, "data", None) or ()),
-        grid_points=getattr(args, "grid_points", DEFAULT_GRID_POINTS),
-        r_max=getattr(args, "r_max", DEFAULT_R_MAX),
-        interpolation=getattr(args, "interp", "refit"),
-        output_format=getattr(args, "format", "table"),
-        out_dir=getattr(args, "out", "."),
-        z=getattr(args, "z", None),
-        n_max=getattr(args, "n_max", None),
-    )
-
-
-COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "table1": cmd_table1,
     "model": cmd_model,
     "figures": cmd_figures,
@@ -534,9 +505,8 @@ COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return COMMANDS[config.command](config)
+        return COMMANDS[args.command](args)
     except (STODataError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

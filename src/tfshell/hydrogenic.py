@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .special import LaguerreSpec, laguerre, log_factorial
 
 __all__ = [
     "MAX_SHELLS",
@@ -125,7 +124,9 @@ def radial_wavefunction(z: float, n: int, l: int, r):
     R_{n,l}(r) = sqrt((2Z/n)^3 (n-l-1)! / (2n (n+l)!))
                  * exp(-Zr/n) (2Zr/n)^l L_{n-l-1}^{2l+1}(2Zr/n)
 
-    Accepts scalar or array r >= 0.
+    Accepts scalar or array r, finite and >= 0.  The Laguerre factor runs
+    the kernels' forward recurrence in the degree, which is stable where
+    the weight exp(-Zr/n) is not negligible.
     """
     if not z > 0:
         raise ValueError(f"charge must be positive, got {z!r}")
@@ -136,11 +137,13 @@ def radial_wavefunction(z: float, n: int, l: int, r):
     if not isinstance(l, (int, np.integer)) or l < 0 or l >= n:
         raise ValueError(f"angular quantum number must satisfy 0 <= l <= n-1, got l={l!r}")
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("radius must be non-negative")
+    # a NaN makes min and max NaN, which fails both comparisons
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+        raise ValueError("radius must be finite and non-negative")
     g = 2.0 * z / n
+    # ln((n-l-1)!) and ln((n+l)!) as log-Gamma values
     log_norm = 0.5 * (
-        3.0 * math.log(g) + log_factorial(n - l - 1) - math.log(2.0 * n) - log_factorial(n + l)
+        3.0 * math.log(g) + math.lgamma(n - l) - math.log(2.0 * n) - math.lgamma(n + l + 1.0)
     )
     x = g * arr
     with np.errstate(under="ignore"):
@@ -148,7 +151,7 @@ def radial_wavefunction(z: float, n: int, l: int, r):
             math.exp(log_norm)
             * np.exp(-0.5 * x)
             * x ** int(l)
-            * laguerre(LaguerreSpec(n - l - 1, 2 * l + 1), x)
+            * _kernels._laguerre_array(n - l - 1, 2.0 * l + 1.0, x)
         )
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
@@ -170,8 +173,9 @@ class HydrogenicDensity:
     def profile(self, r):
         """(rho, rho', rho'') from one kernel call: arrays, or floats for a scalar r."""
         arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(arr < 0):
-            raise ValueError("radius must be non-negative")
+        # a NaN makes min and max NaN, which fails both comparisons
+        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
+            raise ValueError("radius must be finite and non-negative")
         cfg = self.configuration
         z, n_max = float(cfg.nuclear_charge), int(cfg.n_max)
         # past Z r / n_max = _UNDERFLOW_X every shell's e^{-Z r / n} is 0,

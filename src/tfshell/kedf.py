@@ -39,14 +39,14 @@ Every constructed grid must pass the scheme self-test (the Gamma integral
 of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
 rather than returned.  The 16-point Gauss-Legendre rule is held as float
 literals, and the self-test value of a short-span surrogate grid is
-computed once per (n_points, alpha); the comparison against the 1e-10 gate
-runs on every construction.  Each functional is checked against a
-doubled grid (built once per grid and cached) and signals non-convergence
-when the two results disagree beyond 1e-8 relative; ``energies`` applies
-that gate to each of its three values separately, and the
-ConvergenceError names the functional that failed.  A value that is not
-finite fails the same gate, with or without the refinement check, and a
-density that is negative or NaN on a grid raises ValueError.
+computed once per n_points; the comparison against the 1e-10 gate
+runs on every construction.  Every functional value is checked against
+a doubled grid (built once per grid and cached) and signals
+non-convergence when the two results disagree beyond 1e-8 relative;
+``energies`` applies that gate to each of its three values separately, and
+the ConvergenceError names the functional that failed.  A value that is
+not finite fails the same gate, and a density that is negative or NaN on a
+grid raises ValueError.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ FOURTH_ORDER_CONSTANT = (3.0 * math.pi**2) ** (-2.0 / 3.0) / 540.0
 
 DEFAULT_GRID_POINTS = 2000
 DEFAULT_R_MAX = 45.0
-DEFAULT_ALPHA = 12.0
+# sharpness a of the exponential map
+_ALPHA = 12.0
 
 # densities below this are treated as vacuum in the ratio-valued integrands
 RHO_CUTOFF = 1e-280
@@ -118,30 +119,25 @@ class RadialGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    scheme: str
     n_points: int
     r_min: float
     r_max: float
-    alpha: float
-    _refined: dict[int, "RadialGrid"] = field(default_factory=dict, init=False, repr=False)
+    _refined: "RadialGrid | None" = field(default=None, init=False, repr=False)
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum approximating the integral of the sampled function."""
         return float(np.dot(self.weights, values))
 
-    def refined(self, factor: int = 2) -> "RadialGrid":
-        """Same scheme and span at ``factor`` times the resolution.
+    def refined(self) -> "RadialGrid":
+        """The same span at twice the resolution.
 
-        Built and self-tested once per grid and factor; later calls return
-        the same grid object.
+        Built and self-tested once per grid; later calls return the same
+        grid object.
         """
-        grid = self._refined.get(factor)
-        if grid is None:
-            grid = make_grid(
-                self.scheme, self.n_points * factor, (self.r_min, self.r_max), alpha=self.alpha
-            )
-            self._refined[factor] = grid
-        return grid
+        if self._refined is None:
+            grid = make_grid(2 * self.n_points, (self.r_min, self.r_max))
+            object.__setattr__(self, "_refined", grid)
+        return self._refined
 
 
 # The 16-point Gauss-Legendre rule on [-1, 1] as round-trip float literals,
@@ -191,7 +187,7 @@ _GL_NODES.setflags(write=False)
 _GL_WEIGHTS.setflags(write=False)
 
 
-def _build_expmap(n_points: int, r_min: float, r_max: float, alpha: float):
+def _build_expmap(n_points: int, r_min: float, r_max: float):
     n_panels = -(-n_points // _PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -199,10 +195,10 @@ def _build_expmap(n_points: int, r_min: float, r_max: float, alpha: float):
     t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     span = r_max - r_min
-    denom = math.expm1(alpha)
-    e_at = np.exp(alpha * t)
+    denom = math.expm1(_ALPHA)
+    e_at = np.exp(_ALPHA * t)
     nodes = r_min + span * (e_at - 1.0) / denom
-    jac = span * alpha * e_at / denom
+    jac = span * _ALPHA * e_at / denom
     return nodes, wt * jac
 
 
@@ -212,38 +208,29 @@ def _self_test_probe(nodes: np.ndarray, weights: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=256)
-def _surrogate_probe(n_points: int, alpha: float) -> float:
+def _surrogate_probe(n_points: int) -> float:
     """Self-test value of the same-resolution grid on [0, 45]."""
-    return _self_test_probe(*_build_expmap(n_points, 0.0, _SELF_TEST_SPAN, alpha))
+    return _self_test_probe(*_build_expmap(n_points, 0.0, _SELF_TEST_SPAN))
 
 
 def make_grid(
-    kind: str = "expmap",
-    n_points: int = DEFAULT_GRID_POINTS,
-    r_span: tuple[float, float] = (0.0, DEFAULT_R_MAX),
-    *,
-    alpha: float = DEFAULT_ALPHA,
+    n_points: int = DEFAULT_GRID_POINTS, r_span: tuple[float, float] = (0.0, DEFAULT_R_MAX)
 ) -> RadialGrid:
     """Construct a radial quadrature grid and verify its scheme self-test.
 
-    ``kind`` selects the generation rule ('expmap' is the only scheme);
     ``n_points`` is rounded up to a whole number of 16-point panels.  The
     returned grid integrates r^2 e^{-r} over the half-line to within 1e-10
     relative of the exact value 2; construction fails with ``GridError``
     when the requested resolution cannot deliver that.
     """
-    if kind != "expmap":
-        raise GridError(f"unknown grid scheme {kind!r}")
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridError(f"n_points must be an integer >= 16, got {n_points!r}")
     r_min, r_max = (float(r_span[0]), float(r_span[1]))
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min < 0 or r_max <= r_min:
         raise GridError(f"invalid span {r_span!r}: need 0 <= r_min < r_max")
-    if not (0 < alpha < 60):
-        raise GridError(f"mapping sharpness out of range: {alpha!r}")
 
-    nodes, weights = _build_expmap(int(n_points), r_min, r_max, float(alpha))
-    grid = RadialGrid(nodes, weights, kind, int(n_points), r_min, r_max, float(alpha))
+    nodes, weights = _build_expmap(int(n_points), r_min, r_max)
+    grid = RadialGrid(nodes, weights, int(n_points), r_min, r_max)
 
     # Scheme self-test on a span long enough that truncation of the test
     # integrand is negligible; short-span grids are validated through a
@@ -251,7 +238,7 @@ def make_grid(
     if r_min == 0.0 and r_max >= _SELF_TEST_SPAN:
         probe = _self_test_probe(nodes, weights)
     else:
-        probe = _surrogate_probe(int(n_points), float(alpha))
+        probe = _surrogate_probe(int(n_points))
     if abs(probe - 2.0) > 2.0 * _SELF_TEST_TOL:
         raise GridError(
             f"scheme self-test failed at {n_points} points "
@@ -270,16 +257,14 @@ def _checked_density(values) -> np.ndarray:
 
 
 def _check_refinement(
-    names: tuple[str, ...],
-    values: tuple[float, ...],
-    refined_values: tuple[float, ...] | None,
+    names: tuple[str, ...], values: tuple[float, ...], refined_values: tuple[float, ...]
 ) -> None:
     """Raise ConvergenceError naming the first functional that fails the gate.
 
-    A value fails when it is not finite or, given ``refined_values``, when
-    its refined value is not finite or moved beyond 1e-8 relative.
+    A value fails when it or its refined value is not finite, or when the
+    refined value moved beyond 1e-8 relative.
     """
-    for name, value, refined in zip(names, values, refined_values or values):
+    for name, value, refined in zip(names, values, refined_values):
         if not (math.isfinite(value) and math.isfinite(refined)):
             bad = refined if math.isfinite(value) else value
             raise ConvergenceError(
@@ -298,10 +283,9 @@ def _converged(
     names: tuple[str, ...],
     evaluate: Callable[[RadialGrid], tuple[float, ...]],
     grid: RadialGrid,
-    verify: bool,
 ) -> tuple[float, ...]:
     values = evaluate(grid)
-    _check_refinement(names, values, evaluate(grid.refined(2)) if verify else None)
+    _check_refinement(names, values, evaluate(grid.refined()))
     return values
 
 
@@ -360,18 +344,16 @@ def _fourth_order_integral(
     return 4.0 * math.pi * grid.integrate(integrand)
 
 
-def tf_energy(rho: Density, grid: RadialGrid, *, verify: bool = True) -> float:
+def tf_energy(rho: Density, grid: RadialGrid) -> float:
     """Thomas-Fermi kinetic energy of a radial density (hartree)."""
 
     def evaluate(g: RadialGrid) -> tuple[float]:
         return (_tf_integral(g, _checked_density(rho.value(g.nodes))),)
 
-    return _converged(("T_TF",), evaluate, grid, verify)[0]
+    return _converged(("T_TF",), evaluate, grid)[0]
 
 
-def weizsacker_energy(
-    rho: Density, grid: RadialGrid, *, verify: bool = True
-) -> tuple[float, float]:
+def weizsacker_energy(rho: Density, grid: RadialGrid) -> tuple[float, float]:
     """Weizsacker energy T_W and the gradient correction T_2 = T_W / 9."""
 
     def evaluate(g: RadialGrid) -> tuple[float]:
@@ -379,11 +361,11 @@ def weizsacker_energy(
         values = _checked_density(values)
         return (_weizsacker_integral(g, values, deriv, _cutoff_mask(rho, g, values)),)
 
-    (t_w,) = _converged(("T_W",), evaluate, grid, verify)
+    (t_w,) = _converged(("T_W",), evaluate, grid)
     return t_w, t_w / 9.0
 
 
-def fourth_order_energy(rho: Density, grid: RadialGrid, *, verify: bool = True) -> float:
+def fourth_order_energy(rho: Density, grid: RadialGrid) -> float:
     """Fourth-order gradient correction T_4 (hartree).
 
     Requires exact first and second derivatives from ``rho.profile``; the
@@ -397,24 +379,22 @@ def fourth_order_energy(rho: Density, grid: RadialGrid, *, verify: bool = True) 
         mask = _cutoff_mask(rho, g, values)
         return (_fourth_order_integral(g, values, deriv, deriv2, mask),)
 
-    return _converged(("T_4",), evaluate, grid, verify)[0]
+    return _converged(("T_4",), evaluate, grid)[0]
 
 
-def energies(
-    rho: Density, grid: RadialGrid, *, verify: bool = True
-) -> tuple[float, float, float]:
+def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) from one density profile call (hartree).
 
     The same values, bit for bit, as ``tf_energy``, ``weizsacker_energy``
     and ``fourth_order_energy`` called one by one, which evaluate the
-    density separately for each functional.  With ``verify`` the nodes of
-    the grid and of its refinement go to ``rho.profile`` in one array, and
-    the density checks, the vacuum cutoff and the integrals then run on
-    each grid's own slice.  Each functional must pass the refinement gate
-    on its own; the ConvergenceError names the first that fails.
+    density separately for each functional.  The nodes of the grid and of
+    its refinement go to ``rho.profile`` in one array, and the density
+    checks, the vacuum cutoff and the integrals then run on each grid's own
+    slice.  Each functional must pass the refinement gate on its own; the
+    ConvergenceError names the first that fails.
     """
 
-    grids = (grid, grid.refined(2)) if verify else (grid,)
+    grids = (grid, grid.refined())
     nodes = np.concatenate([g.nodes for g in grids])
     profile = [np.asarray(a, dtype=float) for a in rho.profile(nodes)]
     results = []
@@ -431,7 +411,7 @@ def energies(
                 _fourth_order_integral(g, values, deriv, deriv2, mask),
             )
         )
-    _check_refinement(("T_TF", "T_W", "T_4"), results[0], results[1] if verify else None)
+    _check_refinement(("T_TF", "T_W", "T_4"), results[0], results[1])
     return results[0]
 
 

@@ -218,7 +218,7 @@ def _error_columns(record, grid) -> tuple[float, float, float, float]:
 
 def test_criterion_4_atom_table_reproduction(bundled):
     start = time.perf_counter()
-    grid = make_grid("expmap", 2000, (0.0, 45.0))
+    grid = make_grid(2000, (0.0, 45.0))
     violations = []
     worst = 0.0
     for symbol, printed in PRINTED_TABLE.items():
@@ -250,7 +250,7 @@ def test_criterion_4_atom_table_reproduction(bundled):
 
 
 def test_criterion_5_improvement_factor(bundled):
-    grid = make_grid("expmap", 2000, (0.0, 45.0))
+    grid = make_grid(2000, (0.0, 45.0))
     ratios = {}
     for symbol, record in bundled.items():
         errors = _error_columns(record, grid)
@@ -375,7 +375,7 @@ def test_criterion_7_property_suite():
 
     # orthonormality of the radial functions at a non-integer charge
     z = 7.3
-    grid = make_grid("expmap", 2048, (0.0, 40.0))
+    grid = make_grid(2048, (0.0, 40.0))
     pairs = [(n, l) for n in range(1, 5) for l in range(n)]
     worst_overlap = 0.0
     for i, (n1, l1) in enumerate(pairs):
@@ -399,7 +399,7 @@ def test_criterion_7_property_suite():
 
     # summed orbital kinetic energies against the closed form
     z_sum, n_max = 28.0, 3
-    kin_grid = make_grid("expmap", 2048, (0.0, (6.0 * n_max**2 + 40.0) / z_sum))
+    kin_grid = make_grid(2048, (0.0, (6.0 * n_max**2 + 40.0) / z_sum))
     total = sum(
         2 * (2 * l + 1) * _symbolic_orbital_kinetic(z_sum, n, l, kin_grid)
         for n in range(1, n_max + 1)
@@ -418,8 +418,8 @@ def test_criterion_7_property_suite():
     scaled = orbital_density(
         [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
     )
-    base_grid = make_grid("expmap", 2000, (0.0, 60.0))
-    scaled_grid = make_grid("expmap", 2000, (0.0, 60.0 / lam))
+    base_grid = make_grid(2000, (0.0, 60.0))
+    scaled_grid = make_grid(2000, (0.0, 60.0 / lam))
     base_tw, base_t2 = weizsacker_energy(field, base_grid)
     scaled_tw, scaled_t2 = weizsacker_energy(scaled, scaled_grid)
     scalings = (
@@ -435,7 +435,7 @@ def test_criterion_7_property_suite():
 
     # one filled shell at z=2: gradient term is exact there
     one_shell = model_density(ShellConfiguration.closed_shell(1))
-    tw_grid = make_grid("expmap", 2000, (0.0, 45.0))
+    tw_grid = make_grid(2000, (0.0, 45.0))
     tw_value, _ = weizsacker_energy(one_shell, tw_grid)
     if abs(tw_value - 4.0) > 1e-6:
         failures.append(f"one-shell gradient energy {tw_value!r}")

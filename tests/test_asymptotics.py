@@ -216,7 +216,7 @@ def _near_target(series: str, power: str):
 
 @pytest.fixture(scope="module")
 def ladder():
-    return model_energy_sequence(range(2, 26), grid_points=2000, verify=False)
+    return model_energy_sequence(range(2, 26), grid_points=2000)
 
 
 def test_three_power_fit_of_tf_energy(ladder) -> None:
@@ -415,6 +415,15 @@ def test_tf_limit_rejects_origin() -> None:
         tf_limit_density(np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_tf_limit_rejects_non_finite_radii(bad: float) -> None:
+    # NaN used to give 0.0
+    with pytest.raises(ValueError, match="finite"):
+        tf_limit_density(bad)
+    with pytest.raises(ValueError, match="finite"):
+        tf_limit_density(np.array([1.0, bad]))
+
+
 def test_scaled_density_is_rescaled_model() -> None:
     cfg = ShellConfiguration.closed_shell(3)
     z = cfg.nuclear_charge
@@ -428,7 +437,7 @@ def test_scaled_density_unit_norm() -> None:
     cfg = ShellConfiguration.closed_shell(3)
     z = cfg.nuclear_charge
     r_max_hat = model_density(cfg).suggested_r_max() * z ** (1.0 / 3.0)
-    grid = make_grid("expmap", 2000, (0.0, r_max_hat))
+    grid = make_grid(2000, (0.0, r_max_hat))
     vals = scaled_model_density(cfg, r_hat=grid.nodes)[1]
     norm = 4.0 * math.pi * grid.integrate(grid.nodes**2 * vals)
     assert norm == pytest.approx(1.0, abs=1e-6)
@@ -501,16 +510,15 @@ def test_oscillation_validation() -> None:
 
 
 def test_sequence_points_are_cached_and_exact() -> None:
-    first = model_energy_sequence([3], grid_points=2000, verify=False)[0]
-    second = model_energy_sequence([3], grid_points=2000, verify=False)[0]
+    first = model_energy_sequence([3], grid_points=2000)[0]
+    second = model_energy_sequence([3], grid_points=2000)[0]
     assert first is second
     assert first.z == 28.0
     assert first.t_exact == 3 * 28.0**2
     assert first.n_max == 3
 
 
-@pytest.mark.parametrize("verify,grids", [(True, 2), (False, 1)])
-def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, grids) -> None:
+def test_ladder_point_evaluates_density_once_per_grid(monkeypatch) -> None:
     calls = []
     kernel = _kernels.shell_profile
 
@@ -520,16 +528,16 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch, verify, grids
 
     monkeypatch.setattr(_kernels, "shell_profile", counting)
     # bypass the ladder cache so the point is computed here
-    _ladder_point.__wrapped__(3, 2000, verify)
-    # one kernel call covers the base grid and, with verify, its refinement
-    assert calls == [sum(2000 * 2**i for i in range(grids))]
+    _ladder_point.__wrapped__(3, 2000)
+    # one kernel call covers the base grid and its refinement
+    assert calls == [2000 + 4000]
 
 
 def test_ladder_counts_cache_hits_and_keeps_cached_points() -> None:
     # a grid size no other test uses, so every point starts uncached
-    cached = model_energy_sequence([3, 5], grid_points=1040, verify=False)
+    cached = model_energy_sequence([3, 5], grid_points=1040)
     before = _ladder_point.cache_info()
-    points = model_energy_sequence(range(2, 9), grid_points=1040, verify=False)
+    points = model_energy_sequence(range(2, 9), grid_points=1040)
     after = _ladder_point.cache_info()
     assert [p.n_max for p in points] == list(range(2, 9))
     assert points[1] is cached[0] and points[3] is cached[1]
@@ -542,17 +550,17 @@ def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing,
     computed = []
     energies = asymptotics.energies
 
-    def failing_energies(rho, grid, *, verify):
+    def failing_energies(rho, grid):
         n_max = rho.configuration.n_max
         computed.append(n_max)
         if n_max in failing:
             raise ConvergenceError(f"T_TF: forced failure at n_max = {n_max}")
-        return energies(rho, grid, verify=verify)
+        return energies(rho, grid)
 
     monkeypatch.setattr(asymptotics, "energies", failing_energies)
     grid_points = {5: 1104, 3: 1120, 4: 1136}[first]
     with pytest.raises(ConvergenceError, match=f"^T_TF: forced failure at n_max = {first}$"):
-        model_energy_sequence(range(2, 8), grid_points=grid_points, verify=False)
+        model_energy_sequence(range(2, 8), grid_points=grid_points)
     # the points run in input order and the pass stops at the first failure
     assert computed == list(range(2, first + 1))
 
@@ -569,7 +577,7 @@ def test_figure_density_rows_structure() -> None:
 
 
 def test_figure_error_rows_signs(ladder) -> None:
-    rows = figure_error_rows(range(1, 9), grid_points=2000, verify=False)
+    rows = figure_error_rows(range(1, 9), grid_points=2000)
     assert [row["n_max"] for row in rows] == list(range(1, 9))
     for row in rows:
         assert row["rel_err_T0"] > 0.0

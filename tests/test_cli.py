@@ -133,6 +133,14 @@ def test_table1_unknown_atom_exits_data():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("selection", [",", " "])
+def test_table1_empty_atom_selection_exits_data(selection: str):
+    proc = run_cli("table1", "--atoms", selection)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --atoms names no atom\n"
+    assert proc.stdout == ""
+
+
 def test_table1_partial_selection_still_reports_known_atoms():
     proc = run_cli("table1", "--atoms", "He,Al")
     assert proc.returncode == 0

@@ -223,6 +223,18 @@ def test_term_validation():
         orbital_density([[(1.0, 0, 1.0)]]).value(-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
+def test_density_rejects_non_finite_radii(bundled, atom: str, bad: float) -> None:
+    # NaN used to give NaN, and inf gave NaN for Ne and Xe (0 * inf)
+    density = atom_density(bundled[atom])
+    for method in (density.profile, density.value):
+        with pytest.raises(ValueError, match="finite"):
+            method(bad)
+        with pytest.raises(ValueError, match="finite"):
+            method(np.array([0.5, bad]))
+
+
 def test_integer_like_inputs_are_normalized():
     field = STODensity([3], [2.0], [[1]], [1], 1.0)
     assert field.powers.dtype.kind == "i" and field.powers.tolist() == [2]

@@ -87,7 +87,7 @@ def test_continuous_energy_domain() -> None:
 # closed-form moment checks elsewhere.
 @pytest.fixture(scope="module")
 def unit_charge_grid():
-    return make_grid("expmap", 3008, (0.0, 260.0))
+    return make_grid(3008, (0.0, 260.0))
 
 
 def test_radial_normalization(unit_charge_grid) -> None:
@@ -139,7 +139,7 @@ def _sympy_orbital_kinetic(z: int, n: int, l: int, grid) -> float:
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_kinetic_sum_matches_closed_form(n_max: int) -> None:
     z = electron_count(n_max)
-    grid = make_grid("expmap", 3008, (0.0, (6.0 * n_max**2 + 40.0) / z))
+    grid = make_grid(3008, (0.0, (6.0 * n_max**2 + 40.0) / z))
     total = 0.0
     for n in range(1, n_max + 1):
         for l in range(n):
@@ -227,7 +227,7 @@ def test_nuclear_cusp(cfg: ShellConfiguration) -> None:
 def test_total_charge_and_quadrature() -> None:
     density = HydrogenicDensity(ShellConfiguration.closed_shell(4))
     assert density.total_charge() == 60.0
-    grid = make_grid("expmap", 3008, (0.0, density.suggested_r_max()))
+    grid = make_grid(3008, (0.0, density.suggested_r_max()))
     integral = 4.0 * math.pi * grid.integrate(density.value(grid.nodes) * grid.nodes**2)
     assert integral == pytest.approx(60.0, rel=1e-9)
 
@@ -243,6 +243,17 @@ def test_density_validation() -> None:
         density.value(np.array([0.1, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_rejects_non_finite_radii(bad: float) -> None:
+    # NaN used to give a density of 0.0
+    density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
+    for method in (density.profile, density.value):
+        with pytest.raises(ValueError, match="finite"):
+            method(bad)
+        with pytest.raises(ValueError, match="finite"):
+            method(np.array([0.1, bad]))
+
+
 def test_wavefunction_validation() -> None:
     with pytest.raises(ValueError):
         radial_wavefunction(0.0, 1, 0, 1.0)
@@ -256,6 +267,14 @@ def test_wavefunction_validation() -> None:
         radial_wavefunction(1.0, 2, -1, 1.0)
     with pytest.raises(ValueError):
         radial_wavefunction(1.0, 2, 1, -1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_wavefunction_rejects_non_finite_radii(bad: float) -> None:
+    with pytest.raises(ValueError, match="finite"):
+        radial_wavefunction(1.0, 2, 1, bad)
+    with pytest.raises(ValueError, match="finite"):
+        radial_wavefunction(1.0, 3, 0, np.array([0.5, bad]))
 
 
 def test_model_density_and_repr() -> None:

@@ -59,7 +59,7 @@ def t4_closed(c: float, beta: float) -> float:
 
 @pytest.fixture(scope="module")
 def grid() -> RadialGrid:
-    return make_grid("expmap", 2000, (0.0, 45.0))
+    return make_grid(2000, (0.0, 45.0))
 
 
 def test_constants() -> None:
@@ -73,7 +73,7 @@ def test_constants() -> None:
 # closed forms assume the tail is fully captured
 @pytest.mark.parametrize("c,beta,span", [(16.0 / math.pi, 4.0, 45.0), (0.37, 0.8, 150.0), (5.1, 2.6, 45.0)])
 def test_single_exponential_closed_forms(c: float, beta: float, span: float) -> None:
-    grid = make_grid("expmap", 2000, (0.0, span))
+    grid = make_grid(2000, (0.0, span))
     # c e^{-beta r} as the square of one orbital
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     assert tf_energy(field, grid) == pytest.approx(tf_closed(c, beta), rel=1e-10)
@@ -123,7 +123,7 @@ def test_t4_regular_form_matches_standard_form_single_exponential() -> None:
         return e, -beta * e, beta * beta * e
 
     reference = _standard_form_t4(rho_of, (1e-9, 60.0))
-    grid = make_grid("expmap", 2000, (0.0, 60.0))
+    grid = make_grid(2000, (0.0, 60.0))
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     assert fourth_order_energy(field, grid) == pytest.approx(reference, rel=2e-9)
 
@@ -133,7 +133,7 @@ def test_t4_regular_form_matches_standard_form_two_shells() -> None:
     # refinement-stable to far better)
     density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
     span = density.suggested_r_max()
-    fine = make_grid("expmap", 2000, (0.0, span))
+    fine = make_grid(2000, (0.0, span))
     reference = _standard_form_t4(density.profile, (1e-9, span))
     assert fourth_order_energy(density, fine) == pytest.approx(reference, rel=1e-7)
 
@@ -147,8 +147,8 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
     scaled = orbital_density(
         [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
     )
-    base = make_grid("expmap", 2000, (0.0, 60.0))
-    scaled_grid = make_grid("expmap", 2000, (0.0, 60.0 / lam))
+    base = make_grid(2000, (0.0, 60.0))
+    scaled_grid = make_grid(2000, (0.0, 60.0 / lam))
     assert tf_energy(scaled, scaled_grid) == pytest.approx(
         lam**2 * tf_energy(field, base), rel=1e-8
     )
@@ -165,8 +165,8 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
 
 def test_grid_minimum_resolution() -> None:
     with pytest.raises(GridError, match="self-test"):
-        make_grid("expmap", 48, (0.0, 45.0))
-    grid = make_grid("expmap", 64, (0.0, 45.0))
+        make_grid(48, (0.0, 45.0))
+    grid = make_grid(64, (0.0, 45.0))
     assert grid.n_points == 64
 
 
@@ -174,7 +174,7 @@ def test_short_span_self_test_fails_on_every_call() -> None:
     # the surrogate's self-test value is memoized, its gate is not
     for _ in range(2):
         with pytest.raises(GridError, match="self-test"):
-            make_grid("expmap", 48, (0.0, 5.0))
+            make_grid(48, (0.0, 5.0))
 
 
 def test_gauss_legendre_literals_match_leggauss() -> None:
@@ -202,25 +202,18 @@ def test_grids_do_not_import_numpy_polynomial() -> None:
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"kind": "chebyshev"},
         {"n_points": 15},
         {"n_points": 64.5},
         {"r_span": (-1.0, 10.0)},
         {"r_span": (5.0, 5.0)},
         {"r_span": (0.0, math.inf)},
-        {"alpha": 0.0},
-        {"alpha": 60.0},
     ],
 )
 def test_grid_rejects_bad_parameters(kwargs) -> None:
-    base = {"kind": "expmap", "n_points": 2000, "r_span": (0.0, 45.0)}
-    alpha = kwargs.pop("alpha", None)
+    base = {"n_points": 2000, "r_span": (0.0, 45.0)}
     base.update(kwargs)
     with pytest.raises(GridError):
-        if alpha is None:
-            make_grid(base["kind"], base["n_points"], base["r_span"])
-        else:
-            make_grid(base["kind"], base["n_points"], base["r_span"], alpha=alpha)
+        make_grid(base["n_points"], base["r_span"])
 
 
 def test_grid_geometry(grid: RadialGrid) -> None:
@@ -236,17 +229,11 @@ def test_grid_geometry(grid: RadialGrid) -> None:
 
 
 def test_grid_refined(grid: RadialGrid) -> None:
-    finer = grid.refined(2)
+    finer = grid.refined()
     assert finer.n_points == 2 * grid.n_points
-    assert (finer.r_min, finer.r_max, finer.scheme, finer.alpha) == (
-        grid.r_min,
-        grid.r_max,
-        grid.scheme,
-        grid.alpha,
-    )
-    # built once per grid and factor
-    assert grid.refined(2) is finer
-    assert grid.refined(3).n_points == 3 * grid.n_points
+    assert (finer.r_min, finer.r_max) == (grid.r_min, grid.r_max)
+    # built once per grid
+    assert grid.refined() is finer
 
 
 def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
@@ -269,12 +256,9 @@ class CountingField(STODensity):
         return super().value(r)
 
 
-def test_verify_flag_controls_refinement(grid: RadialGrid) -> None:
+def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
-    tf_energy(field, grid, verify=False)
-    assert field.value_calls == 1
-    field.value_calls = 0
-    tf_energy(field, grid, verify=True)
+    tf_energy(field, grid)
     assert field.value_calls == 2
 
 
@@ -333,33 +317,31 @@ class PoisonedField(STODensity):
         return tuple(parts)
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_nan_density_rejected(grid: RadialGrid, verify: bool) -> None:
+def test_nan_density_rejected(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=0)
     for functional in (tf_energy, weizsacker_energy, fourth_order_energy, energies):
         with pytest.raises(ValueError, match="NaN"):
-            functional(field, grid, verify=verify)
+            functional(field, grid)
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_non_finite_functional_value_names_functional(grid: RadialGrid, verify: bool) -> None:
+def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     # a finite density whose rho'' is NaN at one node: only T_4 reads it
     field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=2)
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
-        fourth_order_energy(field, grid, verify=verify)
+        fourth_order_energy(field, grid)
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
-        energies(field, grid, verify=verify)
-    assert math.isfinite(tf_energy(field, grid, verify=verify))
-    assert all(math.isfinite(t) for t in weizsacker_energy(field, grid, verify=verify))
+        energies(field, grid)
+    assert math.isfinite(tf_energy(field, grid))
+    assert all(math.isfinite(t) for t in weizsacker_energy(field, grid))
 
 
 def test_fourth_order_is_finite_far_out(bundled) -> None:
     # He's density falls below 1e-103 well inside a 150-bohr span, where
     # rho^2 and rho^3 of the plain bracket underflow; the ratio form does not
     field = atom_density(bundled["He"])
-    near = fourth_order_energy(field, make_grid("expmap", 2000, (0.0, 45.0)))
+    near = fourth_order_energy(field, make_grid(2000, (0.0, 45.0)))
     with np.errstate(all="raise"):
-        far = fourth_order_energy(field, make_grid("expmap", 2000, (0.0, 150.0)))
+        far = fourth_order_energy(field, make_grid(2000, (0.0, 150.0)))
     assert far == pytest.approx(near, rel=1e-12, abs=0.0)
 
 
@@ -368,8 +350,6 @@ def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
     names = ("T_TF", "T_4")
     with pytest.raises(ConvergenceError, match="^T_4: the result is"):
         kedf._check_refinement(names, (1.0, bad), (1.0, bad))
-    with pytest.raises(ConvergenceError, match="^T_4: the result is"):
-        kedf._check_refinement(names, (1.0, bad), None)
     # a finite value whose refinement is not finite
     with pytest.raises(ConvergenceError, match="^T_4: the result is"):
         kedf._check_refinement(names, (1.0, 1.0), (1.0, bad))
@@ -382,18 +362,17 @@ def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
 def _shared_pass_cases(bundled):
     closed = HydrogenicDensity(ShellConfiguration.closed_shell(10))
     return [
-        (atom_density(bundled["Ne"]), make_grid("expmap", 2000, (0.0, 45.0))),
-        (closed, make_grid("expmap", 3008, (0.0, closed.suggested_r_max()))),
+        (atom_density(bundled["Ne"]), make_grid(2000, (0.0, 45.0))),
+        (closed, make_grid(3008, (0.0, closed.suggested_r_max()))),
     ]
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_energies_equal_single_functionals_bitwise(bundled, verify: bool) -> None:
+def test_energies_equal_single_functionals_bitwise(bundled) -> None:
     for rho, g in _shared_pass_cases(bundled):
-        t_tf, t_w, t4 = energies(rho, g, verify=verify)
-        assert t_tf == tf_energy(rho, g, verify=verify)
-        assert (t_w, t_w / 9.0) == weizsacker_energy(rho, g, verify=verify)
-        assert t4 == fourth_order_energy(rho, g, verify=verify)
+        t_tf, t_w, t4 = energies(rho, g)
+        assert t_tf == tf_energy(rho, g)
+        assert (t_w, t_w / 9.0) == weizsacker_energy(rho, g)
+        assert t4 == fourth_order_energy(rho, g)
 
 
 class ProtocolOnly:
@@ -417,7 +396,7 @@ class ProtocolOnly:
 def test_functionals_need_only_the_density_protocol(bundled) -> None:
     field = atom_density(bundled["Ne"])
     rho = ProtocolOnly(field)
-    g = make_grid("expmap", 2000, (0.0, 45.0))
+    g = make_grid(2000, (0.0, 45.0))
     assert tf_energy(rho, g) == tf_energy(field, g)
     assert weizsacker_energy(rho, g) == weizsacker_energy(field, g)
     assert fourth_order_energy(rho, g) == fourth_order_energy(field, g)
@@ -443,12 +422,10 @@ class ProfileCountingField(STODensity):
         return super().profile(r)
 
 
-@pytest.mark.parametrize("verify", [True, False])
-def test_energies_evaluates_profile_once(grid: RadialGrid, verify: bool) -> None:
+def test_energies_evaluates_profile_once(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], ProfileCountingField)
-    energies(field, grid, verify=verify)
-    expected = grid.nodes.size + (grid.refined(2).nodes.size if verify else 0)
-    assert field.profile_sizes == [expected]
+    energies(field, grid)
+    assert field.profile_sizes == [grid.nodes.size + grid.refined().nodes.size]
 
 
 class DriftingField(STODensity):
@@ -478,8 +455,6 @@ def test_energies_refinement_failure_names_functional(
     )
     with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
         energies(field, grid)
-    # the unverified pass never sees the refined grid
-    energies(field, grid, verify=False)
 
 
 # --- breakdown container ----------------------------------------------------

@@ -17,7 +17,6 @@ from pair_reference import pair_field, term_profile
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
 from tfshell.kedf import make_grid
-from tfshell.special import LaguerreSpec, laguerre
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def _exp_poly_inputs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return exponents, coefs, r
 
 
-def test_exp_poly_backends_agree() -> None:
+def test_pair_reference_matches_horner_sum() -> None:
     # the term-by-term evaluation of the pair-expansion reference against
     # the pointwise Horner sum
     exponents, coefs, r = _exp_poly_inputs()
@@ -176,12 +175,12 @@ def test_exp_poly_backends_agree() -> None:
 
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe", None])
-def test_exp_poly_stacked_rows_match_single_rows(bundled, atom) -> None:
+def test_orbital_profile_stacked_rows_match_single_rows(bundled, atom) -> None:
     # the K orbital rows of one orbital_profile call against K one-orbital calls
     density = orbital_density([]) if atom is None else atom_density(bundled[atom])
     inputs = _orbital_inputs(density)
     exponents, powers, coefs, weights = inputs
-    r = make_grid("expmap", 2000, (0.0, 45.0)).nodes
+    r = make_grid(2000, (0.0, 45.0)).nodes
     rows = np.array(_kernels.orbital_profile(*inputs, r))
     assert rows.shape == (3, r.size)
     singles = np.zeros_like(rows)
@@ -216,7 +215,7 @@ def _exp_poly_oracle(terms, r: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe"])
-def test_exp_poly_matches_mpmath_oracle(bundled, atom) -> None:
+def test_pair_reference_matches_mpmath_oracle(bundled, atom) -> None:
     # the pair-expansion reference that test_orbital_profile_matches_pair_expansion reads
     terms = pair_field(bundled[atom])
     # the cusp, the shell region and the tail out to the table1 cutoff
@@ -282,8 +281,8 @@ def test_orbital_profile_matches_mpmath_oracle(bundled, atom) -> None:
 @pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
 def test_orbital_profile_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
     inputs = _orbital_inputs(atom_density(bundled[atom]))
-    grid = make_grid("expmap", 2000, (0.0, 45.0))
-    r = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    grid = make_grid(2000, (0.0, 45.0))
+    r = np.concatenate([grid.nodes, grid.refined().nodes])
     whole = np.array(_kernels.orbital_profile(*inputs, r))
     # uneven pieces, single nodes among them, concatenated
     cuts = [0, 1, 2, 7, 300, 1001, 4999, r.size]
@@ -314,8 +313,8 @@ def test_orbital_profile_working_set_is_one_block(bundled) -> None:
 
 def test_orbital_profile_matches_pair_expansion(bundled) -> None:
     # the nodes of a table1 row: its grid and the refinement
-    grid = make_grid("expmap", 2000, (0.0, 45.0))
-    r = np.concatenate([grid.nodes, grid.refined(2).nodes])
+    grid = make_grid(2000, (0.0, 45.0))
+    r = np.concatenate([grid.nodes, grid.refined().nodes])
     for symbol, record in bundled.items():
         rho, drho, d2rho = atom_density(record).profile(r)
         ref_rho, ref_drho, ref_d2rho = term_profile(pair_field(record), r)
@@ -338,12 +337,11 @@ def test_shell_profile_backends_agree(z: float, n_max: int) -> None:
 
 def test_laguerre_array_matches_reference() -> None:
     x = np.linspace(0.0, 25.0, 400)
-    # degree 80 is special.MAX_DEGREE
+    # radial_wavefunction reads degrees up to 39 (MAX_SHELLS - 1); 80 reaches beyond
     for k, alpha in [(0, 1.0), (1, 3.0), (4, 5.0), (9, 2.0), (40, 1.0), (80, 3.0)]:
         ours = _kernels._laguerre_array(k, alpha, x)
         with mpmath.workdps(40):
             reference = np.array([float(mpmath.laguerre(k, alpha, mpmath.mpf(float(v)))) for v in x])
-        assert np.array_equal(laguerre(LaguerreSpec(k, int(alpha)), x), ours)
         scale = max(1.0, float(np.max(np.abs(reference))))
         np.testing.assert_allclose(ours, reference, rtol=1e-12, atol=1e-12 * scale)
 

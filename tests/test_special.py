@@ -1,4 +1,9 @@
-"""Laguerre evaluation against independent polynomial construction."""
+"""The kernels' Laguerre recurrence against independent polynomial construction.
+
+``_kernels._laguerre_array`` evaluates L_k^a by the forward three-term
+recurrence in the degree; the shell kernel runs the same loop for two
+orders at once, and ``hydrogenic.radial_wavefunction`` calls it directly.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfshell.special import MAX_DEGREE, LaguerreSpec, laguerre, log_factorial
+from tfshell._kernels import _laguerre_array
 
 CASES = [(0, 0), (1, 2), (2, 1), (3, 3), (5, 0), (8, 5), (12, 2), (25, 7), (40, 1), (79, 3)]
 
@@ -36,7 +41,7 @@ def test_recurrence_matches_exact_polynomial(degree, order):
     xs = [Fraction(k, 8) for k in range(0, 481, 13)]  # 0 .. 60
     exact = [exact_value(coeffs, x) for x in xs]
     scale = max(1.0, max(abs(float(e)) for e in exact))
-    got = laguerre(LaguerreSpec(degree, order), np.array([float(x) for x in xs]))
+    got = _laguerre_array(degree, float(order), np.array([float(x) for x in xs]))
     for g, e in zip(got, exact):
         assert abs(g - float(e)) <= 1e-10 * scale
 
@@ -44,13 +49,14 @@ def test_recurrence_matches_exact_polynomial(degree, order):
 def test_value_at_zero_is_binomial():
     for degree, order in CASES:
         expected = math.comb(degree + order, degree)
-        assert laguerre(LaguerreSpec(degree, order), 0.0) == pytest.approx(expected, rel=1e-12)
+        value = float(_laguerre_array(degree, float(order), np.array([0.0]))[0])
+        assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_degree_one_is_affine():
-    spec = LaguerreSpec(1, 4)
-    for x in (0.0, 0.5, 17.25):
-        assert laguerre(spec, x) == 5.0 - x  # exact: single recurrence seed
+    xs = np.array([0.0, 0.5, 17.25])
+    # exact: single recurrence seed
+    assert np.array_equal(_laguerre_array(1, 4.0, xs), 5.0 - xs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,49 +67,20 @@ def test_degree_one_is_affine():
 )
 def test_contiguous_order_identity(degree, order, x):
     # L_k^a = L_k^{a+1} - L_{k-1}^{a+1}, independent of the degree recurrence
-    lhs = laguerre(LaguerreSpec(degree, order), x)
-    up = laguerre(LaguerreSpec(degree, order + 1), x)
-    down = laguerre(LaguerreSpec(degree - 1, order + 1), x)
+    arg = np.array([x])
+    lhs = float(_laguerre_array(degree, float(order), arg)[0])
+    up = float(_laguerre_array(degree, order + 1.0, arg)[0])
+    down = float(_laguerre_array(degree - 1, order + 1.0, arg)[0])
     scale = max(1.0, abs(lhs), abs(up), abs(down))
     assert abs(lhs - (up - down)) <= 1e-10 * scale
 
 
 def test_scalar_and_array_paths_agree():
-    spec = LaguerreSpec(7, 2)
+    # a 0-d argument, as radial_wavefunction passes for a scalar radius
     xs = np.array([0.0, 0.3, 2.0, 11.5])
-    arr = laguerre(spec, xs)
-    assert isinstance(arr, np.ndarray)
+    arr = _laguerre_array(7, 2.0, xs)
+    assert arr.shape == xs.shape
     for x, v in zip(xs, arr):
-        scalar = laguerre(spec, float(x))
-        assert isinstance(scalar, float)
-        assert scalar == v
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        LaguerreSpec(-1, 0)
-    with pytest.raises(ValueError):
-        LaguerreSpec(0, -2)
-    with pytest.raises(ValueError):
-        LaguerreSpec(MAX_DEGREE + 1, 0)
-    LaguerreSpec(MAX_DEGREE, 0)  # boundary degree stays allowed
-
-
-def test_negative_argument_rejected():
-    with pytest.raises(ValueError):
-        laguerre(LaguerreSpec(2, 0), -0.5)
-    with pytest.raises(ValueError):
-        laguerre(LaguerreSpec(2, 0), np.array([0.5, -1e-9]))
-
-
-def test_log_factorial_against_exact_integers():
-    for n in range(0, 171):
-        exact = math.log(math.factorial(n)) if n > 1 else 0.0
-        assert abs(log_factorial(n) - exact) <= 1e-13 * max(1.0, abs(exact))
-
-
-def test_log_factorial_validation():
-    with pytest.raises(ValueError):
-        log_factorial(-1)
-    with pytest.raises(ValueError):
-        log_factorial(2.5)
+        scalar = _laguerre_array(7, 2.0, np.asarray(float(x)))
+        assert scalar.shape == ()
+        assert float(scalar) == v
