@@ -1,14 +1,17 @@
 """Timings and memory peaks of the hot numpy kernels.
 
-The shell-density kernel runs on the closed-shell ladder's own quadrature
-grids: the expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
-density, at the library default of 3008 nodes and at its 6016-node
-refinement.  Its default shell counts run past the library's 40-shell cap to
-60 and 100, the kernel cost a 100-shell ladder would pay.  The Slater-type
-orbital kernel runs on the Ne and Xe densities over the ``table1`` grid
-(2000 nodes on [0, 45]) and its 4000-node refinement, giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
+Every case evaluates a kernel on what a functional samples: all nodes of a
+quadrature grid, its Gauss nodes and their Kronrod extension together
+(``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  The
+shell-density kernel runs on the closed-shell ladder's own grids: the
+expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
+density, at the library default of 3008 points (6204 nodes).  Its default
+shell counts run past the library's 40-shell cap to 60 and 100, the kernel
+cost a 100-shell ladder would pay.  The Slater-type orbital kernel runs on
+the Ne and Xe densities over the ``table1`` grid (2000 points on [0, 45]),
+giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
 times the 17 kernel calls of a ``table1`` pass: each bundled atom on the
-2000 + 4000 nodes that ``kedf.energies`` sends in one call.  The cases are
+4125 nodes that ``kedf.energies`` sends in one call.  The cases are
 timed round-robin, one call of each case per round for ``--repeats`` rounds,
 so that a drift in machine speed over the run spreads over every case
 rather than landing on the cases that happened to run during it.  Each case
@@ -17,7 +20,7 @@ one further, untimed call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --shells 25,40 --points 6016 --repeats 5
+    python3 benchmarks/bench_kernels.py --shells 25,40 --points 2000,3008 --repeats 5
 """
 
 from __future__ import annotations
@@ -62,18 +65,10 @@ def orbital_inputs(density) -> tuple:
     return density.exponents, density.powers, density.coefs, density.weights
 
 
-def atom_inputs(symbol: str, n_points: int) -> tuple:
-    """(exponents, powers, coefs, weights, nodes) of a bundled atom's density on [0, 45]."""
+def atom_inputs(symbol: str, nodes: np.ndarray) -> tuple:
+    """(exponents, powers, coefs, weights, nodes) of a bundled atom's density."""
     density = atom_density(load_bundled([symbol])[symbol])
-    nodes = make_grid(n_points=n_points, r_span=(0.0, DEFAULT_R_MAX)).nodes
     return (*orbital_inputs(density), nodes)
-
-
-def table1_inputs() -> tuple:
-    """(per-atom kernel arguments, nodes) of the kernel calls of a table1 pass."""
-    grid = make_grid(n_points=2000, r_span=(0.0, DEFAULT_R_MAX))
-    nodes = np.concatenate([grid.nodes, grid.refined().nodes])
-    return [orbital_inputs(atom_density(data)) for data in load_bundled().values()], nodes
 
 
 def table1_profiles(atoms: list, nodes: np.ndarray) -> None:
@@ -91,20 +86,20 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
     cfg = ShellConfiguration.closed_shell(n_max)
     r_max = HydrogenicDensity.suggested_r_max(SimpleNamespace(configuration=cfg))
     grid = make_grid(n_points=n_points, r_span=(0.0, r_max))
-    return cfg.nuclear_charge, n_max, grid.nodes
+    return cfg.nuclear_charge, n_max, grid.all_nodes()
 
 
 def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> None:
     for (name, func, args), ms in zip(cases, medians):
-        print(f"{name:<42} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
+        print(f"{name:<52} {ms:9.3f} ms  peak {peak_call(func, args):6.3f} MiB")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--points",
-        default="3008,6016",
-        help="comma-separated ladder grid sizes for shell_profile (default: 3008,6016)",
+        default="3008",
+        help="comma-separated ladder grid sizes for shell_profile (default: 3008)",
     )
     parser.add_argument(
         "--shells",
@@ -117,24 +112,25 @@ def main() -> None:
     points = [int(s) for s in args.points.split(",") if s.strip()]
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
 
+    # every node of the table1 grid, 2000 points on [0, 45]
+    nodes = make_grid(n_points=2000, r_span=(0.0, DEFAULT_R_MAX)).all_nodes()
     orbital_cases = [
-        (f"orbital_profile[{symbol}, {n_points} pts]", orbital_profile, atom_inputs(symbol, n_points))
-        for symbol in ("Ne", "Xe")
-        for n_points in (2000, 4000)
-    ]
-    atoms, nodes = table1_inputs()
-    orbital_cases.append(
-        (f"orbital_profile[{len(atoms)} atoms, {nodes.size} pts]", table1_profiles, (atoms, nodes))
-    )
-    shell_cases = [
         (
-            f"shell_profile[n_max={n_max}, {n_points} pts]",
-            shell_profile,
-            shell_inputs(n_points, n_max),
+            f"orbital_profile[{symbol}, {nodes.size} nodes]",
+            orbital_profile,
+            atom_inputs(symbol, nodes),
         )
-        for n_max in shells
-        for n_points in points
+        for symbol in ("Ne", "Xe")
     ]
+    atoms = [orbital_inputs(atom_density(data)) for data in load_bundled().values()]
+    name = f"orbital_profile[{len(atoms)} atoms, {nodes.size} nodes]"
+    orbital_cases.append((name, table1_profiles, (atoms, nodes)))
+    shell_cases = []
+    for n_max in shells:
+        for n_points in points:
+            inputs = shell_inputs(n_points, n_max)
+            name = f"shell_profile[n_max={n_max}, {n_points}-point grid: {inputs[-1].size} nodes]"
+            shell_cases.append((name, shell_profile, inputs))
 
     medians = time_round_robin(orbital_cases + shell_cases, args.repeats)
     report(orbital_cases, medians[: len(orbital_cases)])

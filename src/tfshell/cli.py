@@ -246,8 +246,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         z = electron_count(n_max)
     else:
         z = args.z
-        if z is None or z < 1:
-            print("error: provide --z or --n-max", file=sys.stderr)
+        if z < 1:
+            print(f"error: Z must be at least 1, got {z}", file=sys.stderr)
             return EXIT_DATA
         n_max = shell_count_for(z)
         if n_max is None and z > INTERPOLATION_MAX_Z:

@@ -55,7 +55,7 @@ def delta_t_exact(n_max: int) -> float:
 
     Evaluates T_shell - T_TF[rho_shell] for the neutral configuration
     (Z equal to the electron count), using a grid fine enough that the
-    built-in refinement check passes.  Quadrature failures propagate.
+    built-in Gauss-Kronrod check passes.  Quadrature failures propagate.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"shell count must be a positive integer, got {n_max!r}")

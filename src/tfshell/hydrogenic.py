@@ -17,7 +17,7 @@ Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel
 at most n, run in one loop, and a closed form in their last values) is
 checked to 1e-13 against a 32-digit mpmath orbital sum at 25, 40 and 60
 shells and a 40-digit mpmath closed form at 100.  The cap stays at 40 until
-the ladder's 1e-8 refinement gate and its fits are checked beyond that; the
+the ladder's 1e-8 quadrature gate and its fits are checked beyond that; the
 kernel itself is not the limit.
 """
 
@@ -136,7 +136,8 @@ def radial_wavefunction(z: float, n: int, l: int, r):
         raise ValueError(f"n = {n} beyond supported shell range {MAX_SHELLS}")
     if not isinstance(l, (int, np.integer)) or l < 0 or l >= n:
         raise ValueError(f"angular quantum number must satisfy 0 <= l <= n-1, got l={l!r}")
-    arr = np.asarray(r, dtype=float)
+    # a scalar runs as a one-element array, so it gets the array's last bits
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
     # a NaN makes min and max NaN, which fails both comparisons
     if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
         raise ValueError("radius must be finite and non-negative")
@@ -153,8 +154,8 @@ def radial_wavefunction(z: float, n: int, l: int, r):
             * x ** int(l)
             * _kernels._laguerre_array(n - l - 1, 2.0 * l + 1.0, x)
         )
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(out)
+    if np.ndim(r) == 0:
+        return float(out[0])
     return out
 
 

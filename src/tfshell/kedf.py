@@ -13,10 +13,10 @@ A density is anything with the three methods of the ``Density`` protocol:
 the filled-shell ``hydrogenic.HydrogenicDensity`` both answer it.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
-evaluates that profile in one call on the nodes of the grid and of its
-refinement together, then integrates every functional from each grid's
-slice, so it costs one density evaluation where the three
-single-functional calls cost one per functional and grid.
+evaluates that profile in one call on every node of the grid (the Gauss
+nodes and their Kronrod extension, below), then integrates all three
+functionals from it, so it costs one density evaluation where the three
+single-functional calls cost one each.
 Each integrand is written once and shared by both paths, so the values are
 identical bit for bit.
 
@@ -40,21 +40,27 @@ of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
 rather than returned.  The 16-point Gauss-Legendre rule is held as float
 literals, and the self-test value of a short-span surrogate grid is
 computed once per n_points; the comparison against the 1e-10 gate
-runs on every construction.  Every functional value is checked against
-a doubled grid (built once per grid and cached) and signals
-non-convergence when the two results disagree beyond 1e-8 relative;
-``energies`` applies that gate to each of its three values separately, and
-the ConvergenceError names the functional that failed.  A value that is
-not finite fails the same gate, and a density that is negative or NaN on a
-grid raises ValueError.
+runs on every construction.
+
+Error check: each panel also carries the 17 nodes of the 33-point
+Gauss-Kronrod extension of its Gauss rule (Kronrod 1965; QUADPACK, Piessens
+et al. 1983), which reuses the 16 Gauss nodes and integrates polynomials
+exactly through degree 49.  A functional is evaluated once on the Gauss and
+Kronrod nodes together; the reported value is the Gauss sum on the Gauss
+nodes alone, and the Kronrod sum over all of them is its error estimate.
+The self-test covers both rules.  A value whose two sums disagree beyond
+1e-8 relative raises ConvergenceError; ``energies`` applies that gate to
+each of its three values separately, and the ConvergenceError names the
+functional that failed.  A value that is not finite fails the same gate,
+and a density that is negative or NaN on a grid raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -110,34 +116,35 @@ class GridError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A functional value did not stabilize under grid refinement."""
+    """A functional value failed its quadrature error check."""
 
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Quadrature nodes and weights for integrals over [r_min, r_max]."""
+    """Quadrature nodes and weights for integrals over [r_min, r_max].
+
+    ``nodes`` and ``weights`` are the composite 16-point Gauss-Legendre
+    rule.  ``kronrod_nodes`` are the 17 further nodes per panel of its
+    33-point Kronrod extension, and ``kronrod_weights`` that rule's weights
+    on ``nodes`` followed by ``kronrod_nodes`` (the order of
+    ``all_nodes()``).
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     n_points: int
     r_min: float
     r_max: float
-    _refined: "RadialGrid | None" = field(default=None, init=False, repr=False)
+    kronrod_nodes: np.ndarray
+    kronrod_weights: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
         """Weighted sum approximating the integral of the sampled function."""
         return float(np.dot(self.weights, values))
 
-    def refined(self) -> "RadialGrid":
-        """The same span at twice the resolution.
-
-        Built and self-tested once per grid; later calls return the same
-        grid object.
-        """
-        if self._refined is None:
-            grid = make_grid(2 * self.n_points, (self.r_min, self.r_max))
-            object.__setattr__(self, "_refined", grid)
-        return self._refined
+    def all_nodes(self) -> np.ndarray:
+        """The Gauss nodes followed by the Kronrod nodes."""
+        return np.concatenate((self.nodes, self.kronrod_nodes))
 
 
 # The 16-point Gauss-Legendre rule on [-1, 1] as round-trip float literals,
@@ -183,34 +190,113 @@ _GL_WEIGHTS = np.array(
         0.027152459411754176,
     ]
 )
-_GL_NODES.setflags(write=False)
-_GL_WEIGHTS.setflags(write=False)
+# The 33-point Kronrod extension of that rule: the 17 nodes it adds (the
+# zeros of the Stieltjes polynomial E_17) and its weights on the Gauss and
+# on the Kronrod nodes, as round-trip float literals of the rule computed in
+# exact and 80-digit arithmetic; a test rebuilds them in mpmath.
+_KRONROD_NODES = np.array(
+    [
+        -0.9982392741454446,
+        -0.9715059509693926,
+        -0.9091576670123429,
+        -0.8142402870624444,
+        -0.6897411066817623,
+        -0.5404076763521397,
+        -0.37148378087841627,
+        -0.18916857901808373,
+        0.0,
+        0.18916857901808373,
+        0.37148378087841627,
+        0.5404076763521397,
+        0.6897411066817623,
+        0.8142402870624444,
+        0.9091576670123429,
+        0.9715059509693926,
+        0.9982392741454446,
+    ]
+)
+_KRONROD_GAUSS_WEIGHTS = np.array(
+    [
+        0.013257930688091158,
+        0.031260543647380526,
+        0.047506215976407015,
+        0.062358806011834855,
+        0.07476982388559955,
+        0.08459580379259064,
+        0.09129203282819166,
+        0.09472840124723005,
+        0.09472840124723005,
+        0.09129203282819166,
+        0.08459580379259064,
+        0.07476982388559955,
+        0.062358806011834855,
+        0.047506215976407015,
+        0.031260543647380526,
+        0.013257930688091158,
+    ]
+)
+_KRONROD_WEIGHTS = np.array(
+    [
+        0.004742777049247318,
+        0.022498859440049444,
+        0.039512951202421966,
+        0.055205633095422174,
+        0.06886299519153125,
+        0.08005394126371929,
+        0.08833750257911273,
+        0.09343867406092123,
+        0.0951542160804983,
+        0.09343867406092123,
+        0.08833750257911273,
+        0.08005394126371929,
+        0.06886299519153125,
+        0.055205633095422174,
+        0.039512951202421966,
+        0.022498859440049444,
+        0.004742777049247318,
+    ]
+)
+for _rule in (_GL_NODES, _GL_WEIGHTS, _KRONROD_NODES, _KRONROD_GAUSS_WEIGHTS, _KRONROD_WEIGHTS):
+    _rule.setflags(write=False)
+del _rule
 
 
 def _build_expmap(n_points: int, r_min: float, r_max: float):
+    """(nodes, weights, kronrod_nodes, kronrod_weights) of the mapped panels."""
     n_panels = -(-n_points // _PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wt = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     span = r_max - r_min
     denom = math.expm1(_ALPHA)
-    e_at = np.exp(_ALPHA * t)
-    nodes = r_min + span * (e_at - 1.0) / denom
-    jac = span * _ALPHA * e_at / denom
-    return nodes, wt * jac
+
+    def mapped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        e_at = np.exp(_ALPHA * t)
+        return r_min + span * (e_at - 1.0) / denom, span * _ALPHA * e_at / denom
+
+    def scaled(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        return (half[:, None] * w[None, :]).ravel() * jac
+
+    nodes, jac = mapped(_GL_NODES)
+    kronrod_nodes, kronrod_jac = mapped(_KRONROD_NODES)
+    kronrod_weights = np.concatenate(
+        (scaled(_KRONROD_GAUSS_WEIGHTS, jac), scaled(_KRONROD_WEIGHTS, kronrod_jac))
+    )
+    return nodes, scaled(_GL_WEIGHTS, jac), kronrod_nodes, kronrod_weights
 
 
-def _self_test_probe(nodes: np.ndarray, weights: np.ndarray) -> float:
-    """The rule's value for the Gamma(3) integral of r^2 e^{-r}, exactly 2."""
-    return float(np.dot(weights, nodes**2 * np.exp(-nodes)))
+def _self_test_probes(nodes, weights, kronrod_nodes, kronrod_weights) -> tuple[float, float]:
+    """Both rules' values for the Gamma(3) integral of r^2 e^{-r}, exactly 2."""
+    r = np.concatenate((nodes, kronrod_nodes))
+    f = r**2 * np.exp(-r)
+    return float(np.dot(weights, f[: nodes.size])), float(np.dot(kronrod_weights, f))
 
 
 @lru_cache(maxsize=256)
-def _surrogate_probe(n_points: int) -> float:
-    """Self-test value of the same-resolution grid on [0, 45]."""
-    return _self_test_probe(*_build_expmap(n_points, 0.0, _SELF_TEST_SPAN))
+def _surrogate_probes(n_points: int) -> tuple[float, float]:
+    """Self-test values of the same-resolution grid on [0, 45]."""
+    return _self_test_probes(*_build_expmap(n_points, 0.0, _SELF_TEST_SPAN))
 
 
 def make_grid(
@@ -219,9 +305,10 @@ def make_grid(
     """Construct a radial quadrature grid and verify its scheme self-test.
 
     ``n_points`` is rounded up to a whole number of 16-point panels.  The
-    returned grid integrates r^2 e^{-r} over the half-line to within 1e-10
-    relative of the exact value 2; construction fails with ``GridError``
-    when the requested resolution cannot deliver that.
+    returned grid's Gauss rule and its Kronrod extension both integrate
+    r^2 e^{-r} over the half-line to within 1e-10 relative of the exact
+    value 2; construction fails with ``GridError`` when the requested
+    resolution cannot deliver that.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridError(f"n_points must be an integer >= 16, got {n_points!r}")
@@ -229,21 +316,23 @@ def make_grid(
     if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min < 0 or r_max <= r_min:
         raise GridError(f"invalid span {r_span!r}: need 0 <= r_min < r_max")
 
-    nodes, weights = _build_expmap(int(n_points), r_min, r_max)
-    grid = RadialGrid(nodes, weights, int(n_points), r_min, r_max)
+    rule = _build_expmap(int(n_points), r_min, r_max)
+    nodes, weights, kronrod_nodes, kronrod_weights = rule
+    grid = RadialGrid(nodes, weights, int(n_points), r_min, r_max, kronrod_nodes, kronrod_weights)
 
-    # Scheme self-test on a span long enough that truncation of the test
-    # integrand is negligible; short-span grids are validated through a
-    # same-resolution surrogate, whose value is computed once.
+    # Scheme self-test of both rules on a span long enough that truncation
+    # of the test integrand is negligible; short-span grids are validated
+    # through a same-resolution surrogate, whose values are computed once.
     if r_min == 0.0 and r_max >= _SELF_TEST_SPAN:
-        probe = _self_test_probe(nodes, weights)
+        probes = _self_test_probes(*rule)
     else:
-        probe = _surrogate_probe(int(n_points))
-    if abs(probe - 2.0) > 2.0 * _SELF_TEST_TOL:
-        raise GridError(
-            f"scheme self-test failed at {n_points} points "
-            f"(got {probe!r} for the Gamma(3) integral); increase n_points"
-        )
+        probes = _surrogate_probes(int(n_points))
+    for probe in probes:
+        if abs(probe - 2.0) > 2.0 * _SELF_TEST_TOL:
+            raise GridError(
+                f"scheme self-test failed at {n_points} points "
+                f"(got {probe!r} for the Gamma(3) integral); increase n_points"
+            )
     return grid
 
 
@@ -257,40 +346,56 @@ def _checked_density(values) -> np.ndarray:
 
 
 def _check_refinement(
-    names: tuple[str, ...], values: tuple[float, ...], refined_values: tuple[float, ...]
+    names: tuple[str, ...], values: tuple[float, ...], kronrod_values: tuple[float, ...]
 ) -> None:
     """Raise ConvergenceError naming the first functional that fails the gate.
 
-    A value fails when it or its refined value is not finite, or when the
-    refined value moved beyond 1e-8 relative.
+    ``kronrod_values`` are the Kronrod values of the Gauss ``values``.  A
+    value fails when it or its Kronrod value is not finite, or when the
+    two differ beyond 1e-8 relative.
     """
-    for name, value, refined in zip(names, values, refined_values):
-        if not (math.isfinite(value) and math.isfinite(refined)):
-            bad = refined if math.isfinite(value) else value
+    for name, value, kronrod in zip(names, values, kronrod_values):
+        if not (math.isfinite(value) and math.isfinite(kronrod)):
+            bad = kronrod if math.isfinite(value) else value
             raise ConvergenceError(
                 f"{name}: the result is {bad!r}, not a finite number; "
                 "shrink the radial span or improve the density"
             )
-        scale = max(abs(refined), abs(value), 1e-30)
-        if abs(refined - value) > _CONVERGENCE_TOL * scale:
+        scale = max(abs(kronrod), abs(value), 1e-30)
+        if abs(kronrod - value) > _CONVERGENCE_TOL * scale:
             raise ConvergenceError(
-                f"{name}: grid refinement moved the result from {value!r} to {refined!r}; "
+                f"{name}: grid refinement moved the result from {value!r} to {kronrod!r}; "
                 "increase grid points or the radial span"
             )
 
 
+def _rule_values(
+    grid: RadialGrid, integrands: tuple[np.ndarray, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """4 pi times the (Gauss, Kronrod) integrals of integrands on ``grid.all_nodes()``."""
+    n = grid.nodes.size
+    return (
+        tuple(4.0 * math.pi * grid.integrate(f[:n]) for f in integrands),
+        tuple(4.0 * math.pi * float(np.dot(grid.kronrod_weights, f)) for f in integrands),
+    )
+
+
 def _converged(
-    names: tuple[str, ...],
-    evaluate: Callable[[RadialGrid], tuple[float, ...]],
-    grid: RadialGrid,
+    names: tuple[str, ...], grid: RadialGrid, integrands: tuple[np.ndarray, ...]
 ) -> tuple[float, ...]:
-    values = evaluate(grid)
-    _check_refinement(names, values, evaluate(grid.refined()))
+    """The Gauss values of the integrands, once each has passed the Kronrod gate."""
+    values, kronrod_values = _rule_values(grid, integrands)
+    _check_refinement(names, values, kronrod_values)
     return values
 
 
-def _cutoff_mask(rho: Density, grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Nodes where the ratio-valued integrands are evaluated.
+def _profile(rho: Density, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
+    return _checked_density(values), deriv, deriv2
+
+
+def _cutoff_mask(rho: Density, grid: RadialGrid, r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Nodes of ``r = grid.all_nodes()`` where the ratio-valued integrands are evaluated.
 
     Raises ConvergenceError when the density treated as vacuum carries a
     non-negligible share of the charge.
@@ -298,9 +403,9 @@ def _cutoff_mask(rho: Density, grid: RadialGrid, values: np.ndarray) -> np.ndarr
     mask = values > RHO_CUTOFF
     if mask.all():
         return mask
-    skipped = 4.0 * math.pi * float(
-        np.dot(grid.weights[~mask], grid.nodes[~mask] ** 2 * rho.value(grid.nodes[~mask]))
-    )
+    vacuum = np.zeros_like(values)
+    vacuum[~mask] = r[~mask] ** 2 * rho.value(r[~mask])
+    skipped = 4.0 * math.pi * float(np.dot(grid.kronrod_weights, vacuum))
     total = abs(rho.total_charge())
     if total > 0 and abs(skipped) > 1e-10 * total:
         raise ConvergenceError(
@@ -310,30 +415,30 @@ def _cutoff_mask(rho: Density, grid: RadialGrid, values: np.ndarray) -> np.ndarr
     return mask
 
 
-# One integral per functional; the single-functional entry points and the
-# shared pass in ``energies`` both go through these.
+# One integrand per functional, without the 4 pi, on the nodes r; the
+# single-functional entry points and the shared pass in ``energies`` both
+# go through these.
 
 
-def _tf_integral(grid: RadialGrid, values: np.ndarray) -> float:
-    return 4.0 * math.pi * grid.integrate(grid.nodes**2 * TF_CONSTANT * values ** (5.0 / 3.0))
+def _tf_integrand(r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return r**2 * TF_CONSTANT * values ** (5.0 / 3.0)
 
 
-def _weizsacker_integral(
-    grid: RadialGrid, values: np.ndarray, deriv: np.ndarray, mask: np.ndarray
-) -> float:
+def _weizsacker_integrand(
+    r: np.ndarray, values: np.ndarray, deriv: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
     integrand = np.zeros_like(values)
     np.divide(deriv * deriv, 8.0 * values, out=integrand, where=mask)
-    return 4.0 * math.pi * grid.integrate(grid.nodes**2 * integrand)
+    return r**2 * integrand
 
 
-def _fourth_order_integral(
-    grid: RadialGrid,
+def _fourth_order_integrand(
+    r: np.ndarray,
     values: np.ndarray,
     deriv: np.ndarray,
     deriv2: np.ndarray,
     mask: np.ndarray,
-) -> float:
-    r = grid.nodes
+) -> np.ndarray:
     integrand = np.zeros_like(values)
     safe = np.where(mask, values, 1.0)
     y = deriv / safe
@@ -341,27 +446,34 @@ def _fourth_order_integral(
     q = r * y * y
     bracket = w * w - 1.125 * w * q + q * q / 3.0
     np.multiply(FOURTH_ORDER_CONSTANT * safe ** (1.0 / 3.0), bracket, out=integrand, where=mask)
-    return 4.0 * math.pi * grid.integrate(integrand)
+    return integrand
+
+
+def _energy_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
+    """The T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
+    r = grid.all_nodes()
+    values, deriv, deriv2 = _profile(rho, r)
+    mask = _cutoff_mask(rho, grid, r, values)
+    return (
+        _tf_integrand(r, values),
+        _weizsacker_integrand(r, values, deriv, mask),
+        _fourth_order_integrand(r, values, deriv, deriv2, mask),
+    )
 
 
 def tf_energy(rho: Density, grid: RadialGrid) -> float:
     """Thomas-Fermi kinetic energy of a radial density (hartree)."""
-
-    def evaluate(g: RadialGrid) -> tuple[float]:
-        return (_tf_integral(g, _checked_density(rho.value(g.nodes))),)
-
-    return _converged(("T_TF",), evaluate, grid)[0]
+    r = grid.all_nodes()
+    values = _checked_density(rho.value(r))
+    return _converged(("T_TF",), grid, (_tf_integrand(r, values),))[0]
 
 
 def weizsacker_energy(rho: Density, grid: RadialGrid) -> tuple[float, float]:
     """Weizsacker energy T_W and the gradient correction T_2 = T_W / 9."""
-
-    def evaluate(g: RadialGrid) -> tuple[float]:
-        values, deriv, _ = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
-        values = _checked_density(values)
-        return (_weizsacker_integral(g, values, deriv, _cutoff_mask(rho, g, values)),)
-
-    (t_w,) = _converged(("T_W",), evaluate, grid)
+    r = grid.all_nodes()
+    values, deriv, _ = _profile(rho, r)
+    mask = _cutoff_mask(rho, grid, r, values)
+    (t_w,) = _converged(("T_W",), grid, (_weizsacker_integrand(r, values, deriv, mask),))
     return t_w, t_w / 9.0
 
 
@@ -372,14 +484,11 @@ def fourth_order_energy(rho: Density, grid: RadialGrid) -> float:
     integrand is assembled in the r-regular form described in the module
     docstring, so no explicit 1/r appears and the r -> 0 limit is finite.
     """
-
-    def evaluate(g: RadialGrid) -> tuple[float]:
-        values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(g.nodes))
-        values = _checked_density(values)
-        mask = _cutoff_mask(rho, g, values)
-        return (_fourth_order_integral(g, values, deriv, deriv2, mask),)
-
-    return _converged(("T_4",), evaluate, grid)[0]
+    r = grid.all_nodes()
+    values, deriv, deriv2 = _profile(rho, r)
+    mask = _cutoff_mask(rho, grid, r, values)
+    integrand = _fourth_order_integrand(r, values, deriv, deriv2, mask)
+    return _converged(("T_4",), grid, (integrand,))[0]
 
 
 def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
@@ -387,32 +496,13 @@ def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
 
     The same values, bit for bit, as ``tf_energy``, ``weizsacker_energy``
     and ``fourth_order_energy`` called one by one, which evaluate the
-    density separately for each functional.  The nodes of the grid and of
-    its refinement go to ``rho.profile`` in one array, and the density
-    checks, the vacuum cutoff and the integrals then run on each grid's own
-    slice.  Each functional must pass the refinement gate on its own; the
-    ConvergenceError names the first that fails.
+    density separately for each functional.  The Gauss and Kronrod nodes
+    go to ``rho.profile`` in one array, and the density checks, the vacuum
+    cutoff and the three integrands run on it once.  Each functional must
+    pass the Kronrod gate on its own; the ConvergenceError names the first
+    that fails.
     """
-
-    grids = (grid, grid.refined())
-    nodes = np.concatenate([g.nodes for g in grids])
-    profile = [np.asarray(a, dtype=float) for a in rho.profile(nodes)]
-    results = []
-    start = 0
-    for g in grids:
-        values, deriv, deriv2 = (a[start:start + g.nodes.size] for a in profile)
-        start += g.nodes.size
-        values = _checked_density(values)
-        mask = _cutoff_mask(rho, g, values)
-        results.append(
-            (
-                _tf_integral(g, values),
-                _weizsacker_integral(g, values, deriv, mask),
-                _fourth_order_integral(g, values, deriv, deriv2, mask),
-            )
-        )
-    _check_refinement(("T_TF", "T_W", "T_4"), results[0], results[1])
-    return results[0]
+    return _converged(("T_TF", "T_W", "T_4"), grid, _energy_integrands(rho, grid))
 
 
 @dataclass(frozen=True)

@@ -529,8 +529,8 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch) -> None:
     monkeypatch.setattr(_kernels, "shell_profile", counting)
     # bypass the ladder cache so the point is computed here
     _ladder_point.__wrapped__(3, 2000)
-    # one kernel call covers the base grid and its refinement
-    assert calls == [2000 + 4000]
+    # one kernel call covers the Gauss nodes and their Kronrod extension
+    assert calls == [2000 + 2125]
 
 
 def test_ladder_counts_cache_hits_and_keeps_cached_points() -> None:

@@ -275,13 +275,21 @@ def test_model_z_below_first_node_runs():
     [
         (("--z", "111"), "interpolation range"),
         (("--n-max", "41"), "must lie in 1..40"),
-        (("--z", "0"), "provide --z or --n-max"),
+        (("--z", "0"), "Z must be at least 1"),
     ],
 )
 def test_model_rejects_out_of_range_inputs(args, fragment):
     proc = run_cli("model", *args)
     assert proc.returncode == 2
     assert fragment in proc.stderr
+
+
+@pytest.mark.parametrize("z", ["0", "-3"])
+def test_model_z_below_one_names_the_bound(z):
+    proc = run_cli("model", "--z", z)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: Z must be at least 1, got {z}\n"
+    assert proc.stdout == ""
 
 
 def test_model_selector_is_required_and_exclusive():
@@ -389,7 +397,7 @@ def test_figures_rerun_is_byte_identical(figures_run, tmp_path: Path):
 
 def test_figures_coarse_grid_fails_convergence_check(tmp_path: Path):
     # 320 points is enough for the quadrature self-test but not for the
-    # refinement check on the tall ladder entries, so this is the
+    # Gauss-Kronrod check on the tall ladder entries, so this is the
     # natural numeric-failure exit.  The density file has no grid
     # dependence and is already on disk by then.
     proc = run_cli("figures", "--grid-points", "320", "--out", str(tmp_path))

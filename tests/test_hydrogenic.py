@@ -254,6 +254,21 @@ def test_density_rejects_non_finite_radii(bad: float) -> None:
             method(np.array([0.1, bad]))
 
 
+def test_wavefunction_scalar_equals_array_element() -> None:
+    # numpy's scalar and vectorised exp can round differently; a scalar
+    # radius must get the same value as inside an array, bit for bit
+    r = make_grid(2000, (0.0, 45.0)).nodes[::50]
+    for z in (1.0, 3.0, 10.0):
+        for n in range(1, 7):
+            for l in range(n):
+                row = radial_wavefunction(z, n, l, r)
+                scalars = [radial_wavefunction(z, n, l, float(x)) for x in r]
+                assert all(isinstance(v, float) for v in scalars)
+                assert scalars == row.tolist(), (z, n, l)
+    assert radial_wavefunction(1.0, 2, 1, np.float64(r[7])) == radial_wavefunction(1.0, 2, 1, r)[7]
+    assert radial_wavefunction(1.0, 2, 1, np.array(r[7])) == radial_wavefunction(1.0, 2, 1, r)[7]
+
+
 def test_wavefunction_validation() -> None:
     with pytest.raises(ValueError):
         radial_wavefunction(0.0, 1, 0, 1.0)

@@ -186,6 +186,113 @@ def test_gauss_legendre_literals_match_leggauss() -> None:
     assert kedf._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
+@pytest.fixture(scope="module")
+def kronrod_rule():
+    """The 16-point Gauss rule and its 33-point Kronrod extension at 50 digits.
+
+    Returns (gauss nodes, Kronrod nodes, weights on the Gauss nodes, weights
+    on the Kronrod nodes) as mpf lists.  The Stieltjes polynomial E_17 is
+    the monic odd polynomial of degree 17 orthogonal to every polynomial of
+    degree < 17 under the weight P_16; its coefficients come from an exact
+    rational solve, its zeros from bracketing between the Gauss nodes, and
+    the weights from exactness on P_0..P_32.
+    """
+    from fractions import Fraction
+
+    import mpmath as mp
+
+    with mp.workdps(50):
+        legendre = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+        for n in range(1, 16):
+            up = [Fraction(0)] + [c * (2 * n + 1) for c in legendre[n]]
+            down = [c * n for c in legendre[n - 1]] + [Fraction(0)] * 2
+            legendre.append([(a - b) / (n + 1) for a, b in zip(up, down)])
+        p16 = legendre[16]
+
+        def p16_moment(m: int) -> Fraction:
+            # integral over [-1, 1] of P_16(x) x^m
+            return sum(Fraction(2, i + m + 1) * c for i, c in enumerate(p16) if (i + m) % 2 == 0)
+
+        odd = range(1, 17, 2)
+        rows = [[p16_moment(j + k) for j in odd] + [-p16_moment(17 + k)] for k in odd]
+        for i in range(len(rows)):  # exact Gauss-Jordan elimination
+            pivot = next(r for r in range(i, len(rows)) if rows[r][i] != 0)
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            rows[i] = [c / rows[i][i] for c in rows[i]]
+            for r in range(len(rows)):
+                if r != i:
+                    rows[r] = [a - rows[r][i] * b for a, b in zip(rows[r], rows[i])]
+        stieltjes = {17: Fraction(1), **{j: row[-1] for j, row in zip(odd, rows)}}
+
+        def mpf(c: Fraction):
+            return mp.mpf(c.numerator) / c.denominator
+
+        def e17(x):
+            return mp.fsum(mpf(c) * x**j for j, c in stieltjes.items())
+
+        roots = mp.polyroots([mpf(c) for c in reversed(p16)], maxsteps=200, extraprec=200)
+        gauss = sorted(mp.re(x) for x in roots)
+        ends = [mp.mpf(-1)] + gauss + [mp.mpf(1)]
+        kronrod = []
+        for lo, hi in zip(ends, ends[1:]):
+            assert e17(lo) * e17(hi) < 0
+            kronrod.append(mp.findroot(e17, (lo, hi), solver="anderson"))
+        nodes = gauss + kronrod
+        matrix = mp.matrix([[mp.legendre(k, x) for x in nodes] for k in range(33)])
+        weights = mp.lu_solve(matrix, mp.matrix([2] + [0] * 32))
+        return gauss, kronrod, list(weights[:16]), list(weights[16:])
+
+
+def test_kronrod_literals_match_mpmath_rule(kronrod_rule) -> None:
+    gauss, kronrod, gauss_weights, kronrod_weights = kronrod_rule
+    assert [float(x) for x in gauss] == kedf._GL_NODES.tolist()
+    for literals, exact in (
+        (kedf._KRONROD_NODES, kronrod),
+        (kedf._KRONROD_GAUSS_WEIGHTS, gauss_weights),
+        (kedf._KRONROD_WEIGHTS, kronrod_weights),
+    ):
+        assert literals.tolist() == [float(x) for x in exact]
+    assert min(gauss_weights + kronrod_weights) > 0
+
+
+def test_kronrod_literals_are_exact_through_degree_49() -> None:
+    import mpmath as mp
+
+    # the float literals, summed at 40 digits; in the Legendre basis, because
+    # the rule's error on x^50 (5.4e-18) hides below the literals' roundoff
+    # while on P_50 it is 4.9e-4
+    nodes = [mp.mpf(x) for x in kedf._GL_NODES.tolist() + kedf._KRONROD_NODES.tolist()]
+    weights = kedf._KRONROD_GAUSS_WEIGHTS.tolist() + kedf._KRONROD_WEIGHTS.tolist()
+    assert min(weights) > 0
+    with mp.workdps(40):
+        weights = [mp.mpf(w) for w in weights]
+        for k in range(51):
+            exact = 2 if k == 0 else 0
+            error = abs(mp.fsum(w * mp.legendre(k, x) for w, x in zip(weights, nodes)) - exact)
+            if k <= 49:
+                assert error < 1e-15, k
+            else:
+                assert error > 1e-6
+
+
+def test_gauss_part_of_grid_is_the_plain_expmap_rule() -> None:
+    # the Gauss nodes and weights, bit for bit, from the map written out
+    for n_points, span in ((2000, (0.0, 45.0)), (3008, (0.5, 130.0)), (64, (0.0, 5.0))):
+        grid = make_grid(n_points, span)
+        edges = np.linspace(0.0, 1.0, -(-n_points // 16) + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        t = (mid[:, None] + half[:, None] * kedf._GL_NODES[None, :]).ravel()
+        width = span[1] - span[0]
+        e_at = np.exp(12.0 * t)
+        nodes = span[0] + width * (e_at - 1.0) / math.expm1(12.0)
+        weights = (half[:, None] * kedf._GL_WEIGHTS[None, :]).ravel() * (
+            width * 12.0 * e_at / math.expm1(12.0)
+        )
+        assert grid.nodes.tobytes() == nodes.tobytes()
+        assert grid.weights.tobytes() == weights.tobytes()
+
+
 def test_grids_do_not_import_numpy_polynomial() -> None:
     code = (
         "import sys\n"
@@ -229,11 +336,20 @@ def test_grid_geometry(grid: RadialGrid) -> None:
 
 
 def test_grid_refined(grid: RadialGrid) -> None:
-    finer = grid.refined()
-    assert finer.n_points == 2 * grid.n_points
-    assert (finer.r_min, finer.r_max) == (grid.r_min, grid.r_max)
-    # built once per grid
-    assert grid.refined() is finer
+    # the error check's nodes: 17 Kronrod nodes per 16-node Gauss panel
+    n = grid.nodes.size
+    assert grid.kronrod_nodes.size == 17 * n // 16
+    assert grid.all_nodes().size == grid.kronrod_weights.size == 4125
+    assert np.array_equal(grid.all_nodes()[:n], grid.nodes)
+    assert np.all(grid.kronrod_weights > 0)
+    assert grid.r_min < grid.kronrod_nodes.min() and grid.kronrod_nodes.max() < grid.r_max
+    # in each panel the Kronrod nodes interlace the Gauss nodes, one at each end
+    is_kronrod = np.argsort(grid.all_nodes(), kind="stable") >= n
+    panel = np.array([True, False] * 16 + [True])
+    assert np.array_equal(is_kronrod, np.tile(panel, n // 16))
+    # Kronrod self-test, replicated
+    r = grid.all_nodes()
+    assert abs(float(np.dot(grid.kronrod_weights, r**2 * np.exp(-r))) - 2.0) <= 1e-9
 
 
 def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
@@ -245,21 +361,22 @@ def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
 
 
 class CountingField(STODensity):
-    """Counts value() calls to observe the refinement pass."""
+    """Records the size of every value() call to observe the error check."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.value_calls = 0
+        self.value_sizes: list[int] = []
 
     def value(self, r):
-        self.value_calls += 1
+        self.value_sizes.append(np.size(r))
         return super().value(r)
 
 
 def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> None:
+    # one call on the Gauss and Kronrod nodes together
     field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
     tf_energy(field, grid)
-    assert field.value_calls == 2
+    assert field.value_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
 
 
 class NegativeDensity:
@@ -350,7 +467,7 @@ def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
     names = ("T_TF", "T_4")
     with pytest.raises(ConvergenceError, match="^T_4: the result is"):
         kedf._check_refinement(names, (1.0, bad), (1.0, bad))
-    # a finite value whose refinement is not finite
+    # a finite value whose Kronrod value is not finite
     with pytest.raises(ConvergenceError, match="^T_4: the result is"):
         kedf._check_refinement(names, (1.0, 1.0), (1.0, bad))
     kedf._check_refinement(names, (1.0, 1.0), (1.0, 1.0 + 1e-12))
@@ -425,13 +542,21 @@ class ProfileCountingField(STODensity):
 def test_energies_evaluates_profile_once(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], ProfileCountingField)
     energies(field, grid)
-    assert field.profile_sizes == [grid.nodes.size + grid.refined().nodes.size]
+    assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
+
+
+@pytest.mark.parametrize("functional", [tf_energy, weizsacker_energy, fourth_order_energy])
+@pytest.mark.parametrize("n_points,sampled", [(2000, 4125), (3008, 6204)])
+def test_single_functionals_evaluate_profile_once(functional, n_points: int, sampled: int) -> None:
+    field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], ProfileCountingField)
+    functional(field, make_grid(n_points, (0.0, 45.0)))
+    assert field.profile_sizes == [sampled]
 
 
 class DriftingField(STODensity):
     """Scales one profile component on nodes outside ``coarse_nodes``.
 
-    Only the functionals that read that component move under refinement.
+    Only the functionals that read that component move under the Kronrod check.
     """
 
     def __init__(self, *args, component: int, coarse_nodes: np.ndarray) -> None:
@@ -455,6 +580,41 @@ def test_energies_refinement_failure_names_functional(
     )
     with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
         energies(field, grid)
+
+
+def _gate_cases(bundled):
+    closed = model_density(ShellConfiguration.closed_shell(10))
+    xe = atom_density(bundled["Xe"])
+    return [
+        (closed, 128, (0.0, closed.suggested_r_max())),
+        (closed, 256, (0.0, closed.suggested_r_max())),
+        (xe, 128, (0.0, 45.0)),
+    ]
+
+
+def test_kronrod_estimate_tracks_doubled_grid(bundled) -> None:
+    # on grids coarse enough to show quadrature error, |G16 - K33| is the
+    # error a doubled grid would report, functional by functional
+    for rho, n_points, span in _gate_cases(bundled):
+        grid = make_grid(n_points, span)
+        values, kronrod = kedf._rule_values(grid, kedf._energy_integrands(rho, grid))
+        doubled = make_grid(2 * n_points, span)
+        finer, _ = kedf._rule_values(doubled, kedf._energy_integrands(rho, doubled))
+        for value, check, fine in zip(values, kronrod, finer):
+            estimate, reference = abs(check - value), abs(fine - value)
+            assert reference > 1e-14 * abs(value)  # well above roundoff
+            assert reference / 2 <= estimate <= 2 * reference
+
+
+def test_coarse_grids_fail_the_kronrod_gate(bundled) -> None:
+    ladder_128, ladder_256, xe_128 = _gate_cases(bundled)
+    # estimates of 7.6e-7 (T_TF, checked first) and 1.4e-7 (T_4)
+    for (rho, n_points, span), name in ((ladder_128, "T_TF"), (xe_128, "T_4")):
+        with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
+            energies(rho, make_grid(n_points, span))
+    # the largest estimate here is 8.3e-9, on T_4: it passes
+    rho, n_points, span = ladder_256
+    assert all(math.isfinite(t) for t in energies(rho, make_grid(n_points, span)))
 
 
 # --- breakdown container ----------------------------------------------------

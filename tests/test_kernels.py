@@ -281,16 +281,15 @@ def test_orbital_profile_matches_mpmath_oracle(bundled, atom) -> None:
 @pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
 def test_orbital_profile_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
     inputs = _orbital_inputs(atom_density(bundled[atom]))
-    grid = make_grid(2000, (0.0, 45.0))
-    r = np.concatenate([grid.nodes, grid.refined().nodes])
+    r = make_grid(2000, (0.0, 45.0)).all_nodes()
     whole = np.array(_kernels.orbital_profile(*inputs, r))
     # uneven pieces, single nodes among them, concatenated
-    cuts = [0, 1, 2, 7, 300, 1001, 4999, r.size]
+    cuts = [0, 1, 2, 7, 300, 1001, 4124, r.size]
     pieces = [np.array(_kernels.orbital_profile(*inputs, r[a:b])) for a, b in zip(cuts, cuts[1:])]
     assert np.array_equal(np.concatenate(pieces, axis=1), whole)
     # a 2-D r gives the 1-D result reshaped
-    square = _kernels.orbital_profile(*inputs, r.reshape(60, 100))
-    assert np.array_equal(np.array(square), whole.reshape(3, 60, 100))
+    square = _kernels.orbital_profile(*inputs, r.reshape(33, 125))
+    assert np.array_equal(np.array(square), whole.reshape(3, 33, 125))
     # other block sizes move every block boundary
     for budget in (2**10, 2**14):
         monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", budget)
@@ -312,9 +311,8 @@ def test_orbital_profile_working_set_is_one_block(bundled) -> None:
 
 
 def test_orbital_profile_matches_pair_expansion(bundled) -> None:
-    # the nodes of a table1 row: its grid and the refinement
-    grid = make_grid(2000, (0.0, 45.0))
-    r = np.concatenate([grid.nodes, grid.refined().nodes])
+    # the nodes of a table1 row: its Gauss and Kronrod nodes
+    r = make_grid(2000, (0.0, 45.0)).all_nodes()
     for symbol, record in bundled.items():
         rho, drho, d2rho = atom_density(record).profile(r)
         ref_rho, ref_drho, ref_d2rho = term_profile(pair_field(record), r)
@@ -406,5 +404,6 @@ def test_kernel_benchmark_script_runs() -> None:
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "orbital_profile[Xe, 4000 pts]" in proc.stdout
-    assert "shell_profile[n_max=2, 3008 pts]" in proc.stdout
+    assert "orbital_profile[Xe, 4125 nodes]" in proc.stdout
+    assert "orbital_profile[17 atoms, 4125 nodes]" in proc.stdout
+    assert "shell_profile[n_max=2, 3008-point grid: 6204 nodes]" in proc.stdout
