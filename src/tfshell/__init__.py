@@ -51,7 +51,6 @@ from .hydrogenic import (
     HydrogenicDensity,
     ShellConfiguration,
     electron_count,
-    model_density,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
     radial_wavefunction,
@@ -63,10 +62,7 @@ from .kedf import (
     GridError,
     RadialGrid,
     energies,
-    fourth_order_energy,
     make_grid,
-    tf_energy,
-    weizsacker_energy,
 )
 
 __version__ = "0.1.0"
@@ -78,7 +74,6 @@ __all__ = [
     "HydrogenicDensity",
     "electron_count",
     "shell_count_for",
-    "model_density",
     "model_kinetic_energy",
     "model_kinetic_energy_continuous",
     "radial_wavefunction",
@@ -87,9 +82,6 @@ __all__ = [
     "RadialGrid",
     "EnergyBreakdown",
     "make_grid",
-    "tf_energy",
-    "weizsacker_energy",
-    "fourth_order_energy",
     "energies",
     "CorrectionTable",
     "INTERPOLATION_MAX_Z",

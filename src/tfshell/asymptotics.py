@@ -24,12 +24,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hydrogenic import ShellConfiguration, model_density
+from .hydrogenic import HydrogenicDensity, ShellConfiguration, model_kinetic_energy
 from .kedf import energies, make_grid
 
 __all__ = [
     "TURNING_POINT",
     "TARGETS",
+    "MODEL_GRID_POINTS",
     "ExtrapolationError",
     "ZExpansion",
     "SequencePoint",
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 TURNING_POINT = 18.0 ** (1.0 / 3.0)
+
+# Quadrature points of a ladder point's grid on (0, suggested_r_max) unless
+# a caller asks for others; the shell-correction nodes use it too.
+MODEL_GRID_POINTS = 3008
 
 _MAX_ELIMINATION_DEPTH = 5
 
@@ -244,7 +249,7 @@ def scaled_model_density(
         r_hat = np.linspace(0.0, TURNING_POINT, n_points + 1)[1:]
     r_hat = np.asarray(r_hat, dtype=float)
     z = cfg.nuclear_charge
-    rho_hat = model_density(cfg).value(r_hat * z ** (-1.0 / 3.0)) / z**2
+    rho_hat = HydrogenicDensity(cfg).value(r_hat * z ** (-1.0 / 3.0)) / z**2
     return r_hat, np.asarray(rho_hat, dtype=float)
 
 
@@ -297,13 +302,13 @@ class SequencePoint:
 @lru_cache(maxsize=None)
 def _ladder_point(n_max: int, grid_points: int) -> SequencePoint:
     cfg = ShellConfiguration.closed_shell(n_max)
-    rho = model_density(cfg)
+    rho = HydrogenicDensity(cfg)
     grid = make_grid(n_points=grid_points, r_span=(0.0, rho.suggested_r_max()))
     t0, t_w, t4 = energies(rho, grid)
     return SequencePoint(
         n_max=cfg.n_max,
         z=cfg.nuclear_charge,
-        t_exact=float(cfg.n_max) * cfg.nuclear_charge**2,
+        t_exact=model_kinetic_energy(cfg),
         t_tf=t0,
         t2=t_w / 9.0,
         t4=t4,
@@ -311,7 +316,7 @@ def _ladder_point(n_max: int, grid_points: int) -> SequencePoint:
 
 
 def model_energy_sequence(
-    shell_counts: Iterable[int], grid_points: int = 3008
+    shell_counts: Iterable[int], grid_points: int = MODEL_GRID_POINTS
 ) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
@@ -343,7 +348,9 @@ def figure_density_rows(
     return rows
 
 
-def figure_error_rows(shell_counts: Iterable[int], grid_points: int = 3008) -> list[dict]:
+def figure_error_rows(
+    shell_counts: Iterable[int], grid_points: int = MODEL_GRID_POINTS
+) -> list[dict]:
     """Rows (n_max, Z, rel_err_T0, rel_err_T2, rel_err_T4) for error plots.
 
     Errors follow the underestimate-positive convention

@@ -250,6 +250,13 @@ def cmd_model(args: argparse.Namespace) -> int:
             print(f"error: Z must be at least 1, got {z}", file=sys.stderr)
             return EXIT_DATA
         n_max = shell_count_for(z)
+        if n_max is not None and n_max > MAX_SHELLS:
+            print(
+                f"error: Z={z} fills {n_max} shells; filled-shell counts are "
+                f"supported for 1..{MAX_SHELLS} shells",
+                file=sys.stderr,
+            )
+            return EXIT_DATA
         if n_max is None and z > INTERPOLATION_MAX_Z:
             print(
                 f"error: Z={z} is not a filled-shell count and lies beyond the "

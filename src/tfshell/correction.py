@@ -8,7 +8,9 @@ energy is known in closed form, so the Thomas-Fermi deficit
 is computable exactly at the filling numbers Z = 2, 10, 28, 60, 110.
 A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
-gives the corrected estimate T_TF + delta_T.
+gives the corrected estimate T_TF + delta_T.  The exact deficits are read
+off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
+which compute each shell count's energies once per grid size and process.
 
 Two cubics are available: 'refit' (default) solves for the coefficients
 from freshly computed node deltas at full precision, while 'published'
@@ -22,14 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hydrogenic import (
-    MAGIC_NUMBERS,
-    ShellConfiguration,
-    model_density,
-    model_kinetic_energy,
-    shell_count_for,
-)
-from .kedf import make_grid, tf_energy
+from .asymptotics import model_energy_sequence
+from .hydrogenic import MAGIC_NUMBERS, shell_count_for
 
 __all__ = [
     "INTERPOLATION_MAX_Z",
@@ -46,23 +42,21 @@ PUBLISHED_COEFFICIENTS = (0.21210, -0.19860, 0.12815, 0.00010)
 
 _NODE_SHELLS = (1, 2, 3, 4)
 INTERPOLATION_MAX_Z = 110
-_EXACT_GRID_POINTS = 3008
 
 
-@lru_cache(maxsize=None)
 def delta_t_exact(n_max: int) -> float:
     """Exact Thomas-Fermi deficit of the closed-shell system with ``n_max`` shells.
 
-    Evaluates T_shell - T_TF[rho_shell] for the neutral configuration
-    (Z equal to the electron count), using a grid fine enough that the
-    built-in Gauss-Kronrod check passes.  Quadrature failures propagate.
+    T_shell - T_TF[rho_shell] for the neutral configuration (Z equal to the
+    electron count), read off the ladder point of
+    ``asymptotics.model_energy_sequence`` on its default grid, which builds
+    and caches the density, the grid and the energies.  Quadrature failures
+    propagate.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"shell count must be a positive integer, got {n_max!r}")
-    cfg = ShellConfiguration.closed_shell(int(n_max))
-    rho = model_density(cfg)
-    grid = make_grid(n_points=_EXACT_GRID_POINTS, r_span=(0.0, rho.suggested_r_max()))
-    return model_kinetic_energy(cfg) - tf_energy(rho, grid)
+    (point,) = model_energy_sequence([int(n_max)])
+    return point.t_exact - point.t_tf
 
 
 def _as_atomic_number(z: int) -> int:

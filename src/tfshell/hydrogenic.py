@@ -4,10 +4,10 @@ The solvable system: N electrons bound by a bare -Z/r potential with Z = N,
 filling shells n = 1..n_max completely.  Shell filling gives the
 closed-shell electron counts 2, 10, 28, 60, 110, ...; per-orbital energies
 follow the Rydberg formula, so the total kinetic energy is exactly
-n_max * Z^2.  The density is an analytic sum of squared radial
-wavefunctions.  Each shell's sum has a closed form in a few Laguerre
-values (Heilmann & Lieb, Phys. Rev. A 52, 3628 (1995)), which the kernel
-evaluates by recurrence, never through the exponential-polynomial
+n_max * Z^2.  The density (``HydrogenicDensity``) is an analytic sum of
+squared radial wavefunctions.  Each shell's sum has a closed form in a few
+Laguerre values (Heilmann & Lieb, Phys. Rev. A 52, 3628 (1995)), which the
+kernel evaluates by recurrence, never through the exponential-polynomial
 expansion: that expansion cancels catastrophically for many shells, while
 the closed form keeps many-shell configurations accurate in double
 precision.
@@ -40,7 +40,6 @@ __all__ = [
     "model_kinetic_energy",
     "model_kinetic_energy_continuous",
     "radial_wavefunction",
-    "model_density",
 ]
 
 MAX_SHELLS = 40
@@ -160,10 +159,11 @@ def radial_wavefunction(z: float, n: int, l: int, r):
 
 
 class HydrogenicDensity:
-    """Filled-shell density, evaluated by the closed-form shell kernel.
+    """Density of a filled-shell configuration, evaluated by the closed-form shell kernel.
 
-    Answers the density protocol of ``kedf``: ``profile``, ``value``,
-    ``total_charge`` and ``suggested_r_max``.
+    Answers the density protocol of ``kedf`` (``profile`` and
+    ``total_charge``), and adds ``value`` for rho alone and
+    ``suggested_r_max`` for the radial span of its quadrature grid.
     """
 
     def __init__(self, cfg: ShellConfiguration) -> None:
@@ -211,7 +211,3 @@ class HydrogenicDensity:
         cfg = self.configuration
         return f"HydrogenicDensity(Z={cfg.nuclear_charge:g}, n_max={cfg.n_max})"
 
-
-def model_density(cfg: ShellConfiguration) -> HydrogenicDensity:
-    """Density of the filled-shell configuration."""
-    return HydrogenicDensity(cfg)

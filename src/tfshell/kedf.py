@@ -1,24 +1,21 @@
 """Kinetic-energy functionals on radial densities, plus the quadrature engine.
 
-Functionals (all as 4 pi * integral of r^2 * tau dr, hartree):
+``energies(rho, grid)`` is the one entry point.  It returns (T_TF, T_W, T_4),
+each as 4 pi * integral of r^2 * tau dr in hartree, with
 
-* ``tf_energy``       tau_0 = (3/10)(3 pi^2)^{2/3} rho^{5/3}
-* ``weizsacker_energy``  tau_W = (rho')^2 / (8 rho); returns (T_W, T_W/9)
-* ``fourth_order_energy``  tau_4 built from rho', rho'' (see below)
-* ``energies``        all three, (T_TF, T_W, T_4), from one shared pass
+* T_TF: tau_0 = (3/10)(3 pi^2)^{2/3} rho^{5/3}
+* T_W:  tau_W = (rho')^2 / (8 rho); the gradient correction is T_2 = T_W / 9
+* T_4:  tau_4 built from rho', rho'' (see below)
 
-A density is anything with the three methods of the ``Density`` protocol:
-``profile(r)`` for (rho, rho', rho''), ``value(r)`` for rho alone and
-``total_charge()``.  Slater-type atoms (``atomic_data.STODensity``) and
-the filled-shell ``hydrogenic.HydrogenicDensity`` both answer it.
+A density is anything with the two methods of the ``Density`` protocol:
+``profile(r)`` for (rho, rho', rho'') and ``total_charge()``.  Slater-type
+atoms (``atomic_data.STODensity``) and the filled-shell
+``hydrogenic.HydrogenicDensity`` both answer it.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of the grid (the Gauss
-nodes and their Kronrod extension, below), then integrates all three
-functionals from it, so it costs one density evaluation where the three
-single-functional calls cost one each.
-Each integrand is written once and shared by both paths, so the values are
-identical bit for bit.
+nodes and their Kronrod extension, below); the density checks, the vacuum
+cutoff and the three integrands all read that one evaluation.
 
 The fourth-order integrand is evaluated in the algebraically equivalent form
 
@@ -74,9 +71,6 @@ __all__ = [
     "RadialGrid",
     "EnergyBreakdown",
     "make_grid",
-    "tf_energy",
-    "weizsacker_energy",
-    "fourth_order_energy",
     "energies",
 ]
 
@@ -100,13 +94,11 @@ _CONVERGENCE_TOL = 1e-8
 class Density(Protocol):
     """What the functionals ask of a radial density.
 
-    ``profile`` returns (rho, rho', rho'') at an array of radii, ``value``
-    rho alone, and ``total_charge`` the integral of 4 pi r^2 rho.
+    ``profile`` returns (rho, rho', rho'') at an array of radii and
+    ``total_charge`` the integral of 4 pi r^2 rho.
     """
 
     def profile(self, r) -> tuple: ...
-
-    def value(self, r): ...
 
     def total_charge(self) -> float: ...
 
@@ -380,31 +372,18 @@ def _rule_values(
     )
 
 
-def _converged(
-    names: tuple[str, ...], grid: RadialGrid, integrands: tuple[np.ndarray, ...]
-) -> tuple[float, ...]:
-    """The Gauss values of the integrands, once each has passed the Kronrod gate."""
-    values, kronrod_values = _rule_values(grid, integrands)
-    _check_refinement(names, values, kronrod_values)
-    return values
-
-
-def _profile(rho: Density, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
-    return _checked_density(values), deriv, deriv2
-
-
-def _cutoff_mask(rho: Density, grid: RadialGrid, r: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _cutoff_mask(rho: Density, grid: RadialGrid, r: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """Nodes of ``r = grid.all_nodes()`` where the ratio-valued integrands are evaluated.
 
-    Raises ConvergenceError when the density treated as vacuum carries a
-    non-negligible share of the charge.
+    ``raw`` is the density on ``r`` as ``rho.profile`` returned it, before
+    clipping.  Raises ConvergenceError when the density treated as vacuum
+    carries a non-negligible share of the charge.
     """
-    mask = values > RHO_CUTOFF
+    mask = raw > RHO_CUTOFF
     if mask.all():
         return mask
-    vacuum = np.zeros_like(values)
-    vacuum[~mask] = r[~mask] ** 2 * rho.value(r[~mask])
+    vacuum = np.zeros_like(raw)
+    vacuum[~mask] = r[~mask] ** 2 * raw[~mask]
     skipped = 4.0 * math.pi * float(np.dot(grid.kronrod_weights, vacuum))
     total = abs(rho.total_charge())
     if total > 0 and abs(skipped) > 1e-10 * total:
@@ -415,9 +394,7 @@ def _cutoff_mask(rho: Density, grid: RadialGrid, r: np.ndarray, values: np.ndarr
     return mask
 
 
-# One integrand per functional, without the 4 pi, on the nodes r; the
-# single-functional entry points and the shared pass in ``energies`` both
-# go through these.
+# One integrand per functional, without the 4 pi, on the nodes r.
 
 
 def _tf_integrand(r: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -452,8 +429,9 @@ def _fourth_order_integrand(
 def _energy_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
     """The T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
     r = grid.all_nodes()
-    values, deriv, deriv2 = _profile(rho, r)
-    mask = _cutoff_mask(rho, grid, r, values)
+    raw, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
+    values = _checked_density(raw)
+    mask = _cutoff_mask(rho, grid, r, raw)
     return (
         _tf_integrand(r, values),
         _weizsacker_integrand(r, values, deriv, mask),
@@ -461,48 +439,19 @@ def _energy_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]
     )
 
 
-def tf_energy(rho: Density, grid: RadialGrid) -> float:
-    """Thomas-Fermi kinetic energy of a radial density (hartree)."""
-    r = grid.all_nodes()
-    values = _checked_density(rho.value(r))
-    return _converged(("T_TF",), grid, (_tf_integrand(r, values),))[0]
-
-
-def weizsacker_energy(rho: Density, grid: RadialGrid) -> tuple[float, float]:
-    """Weizsacker energy T_W and the gradient correction T_2 = T_W / 9."""
-    r = grid.all_nodes()
-    values, deriv, _ = _profile(rho, r)
-    mask = _cutoff_mask(rho, grid, r, values)
-    (t_w,) = _converged(("T_W",), grid, (_weizsacker_integrand(r, values, deriv, mask),))
-    return t_w, t_w / 9.0
-
-
-def fourth_order_energy(rho: Density, grid: RadialGrid) -> float:
-    """Fourth-order gradient correction T_4 (hartree).
-
-    Requires exact first and second derivatives from ``rho.profile``; the
-    integrand is assembled in the r-regular form described in the module
-    docstring, so no explicit 1/r appears and the r -> 0 limit is finite.
-    """
-    r = grid.all_nodes()
-    values, deriv, deriv2 = _profile(rho, r)
-    mask = _cutoff_mask(rho, grid, r, values)
-    integrand = _fourth_order_integrand(r, values, deriv, deriv2, mask)
-    return _converged(("T_4",), grid, (integrand,))[0]
-
-
 def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) from one density profile call (hartree).
+    """(T_TF, T_W, T_4) of a radial density from one profile call (hartree).
 
-    The same values, bit for bit, as ``tf_energy``, ``weizsacker_energy``
-    and ``fourth_order_energy`` called one by one, which evaluate the
-    density separately for each functional.  The Gauss and Kronrod nodes
-    go to ``rho.profile`` in one array, and the density checks, the vacuum
-    cutoff and the three integrands run on it once.  Each functional must
-    pass the Kronrod gate on its own; the ConvergenceError names the first
-    that fails.
+    The Gauss and Kronrod nodes go to ``rho.profile`` in one array, and the
+    density checks, the vacuum cutoff and the three integrands run on it
+    once.  T_4 needs exact first and second derivatives from the profile;
+    its integrand is the r-regular form of the module docstring, so no
+    explicit 1/r appears.  Each functional must pass the Kronrod gate on
+    its own; the ConvergenceError names the first that fails.
     """
-    return _converged(("T_TF", "T_W", "T_4"), grid, _energy_integrands(rho, grid))
+    values, kronrod_values = _rule_values(grid, _energy_integrands(rho, grid))
+    _check_refinement(("T_TF", "T_W", "T_4"), values, kronrod_values)
+    return values
 
 
 @dataclass(frozen=True)

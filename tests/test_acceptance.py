@@ -53,16 +53,16 @@ from tfshell.asymptotics import (
 from tfshell.correction import delta_t_exact, delta_t_interpolated
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
+    HydrogenicDensity,
     ShellConfiguration,
     electron_count,
-    model_density,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
     radial_wavefunction,
     shell_count_for,
 )
 from tfshell.atomic_data import atom_density
-from tfshell.kedf import fourth_order_energy, make_grid, tf_energy, weizsacker_energy
+from tfshell.kedf import energies, make_grid
 
 
 def record_criterion(number: int, label: str, ok: bool, detail: str) -> None:
@@ -201,9 +201,8 @@ def _printed_tolerance(entry: str) -> float:
 
 def _error_columns(record, grid) -> tuple[float, float, float, float]:
     field = atom_density(record)
-    t_tf = tf_energy(field, grid)
-    _, t2 = weizsacker_energy(field, grid)
-    t4 = fourth_order_energy(field, grid)
+    t_tf, t_w, t4 = energies(field, grid)
+    t2 = t_w / 9.0
     n_exact = shell_count_for(record.atomic_number)
     if n_exact is not None:
         delta = delta_t_exact(n_exact)
@@ -391,7 +390,7 @@ def test_criterion_7_property_suite():
         failures.append(f"orthonormality dev {worst_overlap:.1e}")
 
     # density normalization for a filled three-shell configuration
-    density = model_density(ShellConfiguration(9.21, 3))
+    density = HydrogenicDensity(ShellConfiguration(9.21, 3))
     charge = 4.0 * math.pi * grid.integrate(density.value(grid.nodes) * grid.nodes**2)
     norm_dev = abs(charge / electron_count(3) - 1.0)
     if norm_dev > 1e-8:
@@ -420,13 +419,12 @@ def test_criterion_7_property_suite():
     )
     base_grid = make_grid(2000, (0.0, 60.0))
     scaled_grid = make_grid(2000, (0.0, 60.0 / lam))
-    base_tw, base_t2 = weizsacker_energy(field, base_grid)
-    scaled_tw, scaled_t2 = weizsacker_energy(scaled, scaled_grid)
+    base_tf, base_tw, base_t4 = energies(field, base_grid)
+    scaled_tf, scaled_tw, scaled_t4 = energies(scaled, scaled_grid)
     scalings = (
-        ("tf", tf_energy(scaled, scaled_grid), tf_energy(field, base_grid)),
+        ("tf", scaled_tf, base_tf),
         ("weizsacker", scaled_tw, base_tw),
-        ("t2", scaled_t2, base_t2),
-        ("t4", fourth_order_energy(scaled, scaled_grid), fourth_order_energy(field, base_grid)),
+        ("t4", scaled_t4, base_t4),
     )
     for name, scaled_value, base_value in scalings:
         dev = abs(scaled_value / (lam**2 * base_value) - 1.0)
@@ -434,9 +432,9 @@ def test_criterion_7_property_suite():
             failures.append(f"{name} scaling dev {dev:.1e}")
 
     # one filled shell at z=2: gradient term is exact there
-    one_shell = model_density(ShellConfiguration.closed_shell(1))
+    one_shell = HydrogenicDensity(ShellConfiguration.closed_shell(1))
     tw_grid = make_grid(2000, (0.0, 45.0))
-    tw_value, _ = weizsacker_energy(one_shell, tw_grid)
+    _, tw_value, _ = energies(one_shell, tw_grid)
     if abs(tw_value - 4.0) > 1e-6:
         failures.append(f"one-shell gradient energy {tw_value!r}")
 

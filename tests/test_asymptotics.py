@@ -27,9 +27,9 @@ from tfshell.asymptotics import (
     _ladder_point,
 )
 from tfshell.hydrogenic import (
+    HydrogenicDensity,
     ShellConfiguration,
     electron_count,
-    model_density,
     model_kinetic_energy_continuous,
 )
 from tfshell.kedf import ConvergenceError, make_grid
@@ -427,7 +427,7 @@ def test_tf_limit_rejects_non_finite_radii(bad: float) -> None:
 def test_scaled_density_is_rescaled_model() -> None:
     cfg = ShellConfiguration.closed_shell(3)
     z = cfg.nuclear_charge
-    rho = model_density(cfg)
+    rho = HydrogenicDensity(cfg)
     r_hat = np.linspace(0.1, 2.5, 40)
     expected = rho.value(r_hat * z ** (-1.0 / 3.0)) / z**2
     np.testing.assert_allclose(scaled_model_density(cfg, r_hat=r_hat)[1], expected, rtol=1e-14)
@@ -436,7 +436,7 @@ def test_scaled_density_is_rescaled_model() -> None:
 def test_scaled_density_unit_norm() -> None:
     cfg = ShellConfiguration.closed_shell(3)
     z = cfg.nuclear_charge
-    r_max_hat = model_density(cfg).suggested_r_max() * z ** (1.0 / 3.0)
+    r_max_hat = HydrogenicDensity(cfg).suggested_r_max() * z ** (1.0 / 3.0)
     grid = make_grid(2000, (0.0, r_max_hat))
     vals = scaled_model_density(cfg, r_hat=grid.nodes)[1]
     norm = 4.0 * math.pi * grid.integrate(grid.nodes**2 * vals)

@@ -276,6 +276,7 @@ def test_model_z_below_first_node_runs():
         (("--z", "111"), "interpolation range"),
         (("--n-max", "41"), "must lie in 1..40"),
         (("--z", "0"), "Z must be at least 1"),
+        (("--z", "47642"), "fills 41 shells; filled-shell counts are supported for 1..40 shells"),
     ],
 )
 def test_model_rejects_out_of_range_inputs(args, fragment):

@@ -15,7 +15,6 @@ from tfshell.hydrogenic import (
     HydrogenicDensity,
     ShellConfiguration,
     electron_count,
-    model_density,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
     radial_wavefunction,
@@ -294,8 +293,7 @@ def test_wavefunction_rejects_non_finite_radii(bad: float) -> None:
 
 def test_model_density_and_repr() -> None:
     cfg = ShellConfiguration.closed_shell(3)
-    density = model_density(cfg)
-    assert isinstance(density, HydrogenicDensity)
+    density = HydrogenicDensity(cfg)
     assert density.configuration == cfg
     assert "n_max=3" in repr(density)
 
@@ -326,14 +324,14 @@ def test_derivatives_match_finite_differences() -> None:
 def test_density_is_zero_far_outside() -> None:
     # far out e^{-Z r / n} is 0 in float64 while the Laguerre recurrence
     # overflows; the product used to be nan
-    assert model_density(ShellConfiguration.closed_shell(40)).value(1e6) == 0.0
-    assert model_density(ShellConfiguration.closed_shell(5)).value(1e300) == 0.0
+    assert HydrogenicDensity(ShellConfiguration.closed_shell(40)).value(1e6) == 0.0
+    assert HydrogenicDensity(ShellConfiguration.closed_shell(5)).value(1e300) == 0.0
     r = np.geomspace(1.0, 1e300, 600)
     for n_max in (1, 5, 40):
         cfg = ShellConfiguration.closed_shell(n_max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = model_density(cfg).profile(r)
+            rows = HydrogenicDensity(cfg).profile(r)
         assert all(np.isfinite(row).all() for row in rows)
         # the nodes short of the cut keep the kernel's own values
         near = r * cfg.nuclear_charge / n_max < 745.0

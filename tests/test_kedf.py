@@ -12,19 +12,17 @@ from scipy.integrate import quad
 from orbitals import orbital_density
 from tfshell import kedf
 from tfshell.atomic_data import STODensity, atom_density
-from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration, model_density
+from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
+    RHO_CUTOFF,
     TF_CONSTANT,
     ConvergenceError,
     EnergyBreakdown,
     GridError,
     RadialGrid,
     energies,
-    fourth_order_energy,
     make_grid,
-    tf_energy,
-    weizsacker_energy,
 )
 
 # ---------------------------------------------------------------------------
@@ -76,11 +74,10 @@ def test_single_exponential_closed_forms(c: float, beta: float, span: float) -> 
     grid = make_grid(2000, (0.0, span))
     # c e^{-beta r} as the square of one orbital
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
-    assert tf_energy(field, grid) == pytest.approx(tf_closed(c, beta), rel=1e-10)
-    t_w, t2 = weizsacker_energy(field, grid)
+    t_tf, t_w, t4 = energies(field, grid)
+    assert t_tf == pytest.approx(tf_closed(c, beta), rel=1e-10)
     assert t_w == pytest.approx(tw_closed(c, beta), rel=1e-10)
-    assert t2 == t_w / 9.0
-    assert fourth_order_energy(field, grid) == pytest.approx(t4_closed(c, beta), rel=1e-10)
+    assert t4 == pytest.approx(t4_closed(c, beta), rel=1e-10)
 
 
 def test_t4_closed_form_simplification() -> None:
@@ -93,9 +90,9 @@ def test_one_shell_density_weizsacker_is_exact(grid: RadialGrid) -> None:
     # a pure 1s density is a single orbital; its gradient term recovers the
     # full kinetic energy n_max * Z^2 = 4
     density = HydrogenicDensity(ShellConfiguration.closed_shell(1))
-    t_w, _ = weizsacker_energy(density, grid)
+    t_tf, t_w, _ = energies(density, grid)
     assert t_w == pytest.approx(4.0, rel=1e-10)
-    assert tf_energy(density, grid) == pytest.approx(tf_closed(16.0 / math.pi, 4.0), rel=1e-10)
+    assert t_tf == pytest.approx(tf_closed(16.0 / math.pi, 4.0), rel=1e-10)
 
 
 def _standard_form_t4(rho_of, span: tuple[float, float]) -> float:
@@ -125,7 +122,7 @@ def test_t4_regular_form_matches_standard_form_single_exponential() -> None:
     reference = _standard_form_t4(rho_of, (1e-9, 60.0))
     grid = make_grid(2000, (0.0, 60.0))
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
-    assert fourth_order_energy(field, grid) == pytest.approx(reference, rel=2e-9)
+    assert energies(field, grid)[2] == pytest.approx(reference, rel=2e-9)
 
 
 def test_t4_regular_form_matches_standard_form_two_shells() -> None:
@@ -135,7 +132,7 @@ def test_t4_regular_form_matches_standard_form_two_shells() -> None:
     span = density.suggested_r_max()
     fine = make_grid(2000, (0.0, span))
     reference = _standard_form_t4(density.profile, (1e-9, span))
-    assert fourth_order_energy(density, fine) == pytest.approx(reference, rel=1e-7)
+    assert energies(density, fine)[2] == pytest.approx(reference, rel=1e-7)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.3, 2.7])
@@ -149,15 +146,8 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
     )
     base = make_grid(2000, (0.0, 60.0))
     scaled_grid = make_grid(2000, (0.0, 60.0 / lam))
-    assert tf_energy(scaled, scaled_grid) == pytest.approx(
-        lam**2 * tf_energy(field, base), rel=1e-8
-    )
-    assert weizsacker_energy(scaled, scaled_grid)[0] == pytest.approx(
-        lam**2 * weizsacker_energy(field, base)[0], rel=1e-8
-    )
-    assert fourth_order_energy(scaled, scaled_grid) == pytest.approx(
-        lam**2 * fourth_order_energy(field, base), rel=1e-8
-    )
+    for scaled_value, base_value in zip(energies(scaled, scaled_grid), energies(field, base)):
+        assert scaled_value == pytest.approx(lam**2 * base_value, rel=1e-8)
 
 
 # --- grid construction and validation --------------------------------------
@@ -361,22 +351,33 @@ def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
 
 
 class CountingField(STODensity):
-    """Records the size of every value() call to observe the error check."""
+    """Records the size of every profile() and value() call."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
+        self.profile_sizes: list[int] = []
         self.value_sizes: list[int] = []
+
+    def profile(self, r):
+        self.profile_sizes.append(np.size(r))
+        return super().profile(r)
 
     def value(self, r):
         self.value_sizes.append(np.size(r))
         return super().value(r)
 
 
-def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> None:
-    # one call on the Gauss and Kronrod nodes together
-    field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
-    tf_energy(field, grid)
-    assert field.value_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
+@pytest.mark.parametrize("n_points,sampled", [(2000, 4125), (3008, 6204)])
+def test_energies_evaluates_density_once(n_points: int, sampled: int) -> None:
+    # e^{-20 r} falls below the vacuum cutoff beyond r = 32, so the cutoff
+    # check runs, and it reads the same profile call as the integrands
+    field = orbital_density([[(1.0, 0, 10.0)]], CountingField)
+    grid = make_grid(n_points, (0.0, 45.0))
+    assert np.any(field.profile(grid.all_nodes())[0] <= RHO_CUTOFF)
+    field.profile_sizes.clear()
+    energies(field, grid)
+    assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [sampled]
+    assert field.value_sizes == []
 
 
 class NegativeDensity:
@@ -386,33 +387,19 @@ class NegativeDensity:
         e = np.exp(-np.asarray(r, dtype=float))
         return -e, e, -e
 
-    def value(self, r):
-        return self.profile(r)[0]
-
     def total_charge(self) -> float:
         return -8.0 * math.pi
 
 
 def test_negative_density_rejected(grid: RadialGrid) -> None:
-    field = NegativeDensity()
     with pytest.raises(ValueError, match="negative"):
-        tf_energy(field, grid)
-    with pytest.raises(ValueError, match="negative"):
-        weizsacker_energy(field, grid)
-    with pytest.raises(ValueError, match="negative"):
-        fourth_order_energy(field, grid)
-    with pytest.raises(ValueError, match="negative"):
-        energies(field, grid)
+        energies(NegativeDensity(), grid)
 
 
 def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
     # all mass sits within a few orders of the vacuum cutoff, so the masked
     # region carries a non-negligible share of the charge
     field = orbital_density([[(1e-135, 0, 0.5)]])
-    with pytest.raises(ConvergenceError, match="cutoff"):
-        weizsacker_energy(field, grid)
-    with pytest.raises(ConvergenceError, match="cutoff"):
-        fourth_order_energy(field, grid)
     with pytest.raises(ConvergenceError, match="cutoff"):
         energies(field, grid)
 
@@ -425,9 +412,6 @@ class PoisonedField(STODensity):
         self.component = component
         self.index = index
 
-    def value(self, r):
-        return self.profile(r)[0]
-
     def profile(self, r):
         parts = [np.array(a) for a in super().profile(r)]
         parts[self.component][self.index] = np.nan
@@ -436,29 +420,35 @@ class PoisonedField(STODensity):
 
 def test_nan_density_rejected(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=0)
-    for functional in (tf_energy, weizsacker_energy, fourth_order_energy, energies):
-        with pytest.raises(ValueError, match="NaN"):
-            functional(field, grid)
+    with pytest.raises(ValueError, match="NaN"):
+        energies(field, grid)
 
 
 def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     # a finite density whose rho'' is NaN at one node: only T_4 reads it
     field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=2)
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
-        fourth_order_energy(field, grid)
-    with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
         energies(field, grid)
-    assert math.isfinite(tf_energy(field, grid))
-    assert all(math.isfinite(t) for t in weizsacker_energy(field, grid))
+    # T_TF and T_W are finite and pass the gate on their own
+    values, kronrod = kedf._rule_values(grid, kedf._energy_integrands(field, grid))
+    kedf._check_refinement(("T_TF", "T_W"), values[:2], kronrod[:2])
 
 
 def test_fourth_order_is_finite_far_out(bundled) -> None:
     # He's density falls below 1e-103 well inside a 150-bohr span, where
-    # rho^2 and rho^3 of the plain bracket underflow; the ratio form does not
+    # rho^2 and rho^3 of the plain bracket underflow; the ratio form does
+    # not.  rho^{5/3} of T_TF underflows there harmlessly, so only the T_4
+    # integrand runs with every floating-point error raised.
     field = atom_density(bundled["He"])
-    near = fourth_order_energy(field, make_grid(2000, (0.0, 45.0)))
+    far_grid = make_grid(2000, (0.0, 150.0))
+    r = far_grid.all_nodes()
     with np.errstate(all="raise"):
-        far = fourth_order_energy(field, make_grid(2000, (0.0, 150.0)))
+        values, deriv, deriv2 = field.profile(r)
+        integrand = kedf._fourth_order_integrand(r, values, deriv, deriv2, values > RHO_CUTOFF)
+        (guarded,), _ = kedf._rule_values(far_grid, (integrand,))
+    near = energies(field, make_grid(2000, (0.0, 45.0)))[2]
+    far = energies(field, far_grid)[2]
+    assert far == guarded
     assert far == pytest.approx(near, rel=1e-12, abs=0.0)
 
 
@@ -476,24 +466,8 @@ def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
 # --- shared density pass ----------------------------------------------------
 
 
-def _shared_pass_cases(bundled):
-    closed = HydrogenicDensity(ShellConfiguration.closed_shell(10))
-    return [
-        (atom_density(bundled["Ne"]), make_grid(2000, (0.0, 45.0))),
-        (closed, make_grid(3008, (0.0, closed.suggested_r_max()))),
-    ]
-
-
-def test_energies_equal_single_functionals_bitwise(bundled) -> None:
-    for rho, g in _shared_pass_cases(bundled):
-        t_tf, t_w, t4 = energies(rho, g)
-        assert t_tf == tf_energy(rho, g)
-        assert (t_w, t_w / 9.0) == weizsacker_energy(rho, g)
-        assert t4 == fourth_order_energy(rho, g)
-
-
 class ProtocolOnly:
-    """A density with only the three methods of ``kedf.Density``."""
+    """A density with only the two methods of ``kedf.Density``."""
 
     __slots__ = ("_field",)
 
@@ -503,9 +477,6 @@ class ProtocolOnly:
     def profile(self, r):
         return self._field.profile(r)
 
-    def value(self, r):
-        return self._field.value(r)
-
     def total_charge(self) -> float:
         return self._field.total_charge()
 
@@ -514,43 +485,21 @@ def test_functionals_need_only_the_density_protocol(bundled) -> None:
     field = atom_density(bundled["Ne"])
     rho = ProtocolOnly(field)
     g = make_grid(2000, (0.0, 45.0))
-    assert tf_energy(rho, g) == tf_energy(field, g)
-    assert weizsacker_energy(rho, g) == weizsacker_energy(field, g)
-    assert fourth_order_energy(rho, g) == fourth_order_energy(field, g)
     assert energies(rho, g) == energies(field, g)
     # the filled-shell density answers the same protocol and nothing of the
     # term-list format, whose expansion cancels catastrophically for it
-    closed = model_density(ShellConfiguration.closed_shell(20))
+    closed = HydrogenicDensity(ShellConfiguration.closed_shell(20))
     for name in ("profile", "value", "total_charge", "suggested_r_max"):
         assert callable(getattr(closed, name))
     for name in ("terms", "tail_charge", "scaled", "merged", "derivative"):
         assert not hasattr(closed, name)
 
 
-class ProfileCountingField(STODensity):
-    """Records the size of every profile() call."""
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
-        self.profile_sizes: list[int] = []
-
-    def profile(self, r):
-        self.profile_sizes.append(np.size(r))
-        return super().profile(r)
-
-
 def test_energies_evaluates_profile_once(grid: RadialGrid) -> None:
-    field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], ProfileCountingField)
+    field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], CountingField)
     energies(field, grid)
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
-
-
-@pytest.mark.parametrize("functional", [tf_energy, weizsacker_energy, fourth_order_energy])
-@pytest.mark.parametrize("n_points,sampled", [(2000, 4125), (3008, 6204)])
-def test_single_functionals_evaluate_profile_once(functional, n_points: int, sampled: int) -> None:
-    field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], ProfileCountingField)
-    functional(field, make_grid(n_points, (0.0, 45.0)))
-    assert field.profile_sizes == [sampled]
+    assert field.value_sizes == []
 
 
 class DriftingField(STODensity):
@@ -583,7 +532,7 @@ def test_energies_refinement_failure_names_functional(
 
 
 def _gate_cases(bundled):
-    closed = model_density(ShellConfiguration.closed_shell(10))
+    closed = HydrogenicDensity(ShellConfiguration.closed_shell(10))
     xe = atom_density(bundled["Xe"])
     return [
         (closed, 128, (0.0, closed.suggested_r_max())),
