@@ -351,15 +351,19 @@ def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
 
 
 class CountingField(STODensity):
-    """Records the size of every profile() and value() call."""
+    """Records the nodes of every profile() call and the size of every value() call."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
-        self.profile_sizes: list[int] = []
+        self.profile_nodes: list[np.ndarray] = []
         self.value_sizes: list[int] = []
 
+    @property
+    def profile_sizes(self) -> list[int]:
+        return [nodes.size for nodes in self.profile_nodes]
+
     def profile(self, r):
-        self.profile_sizes.append(np.size(r))
+        self.profile_nodes.append(np.array(r, dtype=float))
         return super().profile(r)
 
     def value(self, r):
@@ -367,17 +371,37 @@ class CountingField(STODensity):
         return super().value(r)
 
 
+def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> None:
+    # one call on the Gauss and Kronrod nodes together
+    field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
+    energies(field, grid)
+    assert len(field.profile_nodes) == 1
+    assert field.profile_nodes[0].tobytes() == grid.all_nodes().tobytes()
+
+
+# each functional by the name it had as a function of its own, read off the
+# one profile call of energies: (index in energies, closed form)
+SINGLE_FUNCTIONALS = {
+    "tf_energy": (0, tf_closed),
+    "weizsacker_energy": (1, tw_closed),
+    "fourth_order_energy": (2, t4_closed),
+}
+
+
+@pytest.mark.parametrize("functional", list(SINGLE_FUNCTIONALS))
 @pytest.mark.parametrize("n_points,sampled", [(2000, 4125), (3008, 6204)])
-def test_energies_evaluates_density_once(n_points: int, sampled: int) -> None:
+def test_single_functionals_evaluate_profile_once(functional: str, n_points: int, sampled: int) -> None:
     # e^{-20 r} falls below the vacuum cutoff beyond r = 32, so the cutoff
     # check runs, and it reads the same profile call as the integrands
+    index, closed = SINGLE_FUNCTIONALS[functional]
     field = orbital_density([[(1.0, 0, 10.0)]], CountingField)
     grid = make_grid(n_points, (0.0, 45.0))
     assert np.any(field.profile(grid.all_nodes())[0] <= RHO_CUTOFF)
-    field.profile_sizes.clear()
-    energies(field, grid)
+    field.profile_nodes.clear()
+    value = energies(field, grid)[index]
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [sampled]
     assert field.value_sizes == []
+    assert value == pytest.approx(closed(1.0, 20.0), rel=1e-10)
 
 
 class NegativeDensity:
