@@ -67,7 +67,7 @@ def orbital_inputs(density) -> tuple:
 
 def atom_inputs(symbol: str, nodes: np.ndarray) -> tuple:
     """(exponents, powers, coefs, weights, nodes) of a bundled atom's density."""
-    density = atom_density(load_bundled([symbol])[symbol])
+    density = atom_density(load_bundled()[symbol])
     return (*orbital_inputs(density), nodes)
 
 
@@ -85,7 +85,7 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
     """
     cfg = ShellConfiguration.closed_shell(n_max)
     r_max = HydrogenicDensity.suggested_r_max(SimpleNamespace(configuration=cfg))
-    grid = make_grid(n_points=n_points, r_span=(0.0, r_max))
+    grid = make_grid(n_points, r_max)
     return cfg.nuclear_charge, n_max, grid.all_nodes()
 
 
@@ -113,7 +113,7 @@ def main() -> None:
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
 
     # every node of the table1 grid, 2000 points on [0, 45]
-    nodes = make_grid(n_points=2000, r_span=(0.0, DEFAULT_R_MAX)).all_nodes()
+    nodes = make_grid(2000, DEFAULT_R_MAX).all_nodes()
     orbital_cases = [
         (
             f"orbital_profile[{symbol}, {nodes.size} nodes]",

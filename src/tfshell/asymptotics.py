@@ -3,7 +3,8 @@
 Three strands live here:
 
 * the closed-form expansion of the shell-model kinetic energy in powers
-  of Z^{1/3} (``model_expansion``), with every coefficient an exact surd;
+  of Z^{1/3} (``MODEL_SERIES``, summed by ``model_series``), with every
+  coefficient an exact surd;
 * Richardson extrapolation of finite-shell energy sequences to asymptotic
   coefficients (``richardson_extrapolate``, ``model_energy_sequence``);
 * the semiclassical limit of the scaled density (``tf_limit_density``)
@@ -32,9 +33,9 @@ __all__ = [
     "TARGETS",
     "MODEL_GRID_POINTS",
     "ExtrapolationError",
-    "ZExpansion",
+    "MODEL_SERIES",
     "SequencePoint",
-    "model_expansion",
+    "model_series",
     "richardson_extrapolate",
     "tf_limit_density",
     "scaled_model_density",
@@ -81,40 +82,9 @@ class ExtrapolationError(RuntimeError):
     """The extrapolation tableau diverged instead of settling."""
 
 
-@dataclass(frozen=True)
-class ZExpansion:
-    """A truncated series sum(coef * Z^power) with explicit zero entries.
-
-    ``terms`` pairs each rational power with its real coefficient, powers
-    strictly decreasing; ``order`` counts the non-zero terms retained.
-    """
-
-    terms: tuple[tuple[Fraction, float], ...]
-    order: int
-
-    def __post_init__(self) -> None:
-        powers = [p for p, _ in self.terms]
-        if any(b >= a for a, b in zip(powers, powers[1:])):
-            raise ValueError("expansion powers must be strictly decreasing")
-
-    @property
-    def powers(self) -> tuple[Fraction, ...]:
-        return tuple(p for p, _ in self.terms)
-
-    def coefficient(self, power: Fraction | float) -> float:
-        target = Fraction(power).limit_denominator(1000)
-        for p, c in self.terms:
-            if p == target:
-                return c
-        raise KeyError(f"no term with power {power!r}")
-
-    def evaluate(self, z: float) -> float:
-        return float(sum(c * float(z) ** float(p) for p, c in self.terms))
-
-
 # Exact coefficients of the shell-model energy in descending powers of Z^{1/3};
 # every power missing from this list (4/3, 1, 2/3, 0) is identically zero.
-_MODEL_COEFFICIENTS: tuple[tuple[Fraction, float], ...] = (
+MODEL_SERIES: tuple[tuple[Fraction, float], ...] = (
     (Fraction(7, 3), (3.0 / 2.0) ** (1.0 / 3.0)),
     (Fraction(2, 1), -0.5),
     (Fraction(5, 3), 1.0 / (6.0 * 12.0 ** (1.0 / 3.0))),
@@ -123,24 +93,9 @@ _MODEL_COEFFICIENTS: tuple[tuple[Fraction, float], ...] = (
 )
 
 
-def model_expansion(order: int = 5) -> ZExpansion:
-    """Expansion of the closed-shell model energy to ``order`` non-zero terms.
-
-    Coefficients are exact surds.  Powers between retained non-zero terms
-    whose coefficients vanish identically appear as explicit zero entries,
-    so the power list descends in steps of 1/3.
-    """
-    if not isinstance(order, int) or not 1 <= order <= 5:
-        raise ValueError(f"order must be an integer in [1, 5], got {order!r}")
-    kept = _MODEL_COEFFICIENTS[:order]
-    last_power = kept[-1][0]
-    nonzero = dict(kept)
-    terms = []
-    p = _MODEL_COEFFICIENTS[0][0]
-    while p >= last_power:
-        terms.append((p, nonzero.get(p, 0.0)))
-        p -= Fraction(1, 3)
-    return ZExpansion(terms=tuple(terms), order=order)
+def model_series(z: float) -> float:
+    """The large-Z series of the closed-shell model energy, summed at ``z``."""
+    return float(sum(c * float(z) ** float(p) for p, c in MODEL_SERIES))
 
 
 def _extrapolate_constant(u: list[float], s: list[float]) -> float:
@@ -303,7 +258,7 @@ class SequencePoint:
 def _ladder_point(n_max: int, grid_points: int) -> SequencePoint:
     cfg = ShellConfiguration.closed_shell(n_max)
     rho = HydrogenicDensity(cfg)
-    grid = make_grid(n_points=grid_points, r_span=(0.0, rho.suggested_r_max()))
+    grid = make_grid(grid_points, rho.suggested_r_max())
     t0, t_w, t4 = energies(rho, grid)
     return SequencePoint(
         n_max=cfg.n_max,

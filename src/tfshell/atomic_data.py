@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -318,14 +318,10 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
     return records
 
 
-def parse_sto_file(source: Union[str, "IO[str]"]) -> list[STOAtomRecord]:
-    """Parse records from a path or an open text stream."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    return parse_sto_text(text)
+def parse_sto_file(path: str) -> list[STOAtomRecord]:
+    """Parse records from the .sto file at ``path``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_sto_text(handle.read())
 
 
 def _format_number(value: float) -> str:
@@ -460,13 +456,8 @@ def atom_density(record: STOAtomRecord) -> STODensity:
     )
 
 
-def load_bundled(symbols: Iterable[str] | None = None) -> dict[str, STOAtomRecord]:
-    """Load bundled atoms, keyed by element symbol and ordered by charge.
-
-    With ``symbols`` given, restricts to those elements (case-insensitive)
-    in the requested order and raises ``STODataError`` for any symbol with
-    no bundled data.
-    """
+def load_bundled() -> dict[str, STOAtomRecord]:
+    """Load the bundled atoms, keyed by element symbol and ordered by charge."""
     root = resources.files(__package__) / "data"
     records: dict[str, STOAtomRecord] = {}
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
@@ -474,14 +465,4 @@ def load_bundled(symbols: Iterable[str] | None = None) -> dict[str, STOAtomRecor
             continue
         for rec in parse_sto_text(entry.read_text(encoding="utf-8")):
             records[rec.element] = rec
-    records = dict(sorted(records.items(), key=lambda kv: kv[1].atomic_number))
-    if symbols is None:
-        return records
-    by_fold = {sym.lower(): sym for sym in records}
-    chosen: dict[str, STOAtomRecord] = {}
-    for requested in symbols:
-        key = by_fold.get(requested.lower())
-        if key is None:
-            raise STODataError(f"no bundled data for element {requested!r}")
-        chosen[key] = records[key]
-    return chosen
+    return dict(sorted(records.items(), key=lambda kv: kv[1].atomic_number))

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Sequence
 
 from .asymptotics import (
     TARGETS,
@@ -41,7 +41,7 @@ from .asymptotics import (
     figure_density_rows,
     figure_error_rows,
     model_energy_sequence,
-    model_expansion,
+    model_series,
     richardson_extrapolate,
 )
 from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, parse_sto_file
@@ -95,8 +95,20 @@ def format_percent(value: float) -> str:
     return f"{value:.{decimals}f}"
 
 
-def _format_value(value: float) -> str:
-    return repr(float(value))
+def _write_records(out: IO[str], records: Sequence[dict], fmt: str) -> None:
+    """Write ``records`` as json lines, or as csv under a header of their keys.
+
+    Csv cells render floats as their repr, bools as True/False and None as
+    an empty cell.
+    """
+    if fmt == "jsonl":
+        for record in records:
+            print(json.dumps(record), file=out)
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(records[0])
+    for record in records:
+        writer.writerow(repr(v) if isinstance(v, float) else v for v in record.values())
 
 
 # -- table1 ----------------------------------------------------------------
@@ -144,6 +156,16 @@ def _select_records(
     return chosen, missing
 
 
+def _beyond_correction(z: int) -> str | None:
+    """Why the shell correction cannot reach ``z``, or None when it can."""
+    if shell_count_for(z) is None and z > INTERPOLATION_MAX_Z:
+        return (
+            f"Z={z} is not a filled-shell count and lies beyond the "
+            f"interpolation range (1..{INTERPOLATION_MAX_Z})"
+        )
+    return None
+
+
 def _shell_correction(z: int, mode: str) -> float:
     if shell_count_for(z) is None and z > INTERPOLATION_COMFORT_Z:
         _warn(
@@ -151,6 +173,9 @@ def _shell_correction(z: int, mode: str) -> float:
             "the interpolated correction is an extrapolation there"
         )
     return delta_t(z, mode)
+
+
+_ERROR_KEYS = ("err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -165,10 +190,15 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for token in missing:
         print(f"error: no data for atom {token!r}", file=sys.stderr)
 
-    grid = make_grid(n_points=args.grid_points, r_span=(0.0, args.r_max))
+    grid = make_grid(args.grid_points, args.r_max)
     rows: list[AtomRow] = []
     numeric_failures = 0
+    data_failures = len(missing)
     for rec in chosen:
+        if reason := _beyond_correction(rec.atomic_number):
+            data_failures += 1
+            print(f"error: {rec.element}: {reason}", file=sys.stderr)
+            continue
         try:
             field = atom_density(rec)
             t_tf, t_w, t4 = energies(field, grid)
@@ -186,7 +216,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         )
 
     if not rows:
-        return EXIT_NUMERIC if numeric_failures and not missing else EXIT_DATA
+        return EXIT_NUMERIC if numeric_failures and not data_failures else EXIT_DATA
 
     out = sys.stdout
     if args.format == "table":
@@ -201,36 +231,31 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 file=out,
             )
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["Z", "atom", "err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct"])
-        for row in rows:
-            errs = row.errors_percent()
-            writer.writerow(
-                [row.record.atomic_number, row.record.element, *(format_percent(e) for e in errs)]
-            )
+        records = [
+            {
+                "Z": row.record.atomic_number,
+                "atom": row.record.element,
+                **dict(zip(_ERROR_KEYS, map(format_percent, row.errors_percent()))),
+            }
+            for row in rows
+        ]
+        _write_records(out, records, "csv")
     else:
-        for row in rows:
-            errs = row.errors_percent()
-            e = row.energies
-            print(
-                json.dumps(
-                    {
-                        "z": row.record.atomic_number,
-                        "atom": row.record.element,
-                        "reference_hf_kinetic": row.record.reference_hf_kinetic,
-                        "t_tf": e.t_tf,
-                        "t2": e.t2,
-                        "t4": e.t4,
-                        "delta_t": e.delta_t,
-                        "corrected": e.corrected,
-                        "err_tf_pct": errs[0],
-                        "err_tf_t2_pct": errs[1],
-                        "err_tf_t2_t4_pct": errs[2],
-                        "err_corrected_pct": errs[3],
-                    }
-                ),
-                file=out,
-            )
+        records = [
+            {
+                "z": row.record.atomic_number,
+                "atom": row.record.element,
+                "reference_hf_kinetic": row.record.reference_hf_kinetic,
+                "t_tf": row.energies.t_tf,
+                "t2": row.energies.t2,
+                "t4": row.energies.t4,
+                "delta_t": row.energies.delta_t,
+                "corrected": row.energies.corrected,
+                **dict(zip(_ERROR_KEYS, row.errors_percent())),
+            }
+            for row in rows
+        ]
+        _write_records(out, records, "jsonl")
     return EXIT_OK
 
 
@@ -257,12 +282,8 @@ def cmd_model(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_DATA
-        if n_max is None and z > INTERPOLATION_MAX_Z:
-            print(
-                f"error: Z={z} is not a filled-shell count and lies beyond the "
-                f"interpolation range (1..{INTERPOLATION_MAX_Z})",
-                file=sys.stderr,
-            )
+        if reason := _beyond_correction(z):
+            print(f"error: {reason}", file=sys.stderr)
             return EXIT_DATA
 
     magic = n_max is not None
@@ -280,8 +301,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     delta = _shell_correction(z, args.interp)
     t_tf = t_exact - delta
 
-    series = model_expansion(5)
-    series_value = series.evaluate(float(z))
+    series_value = model_series(z)
     series_gap = (series_value - t_exact) / t_exact
 
     payload = {
@@ -296,77 +316,38 @@ def cmd_model(args: argparse.Namespace) -> int:
         "series_relative_gap": series_gap,
         "interpolation_mode": args.interp,
     }
-    if args.format == "jsonl":
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(list(payload))
-        writer.writerow([payload[k] if not isinstance(payload[k], float) else _format_value(payload[k]) for k in payload])
+    if args.format != "table":
+        _write_records(sys.stdout, [payload], args.format)
     else:
         shells = f"{n_max} filled shells" if magic else "not a filled-shell count"
         print(f"Z = N = {z} ({shells})")
-        print(f"exact kinetic energy      {_format_value(t_exact)}")
-        print(f"local-density energy      {_format_value(t_tf)}" + ("" if magic else "  (via interpolated correction)"))
-        print(f"shell correction delta_T  {_format_value(delta)}  [{delta_kind}]")
-        print(f"large-Z series (5 terms)  {_format_value(series_value)}  relative gap {series_gap:.3e}")
+        print(f"exact kinetic energy      {t_exact!r}")
+        print(f"local-density energy      {t_tf!r}" + ("" if magic else "  (via interpolated correction)"))
+        print(f"shell correction delta_T  {delta!r}  [{delta_kind}]")
+        print(f"large-Z series (5 terms)  {series_value!r}  relative gap {series_gap:.3e}")
     return EXIT_OK
 
 
 # -- figures ---------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([x if isinstance(x, (int, str)) else _format_value(x) for x in row])
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    density_rows = figure_density_rows()
-    fig1 = out_dir / "fig1.csv"
-    _write_csv(
-        fig1,
-        ["r_hat", "rho_hat_model", "rho_hat_tf", "n_max"],
-        ((r["r_hat"], r["rho_hat_model"], r["rho_hat_tf"], r["n_max"]) for r in density_rows),
-    )
-    print(f"wrote {fig1}")
-
-    for name, shells in (("fig1a.csv", _FIG1A_SHELLS), ("fig2a.csv", _FIG2A_SHELLS)):
-        rows = figure_error_rows(shells, grid_points=args.grid_points)
+    def write(name: str, records: list[dict]) -> None:
         path = out_dir / name
-        _write_csv(
-            path,
-            ["n_max", "Z", "rel_err_T0", "rel_err_T2", "rel_err_T4"],
-            ((r["n_max"], r["Z"], r["rel_err_T0"], r["rel_err_T2"], r["rel_err_T4"]) for r in rows),
-        )
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            _write_records(handle, records, "csv")
         print(f"wrote {path}")
+
+    write("fig1.csv", figure_density_rows())
+    for name, shells in (("fig1a.csv", _FIG1A_SHELLS), ("fig2a.csv", _FIG2A_SHELLS)):
+        write(name, figure_error_rows(shells, grid_points=args.grid_points))
     return EXIT_OK
 
 
 # -- asymptotics -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _FitRow:
-    series: str
-    quantity: str
-    power: str
-    fitted: float
-    target: float
-    tolerance: float
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.fitted - self.target)
-
-    @property
-    def within(self) -> bool:
-        return self.deviation <= self.tolerance
 
 
 def _self_tests() -> list[tuple[str, bool, str]]:
@@ -405,49 +386,38 @@ def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS, grid_points=args.grid_points))
-    rows = [
-        _FitRow(
-            series, target.quantity, power, fitted[series, power], target.value, target.tolerance
+    rows = []
+    for (series, power), target in TARGETS.items():
+        value = fitted[series, power]
+        deviation = abs(value - target.value)
+        rows.append(
+            {
+                "series": series,
+                "quantity": target.quantity,
+                "power": power,
+                "fitted": value,
+                "target": target.value,
+                "deviation": deviation,
+                "tolerance": target.tolerance,
+                "within_tolerance": deviation <= target.tolerance,
+            }
         )
-        for (series, power), target in TARGETS.items()
-    ]
     checks = _self_tests()
 
     if args.format == "jsonl":
-        for row in rows:
-            print(
-                json.dumps(
-                    {
-                        "series": row.series,
-                        "quantity": row.quantity,
-                        "power": row.power,
-                        "fitted": row.fitted,
-                        "target": row.target,
-                        "deviation": row.deviation,
-                        "tolerance": row.tolerance,
-                        "within_tolerance": row.within,
-                    }
-                )
-            )
-        for name, ok, detail in checks:
-            print(json.dumps({"self_test": name, "passed": ok, "detail": detail}))
+        tests = [{"self_test": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
+        _write_records(sys.stdout, rows + tests, "jsonl")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["series", "quantity", "power", "fitted", "target", "deviation", "tolerance", "within_tolerance"])
-        for row in rows:
-            writer.writerow(
-                [row.series, row.quantity, row.power, _format_value(row.fitted), _format_value(row.target),
-                 _format_value(row.deviation), _format_value(row.tolerance), row.within]
-            )
+        _write_records(sys.stdout, rows, "csv")
     else:
         ladder = f"n_max = {_LADDER_SHELLS[0]}..{_LADDER_SHELLS[-1]}"
         print(f"extrapolated coefficients on the filled-shell ladder ({ladder})")
         for row in rows:
-            state = "ok" if row.within else "OUTSIDE TOLERANCE"
+            state = "ok" if row["within_tolerance"] else "OUTSIDE TOLERANCE"
             print(
-                f"  {row.series:<5} {row.quantity:<25} {row.power:<8} "
-                f"fitted {row.fitted: .8f}  target {row.target: .6f}  "
-                f"|dev| {row.deviation:.2e}  tol {row.tolerance:.0e}  {state}"
+                f"  {row['series']:<5} {row['quantity']:<25} {row['power']:<8} "
+                f"fitted {row['fitted']: .8f}  target {row['target']: .6f}  "
+                f"|dev| {row['deviation']:.2e}  tol {row['tolerance']:.0e}  {state}"
             )
         for name, ok, detail in checks:
             print(f"  self-test {name}: {'PASS' if ok else 'FAIL'} ({detail})")

@@ -12,14 +12,14 @@ gives the corrected estimate T_TF + delta_T.  The exact deficits are read
 off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
 which compute each shell count's energies once per grid size and process.
 
-Two cubics are available: 'refit' (default) solves for the coefficients
-from freshly computed node deltas at full precision, while 'published'
-uses the five-decimal literature coefficients for comparison runs.
+``cubic_coefficients(mode)`` gives the cubic: 'refit' (default) solves
+for its coefficients from freshly computed node deltas at full precision,
+while 'published' returns the five-decimal literature coefficients for
+comparison runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,11 +30,10 @@ from .hydrogenic import MAGIC_NUMBERS, shell_count_for
 __all__ = [
     "INTERPOLATION_MAX_Z",
     "PUBLISHED_COEFFICIENTS",
-    "CorrectionTable",
+    "cubic_coefficients",
     "delta_t_exact",
     "delta_t_interpolated",
     "delta_t",
-    "corrected_energy",
 ]
 
 # cubic c0 + c1 Z + c2 Z^2 + c3 Z^3 through the deficits at Z = 2, 10, 28, 60
@@ -65,49 +64,16 @@ def _as_atomic_number(z: int) -> int:
     return int(z)
 
 
-@dataclass(frozen=True)
-class CorrectionTable:
-    """A cubic deficit interpolant together with its construction nodes."""
-
-    nodes: tuple[tuple[int, float], ...]
-    coefficients: tuple[float, float, float, float]
-    mode: str
-
-    def evaluate(self, z: float) -> float:
-        return _horner(self.coefficients, z)
-
-    @classmethod
-    def published(cls) -> "CorrectionTable":
-        """The literature cubic; node deltas are its own values there."""
-        zs = tuple(MAGIC_NUMBERS[n - 1] for n in _NODE_SHELLS)
-        nodes = tuple((z, _horner(PUBLISHED_COEFFICIENTS, z)) for z in zs)
-        return cls(nodes=nodes, coefficients=PUBLISHED_COEFFICIENTS, mode="published")
-
-    @classmethod
-    def refit(cls) -> "CorrectionTable":
-        """Cubic through freshly computed exact deltas at the four nodes."""
-        zs = tuple(MAGIC_NUMBERS[n - 1] for n in _NODE_SHELLS)
-        deltas = tuple(delta_t_exact(n) for n in _NODE_SHELLS)
-        vander = np.vander(np.asarray(zs, dtype=float), 4, increasing=True)
-        coefs = np.linalg.solve(vander, np.asarray(deltas))
-        return cls(
-            nodes=tuple(zip(zs, deltas)),
-            coefficients=tuple(float(c) for c in coefs),
-            mode="refit",
-        )
-
-
-def _horner(coefficients: tuple[float, ...], z: float) -> float:
-    c0, c1, c2, c3 = coefficients
-    return c0 + z * (c1 + z * (c2 + z * c3))
-
-
 @lru_cache(maxsize=None)
-def _table(mode: str) -> CorrectionTable:
+def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
+    """(c0, c1, c2, c3) of the deficit cubic: published, or refit through the exact nodes."""
     if mode == "published":
-        return CorrectionTable.published()
+        return PUBLISHED_COEFFICIENTS
     if mode == "refit":
-        return CorrectionTable.refit()
+        zs = [MAGIC_NUMBERS[n - 1] for n in _NODE_SHELLS]
+        deltas = [delta_t_exact(n) for n in _NODE_SHELLS]
+        coefs = np.linalg.solve(np.vander(np.asarray(zs, dtype=float), 4, increasing=True), deltas)
+        return tuple(float(c) for c in coefs)
     raise ValueError(f"unknown interpolation mode {mode!r}; use 'published' or 'refit'")
 
 
@@ -120,7 +86,9 @@ def delta_t_interpolated(z: int, mode: str = "refit") -> float:
     z = _as_atomic_number(z)
     if not 1 <= z <= INTERPOLATION_MAX_Z:
         raise ValueError(f"atomic number out of range [1, {INTERPOLATION_MAX_Z}]: {z}")
-    return _table(mode).evaluate(float(z))
+    c0, c1, c2, c3 = cubic_coefficients(mode)
+    z = float(z)
+    return c0 + z * (c1 + z * (c2 + z * c3))
 
 
 def delta_t(z: int, mode: str = "refit") -> float:
@@ -134,8 +102,3 @@ def delta_t(z: int, mode: str = "refit") -> float:
     if n_max is not None:
         return delta_t_exact(n_max)
     return delta_t_interpolated(z, mode)
-
-
-def corrected_energy(t_tf: float, z: int, mode: str = "refit") -> float:
-    """Corrected kinetic energy T_TF + delta_T for atomic number ``z`` (see ``delta_t``)."""
-    return t_tf + delta_t(z, mode)

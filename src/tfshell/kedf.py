@@ -15,7 +15,8 @@ atoms (``atomic_data.STODensity``) and the filled-shell
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of the grid (the Gauss
 nodes and their Kronrod extension, below); the density checks, the vacuum
-cutoff and the three integrands all read that one evaluation.
+cutoff, the three integrands and the charge check all read that one
+evaluation.
 
 The fourth-order integrand is evaluated in the algebraically equivalent form
 
@@ -29,8 +30,8 @@ as w^2 - (9/8) w q + q^2/3, so no power of rho is formed: rho^3 and rho^2
 underflow to zero below about 1e-103 and 1e-154, well above the 1e-280
 cutoff, and would turn the integrand into inf or NaN there.
 
-Quadrature: composite 16-point Gauss-Legendre panels on the exponentially
-mapped coordinate r = r_min + (r_max - r_min)(e^{a t} - 1)/(e^a - 1),
+Quadrature: composite 16-point Gauss-Legendre panels on [0, r_max] in the
+exponentially mapped coordinate r = r_max (e^{a t} - 1)/(e^a - 1),
 t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
 Every constructed grid must pass the scheme self-test (the Gamma integral
 of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
@@ -49,7 +50,10 @@ The self-test covers both rules.  A value whose two sums disagree beyond
 1e-8 relative raises ConvergenceError; ``energies`` applies that gate to
 each of its three values separately, and the ConvergenceError names the
 functional that failed.  A value that is not finite fails the same gate,
-and a density that is negative or NaN on a grid raises ValueError.
+and a density that is negative or NaN on a grid raises ValueError.  After
+those gates, the Gauss sum of 4 pi r^2 rho from the same profile call must
+match ``total_charge()`` to 1e-8 relative; a span too short to hold the
+density raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Quadrature nodes and weights for integrals over [r_min, r_max].
+    """Quadrature nodes and weights for integrals over [0, r_max].
 
     ``nodes`` and ``weights`` are the composite 16-point Gauss-Legendre
     rule.  ``kronrod_nodes`` are the 17 further nodes per panel of its
@@ -124,9 +128,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    n_points: int
-    r_min: float
-    r_max: float
     kronrod_nodes: np.ndarray
     kronrod_weights: np.ndarray
 
@@ -253,19 +254,18 @@ for _rule in (_GL_NODES, _GL_WEIGHTS, _KRONROD_NODES, _KRONROD_GAUSS_WEIGHTS, _K
 del _rule
 
 
-def _build_expmap(n_points: int, r_min: float, r_max: float):
+def _build_expmap(n_points: int, r_max: float):
     """(nodes, weights, kronrod_nodes, kronrod_weights) of the mapped panels."""
     n_panels = -(-n_points // _PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    span = r_max - r_min
     denom = math.expm1(_ALPHA)
 
     def mapped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         e_at = np.exp(_ALPHA * t)
-        return r_min + span * (e_at - 1.0) / denom, span * _ALPHA * e_at / denom
+        return r_max * (e_at - 1.0) / denom, r_max * _ALPHA * e_at / denom
 
     def scaled(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
         return (half[:, None] * w[None, :]).ravel() * jac
@@ -288,13 +288,11 @@ def _self_test_probes(nodes, weights, kronrod_nodes, kronrod_weights) -> tuple[f
 @lru_cache(maxsize=256)
 def _surrogate_probes(n_points: int) -> tuple[float, float]:
     """Self-test values of the same-resolution grid on [0, 45]."""
-    return _self_test_probes(*_build_expmap(n_points, 0.0, _SELF_TEST_SPAN))
+    return _self_test_probes(*_build_expmap(n_points, _SELF_TEST_SPAN))
 
 
-def make_grid(
-    n_points: int = DEFAULT_GRID_POINTS, r_span: tuple[float, float] = (0.0, DEFAULT_R_MAX)
-) -> RadialGrid:
-    """Construct a radial quadrature grid and verify its scheme self-test.
+def make_grid(n_points: int = DEFAULT_GRID_POINTS, r_max: float = DEFAULT_R_MAX) -> RadialGrid:
+    """Construct a radial quadrature grid on [0, r_max] and verify its scheme self-test.
 
     ``n_points`` is rounded up to a whole number of 16-point panels.  The
     returned grid's Gauss rule and its Kronrod extension both integrate
@@ -304,18 +302,17 @@ def make_grid(
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < 16:
         raise GridError(f"n_points must be an integer >= 16, got {n_points!r}")
-    r_min, r_max = (float(r_span[0]), float(r_span[1]))
-    if not (math.isfinite(r_min) and math.isfinite(r_max)) or r_min < 0 or r_max <= r_min:
-        raise GridError(f"invalid span {r_span!r}: need 0 <= r_min < r_max")
+    r_max = float(r_max)
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")
 
-    rule = _build_expmap(int(n_points), r_min, r_max)
-    nodes, weights, kronrod_nodes, kronrod_weights = rule
-    grid = RadialGrid(nodes, weights, int(n_points), r_min, r_max, kronrod_nodes, kronrod_weights)
+    rule = _build_expmap(int(n_points), r_max)
+    grid = RadialGrid(*rule)
 
     # Scheme self-test of both rules on a span long enough that truncation
     # of the test integrand is negligible; short-span grids are validated
     # through a same-resolution surrogate, whose values are computed once.
-    if r_min == 0.0 and r_max >= _SELF_TEST_SPAN:
+    if r_max >= _SELF_TEST_SPAN:
         probes = _self_test_probes(*rule)
     else:
         probes = _surrogate_probes(int(n_points))
@@ -426,17 +423,23 @@ def _fourth_order_integrand(
     return integrand
 
 
-def _energy_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
-    """The T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
+def _profile_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
+    """The charge, T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
     r = grid.all_nodes()
     raw, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
     values = _checked_density(raw)
     mask = _cutoff_mask(rho, grid, r, raw)
     return (
+        r**2 * values,
         _tf_integrand(r, values),
         _weizsacker_integrand(r, values, deriv, mask),
         _fourth_order_integrand(r, values, deriv, deriv2, mask),
     )
+
+
+def _energy_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
+    """The T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
+    return _profile_integrands(rho, grid)[1:]
 
 
 def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
@@ -447,11 +450,18 @@ def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
     once.  T_4 needs exact first and second derivatives from the profile;
     its integrand is the r-regular form of the module docstring, so no
     explicit 1/r appears.  Each functional must pass the Kronrod gate on
-    its own; the ConvergenceError names the first that fails.
+    its own; the ConvergenceError names the first that fails.  Then the
+    grid's charge must match ``rho.total_charge()``, or ConvergenceError
+    says that the span cuts the density off.
     """
-    values, kronrod_values = _rule_values(grid, _energy_integrands(rho, grid))
+    (charge, *values), (_, *kronrod_values) = _rule_values(grid, _profile_integrands(rho, grid))
     _check_refinement(("T_TF", "T_W", "T_4"), values, kronrod_values)
-    return values
+    total = rho.total_charge()
+    if abs(charge - total) > _CONVERGENCE_TOL * abs(total):
+        raise ConvergenceError(
+            f"the grid holds {charge!r} of the density's {total!r} electrons; increase r_max"
+        )
+    return tuple(values)
 
 
 @dataclass(frozen=True)

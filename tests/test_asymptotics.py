@@ -11,14 +11,14 @@ from scipy.integrate import quad
 
 from tfshell import _kernels, asymptotics, cli
 from tfshell.asymptotics import (
+    MODEL_SERIES,
     TARGETS,
     TURNING_POINT,
     ExtrapolationError,
-    ZExpansion,
     figure_density_rows,
     figure_error_rows,
     model_energy_sequence,
-    model_expansion,
+    model_series,
     oscillation_amplitude,
     richardson_extrapolate,
     scaled_model_density,
@@ -51,46 +51,46 @@ VANISHING_POWERS = (Fraction(4, 3), Fraction(1, 1), Fraction(2, 3), Fraction(0, 
 
 
 def test_printed_coefficient_values() -> None:
-    exp = model_expansion(5)
+    coefficients = dict(MODEL_SERIES)
     for power, printed in PRINTED_COEFFICIENTS.items():
-        assert exp.coefficient(power) == pytest.approx(printed, abs=1e-6)
+        assert coefficients[power] == pytest.approx(printed, abs=1e-6)
 
 
 def test_vanishing_powers_are_explicit_zeros() -> None:
-    exp = model_expansion(5)
+    # the identically vanishing powers carry no term in the series
     for power in VANISHING_POWERS:
-        assert exp.coefficient(power) == 0.0
+        assert power not in dict(MODEL_SERIES)
 
 
 def test_power_list_descends_in_thirds() -> None:
-    exp = model_expansion(5)
-    expected = tuple(Fraction(7, 3) - Fraction(k, 3) for k in range(9))
-    assert exp.powers == expected
-    assert exp.order == 5
+    # kept and vanishing powers together are every third from 7/3 to -1/3
+    powers = [p for p, _ in MODEL_SERIES] + list(VANISHING_POWERS)
+    expected = [Fraction(7, 3) - Fraction(k, 3) for k in range(9)]
+    assert sorted(powers, reverse=True) == expected
 
 
 @pytest.mark.parametrize("order,n_terms", [(1, 1), (2, 2), (3, 3), (4, 7), (5, 9)])
 def test_truncation_orders(order: int, n_terms: int) -> None:
-    exp = model_expansion(order)
-    assert len(exp.terms) == n_terms
-    assert sum(1 for _, c in exp.terms if c != 0.0) == order
+    # the first `order` non-zero terms span n_terms powers in steps of 1/3,
+    # the vanishing ones between them included
+    kept = MODEL_SERIES[:order]
+    assert (kept[0][0] - kept[-1][0]) * 3 + 1 == n_terms
+    between = [p for p in VANISHING_POWERS if kept[-1][0] < p < kept[0][0]]
+    assert len(kept) + len(between) == n_terms
 
 
 def test_expansion_validation() -> None:
-    for bad in (0, 6, 2.5):
-        with pytest.raises(ValueError):
-            model_expansion(bad)
-    with pytest.raises(KeyError):
-        model_expansion(5).coefficient(3)
-    with pytest.raises(ValueError):
-        ZExpansion(terms=((Fraction(1), 1.0), (Fraction(2), 2.0)), order=2)
+    # five non-zero terms in strictly decreasing powers
+    powers = [p for p, _ in MODEL_SERIES]
+    assert len(powers) == 5
+    assert all(b < a for a, b in zip(powers, powers[1:]))
+    assert all(c != 0.0 for _, c in MODEL_SERIES)
 
 
 def test_evaluate_sums_terms() -> None:
-    exp = model_expansion(3)
     z = 28.0
-    manual = sum(c * z ** float(p) for p, c in exp.terms)
-    assert exp.evaluate(z) == pytest.approx(manual, rel=1e-15)
+    manual = sum(c * z ** float(p) for p, c in MODEL_SERIES)
+    assert model_series(z) == pytest.approx(manual, rel=1e-15)
 
 
 def test_series_reversion_recovers_every_coefficient() -> None:
@@ -129,12 +129,11 @@ def test_series_reversion_recovers_every_coefficient() -> None:
     for k, b in enumerate(bs):
         assert sp.simplify(sol[b] - exact[Fraction(7 - k, 3)]) == 0
 
-    exp = model_expansion(5)
-    for p, c in exp.terms:
-        if exact[p] == 0:
-            assert c == 0.0
-        else:
-            assert c == pytest.approx(float(exact[p]), rel=1e-15)
+    # the five kept powers are exactly the non-vanishing ones
+    kept = dict(MODEL_SERIES)
+    assert set(kept) == {p for p, value in exact.items() if value != 0}
+    for p, c in kept.items():
+        assert c == pytest.approx(float(exact[p]), rel=1e-15)
 
 
 # --- Richardson extrapolation ----------------------------------------------
@@ -437,7 +436,7 @@ def test_scaled_density_unit_norm() -> None:
     cfg = ShellConfiguration.closed_shell(3)
     z = cfg.nuclear_charge
     r_max_hat = HydrogenicDensity(cfg).suggested_r_max() * z ** (1.0 / 3.0)
-    grid = make_grid(2000, (0.0, r_max_hat))
+    grid = make_grid(2000, r_max_hat)
     vals = scaled_model_density(cfg, r_hat=grid.nodes)[1]
     norm = 4.0 * math.pi * grid.integrate(grid.nodes**2 * vals)
     assert norm == pytest.approx(1.0, abs=1e-6)

@@ -1,6 +1,5 @@
 """Slater-orbital data: format, validation, and the assembled densities."""
 
-import io
 import math
 from importlib import resources
 
@@ -8,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from tfshell import cli
 from tfshell.atomic_data import (
     NORM_TOLERANCE,
     STOAtomRecord,
@@ -18,8 +18,6 @@ from tfshell.atomic_data import (
     STOPrimitive,
     STOValidationError,
     atom_density,
-    load_bundled,
-    parse_sto_file,
     parse_sto_text,
     serialize_records,
 )
@@ -92,12 +90,6 @@ def test_empty_input_rejected() -> None:
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:
     with pytest.raises(STOValidationError, match=fragment):
         parse_sto_text(text)
-
-
-def test_stream_and_path_agree(tmp_path) -> None:
-    path = tmp_path / "one.sto"
-    path.write_text(MINIMAL, encoding="utf-8")
-    assert parse_sto_file(str(path)) == parse_sto_file(io.StringIO(MINIMAL))
 
 
 # --- direct construction invariants ----------------------------------------
@@ -374,12 +366,13 @@ def test_serialize_empty_rejected() -> None:
         serialize_records([])
 
 
-def test_load_bundled_filter() -> None:
-    chosen = load_bundled(["ne", "He"])
-    assert list(chosen) == ["Ne", "He"]
-    assert chosen["Ne"].atomic_number == 10
-    with pytest.raises(STODataError, match="no bundled data"):
-        load_bundled(["Al"])
+def test_load_bundled_filter(bundled) -> None:
+    # the command line's selection is the one filter over the bundled set
+    assert list(bundled) == sorted(bundled, key=lambda sym: bundled[sym].atomic_number)
+    chosen, missing = cli._select_records(["ne", "He", "Al"], bundled)
+    assert [rec.element for rec in chosen] == ["Ne", "He"]
+    assert chosen[0].atomic_number == 10
+    assert missing == ["Al"]
 
 
 def test_norm_tolerance_is_needed_but_not_slack(bundled) -> None:

@@ -188,6 +188,51 @@ def test_table1_user_data_replaces_bundled_set(tmp_path: Path):
     assert abs(float(lines[1].split(",")[-1])) < 1e-8
 
 
+def test_table1_atom_beyond_correction_range_is_skipped(tmp_path: Path):
+    # a valid 111-electron record: one unit-norm primitive per orbital
+    shells = ("1s 2", "2s 2", "2p 6", "3s 2", "3p 6", "3d 10", "4s 2", "4p 6", "4d 10",
+              "4f 14", "5s 2", "5p 6", "5d 10", "5f 14", "6s 2", "6p 6", "6d 10", "7s 1")
+    lines = ["ATOM Rg 111 30000.0"]
+    for shell in shells:
+        n = int(shell[0])
+        lines += [f"ORB {shell}", f"PRM {n} {111.0 / n!r} 1.0"]
+    data = tmp_path / "z111.sto"
+    data.write_text("\n".join(lines) + "\n")
+    error = (
+        "error: Rg: Z=111 is not a filled-shell count and lies beyond the "
+        "interpolation range (1..110)\n"
+    )
+    proc = run_cli("table1", "--data", str(data))
+    assert proc.returncode == 2
+    assert proc.stderr == error
+    assert proc.stdout == ""
+    # the atom is skipped, the others are reported
+    helium = tmp_path / "he.sto"
+    helium.write_text(MINIMAL_STO)
+    proc = run_cli("table1", "--data", str(data), "--data", str(helium), "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stderr == error
+    assert [line.split(",")[1] for line in proc.stdout.splitlines()[1:]] == ["He"]
+
+
+def test_table1_truncated_span_exits_numeric():
+    # 0.5 bohr holds 0.48 of helium's two electrons
+    proc = run_cli("table1", "--atoms", "He", "--r-max", "0.5")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: He: the grid holds 0.48")
+    assert "of the density's 2.0000" in proc.stderr
+    assert proc.stderr.endswith("electrons; increase r_max\n")
+
+
+@pytest.mark.parametrize("r_max", ["0", "nan"])
+def test_table1_bad_r_max_exits_data(r_max: str):
+    proc = run_cli("table1", "--atoms", "He", "--r-max", r_max)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: invalid r_max {float(r_max)!r}: need a finite radius > 0\n"
+    assert proc.stdout == ""
+
+
 def test_table1_coarse_grid_exits_data():
     proc = run_cli("table1", "--grid-points", "48")
     assert proc.returncode == 2
@@ -444,3 +489,32 @@ def test_asymptotics_jsonl_rows():
     assert z_sq["fitted"] == pytest.approx(-0.6528715562, abs=1e-4)
     assert z_sq["deviation"] > z_sq["tolerance"]
     assert all(c["passed"] for c in checks)
+
+
+# -- output formats ----------------------------------------------------------
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("asymptotics",), ("model", "--z", "54"), ("model", "--n-max", "3")],
+    ids=["asymptotics", "model-z54", "model-n3"],
+)
+def test_csv_rows_equal_jsonl_records(args):
+    as_csv = run_cli(*args, "--format", "csv")
+    as_jsonl = run_cli(*args, "--format", "jsonl")
+    assert as_csv.returncode == as_jsonl.returncode == 0
+    header, *rows = list(csv.reader(as_csv.stdout.splitlines()))
+    records = [json.loads(line) for line in as_jsonl.stdout.splitlines()]
+    assert rows
+    for row, record in zip(rows, records):
+        assert header == list(record)
+        assert row == [_csv_cell(v) for v in record.values()]
+    # json lines alone carry the tableau self-tests, after the csv rows
+    assert all("self_test" in record for record in records[len(rows):])
+    assert len(records) == len(rows) + (2 if args[0] == "asymptotics" else 0)

@@ -9,14 +9,13 @@ from scipy.integrate import quad
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
     PUBLISHED_COEFFICIENTS,
-    CorrectionTable,
-    corrected_energy,
+    cubic_coefficients,
     delta_t,
     delta_t_exact,
     delta_t_interpolated,
 )
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
-from tfshell.kedf import TF_CONSTANT
+from tfshell.kedf import TF_CONSTANT, EnergyBreakdown
 
 # deficits at the first five closed shells, frozen from independent runs of
 # the quadrature pipeline at doubled resolution
@@ -56,31 +55,33 @@ def test_node_deltas_against_adaptive_quadrature(n_max: int) -> None:
     assert delta_t_exact(n_max) == pytest.approx(n_max * z * z - t_tf, rel=1e-8)
 
 
+def _cubic(coefficients, z: float) -> float:
+    c0, c1, c2, c3 = coefficients
+    return c0 + z * (c1 + z * (c2 + z * c3))
+
+
 def test_refit_rounds_to_published_coefficients() -> None:
-    table = CorrectionTable.refit()
-    assert tuple(round(c, 5) for c in table.coefficients) == PUBLISHED_COEFFICIENTS
+    coefficients = cubic_coefficients("refit")
+    assert tuple(round(c, 5) for c in coefficients) == PUBLISHED_COEFFICIENTS
 
 
 def test_published_cubic_at_54() -> None:
-    assert CorrectionTable.published().evaluate(54.0) == 378.91949999999997
+    assert cubic_coefficients("published") == PUBLISHED_COEFFICIENTS
     assert delta_t_interpolated(54, "published") == 378.91949999999997
 
 
 def test_refit_table_nodes() -> None:
-    table = CorrectionTable.refit()
-    assert tuple(z for z, _ in table.nodes) == (2, 10, 28, 60)
-    for n_max, (z, delta) in enumerate(table.nodes, start=1):
-        assert delta == delta_t_exact(n_max)
-        # interpolation property: the cubic passes through its nodes
-        assert table.evaluate(float(z)) == pytest.approx(delta, rel=1e-9)
-    assert table.mode == "refit"
+    # interpolation property: the refit cubic passes through the exact
+    # deficits at the first four filled-shell counts
+    for n_max, z in enumerate((2, 10, 28, 60), start=1):
+        assert delta_t_interpolated(z, "refit") == pytest.approx(delta_t_exact(n_max), rel=1e-9)
+        assert delta_t_interpolated(z, "refit") == _cubic(cubic_coefficients("refit"), float(z))
 
 
 def test_published_table_is_self_consistent() -> None:
-    table = CorrectionTable.published()
-    for z, delta in table.nodes:
-        assert table.evaluate(float(z)) == delta
-    assert table.mode == "published"
+    # the interpolant evaluates the literature cubic itself
+    for z in (1, 2, 10, 28, 54, 60, 110):
+        assert delta_t_interpolated(z, "published") == _cubic(PUBLISHED_COEFFICIENTS, float(z))
 
 
 @pytest.mark.parametrize("mode", ["refit", "published"])
@@ -92,11 +93,16 @@ def test_deficit_positive_and_rising(mode: str) -> None:
     assert np.all(np.diff(window) > 0.0)
 
 
+def _corrected(t_tf: float, z: int, mode: str = "refit") -> float:
+    """The corrected energy T_TF + delta_T as the atom table forms it."""
+    return EnergyBreakdown.from_components(t_tf, 0.0, 0.0, delta_t(z, mode), 1.0).corrected
+
+
 def test_corrected_energy_uses_exact_nodes() -> None:
-    assert corrected_energy(100.0, 10) == 100.0 + delta_t_exact(2)
+    assert _corrected(100.0, 10) == 100.0 + delta_t_exact(2)
     # shell-filling numbers take the exact node in either mode
-    assert corrected_energy(0.0, 10, "published") == delta_t_exact(2)
-    assert corrected_energy(0.0, 110, "refit") == delta_t_exact(5)
+    assert _corrected(0.0, 10, "published") == delta_t_exact(2)
+    assert _corrected(0.0, 110, "refit") == delta_t_exact(5)
 
 
 def test_delta_t_takes_node_or_cubic() -> None:
@@ -109,9 +115,9 @@ def test_delta_t_takes_node_or_cubic() -> None:
 
 
 def test_corrected_energy_interpolates_between_nodes() -> None:
-    assert corrected_energy(0.0, 54, "refit") == delta_t_interpolated(54, "refit")
-    assert corrected_energy(0.0, 54, "published") == 378.91949999999997
-    assert corrected_energy(-5.0, 17) == pytest.approx(
+    assert _corrected(0.0, 54, "refit") == delta_t_interpolated(54, "refit")
+    assert _corrected(0.0, 54, "published") == 378.91949999999997
+    assert _corrected(-5.0, 17) == pytest.approx(
         delta_t_interpolated(17) - 5.0, rel=1e-15
     )
 
@@ -127,7 +133,9 @@ def test_validation_errors() -> None:
         delta_t_interpolated(INTERPOLATION_MAX_Z + 1)
     with pytest.raises(ValueError):
         delta_t_interpolated(7.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
         delta_t_interpolated(5, "cubic")
+    with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
+        cubic_coefficients("cubic")
     with pytest.raises(ValueError):
-        corrected_energy(1.0, 0)
+        delta_t(0)

@@ -86,7 +86,7 @@ def test_continuous_energy_domain() -> None:
 # closed-form moment checks elsewhere.
 @pytest.fixture(scope="module")
 def unit_charge_grid():
-    return make_grid(3008, (0.0, 260.0))
+    return make_grid(3008, 260.0)
 
 
 def test_radial_normalization(unit_charge_grid) -> None:
@@ -138,7 +138,7 @@ def _sympy_orbital_kinetic(z: int, n: int, l: int, grid) -> float:
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_kinetic_sum_matches_closed_form(n_max: int) -> None:
     z = electron_count(n_max)
-    grid = make_grid(3008, (0.0, (6.0 * n_max**2 + 40.0) / z))
+    grid = make_grid(3008, (6.0 * n_max**2 + 40.0) / z)
     total = 0.0
     for n in range(1, n_max + 1):
         for l in range(n):
@@ -226,7 +226,7 @@ def test_nuclear_cusp(cfg: ShellConfiguration) -> None:
 def test_total_charge_and_quadrature() -> None:
     density = HydrogenicDensity(ShellConfiguration.closed_shell(4))
     assert density.total_charge() == 60.0
-    grid = make_grid(3008, (0.0, density.suggested_r_max()))
+    grid = make_grid(3008, density.suggested_r_max())
     integral = 4.0 * math.pi * grid.integrate(density.value(grid.nodes) * grid.nodes**2)
     assert integral == pytest.approx(60.0, rel=1e-9)
 
@@ -256,7 +256,7 @@ def test_density_rejects_non_finite_radii(bad: float) -> None:
 def test_wavefunction_scalar_equals_array_element() -> None:
     # numpy's scalar and vectorised exp can round differently; a scalar
     # radius must get the same value as inside an array, bit for bit
-    r = make_grid(2000, (0.0, 45.0)).nodes[::50]
+    r = make_grid(2000, 45.0).nodes[::50]
     for z in (1.0, 3.0, 10.0):
         for n in range(1, 7):
             for l in range(n):

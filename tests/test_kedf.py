@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 
@@ -57,7 +58,7 @@ def t4_closed(c: float, beta: float) -> float:
 
 @pytest.fixture(scope="module")
 def grid() -> RadialGrid:
-    return make_grid(2000, (0.0, 45.0))
+    return make_grid(2000, 45.0)
 
 
 def test_constants() -> None:
@@ -71,7 +72,7 @@ def test_constants() -> None:
 # closed forms assume the tail is fully captured
 @pytest.mark.parametrize("c,beta,span", [(16.0 / math.pi, 4.0, 45.0), (0.37, 0.8, 150.0), (5.1, 2.6, 45.0)])
 def test_single_exponential_closed_forms(c: float, beta: float, span: float) -> None:
-    grid = make_grid(2000, (0.0, span))
+    grid = make_grid(2000, span)
     # c e^{-beta r} as the square of one orbital
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     t_tf, t_w, t4 = energies(field, grid)
@@ -120,7 +121,7 @@ def test_t4_regular_form_matches_standard_form_single_exponential() -> None:
         return e, -beta * e, beta * beta * e
 
     reference = _standard_form_t4(rho_of, (1e-9, 60.0))
-    grid = make_grid(2000, (0.0, 60.0))
+    grid = make_grid(2000, 60.0)
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     assert energies(field, grid)[2] == pytest.approx(reference, rel=2e-9)
 
@@ -130,7 +131,7 @@ def test_t4_regular_form_matches_standard_form_two_shells() -> None:
     # refinement-stable to far better)
     density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
     span = density.suggested_r_max()
-    fine = make_grid(2000, (0.0, span))
+    fine = make_grid(2000, span)
     reference = _standard_form_t4(density.profile, (1e-9, span))
     assert energies(density, fine)[2] == pytest.approx(reference, rel=1e-7)
 
@@ -144,8 +145,8 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
     scaled = orbital_density(
         [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
     )
-    base = make_grid(2000, (0.0, 60.0))
-    scaled_grid = make_grid(2000, (0.0, 60.0 / lam))
+    base = make_grid(2000, 60.0)
+    scaled_grid = make_grid(2000, 60.0 / lam)
     for scaled_value, base_value in zip(energies(scaled, scaled_grid), energies(field, base)):
         assert scaled_value == pytest.approx(lam**2 * base_value, rel=1e-8)
 
@@ -155,16 +156,16 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
 
 def test_grid_minimum_resolution() -> None:
     with pytest.raises(GridError, match="self-test"):
-        make_grid(48, (0.0, 45.0))
-    grid = make_grid(64, (0.0, 45.0))
-    assert grid.n_points == 64
+        make_grid(48, 45.0)
+    grid = make_grid(64, 45.0)
+    assert grid.nodes.size == 64
 
 
 def test_short_span_self_test_fails_on_every_call() -> None:
     # the surrogate's self-test value is memoized, its gate is not
     for _ in range(2):
         with pytest.raises(GridError, match="self-test"):
-            make_grid(48, (0.0, 5.0))
+            make_grid(48, 5.0)
 
 
 def test_gauss_legendre_literals_match_leggauss() -> None:
@@ -267,17 +268,16 @@ def test_kronrod_literals_are_exact_through_degree_49() -> None:
 
 def test_gauss_part_of_grid_is_the_plain_expmap_rule() -> None:
     # the Gauss nodes and weights, bit for bit, from the map written out
-    for n_points, span in ((2000, (0.0, 45.0)), (3008, (0.5, 130.0)), (64, (0.0, 5.0))):
-        grid = make_grid(n_points, span)
+    for n_points, r_max in ((2000, 45.0), (3008, 130.0), (64, 5.0)):
+        grid = make_grid(n_points, r_max)
         edges = np.linspace(0.0, 1.0, -(-n_points // 16) + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
         t = (mid[:, None] + half[:, None] * kedf._GL_NODES[None, :]).ravel()
-        width = span[1] - span[0]
         e_at = np.exp(12.0 * t)
-        nodes = span[0] + width * (e_at - 1.0) / math.expm1(12.0)
+        nodes = r_max * (e_at - 1.0) / math.expm1(12.0)
         weights = (half[:, None] * kedf._GL_WEIGHTS[None, :]).ravel() * (
-            width * 12.0 * e_at / math.expm1(12.0)
+            r_max * 12.0 * e_at / math.expm1(12.0)
         )
         assert grid.nodes.tobytes() == nodes.tobytes()
         assert grid.weights.tobytes() == weights.tobytes()
@@ -301,21 +301,22 @@ def test_grids_do_not_import_numpy_polynomial() -> None:
     [
         {"n_points": 15},
         {"n_points": 64.5},
-        {"r_span": (-1.0, 10.0)},
-        {"r_span": (5.0, 5.0)},
-        {"r_span": (0.0, math.inf)},
+        {"r_max": -1.0},
+        {"r_max": 0.0},
+        {"r_max": math.inf},
+        {"r_max": math.nan},
     ],
 )
 def test_grid_rejects_bad_parameters(kwargs) -> None:
-    base = {"n_points": 2000, "r_span": (0.0, 45.0)}
+    base = {"n_points": 2000, "r_max": 45.0}
     base.update(kwargs)
     with pytest.raises(GridError):
-        make_grid(base["n_points"], base["r_span"])
+        make_grid(base["n_points"], base["r_max"])
 
 
 def test_grid_geometry(grid: RadialGrid) -> None:
     assert len(grid.nodes) % 16 == 0
-    assert len(grid.nodes) >= grid.n_points
+    assert len(grid.nodes) >= 2000
     assert np.all(np.diff(grid.nodes) > 0)
     assert grid.nodes[0] > 0.0
     assert grid.nodes[-1] < 45.0
@@ -332,7 +333,7 @@ def test_grid_refined(grid: RadialGrid) -> None:
     assert grid.all_nodes().size == grid.kronrod_weights.size == 4125
     assert np.array_equal(grid.all_nodes()[:n], grid.nodes)
     assert np.all(grid.kronrod_weights > 0)
-    assert grid.r_min < grid.kronrod_nodes.min() and grid.kronrod_nodes.max() < grid.r_max
+    assert 0.0 < grid.kronrod_nodes.min() and grid.kronrod_nodes.max() < 45.0
     # in each panel the Kronrod nodes interlace the Gauss nodes, one at each end
     is_kronrod = np.argsort(grid.all_nodes(), kind="stable") >= n
     panel = np.array([True, False] * 16 + [True])
@@ -395,7 +396,7 @@ def test_single_functionals_evaluate_profile_once(functional: str, n_points: int
     # check runs, and it reads the same profile call as the integrands
     index, closed = SINGLE_FUNCTIONALS[functional]
     field = orbital_density([[(1.0, 0, 10.0)]], CountingField)
-    grid = make_grid(n_points, (0.0, 45.0))
+    grid = make_grid(n_points, 45.0)
     assert np.any(field.profile(grid.all_nodes())[0] <= RHO_CUTOFF)
     field.profile_nodes.clear()
     value = energies(field, grid)[index]
@@ -426,6 +427,26 @@ def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
     field = orbital_density([[(1e-135, 0, 0.5)]])
     with pytest.raises(ConvergenceError, match="cutoff"):
         energies(field, grid)
+
+
+def test_span_short_of_the_density_fails_the_charge_check() -> None:
+    # e^{-r} holds 8 pi electrons, of which [0, 10] holds the fraction
+    # 1 - e^{-10} (1 + 10 + 50); the three functionals pass their own gates
+    # there, so only the charge check sees the cut
+    field = orbital_density([[(1.0, 0, 0.5)]])
+    short = make_grid(2000, 10.0)
+    values, kronrod = kedf._rule_values(short, kedf._energy_integrands(field, short))
+    kedf._check_refinement(("T_TF", "T_W", "T_4"), values, kronrod)
+    with pytest.raises(ConvergenceError) as exc:
+        energies(field, short)
+    message = re.fullmatch(
+        r"the grid holds (\S+) of the density's (\S+) electrons; increase r_max", str(exc.value)
+    )
+    held, total = float(message[1]), float(message[2])
+    assert total == field.total_charge() == pytest.approx(8.0 * math.pi, rel=1e-15)
+    assert held == pytest.approx(total * (1.0 - 61.0 * math.exp(-10.0)), rel=1e-10)
+    # a span that holds the charge to 1e-8 passes
+    energies(field, make_grid(2000, 30.0))
 
 
 class PoisonedField(STODensity):
@@ -464,13 +485,13 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
     # not.  rho^{5/3} of T_TF underflows there harmlessly, so only the T_4
     # integrand runs with every floating-point error raised.
     field = atom_density(bundled["He"])
-    far_grid = make_grid(2000, (0.0, 150.0))
+    far_grid = make_grid(2000, 150.0)
     r = far_grid.all_nodes()
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
         integrand = kedf._fourth_order_integrand(r, values, deriv, deriv2, values > RHO_CUTOFF)
         (guarded,), _ = kedf._rule_values(far_grid, (integrand,))
-    near = energies(field, make_grid(2000, (0.0, 45.0)))[2]
+    near = energies(field, make_grid(2000, 45.0))[2]
     far = energies(field, far_grid)[2]
     assert far == guarded
     assert far == pytest.approx(near, rel=1e-12, abs=0.0)
@@ -508,7 +529,7 @@ class ProtocolOnly:
 def test_functionals_need_only_the_density_protocol(bundled) -> None:
     field = atom_density(bundled["Ne"])
     rho = ProtocolOnly(field)
-    g = make_grid(2000, (0.0, 45.0))
+    g = make_grid(2000, 45.0)
     assert energies(rho, g) == energies(field, g)
     # the filled-shell density answers the same protocol and nothing of the
     # term-list format, whose expansion cancels catastrophically for it
@@ -559,9 +580,9 @@ def _gate_cases(bundled):
     closed = HydrogenicDensity(ShellConfiguration.closed_shell(10))
     xe = atom_density(bundled["Xe"])
     return [
-        (closed, 128, (0.0, closed.suggested_r_max())),
-        (closed, 256, (0.0, closed.suggested_r_max())),
-        (xe, 128, (0.0, 45.0)),
+        (closed, 128, closed.suggested_r_max()),
+        (closed, 256, closed.suggested_r_max()),
+        (xe, 128, 45.0),
     ]
 
 

@@ -180,7 +180,7 @@ def test_orbital_profile_stacked_rows_match_single_rows(bundled, atom) -> None:
     density = orbital_density([]) if atom is None else atom_density(bundled[atom])
     inputs = _orbital_inputs(density)
     exponents, powers, coefs, weights = inputs
-    r = make_grid(2000, (0.0, 45.0)).nodes
+    r = make_grid(2000, 45.0).nodes
     rows = np.array(_kernels.orbital_profile(*inputs, r))
     assert rows.shape == (3, r.size)
     singles = np.zeros_like(rows)
@@ -281,7 +281,7 @@ def test_orbital_profile_matches_mpmath_oracle(bundled, atom) -> None:
 @pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
 def test_orbital_profile_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
     inputs = _orbital_inputs(atom_density(bundled[atom]))
-    r = make_grid(2000, (0.0, 45.0)).all_nodes()
+    r = make_grid(2000, 45.0).all_nodes()
     whole = np.array(_kernels.orbital_profile(*inputs, r))
     # uneven pieces, single nodes among them, concatenated
     cuts = [0, 1, 2, 7, 300, 1001, 4124, r.size]
@@ -312,7 +312,7 @@ def test_orbital_profile_working_set_is_one_block(bundled) -> None:
 
 def test_orbital_profile_matches_pair_expansion(bundled) -> None:
     # the nodes of a table1 row: its Gauss and Kronrod nodes
-    r = make_grid(2000, (0.0, 45.0)).all_nodes()
+    r = make_grid(2000, 45.0).all_nodes()
     for symbol, record in bundled.items():
         rho, drho, d2rho = atom_density(record).profile(r)
         ref_rho, ref_drho, ref_d2rho = term_profile(pair_field(record), r)
