@@ -5,7 +5,7 @@ quadrature grid, its Gauss nodes and their Kronrod extension together
 (``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  The
 shell-density kernel runs on the closed-shell ladder's own grids: the
 expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
-density, at the library default of 3008 points (6204 nodes).  Its default
+density, at the library default of 2000 points (4125 nodes).  Its default
 shell counts run past the library's 40-shell cap to 60 and 100, the kernel
 cost a 100-shell ladder would pay.  The Slater-type orbital kernel runs on
 the Ne and Xe densities over the ``table1`` grid (2000 points on [0, 45]),
@@ -36,7 +36,7 @@ import numpy as np
 from tfshell._kernels import orbital_profile, shell_profile
 from tfshell.atomic_data import atom_density, load_bundled
 from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
-from tfshell.kedf import DEFAULT_R_MAX, make_grid
+from tfshell.kedf import DEFAULT_GRID_POINTS, DEFAULT_R_MAX, make_grid
 
 
 def time_round_robin(cases: list[tuple[str, Callable, tuple]], repeats: int) -> list[float]:
@@ -98,8 +98,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--points",
-        default="3008",
-        help="comma-separated ladder grid sizes for shell_profile (default: 3008)",
+        default=str(DEFAULT_GRID_POINTS),
+        help=f"comma-separated ladder grid sizes for shell_profile (default: {DEFAULT_GRID_POINTS})",
     )
     parser.add_argument(
         "--shells",
@@ -113,7 +113,7 @@ def main() -> None:
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
 
     # every node of the table1 grid, 2000 points on [0, 45]
-    nodes = make_grid(2000, DEFAULT_R_MAX).all_nodes()
+    nodes = make_grid(DEFAULT_GRID_POINTS, DEFAULT_R_MAX).all_nodes()
     orbital_cases = [
         (
             f"orbital_profile[{symbol}, {nodes.size} nodes]",

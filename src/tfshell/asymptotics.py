@@ -26,12 +26,11 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .hydrogenic import HydrogenicDensity, ShellConfiguration, model_kinetic_energy
-from .kedf import energies, make_grid
+from .kedf import DEFAULT_GRID_POINTS, energies, make_grid
 
 __all__ = [
     "TURNING_POINT",
     "TARGETS",
-    "MODEL_GRID_POINTS",
     "ExtrapolationError",
     "MODEL_SERIES",
     "SequencePoint",
@@ -47,10 +46,6 @@ __all__ = [
 ]
 
 TURNING_POINT = 18.0 ** (1.0 / 3.0)
-
-# Quadrature points of a ladder point's grid on (0, suggested_r_max) unless
-# a caller asks for others; the shell-correction nodes use it too.
-MODEL_GRID_POINTS = 3008
 
 _MAX_ELIMINATION_DEPTH = 5
 
@@ -255,10 +250,10 @@ class SequencePoint:
 
 
 @lru_cache(maxsize=None)
-def _ladder_point(n_max: int, grid_points: int) -> SequencePoint:
+def _ladder_point(n_max: int) -> SequencePoint:
     cfg = ShellConfiguration.closed_shell(n_max)
     rho = HydrogenicDensity(cfg)
-    grid = make_grid(grid_points, rho.suggested_r_max())
+    grid = make_grid(DEFAULT_GRID_POINTS, rho.suggested_r_max())
     t0, t_w, t4 = energies(rho, grid)
     return SequencePoint(
         n_max=cfg.n_max,
@@ -270,16 +265,15 @@ def _ladder_point(n_max: int, grid_points: int) -> SequencePoint:
     )
 
 
-def model_energy_sequence(
-    shell_counts: Iterable[int], grid_points: int = MODEL_GRID_POINTS
-) -> list[SequencePoint]:
+def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
-    Points are computed in input order and cached per (shell count, grid
-    size), so overlapping ladders cost nothing extra; a failing point
-    raises for the first failing shell count.
+    Each point is integrated on ``make_grid(DEFAULT_GRID_POINTS,
+    suggested_r_max)``.  Points are computed in input order and cached per
+    shell count for the process, so overlapping ladders cost nothing extra;
+    a failing point raises for the first failing shell count.
     """
-    return [_ladder_point(int(n_max), grid_points) for n_max in shell_counts]
+    return [_ladder_point(int(n_max)) for n_max in shell_counts]
 
 
 def figure_density_rows(
@@ -303,9 +297,7 @@ def figure_density_rows(
     return rows
 
 
-def figure_error_rows(
-    shell_counts: Iterable[int], grid_points: int = MODEL_GRID_POINTS
-) -> list[dict]:
+def figure_error_rows(shell_counts: Iterable[int]) -> list[dict]:
     """Rows (n_max, Z, rel_err_T0, rel_err_T2, rel_err_T4) for error plots.
 
     Errors follow the underestimate-positive convention
@@ -318,7 +310,7 @@ def figure_error_rows(
     from three shells and the T4 column only from eight.
     """
     rows = []
-    for pt in model_energy_sequence(shell_counts, grid_points=grid_points):
+    for pt in model_energy_sequence(shell_counts):
         rows.append(
             {
                 "n_max": pt.n_max,

@@ -38,6 +38,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -54,10 +55,10 @@ __all__ = [
     "STOAtomRecord",
     "STODensity",
     "parse_sto_text",
-    "parse_sto_file",
     "serialize_records",
     "atom_density",
     "load_bundled",
+    "load_files",
 ]
 
 # Unit-norm slack for orbitals rebuilt from 5-decimal published coefficients.
@@ -318,12 +319,6 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
     return records
 
 
-def parse_sto_file(path: str) -> list[STOAtomRecord]:
-    """Parse records from the .sto file at ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_sto_text(handle.read())
-
-
 def _format_number(value: float) -> str:
     # repr of a float is the shortest digit string that round-trips, which
     # keeps serialization canonical: parse -> serialize is byte-identical.
@@ -456,13 +451,26 @@ def atom_density(record: STOAtomRecord) -> STODensity:
     )
 
 
+def _load(sources: Iterable) -> dict[str, STOAtomRecord]:
+    """Atoms of the .sto ``sources`` by element symbol, ordered by charge; later records win."""
+    keyed = {
+        rec.element: rec
+        for source in sources
+        for rec in parse_sto_text(source.read_text(encoding="utf-8"))
+    }
+    return dict(sorted(keyed.items(), key=lambda kv: kv[1].atomic_number))
+
+
 def load_bundled() -> dict[str, STOAtomRecord]:
     """Load the bundled atoms, keyed by element symbol and ordered by charge."""
     root = resources.files(__package__) / "data"
-    records: dict[str, STOAtomRecord] = {}
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if not entry.name.endswith(".sto"):
-            continue
-        for rec in parse_sto_text(entry.read_text(encoding="utf-8")):
-            records[rec.element] = rec
-    return dict(sorted(records.items(), key=lambda kv: kv[1].atomic_number))
+    entries = sorted(root.iterdir(), key=lambda e: e.name)
+    return _load(e for e in entries if e.name.endswith(".sto"))
+
+
+def load_files(paths: Iterable[str]) -> dict[str, STOAtomRecord]:
+    """Load the atoms of the .sto files at ``paths``, keyed and ordered as ``load_bundled``.
+
+    A later file's record of a symbol replaces an earlier one's.
+    """
+    return _load(Path(path) for path in paths)

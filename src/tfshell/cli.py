@@ -17,6 +17,9 @@ Four subcommands cover the batch workflows:
     Extrapolated large-Z coefficients of the ladder energies rendered
     against their regression targets.
 
+Every quadrature grid has ``kedf.DEFAULT_GRID_POINTS`` points; the
+Gauss-Kronrod check on each value says whether that resolves it.
+
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
 carry two significant figures; json-lines output keeps full precision.
@@ -44,8 +47,8 @@ from .asymptotics import (
     model_series,
     richardson_extrapolate,
 )
-from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, parse_sto_file
-from .correction import INTERPOLATION_MAX_Z, delta_t
+from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, load_files
+from .correction import _NODE_SHELLS, INTERPOLATION_MAX_Z, delta_t
 from .hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
@@ -73,7 +76,7 @@ EXIT_NUMERIC = 3
 
 # Correction nodes stop at four filled shells (60 electrons); interpolation
 # beyond that is extrapolation and gets a warning.
-INTERPOLATION_COMFORT_Z = 60
+INTERPOLATION_COMFORT_Z = electron_count(_NODE_SHELLS[-1])
 
 # Neville at depth _MAX_ELIMINATION_DEPTH = 5 reads only the last six points.
 _LADDER_SHELLS = tuple(range(20, 26))
@@ -122,16 +125,6 @@ class AtomRow:
     def errors_percent(self) -> tuple[float, float, float, float]:
         e = self.energies
         return tuple(100.0 * err for err in (e.err_tf, e.err_second, e.err_fourth, e.err_corrected))
-
-
-def _load_records(data_paths: Sequence[str] | None) -> dict[str, STOAtomRecord]:
-    if data_paths:
-        records: dict[str, STOAtomRecord] = {}
-        for path in data_paths:
-            for rec in parse_sto_file(path):
-                records[rec.element] = rec
-        return dict(sorted(records.items(), key=lambda kv: kv[1].atomic_number))
-    return load_bundled()
 
 
 def _select_records(
@@ -185,12 +178,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if not atoms:
             print("error: --atoms names no atom", file=sys.stderr)
             return EXIT_DATA
-    records = _load_records(args.data)
+    records = load_files(args.data) if args.data else load_bundled()
     chosen, missing = _select_records(atoms, records)
     for token in missing:
         print(f"error: no data for atom {token!r}", file=sys.stderr)
 
-    grid = make_grid(args.grid_points, args.r_max)
+    grid = make_grid(DEFAULT_GRID_POINTS, args.r_max)
     rows: list[AtomRow] = []
     numeric_failures = 0
     data_failures = len(missing)
@@ -343,7 +336,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
     write("fig1.csv", figure_density_rows())
     for name, shells in (("fig1a.csv", _FIG1A_SHELLS), ("fig2a.csv", _FIG2A_SHELLS)):
-        write(name, figure_error_rows(shells, grid_points=args.grid_points))
+        write(name, figure_error_rows(shells))
     return EXIT_OK
 
 
@@ -385,7 +378,7 @@ def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS, grid_points=args.grid_points))
+    fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS))
     rows = []
     for (series, power), target in TARGETS.items():
         value = fitted[series, power]
@@ -408,7 +401,11 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         tests = [{"self_test": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
         _write_records(sys.stdout, rows + tests, "jsonl")
     elif args.format == "csv":
+        # the csv holds the fit rows only, so a failed self-test goes to stderr
         _write_records(sys.stdout, rows, "csv")
+        for name, ok, detail in checks:
+            if not ok:
+                print(f"error: self-test {name} failed ({detail})", file=sys.stderr)
     else:
         ladder = f"n_max = {_LADDER_SHELLS[0]}..{_LADDER_SHELLS[-1]}"
         print(f"extrapolated coefficients on the filled-shell ladder ({ladder})")
@@ -435,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = {
-        "--grid-points": dict(type=int, default=DEFAULT_GRID_POINTS,
-                              help=f"quadrature points (default {DEFAULT_GRID_POINTS})"),
         "--interp": dict(choices=("published", "refit"), default="refit",
                          help="interpolation coefficients for the shell correction (default refit)"),
         "--format": dict(choices=("table", "csv", "jsonl"), default="table",
@@ -455,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=".sto data file replacing the bundled set (repeatable)")
     p_table.add_argument("--r-max", type=float, default=DEFAULT_R_MAX,
                          help=f"outer quadrature radius for atoms (default {DEFAULT_R_MAX:g})")
-    add_common(p_table, "--grid-points", "--interp", "--format")
+    add_common(p_table, "--interp", "--format")
 
     p_model = sub.add_parser("model", help="exact ladder energies and the shell correction")
     group = p_model.add_mutually_exclusive_group(required=True)
@@ -464,11 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_model, "--interp", "--format")
 
     p_fig = sub.add_parser("figures", help="write fig1.csv, fig1a.csv, fig2a.csv")
-    add_common(p_fig, "--grid-points")
     p_fig.add_argument("--out", default=".", metavar="DIR", help="output directory (default .)")
 
     p_asym = sub.add_parser("asymptotics", help="large-Z coefficients vs targets")
-    add_common(p_asym, "--grid-points", "--format")
+    add_common(p_asym, "--format")
     return parser
 
 

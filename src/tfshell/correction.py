@@ -10,7 +10,8 @@ A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
 gives the corrected estimate T_TF + delta_T.  The exact deficits are read
 off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
-which compute each shell count's energies once per grid size and process.
+which compute each shell count's energies once per process on the ladder's
+one quadrature grid.
 
 ``cubic_coefficients(mode)`` gives the cubic: 'refit' (default) solves
 for its coefficients from freshly computed node deltas at full precision,
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotics import model_energy_sequence
-from .hydrogenic import MAGIC_NUMBERS, shell_count_for
+from .hydrogenic import MAGIC_NUMBERS, electron_count, shell_count_for
 
 __all__ = [
     "INTERPOLATION_MAX_Z",
@@ -40,7 +41,8 @@ __all__ = [
 PUBLISHED_COEFFICIENTS = (0.21210, -0.19860, 0.12815, 0.00010)
 
 _NODE_SHELLS = (1, 2, 3, 4)
-INTERPOLATION_MAX_Z = 110
+# the cubic serves every Z up to the last closed-shell count, 110
+INTERPOLATION_MAX_Z = MAGIC_NUMBERS[-1]
 
 
 def delta_t_exact(n_max: int) -> float:
@@ -48,9 +50,8 @@ def delta_t_exact(n_max: int) -> float:
 
     T_shell - T_TF[rho_shell] for the neutral configuration (Z equal to the
     electron count), read off the ladder point of
-    ``asymptotics.model_energy_sequence`` on its default grid, which builds
-    and caches the density, the grid and the energies.  Quadrature failures
-    propagate.
+    ``asymptotics.model_energy_sequence``, which builds and caches the
+    density, the grid and the energies.  Quadrature failures propagate.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"shell count must be a positive integer, got {n_max!r}")
@@ -70,7 +71,7 @@ def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
     if mode == "published":
         return PUBLISHED_COEFFICIENTS
     if mode == "refit":
-        zs = [MAGIC_NUMBERS[n - 1] for n in _NODE_SHELLS]
+        zs = [electron_count(n) for n in _NODE_SHELLS]
         deltas = [delta_t_exact(n) for n in _NODE_SHELLS]
         coefs = np.linalg.solve(np.vander(np.asarray(zs, dtype=float), 4, increasing=True), deltas)
         return tuple(float(c) for c in coefs)

@@ -23,6 +23,7 @@ kernel itself is not the limit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -47,9 +48,6 @@ MAX_SHELLS = 40
 # np.exp(-x) is exactly 0 for x above about 745.13, the float64 underflow
 _UNDERFLOW_X = 745.2
 
-# electron_count(n) for n = 1..5: the closed-shell counts
-MAGIC_NUMBERS = (2, 10, 28, 60, 110)
-
 
 def electron_count(n_max: int) -> int:
     """Electrons in shells 1..n_max filled completely: sum of 2 n^2."""
@@ -58,16 +56,20 @@ def electron_count(n_max: int) -> int:
     return int(n_max) * (n_max + 1) * (2 * n_max + 1) // 3
 
 
+# the closed-shell counts of one to five filled shells: 2, 10, 28, 60, 110
+MAGIC_NUMBERS = tuple(electron_count(n) for n in range(1, 6))
+
+
 def shell_count_for(z: int) -> int | None:
-    """Inverse of electron_count on the closed-shell sequence, else None."""
-    n = 1
-    while True:
-        count = electron_count(n)
-        if count == z:
-            return n
-        if count > z:
-            return None
-        n += 1
+    """Inverse of electron_count on the closed-shell sequence, else None.
+
+    Doubles a bound on the shell count, then bisects: O(log z) steps.
+    """
+    hi = 1
+    while electron_count(hi) < z:
+        hi *= 2
+    n = bisect.bisect_left(range(1, hi + 1), z, key=electron_count) + 1
+    return n if electron_count(n) == z else None
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def test_criterion_2_expansion_coefficients():
 
 def test_criterion_3_extrapolated_ladder_coefficients():
     start = time.perf_counter()
-    points = model_energy_sequence(range(2, 26), grid_points=3008)
+    points = model_energy_sequence(range(2, 26))
     tf_fit = richardson_extrapolate(
         [(p.z, p.t_tf) for p in points],
         [Fraction(7, 3), Fraction(2), Fraction(5, 3)],

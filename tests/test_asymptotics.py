@@ -215,7 +215,7 @@ def _near_target(series: str, power: str):
 
 @pytest.fixture(scope="module")
 def ladder():
-    return model_energy_sequence(range(2, 26), grid_points=2000)
+    return model_energy_sequence(range(2, 26))
 
 
 def test_three_power_fit_of_tf_energy(ladder) -> None:
@@ -509,8 +509,8 @@ def test_oscillation_validation() -> None:
 
 
 def test_sequence_points_are_cached_and_exact() -> None:
-    first = model_energy_sequence([3], grid_points=2000)[0]
-    second = model_energy_sequence([3], grid_points=2000)[0]
+    first = model_energy_sequence([3])[0]
+    second = model_energy_sequence([3])[0]
     assert first is second
     assert first.z == 28.0
     assert first.t_exact == 3 * 28.0**2
@@ -527,16 +527,17 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch) -> None:
 
     monkeypatch.setattr(_kernels, "shell_profile", counting)
     # bypass the ladder cache so the point is computed here
-    _ladder_point.__wrapped__(3, 2000)
+    _ladder_point.__wrapped__(3)
     # one kernel call covers the Gauss nodes and their Kronrod extension
     assert calls == [2000 + 2125]
 
 
 def test_ladder_counts_cache_hits_and_keeps_cached_points() -> None:
-    # a grid size no other test uses, so every point starts uncached
-    cached = model_energy_sequence([3, 5], grid_points=1040)
+    # start from an empty cache, so every point starts uncached
+    _ladder_point.cache_clear()
+    cached = model_energy_sequence([3, 5])
     before = _ladder_point.cache_info()
-    points = model_energy_sequence(range(2, 9), grid_points=1040)
+    points = model_energy_sequence(range(2, 9))
     after = _ladder_point.cache_info()
     assert [p.n_max for p in points] == list(range(2, 9))
     assert points[1] is cached[0] and points[3] is cached[1]
@@ -557,9 +558,10 @@ def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing,
         return energies(rho, grid)
 
     monkeypatch.setattr(asymptotics, "energies", failing_energies)
-    grid_points = {5: 1104, 3: 1120, 4: 1136}[first]
+    # an empty cache, so every point up to the failure is computed here
+    _ladder_point.cache_clear()
     with pytest.raises(ConvergenceError, match=f"^T_TF: forced failure at n_max = {first}$"):
-        model_energy_sequence(range(2, 8), grid_points=grid_points)
+        model_energy_sequence(range(2, 8))
     # the points run in input order and the pass stops at the first failure
     assert computed == list(range(2, first + 1))
 
@@ -576,7 +578,7 @@ def test_figure_density_rows_structure() -> None:
 
 
 def test_figure_error_rows_signs(ladder) -> None:
-    rows = figure_error_rows(range(1, 9), grid_points=2000)
+    rows = figure_error_rows(range(1, 9))
     assert [row["n_max"] for row in rows] == list(range(1, 9))
     for row in rows:
         assert row["rel_err_T0"] > 0.0

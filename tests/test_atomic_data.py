@@ -18,6 +18,7 @@ from tfshell.atomic_data import (
     STOPrimitive,
     STOValidationError,
     atom_density,
+    load_files,
     parse_sto_text,
     serialize_records,
 )
@@ -373,6 +374,16 @@ def test_load_bundled_filter(bundled) -> None:
     assert [rec.element for rec in chosen] == ["Ne", "He"]
     assert chosen[0].atomic_number == 10
     assert missing == ["Al"]
+
+
+def test_load_files_orders_by_charge_and_later_file_wins(tmp_path) -> None:
+    first, second = tmp_path / "a.sto", tmp_path / "b.sto"
+    first.write_text("ATOM Li 3 7.4\nORB 1s 2\nPRM 1 2.7 1.0\nORB 2s 1\nPRM 2 0.65 1.0\n"
+                     "ATOM He 2 3.0\nORB 1s 2\nPRM 1 1.7 1.0\n")
+    second.write_text("ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n")
+    records = load_files([str(first), str(second)])
+    assert list(records) == ["He", "Li"]
+    assert records["He"].reference_hf_kinetic == 4.0
 
 
 def test_norm_tolerance_is_needed_but_not_slack(bundled) -> None:

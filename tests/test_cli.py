@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfshell import cli
+from tfshell import asymptotics, cli
 from tfshell.correction import delta_t_exact, delta_t_interpolated
 from tfshell.hydrogenic import electron_count, model_kinetic_energy_continuous
 from tfshell.kedf import ConvergenceError
@@ -39,11 +39,12 @@ PINNED_ROWS = (
 )
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "tfshell.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -75,6 +76,9 @@ def test_unknown_subcommand_and_bad_choice_exit_2():
         ("figures", "--interp", "published"),
         ("asymptotics", "--interp", "published"),
         ("model", "--z", "54", "--grid-points", "4000"),
+        ("table1", "--grid-points", "2000"),
+        ("figures", "--grid-points", "2000"),
+        ("asymptotics", "--grid-points", "2000"),
     ],
 )
 def test_options_a_command_does_not_read_exit_2(args, capsys):
@@ -233,12 +237,6 @@ def test_table1_bad_r_max_exits_data(r_max: str):
     assert proc.stdout == ""
 
 
-def test_table1_coarse_grid_exits_data():
-    proc = run_cli("table1", "--grid-points", "48")
-    assert proc.returncode == 2
-    assert "self-test" in proc.stderr
-
-
 def test_table1_long_span_gives_finite_t4():
     # on a 150-bohr span He's density falls far below 1e-103, where the
     # plain T_4 bracket's rho^2 and rho^3 underflowed to a NaN result
@@ -322,10 +320,12 @@ def test_model_z_below_first_node_runs():
         (("--n-max", "41"), "must lie in 1..40"),
         (("--z", "0"), "Z must be at least 1"),
         (("--z", "47642"), "fills 41 shells; filled-shell counts are supported for 1..40 shells"),
+        (("--z", str(10**30)), "interpolation range"),
     ],
 )
 def test_model_rejects_out_of_range_inputs(args, fragment):
-    proc = run_cli("model", *args)
+    # the filled-shell search takes O(log Z) steps, so even a huge Z is quick
+    proc = run_cli("model", *args, timeout=10)
     assert proc.returncode == 2
     assert fragment in proc.stderr
 
@@ -441,15 +441,16 @@ def test_figures_rerun_is_byte_identical(figures_run, tmp_path: Path):
         assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_figures_coarse_grid_fails_convergence_check(tmp_path: Path):
-    # 320 points is enough for the quadrature self-test but not for the
-    # Gauss-Kronrod check on the tall ladder entries, so this is the
-    # natural numeric-failure exit.  The density file has no grid
-    # dependence and is already on disk by then.
-    proc = run_cli("figures", "--grid-points", "320", "--out", str(tmp_path))
-    assert proc.returncode == 3
-    assert "error:" in proc.stderr
-    assert "increase grid points" in proc.stderr
+def test_figures_convergence_failure_exits_numeric(monkeypatch, capsys, tmp_path: Path):
+    # a ladder point failing its Gauss-Kronrod check is the numeric-failure
+    # exit; the density file does not integrate and is already on disk by then
+    def failing_energies(rho, grid):
+        raise ConvergenceError("T_TF: forced failure")
+
+    monkeypatch.setattr(asymptotics, "energies", failing_energies)
+    asymptotics._ladder_point.cache_clear()
+    assert cli.main(["figures", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: T_TF: forced failure\n"
     assert (tmp_path / "fig1.csv").exists()
     assert not (tmp_path / "fig1a.csv").exists()
 
@@ -489,6 +490,25 @@ def test_asymptotics_jsonl_rows():
     assert z_sq["fitted"] == pytest.approx(-0.6528715562, abs=1e-4)
     assert z_sq["deviation"] > z_sq["tolerance"]
     assert all(c["passed"] for c in checks)
+
+
+def test_asymptotics_csv_reports_failed_self_test(monkeypatch, capsys):
+    # the csv holds only the fit rows, so a failed self-test must reach stderr
+    monkeypatch.setattr(cli, "_self_tests", lambda: [("identity series", False, "forced")])
+    assert cli.main(["asymptotics", "--format", "csv"]) == 3
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 7
+    assert err == "error: self-test identity series failed (forced)\n"
+
+
+def test_commands_share_one_ladder_cache():
+    # model's exact node at 20 shells is the point asymptotics computed
+    assert cli.main(["asymptotics", "--format", "jsonl"]) == 0
+    before = asymptotics._ladder_point.cache_info()
+    assert cli.main(["model", "--n-max", "20"]) == 0
+    after = asymptotics._ladder_point.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
 
 
 # -- output formats ----------------------------------------------------------

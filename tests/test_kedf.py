@@ -572,7 +572,11 @@ def test_energies_refinement_failure_names_functional(
     field = orbital_density(
         [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=grid.nodes
     )
-    with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
+    with pytest.raises(
+        ConvergenceError,
+        match=f"^{name}: grid refinement moved the result from .+ to .+; "
+        "increase grid points or the radial span$",
+    ):
         energies(field, grid)
 
 
