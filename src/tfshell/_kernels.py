@@ -212,13 +212,6 @@ def _laguerre_tops(k: int, alpha: float, x: np.ndarray, scratch: tuple, tracks: 
             work[:] = cur, nxt, prev
 
 
-def _laguerre_array(k: int, alpha: float, x: np.ndarray) -> np.ndarray:
-    """L_k^alpha(x) by the forward three-term recurrence in the degree."""
-    work = [np.empty_like(x) for _ in range(3)]
-    _laguerre_tops(k, alpha, x, (np.empty_like(x), np.empty_like(x)), (work,))
-    return work[1]
-
-
 def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
     """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z.
 

@@ -8,7 +8,8 @@ Three strands live here:
 * Richardson extrapolation of finite-shell energy sequences to asymptotic
   coefficients (``richardson_extrapolate``, ``model_energy_sequence``);
 * the semiclassical limit of the scaled density (``tf_limit_density``)
-  and the shell oscillations of the finite-Z density around it.
+  and the finite-Z scaled density sampled against it
+  (``scaled_model_density``, ``figure_density_rows``).
 
 Scaling conventions: r_hat = Z^{1/3} r and rho_hat = rho / Z^2, in which
 the limit density is Z-independent, vanishes at the turning point
@@ -38,8 +39,6 @@ __all__ = [
     "richardson_extrapolate",
     "tf_limit_density",
     "scaled_model_density",
-    "shell_oscillation_maxima",
-    "oscillation_amplitude",
     "model_energy_sequence",
     "figure_density_rows",
     "figure_error_rows",
@@ -48,6 +47,10 @@ __all__ = [
 TURNING_POINT = 18.0 ** (1.0 / 3.0)
 
 _MAX_ELIMINATION_DEPTH = 5
+
+# fig1.csv: the scaled densities of these shell counts at this many points
+_FIG1_SHELLS = (1, 2, 3, 5)
+_FIG1_POINTS = 500
 
 
 class FitTarget(NamedTuple):
@@ -187,54 +190,15 @@ def tf_limit_density(r_hat):
     return out
 
 
-def scaled_model_density(
-    cfg: ShellConfiguration, r_hat: np.ndarray | None = None, n_points: int = 2000
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the scaled model density; returns (r_hat, rho_hat) arrays.
+def scaled_model_density(cfg: ShellConfiguration, r_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled model density at ``r_hat``; returns (r_hat, rho_hat) arrays.
 
-    rho_hat(r_hat) = Z^{-2} rho(Z^{-1/3} r_hat).  With no grid given,
-    samples n_points uniformly on (0, 18^{1/3}).
+    rho_hat(r_hat) = Z^{-2} rho(Z^{-1/3} r_hat).
     """
-    if r_hat is None:
-        r_hat = np.linspace(0.0, TURNING_POINT, n_points + 1)[1:]
     r_hat = np.asarray(r_hat, dtype=float)
     z = cfg.nuclear_charge
     rho_hat = HydrogenicDensity(cfg).value(r_hat * z ** (-1.0 / 3.0)) / z**2
     return r_hat, np.asarray(rho_hat, dtype=float)
-
-
-def shell_oscillation_maxima(
-    cfg: ShellConfiguration, n_points: int = 4000, boundary_margin: float = 0.05
-) -> list[tuple[float, float]]:
-    """Local maxima of the scaled-density deviation, innermost first.
-
-    Counts sign changes of the first finite difference on a uniform grid
-    over (0, 18^{1/3}).  The window excludes the outer fraction
-    ``boundary_margin`` of the radius: just inside the turning point the
-    exponential quantum tail always pokes above the semiclassically sharp
-    cutoff, producing one spurious bump unrelated to shell structure.
-    """
-    if n_points < 100:
-        raise ValueError("n_points too small to resolve oscillations")
-    r, rho_hat = scaled_model_density(cfg, np.linspace(0.0, TURNING_POINT, n_points + 1)[1:-1])
-    dev = rho_hat - tf_limit_density(r)
-    sign = np.sign(np.diff(dev))
-    peak = np.where((sign[:-1] > 0) & (sign[1:] < 0))[0] + 1
-    cut = (1.0 - boundary_margin) * TURNING_POINT
-    return [(float(r[i]), float(dev[i])) for i in peak if r[i] < cut]
-
-
-def oscillation_amplitude(cfg: ShellConfiguration, n_points: int = 4000) -> float:
-    """Deviation height of the outermost shell oscillation.
-
-    The outermost hump is the meaningful amplitude measure: toward the
-    nucleus the scaled deviation grows with Z (the strongly bound region
-    never becomes semiclassical), while the outer oscillations shrink.
-    """
-    maxima = shell_oscillation_maxima(cfg, n_points=n_points)
-    if not maxima:
-        raise ValueError("no oscillation maxima found")
-    return maxima[-1][1]
 
 
 @dataclass(frozen=True)
@@ -276,15 +240,17 @@ def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     return [_ladder_point(int(n_max)) for n_max in shell_counts]
 
 
-def figure_density_rows(
-    shell_counts: Sequence[int] = (1, 2, 3, 5), n_points: int = 500
-) -> list[dict]:
-    """Rows (r_hat, rho_hat_model, rho_hat_tf, n_max) for density plots."""
+def figure_density_rows() -> list[dict]:
+    """Rows (r_hat, rho_hat_model, rho_hat_tf, n_max) for density plots.
+
+    Each shell count of ``_FIG1_SHELLS`` is sampled at ``_FIG1_POINTS``
+    uniform points on (0, 18^{1/3}].
+    """
+    r_hat = np.linspace(0.0, TURNING_POINT, _FIG1_POINTS + 1)[1:]
+    tf_vals = tf_limit_density(r_hat)
     rows = []
-    for n_max in shell_counts:
-        cfg = ShellConfiguration.closed_shell(int(n_max))
-        r_hat, rho_hat = scaled_model_density(cfg, n_points=n_points)
-        tf_vals = tf_limit_density(r_hat)
+    for n_max in _FIG1_SHELLS:
+        _, rho_hat = scaled_model_density(ShellConfiguration.closed_shell(n_max), r_hat)
         for r, m, t in zip(r_hat, rho_hat, tf_vals):
             rows.append(
                 {

@@ -55,7 +55,6 @@ __all__ = [
     "STOAtomRecord",
     "STODensity",
     "parse_sto_text",
-    "serialize_records",
     "atom_density",
     "load_bundled",
     "load_files",
@@ -172,14 +171,6 @@ class STOOrbital:
                 term = c_a * c_b * math.factorial(power) / (z_a + z_b) ** (power + 1)
                 total += term if i == j else 2.0 * term
         return total
-
-    def radial_value(self, r):
-        """R(r) summed directly over primitives; scalar or array."""
-        arr = np.asarray(r, dtype=float)
-        out = np.zeros_like(arr, dtype=float)
-        for p in self.primitives:
-            out = out + p.coefficient * p.normalization * arr ** (p.n - 1) * np.exp(-p.zeta * arr)
-        return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -319,27 +310,6 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
     return records
 
 
-def _format_number(value: float) -> str:
-    # repr of a float is the shortest digit string that round-trips, which
-    # keeps serialization canonical: parse -> serialize is byte-identical.
-    return repr(float(value))
-
-
-def serialize_records(records: Iterable[STOAtomRecord]) -> str:
-    """Render records back to canonical .sto text."""
-    blocks = []
-    for rec in records:
-        lines = [f"ATOM {rec.element} {rec.atomic_number} {_format_number(rec.reference_hf_kinetic)}"]
-        for orb in rec.orbitals:
-            lines.append(f"ORB {orb.label} {orb.occupation}")
-            for p in orb.primitives:
-                lines.append(f"PRM {p.n} {_format_number(p.zeta)} {_format_number(p.coefficient)}")
-        blocks.append("\n".join(lines))
-    if not blocks:
-        raise STODataError("no records to serialize")
-    return "\n\n".join(blocks) + "\n"
-
-
 class STODensity:
     """Spherically averaged density (1/4 pi) sum_k occ_k R_k(r)^2 of one atom.
 
@@ -452,12 +422,20 @@ def atom_density(record: STOAtomRecord) -> STODensity:
 
 
 def _load(sources: Iterable) -> dict[str, STOAtomRecord]:
-    """Atoms of the .sto ``sources`` by element symbol, ordered by charge; later records win."""
-    keyed = {
-        rec.element: rec
-        for source in sources
-        for rec in parse_sto_text(source.read_text(encoding="utf-8"))
-    }
+    """Atoms of the .sto ``sources`` by element symbol, ordered by charge; later records win.
+
+    A source that is not UTF-8 text or does not parse raises STODataError
+    with the source's path in front of the message.
+    """
+    keyed: dict[str, STOAtomRecord] = {}
+    for source in sources:
+        try:
+            records = parse_sto_text(source.read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise STODataError(f"{source}: not UTF-8 text") from None
+        except STODataError as exc:
+            raise STODataError(f"{source}: {exc}") from None
+        keyed.update((rec.element, rec) for rec in records)
     return dict(sorted(keyed.items(), key=lambda kv: kv[1].atomic_number))
 
 

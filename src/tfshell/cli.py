@@ -31,6 +31,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,6 +83,8 @@ INTERPOLATION_COMFORT_Z = electron_count(_NODE_SHELLS[-1])
 _LADDER_SHELLS = tuple(range(20, 26))
 _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
 _FIG2A_SHELLS = tuple(range(2, MAX_SHELLS + 1, 2))
+# an --atoms token that names an atomic number; every other token is a symbol
+_ATOMIC_NUMBER = re.compile(r"[+-]?[0-9]+")
 
 
 def _warn(message: str) -> None:
@@ -137,8 +140,7 @@ def _select_records(
     chosen: list[STOAtomRecord] = []
     missing: list[str] = []
     for token in atoms:
-        rec = None
-        if token.lstrip("+-").isdigit():
+        if _ATOMIC_NUMBER.fullmatch(token):
             rec = by_z.get(int(token))
         else:
             rec = by_fold.get(token.lower())

@@ -437,11 +437,6 @@ def _profile_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...
     )
 
 
-def _energy_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
-    """The T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
-    return _profile_integrands(rho, grid)[1:]
-
-
 def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) of a radial density from one profile call (hartree).
 

@@ -1,4 +1,4 @@
-"""Slater-type densities written out orbital by orbital, for tests."""
+"""Slater-type densities and orbitals written out term by term, for tests."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from tfshell.atomic_data import STODensity
+from tfshell.atomic_data import STODensity, STOOrbital
 
 
 def orbital_density(orbitals, cls=STODensity, **extra) -> STODensity:
@@ -39,3 +39,12 @@ def orbital_density(orbitals, cls=STODensity, **extra) -> STODensity:
         4.0 * math.pi * charge,
         **extra,
     )
+
+
+def radial_value(orbital: STOOrbital, r):
+    """R(r) summed directly over primitives; scalar or array."""
+    arr = np.asarray(r, dtype=float)
+    out = np.zeros_like(arr, dtype=float)
+    for p in orbital.primitives:
+        out = out + p.coefficient * p.normalization * arr ** (p.n - 1) * np.exp(-p.zeta * arr)
+    return float(out) if arr.ndim == 0 else out

@@ -39,15 +39,13 @@ from scipy import integrate, special
 
 import conftest
 from orbitals import orbital_density
-from tfshell._kernels import _laguerre_array
+from oscillations import oscillation_amplitude, shell_oscillation_maxima
 from tfshell.asymptotics import (
     MODEL_SERIES,
     TARGETS,
     TURNING_POINT,
     model_energy_sequence,
-    oscillation_amplitude,
     richardson_extrapolate,
-    shell_oscillation_maxima,
     tf_limit_density,
 )
 from tfshell.correction import delta_t_exact, delta_t_interpolated
@@ -58,11 +56,11 @@ from tfshell.hydrogenic import (
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
-    radial_wavefunction,
     shell_count_for,
 )
 from tfshell.atomic_data import atom_density
 from tfshell.kedf import energies, make_grid
+from wavefunctions import laguerre_array, radial_wavefunction
 
 
 def record_criterion(number: int, label: str, ok: bool, detail: str) -> None:
@@ -367,7 +365,7 @@ def test_criterion_7_property_suite():
     # polynomial kernel against the reference recurrence
     x = np.linspace(0.0, 30.0, 400)
     for k, alpha in ((0, 1.0), (1, 3.0), (4, 5.0), (9, 2.0)):
-        ours = _laguerre_array(k, alpha, x)
+        ours = laguerre_array(k, alpha, x)
         reference = special.genlaguerre(k, alpha)(x)
         if not np.allclose(ours, reference, rtol=1e-10, atol=1e-12):
             failures.append(f"laguerre k={k} alpha={alpha}")

@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import quad
 
+from oscillations import oscillation_amplitude, shell_oscillation_maxima
 from tfshell import _kernels, asymptotics, cli
 from tfshell.asymptotics import (
     MODEL_SERIES,
@@ -19,10 +20,8 @@ from tfshell.asymptotics import (
     figure_error_rows,
     model_energy_sequence,
     model_series,
-    oscillation_amplitude,
     richardson_extrapolate,
     scaled_model_density,
-    shell_oscillation_maxima,
     tf_limit_density,
     _ladder_point,
 )
@@ -443,10 +442,12 @@ def test_scaled_density_unit_norm() -> None:
 
 
 def test_scaled_sampling_default_grid() -> None:
-    r_hat, rho_hat = scaled_model_density(ShellConfiguration.closed_shell(2), n_points=300)
-    assert r_hat.shape == rho_hat.shape == (300,)
-    assert r_hat[0] > 0.0
-    assert r_hat[-1] == pytest.approx(TURNING_POINT, rel=1e-15)
+    rows = figure_density_rows()
+    for n_max in (1, 2, 3, 5):
+        r_hat = [row["r_hat"] for row in rows if row["n_max"] == n_max]
+        assert len(r_hat) == 500
+        assert r_hat[0] > 0.0
+        assert r_hat[-1] == pytest.approx(TURNING_POINT, rel=1e-15)
     custom = np.array([0.5, 1.0])
     r2, v2 = scaled_model_density(ShellConfiguration.closed_shell(2), r_hat=custom)
     np.testing.assert_array_equal(r2, custom)
@@ -567,11 +568,11 @@ def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing,
 
 
 def test_figure_density_rows_structure() -> None:
-    rows = figure_density_rows(n_points=50)
-    assert len(rows) == 4 * 50
+    rows = figure_density_rows()
+    assert len(rows) == 4 * 500
     assert set(rows[0]) == {"r_hat", "rho_hat_model", "rho_hat_tf", "n_max"}
     assert sorted({row["n_max"] for row in rows}) == [1, 2, 3, 5]
-    for row in rows[:50]:
+    for row in rows[:500]:
         assert row["rho_hat_tf"] == pytest.approx(
             tf_limit_density(row["r_hat"]), rel=1e-14, abs=1e-300
         )

@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from orbitals import radial_value
+from sto_text import serialize_records
 from tfshell import cli
 from tfshell.atomic_data import (
     NORM_TOLERANCE,
@@ -20,7 +22,6 @@ from tfshell.atomic_data import (
     atom_density,
     load_files,
     parse_sto_text,
-    serialize_records,
 )
 
 MINIMAL = """\
@@ -171,7 +172,7 @@ def test_density_matches_orbital_squares(bundled) -> None:
         rec = bundled[symbol]
         direct = np.zeros_like(r)
         for orb in rec.orbitals:
-            direct += orb.occupation * orb.radial_value(r) ** 2
+            direct += orb.occupation * radial_value(orb, r) ** 2
         direct /= 4.0 * math.pi
         np.testing.assert_allclose(atom_density(rec).value(r), direct, rtol=1e-12)
 

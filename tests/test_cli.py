@@ -9,6 +9,7 @@ expensive, so their outputs are produced once per module and shared.
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import math
 import subprocess
@@ -106,6 +107,15 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "name", ["asymptotics", "atomic_data", "cli", "correction", "hydrogenic", "kedf"]
+)
+def test_every_public_name_resolves(name):
+    # perfbench's tracer wraps each module's __all__ by name
+    module = importlib.import_module(f"tfshell.{name}")
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
 # -- table1 ----------------------------------------------------------------
 
 
@@ -135,6 +145,12 @@ def test_table1_unknown_atom_exits_data():
     assert proc.returncode == 2
     assert "no data for atom 'Al'" in proc.stderr
     assert proc.stdout == ""
+    # only ASCII digits after one optional sign name an atomic number
+    for token in ("+-5", "²", "٣"):
+        proc = run_cli("table1", f"--atoms={token}")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: no data for atom {token!r}\n"
+        assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("selection", [",", " "])
@@ -190,6 +206,25 @@ def test_table1_user_data_replaces_bundled_set(tmp_path: Path):
     # this record is the one-filled-shell density with its own exact
     # energy as reference, so the corrected column sits at roundoff
     assert abs(float(lines[1].split(",")[-1])) < 1e-8
+
+
+def test_table1_undecodable_data_file_exits_data(tmp_path: Path):
+    data = tmp_path / "utf16.sto"
+    data.write_bytes(b"\xff\xfe" + MINIMAL_STO.encode("utf-16-le"))
+    proc = run_cli("table1", "--data", str(data))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {data}: not UTF-8 text\n"
+    assert proc.stdout == ""
+
+
+def test_table1_data_parse_error_names_its_file(tmp_path: Path):
+    good, bad = tmp_path / "he.sto", tmp_path / "bad.sto"
+    good.write_text(MINIMAL_STO)
+    bad.write_text(MINIMAL_STO.replace("1.0\n", "abc\n"))
+    proc = run_cli("table1", "--data", str(good), "--data", str(bad))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {bad}: line 3: primitive coefficient must be numeric, got 'abc'\n"
+    assert proc.stdout == ""
 
 
 def test_table1_atom_beyond_correction_range_is_skipped(tmp_path: Path):

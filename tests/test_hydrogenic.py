@@ -17,10 +17,10 @@ from tfshell.hydrogenic import (
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
-    radial_wavefunction,
     shell_count_for,
 )
 from tfshell.kedf import make_grid
+from wavefunctions import radial_wavefunction
 
 
 def test_electron_count_closed_form() -> None:

@@ -435,7 +435,7 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     # there, so only the charge check sees the cut
     field = orbital_density([[(1.0, 0, 0.5)]])
     short = make_grid(2000, 10.0)
-    values, kronrod = kedf._rule_values(short, kedf._energy_integrands(field, short))
+    values, kronrod = kedf._rule_values(short, kedf._profile_integrands(field, short)[1:])
     kedf._check_refinement(("T_TF", "T_W", "T_4"), values, kronrod)
     with pytest.raises(ConvergenceError) as exc:
         energies(field, short)
@@ -475,7 +475,7 @@ def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
         energies(field, grid)
     # T_TF and T_W are finite and pass the gate on their own
-    values, kronrod = kedf._rule_values(grid, kedf._energy_integrands(field, grid))
+    values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(field, grid)[1:])
     kedf._check_refinement(("T_TF", "T_W"), values[:2], kronrod[:2])
 
 
@@ -595,9 +595,9 @@ def test_kronrod_estimate_tracks_doubled_grid(bundled) -> None:
     # error a doubled grid would report, functional by functional
     for rho, n_points, span in _gate_cases(bundled):
         grid = make_grid(n_points, span)
-        values, kronrod = kedf._rule_values(grid, kedf._energy_integrands(rho, grid))
+        values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(rho, grid)[1:])
         doubled = make_grid(2 * n_points, span)
-        finer, _ = kedf._rule_values(doubled, kedf._energy_integrands(rho, doubled))
+        finer, _ = kedf._rule_values(doubled, kedf._profile_integrands(rho, doubled)[1:])
         for value, check, fine in zip(values, kronrod, finer):
             estimate, reference = abs(check - value), abs(fine - value)
             assert reference > 1e-14 * abs(value)  # well above roundoff

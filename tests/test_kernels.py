@@ -17,6 +17,7 @@ from pair_reference import pair_field, term_profile
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
 from tfshell.kedf import make_grid
+from wavefunctions import laguerre_array
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +338,7 @@ def test_laguerre_array_matches_reference() -> None:
     x = np.linspace(0.0, 25.0, 400)
     # radial_wavefunction reads degrees up to 39 (MAX_SHELLS - 1); 80 reaches beyond
     for k, alpha in [(0, 1.0), (1, 3.0), (4, 5.0), (9, 2.0), (40, 1.0), (80, 3.0)]:
-        ours = _kernels._laguerre_array(k, alpha, x)
+        ours = laguerre_array(k, alpha, x)
         with mpmath.workdps(40):
             reference = np.array([float(mpmath.laguerre(k, alpha, mpmath.mpf(float(v)))) for v in x])
         scale = max(1.0, float(np.max(np.abs(reference))))
