@@ -4,7 +4,7 @@ Every case evaluates a kernel on what a functional samples: all nodes of a
 quadrature grid, its Gauss nodes and their Kronrod extension together
 (``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  The
 shell-density kernel runs on the closed-shell ladder's own grids: the
-expmap grid out to ``suggested_r_max()`` of the neutral n_max-shell
+expmap grid out to ``suggested_r_max(n_max)`` of the neutral n_max-shell
 density, at the library default of 2000 points (4125 nodes).  Its default
 shell counts run past the library's 40-shell cap to 60 and 100, the kernel
 cost a 100-shell ladder would pay.  The Slater-type orbital kernel runs on
@@ -28,14 +28,13 @@ from __future__ import annotations
 import argparse
 import time
 import tracemalloc
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from tfshell._kernels import orbital_profile, shell_profile
 from tfshell.atomic_data import atom_density, load_bundled
-from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
+from tfshell.hydrogenic import electron_count, suggested_r_max
 from tfshell.kedf import DEFAULT_GRID_POINTS, DEFAULT_R_MAX, make_grid
 
 
@@ -79,14 +78,11 @@ def table1_profiles(atoms: list, nodes: np.ndarray) -> None:
 def shell_inputs(n_points: int, n_max: int) -> tuple:
     """(Z, n_max, nodes) of the ladder point with n_max filled shells.
 
-    ``suggested_r_max`` reads only the configuration, so it is called on a
-    stand-in holding one: the density's own ``MAX_SHELLS`` check would stop
-    the shell counts beyond it.
+    Built from the shell count alone, without a ``HydrogenicDensity``, so
+    shell counts beyond its ``MAX_SHELLS`` check run too.
     """
-    cfg = ShellConfiguration.closed_shell(n_max)
-    r_max = HydrogenicDensity.suggested_r_max(SimpleNamespace(configuration=cfg))
-    grid = make_grid(n_points, r_max)
-    return cfg.nuclear_charge, n_max, grid.all_nodes()
+    grid = make_grid(n_points, suggested_r_max(n_max))
+    return float(electron_count(n_max)), n_max, grid.all_nodes()
 
 
 def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> None:

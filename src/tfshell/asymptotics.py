@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hydrogenic import HydrogenicDensity, ShellConfiguration, model_kinetic_energy
+from .hydrogenic import HydrogenicDensity, model_kinetic_energy, suggested_r_max
 from .kedf import DEFAULT_GRID_POINTS, energies, make_grid
 
 __all__ = [
@@ -190,15 +190,12 @@ def tf_limit_density(r_hat):
     return out
 
 
-def scaled_model_density(cfg: ShellConfiguration, r_hat) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled model density at ``r_hat``; returns (r_hat, rho_hat) arrays.
-
-    rho_hat(r_hat) = Z^{-2} rho(Z^{-1/3} r_hat).
-    """
+def scaled_model_density(n_max: int, r_hat) -> np.ndarray:
+    """The scaled density rho_hat(r_hat) = Z^{-2} rho(Z^{-1/3} r_hat) of the n_max-shell model."""
     r_hat = np.asarray(r_hat, dtype=float)
-    z = cfg.nuclear_charge
-    rho_hat = HydrogenicDensity(cfg).value(r_hat * z ** (-1.0 / 3.0)) / z**2
-    return r_hat, np.asarray(rho_hat, dtype=float)
+    rho = HydrogenicDensity(n_max)
+    z = rho.z
+    return np.asarray(rho.profile(r_hat * z ** (-1.0 / 3.0))[0] / z**2, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -215,14 +212,13 @@ class SequencePoint:
 
 @lru_cache(maxsize=None)
 def _ladder_point(n_max: int) -> SequencePoint:
-    cfg = ShellConfiguration.closed_shell(n_max)
-    rho = HydrogenicDensity(cfg)
-    grid = make_grid(DEFAULT_GRID_POINTS, rho.suggested_r_max())
+    rho = HydrogenicDensity(n_max)
+    grid = make_grid(DEFAULT_GRID_POINTS, suggested_r_max(n_max))
     t0, t_w, t4 = energies(rho, grid)
     return SequencePoint(
-        n_max=cfg.n_max,
-        z=cfg.nuclear_charge,
-        t_exact=model_kinetic_energy(cfg),
+        n_max=n_max,
+        z=rho.z,
+        t_exact=model_kinetic_energy(n_max),
         t_tf=t0,
         t2=t_w / 9.0,
         t4=t4,
@@ -233,9 +229,9 @@ def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
     Each point is integrated on ``make_grid(DEFAULT_GRID_POINTS,
-    suggested_r_max)``.  Points are computed in input order and cached per
-    shell count for the process, so overlapping ladders cost nothing extra;
-    a failing point raises for the first failing shell count.
+    suggested_r_max(n_max))``.  Points are computed in input order and
+    cached per shell count for the process, so overlapping ladders cost
+    nothing extra; a failing point raises for the first failing shell count.
     """
     return [_ladder_point(int(n_max)) for n_max in shell_counts]
 
@@ -250,8 +246,7 @@ def figure_density_rows() -> list[dict]:
     tf_vals = tf_limit_density(r_hat)
     rows = []
     for n_max in _FIG1_SHELLS:
-        _, rho_hat = scaled_model_density(ShellConfiguration.closed_shell(n_max), r_hat)
-        for r, m, t in zip(r_hat, rho_hat, tf_vals):
+        for r, m, t in zip(r_hat, scaled_model_density(n_max, r_hat), tf_vals):
             rows.append(
                 {
                     "r_hat": float(r),
@@ -269,7 +264,7 @@ def figure_error_rows(shell_counts: Iterable[int]) -> list[dict]:
     Errors follow the underestimate-positive convention
     (reference - approximation)/reference, where the approximations are
     the cumulative sums T0, T0+T2, T0+T2+T4.  That is the opposite sign of
-    ``kedf.EnergyBreakdown`` and of ``tfshell table1``, on purpose: the
+    ``tfshell table1`` (``cli._atom_record``), on purpose: the
     local-density energy of the ladder always underestimates, and its error
     curve is plotted positive.  The T0 column is always positive; the
     corrected sums overshoot small systems, so the T2 column goes positive

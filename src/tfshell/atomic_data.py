@@ -318,10 +318,9 @@ class STODensity:
     occupied orbital (``coefs``, shape (K, P)) and the weights occ_k / 4 pi.
     Answers the density protocol of ``kedf``: ``profile`` gives
     (rho, rho', rho'') from one ``_kernels.orbital_profile`` call, with
-    exact derivatives, ``value`` is ``profile(r)[0]``, and ``total_charge``
-    is sum_k occ_k times the orbital's norm integral.  It is the package's
-    only exponential-type density and has no term list and no term-list
-    operations.
+    exact derivatives, and ``total_charge`` is sum_k occ_k times the
+    orbital's norm integral.  It is the package's only exponential-type
+    density and has no term list and no term-list operations.
 
     The constructor keeps read-only copies of the four arrays and raises
     ValueError unless the powers are non-negative integers, the exponents
@@ -375,10 +374,6 @@ class STODensity:
         if np.asarray(r).ndim == 0:
             return tuple(float(row[0]) for row in rows)
         return rows
-
-    def value(self, r):
-        """rho(r), scalar or array."""
-        return self.profile(r)[0]
 
     def total_charge(self) -> float:
         return self._total_charge

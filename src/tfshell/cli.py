@@ -33,7 +33,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Callable, Sequence
@@ -49,11 +48,10 @@ from .asymptotics import (
     richardson_extrapolate,
 )
 from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, load_files
-from .correction import _NODE_SHELLS, INTERPOLATION_MAX_Z, delta_t
+from .correction import INTERPOLATION_MAX_Z, LAST_NODE_Z, delta_t
 from .hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
-    ShellConfiguration,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
@@ -63,7 +61,6 @@ from .kedf import (
     DEFAULT_GRID_POINTS,
     DEFAULT_R_MAX,
     ConvergenceError,
-    EnergyBreakdown,
     GridError,
     energies,
     make_grid,
@@ -74,10 +71,6 @@ __all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-# Correction nodes stop at four filled shells (60 electrons); interpolation
-# beyond that is extrapolation and gets a warning.
-INTERPOLATION_COMFORT_Z = electron_count(_NODE_SHELLS[-1])
 
 # Neville at depth _MAX_ELIMINATION_DEPTH = 5 reads only the last six points.
 _LADDER_SHELLS = tuple(range(20, 26))
@@ -92,12 +85,16 @@ def _warn(message: str) -> None:
 
 
 def format_percent(value: float) -> str:
-    """Two significant figures, plain decimal: -11, 0.59, 3.6, 0.067."""
+    """Two significant figures, plain decimal: -11, 0.59, 3.6, 0.067.
+
+    The figures are counted after rounding, so 9.96 prints as 10.
+    """
     if value == 0.0:
         return "0.0"
     if not math.isfinite(value):
         return repr(value)
-    decimals = max(0, 1 - math.floor(math.log10(abs(value))))
+    rounded = round(value, 1 - math.floor(math.log10(abs(value))))
+    decimals = max(0, 1 - math.floor(math.log10(abs(rounded))))
     return f"{value:.{decimals}f}"
 
 
@@ -118,16 +115,6 @@ def _write_records(out: IO[str], records: Sequence[dict], fmt: str) -> None:
 
 
 # -- table1 ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AtomRow:
-    record: STOAtomRecord
-    energies: EnergyBreakdown
-
-    def errors_percent(self) -> tuple[float, float, float, float]:
-        e = self.energies
-        return tuple(100.0 * err for err in (e.err_tf, e.err_second, e.err_fourth, e.err_corrected))
 
 
 def _select_records(
@@ -162,15 +149,39 @@ def _beyond_correction(z: int) -> str | None:
 
 
 def _shell_correction(z: int, mode: str) -> float:
-    if shell_count_for(z) is None and z > INTERPOLATION_COMFORT_Z:
+    if shell_count_for(z) is None and z > LAST_NODE_Z:
         _warn(
-            f"Z={z} lies beyond the last filled-shell node at {INTERPOLATION_COMFORT_Z}; "
+            f"Z={z} lies beyond the last filled-shell node at {LAST_NODE_Z}; "
             "the interpolated correction is an extrapolation there"
         )
     return delta_t(z, mode)
 
 
 _ERROR_KEYS = ("err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct")
+
+
+def _atom_record(record: STOAtomRecord, t_tf: float, t2: float, t4: float, delta: float) -> dict:
+    """The json-lines record of one ``table1`` row: energies and percent errors.
+
+    Errors follow (approximation - reference)/reference, so a functional
+    that underestimates the Hartree-Fock kinetic energy reports a negative
+    error.  The gradient columns grade the cumulative sums T_TF + T_2 and
+    T_TF + T_2 + T_4; the corrected energy is T_TF + delta_T.
+    """
+    ref = record.reference_hf_kinetic
+    corrected = t_tf + delta
+    approximations = (t_tf, t_tf + t2, t_tf + t2 + t4, corrected)
+    return {
+        "z": record.atomic_number,
+        "atom": record.element,
+        "reference_hf_kinetic": ref,
+        "t_tf": t_tf,
+        "t2": t2,
+        "t4": t4,
+        "delta_t": delta,
+        "corrected": corrected,
+        **{key: 100.0 * ((approx - ref) / ref) for key, approx in zip(_ERROR_KEYS, approximations)},
+    }
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -186,7 +197,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print(f"error: no data for atom {token!r}", file=sys.stderr)
 
     grid = make_grid(DEFAULT_GRID_POINTS, args.r_max)
-    rows: list[AtomRow] = []
+    rows: list[dict] = []
     numeric_failures = 0
     data_failures = len(missing)
     for rec in chosen:
@@ -203,12 +214,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
             continue
-        rows.append(
-            AtomRow(
-                rec,
-                EnergyBreakdown.from_components(t_tf, t2, t4, delta, rec.reference_hf_kinetic),
-            )
-        )
+        rows.append(_atom_record(rec, t_tf, t2, t4, delta))
 
     if not rows:
         return EXIT_NUMERIC if numeric_failures and not data_failures else EXIT_DATA
@@ -218,39 +224,19 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print("relative error vs Hartree-Fock reference kinetic energy, %", file=out)
         print(f"{'Z':>3} {'atom':<4} {'T_TF':>8} {'+T2':>8} {'+T2+T4':>8} {'corrected':>10}", file=out)
         for row in rows:
-            errs = row.errors_percent()
+            tf, t2, t4, corrected = (format_percent(row[key]) for key in _ERROR_KEYS)
             print(
-                f"{row.record.atomic_number:>3} {row.record.element:<4} "
-                f"{format_percent(errs[0]):>8} {format_percent(errs[1]):>8} "
-                f"{format_percent(errs[2]):>8} {format_percent(errs[3]):>10}",
+                f"{row['z']:>3} {row['atom']:<4} {tf:>8} {t2:>8} {t4:>8} {corrected:>10}",
                 file=out,
             )
     elif args.format == "csv":
-        records = [
-            {
-                "Z": row.record.atomic_number,
-                "atom": row.record.element,
-                **dict(zip(_ERROR_KEYS, map(format_percent, row.errors_percent()))),
-            }
+        cells = [
+            {"Z": row["z"], "atom": row["atom"], **{key: format_percent(row[key]) for key in _ERROR_KEYS}}
             for row in rows
         ]
-        _write_records(out, records, "csv")
+        _write_records(out, cells, "csv")
     else:
-        records = [
-            {
-                "z": row.record.atomic_number,
-                "atom": row.record.element,
-                "reference_hf_kinetic": row.record.reference_hf_kinetic,
-                "t_tf": row.energies.t_tf,
-                "t2": row.energies.t2,
-                "t4": row.energies.t4,
-                "delta_t": row.energies.delta_t,
-                "corrected": row.energies.corrected,
-                **dict(zip(_ERROR_KEYS, row.errors_percent())),
-            }
-            for row in rows
-        ]
-        _write_records(out, records, "jsonl")
+        _write_records(out, rows, "jsonl")
     return EXIT_OK
 
 
@@ -283,7 +269,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
     magic = n_max is not None
     if magic:
-        t_exact = model_kinetic_energy(ShellConfiguration.closed_shell(n_max))
+        t_exact = model_kinetic_energy(n_max)
         delta_kind = f"exact at {n_max} filled shells"
     else:
         t_exact = model_kinetic_energy_continuous(z)

@@ -13,10 +13,10 @@ off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
 which compute each shell count's energies once per process on the ladder's
 one quadrature grid.
 
-``cubic_coefficients(mode)`` gives the cubic: 'refit' (default) solves
-for its coefficients from freshly computed node deltas at full precision,
-while 'published' returns the five-decimal literature coefficients for
-comparison runs.
+``cubic_coefficients(mode)`` gives the cubic: 'refit' (the command line's
+default) solves for its coefficients from freshly computed node deltas at
+full precision, while 'published' returns the five-decimal literature
+coefficients for comparison runs.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .hydrogenic import MAGIC_NUMBERS, electron_count, shell_count_for
 
 __all__ = [
     "INTERPOLATION_MAX_Z",
+    "LAST_NODE_Z",
     "PUBLISHED_COEFFICIENTS",
     "cubic_coefficients",
     "delta_t_exact",
@@ -41,6 +42,8 @@ __all__ = [
 PUBLISHED_COEFFICIENTS = (0.21210, -0.19860, 0.12815, 0.00010)
 
 _NODE_SHELLS = (1, 2, 3, 4)
+# the charge of the last node, 60: beyond it the cubic extrapolates
+LAST_NODE_Z = electron_count(_NODE_SHELLS[-1])
 # the cubic serves every Z up to the last closed-shell count, 110
 INTERPOLATION_MAX_Z = MAGIC_NUMBERS[-1]
 
@@ -78,11 +81,11 @@ def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
     raise ValueError(f"unknown interpolation mode {mode!r}; use 'published' or 'refit'")
 
 
-def delta_t_interpolated(z: int, mode: str = "refit") -> float:
+def delta_t_interpolated(z: int, mode: str) -> float:
     """Cubic-interpolated deficit at integer atomic number ``z`` (1..110).
 
-    Beyond the last construction node (Z = 60) this is an extrapolation;
-    the command-line layer warns about it, the library does not.
+    Beyond the last construction node (Z = ``LAST_NODE_Z`` = 60) this is an
+    extrapolation; the command-line layer warns about it, the library does not.
     """
     z = _as_atomic_number(z)
     if not 1 <= z <= INTERPOLATION_MAX_Z:
@@ -92,7 +95,7 @@ def delta_t_interpolated(z: int, mode: str = "refit") -> float:
     return c0 + z * (c1 + z * (c2 + z * c3))
 
 
-def delta_t(z: int, mode: str = "refit") -> float:
+def delta_t(z: int, mode: str) -> float:
     """Deficit delta_T for atomic number ``z``.
 
     The exact node value when ``z`` is a shell-filling number

@@ -12,20 +12,23 @@ expansion: that expansion cancels catastrophically for many shells, while
 the closed form keeps many-shell configurations accurate in double
 precision.
 
-Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel
-(``_kernels.shell_profile``: per shell, two Laguerre recurrences of length
-at most n, run in one loop, and a closed form in their last values) is
-checked to 1e-13 against a 32-digit mpmath orbital sum at 25, 40 and 60
-shells and a 40-digit mpmath closed form at 100.  The cap stays at 40 until
-the ladder's 1e-8 quadrature gate and its fits are checked beyond that; the
-kernel itself is not the limit.
+A model system is fixed by its shell count n_max alone, with Z = N =
+``electron_count(n_max)``, so the density, its exact energy and its grid
+span (``suggested_r_max``) all take n_max.  A charge away from neutrality
+reaches only the kernel, ``_kernels.shell_profile(z, n_max, r)``.
+
+Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel (per
+shell, two Laguerre recurrences of length at most n, run in one loop, and a
+closed form in their last values) is checked to 1e-13 against a 32-digit
+mpmath orbital sum at 25, 40 and 60 shells and a 40-digit mpmath closed
+form at 100.  The cap stays at 40 until the ladder's 1e-8 quadrature gate
+and its fits are checked beyond that; the kernel itself is not the limit.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +37,12 @@ from . import _kernels
 __all__ = [
     "MAX_SHELLS",
     "MAGIC_NUMBERS",
-    "ShellConfiguration",
     "HydrogenicDensity",
     "electron_count",
     "shell_count_for",
     "model_kinetic_energy",
     "model_kinetic_energy_continuous",
+    "suggested_r_max",
 ]
 
 MAX_SHELLS = 40
@@ -71,32 +74,17 @@ def shell_count_for(z: int) -> int | None:
     return n if electron_count(n) == z else None
 
 
-@dataclass(frozen=True)
-class ShellConfiguration:
-    """Nuclear charge plus the highest completely filled shell."""
-
-    nuclear_charge: float
-    n_max: int
-
-    def __post_init__(self) -> None:
-        if not self.nuclear_charge > 0:
-            raise ValueError(f"nuclear charge must be positive, got {self.nuclear_charge!r}")
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 1:
-            raise ValueError(f"n_max must be a positive integer, got {self.n_max!r}")
-
-    @property
-    def electron_count(self) -> int:
-        return electron_count(self.n_max)
-
-    @classmethod
-    def closed_shell(cls, n_max: int) -> "ShellConfiguration":
-        """The neutral configuration with Z equal to the electron count."""
-        return cls(float(electron_count(n_max)), n_max)
+def model_kinetic_energy(n_max: int) -> float:
+    """Exact kinetic energy n_max * Z^2 (hartree) of the neutral n_max-shell system."""
+    return n_max * float(electron_count(n_max)) ** 2
 
 
-def model_kinetic_energy(cfg: ShellConfiguration) -> float:
-    """Exact kinetic energy n_max * Z^2 (hartree)."""
-    return cfg.n_max * cfg.nuclear_charge**2
+def suggested_r_max(n_max: int) -> float:
+    """Outer radius of the quadrature grid for the neutral n_max-shell density."""
+    # outermost orbital decays as exp(-2 Z r / n_max) against a degree
+    # ~2 n_max polynomial; 6 n_max^2 / Z sits far beyond the turning
+    # point ~2 n_max^2 / Z, and the constant floor covers n_max = 1
+    return (6.0 * n_max**2 + 40.0) / float(electron_count(n_max))
 
 
 def model_kinetic_energy_continuous(z: float) -> float:
@@ -119,17 +107,18 @@ def model_kinetic_energy_continuous(z: float) -> float:
 
 
 class HydrogenicDensity:
-    """Density of a filled-shell configuration, evaluated by the closed-form shell kernel.
+    """Density of the neutral n_max-shell system, evaluated by the closed-form shell kernel.
 
     Answers the density protocol of ``kedf`` (``profile`` and
-    ``total_charge``), and adds ``value`` for rho alone and
-    ``suggested_r_max`` for the radial span of its quadrature grid.
+    ``total_charge``).
     """
 
-    def __init__(self, cfg: ShellConfiguration) -> None:
-        if cfg.n_max > MAX_SHELLS:
-            raise ValueError(f"n_max = {cfg.n_max} beyond supported shell range {MAX_SHELLS}")
-        self.configuration = cfg
+    def __init__(self, n_max: int) -> None:
+        z = electron_count(n_max)
+        if n_max > MAX_SHELLS:
+            raise ValueError(f"n_max = {n_max} beyond supported shell range {MAX_SHELLS}")
+        self.n_max = int(n_max)
+        self.z = float(z)
 
     def profile(self, r):
         """(rho, rho', rho'') from one kernel call: arrays, or floats for a scalar r."""
@@ -137,8 +126,7 @@ class HydrogenicDensity:
         # a NaN makes min and max NaN, which fails both comparisons
         if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
             raise ValueError("radius must be finite and non-negative")
-        cfg = self.configuration
-        z, n_max = float(cfg.nuclear_charge), int(cfg.n_max)
+        z, n_max = self.z, self.n_max
         # past Z r / n_max = _UNDERFLOW_X every shell's e^{-Z r / n} is 0,
         # while its Laguerre recurrence can overflow to inf (0 * inf = nan)
         r_far = _UNDERFLOW_X * n_max / z
@@ -153,21 +141,8 @@ class HydrogenicDensity:
             return tuple(float(row[0]) for row in rows)
         return rows
 
-    def value(self, r):
-        """rho(r), scalar or array."""
-        return self.profile(r)[0]
-
     def total_charge(self) -> float:
-        return float(self.configuration.electron_count)
-
-    def suggested_r_max(self) -> float:
-        # outermost orbital decays as exp(-2 Z r / n_max) against a degree
-        # ~2 n_max polynomial; 6 n_max^2 / Z sits far beyond the turning
-        # point ~2 n_max^2 / Z, and the constant floor covers n_max = 1
-        cfg = self.configuration
-        return (6.0 * cfg.n_max**2 + 40.0) / cfg.nuclear_charge
+        return self.z
 
     def __repr__(self) -> str:
-        cfg = self.configuration
-        return f"HydrogenicDensity(Z={cfg.nuclear_charge:g}, n_max={cfg.n_max})"
-
+        return f"HydrogenicDensity(Z={self.z:g}, n_max={self.n_max})"

@@ -73,7 +73,6 @@ __all__ = [
     "ConvergenceError",
     "Density",
     "RadialGrid",
-    "EnergyBreakdown",
     "make_grid",
     "energies",
 ]
@@ -291,7 +290,7 @@ def _surrogate_probes(n_points: int) -> tuple[float, float]:
     return _self_test_probes(*_build_expmap(n_points, _SELF_TEST_SPAN))
 
 
-def make_grid(n_points: int = DEFAULT_GRID_POINTS, r_max: float = DEFAULT_R_MAX) -> RadialGrid:
+def make_grid(n_points: int, r_max: float) -> RadialGrid:
     """Construct a radial quadrature grid on [0, r_max] and verify its scheme self-test.
 
     ``n_points`` is rounded up to a whole number of 16-point panels.  The
@@ -457,49 +456,3 @@ def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
             f"the grid holds {charge!r} of the density's {total!r} electrons; increase r_max"
         )
     return tuple(values)
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Functional values and signed relative errors for one system.
-
-    Errors follow (approximation - reference)/reference, so a functional
-    that underestimates the reference kinetic energy reports a negative
-    error.  ``err_second``/``err_fourth`` grade the cumulative gradient
-    sums T_TF + T_2 and T_TF + T_2 + T_4.
-    """
-
-    t_tf: float
-    t2: float
-    t4: float
-    delta_t: float
-    corrected: float
-    reference: float
-    err_tf: float
-    err_second: float
-    err_fourth: float
-    err_corrected: float
-
-    @classmethod
-    def from_components(
-        cls, t_tf: float, t2: float, t4: float, delta_t: float, reference: float
-    ) -> "EnergyBreakdown":
-        if not reference > 0:
-            raise ValueError(f"reference kinetic energy must be positive, got {reference!r}")
-
-        def rel(approx: float) -> float:
-            return (approx - reference) / reference
-
-        corrected = t_tf + delta_t
-        return cls(
-            t_tf=t_tf,
-            t2=t2,
-            t4=t4,
-            delta_t=delta_t,
-            corrected=corrected,
-            reference=reference,
-            err_tf=rel(t_tf),
-            err_second=rel(t_tf + t2),
-            err_fourth=rel(t_tf + t2 + t4),
-            err_corrected=rel(corrected),
-        )

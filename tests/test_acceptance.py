@@ -40,6 +40,7 @@ from scipy import integrate, special
 import conftest
 from orbitals import orbital_density
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
+from tfshell import _kernels
 from tfshell.asymptotics import (
     MODEL_SERIES,
     TARGETS,
@@ -52,7 +53,6 @@ from tfshell.correction import delta_t_exact, delta_t_interpolated
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     HydrogenicDensity,
-    ShellConfiguration,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
@@ -69,11 +69,7 @@ def record_criterion(number: int, label: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_model_ladder_energies():
     start = time.perf_counter()
-    exact_ok = all(
-        model_kinetic_energy(ShellConfiguration.closed_shell(n))
-        == float(n * electron_count(n) ** 2)
-        for n in range(1, 9)
-    )
+    exact_ok = all(model_kinetic_energy(n) == float(n * electron_count(n) ** 2) for n in range(1, 9))
     continuous_dev = max(
         abs(model_kinetic_energy_continuous(float(z)) / (n * z * z) - 1.0)
         for n, z in enumerate(MAGIC_NUMBERS, start=1)
@@ -205,7 +201,7 @@ def _error_columns(record, grid) -> tuple[float, float, float, float]:
     if n_exact is not None:
         delta = delta_t_exact(n_exact)
     else:
-        delta = delta_t_interpolated(record.atomic_number)
+        delta = delta_t_interpolated(record.atomic_number, "refit")
     ref = record.reference_hf_kinetic
     return tuple(
         (approx - ref) / ref * 100.0
@@ -275,12 +271,9 @@ def test_criterion_5_improvement_factor(bundled):
 
 def test_criterion_6_shell_oscillations():
     start = time.perf_counter()
-    counts = {
-        n: len(shell_oscillation_maxima(ShellConfiguration.closed_shell(n)))
-        for n in (1, 2, 3, 5)
-    }
-    amp3 = oscillation_amplitude(ShellConfiguration.closed_shell(3))
-    amp5 = oscillation_amplitude(ShellConfiguration.closed_shell(5))
+    counts = {n: len(shell_oscillation_maxima(n)) for n in (1, 2, 3, 5)}
+    amp3 = oscillation_amplitude(3)
+    amp5 = oscillation_amplitude(5)
     elapsed = time.perf_counter() - start
     ok = counts == {1: 1, 2: 2, 3: 3, 5: 5} and amp5 < amp3 and elapsed < 10.0
     record_criterion(
@@ -387,9 +380,9 @@ def test_criterion_7_property_suite():
     if worst_overlap > 1e-8:
         failures.append(f"orthonormality dev {worst_overlap:.1e}")
 
-    # density normalization for a filled three-shell configuration
-    density = HydrogenicDensity(ShellConfiguration(9.21, 3))
-    charge = 4.0 * math.pi * grid.integrate(density.value(grid.nodes) * grid.nodes**2)
+    # density normalization for three shells filled around a charge of 9.21
+    rho = _kernels.shell_profile(9.21, 3, grid.nodes)[0]
+    charge = 4.0 * math.pi * grid.integrate(rho * grid.nodes**2)
     norm_dev = abs(charge / electron_count(3) - 1.0)
     if norm_dev > 1e-8:
         failures.append(f"density normalization dev {norm_dev:.1e}")
@@ -430,7 +423,7 @@ def test_criterion_7_property_suite():
             failures.append(f"{name} scaling dev {dev:.1e}")
 
     # one filled shell at z=2: gradient term is exact there
-    one_shell = HydrogenicDensity(ShellConfiguration.closed_shell(1))
+    one_shell = HydrogenicDensity(1)
     tw_grid = make_grid(2000, 45.0)
     _, tw_value, _ = energies(one_shell, tw_grid)
     if abs(tw_value - 4.0) > 1e-6:

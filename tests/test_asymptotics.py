@@ -9,6 +9,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import quad
 
+from densities import value
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
 from tfshell import _kernels, asymptotics, cli
 from tfshell.asymptotics import (
@@ -27,9 +28,9 @@ from tfshell.asymptotics import (
 )
 from tfshell.hydrogenic import (
     HydrogenicDensity,
-    ShellConfiguration,
     electron_count,
     model_kinetic_energy_continuous,
+    suggested_r_max,
 )
 from tfshell.kedf import ConvergenceError, make_grid
 
@@ -423,20 +424,18 @@ def test_tf_limit_rejects_non_finite_radii(bad: float) -> None:
 
 
 def test_scaled_density_is_rescaled_model() -> None:
-    cfg = ShellConfiguration.closed_shell(3)
-    z = cfg.nuclear_charge
-    rho = HydrogenicDensity(cfg)
+    rho = HydrogenicDensity(3)
+    z = rho.z
     r_hat = np.linspace(0.1, 2.5, 40)
-    expected = rho.value(r_hat * z ** (-1.0 / 3.0)) / z**2
-    np.testing.assert_allclose(scaled_model_density(cfg, r_hat=r_hat)[1], expected, rtol=1e-14)
+    expected = value(rho, r_hat * z ** (-1.0 / 3.0)) / z**2
+    np.testing.assert_allclose(scaled_model_density(3, r_hat=r_hat), expected, rtol=1e-14)
 
 
 def test_scaled_density_unit_norm() -> None:
-    cfg = ShellConfiguration.closed_shell(3)
-    z = cfg.nuclear_charge
-    r_max_hat = HydrogenicDensity(cfg).suggested_r_max() * z ** (1.0 / 3.0)
+    z = float(electron_count(3))
+    r_max_hat = suggested_r_max(3) * z ** (1.0 / 3.0)
     grid = make_grid(2000, r_max_hat)
-    vals = scaled_model_density(cfg, r_hat=grid.nodes)[1]
+    vals = scaled_model_density(3, r_hat=grid.nodes)
     norm = 4.0 * math.pi * grid.integrate(grid.nodes**2 * vals)
     assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -449,8 +448,7 @@ def test_scaled_sampling_default_grid() -> None:
         assert r_hat[0] > 0.0
         assert r_hat[-1] == pytest.approx(TURNING_POINT, rel=1e-15)
     custom = np.array([0.5, 1.0])
-    r2, v2 = scaled_model_density(ShellConfiguration.closed_shell(2), r_hat=custom)
-    np.testing.assert_array_equal(r2, custom)
+    v2 = scaled_model_density(2, r_hat=custom)
     assert v2.shape == (2,)
 
 
@@ -459,15 +457,13 @@ def test_scaled_sampling_default_grid() -> None:
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
 def test_oscillation_count_matches_shell_count(n_max: int) -> None:
-    maxima = shell_oscillation_maxima(ShellConfiguration.closed_shell(n_max))
+    maxima = shell_oscillation_maxima(n_max)
     assert len(maxima) == n_max
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
 def test_margin_zero_adds_the_tail_bump(n_max: int) -> None:
-    maxima = shell_oscillation_maxima(
-        ShellConfiguration.closed_shell(n_max), boundary_margin=0.0
-    )
+    maxima = shell_oscillation_maxima(n_max, boundary_margin=0.0)
     assert len(maxima) == n_max + 1
 
 
@@ -481,12 +477,12 @@ FROZEN_AMPLITUDES = {
 
 @pytest.mark.parametrize("n_max", sorted(FROZEN_AMPLITUDES))
 def test_oscillation_amplitudes_frozen(n_max: int) -> None:
-    amp = oscillation_amplitude(ShellConfiguration.closed_shell(n_max))
+    amp = oscillation_amplitude(n_max)
     assert amp == pytest.approx(FROZEN_AMPLITUDES[n_max], rel=1e-3)
 
 
 def test_oscillation_geometry() -> None:
-    maxima = shell_oscillation_maxima(ShellConfiguration.closed_shell(4))
+    maxima = shell_oscillation_maxima(4)
     radii = [r for r, _ in maxima]
     assert radii == sorted(radii)
     assert all(0.0 < r < 0.95 * TURNING_POINT for r in radii)
@@ -497,13 +493,13 @@ def test_oscillation_geometry() -> None:
 
 
 def test_oscillation_amplitude_shrinks_with_system_size() -> None:
-    amps = [oscillation_amplitude(ShellConfiguration.closed_shell(n)) for n in (1, 2, 3, 5)]
+    amps = [oscillation_amplitude(n) for n in (1, 2, 3, 5)]
     assert all(a > b for a, b in zip(amps, amps[1:]))
 
 
 def test_oscillation_validation() -> None:
     with pytest.raises(ValueError):
-        shell_oscillation_maxima(ShellConfiguration.closed_shell(2), n_points=50)
+        shell_oscillation_maxima(2, n_points=50)
 
 
 # --- sequences and figure data ---------------------------------------------
@@ -552,7 +548,7 @@ def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing,
     energies = asymptotics.energies
 
     def failing_energies(rho, grid):
-        n_max = rho.configuration.n_max
+        n_max = rho.n_max
         computed.append(n_max)
         if n_max in failing:
             raise ConvergenceError(f"T_TF: forced failure at n_max = {n_max}")

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from densities import value
 from orbitals import radial_value
 from sto_text import serialize_records
 from tfshell import cli
@@ -87,6 +88,7 @@ def test_empty_input_rejected() -> None:
         (MINIMAL.replace("ATOM He 2 4.0", "ATOM He 3 4.0"), "charge mismatch"),
         (MINIMAL.replace("PRM 1 2.0 1.0", "PRM 1 2.0 1.1"), "norm integral"),
         (MINIMAL.replace("ATOM He 2 4.0", "ATOM He 2 -4.0"), "must be positive"),
+        (MINIMAL.replace("ATOM He 2 4.0", "ATOM He 2 0.0"), "must be positive"),
     ],
 )
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:
@@ -154,10 +156,10 @@ def test_single_primitive_density_by_hand() -> None:
     # rho = (occ / 4 pi) N^2 e^{-2 zeta r}; N^2 = (2 zeta)^3 / 2 = 32, zeta = 2
     n_sq = (2.0 * 2.0) ** 3 / 2.0
     coef = 2.0 * n_sq / (4.0 * math.pi)
-    assert field.value(0.0) == pytest.approx(coef, rel=1e-14)
+    assert value(field, 0.0) == pytest.approx(coef, rel=1e-14)
     r = 0.7
     rho = coef * math.exp(-4.0 * r)
-    assert field.value(r) == pytest.approx(rho, rel=1e-14)
+    assert value(field, r) == pytest.approx(rho, rel=1e-14)
     # rho' = -4 rho and rho'' = 16 rho
     got = field.profile(r)
     assert got == pytest.approx((rho, -4.0 * rho, 16.0 * rho), rel=1e-14)
@@ -174,7 +176,7 @@ def test_density_matches_orbital_squares(bundled) -> None:
         for orb in rec.orbitals:
             direct += orb.occupation * radial_value(orb, r) ** 2
         direct /= 4.0 * math.pi
-        np.testing.assert_allclose(atom_density(rec).value(r), direct, rtol=1e-12)
+        np.testing.assert_allclose(value(atom_density(rec), r), direct, rtol=1e-12)
 
 
 def test_bundled_charges_integrate_to_z(bundled) -> None:
@@ -187,26 +189,26 @@ def test_bundled_charges_integrate_to_z(bundled) -> None:
 def test_bundled_densities_nonnegative(bundled) -> None:
     r = np.geomspace(1e-6, 60.0, 10000)
     for rec in bundled.values():
-        assert np.all(atom_density(rec).value(r) >= 0.0), rec.element
+        assert np.all(value(atom_density(rec), r) >= 0.0), rec.element
 
 
 def test_helium_nuclear_cusp(bundled) -> None:
     rho = atom_density(bundled["He"])
-    cusp = -rho.profile(0.0)[1] / (2.0 * rho.value(0.0))
+    cusp = -rho.profile(0.0)[1] / (2.0 * value(rho, 0.0))
     assert cusp == pytest.approx(2.0, rel=0.02)
 
 
 def test_density_radius_checks_and_scalars(bundled) -> None:
     rho = atom_density(bundled["Ne"])
     with pytest.raises(ValueError, match="non-negative"):
-        rho.value(-0.1)
+        value(rho, -0.1)
     with pytest.raises(ValueError, match="non-negative"):
         rho.profile(np.array([0.5, -1e-9]))
-    value = rho.value(0.7)
-    assert type(value) is float
+    scalar = value(rho, 0.7)
+    assert type(scalar) is float
     profile = rho.profile(0.7)
     assert [type(v) for v in profile] == [float] * 3
-    assert profile[0] == value
+    assert profile[0] == scalar
     rows = rho.profile(np.array([0.3, 0.7]))
     assert [row[1] for row in rows] == list(profile)
 
@@ -283,10 +285,10 @@ def test_density_leaves_caller_arrays_writeable() -> None:
     rho = STODensity(*args, 1.0)
     assert all(a.flags.writeable for a in args)
     # the density keeps read-only copies: the caller's writes do not reach it
-    before = rho.value(1.0)
+    before = value(rho, 1.0)
     for a in args:
         a *= 2.0
-    assert rho.value(1.0) == before
+    assert value(rho, 1.0) == before
     for a in (rho.exponents, rho.powers, rho.coefs, rho.weights):
         assert not a.flags.writeable
 

@@ -179,6 +179,24 @@ def test_table1_csv_runs_are_byte_identical():
     assert len(lines) == 18
 
 
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (-10.52, "-11"),
+        (0.5912, "0.59"),
+        (3.6, "3.6"),
+        (0.067, "0.067"),
+        # rounding carries into the next decade: still two figures
+        (9.96, "10"),
+        (-9.96, "-10"),
+        (0.0996, "0.10"),
+        (0.00999, "0.010"),
+    ],
+)
+def test_format_percent_two_significant_figures(value: float, text: str):
+    assert cli.format_percent(value) == text
+
+
 def test_table1_jsonl_keeps_full_precision():
     proc = run_cli("table1", "--format", "jsonl", "--atoms", "He")
     assert proc.returncode == 0
@@ -322,7 +340,7 @@ def test_model_interpolated_z54():
     payload = json.loads(proc.stdout)
     assert payload["filled_shells"] is None
     assert payload["t_model"] == pytest.approx(model_kinetic_energy_continuous(54), rel=1e-12)
-    assert payload["delta_t"] == pytest.approx(delta_t_interpolated(54), rel=1e-12)
+    assert payload["delta_t"] == pytest.approx(delta_t_interpolated(54, "refit"), rel=1e-12)
     assert "between filled-shell counts 28 and 60" in payload["delta_kind"]
     assert abs(payload["series_relative_gap"]) < 1e-12
     assert payload["interpolation_mode"] == "refit"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from densities import value
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
     PUBLISHED_COEFFICIENTS,
@@ -14,8 +15,10 @@ from tfshell.correction import (
     delta_t_exact,
     delta_t_interpolated,
 )
-from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
-from tfshell.kedf import TF_CONSTANT, EnergyBreakdown
+from tfshell.atomic_data import load_bundled
+from tfshell.cli import _atom_record
+from tfshell.hydrogenic import HydrogenicDensity, suggested_r_max
+from tfshell.kedf import TF_CONSTANT
 
 # deficits at the first five closed shells, frozen from independent runs of
 # the quadrature pipeline at doubled resolution
@@ -43,15 +46,13 @@ def test_node1_against_closed_form() -> None:
 
 @pytest.mark.parametrize("n_max", [2, 3])
 def test_node_deltas_against_adaptive_quadrature(n_max: int) -> None:
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(n_max))
-    z = density.configuration.nuclear_charge
+    density = HydrogenicDensity(n_max)
+    z = density.z
 
     def integrand(r: float) -> float:
-        return 4.0 * math.pi * r * r * TF_CONSTANT * density.value(r) ** (5.0 / 3.0)
+        return 4.0 * math.pi * r * r * TF_CONSTANT * value(density, r) ** (5.0 / 3.0)
 
-    t_tf, _ = quad(
-        integrand, 0.0, density.suggested_r_max(), limit=300, epsabs=1e-12, epsrel=1e-12
-    )
+    t_tf, _ = quad(integrand, 0.0, suggested_r_max(n_max), limit=300, epsabs=1e-12, epsrel=1e-12)
     assert delta_t_exact(n_max) == pytest.approx(n_max * z * z - t_tf, rel=1e-8)
 
 
@@ -95,7 +96,7 @@ def test_deficit_positive_and_rising(mode: str) -> None:
 
 def _corrected(t_tf: float, z: int, mode: str = "refit") -> float:
     """The corrected energy T_TF + delta_T as the atom table forms it."""
-    return EnergyBreakdown.from_components(t_tf, 0.0, 0.0, delta_t(z, mode), 1.0).corrected
+    return _atom_record(load_bundled()["He"], t_tf, 0.0, 0.0, delta_t(z, mode))["corrected"]
 
 
 def test_corrected_energy_uses_exact_nodes() -> None:
@@ -106,19 +107,19 @@ def test_corrected_energy_uses_exact_nodes() -> None:
 
 
 def test_delta_t_takes_node_or_cubic() -> None:
-    assert delta_t(60) == delta_t_exact(4)
+    assert delta_t(60, "refit") == delta_t_exact(4)
     assert delta_t(110, "published") == delta_t_exact(5)
     assert delta_t(54, "published") == delta_t_interpolated(54, "published")
-    assert delta_t(17) == delta_t_interpolated(17)
+    assert delta_t(17, "refit") == delta_t_interpolated(17, "refit")
     with pytest.raises(ValueError):
-        delta_t(7.5)
+        delta_t(7.5, "refit")
 
 
 def test_corrected_energy_interpolates_between_nodes() -> None:
     assert _corrected(0.0, 54, "refit") == delta_t_interpolated(54, "refit")
     assert _corrected(0.0, 54, "published") == 378.91949999999997
     assert _corrected(-5.0, 17) == pytest.approx(
-        delta_t_interpolated(17) - 5.0, rel=1e-15
+        delta_t_interpolated(17, "refit") - 5.0, rel=1e-15
     )
 
 
@@ -128,14 +129,14 @@ def test_validation_errors() -> None:
     with pytest.raises(ValueError):
         delta_t_exact(2.5)
     with pytest.raises(ValueError):
-        delta_t_interpolated(0)
+        delta_t_interpolated(0, "refit")
     with pytest.raises(ValueError):
-        delta_t_interpolated(INTERPOLATION_MAX_Z + 1)
+        delta_t_interpolated(INTERPOLATION_MAX_Z + 1, "refit")
     with pytest.raises(ValueError):
-        delta_t_interpolated(7.5)
+        delta_t_interpolated(7.5, "refit")
     with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
         delta_t_interpolated(5, "cubic")
     with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
         cubic_coefficients("cubic")
     with pytest.raises(ValueError):
-        delta_t(0)
+        delta_t(0, "refit")

@@ -1,5 +1,6 @@
 """Closed-shell model: shell counting, orbitals, and the assembled density."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -8,16 +9,17 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from densities import value
 from tfshell import _kernels
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
     HydrogenicDensity,
-    ShellConfiguration,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
     shell_count_for,
+    suggested_r_max,
 )
 from tfshell.kedf import make_grid
 from wavefunctions import radial_wavefunction
@@ -48,24 +50,18 @@ def test_electron_count_rejects_bad_input(bad) -> None:
 
 def test_configuration_validation() -> None:
     with pytest.raises(ValueError):
-        ShellConfiguration(0.0, 2)
+        HydrogenicDensity(0)
     with pytest.raises(ValueError):
-        ShellConfiguration(-3.0, 2)
-    with pytest.raises(ValueError):
-        ShellConfiguration(5.0, 0)
-    with pytest.raises(ValueError):
-        ShellConfiguration(5.0, 1.5)
-    cfg = ShellConfiguration.closed_shell(3)
-    assert cfg.nuclear_charge == 28.0
-    assert cfg.electron_count == 28
+        HydrogenicDensity(1.5)
+    density = HydrogenicDensity(3)
+    assert density.z == 28.0
+    assert density.total_charge() == 28
 
 
 def test_model_kinetic_energy_exact() -> None:
     for n in range(1, 6):
-        cfg = ShellConfiguration.closed_shell(n)
-        assert model_kinetic_energy(cfg) == n * cfg.nuclear_charge**2
-    # also defined away from neutrality
-    assert model_kinetic_energy(ShellConfiguration(7.5, 2)) == 112.5
+        z = float(electron_count(n))
+        assert model_kinetic_energy(n) == n * z**2
 
 
 def test_continuous_energy_matches_at_closed_shells() -> None:
@@ -196,57 +192,59 @@ def _eval_terms(terms, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def test_terms_agree_with_kernel_evaluation(n_max: int) -> None:
     # the exact term list cancels catastrophically for deep ladders but is
     # dependable at small shell counts; check the kernel against it there
-    cfg = ShellConfiguration.closed_shell(n_max)
-    density = HydrogenicDensity(cfg)
+    density = HydrogenicDensity(n_max)
     r = np.geomspace(1e-3, 20.0 / n_max, 60)
-    rho_t, drho_t = _eval_terms(_exact_shell_terms(Fraction(cfg.nuclear_charge), n_max), r)
+    rho_t, drho_t = _eval_terms(_exact_shell_terms(Fraction(density.z), n_max), r)
     peak = float(np.max(np.abs(rho_t)))
-    np.testing.assert_allclose(density.value(r), rho_t, rtol=1e-9, atol=1e-13 * peak)
+    np.testing.assert_allclose(value(density, r), rho_t, rtol=1e-9, atol=1e-13 * peak)
     dpeak = float(np.max(np.abs(drho_t)))
     np.testing.assert_allclose(density.profile(r)[1], drho_t, rtol=1e-8, atol=1e-12 * dpeak)
+
+
+def _three_shells_at_9_21(r: float) -> tuple[float, float, float]:
+    """(rho, rho', rho'') at ``r`` of three shells filled around a charge of 9.21, not 14."""
+    return tuple(float(row[0]) for row in _kernels.shell_profile(9.21, 3, np.array([r])))
 
 
 @pytest.mark.parametrize(
     "cfg",
     [
-        ShellConfiguration.closed_shell(1),
-        ShellConfiguration.closed_shell(2),
-        ShellConfiguration.closed_shell(4),
-        ShellConfiguration(9.21, 3),
+        *((d.z, d.profile) for d in map(HydrogenicDensity, (1, 2, 4))),
+        (9.21, _three_shells_at_9_21),
     ],
 )
-def test_nuclear_cusp(cfg: ShellConfiguration) -> None:
-    density = HydrogenicDensity(cfg)
-    rho0 = density.value(0.0)
-    drho0 = density.profile(0.0)[1]
+def test_nuclear_cusp(cfg: tuple) -> None:
+    z, profile = cfg
+    rho0 = profile(0.0)[0]
+    drho0 = profile(0.0)[1]
     assert rho0 > 0.0
-    assert -drho0 / (2.0 * rho0) == pytest.approx(cfg.nuclear_charge, rel=1e-12)
+    assert -drho0 / (2.0 * rho0) == pytest.approx(z, rel=1e-12)
 
 
 def test_total_charge_and_quadrature() -> None:
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(4))
+    density = HydrogenicDensity(4)
     assert density.total_charge() == 60.0
-    grid = make_grid(3008, density.suggested_r_max())
-    integral = 4.0 * math.pi * grid.integrate(density.value(grid.nodes) * grid.nodes**2)
+    grid = make_grid(3008, suggested_r_max(4))
+    integral = 4.0 * math.pi * grid.integrate(value(density, grid.nodes) * grid.nodes**2)
     assert integral == pytest.approx(60.0, rel=1e-9)
 
 
 def test_density_validation() -> None:
     assert MAX_SHELLS == 40
     with pytest.raises(ValueError):
-        HydrogenicDensity(ShellConfiguration(5.0, MAX_SHELLS + 1))
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
+        HydrogenicDensity(MAX_SHELLS + 1)
+    density = HydrogenicDensity(2)
     with pytest.raises(ValueError):
-        density.value(-0.5)
+        value(density, -0.5)
     with pytest.raises(ValueError):
-        density.value(np.array([0.1, -0.1]))
+        value(density, np.array([0.1, -0.1]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_density_rejects_non_finite_radii(bad: float) -> None:
     # NaN used to give a density of 0.0
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
-    for method in (density.profile, density.value):
+    density = HydrogenicDensity(2)
+    for method in (density.profile, functools.partial(value, density)):
         with pytest.raises(ValueError, match="finite"):
             method(bad)
         with pytest.raises(ValueError, match="finite"):
@@ -292,50 +290,49 @@ def test_wavefunction_rejects_non_finite_radii(bad: float) -> None:
 
 
 def test_model_density_and_repr() -> None:
-    cfg = ShellConfiguration.closed_shell(3)
-    density = HydrogenicDensity(cfg)
-    assert density.configuration == cfg
+    density = HydrogenicDensity(3)
+    assert (density.z, density.n_max) == (28.0, 3)
     assert "n_max=3" in repr(density)
 
 
 def test_profile_consistency() -> None:
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(3))
+    density = HydrogenicDensity(3)
     r = np.geomspace(0.01, 8.0, 25)
     rho, drho, d2rho = density.profile(r)
-    np.testing.assert_array_equal(rho, density.value(r))
+    np.testing.assert_array_equal(rho, value(density, r))
     np.testing.assert_array_equal(drho, density.profile(r)[1])
     np.testing.assert_array_equal(d2rho, density.profile(r)[2])
     scalar = density.profile(1.0)
     assert all(isinstance(x, float) for x in scalar)
-    assert scalar[0] == density.value(1.0)
+    assert scalar[0] == value(density, 1.0)
 
 
 def test_derivatives_match_finite_differences() -> None:
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(3))
+    density = HydrogenicDensity(3)
     for r in (0.3, 1.1, 2.7):
         h = 1e-6 * max(r, 1.0)
-        fd = (density.value(r + h) - density.value(r - h)) / (2.0 * h)
+        fd = (value(density, r + h) - value(density, r - h)) / (2.0 * h)
         assert density.profile(r)[1] == pytest.approx(fd, rel=1e-6)
         h = 1e-4 * max(r, 1.0)
-        fd2 = (density.value(r + h) - 2.0 * density.value(r) + density.value(r - h)) / h**2
+        fd2 = (value(density, r + h) - 2.0 * value(density, r) + value(density, r - h)) / h**2
         assert density.profile(r)[2] == pytest.approx(fd2, rel=1e-5)
 
 
 def test_density_is_zero_far_outside() -> None:
     # far out e^{-Z r / n} is 0 in float64 while the Laguerre recurrence
     # overflows; the product used to be nan
-    assert HydrogenicDensity(ShellConfiguration.closed_shell(40)).value(1e6) == 0.0
-    assert HydrogenicDensity(ShellConfiguration.closed_shell(5)).value(1e300) == 0.0
+    assert value(HydrogenicDensity(40), 1e6) == 0.0
+    assert value(HydrogenicDensity(5), 1e300) == 0.0
     r = np.geomspace(1.0, 1e300, 600)
     for n_max in (1, 5, 40):
-        cfg = ShellConfiguration.closed_shell(n_max)
+        density = HydrogenicDensity(n_max)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = HydrogenicDensity(cfg).profile(r)
+            rows = density.profile(r)
         assert all(np.isfinite(row).all() for row in rows)
         # the nodes short of the cut keep the kernel's own values
-        near = r * cfg.nuclear_charge / n_max < 745.0
-        kernel = _kernels.shell_profile(cfg.nuclear_charge, n_max, r[near])
+        near = r * density.z / n_max < 745.0
+        kernel = _kernels.shell_profile(density.z, n_max, r[near])
         for row, ref in zip(rows, kernel):
             assert np.array_equal(row[near], ref)
             assert not row[~near].any()

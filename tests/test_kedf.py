@@ -13,13 +13,13 @@ from scipy.integrate import quad
 from orbitals import orbital_density
 from tfshell import kedf
 from tfshell.atomic_data import STODensity, atom_density
-from tfshell.hydrogenic import HydrogenicDensity, ShellConfiguration
+from tfshell.cli import _atom_record
+from tfshell.hydrogenic import HydrogenicDensity, suggested_r_max
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
     RHO_CUTOFF,
     TF_CONSTANT,
     ConvergenceError,
-    EnergyBreakdown,
     GridError,
     RadialGrid,
     energies,
@@ -90,7 +90,7 @@ def test_t4_closed_form_simplification() -> None:
 def test_one_shell_density_weizsacker_is_exact(grid: RadialGrid) -> None:
     # a pure 1s density is a single orbital; its gradient term recovers the
     # full kinetic energy n_max * Z^2 = 4
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(1))
+    density = HydrogenicDensity(1)
     t_tf, t_w, _ = energies(density, grid)
     assert t_w == pytest.approx(4.0, rel=1e-10)
     assert t_tf == pytest.approx(tf_closed(16.0 / math.pi, 4.0), rel=1e-10)
@@ -129,8 +129,8 @@ def test_t4_regular_form_matches_standard_form_single_exponential() -> None:
 def test_t4_regular_form_matches_standard_form_two_shells() -> None:
     # the adaptive quadrature is the limiting party here (the grid value is
     # refinement-stable to far better)
-    density = HydrogenicDensity(ShellConfiguration.closed_shell(2))
-    span = density.suggested_r_max()
+    density = HydrogenicDensity(2)
+    span = suggested_r_max(2)
     fine = make_grid(2000, span)
     reference = _standard_form_t4(density.profile, (1e-9, span))
     assert energies(density, fine)[2] == pytest.approx(reference, rel=1e-7)
@@ -288,7 +288,7 @@ def test_grids_do_not_import_numpy_polynomial() -> None:
         "import sys\n"
         "import tfshell.cli\n"
         "from tfshell.kedf import make_grid\n"
-        "make_grid()\n"
+        "make_grid(2000, 45.0)\n"
         "print('numpy.polynomial' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -352,12 +352,11 @@ def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
 
 
 class CountingField(STODensity):
-    """Records the nodes of every profile() call and the size of every value() call."""
+    """Records the nodes of every profile() call."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
         self.profile_nodes: list[np.ndarray] = []
-        self.value_sizes: list[int] = []
 
     @property
     def profile_sizes(self) -> list[int]:
@@ -366,10 +365,6 @@ class CountingField(STODensity):
     def profile(self, r):
         self.profile_nodes.append(np.array(r, dtype=float))
         return super().profile(r)
-
-    def value(self, r):
-        self.value_sizes.append(np.size(r))
-        return super().value(r)
 
 
 def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> None:
@@ -401,7 +396,6 @@ def test_single_functionals_evaluate_profile_once(functional: str, n_points: int
     field.profile_nodes.clear()
     value = energies(field, grid)[index]
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [sampled]
-    assert field.value_sizes == []
     assert value == pytest.approx(closed(1.0, 20.0), rel=1e-10)
 
 
@@ -533,10 +527,10 @@ def test_functionals_need_only_the_density_protocol(bundled) -> None:
     assert energies(rho, g) == energies(field, g)
     # the filled-shell density answers the same protocol and nothing of the
     # term-list format, whose expansion cancels catastrophically for it
-    closed = HydrogenicDensity(ShellConfiguration.closed_shell(20))
-    for name in ("profile", "value", "total_charge", "suggested_r_max"):
+    closed = HydrogenicDensity(20)
+    for name in ("profile", "total_charge"):
         assert callable(getattr(closed, name))
-    for name in ("terms", "tail_charge", "scaled", "merged", "derivative"):
+    for name in ("terms", "tail_charge", "scaled", "merged", "derivative", "value"):
         assert not hasattr(closed, name)
 
 
@@ -544,7 +538,6 @@ def test_energies_evaluates_profile_once(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], CountingField)
     energies(field, grid)
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
-    assert field.value_sizes == []
 
 
 class DriftingField(STODensity):
@@ -581,11 +574,11 @@ def test_energies_refinement_failure_names_functional(
 
 
 def _gate_cases(bundled):
-    closed = HydrogenicDensity(ShellConfiguration.closed_shell(10))
+    closed = HydrogenicDensity(10)
     xe = atom_density(bundled["Xe"])
     return [
-        (closed, 128, closed.suggested_r_max()),
-        (closed, 256, closed.suggested_r_max()),
+        (closed, 128, suggested_r_max(10)),
+        (closed, 256, suggested_r_max(10)),
         (xe, 128, 45.0),
     ]
 
@@ -615,29 +608,29 @@ def test_coarse_grids_fail_the_kronrod_gate(bundled) -> None:
     assert all(math.isfinite(t) for t in energies(rho, make_grid(n_points, span)))
 
 
-# --- breakdown container ----------------------------------------------------
+# --- energy breakdown of a table1 row (cli._atom_record) ---------------------
 
 
-def test_breakdown_arithmetic() -> None:
-    b = EnergyBreakdown.from_components(t_tf=90.0, t2=5.0, t4=1.0, delta_t=12.0, reference=100.0)
-    assert b.corrected == 102.0
-    assert b.err_tf == -0.1
-    assert b.err_second == -0.05
-    assert b.err_fourth == -0.04
-    assert b.err_corrected == pytest.approx(0.02, rel=1e-15)
+def test_breakdown_arithmetic(bundled) -> None:
+    he = dataclasses.replace(bundled["He"], reference_hf_kinetic=100.0)
+    b = _atom_record(he, t_tf=90.0, t2=5.0, t4=1.0, delta=12.0)
+    assert b["corrected"] == 102.0
+    assert b["err_tf_pct"] == -10.0
+    assert b["err_tf_t2_pct"] == -5.0
+    assert b["err_tf_t2_t4_pct"] == -4.0
+    assert b["err_corrected_pct"] == pytest.approx(2.0, rel=1e-15)
 
 
-def test_breakdown_signs_track_reference() -> None:
-    b = EnergyBreakdown.from_components(t_tf=80.0, t2=2.0, t4=0.5, delta_t=25.0, reference=100.0)
-    assert b.err_tf < 0 < b.err_corrected
-    assert b.err_tf < b.err_second < b.err_fourth
+def test_breakdown_signs_track_reference(bundled) -> None:
+    he = dataclasses.replace(bundled["He"], reference_hf_kinetic=100.0)
+    b = _atom_record(he, t_tf=80.0, t2=2.0, t4=0.5, delta=25.0)
+    assert b["err_tf_pct"] < 0 < b["err_corrected_pct"]
+    assert b["err_tf_pct"] < b["err_tf_t2_pct"] < b["err_tf_t2_t4_pct"]
 
 
-def test_breakdown_validation() -> None:
-    with pytest.raises(ValueError):
-        EnergyBreakdown.from_components(1.0, 0.1, 0.01, 0.2, 0.0)
-    with pytest.raises(ValueError):
-        EnergyBreakdown.from_components(1.0, 0.1, 0.01, 0.2, -5.0)
-    b = EnergyBreakdown.from_components(1.0, 0.1, 0.01, 0.2, 2.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        b.t_tf = 3.0
+def test_breakdown_validation(bundled) -> None:
+    # a row's reference is its record's, and the record refuses one that is
+    # not positive, so no breakdown divides by it
+    for bad in (0.0, -5.0):
+        with pytest.raises(ValueError):
+            dataclasses.replace(bundled["He"], reference_hf_kinetic=bad)

@@ -393,11 +393,11 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
 
 def test_kernel_benchmark_script_runs() -> None:
     # the script reads STODensity's kernel arguments and
-    # HydrogenicDensity.suggested_r_max; one small case of each kind keeps it
-    # in step with them
+    # hydrogenic.suggested_r_max; one small case of each kind keeps it in
+    # step with them, and 41 shells run past the density's MAX_SHELLS cap
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    args = ["--points", "3008", "--shells", "2", "--repeats", "1"]
+    args = ["--points", "3008", "--shells", "2,41", "--repeats", "1"]
     proc = subprocess.run(
         [sys.executable, str(root / "benchmarks" / "bench_kernels.py"), *args],
         capture_output=True,
@@ -408,3 +408,4 @@ def test_kernel_benchmark_script_runs() -> None:
     assert "orbital_profile[Xe, 4125 nodes]" in proc.stdout
     assert "orbital_profile[17 atoms, 4125 nodes]" in proc.stdout
     assert "shell_profile[n_max=2, 3008-point grid: 6204 nodes]" in proc.stdout
+    assert "shell_profile[n_max=41, 3008-point grid: 6204 nodes]" in proc.stdout
