@@ -2,16 +2,17 @@
 
 Every case evaluates a kernel on what a functional samples: all nodes of a
 quadrature grid, its Gauss nodes and their Kronrod extension together
-(``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  The
-shell-density kernel runs on the closed-shell ladder's own grids: the
-expmap grid out to ``suggested_r_max(n_max)`` of the neutral n_max-shell
-density, at the library default of 2000 points (4125 nodes).  Its default
-shell counts run past the library's 40-shell cap to 60 and 100, the kernel
-cost a 100-shell ladder would pay.  The Slater-type orbital kernel runs on
-the Ne and Xe densities over the ``table1`` grid (2000 points on [0, 45]),
-giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
-times the 17 kernel calls of a ``table1`` pass: each bundled atom on the
-4125 nodes that ``kedf.energies`` sends in one call.  The cases are
+(``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  Every
+span is ``kedf.span_for`` of the density, the one rule the commands use.
+The shell-density kernel runs on the closed-shell ladder's own grids: the
+expmap grid over the span of the neutral n_max-shell density, at the
+library default of 2000 points (4125 nodes).  Its default shell counts run
+past the library's 40-shell cap to 60 and 100, the kernel cost a 100-shell
+ladder would pay.  The Slater-type orbital kernel runs on the Ne and Xe
+densities over their ``table1`` grids (``kedf.grid_for``), giving (rho,
+rho', rho'') as ``STODensity.profile`` does.  One more case times the 17
+kernel calls of a ``table1`` pass: each bundled atom on the 4125 nodes of
+its own grid that ``kedf.energies`` sends in one call.  The cases are
 timed round-robin, one call of each case per round for ``--repeats`` rounds,
 so that a drift in machine speed over the run spreads over every case
 rather than landing on the cases that happened to run during it.  Each case
@@ -28,14 +29,15 @@ from __future__ import annotations
 import argparse
 import time
 import tracemalloc
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from tfshell._kernels import orbital_profile, shell_profile
 from tfshell.atomic_data import atom_density, load_bundled
-from tfshell.hydrogenic import electron_count, suggested_r_max
-from tfshell.kedf import DEFAULT_GRID_POINTS, DEFAULT_R_MAX, make_grid
+from tfshell.hydrogenic import electron_count
+from tfshell.kedf import DEFAULT_GRID_POINTS, grid_for, make_grid, span_for
 
 
 def time_round_robin(cases: list[tuple[str, Callable, tuple]], repeats: int) -> list[float]:
@@ -60,29 +62,28 @@ def peak_call(func: Callable, args: tuple) -> float:
 
 
 def orbital_inputs(density) -> tuple:
-    """The kernel arguments of an ``STODensity``, without the nodes."""
-    return density.exponents, density.powers, density.coefs, density.weights
+    """(exponents, powers, coefs, weights, nodes) of an ``STODensity`` on its ``table1`` grid."""
+    nodes = grid_for(density).all_nodes()
+    return density.exponents, density.powers, density.coefs, density.weights, nodes
 
 
-def atom_inputs(symbol: str, nodes: np.ndarray) -> tuple:
-    """(exponents, powers, coefs, weights, nodes) of a bundled atom's density."""
-    density = atom_density(load_bundled()[symbol])
-    return (*orbital_inputs(density), nodes)
-
-
-def table1_profiles(atoms: list, nodes: np.ndarray) -> None:
+def table1_profiles(atoms: list) -> None:
     for inputs in atoms:
-        orbital_profile(*inputs, nodes)
+        orbital_profile(*inputs)
 
 
 def shell_inputs(n_points: int, n_max: int) -> tuple:
     """(Z, n_max, nodes) of the ladder point with n_max filled shells.
 
     Built from the shell count alone, without a ``HydrogenicDensity``, so
-    shell counts beyond its ``MAX_SHELLS`` check run too.
+    shell counts beyond its ``MAX_SHELLS`` check run too: the stand-in
+    carries only the outermost shell's primitive r^{n_max - 1}
+    e^{-Z r / n_max}, all that ``kedf.span_for`` reads.
     """
-    grid = make_grid(n_points, suggested_r_max(n_max))
-    return float(electron_count(n_max)), n_max, grid.all_nodes()
+    z = float(electron_count(n_max))
+    outermost = SimpleNamespace(slowest_primitive=(z / n_max, n_max - 1))
+    grid = make_grid(n_points, span_for(outermost))
+    return z, n_max, grid.all_nodes()
 
 
 def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> None:
@@ -108,19 +109,13 @@ def main() -> None:
     points = [int(s) for s in args.points.split(",") if s.strip()]
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
 
-    # every node of the table1 grid, 2000 points on [0, 45]
-    nodes = make_grid(DEFAULT_GRID_POINTS, DEFAULT_R_MAX).all_nodes()
+    atoms = {symbol: orbital_inputs(atom_density(data)) for symbol, data in load_bundled().items()}
     orbital_cases = [
-        (
-            f"orbital_profile[{symbol}, {nodes.size} nodes]",
-            orbital_profile,
-            atom_inputs(symbol, nodes),
-        )
-        for symbol in ("Ne", "Xe")
+        (f"orbital_profile[{s}, {atoms[s][-1].size} nodes]", orbital_profile, atoms[s])
+        for s in ("Ne", "Xe")
     ]
-    atoms = [orbital_inputs(atom_density(data)) for data in load_bundled().values()]
-    name = f"orbital_profile[{len(atoms)} atoms, {nodes.size} nodes]"
-    orbital_cases.append((name, table1_profiles, (atoms, nodes)))
+    name = f"orbital_profile[{len(atoms)} atoms, {atoms['Ne'][-1].size} nodes]"
+    orbital_cases.append((name, table1_profiles, (list(atoms.values()),)))
     shell_cases = []
     for n_max in shells:
         for n_points in points:

@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hydrogenic import HydrogenicDensity, model_kinetic_energy, suggested_r_max
-from .kedf import DEFAULT_GRID_POINTS, energies, make_grid
+from .hydrogenic import HydrogenicDensity, model_kinetic_energy
+from .kedf import energies, grid_for
 
 __all__ = [
     "TURNING_POINT",
@@ -213,8 +213,7 @@ class SequencePoint:
 @lru_cache(maxsize=None)
 def _ladder_point(n_max: int) -> SequencePoint:
     rho = HydrogenicDensity(n_max)
-    grid = make_grid(DEFAULT_GRID_POINTS, suggested_r_max(n_max))
-    t0, t_w, t4 = energies(rho, grid)
+    t0, t_w, t4 = energies(rho, grid_for(rho))
     return SequencePoint(
         n_max=n_max,
         z=rho.z,
@@ -228,8 +227,8 @@ def _ladder_point(n_max: int) -> SequencePoint:
 def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
-    Each point is integrated on ``make_grid(DEFAULT_GRID_POINTS,
-    suggested_r_max(n_max))``.  Points are computed in input order and
+    Each point is integrated on ``kedf.grid_for`` of its density, the span
+    read off the outermost shell.  Points are computed in input order and
     cached per shell count for the process, so overlapping ladders cost
     nothing extra; a failing point raises for the first failing shell count.
     """

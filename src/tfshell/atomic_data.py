@@ -319,8 +319,10 @@ class STODensity:
     Answers the density protocol of ``kedf``: ``profile`` gives
     (rho, rho', rho'') from one ``_kernels.orbital_profile`` call, with
     exact derivatives, and ``total_charge`` is sum_k occ_k times the
-    orbital's norm integral.  It is the package's only exponential-type
-    density and has no term list and no term-list operations.
+    orbital's norm integral.  ``slowest_primitive`` is (zeta, p) of the
+    smallest exponent and the largest power at it, or (inf, 0) when there
+    is no primitive.  It is the package's only exponential-type density
+    and has no term list and no term-list operations.
 
     The constructor keeps read-only copies of the four arrays and raises
     ValueError unless the powers are non-negative integers, the exponents
@@ -363,6 +365,8 @@ class STODensity:
             arr.setflags(write=False)
         self.exponents, self.powers, self.coefs, self.weights = exponents, powers, coefs, weights
         self._total_charge = total_charge
+        zeta = float(exponents.min(initial=math.inf))
+        self.slowest_primitive = (zeta, int(powers[exponents == zeta].max(initial=0)))
 
     def profile(self, r):
         """(rho, rho', rho'') in one kernel call: arrays, or floats for a scalar r."""

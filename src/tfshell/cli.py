@@ -17,8 +17,10 @@ Four subcommands cover the batch workflows:
     Extrapolated large-Z coefficients of the ladder energies rendered
     against their regression targets.
 
-Every quadrature grid has ``kedf.DEFAULT_GRID_POINTS`` points; the
-Gauss-Kronrod check on each value says whether that resolves it.
+Every quadrature grid is ``kedf.grid_for`` of its density:
+``kedf.DEFAULT_GRID_POINTS`` points over a span read off the density's
+slowest primitive.  The Gauss-Kronrod check on each value says whether
+that resolves it, and the tail gate whether the span holds it.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
@@ -57,14 +59,7 @@ from .hydrogenic import (
     model_kinetic_energy_continuous,
     shell_count_for,
 )
-from .kedf import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_R_MAX,
-    ConvergenceError,
-    GridError,
-    energies,
-    make_grid,
-)
+from .kedf import ConvergenceError, GridError, energies, grid_for
 
 __all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
@@ -196,7 +191,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for token in missing:
         print(f"error: no data for atom {token!r}", file=sys.stderr)
 
-    grid = make_grid(DEFAULT_GRID_POINTS, args.r_max)
     rows: list[dict] = []
     numeric_failures = 0
     data_failures = len(missing)
@@ -207,7 +201,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             continue
         try:
             field = atom_density(rec)
-            t_tf, t_w, t4 = energies(field, grid)
+            t_tf, t_w, t4 = energies(field, grid_for(field))
             t2 = t_w / 9.0
             delta = _shell_correction(rec.atomic_number, args.interp)
         except (ConvergenceError, ExtrapolationError) as exc:
@@ -436,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated element symbols or atomic numbers (repeatable)")
     p_table.add_argument("--data", action="append", metavar="PATH",
                          help=".sto data file replacing the bundled set (repeatable)")
-    p_table.add_argument("--r-max", type=float, default=DEFAULT_R_MAX,
-                         help=f"outer quadrature radius for atoms (default {DEFAULT_R_MAX:g})")
     add_common(p_table, "--interp", "--format")
 
     p_model = sub.add_parser("model", help="exact ladder energies and the shell correction")

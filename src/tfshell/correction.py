@@ -10,8 +10,8 @@ A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
 gives the corrected estimate T_TF + delta_T.  The exact deficits are read
 off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
-which compute each shell count's energies once per process on the ladder's
-one quadrature grid.
+which compute each shell count's energies once per process on the grid
+``kedf.grid_for`` gives its density.
 
 ``cubic_coefficients(mode)`` gives the cubic: 'refit' (the command line's
 default) solves for its coefficients from freshly computed node deltas at

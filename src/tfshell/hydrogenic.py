@@ -13,8 +13,10 @@ the closed form keeps many-shell configurations accurate in double
 precision.
 
 A model system is fixed by its shell count n_max alone, with Z = N =
-``electron_count(n_max)``, so the density, its exact energy and its grid
-span (``suggested_r_max``) all take n_max.  A charge away from neutrality
+``electron_count(n_max)``, so the density and its exact energy both take
+n_max.  Every orbital of the outermost shell decays as r^{n_max - 1}
+e^{-Z r / n_max}, and the density reports that slowest primitive, from
+which ``kedf.grid_for`` sizes its grid.  A charge away from neutrality
 reaches only the kernel, ``_kernels.shell_profile(z, n_max, r)``.
 
 Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel (per
@@ -42,7 +44,6 @@ __all__ = [
     "shell_count_for",
     "model_kinetic_energy",
     "model_kinetic_energy_continuous",
-    "suggested_r_max",
 ]
 
 MAX_SHELLS = 40
@@ -79,14 +80,6 @@ def model_kinetic_energy(n_max: int) -> float:
     return n_max * float(electron_count(n_max)) ** 2
 
 
-def suggested_r_max(n_max: int) -> float:
-    """Outer radius of the quadrature grid for the neutral n_max-shell density."""
-    # outermost orbital decays as exp(-2 Z r / n_max) against a degree
-    # ~2 n_max polynomial; 6 n_max^2 / Z sits far beyond the turning
-    # point ~2 n_max^2 / Z, and the constant floor covers n_max = 1
-    return (6.0 * n_max**2 + 40.0) / float(electron_count(n_max))
-
-
 def model_kinetic_energy_continuous(z: float) -> float:
     """Closed-form continuation of the kinetic energy to non-integer filling.
 
@@ -109,8 +102,9 @@ def model_kinetic_energy_continuous(z: float) -> float:
 class HydrogenicDensity:
     """Density of the neutral n_max-shell system, evaluated by the closed-form shell kernel.
 
-    Answers the density protocol of ``kedf`` (``profile`` and
-    ``total_charge``).
+    Answers the density protocol of ``kedf`` (``profile``,
+    ``total_charge`` and ``slowest_primitive``, here (Z / n_max,
+    n_max - 1): the outermost shell's r^{n_max - 1} e^{-Z r / n_max}).
     """
 
     def __init__(self, n_max: int) -> None:
@@ -119,6 +113,7 @@ class HydrogenicDensity:
             raise ValueError(f"n_max = {n_max} beyond supported shell range {MAX_SHELLS}")
         self.n_max = int(n_max)
         self.z = float(z)
+        self.slowest_primitive = (self.z / self.n_max, self.n_max - 1)
 
     def profile(self, r):
         """(rho, rho', rho'') from one kernel call: arrays, or floats for a scalar r."""

@@ -10,7 +10,10 @@ each as 4 pi * integral of r^2 * tau dr in hartree, with
 A density is anything with the two methods of the ``Density`` protocol:
 ``profile(r)`` for (rho, rho', rho'') and ``total_charge()``.  Slater-type
 atoms (``atomic_data.STODensity``) and the filled-shell
-``hydrogenic.HydrogenicDensity`` both answer it.
+``hydrogenic.HydrogenicDensity`` both answer it.  Both also report their
+slowest primitive (zeta, p), so that rho ~ r^{2p} e^{-2 zeta r} at large r,
+and ``grid_for(rho)`` turns that into the one radial span every command
+integrates on: R = (70 + 6 p) / zeta at ``DEFAULT_GRID_POINTS``.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of the grid (the Gauss
@@ -36,9 +39,10 @@ t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
 Every constructed grid must pass the scheme self-test (the Gamma integral
 of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
 rather than returned.  The 16-point Gauss-Legendre rule is held as float
-literals, and the self-test value of a short-span surrogate grid is
-computed once per n_points; the comparison against the 1e-10 gate
-runs on every construction.
+literals.  What a grid does not owe to its span (the exponential map at
+the panel abscissae, the panel-scaled weights, and the self-test value of
+a short-span surrogate grid) is computed once per n_points; the
+comparison against the 1e-10 gate runs on every construction.
 
 Error check: each panel also carries the 17 nodes of the 33-point
 Gauss-Kronrod extension of its Gauss rule (Kronrod 1965; QUADPACK, Piessens
@@ -53,7 +57,12 @@ functional that failed.  A value that is not finite fails the same gate,
 and a density that is negative or NaN on a grid raises ValueError.  After
 those gates, the Gauss sum of 4 pi r^2 rho from the same profile call must
 match ``total_charge()`` to 1e-8 relative; a span too short to hold the
-density raises ConvergenceError.
+density raises ConvergenceError.  Last comes the tail gate: at the
+outermost node of the same profile call each integrand f decays as
+rho^c with c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral
+beyond the span is about f / (c |rho'/rho|) there.  A tail past 1e-8 of
+its value raises ConvergenceError naming the functional and the span; a
+density at or below the vacuum cutoff at that node has no tail.
 """
 
 from __future__ import annotations
@@ -67,13 +76,14 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
-    "DEFAULT_R_MAX",
     "RHO_CUTOFF",
     "GridError",
     "ConvergenceError",
     "Density",
     "RadialGrid",
     "make_grid",
+    "span_for",
+    "grid_for",
     "energies",
 ]
 
@@ -81,7 +91,13 @@ TF_CONSTANT = 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0)
 FOURTH_ORDER_CONSTANT = (3.0 * math.pi**2) ** (-2.0 / 3.0) / 540.0
 
 DEFAULT_GRID_POINTS = 2000
-DEFAULT_R_MAX = 45.0
+# span_for: at zeta R = 70 + 6 p the slowest integrand, r^2 tau_4 ~
+# rho^{1/3}, has fallen by e^{-2 zeta R / 3} = e^{-46.7 - 4 p}; the 4 p
+# covers the power r^{2p/3} it carries.  Against 8000 points on five times
+# the span, every ladder point and bundled atom is within 6e-16 in all
+# three functionals; 60 + 6 p leaves T_4 off by 5e-15, 50 + 6 p by 3e-12
+_SPAN_DECAYS = 70.0
+_SPAN_PER_POWER = 6.0
 # sharpness a of the exponential map
 _ALPHA = 12.0
 
@@ -92,14 +108,23 @@ _PANEL_ORDER = 16
 _SELF_TEST_SPAN = 45.0
 _SELF_TEST_TOL = 1e-10
 _CONVERGENCE_TOL = 1e-8
+# the functionals as the gates name them, and the power c of rho that
+# each integrand decays as far out (f ~ rho^c)
+_FUNCTIONALS = ("T_TF", "T_W", "T_4")
+_TAIL_POWERS = (5.0 / 3.0, 1.0, 1.0 / 3.0)
 
 
 class Density(Protocol):
     """What the functionals ask of a radial density.
 
     ``profile`` returns (rho, rho', rho'') at an array of radii and
-    ``total_charge`` the integral of 4 pi r^2 rho.
+    ``total_charge`` the integral of 4 pi r^2 rho.  ``slowest_primitive``
+    is (zeta, p) of the orbital primitive r^p e^{-zeta r} that decays
+    slowest, so rho ~ r^{2p} e^{-2 zeta r} at large r; only ``span_for``
+    reads it.
     """
+
+    slowest_primitive: tuple[float, int]
 
     def profile(self, r) -> tuple: ...
 
@@ -118,13 +143,14 @@ class ConvergenceError(RuntimeError):
 class RadialGrid:
     """Quadrature nodes and weights for integrals over [0, r_max].
 
-    ``nodes`` and ``weights`` are the composite 16-point Gauss-Legendre
-    rule.  ``kronrod_nodes`` are the 17 further nodes per panel of its
+    ``r_max`` is the span.  ``nodes`` and ``weights`` are the composite
+    16-point Gauss-Legendre rule.  ``kronrod_nodes`` are the 17 further nodes per panel of its
     33-point Kronrod extension, and ``kronrod_weights`` that rule's weights
     on ``nodes`` followed by ``kronrod_nodes`` (the order of
     ``all_nodes()``).
     """
 
+    r_max: float
     nodes: np.ndarray
     weights: np.ndarray
     kronrod_nodes: np.ndarray
@@ -253,28 +279,50 @@ for _rule in (_GL_NODES, _GL_WEIGHTS, _KRONROD_NODES, _KRONROD_GAUSS_WEIGHTS, _K
 del _rule
 
 
-def _build_expmap(n_points: int, r_max: float):
-    """(nodes, weights, kronrod_nodes, kronrod_weights) of the mapped panels."""
+@lru_cache(maxsize=256)
+def _resolution(n_points: int) -> tuple[tuple[np.ndarray, ...], tuple[float, float]]:
+    """What every grid of ``n_points`` shares, whatever its span.
+
+    The panels: e^{a t} at the Gauss and at the Kronrod abscissae of every
+    panel, and the panel half-widths times the Gauss, the Kronrod-on-Gauss
+    and the Kronrod weights.  The probes: the self-test values of the
+    same-resolution grid on [0, 45], which short-span grids stand on.
+    """
     n_panels = -(-n_points // _PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
+
+    def exp_at(x: np.ndarray) -> np.ndarray:
+        return np.exp(_ALPHA * (mid[:, None] + half[:, None] * x[None, :]).ravel())
+
+    def scaled(w: np.ndarray) -> np.ndarray:
+        return (half[:, None] * w[None, :]).ravel()
+
+    panels = (
+        exp_at(_GL_NODES),
+        exp_at(_KRONROD_NODES),
+        scaled(_GL_WEIGHTS),
+        scaled(_KRONROD_GAUSS_WEIGHTS),
+        scaled(_KRONROD_WEIGHTS),
+    )
+    for part in panels:
+        part.setflags(write=False)
+    return panels, _self_test_probes(*_map_panels(panels, _SELF_TEST_SPAN))
+
+
+def _map_panels(panels: tuple[np.ndarray, ...], r_max: float):
+    """(nodes, weights, kronrod_nodes, kronrod_weights) of ``panels`` mapped onto [0, r_max]."""
+    e_gauss, e_kronrod, w_gauss, w_kronrod_gauss, w_kronrod = panels
     denom = math.expm1(_ALPHA)
 
-    def mapped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        e_at = np.exp(_ALPHA * t)
+    def mapped(e_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return r_max * (e_at - 1.0) / denom, r_max * _ALPHA * e_at / denom
 
-    def scaled(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
-        return (half[:, None] * w[None, :]).ravel() * jac
-
-    nodes, jac = mapped(_GL_NODES)
-    kronrod_nodes, kronrod_jac = mapped(_KRONROD_NODES)
-    kronrod_weights = np.concatenate(
-        (scaled(_KRONROD_GAUSS_WEIGHTS, jac), scaled(_KRONROD_WEIGHTS, kronrod_jac))
-    )
-    return nodes, scaled(_GL_WEIGHTS, jac), kronrod_nodes, kronrod_weights
+    nodes, jac = mapped(e_gauss)
+    kronrod_nodes, kronrod_jac = mapped(e_kronrod)
+    kronrod_weights = np.concatenate((w_kronrod_gauss * jac, w_kronrod * kronrod_jac))
+    return nodes, w_gauss * jac, kronrod_nodes, kronrod_weights
 
 
 def _self_test_probes(nodes, weights, kronrod_nodes, kronrod_weights) -> tuple[float, float]:
@@ -282,12 +330,6 @@ def _self_test_probes(nodes, weights, kronrod_nodes, kronrod_weights) -> tuple[f
     r = np.concatenate((nodes, kronrod_nodes))
     f = r**2 * np.exp(-r)
     return float(np.dot(weights, f[: nodes.size])), float(np.dot(kronrod_weights, f))
-
-
-@lru_cache(maxsize=256)
-def _surrogate_probes(n_points: int) -> tuple[float, float]:
-    """Self-test values of the same-resolution grid on [0, 45]."""
-    return _self_test_probes(*_build_expmap(n_points, _SELF_TEST_SPAN))
 
 
 def make_grid(n_points: int, r_max: float) -> RadialGrid:
@@ -305,16 +347,14 @@ def make_grid(n_points: int, r_max: float) -> RadialGrid:
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")
 
-    rule = _build_expmap(int(n_points), r_max)
-    grid = RadialGrid(*rule)
+    panels, surrogate = _resolution(int(n_points))
+    rule = _map_panels(panels, r_max)
+    grid = RadialGrid(r_max, *rule)
 
     # Scheme self-test of both rules on a span long enough that truncation
     # of the test integrand is negligible; short-span grids are validated
     # through a same-resolution surrogate, whose values are computed once.
-    if r_max >= _SELF_TEST_SPAN:
-        probes = _self_test_probes(*rule)
-    else:
-        probes = _surrogate_probes(int(n_points))
+    probes = _self_test_probes(*rule) if r_max >= _SELF_TEST_SPAN else surrogate
     for probe in probes:
         if abs(probe - 2.0) > 2.0 * _SELF_TEST_TOL:
             raise GridError(
@@ -322,6 +362,20 @@ def make_grid(n_points: int, r_max: float) -> RadialGrid:
                 f"(got {probe!r} for the Gamma(3) integral); increase n_points"
             )
     return grid
+
+
+def span_for(rho: Density) -> float:
+    """The radial span (70 + 6 p) / zeta of ``rho``'s slowest primitive (zeta, p)."""
+    zeta, p = rho.slowest_primitive
+    return (_SPAN_DECAYS + _SPAN_PER_POWER * p) / zeta
+
+
+def grid_for(rho: Density) -> RadialGrid:
+    """The grid every command integrates ``rho`` on.
+
+    ``DEFAULT_GRID_POINTS`` points over ``span_for(rho)``.
+    """
+    return make_grid(DEFAULT_GRID_POINTS, span_for(rho))
 
 
 def _checked_density(values) -> np.ndarray:
@@ -422,18 +476,45 @@ def _fourth_order_integrand(
     return integrand
 
 
-def _profile_integrands(rho: Density, grid: RadialGrid) -> tuple[np.ndarray, ...]:
-    """The charge, T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``."""
+def _profile_integrands(rho: Density, grid: RadialGrid) -> tuple[tuple[np.ndarray, ...], float]:
+    """The charge, T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``.
+
+    Also returns the decay rate |rho'/rho| at the outermost node, the last
+    of ``all_nodes()``, or 0 where the density there is vacuum.
+    """
     r = grid.all_nodes()
     raw, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
     values = _checked_density(raw)
     mask = _cutoff_mask(rho, grid, r, raw)
-    return (
+    integrands = (
         r**2 * values,
         _tf_integrand(r, values),
         _weizsacker_integrand(r, values, deriv, mask),
         _fourth_order_integrand(r, values, deriv, deriv2, mask),
     )
+    decay = abs(float(deriv[-1] / raw[-1])) if mask[-1] else 0.0
+    return integrands, decay
+
+
+def _check_tail(
+    grid: RadialGrid, integrands: tuple[np.ndarray, ...], decay: float, values: tuple[float, ...]
+) -> None:
+    """Raise ConvergenceError naming the first functional the span cuts short.
+
+    ``integrands`` are those of ``_FUNCTIONALS`` on ``grid.all_nodes()``
+    and ``values`` their integrals.  The integral of each beyond the
+    outermost node is estimated as f / (c |rho'/rho|) there, with c its
+    ``_TAIL_POWERS`` entry; ``decay`` 0 means vacuum there, and no tail.
+    """
+    if decay == 0.0:
+        return
+    for name, f, power, value in zip(_FUNCTIONALS, integrands, _TAIL_POWERS, values):
+        share = 4.0 * math.pi * abs(float(f[-1])) / (power * decay) / max(abs(value), 1e-30)
+        if share > _CONVERGENCE_TOL:
+            raise ConvergenceError(
+                f"{name}: about {share:.1e} of the value lies beyond the radial span "
+                f"{grid.r_max!r}; increase the radial span"
+            )
 
 
 def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
@@ -446,13 +527,17 @@ def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
     explicit 1/r appears.  Each functional must pass the Kronrod gate on
     its own; the ConvergenceError names the first that fails.  Then the
     grid's charge must match ``rho.total_charge()``, or ConvergenceError
-    says that the span cuts the density off.
+    says that the span cuts the density off.  Last, the tail gate: a
+    functional whose integrand beyond the span is estimated past 1e-8 of
+    its value raises ConvergenceError naming it and the span.
     """
-    (charge, *values), (_, *kronrod_values) = _rule_values(grid, _profile_integrands(rho, grid))
-    _check_refinement(("T_TF", "T_W", "T_4"), values, kronrod_values)
+    integrands, decay = _profile_integrands(rho, grid)
+    (charge, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
+    _check_refinement(_FUNCTIONALS, values, kronrod_values)
     total = rho.total_charge()
     if abs(charge - total) > _CONVERGENCE_TOL * abs(total):
         raise ConvergenceError(
             f"the grid holds {charge!r} of the density's {total!r} electrons; increase r_max"
         )
+    _check_tail(grid, integrands[1:], decay, values)
     return tuple(values)

@@ -59,7 +59,7 @@ from tfshell.hydrogenic import (
     shell_count_for,
 )
 from tfshell.atomic_data import atom_density
-from tfshell.kedf import energies, make_grid
+from tfshell.kedf import energies, grid_for, make_grid
 from wavefunctions import laguerre_array, radial_wavefunction
 
 
@@ -193,9 +193,9 @@ def _printed_tolerance(entry: str) -> float:
     return max(0.3, 0.5 * 10.0 ** (-decimals))
 
 
-def _error_columns(record, grid) -> tuple[float, float, float, float]:
+def _error_columns(record) -> tuple[float, float, float, float]:
     field = atom_density(record)
-    t_tf, t_w, t4 = energies(field, grid)
+    t_tf, t_w, t4 = energies(field, grid_for(field))
     t2 = t_w / 9.0
     n_exact = shell_count_for(record.atomic_number)
     if n_exact is not None:
@@ -211,11 +211,10 @@ def _error_columns(record, grid) -> tuple[float, float, float, float]:
 
 def test_criterion_4_atom_table_reproduction(bundled):
     start = time.perf_counter()
-    grid = make_grid(2000, 45.0)
     violations = []
     worst = 0.0
     for symbol, printed in PRINTED_TABLE.items():
-        errors = _error_columns(bundled[symbol], grid)
+        errors = _error_columns(bundled[symbol])
         for column, (got, want) in enumerate(zip(errors, printed)):
             deviation = abs(got - float(want))
             worst = max(worst, deviation)
@@ -227,7 +226,7 @@ def test_criterion_4_atom_table_reproduction(bundled):
             violations.append(f"{symbol}: corrected error must be positive")
     # the two other spin-paired atoms in the bundle obey the same bounds
     for symbol in ("Be", "Mg"):
-        errors = _error_columns(bundled[symbol], grid)
+        errors = _error_columns(bundled[symbol])
         if not errors[0] < 0.0 < errors[3]:
             violations.append(f"{symbol}: bound-direction signs violated")
     elapsed = time.perf_counter() - start
@@ -243,10 +242,9 @@ def test_criterion_4_atom_table_reproduction(bundled):
 
 
 def test_criterion_5_improvement_factor(bundled):
-    grid = make_grid(2000, 45.0)
     ratios = {}
     for symbol, record in bundled.items():
-        errors = _error_columns(record, grid)
+        errors = _error_columns(record)
         ratios[symbol] = abs(errors[0]) / abs(errors[3])
     mean_all = sum(ratios.values()) / len(ratios)
     mean_closed = sum(ratios[s] for s in PRINTED_TABLE) / len(PRINTED_TABLE)
@@ -408,8 +406,8 @@ def test_criterion_7_property_suite():
     scaled = orbital_density(
         [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
     )
-    base_grid = make_grid(2000, 60.0)
-    scaled_grid = make_grid(2000, 60.0 / lam)
+    base_grid = grid_for(field)
+    scaled_grid = grid_for(scaled)
     base_tf, base_tw, base_t4 = energies(field, base_grid)
     scaled_tf, scaled_tw, scaled_t4 = energies(scaled, scaled_grid)
     scalings = (

@@ -30,9 +30,8 @@ from tfshell.hydrogenic import (
     HydrogenicDensity,
     electron_count,
     model_kinetic_energy_continuous,
-    suggested_r_max,
 )
-from tfshell.kedf import ConvergenceError, make_grid
+from tfshell.kedf import ConvergenceError, make_grid, span_for
 
 SURD_LEADING = (3.0 / 2.0) ** (1.0 / 3.0)
 
@@ -432,8 +431,8 @@ def test_scaled_density_is_rescaled_model() -> None:
 
 
 def test_scaled_density_unit_norm() -> None:
-    z = float(electron_count(3))
-    r_max_hat = suggested_r_max(3) * z ** (1.0 / 3.0)
+    rho = HydrogenicDensity(3)
+    r_max_hat = span_for(rho) * rho.z ** (1.0 / 3.0)
     grid = make_grid(2000, r_max_hat)
     vals = scaled_model_density(3, r_hat=grid.nodes)
     norm = 4.0 * math.pi * grid.integrate(grid.nodes**2 * vals)

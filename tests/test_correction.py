@@ -17,8 +17,8 @@ from tfshell.correction import (
 )
 from tfshell.atomic_data import load_bundled
 from tfshell.cli import _atom_record
-from tfshell.hydrogenic import HydrogenicDensity, suggested_r_max
-from tfshell.kedf import TF_CONSTANT
+from tfshell.hydrogenic import HydrogenicDensity
+from tfshell.kedf import TF_CONSTANT, span_for
 
 # deficits at the first five closed shells, frozen from independent runs of
 # the quadrature pipeline at doubled resolution
@@ -52,7 +52,7 @@ def test_node_deltas_against_adaptive_quadrature(n_max: int) -> None:
     def integrand(r: float) -> float:
         return 4.0 * math.pi * r * r * TF_CONSTANT * value(density, r) ** (5.0 / 3.0)
 
-    t_tf, _ = quad(integrand, 0.0, suggested_r_max(n_max), limit=300, epsabs=1e-12, epsrel=1e-12)
+    t_tf, _ = quad(integrand, 0.0, span_for(density), limit=300, epsabs=1e-12, epsrel=1e-12)
     assert delta_t_exact(n_max) == pytest.approx(n_max * z * z - t_tf, rel=1e-8)
 
 

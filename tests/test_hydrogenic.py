@@ -19,9 +19,8 @@ from tfshell.hydrogenic import (
     model_kinetic_energy,
     model_kinetic_energy_continuous,
     shell_count_for,
-    suggested_r_max,
 )
-from tfshell.kedf import make_grid
+from tfshell.kedf import make_grid, span_for
 from wavefunctions import radial_wavefunction
 
 
@@ -224,7 +223,7 @@ def test_nuclear_cusp(cfg: tuple) -> None:
 def test_total_charge_and_quadrature() -> None:
     density = HydrogenicDensity(4)
     assert density.total_charge() == 60.0
-    grid = make_grid(3008, suggested_r_max(4))
+    grid = make_grid(3008, span_for(density))
     integral = 4.0 * math.pi * grid.integrate(value(density, grid.nodes) * grid.nodes**2)
     assert integral == pytest.approx(60.0, rel=1e-9)
 

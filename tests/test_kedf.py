@@ -1,6 +1,7 @@
 """Quadrature engine and kinetic-energy functionals against closed forms."""
 
 import dataclasses
+import json
 import math
 import re
 import subprocess
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from half_line import half_line_t4, hydrogenic_terms
 from orbitals import orbital_density
-from tfshell import kedf
+from pair_reference import pair_field
+from tfshell import cli, kedf
+from tfshell.asymptotics import model_energy_sequence
 from tfshell.atomic_data import STODensity, atom_density
 from tfshell.cli import _atom_record
-from tfshell.hydrogenic import HydrogenicDensity, suggested_r_max
+from tfshell.hydrogenic import HydrogenicDensity
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
     RHO_CUTOFF,
@@ -23,7 +27,9 @@ from tfshell.kedf import (
     GridError,
     RadialGrid,
     energies,
+    grid_for,
     make_grid,
+    span_for,
 )
 
 # ---------------------------------------------------------------------------
@@ -130,9 +136,8 @@ def test_t4_regular_form_matches_standard_form_two_shells() -> None:
     # the adaptive quadrature is the limiting party here (the grid value is
     # refinement-stable to far better)
     density = HydrogenicDensity(2)
-    span = suggested_r_max(2)
-    fine = make_grid(2000, span)
-    reference = _standard_form_t4(density.profile, (1e-9, span))
+    fine = grid_for(density)
+    reference = _standard_form_t4(density.profile, (1e-9, span_for(density)))
     assert energies(density, fine)[2] == pytest.approx(reference, rel=1e-7)
 
 
@@ -145,8 +150,8 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
     scaled = orbital_density(
         [[(c * lam ** (p + 1.5), p, zeta * lam) for c, p, zeta in orb] for orb in orbitals]
     )
-    base = make_grid(2000, 60.0)
-    scaled_grid = make_grid(2000, 60.0 / lam)
+    base = grid_for(field)
+    scaled_grid = grid_for(scaled)
     for scaled_value, base_value in zip(energies(scaled, scaled_grid), energies(field, base)):
         assert scaled_value == pytest.approx(lam**2 * base_value, rel=1e-8)
 
@@ -267,8 +272,11 @@ def test_kronrod_literals_are_exact_through_degree_49() -> None:
 
 
 def test_gauss_part_of_grid_is_the_plain_expmap_rule() -> None:
-    # the Gauss nodes and weights, bit for bit, from the map written out
-    for n_points, r_max in ((2000, 45.0), (3008, 130.0), (64, 5.0)):
+    # the Gauss nodes and weights, bit for bit, from the map written out;
+    # the Kronrod weights on them too.  Spans that share a resolution share
+    # its span-free half, so 2000 points run at four spans
+    cases = ((2000, 45.0), (2000, 100.3), (2000, 15.2), (2000, 140.0), (3008, 130.0), (64, 5.0))
+    for n_points, r_max in cases:
         grid = make_grid(n_points, r_max)
         edges = np.linspace(0.0, 1.0, -(-n_points // 16) + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -276,11 +284,12 @@ def test_gauss_part_of_grid_is_the_plain_expmap_rule() -> None:
         t = (mid[:, None] + half[:, None] * kedf._GL_NODES[None, :]).ravel()
         e_at = np.exp(12.0 * t)
         nodes = r_max * (e_at - 1.0) / math.expm1(12.0)
-        weights = (half[:, None] * kedf._GL_WEIGHTS[None, :]).ravel() * (
-            r_max * 12.0 * e_at / math.expm1(12.0)
-        )
+        jac = r_max * 12.0 * e_at / math.expm1(12.0)
+        weights = (half[:, None] * kedf._GL_WEIGHTS[None, :]).ravel() * jac
+        kronrod_on_gauss = (half[:, None] * kedf._KRONROD_GAUSS_WEIGHTS[None, :]).ravel() * jac
         assert grid.nodes.tobytes() == nodes.tobytes()
         assert grid.weights.tobytes() == weights.tobytes()
+        assert grid.kronrod_weights[: nodes.size].tobytes() == kronrod_on_gauss.tobytes()
 
 
 def test_grids_do_not_import_numpy_polynomial() -> None:
@@ -429,7 +438,7 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     # there, so only the charge check sees the cut
     field = orbital_density([[(1.0, 0, 0.5)]])
     short = make_grid(2000, 10.0)
-    values, kronrod = kedf._rule_values(short, kedf._profile_integrands(field, short)[1:])
+    values, kronrod = kedf._rule_values(short, kedf._profile_integrands(field, short)[0][1:])
     kedf._check_refinement(("T_TF", "T_W", "T_4"), values, kronrod)
     with pytest.raises(ConvergenceError) as exc:
         energies(field, short)
@@ -439,8 +448,80 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     held, total = float(message[1]), float(message[2])
     assert total == field.total_charge() == pytest.approx(8.0 * math.pi, rel=1e-15)
     assert held == pytest.approx(total * (1.0 - 61.0 * math.exp(-10.0)), rel=1e-10)
-    # a span that holds the charge to 1e-8 passes
-    energies(field, make_grid(2000, 30.0))
+    # 30 bohr holds the charge to 1e-8, but T_4's integrand, decaying as
+    # e^{-r/3}, leaves 2.5e-3 of its value beyond it; the span of the
+    # density's own grid, 140 bohr, passes every gate
+    beyond_30 = r"^T_4: about \S+ of the value lies beyond the radial span 30\.0;"
+    with pytest.raises(ConvergenceError, match=beyond_30):
+        energies(field, make_grid(2000, 30.0))
+    energies(field, grid_for(field))
+
+
+# --- the radial span and its tail gate ---------------------------------------
+
+
+def test_ladder_t4_matches_the_half_line() -> None:
+    # the T_4 of fig1a/fig2a at three shells against mpmath on [0, inf); the
+    # span (6 n^2 + 40) / Z cut 3.9e-6 of it off
+    reference = half_line_t4(hydrogenic_terms(3))
+    assert model_energy_sequence([3])[0].t4 == pytest.approx(reference, rel=1e-8)
+
+
+def test_table1_t4_matches_the_half_line(bundled, capsys) -> None:
+    # Li's T_4 as table1 prints it against mpmath on [0, inf); a 45-bohr span
+    # cut 1.8e-6 of it off
+    assert cli.main(["table1", "--atoms", "Li", "--format", "jsonl"]) == 0
+    t4 = json.loads(capsys.readouterr().out)["t4"]
+    assert t4 == pytest.approx(half_line_t4(pair_field(bundled["Li"])), rel=1e-8)
+
+
+@pytest.mark.parametrize("name,span", [("3 shells", 94.0 / 28.0), ("Li", 45.0)])
+def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> None:
+    # the spans these densities had before grid_for: 3.5e-6 and 1.4e-6 of
+    # T_4 estimated beyond them, 3.9e-6 and 1.8e-6 the truth
+    rho = HydrogenicDensity(3) if name == "3 shells" else atom_density(bundled[name])
+    grid = make_grid(2000, span)
+    with pytest.raises(ConvergenceError) as exc:
+        energies(rho, grid)
+    message = re.fullmatch(
+        rf"T_4: about (\S+) of the value lies beyond the radial span {re.escape(repr(span))}; "
+        "increase the radial span",
+        str(exc.value),
+    )
+    assert message is not None, str(exc.value)
+    (truncated,), _ = kedf._rule_values(grid, kedf._profile_integrands(rho, grid)[0][3:])
+    full = energies(rho, grid_for(rho))[2]
+    assert float(message[1]) == pytest.approx((full - truncated) / full, rel=0.3)
+
+
+def test_tail_gate_is_silent_on_every_derived_grid(bundled) -> None:
+    densities = [HydrogenicDensity(n) for n in range(1, 41)]
+    densities += [atom_density(record) for record in bundled.values()]
+    for rho in densities:
+        assert all(math.isfinite(t) for t in energies(rho, grid_for(rho)))
+
+
+def test_vacuum_at_the_span_end_has_no_tail() -> None:
+    # e^{-2r} is exactly 0 in floating point long before 400 bohr, where
+    # rho'/rho would read 0/0: the gate takes a vacuum node for no tail
+    field = orbital_density([[(1.0, 0, 1.0)]])
+    grid = make_grid(2000, 400.0)
+    assert kedf._profile_integrands(field, grid)[1] == 0.0
+    assert energies(field, grid)[1] == pytest.approx(tw_closed(1.0, 2.0), rel=1e-10)
+
+
+def test_slowest_primitive_sets_the_span() -> None:
+    assert HydrogenicDensity(3).slowest_primitive == (28.0 / 3.0, 2)
+    # the smallest exponent, and the largest power at it
+    rho = orbital_density([[(1.0, 0, 2.0), (0.5, 3, 0.7)], [(0.2, 1, 0.7), (0.1, 5, 1.1)]])
+    assert rho.slowest_primitive == (0.7, 3)
+    assert span_for(rho) == (70.0 + 6.0 * 3) / 0.7
+    grid = grid_for(rho)
+    assert grid.r_max == span_for(rho)
+    assert grid.nodes.size == kedf.DEFAULT_GRID_POINTS
+    # a density without primitives has no extent, and no grid
+    with pytest.raises(GridError, match="invalid r_max 0.0"):
+        grid_for(orbital_density([]))
 
 
 class PoisonedField(STODensity):
@@ -469,7 +550,7 @@ def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
         energies(field, grid)
     # T_TF and T_W are finite and pass the gate on their own
-    values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(field, grid)[1:])
+    values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(field, grid)[0][1:])
     kedf._check_refinement(("T_TF", "T_W"), values[:2], kronrod[:2])
 
 
@@ -534,8 +615,9 @@ def test_functionals_need_only_the_density_protocol(bundled) -> None:
         assert not hasattr(closed, name)
 
 
-def test_energies_evaluates_profile_once(grid: RadialGrid) -> None:
+def test_energies_evaluates_profile_once() -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], CountingField)
+    grid = grid_for(field)
     energies(field, grid)
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
 
@@ -576,9 +658,12 @@ def test_energies_refinement_failure_names_functional(
 def _gate_cases(bundled):
     closed = HydrogenicDensity(10)
     xe = atom_density(bundled["Xe"])
+    # 0.83 bohr, half of grid_for's span at ten shells: the Kronrod
+    # estimates quoted in test_coarse_grids_fail_the_kronrod_gate are its
+    span = 640.0 / 770.0
     return [
-        (closed, 128, suggested_r_max(10)),
-        (closed, 256, suggested_r_max(10)),
+        (closed, 128, span),
+        (closed, 256, span),
         (xe, 128, 45.0),
     ]
 
@@ -588,9 +673,9 @@ def test_kronrod_estimate_tracks_doubled_grid(bundled) -> None:
     # error a doubled grid would report, functional by functional
     for rho, n_points, span in _gate_cases(bundled):
         grid = make_grid(n_points, span)
-        values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(rho, grid)[1:])
+        values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(rho, grid)[0][1:])
         doubled = make_grid(2 * n_points, span)
-        finer, _ = kedf._rule_values(doubled, kedf._profile_integrands(rho, doubled)[1:])
+        finer, _ = kedf._rule_values(doubled, kedf._profile_integrands(rho, doubled)[0][1:])
         for value, check, fine in zip(values, kronrod, finer):
             estimate, reference = abs(check - value), abs(fine - value)
             assert reference > 1e-14 * abs(value)  # well above roundoff

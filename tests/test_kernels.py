@@ -393,7 +393,7 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
 
 def test_kernel_benchmark_script_runs() -> None:
     # the script reads STODensity's kernel arguments and
-    # hydrogenic.suggested_r_max; one small case of each kind keeps it in
+    # kedf.span_for; one small case of each kind keeps it in
     # step with them, and 41 shells run past the density's MAX_SHELLS cap
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
