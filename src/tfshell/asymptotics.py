@@ -32,6 +32,7 @@ from .kedf import energies, grid_for
 __all__ = [
     "TURNING_POINT",
     "TARGETS",
+    "LADDER_SHELLS",
     "ExtrapolationError",
     "MODEL_SERIES",
     "SequencePoint",
@@ -47,6 +48,9 @@ __all__ = [
 TURNING_POINT = 18.0 ** (1.0 / 3.0)
 
 _MAX_ELIMINATION_DEPTH = 5
+# The ladder the asymptotics command fits: Neville at that depth reads only
+# the last depth + 1 points, so these fit to the same bits as n_max 2..25.
+LADDER_SHELLS = tuple(range(25 - _MAX_ELIMINATION_DEPTH, 25 + 1))
 
 # fig1.csv: the scaled densities of these shell counts at this many points
 _FIG1_SHELLS = (1, 2, 3, 5)

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import IO, Callable, Sequence
 
 from .asymptotics import (
+    LADDER_SHELLS,
     TARGETS,
     ExtrapolationError,
     SequencePoint,
@@ -67,8 +68,6 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# Neville at depth _MAX_ELIMINATION_DEPTH = 5 reads only the last six points.
-_LADDER_SHELLS = tuple(range(20, 26))
 _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
 _FIG2A_SHELLS = tuple(range(2, MAX_SHELLS + 1, 2))
 # an --atoms token that names an atomic number; every other token is a symbol
@@ -360,7 +359,7 @@ def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    fitted = _ladder_fits(model_energy_sequence(_LADDER_SHELLS))
+    fitted = _ladder_fits(model_energy_sequence(LADDER_SHELLS))
     rows = []
     for (series, power), target in TARGETS.items():
         value = fitted[series, power]
@@ -389,7 +388,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
             if not ok:
                 print(f"error: self-test {name} failed ({detail})", file=sys.stderr)
     else:
-        ladder = f"n_max = {_LADDER_SHELLS[0]}..{_LADDER_SHELLS[-1]}"
+        ladder = f"n_max = {LADDER_SHELLS[0]}..{LADDER_SHELLS[-1]}"
         print(f"extrapolated coefficients on the filled-shell ladder ({ladder})")
         for row in rows:
             state = "ok" if row["within_tolerance"] else "OUTSIDE TOLERANCE"

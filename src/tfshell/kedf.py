@@ -17,32 +17,30 @@ integrates on: R = (70 + 6 p) / zeta at ``DEFAULT_GRID_POINTS``.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of the grid (the Gauss
-nodes and their Kronrod extension, below); the density checks, the vacuum
-cutoff, the three integrands and the charge check all read that one
-evaluation.
+nodes and their Kronrod extension, below); the density check, the three
+integrands and the charge check all read that one evaluation.
 
-The fourth-order integrand is evaluated in the algebraically equivalent form
+Both gradient integrands are built from the same ratios y = rho'/rho,
+w = s/rho and q = r y^2, with s = 2 rho' + r rho'' (r times the spherical
+Laplacian of rho):
 
-    r^2 tau_4 = c4 rho^{1/3} [ s^2/rho^2 - (9/8) r s (rho')^2/rho^3
-                               + (1/3) r^2 (rho')^4/rho^4 ],   s = 2 rho' + r rho''
+    r^2 tau_W = r rho q / 8
+    r^2 tau_4 = c4 rho^{1/3} [ w^2 - (9/8) w q + q^2/3 ]
 
-(s is r times the spherical Laplacian of rho), which removes every explicit
-1/r and keeps the integrand finite down to r = 0 for cusped densities.  The
-bracket is computed from the ratios y = rho'/rho, w = s/rho and q = r y^2
-as w^2 - (9/8) w q + q^2/3, so no power of rho is formed: rho^3 and rho^2
-underflow to zero below about 1e-103 and 1e-154, well above the 1e-280
-cutoff, and would turn the integrand into inf or NaN there.
+The second is the textbook tau_4 with every explicit 1/r removed, so it
+stays finite down to r = 0 for cusped densities.  No power of rho or rho'
+is formed: (rho')^2 and rho^2 underflow below about 1e-154 and rho^3
+below 1e-103, which would bias T_W low or turn T_4 into inf or NaN.  The
+ratios are divided only where rho > 0.  A node where rho is
+exactly 0 is vacuum: it holds no charge and adds nothing to any integral.
 
 Quadrature: composite 16-point Gauss-Legendre panels on [0, r_max] in the
 exponentially mapped coordinate r = r_max (e^{a t} - 1)/(e^a - 1),
 t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
-Every constructed grid must pass the scheme self-test (the Gamma integral
-of r^2 e^{-r} to 1e-10 relative); grids too coarse to pass are refused
-rather than returned.  The 16-point Gauss-Legendre rule is held as float
-literals.  What a grid does not owe to its span (the exponential map at
-the panel abscissae, the panel-scaled weights, and the self-test value of
-a short-span surrogate grid) is computed once per n_points; the
-comparison against the 1e-10 gate runs on every construction.
+The 16-point Gauss-Legendre rule is held as float literals.  What a grid
+does not owe to its span (the exponential map at the panel abscissae and
+the panel-scaled weights) is computed once per n_points.  A grid is
+judged only by the values computed on it, by the gates below.
 
 Error check: each panel also carries the 17 nodes of the 33-point
 Gauss-Kronrod extension of its Gauss rule (Kronrod 1965; QUADPACK, Piessens
@@ -50,10 +48,10 @@ et al. 1983), which reuses the 16 Gauss nodes and integrates polynomials
 exactly through degree 49.  A functional is evaluated once on the Gauss and
 Kronrod nodes together; the reported value is the Gauss sum on the Gauss
 nodes alone, and the Kronrod sum over all of them is its error estimate.
-The self-test covers both rules.  A value whose two sums disagree beyond
-1e-8 relative raises ConvergenceError; ``energies`` applies that gate to
-each of its three values separately, and the ConvergenceError names the
-functional that failed.  A value that is not finite fails the same gate,
+A value whose two sums disagree beyond 1e-8 relative raises
+ConvergenceError; ``energies`` applies that gate to each of its three
+values separately, and the ConvergenceError names the functional that
+failed.  A value that is not finite fails the same gate,
 and a density that is negative or NaN on a grid raises ValueError.  After
 those gates, the Gauss sum of 4 pi r^2 rho from the same profile call must
 match ``total_charge()`` to 1e-8 relative; a span too short to hold the
@@ -61,8 +59,9 @@ density raises ConvergenceError.  Last comes the tail gate: at the
 outermost node of the same profile call each integrand f decays as
 rho^c with c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral
 beyond the span is about f / (c |rho'/rho|) there.  A tail past 1e-8 of
-its value raises ConvergenceError naming the functional and the span; a
-density at or below the vacuum cutoff at that node has no tail.
+its value raises ConvergenceError naming the functional; a density of
+exactly 0 at that node has no tail.  Each ConvergenceError ends with the
+grid's point count and span.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
-    "RHO_CUTOFF",
     "GridError",
     "ConvergenceError",
     "Density",
@@ -101,12 +99,7 @@ _SPAN_PER_POWER = 6.0
 # sharpness a of the exponential map
 _ALPHA = 12.0
 
-# densities below this are treated as vacuum in the ratio-valued integrands
-RHO_CUTOFF = 1e-280
-
 _PANEL_ORDER = 16
-_SELF_TEST_SPAN = 45.0
-_SELF_TEST_TOL = 1e-10
 _CONVERGENCE_TOL = 1e-8
 # the functionals as the gates name them, and the power c of rho that
 # each integrand decays as far out (f ~ rho^c)
@@ -132,7 +125,7 @@ class Density(Protocol):
 
 
 class GridError(ValueError):
-    """Grid construction failed validation or its scheme self-test."""
+    """Grid parameters that describe no grid."""
 
 
 class ConvergenceError(RuntimeError):
@@ -280,13 +273,12 @@ del _rule
 
 
 @lru_cache(maxsize=256)
-def _resolution(n_points: int) -> tuple[tuple[np.ndarray, ...], tuple[float, float]]:
+def _panels(n_points: int) -> tuple[np.ndarray, ...]:
     """What every grid of ``n_points`` shares, whatever its span.
 
-    The panels: e^{a t} at the Gauss and at the Kronrod abscissae of every
-    panel, and the panel half-widths times the Gauss, the Kronrod-on-Gauss
-    and the Kronrod weights.  The probes: the self-test values of the
-    same-resolution grid on [0, 45], which short-span grids stand on.
+    e^{a t} at the Gauss and at the Kronrod abscissae of every panel, and
+    the panel half-widths times the Gauss, the Kronrod-on-Gauss and the
+    Kronrod weights.
     """
     n_panels = -(-n_points // _PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
@@ -308,12 +300,24 @@ def _resolution(n_points: int) -> tuple[tuple[np.ndarray, ...], tuple[float, flo
     )
     for part in panels:
         part.setflags(write=False)
-    return panels, _self_test_probes(*_map_panels(panels, _SELF_TEST_SPAN))
+    return panels
 
 
-def _map_panels(panels: tuple[np.ndarray, ...], r_max: float):
-    """(nodes, weights, kronrod_nodes, kronrod_weights) of ``panels`` mapped onto [0, r_max]."""
-    e_gauss, e_kronrod, w_gauss, w_kronrod_gauss, w_kronrod = panels
+def make_grid(n_points: int, r_max: float) -> RadialGrid:
+    """Construct a radial quadrature grid on [0, r_max].
+
+    ``n_points`` is rounded up to a whole number of 16-point panels.  A bad
+    ``n_points`` or a span that is not a finite radius > 0 raises
+    ``GridError``.  Whether the grid resolves a density is judged on the
+    values ``energies`` returns, not here.
+    """
+    if not isinstance(n_points, (int, np.integer)) or n_points < 16:
+        raise GridError(f"n_points must be an integer >= 16, got {n_points!r}")
+    r_max = float(r_max)
+    if not (math.isfinite(r_max) and r_max > 0.0):
+        raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")
+
+    e_gauss, e_kronrod, w_gauss, w_kronrod_gauss, w_kronrod = _panels(int(n_points))
     denom = math.expm1(_ALPHA)
 
     def mapped(e_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,46 +326,7 @@ def _map_panels(panels: tuple[np.ndarray, ...], r_max: float):
     nodes, jac = mapped(e_gauss)
     kronrod_nodes, kronrod_jac = mapped(e_kronrod)
     kronrod_weights = np.concatenate((w_kronrod_gauss * jac, w_kronrod * kronrod_jac))
-    return nodes, w_gauss * jac, kronrod_nodes, kronrod_weights
-
-
-def _self_test_probes(nodes, weights, kronrod_nodes, kronrod_weights) -> tuple[float, float]:
-    """Both rules' values for the Gamma(3) integral of r^2 e^{-r}, exactly 2."""
-    r = np.concatenate((nodes, kronrod_nodes))
-    f = r**2 * np.exp(-r)
-    return float(np.dot(weights, f[: nodes.size])), float(np.dot(kronrod_weights, f))
-
-
-def make_grid(n_points: int, r_max: float) -> RadialGrid:
-    """Construct a radial quadrature grid on [0, r_max] and verify its scheme self-test.
-
-    ``n_points`` is rounded up to a whole number of 16-point panels.  The
-    returned grid's Gauss rule and its Kronrod extension both integrate
-    r^2 e^{-r} over the half-line to within 1e-10 relative of the exact
-    value 2; construction fails with ``GridError`` when the requested
-    resolution cannot deliver that.
-    """
-    if not isinstance(n_points, (int, np.integer)) or n_points < 16:
-        raise GridError(f"n_points must be an integer >= 16, got {n_points!r}")
-    r_max = float(r_max)
-    if not (math.isfinite(r_max) and r_max > 0.0):
-        raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")
-
-    panels, surrogate = _resolution(int(n_points))
-    rule = _map_panels(panels, r_max)
-    grid = RadialGrid(r_max, *rule)
-
-    # Scheme self-test of both rules on a span long enough that truncation
-    # of the test integrand is negligible; short-span grids are validated
-    # through a same-resolution surrogate, whose values are computed once.
-    probes = _self_test_probes(*rule) if r_max >= _SELF_TEST_SPAN else surrogate
-    for probe in probes:
-        if abs(probe - 2.0) > 2.0 * _SELF_TEST_TOL:
-            raise GridError(
-                f"scheme self-test failed at {n_points} points "
-                f"(got {probe!r} for the Gamma(3) integral); increase n_points"
-            )
-    return grid
+    return RadialGrid(r_max, nodes, w_gauss * jac, kronrod_nodes, kronrod_weights)
 
 
 def span_for(rho: Density) -> float:
@@ -387,27 +352,34 @@ def _checked_density(values) -> np.ndarray:
     return np.clip(values, 0.0, None)
 
 
+def _grid_text(grid: RadialGrid) -> str:
+    """The grid as the ConvergenceError texts name it."""
+    return f"({grid.nodes.size} points over {grid.r_max!r} bohr)"
+
+
 def _check_refinement(
-    names: tuple[str, ...], values: tuple[float, ...], kronrod_values: tuple[float, ...]
+    grid: RadialGrid,
+    names: tuple[str, ...],
+    values: tuple[float, ...],
+    kronrod_values: tuple[float, ...],
 ) -> None:
     """Raise ConvergenceError naming the first functional that fails the gate.
 
-    ``kronrod_values`` are the Kronrod values of the Gauss ``values``.  A
-    value fails when it or its Kronrod value is not finite, or when the
-    two differ beyond 1e-8 relative.
+    ``kronrod_values`` are the Kronrod values of the Gauss ``values`` on
+    ``grid``.  A value fails when it or its Kronrod value is not finite, or
+    when the two differ beyond 1e-8 relative.
     """
     for name, value, kronrod in zip(names, values, kronrod_values):
         if not (math.isfinite(value) and math.isfinite(kronrod)):
             bad = kronrod if math.isfinite(value) else value
             raise ConvergenceError(
-                f"{name}: the result is {bad!r}, not a finite number; "
-                "shrink the radial span or improve the density"
+                f"{name}: the result is {bad!r}, not a finite number {_grid_text(grid)}"
             )
         scale = max(abs(kronrod), abs(value), 1e-30)
         if abs(kronrod - value) > _CONVERGENCE_TOL * scale:
             raise ConvergenceError(
-                f"{name}: grid refinement moved the result from {value!r} to {kronrod!r}; "
-                "increase grid points or the radial span"
+                f"{name}: grid refinement moved the result from {value!r} to {kronrod!r} "
+                f"{_grid_text(grid)}"
             )
 
 
@@ -422,78 +394,42 @@ def _rule_values(
     )
 
 
-def _cutoff_mask(rho: Density, grid: RadialGrid, r: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Nodes of ``r = grid.all_nodes()`` where the ratio-valued integrands are evaluated.
-
-    ``raw`` is the density on ``r`` as ``rho.profile`` returned it, before
-    clipping.  Raises ConvergenceError when the density treated as vacuum
-    carries a non-negligible share of the charge.
-    """
-    mask = raw > RHO_CUTOFF
-    if mask.all():
-        return mask
-    vacuum = np.zeros_like(raw)
-    vacuum[~mask] = r[~mask] ** 2 * raw[~mask]
-    skipped = 4.0 * math.pi * float(np.dot(grid.kronrod_weights, vacuum))
-    total = abs(rho.total_charge())
-    if total > 0 and abs(skipped) > 1e-10 * total:
-        raise ConvergenceError(
-            f"density below the {RHO_CUTOFF:g} cutoff carries {skipped:g} electrons "
-            "of the integration region; shrink r_max or improve the density"
-        )
-    return mask
-
-
-# One integrand per functional, without the 4 pi, on the nodes r.
-
-
 def _tf_integrand(r: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """r^2 tau_0, without the 4 pi."""
     return r**2 * TF_CONSTANT * values ** (5.0 / 3.0)
 
 
-def _weizsacker_integrand(
-    r: np.ndarray, values: np.ndarray, deriv: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    integrand = np.zeros_like(values)
-    np.divide(deriv * deriv, 8.0 * values, out=integrand, where=mask)
-    return r**2 * integrand
+def _gradient_integrands(
+    r: np.ndarray, values: np.ndarray, deriv: np.ndarray, deriv2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """r^2 tau_W and r^2 tau_4, without the 4 pi, and y = rho'/rho.
 
-
-def _fourth_order_integrand(
-    r: np.ndarray,
-    values: np.ndarray,
-    deriv: np.ndarray,
-    deriv2: np.ndarray,
-    mask: np.ndarray,
-) -> np.ndarray:
-    integrand = np.zeros_like(values)
-    safe = np.where(mask, values, 1.0)
-    y = deriv / safe
-    w = (2.0 * deriv + r * deriv2) / safe
+    Both come from the ratios y, w = (2 rho' + r rho'')/rho and q = r y^2,
+    which are divided only where rho > 0 and are 0 in vacuum:
+    r^2 tau_W = r rho q / 8 and r^2 tau_4 = c4 rho^{1/3} (w^2 - (9/8) w q + q^2/3).
+    """
+    live = values > 0.0
+    y = np.divide(deriv, values, out=np.zeros_like(values), where=live)
+    w = np.divide(2.0 * deriv + r * deriv2, values, out=np.zeros_like(values), where=live)
     q = r * y * y
+    weizsacker = 0.125 * r * values * q
     bracket = w * w - 1.125 * w * q + q * q / 3.0
-    np.multiply(FOURTH_ORDER_CONSTANT * safe ** (1.0 / 3.0), bracket, out=integrand, where=mask)
-    return integrand
+    fourth_order = FOURTH_ORDER_CONSTANT * values ** (1.0 / 3.0) * bracket
+    return weizsacker, fourth_order, y
 
 
 def _profile_integrands(rho: Density, grid: RadialGrid) -> tuple[tuple[np.ndarray, ...], float]:
     """The charge, T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``.
 
     Also returns the decay rate |rho'/rho| at the outermost node, the last
-    of ``all_nodes()``, or 0 where the density there is vacuum.
+    of ``all_nodes()``, or 0 where the density there is 0.
     """
     r = grid.all_nodes()
-    raw, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
-    values = _checked_density(raw)
-    mask = _cutoff_mask(rho, grid, r, raw)
-    integrands = (
-        r**2 * values,
-        _tf_integrand(r, values),
-        _weizsacker_integrand(r, values, deriv, mask),
-        _fourth_order_integrand(r, values, deriv, deriv2, mask),
-    )
-    decay = abs(float(deriv[-1] / raw[-1])) if mask[-1] else 0.0
-    return integrands, decay
+    values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
+    values = _checked_density(values)
+    weizsacker, fourth_order, y = _gradient_integrands(r, values, deriv, deriv2)
+    integrands = (r**2 * values, _tf_integrand(r, values), weizsacker, fourth_order)
+    return integrands, abs(float(y[-1]))
 
 
 def _check_tail(
@@ -504,7 +440,7 @@ def _check_tail(
     ``integrands`` are those of ``_FUNCTIONALS`` on ``grid.all_nodes()``
     and ``values`` their integrals.  The integral of each beyond the
     outermost node is estimated as f / (c |rho'/rho|) there, with c its
-    ``_TAIL_POWERS`` entry; ``decay`` 0 means vacuum there, and no tail.
+    ``_TAIL_POWERS`` entry; ``decay`` 0 means rho = 0 there, and no tail.
     """
     if decay == 0.0:
         return
@@ -513,7 +449,7 @@ def _check_tail(
         if share > _CONVERGENCE_TOL:
             raise ConvergenceError(
                 f"{name}: about {share:.1e} of the value lies beyond the radial span "
-                f"{grid.r_max!r}; increase the radial span"
+                f"{_grid_text(grid)}"
             )
 
 
@@ -521,8 +457,7 @@ def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) of a radial density from one profile call (hartree).
 
     The Gauss and Kronrod nodes go to ``rho.profile`` in one array, and the
-    density checks, the vacuum cutoff and the three integrands run on it
-    once.  T_4 needs exact first and second derivatives from the profile;
+    density check and the three integrands run on it once.  T_4 needs exact first and second derivatives from the profile;
     its integrand is the r-regular form of the module docstring, so no
     explicit 1/r appears.  Each functional must pass the Kronrod gate on
     its own; the ConvergenceError names the first that fails.  Then the
@@ -533,11 +468,11 @@ def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
     """
     integrands, decay = _profile_integrands(rho, grid)
     (charge, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
-    _check_refinement(_FUNCTIONALS, values, kronrod_values)
+    _check_refinement(grid, _FUNCTIONALS, values, kronrod_values)
     total = rho.total_charge()
     if abs(charge - total) > _CONVERGENCE_TOL * abs(total):
         raise ConvergenceError(
-            f"the grid holds {charge!r} of the density's {total!r} electrons; increase r_max"
+            f"the grid holds {charge!r} of the density's {total!r} electrons {_grid_text(grid)}"
         )
     _check_tail(grid, integrands[1:], decay, values)
     return tuple(values)

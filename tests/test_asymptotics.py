@@ -13,6 +13,7 @@ from densities import value
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
 from tfshell import _kernels, asymptotics, cli
 from tfshell.asymptotics import (
+    LADDER_SHELLS,
     MODEL_SERIES,
     TARGETS,
     TURNING_POINT,
@@ -279,8 +280,8 @@ def test_resummation_of_z2_coefficients(ladder) -> None:
 def test_cli_ladder_gives_the_fits_of_the_full_ladder(ladder) -> None:
     # Neville at depth 5 reads only the last six points, so the command's
     # short ladder fits to the same bits as n_max 2..25
-    short = [p for p in ladder if p.n_max in cli._LADDER_SHELLS]
-    assert [p.n_max for p in short] == list(cli._LADDER_SHELLS)
+    short = [p for p in ladder if p.n_max in LADDER_SHELLS]
+    assert [p.n_max for p in short] == list(LADDER_SHELLS)
     assert short[-1] is ladder[-1]
 
     def bits(fits):

@@ -21,7 +21,6 @@ from tfshell.cli import _atom_record
 from tfshell.hydrogenic import HydrogenicDensity
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
-    RHO_CUTOFF,
     TF_CONSTANT,
     ConvergenceError,
     GridError,
@@ -75,16 +74,28 @@ def test_constants() -> None:
 
 
 # span scales with 1/beta: the slowest integrand decay is beta/3, and the
-# closed forms assume the tail is fully captured
-@pytest.mark.parametrize("c,beta,span", [(16.0 / math.pi, 4.0, 45.0), (0.37, 0.8, 150.0), (5.1, 2.6, 45.0)])
+# closed forms assume the tail is fully captured.  At c = 1e-160 (rho')^2
+# underflows on most of the span, and at c = 1e-270 rho itself reaches the
+# subnormals; the ratios rho'/rho keep both exact.  abs=0 keeps the 1e-10
+# relative at these scales, where approx's default 1e-12 absolute would not
+@pytest.mark.parametrize(
+    "c,beta,span",
+    [
+        (16.0 / math.pi, 4.0, 45.0),
+        (0.37, 0.8, 150.0),
+        (5.1, 2.6, 45.0),
+        (1e-160, 2.0, 45.0),
+        (1e-270, 2.0, 45.0),
+    ],
+)
 def test_single_exponential_closed_forms(c: float, beta: float, span: float) -> None:
     grid = make_grid(2000, span)
     # c e^{-beta r} as the square of one orbital
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
     t_tf, t_w, t4 = energies(field, grid)
-    assert t_tf == pytest.approx(tf_closed(c, beta), rel=1e-10)
-    assert t_w == pytest.approx(tw_closed(c, beta), rel=1e-10)
-    assert t4 == pytest.approx(t4_closed(c, beta), rel=1e-10)
+    assert t_tf == pytest.approx(tf_closed(c, beta), rel=1e-10, abs=0.0)
+    assert t_w == pytest.approx(tw_closed(c, beta), rel=1e-10, abs=0.0)
+    assert t4 == pytest.approx(t4_closed(c, beta), rel=1e-10, abs=0.0)
 
 
 def test_t4_closed_form_simplification() -> None:
@@ -160,17 +171,26 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
 
 
 def test_grid_minimum_resolution() -> None:
-    with pytest.raises(GridError, match="self-test"):
-        make_grid(48, 45.0)
+    # a grid is judged by the values computed on it: 48 points build, and
+    # the Kronrod gate refuses what they give for a 1s density
+    coarse = make_grid(48, 45.0)
+    assert coarse.nodes.size == 48
+    refused = r"^T_TF: grid refinement moved .+ \(48 points over 45\.0 bohr\)$"
+    with pytest.raises(ConvergenceError, match=refused):
+        energies(HydrogenicDensity(1), coarse)
     grid = make_grid(64, 45.0)
     assert grid.nodes.size == 64
+    assert energies(HydrogenicDensity(1), grid)[1] == pytest.approx(4.0, rel=1e-10)
 
 
-def test_short_span_self_test_fails_on_every_call() -> None:
-    # the surrogate's self-test value is memoized, its gate is not
+def test_short_coarse_grid_fails_the_gate_on_every_call() -> None:
+    # the span-free half of a grid is memoized per n_points; the gates on
+    # the values are not
+    density = HydrogenicDensity(2)
+    refused = r"^T_TF: grid refinement moved .+ \(48 points over 5\.0 bohr\)$"
     for _ in range(2):
-        with pytest.raises(GridError, match="self-test"):
-            make_grid(48, 5.0)
+        with pytest.raises(ConvergenceError, match=refused):
+            energies(density, make_grid(48, 5.0))
 
 
 def test_gauss_legendre_literals_match_leggauss() -> None:
@@ -330,7 +350,7 @@ def test_grid_geometry(grid: RadialGrid) -> None:
     assert grid.nodes[0] > 0.0
     assert grid.nodes[-1] < 45.0
     assert np.all(grid.weights > 0)
-    # scheme self-test, replicated
+    # the Gamma(3) integral of r^2 e^{-r}, exactly 2
     probe = grid.integrate(grid.nodes**2 * np.exp(-grid.nodes))
     assert abs(probe - 2.0) <= 1e-9
 
@@ -347,7 +367,7 @@ def test_grid_refined(grid: RadialGrid) -> None:
     is_kronrod = np.argsort(grid.all_nodes(), kind="stable") >= n
     panel = np.array([True, False] * 16 + [True])
     assert np.array_equal(is_kronrod, np.tile(panel, n // 16))
-    # Kronrod self-test, replicated
+    # the same integral on the Kronrod rule
     r = grid.all_nodes()
     assert abs(float(np.dot(grid.kronrod_weights, r**2 * np.exp(-r))) - 2.0) <= 1e-9
 
@@ -396,12 +416,12 @@ SINGLE_FUNCTIONALS = {
 @pytest.mark.parametrize("functional", list(SINGLE_FUNCTIONALS))
 @pytest.mark.parametrize("n_points,sampled", [(2000, 4125), (3008, 6204)])
 def test_single_functionals_evaluate_profile_once(functional: str, n_points: int, sampled: int) -> None:
-    # e^{-20 r} falls below the vacuum cutoff beyond r = 32, so the cutoff
-    # check runs, and it reads the same profile call as the integrands
+    # e^{-20 r} is exactly 0 beyond r = 37.2, so the vacuum nodes are read
+    # from the same profile call as the integrands
     index, closed = SINGLE_FUNCTIONALS[functional]
     field = orbital_density([[(1.0, 0, 10.0)]], CountingField)
     grid = make_grid(n_points, 45.0)
-    assert np.any(field.profile(grid.all_nodes())[0] <= RHO_CUTOFF)
+    assert np.any(field.profile(grid.all_nodes())[0] == 0.0)
     field.profile_nodes.clear()
     value = energies(field, grid)[index]
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [sampled]
@@ -424,12 +444,18 @@ def test_negative_density_rejected(grid: RadialGrid) -> None:
         energies(NegativeDensity(), grid)
 
 
-def test_vanishing_density_mass_below_cutoff(grid: RadialGrid) -> None:
-    # all mass sits within a few orders of the vacuum cutoff, so the masked
-    # region carries a non-negligible share of the charge
+def test_vanishing_density_matches_closed_forms() -> None:
+    # 1e-270 e^{-r} is subnormal beyond r = 87.0 and exactly 0 beyond 123.4
+    # on its own 140-bohr grid: the nonzero nodes hold every functional, and
+    # the zero nodes are vacuum that holds nothing
     field = orbital_density([[(1e-135, 0, 0.5)]])
-    with pytest.raises(ConvergenceError, match="cutoff"):
-        energies(field, grid)
+    grid = grid_for(field)
+    rho = field.profile(grid.all_nodes())[0]
+    assert np.any(rho == 0.0) and np.any((0.0 < rho) & (rho < 2.3e-308))
+    t_tf, t_w, t4 = energies(field, grid)
+    assert t_tf == tf_closed(1e-270, 1.0) == 0.0  # c^{5/3} underflows
+    assert t_w == pytest.approx(tw_closed(1e-270, 1.0), rel=1e-10, abs=0.0)
+    assert t4 == pytest.approx(t4_closed(1e-270, 1.0), rel=1e-10, abs=0.0)
 
 
 def test_span_short_of_the_density_fails_the_charge_check() -> None:
@@ -439,11 +465,12 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     field = orbital_density([[(1.0, 0, 0.5)]])
     short = make_grid(2000, 10.0)
     values, kronrod = kedf._rule_values(short, kedf._profile_integrands(field, short)[0][1:])
-    kedf._check_refinement(("T_TF", "T_W", "T_4"), values, kronrod)
+    kedf._check_refinement(short, ("T_TF", "T_W", "T_4"), values, kronrod)
     with pytest.raises(ConvergenceError) as exc:
         energies(field, short)
     message = re.fullmatch(
-        r"the grid holds (\S+) of the density's (\S+) electrons; increase r_max", str(exc.value)
+        r"the grid holds (\S+) of the density's (\S+) electrons \(2000 points over 10\.0 bohr\)",
+        str(exc.value),
     )
     held, total = float(message[1]), float(message[2])
     assert total == field.total_charge() == pytest.approx(8.0 * math.pi, rel=1e-15)
@@ -451,7 +478,9 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     # 30 bohr holds the charge to 1e-8, but T_4's integrand, decaying as
     # e^{-r/3}, leaves 2.5e-3 of its value beyond it; the span of the
     # density's own grid, 140 bohr, passes every gate
-    beyond_30 = r"^T_4: about \S+ of the value lies beyond the radial span 30\.0;"
+    beyond_30 = (
+        r"^T_4: about \S+ of the value lies beyond the radial span \(2000 points over 30\.0 bohr\)$"
+    )
     with pytest.raises(ConvergenceError, match=beyond_30):
         energies(field, make_grid(2000, 30.0))
     energies(field, grid_for(field))
@@ -484,8 +513,8 @@ def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> Non
     with pytest.raises(ConvergenceError) as exc:
         energies(rho, grid)
     message = re.fullmatch(
-        rf"T_4: about (\S+) of the value lies beyond the radial span {re.escape(repr(span))}; "
-        "increase the radial span",
+        rf"T_4: about (\S+) of the value lies beyond the radial span "
+        rf"\(2000 points over {re.escape(repr(span))} bohr\)",
         str(exc.value),
     )
     assert message is not None, str(exc.value)
@@ -495,10 +524,14 @@ def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> Non
 
 
 def test_tail_gate_is_silent_on_every_derived_grid(bundled) -> None:
+    # no derived grid reaches vacuum: rho > 0 on every node, so the commands
+    # never take the rho = 0 branch of the integrands or of the tail gate
     densities = [HydrogenicDensity(n) for n in range(1, 41)]
     densities += [atom_density(record) for record in bundled.values()]
     for rho in densities:
-        assert all(math.isfinite(t) for t in energies(rho, grid_for(rho)))
+        grid = grid_for(rho)
+        assert np.all(rho.profile(grid.all_nodes())[0] > 0.0)
+        assert all(math.isfinite(t) for t in energies(rho, grid))
 
 
 def test_vacuum_at_the_span_end_has_no_tail() -> None:
@@ -551,36 +584,37 @@ def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
         energies(field, grid)
     # T_TF and T_W are finite and pass the gate on their own
     values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(field, grid)[0][1:])
-    kedf._check_refinement(("T_TF", "T_W"), values[:2], kronrod[:2])
+    kedf._check_refinement(grid, ("T_TF", "T_W"), values[:2], kronrod[:2])
 
 
 def test_fourth_order_is_finite_far_out(bundled) -> None:
     # He's density falls below 1e-103 well inside a 150-bohr span, where
-    # rho^2 and rho^3 of the plain bracket underflow; the ratio form does
-    # not.  rho^{5/3} of T_TF underflows there harmlessly, so only the T_4
-    # integrand runs with every floating-point error raised.
+    # (rho')^2, rho^2 and rho^3 of the plain forms underflow; the ratio form
+    # does not.  rho^{5/3} of T_TF underflows there harmlessly, so only the
+    # gradient integrands run with every floating-point error raised.
     field = atom_density(bundled["He"])
     far_grid = make_grid(2000, 150.0)
     r = far_grid.all_nodes()
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
-        integrand = kedf._fourth_order_integrand(r, values, deriv, deriv2, values > RHO_CUTOFF)
-        (guarded,), _ = kedf._rule_values(far_grid, (integrand,))
-    near = energies(field, make_grid(2000, 45.0))[2]
-    far = energies(field, far_grid)[2]
+        weizsacker, fourth_order, _ = kedf._gradient_integrands(r, values, deriv, deriv2)
+        guarded, _ = kedf._rule_values(far_grid, (weizsacker, fourth_order))
+    near = energies(field, make_grid(2000, 45.0))[1:]
+    far = energies(field, far_grid)[1:]
     assert far == guarded
     assert far == pytest.approx(near, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_refinement_gate_rejects_non_finite_values(bad: float) -> None:
+def test_refinement_gate_rejects_non_finite_values(grid: RadialGrid, bad: float) -> None:
     names = ("T_TF", "T_4")
     with pytest.raises(ConvergenceError, match="^T_4: the result is"):
-        kedf._check_refinement(names, (1.0, bad), (1.0, bad))
+        kedf._check_refinement(grid, names, (1.0, bad), (1.0, bad))
     # a finite value whose Kronrod value is not finite
-    with pytest.raises(ConvergenceError, match="^T_4: the result is"):
-        kedf._check_refinement(names, (1.0, 1.0), (1.0, bad))
-    kedf._check_refinement(names, (1.0, 1.0), (1.0, 1.0 + 1e-12))
+    not_finite = r"^T_4: the result is .+ \(2000 points over 45\.0 bohr\)$"
+    with pytest.raises(ConvergenceError, match=not_finite):
+        kedf._check_refinement(grid, names, (1.0, 1.0), (1.0, bad))
+    kedf._check_refinement(grid, names, (1.0, 1.0), (1.0, 1.0 + 1e-12))
 
 
 # --- shared density pass ----------------------------------------------------
@@ -649,8 +683,8 @@ def test_energies_refinement_failure_names_functional(
     )
     with pytest.raises(
         ConvergenceError,
-        match=f"^{name}: grid refinement moved the result from .+ to .+; "
-        "increase grid points or the radial span$",
+        match=f"^{name}: grid refinement moved the result from .+ to .+ "
+        r"\(2000 points over 45\.0 bohr\)$",
     ):
         energies(field, grid)
 
