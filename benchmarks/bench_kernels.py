@@ -4,11 +4,15 @@ Every case evaluates a kernel on what a functional samples: all nodes of a
 quadrature grid, its Gauss nodes and their Kronrod extension together
 (``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  Every
 span is ``kedf.span_for`` of the density, the one rule the commands use.
-The shell-density kernel runs on the closed-shell ladder's own grids: the
-expmap grid over the span of the neutral n_max-shell density, at the
-library default of 2000 points (4125 nodes).  Its default shell counts run
-past the library's 40-shell cap to 60 and 100, the kernel cost a 100-shell
-ladder would pay.  The Slater-type orbital kernel runs on the Ne and Xe
+The shell-density kernel runs, one shell count per case, on the expmap
+grid over the span of the neutral n_max-shell density, at the library
+default of 2000 points (4125 nodes).  Its default shell counts run past the
+library's 40-shell cap to 60 and 100, the kernel cost a 100-shell pass
+would pay.  Two ladder cases time what ``tfshell asymptotics`` asks of the
+kernel: the six ``shell_profile`` calls of ``LADDER_SHELLS`` (n_max 20..25),
+each on its density's own grid, against the one ``shell_prefixes`` pass to
+25 shells on the shared ladder grid (``kedf.grid_for`` of the
+``MAX_SHELLS``-shell density) from which the command reads all six points.  The Slater-type orbital kernel runs on the Ne and Xe
 densities over their ``table1`` grids (``kedf.grid_for``), giving (rho,
 rho', rho'') as ``STODensity.profile`` does.  One more case times the 17
 kernel calls of a ``table1`` pass: each bundled atom on the 4125 nodes of
@@ -34,9 +38,10 @@ from typing import Callable
 
 import numpy as np
 
-from tfshell._kernels import orbital_profile, shell_profile
+from tfshell._kernels import orbital_profile, shell_prefixes, shell_profile
+from tfshell.asymptotics import LADDER_SHELLS
 from tfshell.atomic_data import atom_density, load_bundled
-from tfshell.hydrogenic import electron_count
+from tfshell.hydrogenic import MAX_SHELLS, electron_count
 from tfshell.kedf import DEFAULT_GRID_POINTS, grid_for, make_grid, span_for
 
 
@@ -67,9 +72,10 @@ def orbital_inputs(density) -> tuple:
     return density.exponents, density.powers, density.coefs, density.weights, nodes
 
 
-def table1_profiles(atoms: list) -> None:
-    for inputs in atoms:
-        orbital_profile(*inputs)
+def call_each(kernel: Callable, calls: list) -> None:
+    """One call of ``kernel`` per argument tuple of ``calls``, in order."""
+    for inputs in calls:
+        kernel(*inputs)
 
 
 def shell_inputs(n_points: int, n_max: int) -> tuple:
@@ -84,6 +90,30 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
     outermost = SimpleNamespace(slowest_primitive=(z / n_max, n_max - 1))
     grid = make_grid(n_points, span_for(outermost))
     return z, n_max, grid.all_nodes()
+
+
+def ladder_pass(z: float, n_max: int, nodes: np.ndarray) -> None:
+    for _ in shell_prefixes(z, n_max, nodes):
+        pass
+
+
+def ladder_cases() -> list[tuple[str, Callable, tuple]]:
+    """The ``LADDER_SHELLS`` points, each on its own grid, against one pass on the shared grid."""
+    own = [shell_inputs(DEFAULT_GRID_POINTS, n_max) for n_max in LADDER_SHELLS]
+    shared = shell_inputs(DEFAULT_GRID_POINTS, MAX_SHELLS)
+    first, top = LADDER_SHELLS[0], LADDER_SHELLS[-1]
+    return [
+        (
+            f"shell_profile[n_max={first}..{top}, own grids: {own[0][-1].size} nodes]",
+            call_each,
+            (shell_profile, own),
+        ),
+        (
+            f"shell_prefixes[n_max<={top}, shared grid: {shared[-1].size} nodes]",
+            ladder_pass,
+            (shared[0], top, shared[-1]),
+        ),
+    ]
 
 
 def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> None:
@@ -115,7 +145,7 @@ def main() -> None:
         for s in ("Ne", "Xe")
     ]
     name = f"orbital_profile[{len(atoms)} atoms, {atoms['Ne'][-1].size} nodes]"
-    orbital_cases.append((name, table1_profiles, (list(atoms.values()),)))
+    orbital_cases.append((name, call_each, (orbital_profile, list(atoms.values()))))
     shell_cases = []
     for n_max in shells:
         for n_points in points:
@@ -123,10 +153,14 @@ def main() -> None:
             name = f"shell_profile[n_max={n_max}, {n_points}-point grid: {inputs[-1].size} nodes]"
             shell_cases.append((name, shell_profile, inputs))
 
-    medians = time_round_robin(orbital_cases + shell_cases, args.repeats)
+    ladder = ladder_cases()
+
+    medians = time_round_robin(orbital_cases + shell_cases + ladder, args.repeats)
     report(orbital_cases, medians[: len(orbital_cases)])
     print()
-    report(shell_cases, medians[len(orbital_cases) :])
+    report(shell_cases, medians[len(orbital_cases) : len(orbital_cases) + len(shell_cases)])
+    print()
+    report(ladder, medians[len(orbital_cases) + len(shell_cases) :])
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ Two kernels evaluate every density the functionals of this package see:
   radial derivatives, shell by shell, from a closed form in a few Laguerre
   values per shell (two recurrences of length <= n for shell n, run in one
   loop at three vector ops per step, so O(n_max^2) vector ops in all).
+  ``shell_prefixes`` yields the running sum after every shell, so one pass
+  gives the densities of 1..n_max filled shells; ``shell_profile`` is its
+  last one.
 
 The shell kernel evaluates Laguerre values by their recurrence, never the
 expanded polynomial of a many-shell density: that expansion suffers
@@ -215,14 +218,29 @@ def _laguerre_tops(k: int, alpha: float, x: np.ndarray, scratch: tuple, tracks: 
 def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
     """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z.
 
-    Adds each shell's closed form K e^{-x} S and its two r-derivatives,
-    working in place in twelve arrays whatever the shell count.
+    The last prefix of ``shell_prefixes``, for n_max >= 1.
+    """
+    rows = ()
+    for _, *rows in shell_prefixes(z, n_max, r):
+        pass
+    return tuple(rows)
+
+
+def shell_prefixes(z: float, n_max: int, r: np.ndarray):
+    """Yield (n, rho, rho', rho'') of shells 1..n filled at charge z, for n = 1..n_max.
+
+    Adds each shell's closed form K e^{-x} S and its two r-derivatives to
+    running sums, working in place in twelve arrays whatever the shell
+    count.  The three yielded arrays are those running sums: the next step
+    overwrites them, so a caller reads or copies them before it resumes
+    the generator.
     """
     rho, drho, d2rho = (np.zeros_like(r) for _ in range(3))
     x, e, u = (np.empty_like(r) for _ in range(3))
     low, high = ([np.empty_like(r) for _ in range(3)] for _ in range(2))
-    with np.errstate(under="ignore"):
-        for n in range(1, n_max + 1):
+    for n in range(1, n_max + 1):
+        # entered per shell, so that the caller never runs inside it
+        with np.errstate(under="ignore"):
             g = 2.0 * z / n
             np.multiply(r, g, out=x)
             _laguerre_tops(n - 1, 1.0, x, (e, u), (low, high))
@@ -282,4 +300,4 @@ def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
             d -= a
             d *= g
             drho += d
-    return rho, drho, d2rho
+        yield n, rho, drho, d2rho

@@ -21,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hydrogenic import HydrogenicDensity, model_kinetic_energy
-from .kedf import energies, grid_for
+from . import _kernels
+from .hydrogenic import MAX_SHELLS, HydrogenicDensity, model_kinetic_energy
+from .kedf import grid_for, profile_energies
 
 __all__ = [
     "TURNING_POINT",
@@ -214,29 +214,54 @@ class SequencePoint:
     t4: float
 
 
-@lru_cache(maxsize=None)
-def _ladder_point(n_max: int) -> SequencePoint:
-    rho = HydrogenicDensity(n_max)
-    t0, t_w, t4 = energies(rho, grid_for(rho))
-    return SequencePoint(
-        n_max=n_max,
-        z=rho.z,
-        t_exact=model_kinetic_energy(n_max),
-        t_tf=t0,
-        t2=t_w / 9.0,
-        t4=t4,
-    )
+# every ladder point computed in this process, by shell count
+_LADDER: dict[int, SequencePoint] = {}
 
 
 def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
-    Each point is integrated on ``kedf.grid_for`` of its density, the span
-    read off the outermost shell.  Points are computed in input order and
-    cached per shell count for the process, so overlapping ladders cost
-    nothing extra; a failing point raises for the first failing shell count.
+    Every shell count is checked as ``HydrogenicDensity`` checks it before
+    any is computed.  The points not yet cached come from one pass of the
+    shell kernel at Z_top = ``electron_count(MAX_SHELLS)`` on ``grid_for``
+    of the ``MAX_SHELLS``-shell density.  A density of k filled shells is
+    rho_k(r; Z) = Z^3 P_k(Z r) for one unit-charge profile P_k (Heilmann &
+    Lieb), so the running sum after shell k is the k-shell density at
+    Z_top, with charge N(k); its energies times (Z_k / Z_top)^2 are those
+    of the neutral k-shell system.  Points are computed in shell order,
+    only at the requested prefixes, and cached per shell count for the
+    process, so a point is integrated at most once and has the same bits
+    whichever call asked for it.  A failing point raises for the first
+    failing shell count, after the points below it are cached.
     """
-    return [_ladder_point(int(n_max)) for n_max in shell_counts]
+    densities = [HydrogenicDensity(int(n_max)) for n_max in shell_counts]
+    missing = {rho.n_max: rho for rho in densities if rho.n_max not in _LADDER}
+    if missing:
+        _ladder_pass(missing)
+    return [_LADDER[rho.n_max] for rho in densities]
+
+
+def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
+    """Cache the ladder point of each density from one shell pass, in shell order."""
+    top = HydrogenicDensity(MAX_SHELLS)
+    grid = grid_for(top)
+    # the grid ends at Z_top r / MAX_SHELLS = 70 + 6 (MAX_SHELLS - 1), far
+    # short of where HydrogenicDensity.profile cuts the kernel off
+    prefixes = _kernels.shell_prefixes(top.z, max(densities), grid.all_nodes())
+    for n_max, *rows in prefixes:
+        rho = densities.get(n_max)
+        if rho is None:
+            continue
+        scale = rho.z**2 / top.z**2
+        t_tf, t_w, t4 = (scale * t for t in profile_energies(grid, rows, rho.total_charge()))
+        _LADDER[n_max] = SequencePoint(
+            n_max=n_max,
+            z=rho.z,
+            t_exact=model_kinetic_energy(n_max),
+            t_tf=t_tf,
+            t2=t_w / 9.0,
+            t4=t4,
+        )
 
 
 def figure_density_rows() -> list[dict]:

@@ -10,8 +10,9 @@ A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
 gives the corrected estimate T_TF + delta_T.  The exact deficits are read
 off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
-which compute each shell count's energies once per process on the grid
-``kedf.grid_for`` gives its density.
+each computed once per process as a prefix of one shell-kernel pass on the
+grid ``kedf.grid_for`` gives the ``MAX_SHELLS``-shell density; the four
+nodes of the refit cubic come from one such pass.
 
 ``cubic_coefficients(mode)`` gives the cubic: 'refit' (the command line's
 default) solves for its coefficients from freshly computed node deltas at
@@ -53,8 +54,8 @@ def delta_t_exact(n_max: int) -> float:
 
     T_shell - T_TF[rho_shell] for the neutral configuration (Z equal to the
     electron count), read off the ladder point of
-    ``asymptotics.model_energy_sequence``, which builds and caches the
-    density, the grid and the energies.  Quadrature failures propagate.
+    ``asymptotics.model_energy_sequence``, which computes and caches the
+    energies.  Quadrature failures propagate.
     """
     if not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"shell count must be a positive integer, got {n_max!r}")
@@ -74,9 +75,10 @@ def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
     if mode == "published":
         return PUBLISHED_COEFFICIENTS
     if mode == "refit":
-        zs = [electron_count(n) for n in _NODE_SHELLS]
-        deltas = [delta_t_exact(n) for n in _NODE_SHELLS]
-        coefs = np.linalg.solve(np.vander(np.asarray(zs, dtype=float), 4, increasing=True), deltas)
+        nodes = model_energy_sequence(_NODE_SHELLS)
+        zs = np.array([point.z for point in nodes])
+        deltas = [point.t_exact - point.t_tf for point in nodes]
+        coefs = np.linalg.solve(np.vander(zs, 4, increasing=True), deltas)
         return tuple(float(c) for c in coefs)
     raise ValueError(f"unknown interpolation mode {mode!r}; use 'published' or 'refit'")
 

@@ -1,6 +1,6 @@
 """Kinetic-energy functionals on radial densities, plus the quadrature engine.
 
-``energies(rho, grid)`` is the one entry point.  It returns (T_TF, T_W, T_4),
+``energies(rho, grid)`` is the entry point.  It returns (T_TF, T_W, T_4),
 each as 4 pi * integral of r^2 * tau dr in hartree, with
 
 * T_TF: tau_0 = (3/10)(3 pi^2)^{2/3} rho^{5/3}
@@ -17,8 +17,12 @@ integrates on: R = (70 + 6 p) / zeta at ``DEFAULT_GRID_POINTS``.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of the grid (the Gauss
-nodes and their Kronrod extension, below); the density check, the three
-integrands and the charge check all read that one evaluation.
+nodes and their Kronrod extension, below) and hands it, with the
+density's charge, to ``profile_energies``: the density check, the three
+integrands, every gate below and the charge check all read that one
+evaluation.  A caller that already holds a profile on a grid's nodes, as
+the closed-shell ladder does for every prefix of one shell pass, calls
+``profile_energies`` directly and passes the same gates.
 
 Both gradient integrands are built from the same ratios y = rho'/rho,
 w = s/rho and q = r y^2, with s = 2 rho' + r rho'' (r times the spherical
@@ -49,9 +53,9 @@ exactly through degree 49.  A functional is evaluated once on the Gauss and
 Kronrod nodes together; the reported value is the Gauss sum on the Gauss
 nodes alone, and the Kronrod sum over all of them is its error estimate.
 A value whose two sums disagree beyond 1e-8 relative raises
-ConvergenceError; ``energies`` applies that gate to each of its three
-values separately, and the ConvergenceError names the functional that
-failed.  A value that is not finite fails the same gate,
+ConvergenceError; ``profile_energies`` applies that gate to each of its
+three values separately, and the ConvergenceError names the functional
+that failed.  A value that is not finite fails the same gate,
 and a density that is negative or NaN on a grid raises ValueError.  After
 those gates, the Gauss sum of 4 pi r^2 rho from the same profile call must
 match ``total_charge()`` to 1e-8 relative; a span too short to hold the
@@ -60,8 +64,10 @@ outermost node of the same profile call each integrand f decays as
 rho^c with c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral
 beyond the span is about f / (c |rho'/rho|) there.  A tail past 1e-8 of
 its value raises ConvergenceError naming the functional; a density of
-exactly 0 at that node has no tail.  Each ConvergenceError ends with the
-grid's point count and span.
+exactly 0 at that node has no tail.  The Kronrod and tail gates are
+purely relative, with no floor under small values: a density scaled by
+1e-270 fails where the unscaled one does.  Each ConvergenceError ends
+with the grid's point count and span.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ __all__ = [
     "span_for",
     "grid_for",
     "energies",
+    "profile_energies",
 ]
 
 TF_CONSTANT = 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0)
@@ -367,7 +374,7 @@ def _check_refinement(
 
     ``kronrod_values`` are the Kronrod values of the Gauss ``values`` on
     ``grid``.  A value fails when it or its Kronrod value is not finite, or
-    when the two differ beyond 1e-8 relative.
+    when the two differ beyond 1e-8 of the larger, however small both are.
     """
     for name, value, kronrod in zip(names, values, kronrod_values):
         if not (math.isfinite(value) and math.isfinite(kronrod)):
@@ -375,8 +382,7 @@ def _check_refinement(
             raise ConvergenceError(
                 f"{name}: the result is {bad!r}, not a finite number {_grid_text(grid)}"
             )
-        scale = max(abs(kronrod), abs(value), 1e-30)
-        if abs(kronrod - value) > _CONVERGENCE_TOL * scale:
+        if abs(kronrod - value) > _CONVERGENCE_TOL * max(abs(kronrod), abs(value)):
             raise ConvergenceError(
                 f"{name}: grid refinement moved the result from {value!r} to {kronrod!r} "
                 f"{_grid_text(grid)}"
@@ -418,14 +424,14 @@ def _gradient_integrands(
     return weizsacker, fourth_order, y
 
 
-def _profile_integrands(rho: Density, grid: RadialGrid) -> tuple[tuple[np.ndarray, ...], float]:
-    """The charge, T_TF, T_W and T_4 integrands from one profile call on ``grid.all_nodes()``.
+def _integrands(r: np.ndarray, rows: tuple) -> tuple[tuple[np.ndarray, ...], float]:
+    """The charge, T_TF, T_W and T_4 integrands of the profile ``rows`` at radii ``r``.
 
-    Also returns the decay rate |rho'/rho| at the outermost node, the last
-    of ``all_nodes()``, or 0 where the density there is 0.
+    ``rows`` is (rho, rho', rho'') at ``r``.  Also returns the decay rate
+    |rho'/rho| at the last radius, the outermost node of
+    ``all_nodes()``, or 0 where the density there is 0.
     """
-    r = grid.all_nodes()
-    values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rho.profile(r))
+    values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rows)
     values = _checked_density(values)
     weizsacker, fourth_order, y = _gradient_integrands(r, values, deriv, deriv2)
     integrands = (r**2 * values, _tf_integrand(r, values), weizsacker, fourth_order)
@@ -441,38 +447,50 @@ def _check_tail(
     and ``values`` their integrals.  The integral of each beyond the
     outermost node is estimated as f / (c |rho'/rho|) there, with c its
     ``_TAIL_POWERS`` entry; ``decay`` 0 means rho = 0 there, and no tail.
+    A tail past 1e-8 of its value fails, however small both are; a value
+    and tail both exactly 0 pass.
     """
     if decay == 0.0:
         return
     for name, f, power, value in zip(_FUNCTIONALS, integrands, _TAIL_POWERS, values):
-        share = 4.0 * math.pi * abs(float(f[-1])) / (power * decay) / max(abs(value), 1e-30)
-        if share > _CONVERGENCE_TOL:
+        tail = 4.0 * math.pi * abs(float(f[-1])) / (power * decay)
+        if tail > _CONVERGENCE_TOL * abs(value):
+            share = tail / abs(value) if value else math.inf
             raise ConvergenceError(
                 f"{name}: about {share:.1e} of the value lies beyond the radial span "
                 f"{_grid_text(grid)}"
             )
 
 
-def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) of a radial density from one profile call (hartree).
+def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[float, float, float]:
+    """(T_TF, T_W, T_4) of a density profile on ``grid`` (hartree), through every gate.
 
-    The Gauss and Kronrod nodes go to ``rho.profile`` in one array, and the
-    density check and the three integrands run on it once.  T_4 needs exact first and second derivatives from the profile;
-    its integrand is the r-regular form of the module docstring, so no
-    explicit 1/r appears.  Each functional must pass the Kronrod gate on
-    its own; the ConvergenceError names the first that fails.  Then the
-    grid's charge must match ``rho.total_charge()``, or ConvergenceError
-    says that the span cuts the density off.  Last, the tail gate: a
-    functional whose integrand beyond the span is estimated past 1e-8 of
-    its value raises ConvergenceError naming it and the span.
+    ``rows`` is (rho, rho', rho'') on ``grid.all_nodes()`` and ``charge``
+    the density's total charge.  The density check and the three
+    integrands run on the rows once.  T_4 needs exact first and second
+    derivatives; its integrand is the r-regular form of the module
+    docstring, so no explicit 1/r appears.  Each functional must pass the
+    Kronrod gate on its own; the ConvergenceError names the first that
+    fails.  Then the grid's charge must match ``charge``, or
+    ConvergenceError says that the span cuts the density off.  Last, the
+    tail gate: a functional whose integrand beyond the span is estimated
+    past 1e-8 of its value raises ConvergenceError naming it and the span.
     """
-    integrands, decay = _profile_integrands(rho, grid)
-    (charge, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
+    integrands, decay = _integrands(grid.all_nodes(), rows)
+    (held, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
     _check_refinement(grid, _FUNCTIONALS, values, kronrod_values)
-    total = rho.total_charge()
-    if abs(charge - total) > _CONVERGENCE_TOL * abs(total):
+    if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
         raise ConvergenceError(
-            f"the grid holds {charge!r} of the density's {total!r} electrons {_grid_text(grid)}"
+            f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
         )
     _check_tail(grid, integrands[1:], decay, values)
     return tuple(values)
+
+
+def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
+    """(T_TF, T_W, T_4) of ``rho`` from one profile call on every node of ``grid`` (hartree).
+
+    The Gauss and Kronrod nodes go to ``rho.profile`` in one array, and
+    ``profile_energies`` gates the values against ``rho.total_charge()``.
+    """
+    return profile_energies(grid, rho.profile(grid.all_nodes()), rho.total_charge())

@@ -25,14 +25,14 @@ from tfshell.asymptotics import (
     richardson_extrapolate,
     scaled_model_density,
     tf_limit_density,
-    _ladder_point,
 )
 from tfshell.hydrogenic import (
+    MAX_SHELLS,
     HydrogenicDensity,
     electron_count,
     model_kinetic_energy_continuous,
 )
-from tfshell.kedf import ConvergenceError, make_grid, span_for
+from tfshell.kedf import ConvergenceError, energies, grid_for, make_grid, span_for
 
 SURD_LEADING = (3.0 / 2.0) ** (1.0 / 3.0)
 
@@ -515,52 +515,106 @@ def test_sequence_points_are_cached_and_exact() -> None:
 
 
 def test_ladder_point_evaluates_density_once_per_grid(monkeypatch) -> None:
-    calls = []
-    kernel = _kernels.shell_profile
+    passes = []
+    kernel = _kernels.shell_prefixes
 
     def counting(z, n_max, r):
-        calls.append(r.size)
+        passes.append((z, n_max, r.size))
         return kernel(z, n_max, r)
 
-    monkeypatch.setattr(_kernels, "shell_profile", counting)
-    # bypass the ladder cache so the point is computed here
-    _ladder_point.__wrapped__(3)
-    # one kernel call covers the Gauss nodes and their Kronrod extension
-    assert calls == [2000 + 2125]
+    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
+    # an empty cache, so the points are computed here
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    model_energy_sequence([3, 5, 4])
+    # one kernel pass up to the largest count, at the top charge, covers
+    # every point; it runs on the Gauss nodes and their Kronrod extension
+    assert passes == [(float(electron_count(MAX_SHELLS)), 5, 2000 + 2125)]
+    # cached points run no pass
+    model_energy_sequence([4, 3, 5])
+    assert len(passes) == 1
 
 
-def test_ladder_counts_cache_hits_and_keeps_cached_points() -> None:
+def _counting_energies(monkeypatch, failing=frozenset()) -> list[int]:
+    """Record the shell count of every point the ladder integrates, failing those in ``failing``."""
+    computed = []
+    gated = asymptotics.profile_energies
+    shells = {electron_count(n): n for n in range(1, MAX_SHELLS + 1)}
+
+    def counting(grid, rows, charge):
+        n_max = shells[charge]
+        computed.append(n_max)
+        if n_max in failing:
+            raise ConvergenceError(f"T_TF: forced failure at n_max = {n_max}")
+        return gated(grid, rows, charge)
+
+    monkeypatch.setattr(asymptotics, "profile_energies", counting)
+    return computed
+
+
+def test_ladder_counts_cache_hits_and_keeps_cached_points(monkeypatch) -> None:
     # start from an empty cache, so every point starts uncached
-    _ladder_point.cache_clear()
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
     cached = model_energy_sequence([3, 5])
-    before = _ladder_point.cache_info()
+    computed = _counting_energies(monkeypatch)
     points = model_energy_sequence(range(2, 9))
-    after = _ladder_point.cache_info()
     assert [p.n_max for p in points] == list(range(2, 9))
     assert points[1] is cached[0] and points[3] is cached[1]
     # each requested point is counted once: two hits, five computed
-    assert (after.hits - before.hits, after.misses - before.misses) == (2, 5)
+    assert computed == [2, 4, 6, 7, 8]
+    assert len(points) - len(computed) == 2
+    assert sorted(asymptotics._LADDER) == list(range(2, 9))
 
 
 @pytest.mark.parametrize("failing,first", [({5}, 5), ({3, 4}, 3), ({4, 6}, 4)])
 def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing, first) -> None:
-    computed = []
-    energies = asymptotics.energies
-
-    def failing_energies(rho, grid):
-        n_max = rho.n_max
-        computed.append(n_max)
-        if n_max in failing:
-            raise ConvergenceError(f"T_TF: forced failure at n_max = {n_max}")
-        return energies(rho, grid)
-
-    monkeypatch.setattr(asymptotics, "energies", failing_energies)
+    computed = _counting_energies(monkeypatch, failing)
     # an empty cache, so every point up to the failure is computed here
-    _ladder_point.cache_clear()
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
     with pytest.raises(ConvergenceError, match=f"^T_TF: forced failure at n_max = {first}$"):
-        model_energy_sequence(range(2, 8))
-    # the points run in input order and the pass stops at the first failure
+        model_energy_sequence([7, 2, 6, 3, 5, 4])
+    # the points run in shell order, whatever the input order, and the pass
+    # stops at the first failure with the points below it cached
     assert computed == list(range(2, first + 1))
+    assert sorted(asymptotics._LADDER) == list(range(2, first))
+
+
+def test_ladder_validates_every_count_before_any_pass(monkeypatch) -> None:
+    computed = _counting_energies(monkeypatch)
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    with pytest.raises(ValueError, match="beyond supported shell range"):
+        model_energy_sequence([3, MAX_SHELLS + 1])
+    with pytest.raises(ValueError, match="positive integer"):
+        model_energy_sequence([3, 0])
+    assert computed == []
+
+
+def test_ladder_point_has_the_same_bits_however_requested(monkeypatch) -> None:
+    # a point is a prefix of one pass on one grid: alone, in the full
+    # ladder, in a pass that runs past it or after a higher pass, it keeps
+    # its bits (the repr of a float round-trips them)
+    def fresh(*requests) -> str:
+        monkeypatch.setattr(asymptotics, "_LADDER", {})
+        for request in requests:
+            point = model_energy_sequence(request)[0]
+        return repr(point)
+
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    full = {p.n_max: repr(p) for p in model_energy_sequence(range(1, MAX_SHELLS + 1))}
+    for n_max in (1, 2, 7, 20, 39, 40):
+        alone = fresh([n_max])
+        running_past = fresh([n_max, MAX_SHELLS])
+        after_higher = fresh([MAX_SHELLS], [n_max])
+        assert alone == running_past == after_higher == full[n_max]
+
+
+def test_every_prefix_matches_its_own_grid() -> None:
+    # the shared grid is sized for MAX_SHELLS shells; each point on it is
+    # within 1e-14 of the same density integrated on its own grid_for grid
+    for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
+        rho = HydrogenicDensity(point.n_max)
+        own = energies(rho, grid_for(rho))
+        shared = (point.t_tf, 9.0 * point.t2, point.t4)
+        assert shared == pytest.approx(own, rel=1e-14, abs=0.0), point.n_max
 
 
 def test_figure_density_rows_structure() -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfshell import asymptotics, cli
+from tfshell import _kernels, asymptotics, cli
 from tfshell.correction import delta_t_exact, delta_t_interpolated
 from tfshell.hydrogenic import electron_count, model_kinetic_energy_continuous
 from tfshell.kedf import ConvergenceError
@@ -499,11 +499,11 @@ def test_figures_rerun_is_byte_identical(figures_run, tmp_path: Path):
 def test_figures_convergence_failure_exits_numeric(monkeypatch, capsys, tmp_path: Path):
     # a ladder point failing its Gauss-Kronrod check is the numeric-failure
     # exit; the density file does not integrate and is already on disk by then
-    def failing_energies(rho, grid):
+    def failing_energies(grid, rows, charge):
         raise ConvergenceError("T_TF: forced failure")
 
-    monkeypatch.setattr(asymptotics, "energies", failing_energies)
-    asymptotics._ladder_point.cache_clear()
+    monkeypatch.setattr(asymptotics, "profile_energies", failing_energies)
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
     assert cli.main(["figures", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == "error: T_TF: forced failure\n"
     assert (tmp_path / "fig1.csv").exists()
@@ -556,14 +556,23 @@ def test_asymptotics_csv_reports_failed_self_test(monkeypatch, capsys):
     assert err == "error: self-test identity series failed (forced)\n"
 
 
-def test_commands_share_one_ladder_cache():
+def test_commands_share_one_ladder_cache(monkeypatch):
     # model's exact node at 20 shells is the point asymptotics computed
     assert cli.main(["asymptotics", "--format", "jsonl"]) == 0
-    before = asymptotics._ladder_point.cache_info()
+    passes = []
+    kernel = _kernels.shell_prefixes
+
+    def counting(z, n_max, r):
+        passes.append(n_max)
+        return kernel(z, n_max, r)
+
+    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
+    cached = dict(asymptotics._LADDER)
     assert cli.main(["model", "--n-max", "20"]) == 0
-    after = asymptotics._ladder_point.cache_info()
-    assert after.misses == before.misses
-    assert after.hits == before.hits + 1
+    # no kernel pass, and the cache still holds the same point objects
+    assert passes == []
+    assert asymptotics._LADDER == cached
+    assert asymptotics._LADDER[20] is cached[20]
 
 
 # -- output formats ----------------------------------------------------------

@@ -66,6 +66,12 @@ def grid() -> RadialGrid:
     return make_grid(2000, 45.0)
 
 
+def _grid_integrands(rho, grid: RadialGrid) -> tuple:
+    """The charge, T_TF, T_W and T_4 integrands of ``rho`` on every node of ``grid``, and the decay."""
+    r = grid.all_nodes()
+    return kedf._integrands(r, rho.profile(r))
+
+
 def test_constants() -> None:
     assert TF_CONSTANT == pytest.approx(0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0), rel=1e-15)
     assert FOURTH_ORDER_CONSTANT == pytest.approx(
@@ -464,7 +470,7 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     # there, so only the charge check sees the cut
     field = orbital_density([[(1.0, 0, 0.5)]])
     short = make_grid(2000, 10.0)
-    values, kronrod = kedf._rule_values(short, kedf._profile_integrands(field, short)[0][1:])
+    values, kronrod = kedf._rule_values(short, _grid_integrands(field, short)[0][1:])
     kedf._check_refinement(short, ("T_TF", "T_W", "T_4"), values, kronrod)
     with pytest.raises(ConvergenceError) as exc:
         energies(field, short)
@@ -518,7 +524,7 @@ def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> Non
         str(exc.value),
     )
     assert message is not None, str(exc.value)
-    (truncated,), _ = kedf._rule_values(grid, kedf._profile_integrands(rho, grid)[0][3:])
+    (truncated,), _ = kedf._rule_values(grid, _grid_integrands(rho, grid)[0][3:])
     full = energies(rho, grid_for(rho))[2]
     assert float(message[1]) == pytest.approx((full - truncated) / full, rel=0.3)
 
@@ -534,12 +540,36 @@ def test_tail_gate_is_silent_on_every_derived_grid(bundled) -> None:
         assert all(math.isfinite(t) for t in energies(rho, grid))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-20, 1e-270])
+def test_tail_gate_has_no_floor(grid: RadialGrid, c: float) -> None:
+    # c e^{-r} leaves 4.3e-5 of its T_4 beyond 45 bohr whatever c is; at
+    # c = 1e-270 T_4 is near 1e-90 and the tail near 1e-95, and a floor
+    # under either would let the short span pass
+    field = orbital_density([[(math.sqrt(c), 0, 0.5)]])
+    beyond = r"^T_4: about 4\.3e-05 of the value lies beyond the radial span \(2000 points over 45\.0 bohr\)$"
+    with pytest.raises(ConvergenceError, match=beyond):
+        energies(field, grid)
+
+
+def test_gates_compare_small_values_relatively(grid: RadialGrid) -> None:
+    # 1e-40 and 2e-40 differ by half of the larger: no floor hides it
+    with pytest.raises(ConvergenceError, match="^T_W: grid refinement moved the result"):
+        kedf._check_refinement(grid, ("T_W",), (1e-40,), (2e-40,))
+    kedf._check_refinement(grid, ("T_W",), (1e-300,), (1e-300 * (1.0 + 1e-12),))
+    # a value and its tail both exactly 0 pass; a tail on a 0 value does not
+    zero = (np.zeros(3),) * 3
+    kedf._check_tail(grid, zero, 1.0, (0.0, 0.0, 0.0))
+    tail_on_zero = (np.zeros(3), np.array([0.0, 0.0, 1e-300]), np.zeros(3))
+    with pytest.raises(ConvergenceError, match="^T_W: about inf of the value"):
+        kedf._check_tail(grid, tail_on_zero, 1.0, (0.0, 0.0, 0.0))
+
+
 def test_vacuum_at_the_span_end_has_no_tail() -> None:
     # e^{-2r} is exactly 0 in floating point long before 400 bohr, where
     # rho'/rho would read 0/0: the gate takes a vacuum node for no tail
     field = orbital_density([[(1.0, 0, 1.0)]])
     grid = make_grid(2000, 400.0)
-    assert kedf._profile_integrands(field, grid)[1] == 0.0
+    assert _grid_integrands(field, grid)[1] == 0.0
     assert energies(field, grid)[1] == pytest.approx(tw_closed(1.0, 2.0), rel=1e-10)
 
 
@@ -583,7 +613,7 @@ def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
         energies(field, grid)
     # T_TF and T_W are finite and pass the gate on their own
-    values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(field, grid)[0][1:])
+    values, kronrod = kedf._rule_values(grid, _grid_integrands(field, grid)[0][1:])
     kedf._check_refinement(grid, ("T_TF", "T_W"), values[:2], kronrod[:2])
 
 
@@ -707,9 +737,9 @@ def test_kronrod_estimate_tracks_doubled_grid(bundled) -> None:
     # error a doubled grid would report, functional by functional
     for rho, n_points, span in _gate_cases(bundled):
         grid = make_grid(n_points, span)
-        values, kronrod = kedf._rule_values(grid, kedf._profile_integrands(rho, grid)[0][1:])
+        values, kronrod = kedf._rule_values(grid, _grid_integrands(rho, grid)[0][1:])
         doubled = make_grid(2 * n_points, span)
-        finer, _ = kedf._rule_values(doubled, kedf._profile_integrands(rho, doubled)[0][1:])
+        finer, _ = kedf._rule_values(doubled, _grid_integrands(rho, doubled)[0][1:])
         for value, check, fine in zip(values, kronrod, finer):
             estimate, reference = abs(check - value), abs(fine - value)
             assert reference > 1e-14 * abs(value)  # well above roundoff

@@ -16,7 +16,8 @@ from orbitals import orbital_density
 from pair_reference import pair_field, term_profile
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
-from tfshell.kedf import make_grid
+from tfshell.hydrogenic import MAX_SHELLS, HydrogenicDensity, electron_count
+from tfshell.kedf import grid_for, make_grid
 from wavefunctions import laguerre_array
 
 
@@ -391,6 +392,19 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
 
 
+@pytest.mark.parametrize("z", [9.21, float(electron_count(MAX_SHELLS))])
+def test_every_shell_prefix_is_the_shell_profile(z: float) -> None:
+    # on the ladder's shared grid, every prefix k of one pass is the k-shell
+    # profile bit for bit, whichever pass it came from
+    r = grid_for(HydrogenicDensity(MAX_SHELLS)).all_nodes()
+    seen = []
+    for n, *rows in _kernels.shell_prefixes(z, MAX_SHELLS, r):
+        seen.append(n)
+        for got, want in zip(rows, _kernels.shell_profile(z, n, r)):
+            assert np.array_equal(got, want), n
+    assert seen == list(range(1, MAX_SHELLS + 1))
+
+
 def test_kernel_benchmark_script_runs() -> None:
     # the script reads STODensity's kernel arguments and
     # kedf.span_for; one small case of each kind keeps it in
@@ -409,3 +423,6 @@ def test_kernel_benchmark_script_runs() -> None:
     assert "orbital_profile[17 atoms, 4125 nodes]" in proc.stdout
     assert "shell_profile[n_max=2, 3008-point grid: 6204 nodes]" in proc.stdout
     assert "shell_profile[n_max=41, 3008-point grid: 6204 nodes]" in proc.stdout
+    # the ladder cases keep the commands' 2000-point grids whatever --points says
+    assert "shell_profile[n_max=20..25, own grids: 4125 nodes]" in proc.stdout
+    assert "shell_prefixes[n_max<=25, shared grid: 4125 nodes]" in proc.stdout
