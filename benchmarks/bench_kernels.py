@@ -12,16 +12,18 @@ would pay.  Two ladder cases time what ``tfshell asymptotics`` asks of the
 kernel: the six ``shell_profile`` calls of ``LADDER_SHELLS`` (n_max 20..25),
 each on its density's own grid, against the one ``shell_prefixes`` pass to
 25 shells on the shared ladder grid (``kedf.grid_for`` of the
-``MAX_SHELLS``-shell density) from which the command reads all six points.  The Slater-type orbital kernel runs on the Ne and Xe
-densities over their ``table1`` grids (``kedf.grid_for``), giving (rho,
-rho', rho'') as ``STODensity.profile`` does.  One more case times the 17
-kernel calls of a ``table1`` pass: each bundled atom on the 4125 nodes of
-its own grid that ``kedf.energies`` sends in one call.  The cases are
-timed round-robin, one call of each case per round for ``--repeats`` rounds,
-so that a drift in machine speed over the run spreads over every case
-rather than landing on the cases that happened to run during it.  Each case
-reports the median wall time of its timed calls and the tracemalloc peak of
-one further, untimed call.
+``MAX_SHELLS``-shell density) from which the command reads all six points.
+The Slater-type orbital kernel runs on the Ne and Xe densities over their
+2000-point ``kedf.grid_for`` grids, the largest ``kedf.energies`` tries,
+giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
+times the kernel calls of a ``table1`` pass: the node arrays
+``kedf.energies`` sends for each bundled atom, recorded by running it.
+Each atom is accepted on its first, 512-point grid, so these are 17
+calls of 1056 nodes.  The cases are timed round-robin, one call of each
+case per round for ``--repeats`` rounds, so that a drift in machine speed
+over the run spreads over every case rather than landing on the cases
+that happened to run during it.  Each case reports the median wall time
+of its timed calls and the tracemalloc peak of one further, untimed call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
@@ -42,7 +44,7 @@ from tfshell._kernels import orbital_profile, shell_prefixes, shell_profile
 from tfshell.asymptotics import LADDER_SHELLS
 from tfshell.atomic_data import atom_density, load_bundled
 from tfshell.hydrogenic import MAX_SHELLS, electron_count
-from tfshell.kedf import DEFAULT_GRID_POINTS, grid_for, make_grid, span_for
+from tfshell.kedf import DEFAULT_GRID_POINTS, energies, grid_for, make_grid, span_for
 
 
 def time_round_robin(cases: list[tuple[str, Callable, tuple]], repeats: int) -> list[float]:
@@ -66,10 +68,32 @@ def peak_call(func: Callable, args: tuple) -> float:
         tracemalloc.stop()
 
 
-def orbital_inputs(density) -> tuple:
-    """(exponents, powers, coefs, weights, nodes) of an ``STODensity`` on its ``table1`` grid."""
-    nodes = grid_for(density).all_nodes()
+def orbital_inputs(density, nodes: np.ndarray) -> tuple:
+    """(exponents, powers, coefs, weights, nodes) of an ``STODensity`` at ``nodes``."""
     return density.exponents, density.powers, density.coefs, density.weights, nodes
+
+
+class RecordedDensity:
+    """Passes a density through and keeps the node array of every profile call."""
+
+    def __init__(self, density) -> None:
+        self.density = density
+        self.slowest_primitive = density.slowest_primitive
+        self.calls: list[np.ndarray] = []
+
+    def profile(self, r):
+        self.calls.append(r)
+        return self.density.profile(r)
+
+    def total_charge(self) -> float:
+        return self.density.total_charge()
+
+
+def table1_inputs(density) -> list[tuple]:
+    """``orbital_inputs`` of every profile call ``kedf.energies`` makes on ``density``."""
+    recorded = RecordedDensity(density)
+    energies(recorded)
+    return [orbital_inputs(density, nodes) for nodes in recorded.calls]
 
 
 def call_each(kernel: Callable, calls: list) -> None:
@@ -139,13 +163,16 @@ def main() -> None:
     points = [int(s) for s in args.points.split(",") if s.strip()]
     shells = [int(s) for s in args.shells.split(",") if s.strip()]
 
-    atoms = {symbol: orbital_inputs(atom_density(data)) for symbol, data in load_bundled().items()}
-    orbital_cases = [
-        (f"orbital_profile[{s}, {atoms[s][-1].size} nodes]", orbital_profile, atoms[s])
-        for s in ("Ne", "Xe")
-    ]
-    name = f"orbital_profile[{len(atoms)} atoms, {atoms['Ne'][-1].size} nodes]"
-    orbital_cases.append((name, call_each, (orbital_profile, list(atoms.values()))))
+    densities = {symbol: atom_density(data) for symbol, data in load_bundled().items()}
+    orbital_cases = []
+    for symbol in ("Ne", "Xe"):
+        inputs = orbital_inputs(densities[symbol], grid_for(densities[symbol]).all_nodes())
+        name = f"orbital_profile[{symbol}, {inputs[-1].size} nodes]"
+        orbital_cases.append((name, orbital_profile, inputs))
+    table1 = [inputs for density in densities.values() for inputs in table1_inputs(density)]
+    sizes = "/".join(str(n) for n in sorted({inputs[-1].size for inputs in table1}))
+    name = f"orbital_profile[{len(table1)} table1 calls, {sizes} nodes]"
+    orbital_cases.append((name, call_each, (orbital_profile, table1)))
     shell_cases = []
     for n_max in shells:
         for n_points in points:

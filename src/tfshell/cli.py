@@ -17,10 +17,15 @@ Four subcommands cover the batch workflows:
     Extrapolated large-Z coefficients of the ladder energies rendered
     against their regression targets.
 
-Every quadrature grid is ``kedf.grid_for`` of its density:
-``kedf.DEFAULT_GRID_POINTS`` points over a span read off the density's
-slowest primitive.  The Gauss-Kronrod check on each value says whether
-that resolves it, and the tail gate whether the span holds it.
+Every quadrature grid spans ``kedf.span_for`` of its density, read off
+the density's slowest primitive.  A ``table1`` atom is integrated by
+``kedf.energies`` on the first of 512, 1008 and 2000 points whose
+Gauss-Kronrod estimates meet 1e-14 (every bundled atom does at 512).  A
+ladder point of ``model``, ``figures`` and ``asymptotics`` is a prefix of
+one shell pass on ``kedf.grid_for``, the 2000-point grid, so it has the
+same bits whichever command asks for it.  The Gauss-Kronrod check on each
+value says whether the points resolve it, and the tail gate whether the
+span holds it.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
@@ -60,7 +65,7 @@ from .hydrogenic import (
     model_kinetic_energy_continuous,
     shell_count_for,
 )
-from .kedf import ConvergenceError, GridError, energies, grid_for
+from .kedf import ConvergenceError, GridError, energies
 
 __all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
@@ -200,7 +205,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
             continue
         try:
             field = atom_density(rec)
-            t_tf, t_w, t4 = energies(field, grid_for(field))
+            t_tf, t_w, t4 = energies(field)
             t2 = t_w / 9.0
             delta = _shell_correction(rec.atomic_number, args.interp)
         except (ConvergenceError, ExtrapolationError) as exc:

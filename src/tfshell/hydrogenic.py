@@ -16,7 +16,7 @@ A model system is fixed by its shell count n_max alone, with Z = N =
 ``electron_count(n_max)``, so the density and its exact energy both take
 n_max.  Every orbital of the outermost shell decays as r^{n_max - 1}
 e^{-Z r / n_max}, and the density reports that slowest primitive, from
-which ``kedf.grid_for`` sizes its grid.  A charge away from neutrality
+which ``kedf.span_for`` sets its span.  A charge away from neutrality
 reaches only the kernel, ``_kernels.shell_profile(z, n_max, r)``.  By the
 same closed form rho_n(r; Z) = Z^3 rho_n(Z r; 1), so the shells 1..k of
 one pass at a large charge are the k-shell density up to a dilation; the

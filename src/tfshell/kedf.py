@@ -1,6 +1,6 @@
 """Kinetic-energy functionals on radial densities, plus the quadrature engine.
 
-``energies(rho, grid)`` is the entry point.  It returns (T_TF, T_W, T_4),
+``energies(rho)`` is the entry point.  It returns (T_TF, T_W, T_4),
 each as 4 pi * integral of r^2 * tau dr in hartree, with
 
 * T_TF: tau_0 = (3/10)(3 pi^2)^{2/3} rho^{5/3}
@@ -12,17 +12,30 @@ A density is anything with the two methods of the ``Density`` protocol:
 atoms (``atomic_data.STODensity``) and the filled-shell
 ``hydrogenic.HydrogenicDensity`` both answer it.  Both also report their
 slowest primitive (zeta, p), so that rho ~ r^{2p} e^{-2 zeta r} at large r,
-and ``grid_for(rho)`` turns that into the one radial span every command
-integrates on: R = (70 + 6 p) / zeta at ``DEFAULT_GRID_POINTS``.
+and ``span_for(rho)`` turns that into the one radial span every command
+integrates on: R = (70 + 6 p) / zeta.
+
+``energies`` sizes its own grid over that span.  It tries 512, 1008 and
+then 2000 points (``DEFAULT_GRID_POINTS`` // 4, // 2 and itself, rounded
+to whole panels) and accepts the first grid on which all three Gauss
+values agree with their Kronrod values (below) to 1e-14 relative, 20
+times the largest estimate measured at roundoff level.  Every bundled
+atom meets that at 512 points, within 4.8e-16 of its 2000-point values.
+The 2000-point grid, ``grid_for(rho)``, is accepted whatever its
+estimate, so a density that needs it gets exactly the values and errors
+of ``profile_energies`` there.  The closed-shell ladder keeps
+``grid_for`` for its one shell pass: each point read off the pass must
+have the same bits whichever shell counts a call asks for, so the pass
+cannot be sized by the points it happens to compute.
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
-evaluates that profile in one call on every node of the grid (the Gauss
-nodes and their Kronrod extension, below) and hands it, with the
-density's charge, to ``profile_energies``: the density check, the three
-integrands, every gate below and the charge check all read that one
-evaluation.  A caller that already holds a profile on a grid's nodes, as
-the closed-shell ladder does for every prefix of one shell pass, calls
-``profile_energies`` directly and passes the same gates.
+evaluates that profile in one call on every node of each grid it tries
+(the Gauss nodes and their Kronrod extension, below): the density check,
+the three integrands, the target, every gate below and the charge check
+all read that one evaluation.  A caller that already holds a profile on
+a grid's nodes, as the closed-shell ladder does for every prefix of one
+shell pass, calls ``profile_energies`` directly and passes the same
+gates.
 
 Both gradient integrands are built from the same ratios y = rho'/rho,
 w = s/rho and q = r y^2, with s = 2 rho' + r rho'' (r times the spherical
@@ -55,8 +68,9 @@ nodes alone, and the Kronrod sum over all of them is its error estimate.
 A value whose two sums disagree beyond 1e-8 relative raises
 ConvergenceError; ``profile_energies`` applies that gate to each of its
 three values separately, and the ConvergenceError names the functional
-that failed.  A value that is not finite fails the same gate,
-and a density that is negative or NaN on a grid raises ValueError.  After
+that failed.  A value that is not finite fails the same gate, and a
+density that is NaN, or negative beyond 1e-12 of its largest value, on
+a grid raises ValueError.  After
 those gates, the Gauss sum of 4 pi r^2 rho from the same profile call must
 match ``total_charge()`` to 1e-8 relative; a span too short to hold the
 density raises ConvergenceError.  Last comes the tail gate: at the
@@ -64,9 +78,9 @@ outermost node of the same profile call each integrand f decays as
 rho^c with c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral
 beyond the span is about f / (c |rho'/rho|) there.  A tail past 1e-8 of
 its value raises ConvergenceError naming the functional; a density of
-exactly 0 at that node has no tail.  The Kronrod and tail gates are
-purely relative, with no floor under small values: a density scaled by
-1e-270 fails where the unscaled one does.  Each ConvergenceError ends
+exactly 0 at that node has no tail.  The density check and the Kronrod
+and tail gates are purely relative, with no floor under small values: a
+density scaled by 1e-270 fails where the unscaled one does.  Each ConvergenceError ends
 with the grid's point count and span.
 """
 
@@ -108,6 +122,13 @@ _ALPHA = 12.0
 
 _PANEL_ORDER = 16
 _CONVERGENCE_TOL = 1e-8
+# energies accepts the first of _TRIAL_POINTS whose Gauss values all agree
+# with their Kronrod values to this, else it takes the DEFAULT_GRID_POINTS
+# grid; 20 times the largest estimate measured at roundoff level, 4.5e-16
+# over the 17 bundled atoms and the 40 ladder points
+_ACCURACY_TARGET = 1e-14
+# make_grid rounds them to 512 and 1008 points
+_TRIAL_POINTS = (DEFAULT_GRID_POINTS // 4, DEFAULT_GRID_POINTS // 2)
 # the functionals as the gates name them, and the power c of rho that
 # each integrand decays as far out (f ~ rho^c)
 _FUNCTIONALS = ("T_TF", "T_W", "T_4")
@@ -352,7 +373,9 @@ def grid_for(rho: Density) -> RadialGrid:
 
 def _checked_density(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    floor = -1e-12 * max(float(values.max(initial=0.0)), 1.0)
+    # relative to the largest value alone, so a density scaled by 1e-20
+    # fails where the unscaled one does
+    floor = -1e-12 * float(values.max(initial=0.0))
     # written so that a NaN anywhere (which makes min, max and floor NaN) fails
     if not values.min(initial=0.0) >= floor:
         raise ValueError("density is negative or NaN on the evaluation grid")
@@ -462,6 +485,33 @@ def _check_tail(
             )
 
 
+def _gated_energies(
+    grid: RadialGrid, rows: tuple, charge: float, target: float | None
+) -> tuple[float, float, float] | None:
+    """(T_TF, T_W, T_4) of the profile ``rows`` on ``grid`` through every gate.
+
+    The density check and the integrands run once, and the Kronrod values
+    come from that same evaluation.  With a ``target``, a grid whose three
+    Gauss values differ from their Kronrod values beyond ``target`` of the
+    larger (or are not finite) is not accepted: the gates are skipped and
+    the result is None.  A density ValueError raises whatever the target.
+    """
+    integrands, decay = _integrands(grid.all_nodes(), rows)
+    (held, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
+    if target is not None and not all(
+        abs(kronrod - value) <= target * max(abs(kronrod), abs(value))
+        for value, kronrod in zip(values, kronrod_values)
+    ):
+        return None
+    _check_refinement(grid, _FUNCTIONALS, values, kronrod_values)
+    if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
+        raise ConvergenceError(
+            f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
+        )
+    _check_tail(grid, integrands[1:], decay, values)
+    return tuple(values)
+
+
 def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) of a density profile on ``grid`` (hartree), through every gate.
 
@@ -476,21 +526,26 @@ def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[floa
     tail gate: a functional whose integrand beyond the span is estimated
     past 1e-8 of its value raises ConvergenceError naming it and the span.
     """
-    integrands, decay = _integrands(grid.all_nodes(), rows)
-    (held, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
-    _check_refinement(grid, _FUNCTIONALS, values, kronrod_values)
-    if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
-        raise ConvergenceError(
-            f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
-        )
-    _check_tail(grid, integrands[1:], decay, values)
-    return tuple(values)
+    return _gated_energies(grid, rows, charge, None)
 
 
-def energies(rho: Density, grid: RadialGrid) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) of ``rho`` from one profile call on every node of ``grid`` (hartree).
+def energies(rho: Density) -> tuple[float, float, float]:
+    """(T_TF, T_W, T_4) of ``rho`` on the smallest grid that resolves it (hartree).
 
-    The Gauss and Kronrod nodes go to ``rho.profile`` in one array, and
-    ``profile_energies`` gates the values against ``rho.total_charge()``.
+    Every grid spans ``span_for(rho)``.  512 and then 1008 points are tried,
+    each with one ``rho.profile`` call on all of its nodes.  The first
+    whose three Gauss values agree with their Kronrod values to 1e-14
+    relative is accepted, and its values must pass every gate of
+    ``profile_energies`` there (a density ValueError raises at once,
+    whatever the size).  Failing both, the result is ``profile_energies``
+    on ``grid_for(rho)``, bit for bit, values and errors alike.
     """
-    return profile_energies(grid, rho.profile(grid.all_nodes()), rho.total_charge())
+    span = span_for(rho)
+    charge = rho.total_charge()
+    for n_points in _TRIAL_POINTS:
+        grid = make_grid(n_points, span)
+        values = _gated_energies(grid, rho.profile(grid.all_nodes()), charge, _ACCURACY_TARGET)
+        if values is not None:
+            return values
+    grid = grid_for(rho)
+    return profile_energies(grid, rho.profile(grid.all_nodes()), charge)

@@ -38,6 +38,7 @@ import sympy as sp
 from scipy import integrate, special
 
 import conftest
+from densities import energies_on
 from orbitals import orbital_density
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
 from tfshell import _kernels
@@ -59,7 +60,7 @@ from tfshell.hydrogenic import (
     shell_count_for,
 )
 from tfshell.atomic_data import atom_density
-from tfshell.kedf import energies, grid_for, make_grid
+from tfshell.kedf import grid_for, make_grid
 from wavefunctions import laguerre_array, radial_wavefunction
 
 
@@ -195,7 +196,7 @@ def _printed_tolerance(entry: str) -> float:
 
 def _error_columns(record) -> tuple[float, float, float, float]:
     field = atom_density(record)
-    t_tf, t_w, t4 = energies(field, grid_for(field))
+    t_tf, t_w, t4 = energies_on(field, grid_for(field))
     t2 = t_w / 9.0
     n_exact = shell_count_for(record.atomic_number)
     if n_exact is not None:
@@ -408,8 +409,8 @@ def test_criterion_7_property_suite():
     )
     base_grid = grid_for(field)
     scaled_grid = grid_for(scaled)
-    base_tf, base_tw, base_t4 = energies(field, base_grid)
-    scaled_tf, scaled_tw, scaled_t4 = energies(scaled, scaled_grid)
+    base_tf, base_tw, base_t4 = energies_on(field, base_grid)
+    scaled_tf, scaled_tw, scaled_t4 = energies_on(scaled, scaled_grid)
     scalings = (
         ("tf", scaled_tf, base_tf),
         ("weizsacker", scaled_tw, base_tw),
@@ -423,7 +424,7 @@ def test_criterion_7_property_suite():
     # one filled shell at z=2: gradient term is exact there
     one_shell = HydrogenicDensity(1)
     tw_grid = make_grid(2000, 45.0)
-    _, tw_value, _ = energies(one_shell, tw_grid)
+    _, tw_value, _ = energies_on(one_shell, tw_grid)
     if abs(tw_value - 4.0) > 1e-6:
         failures.append(f"one-shell gradient energy {tw_value!r}")
 

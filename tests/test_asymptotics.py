@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from scipy.integrate import quad
 
-from densities import value
+from densities import energies_on, value
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
 from tfshell import _kernels, asymptotics, cli
 from tfshell.asymptotics import (
@@ -32,7 +32,7 @@ from tfshell.hydrogenic import (
     electron_count,
     model_kinetic_energy_continuous,
 )
-from tfshell.kedf import ConvergenceError, energies, grid_for, make_grid, span_for
+from tfshell.kedf import ConvergenceError, grid_for, make_grid, span_for
 
 SURD_LEADING = (3.0 / 2.0) ** (1.0 / 3.0)
 
@@ -612,7 +612,7 @@ def test_every_prefix_matches_its_own_grid() -> None:
     # within 1e-14 of the same density integrated on its own grid_for grid
     for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
         rho = HydrogenicDensity(point.n_max)
-        own = energies(rho, grid_for(rho))
+        own = energies_on(rho, grid_for(rho))
         shared = (point.t_tf, 9.0 * point.t2, point.t4)
         assert shared == pytest.approx(own, rel=1e-14, abs=0.0), point.n_max
 

@@ -303,7 +303,7 @@ def test_table1_long_span_gives_finite_t4():
 
 
 def test_table1_all_rows_failing_numerically_exits_3(monkeypatch, capsys):
-    def boom(field, grid):
+    def boom(field):
         raise ConvergenceError("forced failure")
 
     monkeypatch.setattr(cli, "energies", boom)

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from densities import energies_on
 from half_line import half_line_t4, hydrogenic_terms
 from orbitals import orbital_density
 from pair_reference import pair_field
-from tfshell import cli, kedf
+from tfshell import _kernels, cli, kedf
 from tfshell.asymptotics import model_energy_sequence
 from tfshell.atomic_data import STODensity, atom_density
 from tfshell.cli import _atom_record
@@ -98,7 +99,7 @@ def test_single_exponential_closed_forms(c: float, beta: float, span: float) -> 
     grid = make_grid(2000, span)
     # c e^{-beta r} as the square of one orbital
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
-    t_tf, t_w, t4 = energies(field, grid)
+    t_tf, t_w, t4 = energies_on(field, grid)
     assert t_tf == pytest.approx(tf_closed(c, beta), rel=1e-10, abs=0.0)
     assert t_w == pytest.approx(tw_closed(c, beta), rel=1e-10, abs=0.0)
     assert t4 == pytest.approx(t4_closed(c, beta), rel=1e-10, abs=0.0)
@@ -114,7 +115,7 @@ def test_one_shell_density_weizsacker_is_exact(grid: RadialGrid) -> None:
     # a pure 1s density is a single orbital; its gradient term recovers the
     # full kinetic energy n_max * Z^2 = 4
     density = HydrogenicDensity(1)
-    t_tf, t_w, _ = energies(density, grid)
+    t_tf, t_w, _ = energies_on(density, grid)
     assert t_w == pytest.approx(4.0, rel=1e-10)
     assert t_tf == pytest.approx(tf_closed(16.0 / math.pi, 4.0), rel=1e-10)
 
@@ -146,7 +147,7 @@ def test_t4_regular_form_matches_standard_form_single_exponential() -> None:
     reference = _standard_form_t4(rho_of, (1e-9, 60.0))
     grid = make_grid(2000, 60.0)
     field = orbital_density([[(math.sqrt(c), 0, beta / 2.0)]])
-    assert energies(field, grid)[2] == pytest.approx(reference, rel=2e-9)
+    assert energies_on(field, grid)[2] == pytest.approx(reference, rel=2e-9)
 
 
 def test_t4_regular_form_matches_standard_form_two_shells() -> None:
@@ -155,7 +156,7 @@ def test_t4_regular_form_matches_standard_form_two_shells() -> None:
     density = HydrogenicDensity(2)
     fine = grid_for(density)
     reference = _standard_form_t4(density.profile, (1e-9, span_for(density)))
-    assert energies(density, fine)[2] == pytest.approx(reference, rel=1e-7)
+    assert energies_on(density, fine)[2] == pytest.approx(reference, rel=1e-7)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.3, 2.7])
@@ -169,7 +170,7 @@ def test_dilation_scales_every_functional_quadratically(lam: float) -> None:
     )
     base = grid_for(field)
     scaled_grid = grid_for(scaled)
-    for scaled_value, base_value in zip(energies(scaled, scaled_grid), energies(field, base)):
+    for scaled_value, base_value in zip(energies_on(scaled, scaled_grid), energies_on(field, base)):
         assert scaled_value == pytest.approx(lam**2 * base_value, rel=1e-8)
 
 
@@ -183,10 +184,10 @@ def test_grid_minimum_resolution() -> None:
     assert coarse.nodes.size == 48
     refused = r"^T_TF: grid refinement moved .+ \(48 points over 45\.0 bohr\)$"
     with pytest.raises(ConvergenceError, match=refused):
-        energies(HydrogenicDensity(1), coarse)
+        energies_on(HydrogenicDensity(1), coarse)
     grid = make_grid(64, 45.0)
     assert grid.nodes.size == 64
-    assert energies(HydrogenicDensity(1), grid)[1] == pytest.approx(4.0, rel=1e-10)
+    assert energies_on(HydrogenicDensity(1), grid)[1] == pytest.approx(4.0, rel=1e-10)
 
 
 def test_short_coarse_grid_fails_the_gate_on_every_call() -> None:
@@ -196,7 +197,7 @@ def test_short_coarse_grid_fails_the_gate_on_every_call() -> None:
     refused = r"^T_TF: grid refinement moved .+ \(48 points over 5\.0 bohr\)$"
     for _ in range(2):
         with pytest.raises(ConvergenceError, match=refused):
-            energies(density, make_grid(48, 5.0))
+            energies_on(density, make_grid(48, 5.0))
 
 
 def test_gauss_legendre_literals_match_leggauss() -> None:
@@ -405,7 +406,7 @@ class CountingField(STODensity):
 def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> None:
     # one call on the Gauss and Kronrod nodes together
     field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
-    energies(field, grid)
+    energies_on(field, grid)
     assert len(field.profile_nodes) == 1
     assert field.profile_nodes[0].tobytes() == grid.all_nodes().tobytes()
 
@@ -429,7 +430,7 @@ def test_single_functionals_evaluate_profile_once(functional: str, n_points: int
     grid = make_grid(n_points, 45.0)
     assert np.any(field.profile(grid.all_nodes())[0] == 0.0)
     field.profile_nodes.clear()
-    value = energies(field, grid)[index]
+    value = energies_on(field, grid)[index]
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [sampled]
     assert value == pytest.approx(closed(1.0, 20.0), rel=1e-10)
 
@@ -447,7 +448,7 @@ class NegativeDensity:
 
 def test_negative_density_rejected(grid: RadialGrid) -> None:
     with pytest.raises(ValueError, match="negative"):
-        energies(NegativeDensity(), grid)
+        energies_on(NegativeDensity(), grid)
 
 
 def test_vanishing_density_matches_closed_forms() -> None:
@@ -458,7 +459,7 @@ def test_vanishing_density_matches_closed_forms() -> None:
     grid = grid_for(field)
     rho = field.profile(grid.all_nodes())[0]
     assert np.any(rho == 0.0) and np.any((0.0 < rho) & (rho < 2.3e-308))
-    t_tf, t_w, t4 = energies(field, grid)
+    t_tf, t_w, t4 = energies_on(field, grid)
     assert t_tf == tf_closed(1e-270, 1.0) == 0.0  # c^{5/3} underflows
     assert t_w == pytest.approx(tw_closed(1e-270, 1.0), rel=1e-10, abs=0.0)
     assert t4 == pytest.approx(t4_closed(1e-270, 1.0), rel=1e-10, abs=0.0)
@@ -473,7 +474,7 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     values, kronrod = kedf._rule_values(short, _grid_integrands(field, short)[0][1:])
     kedf._check_refinement(short, ("T_TF", "T_W", "T_4"), values, kronrod)
     with pytest.raises(ConvergenceError) as exc:
-        energies(field, short)
+        energies_on(field, short)
     message = re.fullmatch(
         r"the grid holds (\S+) of the density's (\S+) electrons \(2000 points over 10\.0 bohr\)",
         str(exc.value),
@@ -488,8 +489,8 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
         r"^T_4: about \S+ of the value lies beyond the radial span \(2000 points over 30\.0 bohr\)$"
     )
     with pytest.raises(ConvergenceError, match=beyond_30):
-        energies(field, make_grid(2000, 30.0))
-    energies(field, grid_for(field))
+        energies_on(field, make_grid(2000, 30.0))
+    energies_on(field, grid_for(field))
 
 
 # --- the radial span and its tail gate ---------------------------------------
@@ -517,7 +518,7 @@ def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> Non
     rho = HydrogenicDensity(3) if name == "3 shells" else atom_density(bundled[name])
     grid = make_grid(2000, span)
     with pytest.raises(ConvergenceError) as exc:
-        energies(rho, grid)
+        energies_on(rho, grid)
     message = re.fullmatch(
         rf"T_4: about (\S+) of the value lies beyond the radial span "
         rf"\(2000 points over {re.escape(repr(span))} bohr\)",
@@ -525,7 +526,7 @@ def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> Non
     )
     assert message is not None, str(exc.value)
     (truncated,), _ = kedf._rule_values(grid, _grid_integrands(rho, grid)[0][3:])
-    full = energies(rho, grid_for(rho))[2]
+    full = energies_on(rho, grid_for(rho))[2]
     assert float(message[1]) == pytest.approx((full - truncated) / full, rel=0.3)
 
 
@@ -537,7 +538,7 @@ def test_tail_gate_is_silent_on_every_derived_grid(bundled) -> None:
     for rho in densities:
         grid = grid_for(rho)
         assert np.all(rho.profile(grid.all_nodes())[0] > 0.0)
-        assert all(math.isfinite(t) for t in energies(rho, grid))
+        assert all(math.isfinite(t) for t in energies_on(rho, grid))
 
 
 @pytest.mark.parametrize("c", [1.0, 1e-20, 1e-270])
@@ -548,7 +549,7 @@ def test_tail_gate_has_no_floor(grid: RadialGrid, c: float) -> None:
     field = orbital_density([[(math.sqrt(c), 0, 0.5)]])
     beyond = r"^T_4: about 4\.3e-05 of the value lies beyond the radial span \(2000 points over 45\.0 bohr\)$"
     with pytest.raises(ConvergenceError, match=beyond):
-        energies(field, grid)
+        energies_on(field, grid)
 
 
 def test_gates_compare_small_values_relatively(grid: RadialGrid) -> None:
@@ -570,7 +571,7 @@ def test_vacuum_at_the_span_end_has_no_tail() -> None:
     field = orbital_density([[(1.0, 0, 1.0)]])
     grid = make_grid(2000, 400.0)
     assert _grid_integrands(field, grid)[1] == 0.0
-    assert energies(field, grid)[1] == pytest.approx(tw_closed(1.0, 2.0), rel=1e-10)
+    assert energies_on(field, grid)[1] == pytest.approx(tw_closed(1.0, 2.0), rel=1e-10)
 
 
 def test_slowest_primitive_sets_the_span() -> None:
@@ -604,14 +605,14 @@ class PoisonedField(STODensity):
 def test_nan_density_rejected(grid: RadialGrid) -> None:
     field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=0)
     with pytest.raises(ValueError, match="NaN"):
-        energies(field, grid)
+        energies_on(field, grid)
 
 
 def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     # a finite density whose rho'' is NaN at one node: only T_4 reads it
     field = orbital_density([[(1.0, 0, 1.0)]], PoisonedField, component=2)
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
-        energies(field, grid)
+        energies_on(field, grid)
     # T_TF and T_W are finite and pass the gate on their own
     values, kronrod = kedf._rule_values(grid, _grid_integrands(field, grid)[0][1:])
     kedf._check_refinement(grid, ("T_TF", "T_W"), values[:2], kronrod[:2])
@@ -629,8 +630,8 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
         values, deriv, deriv2 = field.profile(r)
         weizsacker, fourth_order, _ = kedf._gradient_integrands(r, values, deriv, deriv2)
         guarded, _ = kedf._rule_values(far_grid, (weizsacker, fourth_order))
-    near = energies(field, make_grid(2000, 45.0))[1:]
-    far = energies(field, far_grid)[1:]
+    near = energies_on(field, make_grid(2000, 45.0))[1:]
+    far = energies_on(field, far_grid)[1:]
     assert far == guarded
     assert far == pytest.approx(near, rel=1e-12, abs=0.0)
 
@@ -669,7 +670,7 @@ def test_functionals_need_only_the_density_protocol(bundled) -> None:
     field = atom_density(bundled["Ne"])
     rho = ProtocolOnly(field)
     g = make_grid(2000, 45.0)
-    assert energies(rho, g) == energies(field, g)
+    assert energies_on(rho, g) == energies_on(field, g)
     # the filled-shell density answers the same protocol and nothing of the
     # term-list format, whose expansion cancels catastrophically for it
     closed = HydrogenicDensity(20)
@@ -682,7 +683,7 @@ def test_functionals_need_only_the_density_protocol(bundled) -> None:
 def test_energies_evaluates_profile_once() -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], CountingField)
     grid = grid_for(field)
-    energies(field, grid)
+    energies_on(field, grid)
     assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
 
 
@@ -716,7 +717,28 @@ def test_energies_refinement_failure_names_functional(
         match=f"^{name}: grid refinement moved the result from .+ to .+ "
         r"\(2000 points over 45\.0 bohr\)$",
     ):
-        energies(field, grid)
+        energies_on(field, grid)
+
+
+@pytest.mark.parametrize("component,name", [(0, "T_TF"), (1, "T_W"), (2, "T_4")])
+def test_energies_at_the_cap_fails_as_profile_energies_does(component: int, name: str) -> None:
+    # the Gauss nodes of every size energies tries stay put and only the
+    # Kronrod nodes drift, so 512 and 1008 points miss the target and the
+    # 2000-point grid raises the text profile_energies raises
+    span = span_for(orbital_density([[(1.0, 0, 1.0)]]))
+    gauss = np.concatenate([make_grid(n, span).nodes for n in (512, 1008, 2000)])
+    field = orbital_density(
+        [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=gauss
+    )
+    with pytest.raises(ConvergenceError) as capped:
+        energies_on(field, grid_for(field))
+    with pytest.raises(
+        ConvergenceError,
+        match=f"^{name}: grid refinement moved the result from .+ to .+ "
+        r"\(2000 points over 70\.0 bohr\)$",
+    ) as sized:
+        energies(field)
+    assert str(sized.value) == str(capped.value)
 
 
 def _gate_cases(bundled):
@@ -751,10 +773,102 @@ def test_coarse_grids_fail_the_kronrod_gate(bundled) -> None:
     # estimates of 7.6e-7 (T_TF, checked first) and 1.4e-7 (T_4)
     for (rho, n_points, span), name in ((ladder_128, "T_TF"), (xe_128, "T_4")):
         with pytest.raises(ConvergenceError, match=f"^{name}: grid refinement moved"):
-            energies(rho, make_grid(n_points, span))
+            energies_on(rho, make_grid(n_points, span))
     # the largest estimate here is 8.3e-9, on T_4: it passes
     rho, n_points, span = ladder_256
-    assert all(math.isfinite(t) for t in energies(rho, make_grid(n_points, span)))
+    assert all(math.isfinite(t) for t in energies_on(rho, make_grid(n_points, span)))
+
+
+# --- grid sizing -------------------------------------------------------------
+
+
+class RecordedDensity:
+    """Passes a density through and keeps the size of every profile call."""
+
+    def __init__(self, rho) -> None:
+        self.rho = rho
+        self.slowest_primitive = rho.slowest_primitive
+        self.sizes: list[int] = []
+
+    def profile(self, r):
+        self.sizes.append(r.size)
+        return self.rho.profile(r)
+
+    def total_charge(self) -> float:
+        return self.rho.total_charge()
+
+
+def test_table1_evaluates_each_atom_once_on_1056_nodes(monkeypatch, capsys) -> None:
+    # every bundled atom meets the target on its first grid, 512 points
+    # and their Kronrod extension; the cap grid would send 4125
+    sizes = []
+    kernel = _kernels.orbital_profile
+
+    def counting(*args):
+        sizes.append(args[-1].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "orbital_profile", counting)
+    assert cli.main(["table1", "--format", "jsonl"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 17
+    assert sizes == [1056] * 17
+
+
+def test_sized_energies_match_the_cap_grid(bundled) -> None:
+    for symbol, record in bundled.items():
+        field = atom_density(record)
+        capped = energies_on(field, grid_for(field))
+        assert energies(field) == pytest.approx(capped, rel=1e-15, abs=0.0), symbol
+
+
+def test_energies_doubles_the_grid_until_the_target_is_met() -> None:
+    # 20 shells: Kronrod estimates of 2.1e-11 at 512 points and 6.1e-16 at
+    # 1008, where the values are accepted as profile_energies gives them
+    rho = RecordedDensity(HydrogenicDensity(20))
+    values = energies(rho)
+    assert rho.sizes == [1056, 2079]
+    assert values == energies_on(rho.rho, make_grid(1008, span_for(rho)))
+
+
+def test_energies_falls_back_to_the_cap_grid_bit_for_bit() -> None:
+    # 40 shells fail even the 1e-8 gate at 512 points (1.2e-7) and miss the
+    # target at 1008 (5.8e-13): energies returns the grid_for values
+    rho = RecordedDensity(HydrogenicDensity(40))
+    with pytest.raises(ConvergenceError, match=r"grid refinement moved .+ \(512 points"):
+        energies_on(rho.rho, make_grid(512, span_for(rho)))
+    rho.sizes.clear()
+    values = energies(rho)
+    assert rho.sizes == [1056, 2079, 4125]
+    assert values == energies_on(rho.rho, grid_for(rho))
+
+
+class DippedDensity:
+    """scale (e^{-2r}/pi - 1e-3 e^{-((r - 3)/0.1)^2}): negative around r = 3."""
+
+    def __init__(self, scale: float) -> None:
+        self.scale = scale
+
+    def profile(self, r):
+        r = np.asarray(r, dtype=float)
+        e = np.exp(-2.0 * r) / math.pi
+        u = (r - 3.0) / 0.1
+        dip = 1e-3 * np.exp(-u * u)
+        rho = e - dip
+        deriv = -2.0 * e + 20.0 * u * dip
+        deriv2 = 4.0 * e - (400.0 * u * u - 200.0) * dip
+        return self.scale * rho, self.scale * deriv, self.scale * deriv2
+
+    def total_charge(self) -> float:
+        # that of e^{-2r}/pi alone; the density check fails before it is read
+        return self.scale
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])
+def test_negative_density_check_is_scale_free(grid: RadialGrid, scale: float) -> None:
+    rho = DippedDensity(scale)
+    assert rho.profile(grid.all_nodes())[0].min() < 0.0
+    with pytest.raises(ValueError, match="negative"):
+        energies_on(rho, grid)
 
 
 # --- energy breakdown of a table1 row (cli._atom_record) ---------------------

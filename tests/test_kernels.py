@@ -420,7 +420,7 @@ def test_kernel_benchmark_script_runs() -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert "orbital_profile[Xe, 4125 nodes]" in proc.stdout
-    assert "orbital_profile[17 atoms, 4125 nodes]" in proc.stdout
+    assert "orbital_profile[17 table1 calls, 1056 nodes]" in proc.stdout
     assert "shell_profile[n_max=2, 3008-point grid: 6204 nodes]" in proc.stdout
     assert "shell_profile[n_max=41, 3008-point grid: 6204 nodes]" in proc.stdout
     # the ladder cases keep the commands' 2000-point grids whatever --points says
