@@ -221,20 +221,23 @@ _LADDER: dict[int, SequencePoint] = {}
 def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
-    Every shell count is checked as ``HydrogenicDensity`` checks it before
-    any is computed.  The points not yet cached come from one pass of the
-    shell kernel at Z_top = ``electron_count(MAX_SHELLS)`` on ``grid_for``
-    of the ``MAX_SHELLS``-shell density.  A density of k filled shells is
-    rho_k(r; Z) = Z^3 P_k(Z r) for one unit-charge profile P_k (Heilmann &
-    Lieb), so the running sum after shell k is the k-shell density at
-    Z_top, with charge N(k); its energies times (Z_k / Z_top)^2 are those
-    of the neutral k-shell system.  Points are computed in shell order,
-    only at the requested prefixes, and cached per shell count for the
-    process, so a point is integrated at most once and has the same bits
-    whichever call asked for it.  A failing point raises for the first
-    failing shell count, after the points below it are cached.
+    Every shell count goes to ``HydrogenicDensity`` as given, which checks
+    it, before any is computed.  The points not yet cached come from one
+    pass of the shell kernel (``_kernels.shell_prefixes``) at Z_top =
+    ``electron_count(MAX_SHELLS)`` on ``grid_for`` of the
+    ``MAX_SHELLS``-shell density, the one grid of every ladder point.  A
+    density of k filled shells is rho_k(r; Z) = Z^3 P_k(Z r) for one
+    unit-charge profile P_k (Heilmann & Lieb), so the running sum after
+    shell k is the k-shell density at Z_top, with charge N(k); its energies
+    times (Z_k / Z_top)^2 are those of the neutral k-shell system.  Points
+    are computed in shell order, only at the requested prefixes, and cached
+    per shell count for the process, so a point is integrated at most once
+    and has the same bits whichever call asked for it.  Raising
+    ``MAX_SHELLS`` moves every point and must re-run
+    ``test_every_prefix_matches_its_own_grid``.  A failing point raises for
+    the first failing shell count, after the points below it are cached.
     """
-    densities = [HydrogenicDensity(int(n_max)) for n_max in shell_counts]
+    densities = [HydrogenicDensity(n_max) for n_max in shell_counts]
     missing = {rho.n_max: rho for rho in densities if rho.n_max not in _LADDER}
     if missing:
         _ladder_pass(missing)

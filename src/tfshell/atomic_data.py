@@ -101,6 +101,16 @@ class STOPrimitive:
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
         if not math.isfinite(self.coefficient):
             raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
+        try:
+            normalization = self.normalization
+        except OverflowError:
+            normalization = math.inf
+        # an underflow to 0 would divide by zero in the norm integral
+        if not 0.0 < normalization < math.inf:
+            raise STOValidationError(
+                f"primitive n={self.n} zeta={self.zeta!r} has a normalization "
+                "outside the float range"
+            )
 
     @cached_property
     def normalization(self) -> float:
@@ -138,9 +148,17 @@ class STOOrbital:
         for p in self.primitives:
             if not isinstance(p, STOPrimitive):
                 raise STOValidationError(f"expected STOPrimitive, got {type(p).__name__}")
-        if abs(self.norm - 1.0) > NORM_TOLERANCE:
+        try:
+            norm = self.norm
+        except ArithmeticError:
+            # a pair term (zeta_i + zeta_j)^{n_i + n_j + 1} of valid primitives can overflow
             raise STOValidationError(
-                f"orbital {self.label} has norm integral {self.norm:.8f}, "
+                f"orbital {self.label} has a norm integral outside the float range"
+            ) from None
+        # written so that a NaN norm fails it
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:
+            raise STOValidationError(
+                f"orbital {self.label} has norm integral {norm:.8f}, "
                 f"off unity by more than {NORM_TOLERANCE:g}"
             )
 

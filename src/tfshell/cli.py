@@ -21,11 +21,14 @@ Every quadrature grid spans ``kedf.span_for`` of its density, read off
 the density's slowest primitive.  A ``table1`` atom is integrated by
 ``kedf.energies`` on the first of 512, 1008 and 2000 points whose
 Gauss-Kronrod estimates meet 1e-14 (every bundled atom does at 512).  A
-ladder point of ``model``, ``figures`` and ``asymptotics`` is a prefix of
-one shell pass on ``kedf.grid_for``, the 2000-point grid, so it has the
-same bits whichever command asks for it.  The Gauss-Kronrod check on each
-value says whether the points resolve it, and the tail gate whether the
-span holds it.
+ladder point of ``model``, ``figures`` and ``asymptotics`` is read off one
+shared shell pass (``asymptotics.model_energy_sequence``).  The
+Gauss-Kronrod check on each value says whether the points resolve it, and
+the tail gate whether the span holds it.
+
+``correction.delta_t`` decides which Z the shell correction reaches;
+``table1`` and ``model`` call it first and report its ValueError as a
+data failure, so an atom it does not reach costs no quadrature.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
@@ -56,7 +59,7 @@ from .asymptotics import (
     richardson_extrapolate,
 )
 from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, load_files
-from .correction import INTERPOLATION_MAX_Z, LAST_NODE_Z, delta_t
+from .correction import LAST_NODE_Z, delta_t
 from .hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
@@ -137,23 +140,15 @@ def _select_records(
     return chosen, missing
 
 
-def _beyond_correction(z: int) -> str | None:
-    """Why the shell correction cannot reach ``z``, or None when it can."""
-    if shell_count_for(z) is None and z > INTERPOLATION_MAX_Z:
-        return (
-            f"Z={z} is not a filled-shell count and lies beyond the "
-            f"interpolation range (1..{INTERPOLATION_MAX_Z})"
-        )
-    return None
-
-
 def _shell_correction(z: int, mode: str) -> float:
+    """``delta_t(z, mode)``, with a warning once it has returned a cubic value past the last node."""
+    delta = delta_t(z, mode)
     if shell_count_for(z) is None and z > LAST_NODE_Z:
         _warn(
             f"Z={z} lies beyond the last filled-shell node at {LAST_NODE_Z}; "
             "the interpolated correction is an extrapolation there"
         )
-    return delta_t(z, mode)
+    return delta
 
 
 _ERROR_KEYS = ("err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct")
@@ -199,15 +194,15 @@ def cmd_table1(args: argparse.Namespace) -> int:
     numeric_failures = 0
     data_failures = len(missing)
     for rec in chosen:
-        if reason := _beyond_correction(rec.atomic_number):
-            data_failures += 1
-            print(f"error: {rec.element}: {reason}", file=sys.stderr)
-            continue
         try:
-            field = atom_density(rec)
-            t_tf, t_w, t4 = energies(field)
+            try:
+                delta = _shell_correction(rec.atomic_number, args.interp)
+            except ValueError as exc:
+                data_failures += 1
+                print(f"error: {rec.element}: {exc}", file=sys.stderr)
+                continue
+            t_tf, t_w, t4 = energies(atom_density(rec))
             t2 = t_w / 9.0
-            delta = _shell_correction(rec.atomic_number, args.interp)
         except (ConvergenceError, ExtrapolationError) as exc:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
@@ -243,28 +238,22 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_model(args: argparse.Namespace) -> int:
     if args.n_max is not None:
-        n_max = args.n_max
-        if not 1 <= n_max <= MAX_SHELLS:
+        if not 1 <= args.n_max <= MAX_SHELLS:
             print(f"error: n-max must lie in 1..{MAX_SHELLS}", file=sys.stderr)
             return EXIT_DATA
-        z = electron_count(n_max)
+        z = electron_count(args.n_max)
     else:
         z = args.z
         if z < 1:
             print(f"error: Z must be at least 1, got {z}", file=sys.stderr)
             return EXIT_DATA
-        n_max = shell_count_for(z)
-        if n_max is not None and n_max > MAX_SHELLS:
-            print(
-                f"error: Z={z} fills {n_max} shells; filled-shell counts are "
-                f"supported for 1..{MAX_SHELLS} shells",
-                file=sys.stderr,
-            )
-            return EXIT_DATA
-        if reason := _beyond_correction(z):
-            print(f"error: {reason}", file=sys.stderr)
-            return EXIT_DATA
+    try:
+        delta = _shell_correction(z, args.interp)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
+    n_max = shell_count_for(z)
     magic = n_max is not None
     if magic:
         t_exact = model_kinetic_energy(n_max)
@@ -277,7 +266,6 @@ def cmd_model(args: argparse.Namespace) -> int:
             delta_kind = f"interpolated, not exact (Z between filled-shell counts {lower[-1]} and {above})"
         else:
             delta_kind = f"interpolated, not exact (Z below the first filled-shell count {above})"
-    delta = _shell_correction(z, args.interp)
     t_tf = t_exact - delta
 
     series_value = model_series(z)

@@ -9,10 +9,9 @@ is computable exactly at the filling numbers Z = 2, 10, 28, 60, 110.
 A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
 gives the corrected estimate T_TF + delta_T.  The exact deficits are read
-off the closed-shell ladder points of ``asymptotics.model_energy_sequence``,
-each computed once per process as a prefix of one shell-kernel pass on the
-grid ``kedf.grid_for`` gives the ``MAX_SHELLS``-shell density; the four
-nodes of the refit cubic come from one such pass.
+off the ladder points of ``asymptotics.model_energy_sequence`` (which
+describes their grid).  ``delta_t`` alone decides which Z the correction
+reaches, and how; the command line prints its ValueError as it stands.
 
 ``cubic_coefficients(mode)`` gives the cubic: 'refit' (the command line's
 default) solves for its coefficients from freshly computed node deltas at
@@ -27,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotics import model_energy_sequence
-from .hydrogenic import MAGIC_NUMBERS, electron_count, shell_count_for
+from .hydrogenic import MAGIC_NUMBERS, MAX_SHELLS, electron_count, shell_count_for
 
 __all__ = [
     "INTERPOLATION_MAX_Z",
@@ -55,11 +54,9 @@ def delta_t_exact(n_max: int) -> float:
     T_shell - T_TF[rho_shell] for the neutral configuration (Z equal to the
     electron count), read off the ladder point of
     ``asymptotics.model_energy_sequence``, which computes and caches the
-    energies.  Quadrature failures propagate.
+    energies and checks the shell count.  Quadrature failures propagate.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"shell count must be a positive integer, got {n_max!r}")
-    (point,) = model_energy_sequence([int(n_max)])
+    (point,) = model_energy_sequence([n_max])
     return point.t_exact - point.t_tf
 
 
@@ -83,6 +80,12 @@ def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
     raise ValueError(f"unknown interpolation mode {mode!r}; use 'published' or 'refit'")
 
 
+def _cubic(z: int, mode: str) -> float:
+    c0, c1, c2, c3 = cubic_coefficients(mode)
+    z = float(z)
+    return c0 + z * (c1 + z * (c2 + z * c3))
+
+
 def delta_t_interpolated(z: int, mode: str) -> float:
     """Cubic-interpolated deficit at integer atomic number ``z`` (1..110).
 
@@ -92,19 +95,28 @@ def delta_t_interpolated(z: int, mode: str) -> float:
     z = _as_atomic_number(z)
     if not 1 <= z <= INTERPOLATION_MAX_Z:
         raise ValueError(f"atomic number out of range [1, {INTERPOLATION_MAX_Z}]: {z}")
-    c0, c1, c2, c3 = cubic_coefficients(mode)
-    z = float(z)
-    return c0 + z * (c1 + z * (c2 + z * c3))
+    return _cubic(z, mode)
 
 
 def delta_t(z: int, mode: str) -> float:
     """Deficit delta_T for atomic number ``z``.
 
-    The exact node value when ``z`` is a shell-filling number
-    (2, 10, 28, 60, 110) and the cubic value otherwise.
+    The exact node value when ``z`` fills 1..``MAX_SHELLS`` shells
+    (2, 10, 28, 60, 110, ...) and the cubic value at any other ``z`` in
+    1..``INTERPOLATION_MAX_Z``.  Every other ``z`` raises ValueError.
     """
     z = _as_atomic_number(z)
     n_max = shell_count_for(z)
-    if n_max is not None:
-        return delta_t_exact(n_max)
-    return delta_t_interpolated(z, mode)
+    if n_max is None:
+        if not 1 <= z <= INTERPOLATION_MAX_Z:
+            raise ValueError(
+                f"Z={z} is not a filled-shell count and lies beyond the "
+                f"interpolation range (1..{INTERPOLATION_MAX_Z})"
+            )
+        return _cubic(z, mode)
+    if n_max > MAX_SHELLS:
+        raise ValueError(
+            f"Z={z} fills {n_max} shells; filled-shell counts are "
+            f"supported for 1..{MAX_SHELLS} shells"
+        )
+    return delta_t_exact(n_max)

@@ -17,23 +17,19 @@ A model system is fixed by its shell count n_max alone, with Z = N =
 n_max.  Every orbital of the outermost shell decays as r^{n_max - 1}
 e^{-Z r / n_max}, and the density reports that slowest primitive, from
 which ``kedf.span_for`` sets its span.  A charge away from neutrality
-reaches only the kernel, ``_kernels.shell_profile(z, n_max, r)``.  By the
-same closed form rho_n(r; Z) = Z^3 rho_n(Z r; 1), so the shells 1..k of
-one pass at a large charge are the k-shell density up to a dilation; the
-closed-shell ladder (``asymptotics.model_energy_sequence``) reads every
-point off such a pass, ``_kernels.shell_prefixes``.
+reaches only the kernel, ``_kernels.shell_profile(z, n_max, r)``; the
+closed-shell ladder reads every point off one such pass at a large
+charge (``asymptotics.model_energy_sequence`` describes its grid).
 
-Shell counts above ``MAX_SHELLS`` are rejected.  The shell kernel (per
-shell, two Laguerre recurrences of length at most n, run in one loop, and a
-closed form in their last values) is checked to 1e-13 against a 32-digit
-mpmath orbital sum at 25, 40 and 60 shells and a 40-digit mpmath closed
-form at 100.  The cap stays at 40 until the ladder's 1e-8 quadrature gate
-and its fits are checked beyond that; the kernel itself is not the limit.
-``MAX_SHELLS`` also sizes every ladder grid: each ladder point is a prefix
-of one pass at Z = ``electron_count(MAX_SHELLS)`` on ``kedf.grid_for`` of
-the ``MAX_SHELLS``-shell density.  Raising it moves every ladder value, so
-it must re-run the check that each point matches its own grid
-(``tests/test_asymptotics.py::test_every_prefix_matches_its_own_grid``).
+This module alone decides what a shell count is: ``electron_count``
+takes a positive integer and no bool, and ``HydrogenicDensity`` also
+caps it at ``MAX_SHELLS``; the ladder and the correction pass counts on
+as given.  The shell kernel (per shell, two Laguerre recurrences of
+length at most n, run in one loop, and a closed form in their last
+values) is checked to 1e-13 against a 32-digit mpmath orbital sum at 25,
+40 and 60 shells and a 40-digit mpmath closed form at 100.  The cap
+stays at 40 until the ladder's 1e-8 quadrature gate and its fits are
+checked beyond that; the kernel itself is not the limit.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ _UNDERFLOW_X = 745.2
 
 def electron_count(n_max: int) -> int:
     """Electrons in shells 1..n_max filled completely: sum of 2 n^2."""
-    if not isinstance(n_max, (int, np.integer)) or n_max < 1:
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     return int(n_max) * (n_max + 1) * (2 * n_max + 1) // 3
 

@@ -23,10 +23,8 @@ times the largest estimate measured at roundoff level.  Every bundled
 atom meets that at 512 points, within 4.8e-16 of its 2000-point values.
 The 2000-point grid, ``grid_for(rho)``, is accepted whatever its
 estimate, so a density that needs it gets exactly the values and errors
-of ``profile_energies`` there.  The closed-shell ladder keeps
-``grid_for`` for its one shell pass: each point read off the pass must
-have the same bits whichever shell counts a call asks for, so the pass
-cannot be sized by the points it happens to compute.
+of ``profile_energies`` there.  The closed-shell ladder keeps one fixed
+grid instead (see ``asymptotics.model_energy_sequence``).
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of each grid it tries

@@ -583,8 +583,9 @@ def test_ladder_validates_every_count_before_any_pass(monkeypatch) -> None:
     monkeypatch.setattr(asymptotics, "_LADDER", {})
     with pytest.raises(ValueError, match="beyond supported shell range"):
         model_energy_sequence([3, MAX_SHELLS + 1])
-    with pytest.raises(ValueError, match="positive integer"):
-        model_energy_sequence([3, 0])
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            model_energy_sequence([3, bad])
     assert computed == []
 
 

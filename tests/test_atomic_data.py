@@ -89,6 +89,20 @@ def test_empty_input_rejected() -> None:
         (MINIMAL.replace("PRM 1 2.0 1.0", "PRM 1 2.0 1.1"), "norm integral"),
         (MINIMAL.replace("ATOM He 2 4.0", "ATOM He 2 -4.0"), "must be positive"),
         (MINIMAL.replace("ATOM He 2 4.0", "ATOM He 2 0.0"), "must be positive"),
+        # (2 zeta)^3 overflows, or underflows to 0 and would divide the norm integral by 0
+        (MINIMAL.replace("PRM 1 2.0", "PRM 1 1e160"), r"^line 4: primitive n=1 zeta=1e\+160 has a normalization"),
+        (MINIMAL.replace("PRM 1 2.0", "PRM 1 1e-170"), r"^line 4: primitive n=1 zeta=1e-170 has a normalization"),
+        (MINIMAL.replace("PRM 1 2.0", "PRM 1 1e-200"), r"^line 4: primitive n=1 zeta=1e-200 has a normalization"),
+        # two valid primitives whose pair term (zeta_1 + zeta_2)^4 overflows
+        (
+            MINIMAL.replace("PRM 1 2.0 1.0", "PRM 1 4.4e78 1.0\nPRM 2 1e-60 1.0"),
+            r"^line 3: orbital 1s has a norm integral outside",
+        ),
+        # inf - inf: a NaN norm must fail the unit-norm check
+        (
+            MINIMAL.replace("PRM 1 2.0 1.0", "PRM 1 1.0 1e200\nPRM 2 1.0 -1e200"),
+            r"^line 3: orbital 1s has norm integral nan",
+        ),
     ],
 )
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:
@@ -114,6 +128,12 @@ def test_primitive_validation() -> None:
         STOPrimitive(1, math.inf, 1.0)
     with pytest.raises(STOValidationError):
         STOPrimitive(1, 1.0, math.nan)
+
+
+def test_nan_norm_fails_the_unit_norm_check(monkeypatch) -> None:
+    monkeypatch.setattr(STOOrbital, "norm_integral", lambda self: math.nan)
+    with pytest.raises(STOValidationError, match="norm integral nan"):
+        STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
 
 
 def test_orbital_validation() -> None:

@@ -15,6 +15,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,19 @@ def test_table1_data_parse_error_names_its_file(tmp_path: Path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("zeta", ["1e160", "1e-170", "1e-200"])
+def test_table1_rejects_an_exponent_outside_the_float_range(zeta, tmp_path, capsys):
+    data = tmp_path / "bad.sto"
+    data.write_text(f"ATOM He 2 2.8617\nORB 1s 2\nPRM 1 {zeta} 1.0\n")
+    assert cli.main(["table1", "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {data}: line 3: primitive n=1 zeta={float(zeta)!r} "
+        "has a normalization outside the float range\n"
+    )
+    assert captured.out == ""
+
+
 def test_table1_atom_beyond_correction_range_is_skipped(tmp_path: Path):
     # a valid 111-electron record: one unit-norm primitive per orbital
     shells = ("1s 2", "2s 2", "2p 6", "3s 2", "3p 6", "3d 10", "4s 2", "4p 6", "4d 10",
@@ -288,6 +302,19 @@ def test_table1_atom_beyond_correction_range_is_skipped(tmp_path: Path):
     assert proc.returncode == 0
     assert proc.stderr == error
     assert [line.split(",")[1] for line in proc.stdout.splitlines()[1:]] == ["He"]
+
+
+def test_table1_filled_shell_atom_beyond_the_shell_cap_is_a_row_error(monkeypatch, capsys):
+    # a stub record: the row must fail on its charge alone, before any
+    # density or quadrature is built from it
+    stub = types.SimpleNamespace(element="Xx", atomic_number=electron_count(41))
+    monkeypatch.setattr(cli, "load_bundled", lambda: {"Xx": stub})
+    assert cli.main(["table1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: Xx: Z=47642 fills 41 shells; filled-shell counts are supported for 1..40 shells\n"
+    )
+    assert captured.out == ""
 
 
 def test_table1_long_span_gives_finite_t4():
@@ -360,6 +387,14 @@ def test_model_beyond_last_node_warns_but_runs():
     assert proc.returncode == 0
     assert "warning:" in proc.stderr
     assert "beyond the last filled-shell node at 60" in proc.stderr
+
+
+@pytest.mark.parametrize("z, warns", [(61, True), (109, True), (110, False), (111, False)])
+def test_model_warns_only_where_the_cubic_extrapolates(z, warns, capsys):
+    # 110 is the exact five-shell node; 111 is out of reach and only errs
+    code = cli.main(["model", "--z", str(z)])
+    assert code == (2 if z == 111 else 0)
+    assert ("warning:" in capsys.readouterr().err) == warns
 
 
 def test_model_z_below_first_node_runs():

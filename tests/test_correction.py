@@ -129,6 +129,8 @@ def test_validation_errors() -> None:
     with pytest.raises(ValueError):
         delta_t_exact(2.5)
     with pytest.raises(ValueError):
+        delta_t_exact(True)
+    with pytest.raises(ValueError):
         delta_t_interpolated(0, "refit")
     with pytest.raises(ValueError):
         delta_t_interpolated(INTERPOLATION_MAX_Z + 1, "refit")
@@ -140,3 +142,8 @@ def test_validation_errors() -> None:
         cubic_coefficients("cubic")
     with pytest.raises(ValueError):
         delta_t(0, "refit")
+    # the texts the command line prints
+    with pytest.raises(ValueError, match=r"^Z=111 is not a filled-shell count and lies beyond"):
+        delta_t(111, "published")
+    with pytest.raises(ValueError, match=r"^Z=47642 fills 41 shells; .* for 1\.\.40 shells$"):
+        delta_t(47642, "refit")

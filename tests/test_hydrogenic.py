@@ -41,7 +41,7 @@ def test_shell_count_for_inverts_the_sequence() -> None:
         assert shell_count_for(z) is None
 
 
-@pytest.mark.parametrize("bad", [0, -2, 2.5, "3"])
+@pytest.mark.parametrize("bad", [0, -2, 2.5, "3", True])
 def test_electron_count_rejects_bad_input(bad) -> None:
     with pytest.raises(ValueError):
         electron_count(bad)
