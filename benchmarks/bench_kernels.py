@@ -2,11 +2,11 @@
 
 Every case evaluates a kernel on what a functional samples: all nodes of a
 quadrature grid, its Gauss nodes and their Kronrod extension together
-(``RadialGrid.all_nodes()``, 4125 nodes for a 2000-point grid).  Every
+(``RadialGrid.all_nodes()``, 2079 nodes for a 1008-point grid).  Every
 span is ``kedf.span_for`` of the density, the one rule the commands use.
 The shell-density kernel runs, one shell count per case, on the expmap
 grid over the span of the neutral n_max-shell density, at the library
-default of 2000 points (4125 nodes).  Its default shell counts run past the
+default of 1008 points (2079 nodes).  Its default shell counts run past the
 library's 40-shell cap to 60 and 100, the kernel cost a 100-shell pass
 would pay.  Two ladder cases time what ``tfshell asymptotics`` asks of the
 kernel: the six ``shell_profile`` calls of ``LADDER_SHELLS`` (n_max 20..25),
@@ -14,7 +14,7 @@ each on its density's own grid, against the one ``shell_prefixes`` pass to
 25 shells on the shared ladder grid (``kedf.grid_for`` of the
 ``MAX_SHELLS``-shell density) from which the command reads all six points.
 The Slater-type orbital kernel runs on the Ne and Xe densities over their
-2000-point ``kedf.grid_for`` grids, the largest ``kedf.energies`` tries,
+1008-point ``kedf.grid_for`` grids, the cap ``kedf.energies`` falls back to,
 giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
 times the kernel calls of a ``table1`` pass: the node arrays
 ``kedf.energies`` sends for each bundled atom, recorded by running it.
@@ -27,7 +27,7 @@ of its timed calls and the tracemalloc peak of one further, untimed call.
 
 Usage:
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --shells 25,40 --points 2000,3008 --repeats 5
+    python3 benchmarks/bench_kernels.py --shells 25,40 --points 1008,2000 --repeats 5
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ Four subcommands cover the batch workflows:
     against their regression targets.
 
 Every quadrature grid spans ``kedf.span_for`` of its density, read off
-the density's slowest primitive.  A ``table1`` atom is integrated by
-``kedf.energies`` on the first of 512, 1008 and 2000 points whose
-Gauss-Kronrod estimates meet 1e-14 (every bundled atom does at 512).  A
-ladder point of ``model``, ``figures`` and ``asymptotics`` is read off one
-shared shell pass (``asymptotics.model_energy_sequence``).  The
-Gauss-Kronrod check on each value says whether the points resolve it, and
-the tail gate whether the span holds it.
+the density's slowest primitive.  Every value is the Kronrod sum of its
+grid.  A ``table1`` atom is integrated by ``kedf.energies`` on 512 points
+when their Gauss-Kronrod estimates meet 1e-14 (every bundled atom's do),
+else on 1008.  A ladder point of ``model``, ``figures`` and
+``asymptotics`` is read off one shared shell pass on 1008 points
+(``asymptotics.model_energy_sequence``).  The Gauss-Kronrod check on each
+value says whether the points resolve it, and the tail gate whether the
+span holds it.
 
 ``correction.delta_t`` decides which Z the shell correction reaches;
 ``table1`` and ``model`` call it first and report its ValueError as a

@@ -61,7 +61,7 @@ def delta_t_exact(n_max: int) -> float:
 
 
 def _as_atomic_number(z: int) -> int:
-    if not isinstance(z, (int, np.integer)):
+    if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
         raise ValueError(f"atomic number must be an integer, got {z!r}")
     return int(z)
 
@@ -109,8 +109,9 @@ def delta_t(z: int, mode: str) -> float:
     n_max = shell_count_for(z)
     if n_max is None:
         if not 1 <= z <= INTERPOLATION_MAX_Z:
+            side = "below" if z < 1 else "beyond"
             raise ValueError(
-                f"Z={z} is not a filled-shell count and lies beyond the "
+                f"Z={z} is not a filled-shell count and lies {side} the "
                 f"interpolation range (1..{INTERPOLATION_MAX_Z})"
             )
         return _cubic(z, mode)

@@ -15,16 +15,16 @@ slowest primitive (zeta, p), so that rho ~ r^{2p} e^{-2 zeta r} at large r,
 and ``span_for(rho)`` turns that into the one radial span every command
 integrates on: R = (70 + 6 p) / zeta.
 
-``energies`` sizes its own grid over that span.  It tries 512, 1008 and
-then 2000 points (``DEFAULT_GRID_POINTS`` // 4, // 2 and itself, rounded
-to whole panels) and accepts the first grid on which all three Gauss
-values agree with their Kronrod values (below) to 1e-14 relative, 20
-times the largest estimate measured at roundoff level.  Every bundled
-atom meets that at 512 points, within 4.8e-16 of its 2000-point values.
-The 2000-point grid, ``grid_for(rho)``, is accepted whatever its
-estimate, so a density that needs it gets exactly the values and errors
-of ``profile_energies`` there.  The closed-shell ladder keeps one fixed
-grid instead (see ``asymptotics.model_energy_sequence``).
+``energies`` sizes its own grid over that span.  It tries 512 points
+(``DEFAULT_GRID_POINTS`` // 2, rounded to whole panels) and accepts them
+when the error estimate |G - K| (below) of each of the three values is
+within 1e-14 of it, about 20 times the largest estimate measured at
+roundoff level.  Every bundled atom meets that at 512 points, within
+4.2e-16 of its 1008-point values.  Otherwise it takes the 1008-point
+grid, ``grid_for(rho)``, whatever its estimate, so a density that needs
+it gets exactly the values and errors of ``profile_energies`` there.
+The closed-shell ladder keeps one fixed grid instead (see
+``asymptotics.model_energy_sequence``).
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
 evaluates that profile in one call on every node of each grid it tries
@@ -61,15 +61,18 @@ Error check: each panel also carries the 17 nodes of the 33-point
 Gauss-Kronrod extension of its Gauss rule (Kronrod 1965; QUADPACK, Piessens
 et al. 1983), which reuses the 16 Gauss nodes and integrates polynomials
 exactly through degree 49.  A functional is evaluated once on the Gauss and
-Kronrod nodes together; the reported value is the Gauss sum on the Gauss
-nodes alone, and the Kronrod sum over all of them is its error estimate.
+Kronrod nodes together; the reported value is the Kronrod sum over all of
+them, as QUADPACK reports it, and the Gauss sum on the Gauss nodes alone
+is the partner of its error estimate |G - K|.  On the 40-shell ladder
+grid the Kronrod sums at 1008 points are within 1.4e-15 of an 8000-point
+reference, where the Gauss sums are up to 3.2e-12 off.
 A value whose two sums disagree beyond 1e-8 relative raises
 ConvergenceError; ``profile_energies`` applies that gate to each of its
 three values separately, and the ConvergenceError names the functional
 that failed.  A value that is not finite fails the same gate, and a
 density that is NaN, or negative beyond 1e-12 of its largest value, on
 a grid raises ValueError.  After
-those gates, the Gauss sum of 4 pi r^2 rho from the same profile call must
+those gates, the Kronrod sum of 4 pi r^2 rho from the same profile call must
 match ``total_charge()`` to 1e-8 relative; a span too short to hold the
 density raises ConvergenceError.  Last comes the tail gate: at the
 outermost node of the same profile call each integrand f decays as
@@ -107,7 +110,7 @@ __all__ = [
 TF_CONSTANT = 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0)
 FOURTH_ORDER_CONSTANT = (3.0 * math.pi**2) ** (-2.0 / 3.0) / 540.0
 
-DEFAULT_GRID_POINTS = 2000
+DEFAULT_GRID_POINTS = 1008
 # span_for: at zeta R = 70 + 6 p the slowest integrand, r^2 tau_4 ~
 # rho^{1/3}, has fallen by e^{-2 zeta R / 3} = e^{-46.7 - 4 p}; the 4 p
 # covers the power r^{2p/3} it carries.  Against 8000 points on five times
@@ -120,13 +123,14 @@ _ALPHA = 12.0
 
 _PANEL_ORDER = 16
 _CONVERGENCE_TOL = 1e-8
-# energies accepts the first of _TRIAL_POINTS whose Gauss values all agree
-# with their Kronrod values to this, else it takes the DEFAULT_GRID_POINTS
-# grid; 20 times the largest estimate measured at roundoff level, 4.5e-16
-# over the 17 bundled atoms and the 40 ladder points
+# energies accepts the first of _TRIAL_POINTS on which every value's
+# estimate |G - K| is within this of it, else it takes the
+# DEFAULT_GRID_POINTS grid; about 20 times the largest estimate measured
+# at roundoff level, 5.3e-16 over the 17 bundled atoms at 512 and 1008
+# points
 _ACCURACY_TARGET = 1e-14
-# make_grid rounds them to 512 and 1008 points
-_TRIAL_POINTS = (DEFAULT_GRID_POINTS // 4, DEFAULT_GRID_POINTS // 2)
+# make_grid rounds it to 512 points
+_TRIAL_POINTS = (DEFAULT_GRID_POINTS // 2,)
 # the functionals as the gates name them, and the power c of rho that
 # each integrand decays as far out (f ~ rho^c)
 _FUNCTIONALS = ("T_TF", "T_W", "T_4")
@@ -362,9 +366,10 @@ def span_for(rho: Density) -> float:
 
 
 def grid_for(rho: Density) -> RadialGrid:
-    """The grid every command integrates ``rho`` on.
+    """The largest grid ``energies`` integrates ``rho`` on, and the ladder's.
 
-    ``DEFAULT_GRID_POINTS`` points over ``span_for(rho)``.
+    ``DEFAULT_GRID_POINTS`` (1008) points over ``span_for(rho)``: 2079
+    nodes with the Kronrod extension.
     """
     return make_grid(DEFAULT_GRID_POINTS, span_for(rho))
 
@@ -488,20 +493,21 @@ def _gated_energies(
 ) -> tuple[float, float, float] | None:
     """(T_TF, T_W, T_4) of the profile ``rows`` on ``grid`` through every gate.
 
-    The density check and the integrands run once, and the Kronrod values
-    come from that same evaluation.  With a ``target``, a grid whose three
-    Gauss values differ from their Kronrod values beyond ``target`` of the
-    larger (or are not finite) is not accepted: the gates are skipped and
-    the result is None.  A density ValueError raises whatever the target.
+    The density check and the integrands run once; the values are the
+    Kronrod sums, and the Gauss sums from that same evaluation serve only
+    the estimates.  With a ``target``, a grid on which a Kronrod value
+    differs from its Gauss sum beyond ``target`` of the larger (or either
+    is not finite) is not accepted: the gates are skipped and the result is
+    None.  A density ValueError raises whatever the target.
     """
     integrands, decay = _integrands(grid.all_nodes(), rows)
-    (held, *values), (_, *kronrod_values) = _rule_values(grid, integrands)
+    (_, *gauss_values), (held, *values) = _rule_values(grid, integrands)
     if target is not None and not all(
-        abs(kronrod - value) <= target * max(abs(kronrod), abs(value))
-        for value, kronrod in zip(values, kronrod_values)
+        abs(value - gauss) <= target * max(abs(value), abs(gauss))
+        for gauss, value in zip(gauss_values, values)
     ):
         return None
-    _check_refinement(grid, _FUNCTIONALS, values, kronrod_values)
+    _check_refinement(grid, _FUNCTIONALS, gauss_values, values)
     if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
         raise ConvergenceError(
             f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
@@ -515,7 +521,8 @@ def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[floa
 
     ``rows`` is (rho, rho', rho'') on ``grid.all_nodes()`` and ``charge``
     the density's total charge.  The density check and the three
-    integrands run on the rows once.  T_4 needs exact first and second
+    integrands run on the rows once, and each value is the Kronrod sum
+    over all the nodes.  T_4 needs exact first and second
     derivatives; its integrand is the r-regular form of the module
     docstring, so no explicit 1/r appears.  Each functional must pass the
     Kronrod gate on its own; the ConvergenceError names the first that
@@ -530,13 +537,13 @@ def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[floa
 def energies(rho: Density) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) of ``rho`` on the smallest grid that resolves it (hartree).
 
-    Every grid spans ``span_for(rho)``.  512 and then 1008 points are tried,
-    each with one ``rho.profile`` call on all of its nodes.  The first
-    whose three Gauss values agree with their Kronrod values to 1e-14
-    relative is accepted, and its values must pass every gate of
-    ``profile_energies`` there (a density ValueError raises at once,
-    whatever the size).  Failing both, the result is ``profile_energies``
-    on ``grid_for(rho)``, bit for bit, values and errors alike.
+    Every grid spans ``span_for(rho)``.  512 points are tried first, with
+    one ``rho.profile`` call on all of their nodes.  If each of the three
+    Kronrod values is within 1e-14 relative of its Gauss sum, they are
+    accepted, and they must pass every gate of ``profile_energies`` there
+    (a density ValueError raises at once, whatever the size).  Otherwise
+    the result is ``profile_energies`` on the 1008 points of
+    ``grid_for(rho)``, bit for bit, values and errors alike.
     """
     span = span_for(rho)
     charge = rho.total_charge()

@@ -1,7 +1,9 @@
 """Large-Z series, extrapolation machinery, and the scaled-density limit."""
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -528,7 +530,7 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch) -> None:
     model_energy_sequence([3, 5, 4])
     # one kernel pass up to the largest count, at the top charge, covers
     # every point; it runs on the Gauss nodes and their Kronrod extension
-    assert passes == [(float(electron_count(MAX_SHELLS)), 5, 2000 + 2125)]
+    assert passes == [(float(electron_count(MAX_SHELLS)), 5, 1008 + 1071)]
     # cached points run no pass
     model_energy_sequence([4, 3, 5])
     assert len(passes) == 1
@@ -616,6 +618,61 @@ def test_every_prefix_matches_its_own_grid() -> None:
         own = energies_on(rho, grid_for(rho))
         shared = (point.t_tf, 9.0 * point.t2, point.t4)
         assert shared == pytest.approx(own, rel=1e-14, abs=0.0), point.n_max
+
+
+def _reference_ladder(n_points: int = 8000, order: int = 40) -> dict[int, tuple]:
+    """(T_TF, T_W, T_4) of every ladder prefix on ``n_points`` Gauss-Legendre points.
+
+    Composite ``order``-point panels from ``leggauss`` in t, on the span and
+    exponential map of the shared ladder grid, with the textbook integrands
+    written out here; each prefix is scaled to its neutral charge.
+    """
+    top = HydrogenicDensity(MAX_SHELLS)
+    span, alpha = span_for(top), 12.0
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, 1.0, n_points // order + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    e = np.exp(alpha * (mid[:, None] + half[:, None] * x).ravel())
+    r = span * (e - 1.0) / math.expm1(alpha)
+    weights = 4.0 * math.pi * (half[:, None] * w).ravel() * span * alpha * e / math.expm1(alpha)
+    c_tf = 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0)
+    c_4 = (3.0 * math.pi**2) ** (-2.0 / 3.0) / 540.0
+    ladder = {}
+    for n_max, rho, d1, d2 in _kernels.shell_prefixes(top.z, MAX_SHELLS, r):
+        rho = np.maximum(rho, 0.0)
+        live = rho > 0.0
+        y = np.divide(d1, rho, out=np.zeros_like(rho), where=live)
+        lap = np.divide(d2 + 2.0 * d1 / r, rho, out=np.zeros_like(rho), where=live)
+        tau_tf = c_tf * rho ** (5.0 / 3.0)
+        tau_w = rho * y * y / 8.0
+        tau_4 = c_4 * np.cbrt(rho) * (lap * lap - 1.125 * lap * y * y + y**4 / 3.0)
+        scale = (electron_count(n_max) / top.z) ** 2
+        taus = (tau_tf, tau_w, tau_4)
+        ladder[n_max] = tuple(scale * float(np.dot(weights, r * r * tau)) for tau in taus)
+    return ladder
+
+
+def _one_shell_rel_err_t0() -> float:
+    """``ONE_SHELL_REL_ERR_T0``, the closed-form 1 - T_TF/T of one filled shell, from perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks.ONE_SHELL_REL_ERR_T0
+
+
+def test_ladder_matches_an_8000_point_reference() -> None:
+    # the Kronrod sums on the shared 1008-point grid against 8000 points
+    # (1.4e-15 measured), and the one-shell point against its closed forms:
+    # T_W = T = 4 with one orbital, and T_TF within the closed form's own
+    # rounding (2.3e-15 measured)
+    reference = _reference_ladder()
+    for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
+        shared = (point.t_tf, 9.0 * point.t2, point.t4)
+        assert shared == pytest.approx(reference[point.n_max], rel=3e-15, abs=0.0), point.n_max
+    (one,) = model_energy_sequence([1])
+    assert 9.0 * one.t2 == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert one.t_tf == pytest.approx(4.0 * (1.0 - _one_shell_rel_err_t0()), rel=5e-15, abs=0.0)
 
 
 def test_figure_density_rows_structure() -> None:

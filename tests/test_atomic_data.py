@@ -218,6 +218,50 @@ def test_helium_nuclear_cusp(bundled) -> None:
     assert cusp == pytest.approx(2.0, rel=0.02)
 
 
+# -rho'(0) / (2 rho(0)) of each bundled atom, in percent above Z, as
+# data/SOURCES.txt lists them
+CUSP_PERCENT_ABOVE_Z = {
+    "He": 0.22, "Li": 0.57, "Be": 0.48, "B": 0.38, "C": 0.33, "N": 0.32,
+    "O": 0.37, "F": 0.31, "Ne": 0.18, "Na": 0.11, "Mg": 0.10, "Si": 0.10,
+    "P": 0.07, "Cl": 0.01, "Ar": 0.09, "Kr": -0.02, "Xe": -0.08,
+}
+
+
+def _cusp_ratio(rec: STOAtomRecord) -> float:
+    """-rho'(0) / (2 rho(0)) in closed form from the record's primitives.
+
+    Only s orbitals reach the nucleus: R(0) sums c N over the n = 1
+    primitives, and R'(0) adds -zeta c N over those and c N over the n = 2
+    ones.  rho(0) is then sum occ R(0)^2 and rho'(0) sum 2 occ R(0) R'(0),
+    both over 4 pi.
+    """
+    at_zero = slope = 0.0
+    for orb in rec.orbitals:
+        if orb.l != 0:
+            continue
+        value0 = sum(p.coefficient * p.normalization for p in orb.primitives if p.n == 1)
+        slope0 = sum(
+            (1.0 if p.n == 2 else -p.zeta) * p.coefficient * p.normalization
+            for p in orb.primitives
+            if p.n <= 2
+        )
+        at_zero += orb.occupation * value0 * value0
+        slope += orb.occupation * value0 * slope0
+    return -slope / at_zero
+
+
+def test_bundled_cusp_ratios(bundled) -> None:
+    # the kernel at r = 0 agrees with the closed form, and a change of
+    # transcription shows as a moved ratio
+    assert sorted(CUSP_PERCENT_ABOVE_Z) == sorted(bundled)
+    for symbol, rec in bundled.items():
+        ratio = _cusp_ratio(rec)
+        rho, deriv, _ = atom_density(rec).profile(0.0)
+        assert -deriv / (2.0 * rho) == pytest.approx(ratio, rel=1e-13), symbol
+        percent = 100.0 * (ratio / rec.atomic_number - 1.0)
+        assert percent == pytest.approx(CUSP_PERCENT_ABOVE_Z[symbol], abs=0.01), symbol
+
+
 def test_density_radius_checks_and_scalars(bundled) -> None:
     rho = atom_density(bundled["Ne"])
     with pytest.raises(ValueError, match="non-negative"):

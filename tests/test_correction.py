@@ -140,10 +140,26 @@ def test_validation_errors() -> None:
         delta_t_interpolated(5, "cubic")
     with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
         cubic_coefficients("cubic")
-    with pytest.raises(ValueError):
-        delta_t(0, "refit")
     # the texts the command line prints
     with pytest.raises(ValueError, match=r"^Z=111 is not a filled-shell count and lies beyond"):
         delta_t(111, "published")
     with pytest.raises(ValueError, match=r"^Z=47642 fills 41 shells; .* for 1\.\.40 shells$"):
         delta_t(47642, "refit")
+
+
+@pytest.mark.parametrize("call", [delta_t, delta_t_interpolated])
+def test_bool_is_no_atomic_number(call) -> None:
+    # as hydrogenic.electron_count refuses a bool for a shell count
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"^atomic number must be an integer, got {flag}$"):
+            call(flag, "published")
+
+
+@pytest.mark.parametrize("z", [0, -3])
+def test_z_under_the_range_lies_below_it(z: int) -> None:
+    with pytest.raises(
+        ValueError,
+        match=rf"^Z={z} is not a filled-shell count and lies below the interpolation "
+        r"range \(1\.\.110\)$",
+    ):
+        delta_t(z, "refit")

@@ -629,7 +629,7 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
         weizsacker, fourth_order, _ = kedf._gradient_integrands(r, values, deriv, deriv2)
-        guarded, _ = kedf._rule_values(far_grid, (weizsacker, fourth_order))
+        _, guarded = kedf._rule_values(far_grid, (weizsacker, fourth_order))
     near = energies_on(field, make_grid(2000, 45.0))[1:]
     far = energies_on(field, far_grid)[1:]
     assert far == guarded
@@ -684,7 +684,7 @@ def test_energies_evaluates_profile_once() -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], CountingField)
     grid = grid_for(field)
     energies_on(field, grid)
-    assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [4125]
+    assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [2079]
 
 
 class DriftingField(STODensity):
@@ -723,10 +723,10 @@ def test_energies_refinement_failure_names_functional(
 @pytest.mark.parametrize("component,name", [(0, "T_TF"), (1, "T_W"), (2, "T_4")])
 def test_energies_at_the_cap_fails_as_profile_energies_does(component: int, name: str) -> None:
     # the Gauss nodes of every size energies tries stay put and only the
-    # Kronrod nodes drift, so 512 and 1008 points miss the target and the
-    # 2000-point grid raises the text profile_energies raises
+    # Kronrod nodes drift, so 512 points miss the target and the 1008-point
+    # grid raises the text profile_energies raises
     span = span_for(orbital_density([[(1.0, 0, 1.0)]]))
-    gauss = np.concatenate([make_grid(n, span).nodes for n in (512, 1008, 2000)])
+    gauss = np.concatenate([make_grid(n, span).nodes for n in (512, 1008)])
     field = orbital_density(
         [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=gauss
     )
@@ -735,7 +735,7 @@ def test_energies_at_the_cap_fails_as_profile_energies_does(component: int, name
     with pytest.raises(
         ConvergenceError,
         match=f"^{name}: grid refinement moved the result from .+ to .+ "
-        r"\(2000 points over 70\.0 bohr\)$",
+        r"\(1008 points over 70\.0 bohr\)$",
     ) as sized:
         energies(field)
     assert str(sized.value) == str(capped.value)
@@ -800,7 +800,7 @@ class RecordedDensity:
 
 def test_table1_evaluates_each_atom_once_on_1056_nodes(monkeypatch, capsys) -> None:
     # every bundled atom meets the target on its first grid, 512 points
-    # and their Kronrod extension; the cap grid would send 4125
+    # and their Kronrod extension; the cap grid would send 2079
     sizes = []
     kernel = _kernels.orbital_profile
 
@@ -831,14 +831,15 @@ def test_energies_doubles_the_grid_until_the_target_is_met() -> None:
 
 
 def test_energies_falls_back_to_the_cap_grid_bit_for_bit() -> None:
-    # 40 shells fail even the 1e-8 gate at 512 points (1.2e-7) and miss the
-    # target at 1008 (5.8e-13): energies returns the grid_for values
+    # 40 shells fail even the 1e-8 gate at 512 points (1.2e-7); the
+    # 1008-point cap is taken whatever its estimate (5.8e-13): energies
+    # returns the grid_for values
     rho = RecordedDensity(HydrogenicDensity(40))
     with pytest.raises(ConvergenceError, match=r"grid refinement moved .+ \(512 points"):
         energies_on(rho.rho, make_grid(512, span_for(rho)))
     rho.sizes.clear()
     values = energies(rho)
-    assert rho.sizes == [1056, 2079, 4125]
+    assert rho.sizes == [1056, 2079]
     assert values == energies_on(rho.rho, grid_for(rho))
 
 
