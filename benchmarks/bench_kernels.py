@@ -1,8 +1,8 @@
 """Timings and memory peaks of the hot numpy kernels.
 
-Every case evaluates a kernel on what a functional samples: all nodes of a
-quadrature grid, its Gauss nodes and their Kronrod extension together
-(``RadialGrid.all_nodes()``, 2079 nodes for a 1008-point grid).  Every
+Every case evaluates a kernel on what a functional samples: the nodes of a
+quadrature grid, its Gauss nodes and their Kronrod extension in one array
+(``RadialGrid.nodes``, 2079 nodes for a 1008-point grid).  Every
 span is ``kedf.span_for`` of the density, the one rule the commands use.
 The shell-density kernel runs, one shell count per case, on the expmap
 grid over the span of the neutral n_max-shell density, at the library
@@ -113,7 +113,7 @@ def shell_inputs(n_points: int, n_max: int) -> tuple:
     z = float(electron_count(n_max))
     outermost = SimpleNamespace(slowest_primitive=(z / n_max, n_max - 1))
     grid = make_grid(n_points, span_for(outermost))
-    return z, n_max, grid.all_nodes()
+    return z, n_max, grid.nodes
 
 
 def ladder_pass(z: float, n_max: int, nodes: np.ndarray) -> None:
@@ -166,7 +166,7 @@ def main() -> None:
     densities = {symbol: atom_density(data) for symbol, data in load_bundled().items()}
     orbital_cases = []
     for symbol in ("Ne", "Xe"):
-        inputs = orbital_inputs(densities[symbol], grid_for(densities[symbol]).all_nodes())
+        inputs = orbital_inputs(densities[symbol], grid_for(densities[symbol]).nodes)
         name = f"orbital_profile[{symbol}, {inputs[-1].size} nodes]"
         orbital_cases.append((name, orbital_profile, inputs))
     table1 = [inputs for density in densities.values() for inputs in table1_inputs(density)]

@@ -250,7 +250,7 @@ def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
     grid = grid_for(top)
     # the grid ends at Z_top r / MAX_SHELLS = 70 + 6 (MAX_SHELLS - 1), far
     # short of where HydrogenicDensity.profile cuts the kernel off
-    prefixes = _kernels.shell_prefixes(top.z, max(densities), grid.all_nodes())
+    prefixes = _kernels.shell_prefixes(top.z, max(densities), grid.nodes)
     for n_max, *rows in prefixes:
         rho = densities.get(n_max)
         if rho is None:

@@ -15,8 +15,8 @@ slowest primitive (zeta, p), so that rho ~ r^{2p} e^{-2 zeta r} at large r,
 and ``span_for(rho)`` turns that into the one radial span every command
 integrates on: R = (70 + 6 p) / zeta.
 
-``energies`` sizes its own grid over that span.  It tries 512 points
-(``DEFAULT_GRID_POINTS`` // 2, rounded to whole panels) and accepts them
+``energies`` sizes its own grid over that span.  It measures 512 points
+(``DEFAULT_GRID_POINTS`` // 2, rounded to whole panels) and gates them
 when the error estimate |G - K| (below) of each of the three values is
 within 1e-14 of it, about 20 times the largest estimate measured at
 roundoff level.  Every bundled atom meets that at 512 points, within
@@ -27,13 +27,12 @@ The closed-shell ladder keeps one fixed grid instead (see
 ``asymptotics.model_energy_sequence``).
 
 All three integrands depend on the same (rho, rho', rho'').  ``energies``
-evaluates that profile in one call on every node of each grid it tries
-(the Gauss nodes and their Kronrod extension, below): the density check,
-the three integrands, the target, every gate below and the charge check
-all read that one evaluation.  A caller that already holds a profile on
-a grid's nodes, as the closed-shell ladder does for every prefix of one
-shell pass, calls ``profile_energies`` directly and passes the same
-gates.
+evaluates that profile in one call on the nodes of each grid it measures:
+the density check, the three integrands, the target, every gate below and
+the charge check all read that one evaluation.  A caller that already
+holds a profile on a grid's nodes, as the closed-shell ladder does for
+every prefix of one shell pass, calls ``profile_energies`` directly and
+passes the same gates.
 
 Both gradient integrands are built from the same ratios y = rho'/rho,
 w = s/rho and q = r y^2, with s = 2 rho' + r rho'' (r times the spherical
@@ -49,23 +48,24 @@ below 1e-103, which would bias T_W low or turn T_4 into inf or NaN.  The
 ratios are divided only where rho > 0.  A node where rho is
 exactly 0 is vacuum: it holds no charge and adds nothing to any integral.
 
-Quadrature: composite 16-point Gauss-Legendre panels on [0, r_max] in the
-exponentially mapped coordinate r = r_max (e^{a t} - 1)/(e^a - 1),
-t in [0, 1], which crowds nodes near the nucleus where the cusp lives.
-The 16-point Gauss-Legendre rule is held as float literals.  What a grid
-does not owe to its span (the exponential map at the panel abscissae and
-the panel-scaled weights) is computed once per n_points.  A grid is
-judged only by the values computed on it, by the gates below.
+Quadrature: composite 33-point Gauss-Kronrod panels (Kronrod 1965;
+QUADPACK, Piessens et al. 1983) on [0, r_max] in the exponentially mapped
+coordinate r = r_max (e^{a t} - 1)/(e^a - 1), t in [0, 1], which crowds
+nodes near the nucleus where the cusp lives.  Each panel holds the 16
+Gauss-Legendre nodes and the 17 nodes of their Kronrod extension, which
+integrates polynomials exactly through degree 49; both rules are held as
+float literals.  A grid of n points has n Gauss nodes, so 33 n / 16 nodes
+in all.  What a grid does not owe to its span (the exponential map at the
+panel abscissae and the panel-scaled weights) is computed once per
+n_points.  A grid is judged only by the values computed on it, by the
+gates below.
 
-Error check: each panel also carries the 17 nodes of the 33-point
-Gauss-Kronrod extension of its Gauss rule (Kronrod 1965; QUADPACK, Piessens
-et al. 1983), which reuses the 16 Gauss nodes and integrates polynomials
-exactly through degree 49.  A functional is evaluated once on the Gauss and
-Kronrod nodes together; the reported value is the Kronrod sum over all of
-them, as QUADPACK reports it, and the Gauss sum on the Gauss nodes alone
-is the partner of its error estimate |G - K|.  On the 40-shell ladder
-grid the Kronrod sums at 1008 points are within 1.4e-15 of an 8000-point
-reference, where the Gauss sums are up to 3.2e-12 off.
+Error check: a functional is evaluated once on all the nodes; the reported
+value is the Kronrod sum over them, as QUADPACK reports it, and the Gauss
+sum on the Gauss nodes alone is the partner of its error estimate |G - K|.
+On the 40-shell ladder grid the Kronrod sums at 1008 points are within
+1.4e-15 of an 8000-point reference, where the Gauss sums are up to 3.2e-12
+off.
 A value whose two sums disagree beyond 1e-8 relative raises
 ConvergenceError; ``profile_energies`` applies that gate to each of its
 three values separately, and the ConvergenceError names the functional
@@ -123,14 +123,13 @@ _ALPHA = 12.0
 
 _PANEL_ORDER = 16
 _CONVERGENCE_TOL = 1e-8
-# energies accepts the first of _TRIAL_POINTS on which every value's
-# estimate |G - K| is within this of it, else it takes the
-# DEFAULT_GRID_POINTS grid; about 20 times the largest estimate measured
-# at roundoff level, 5.3e-16 over the 17 bundled atoms at 512 and 1008
-# points
+# energies gates the _TRIAL_POINTS grid when every value's estimate
+# |G - K| is within this of it, else the DEFAULT_GRID_POINTS grid; about
+# 20 times the largest estimate measured at roundoff level, 5.3e-16 over
+# the 17 bundled atoms at 512 and 1008 points
 _ACCURACY_TARGET = 1e-14
 # make_grid rounds it to 512 points
-_TRIAL_POINTS = (DEFAULT_GRID_POINTS // 2,)
+_TRIAL_POINTS = DEFAULT_GRID_POINTS // 2
 # the functionals as the gates name them, and the power c of rho that
 # each integrand decays as far out (f ~ rho^c)
 _FUNCTIONALS = ("T_TF", "T_W", "T_4")
@@ -166,26 +165,22 @@ class ConvergenceError(RuntimeError):
 class RadialGrid:
     """Quadrature nodes and weights for integrals over [0, r_max].
 
-    ``r_max`` is the span.  ``nodes`` and ``weights`` are the composite
-    16-point Gauss-Legendre rule.  ``kronrod_nodes`` are the 17 further nodes per panel of its
-    33-point Kronrod extension, and ``kronrod_weights`` that rule's weights
-    on ``nodes`` followed by ``kronrod_nodes`` (the order of
-    ``all_nodes()``).
+    ``r_max`` is the span.  ``nodes`` are the 16 Gauss-Legendre nodes of
+    every panel followed by the 17 nodes per panel of their 33-point
+    Kronrod extension, and ``weights`` are that Kronrod rule's, the rule
+    every value is reported with.  ``gauss_weights`` are the Gauss rule's
+    on the leading ``gauss_weights.size`` nodes; they serve only the error
+    estimate.
     """
 
     r_max: float
     nodes: np.ndarray
     weights: np.ndarray
-    kronrod_nodes: np.ndarray
-    kronrod_weights: np.ndarray
+    gauss_weights: np.ndarray
 
     def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum approximating the integral of the sampled function."""
+        """Kronrod sum approximating the integral of the function sampled at ``nodes``."""
         return float(np.dot(self.weights, values))
-
-    def all_nodes(self) -> np.ndarray:
-        """The Gauss nodes followed by the Kronrod nodes."""
-        return np.concatenate((self.nodes, self.kronrod_nodes))
 
 
 # The 16-point Gauss-Legendre rule on [-1, 1] as round-trip float literals,
@@ -306,9 +301,9 @@ del _rule
 def _panels(n_points: int) -> tuple[np.ndarray, ...]:
     """What every grid of ``n_points`` shares, whatever its span.
 
-    e^{a t} at the Gauss and at the Kronrod abscissae of every panel, and
-    the panel half-widths times the Gauss, the Kronrod-on-Gauss and the
-    Kronrod weights.
+    e^{a t} at the Gauss and then at the Kronrod abscissae of every panel,
+    the panel half-widths times the Kronrod weights in that order, and
+    times the Gauss weights.
     """
     n_panels = -(-n_points // _PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
@@ -322,11 +317,9 @@ def _panels(n_points: int) -> tuple[np.ndarray, ...]:
         return (half[:, None] * w[None, :]).ravel()
 
     panels = (
-        exp_at(_GL_NODES),
-        exp_at(_KRONROD_NODES),
+        np.concatenate((exp_at(_GL_NODES), exp_at(_KRONROD_NODES))),
+        np.concatenate((scaled(_KRONROD_GAUSS_WEIGHTS), scaled(_KRONROD_WEIGHTS))),
         scaled(_GL_WEIGHTS),
-        scaled(_KRONROD_GAUSS_WEIGHTS),
-        scaled(_KRONROD_WEIGHTS),
     )
     for part in panels:
         part.setflags(write=False)
@@ -347,16 +340,11 @@ def make_grid(n_points: int, r_max: float) -> RadialGrid:
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")
 
-    e_gauss, e_kronrod, w_gauss, w_kronrod_gauss, w_kronrod = _panels(int(n_points))
+    e_at, w_kronrod, w_gauss = _panels(int(n_points))
     denom = math.expm1(_ALPHA)
-
-    def mapped(e_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return r_max * (e_at - 1.0) / denom, r_max * _ALPHA * e_at / denom
-
-    nodes, jac = mapped(e_gauss)
-    kronrod_nodes, kronrod_jac = mapped(e_kronrod)
-    kronrod_weights = np.concatenate((w_kronrod_gauss * jac, w_kronrod * kronrod_jac))
-    return RadialGrid(r_max, nodes, w_gauss * jac, kronrod_nodes, kronrod_weights)
+    nodes = r_max * (e_at - 1.0) / denom
+    jac = r_max * _ALPHA * e_at / denom
+    return RadialGrid(r_max, nodes, w_kronrod * jac, w_gauss * jac[: w_gauss.size])
 
 
 def span_for(rho: Density) -> float:
@@ -369,7 +357,7 @@ def grid_for(rho: Density) -> RadialGrid:
     """The largest grid ``energies`` integrates ``rho`` on, and the ladder's.
 
     ``DEFAULT_GRID_POINTS`` (1008) points over ``span_for(rho)``: 2079
-    nodes with the Kronrod extension.
+    nodes.
     """
     return make_grid(DEFAULT_GRID_POINTS, span_for(rho))
 
@@ -387,7 +375,7 @@ def _checked_density(values) -> np.ndarray:
 
 def _grid_text(grid: RadialGrid) -> str:
     """The grid as the ConvergenceError texts name it."""
-    return f"({grid.nodes.size} points over {grid.r_max!r} bohr)"
+    return f"({grid.gauss_weights.size} points over {grid.r_max!r} bohr)"
 
 
 def _check_refinement(
@@ -418,11 +406,11 @@ def _check_refinement(
 def _rule_values(
     grid: RadialGrid, integrands: tuple[np.ndarray, ...]
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """4 pi times the (Gauss, Kronrod) integrals of integrands on ``grid.all_nodes()``."""
-    n = grid.nodes.size
+    """4 pi times the (Gauss, Kronrod) integrals of integrands on ``grid.nodes``."""
+    n = grid.gauss_weights.size
     return (
-        tuple(4.0 * math.pi * grid.integrate(f[:n]) for f in integrands),
-        tuple(4.0 * math.pi * float(np.dot(grid.kronrod_weights, f)) for f in integrands),
+        tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands),
+        tuple(4.0 * math.pi * grid.integrate(f) for f in integrands),
     )
 
 
@@ -454,8 +442,9 @@ def _integrands(r: np.ndarray, rows: tuple) -> tuple[tuple[np.ndarray, ...], flo
     """The charge, T_TF, T_W and T_4 integrands of the profile ``rows`` at radii ``r``.
 
     ``rows`` is (rho, rho', rho'') at ``r``.  Also returns the decay rate
-    |rho'/rho| at the last radius, the outermost node of
-    ``all_nodes()``, or 0 where the density there is 0.
+    |rho'/rho| at the last radius, which on a grid's ``nodes`` is the
+    outermost (the last panel's last Kronrod node), or 0 where the density
+    there is 0.
     """
     values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rows)
     values = _checked_density(values)
@@ -469,7 +458,7 @@ def _check_tail(
 ) -> None:
     """Raise ConvergenceError naming the first functional the span cuts short.
 
-    ``integrands`` are those of ``_FUNCTIONALS`` on ``grid.all_nodes()``
+    ``integrands`` are those of ``_FUNCTIONALS`` on ``grid.nodes``
     and ``values`` their integrals.  The integral of each beyond the
     outermost node is estimated as f / (c |rho'/rho|) there, with c its
     ``_TAIL_POWERS`` entry; ``decay`` 0 means rho = 0 there, and no tail.
@@ -488,25 +477,22 @@ def _check_tail(
             )
 
 
-def _gated_energies(
-    grid: RadialGrid, rows: tuple, charge: float, target: float | None
-) -> tuple[float, float, float] | None:
-    """(T_TF, T_W, T_4) of the profile ``rows`` on ``grid`` through every gate.
+def _measure(grid: RadialGrid, rows: tuple) -> tuple:
+    """The integrands of the profile ``rows`` on ``grid.nodes``, their decay and sums.
 
-    The density check and the integrands run once; the values are the
-    Kronrod sums, and the Gauss sums from that same evaluation serve only
-    the estimates.  With a ``target``, a grid on which a Kronrod value
-    differs from its Gauss sum beyond ``target`` of the larger (or either
-    is not finite) is not accepted: the gates are skipped and the result is
-    None.  A density ValueError raises whatever the target.
+    Returns the charge, T_TF, T_W and T_4 integrands, the decay rate of
+    ``_integrands``, and their (Gauss, Kronrod) sums from ``_rule_values``.
     """
-    integrands, decay = _integrands(grid.all_nodes(), rows)
-    (_, *gauss_values), (held, *values) = _rule_values(grid, integrands)
-    if target is not None and not all(
-        abs(value - gauss) <= target * max(abs(value), abs(gauss))
-        for gauss, value in zip(gauss_values, values)
-    ):
-        return None
+    integrands, decay = _integrands(grid.nodes, rows)
+    return (integrands, decay, *_rule_values(grid, integrands))
+
+
+def _gated_energies(grid: RadialGrid, measured: tuple, charge: float) -> tuple[float, float, float]:
+    """(T_TF, T_W, T_4) of ``measured = _measure(grid, rows)`` through every gate.
+
+    The values are the Kronrod sums; the Gauss sums serve only the estimates.
+    """
+    integrands, decay, (_, *gauss_values), (held, *values) = measured
     _check_refinement(grid, _FUNCTIONALS, gauss_values, values)
     if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
         raise ConvergenceError(
@@ -519,10 +505,10 @@ def _gated_energies(
 def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) of a density profile on ``grid`` (hartree), through every gate.
 
-    ``rows`` is (rho, rho', rho'') on ``grid.all_nodes()`` and ``charge``
-    the density's total charge.  The density check and the three
-    integrands run on the rows once, and each value is the Kronrod sum
-    over all the nodes.  T_4 needs exact first and second
+    ``rows`` is (rho, rho', rho'') on ``grid.nodes`` and ``charge`` the
+    density's total charge.  The density check and the three integrands
+    run on the rows once, and each value is the Kronrod sum over all the
+    nodes.  T_4 needs exact first and second
     derivatives; its integrand is the r-regular form of the module
     docstring, so no explicit 1/r appears.  Each functional must pass the
     Kronrod gate on its own; the ConvergenceError names the first that
@@ -531,26 +517,27 @@ def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[floa
     tail gate: a functional whose integrand beyond the span is estimated
     past 1e-8 of its value raises ConvergenceError naming it and the span.
     """
-    return _gated_energies(grid, rows, charge, None)
+    return _gated_energies(grid, _measure(grid, rows), charge)
 
 
 def energies(rho: Density) -> tuple[float, float, float]:
     """(T_TF, T_W, T_4) of ``rho`` on the smallest grid that resolves it (hartree).
 
-    Every grid spans ``span_for(rho)``.  512 points are tried first, with
-    one ``rho.profile`` call on all of their nodes.  If each of the three
-    Kronrod values is within 1e-14 relative of its Gauss sum, they are
-    accepted, and they must pass every gate of ``profile_energies`` there
-    (a density ValueError raises at once, whatever the size).  Otherwise
-    the result is ``profile_energies`` on the 1008 points of
-    ``grid_for(rho)``, bit for bit, values and errors alike.
+    Both grids span ``span_for(rho)``.  The 512-point grid is measured
+    first, with one ``rho.profile`` call on its nodes (a density
+    ValueError raises at once).  If each of the three Kronrod values is
+    within 1e-14 relative of its Gauss sum, that grid is gated as
+    ``profile_energies`` gates it.  Otherwise the result is
+    ``profile_energies`` on the 1008 points of ``grid_for(rho)``, bit for
+    bit, values and errors alike.
     """
-    span = span_for(rho)
-    charge = rho.total_charge()
-    for n_points in _TRIAL_POINTS:
-        grid = make_grid(n_points, span)
-        values = _gated_energies(grid, rho.profile(grid.all_nodes()), charge, _ACCURACY_TARGET)
-        if values is not None:
-            return values
-    grid = grid_for(rho)
-    return profile_energies(grid, rho.profile(grid.all_nodes()), charge)
+    grid = make_grid(_TRIAL_POINTS, span_for(rho))
+    measured = _measure(grid, rho.profile(grid.nodes))
+    _, _, gauss_values, values = measured
+    if not all(
+        abs(value - gauss) <= _ACCURACY_TARGET * max(abs(value), abs(gauss))
+        for gauss, value in zip(gauss_values[1:], values[1:])
+    ):
+        grid = grid_for(rho)
+        measured = _measure(grid, rho.profile(grid.nodes))
+    return _gated_energies(grid, measured, rho.total_charge())

@@ -12,4 +12,4 @@ def value(density, r):
 
 def energies_on(density, grid):
     """(T_TF, T_W, T_4) of ``density`` on ``grid``, through every gate of ``profile_energies``."""
-    return profile_energies(grid, density.profile(grid.all_nodes()), density.total_charge())
+    return profile_energies(grid, density.profile(grid.nodes), density.total_charge())

@@ -28,17 +28,33 @@ from tfshell.kedf import ConvergenceError
 
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 
-# Rows of the default table, frozen byte for byte.  Two significant
-# figures of the full-precision errors; He's local-density error is
-# -10.52 and prints as -11.
+# Rows of the default table, all 17, frozen byte for byte.  Two
+# significant figures of the full-precision errors; He's local-density
+# error is -10.52 and prints as -11.  The value nearest a rounding
+# boundary is Mg's +T2+T4, 0.94507, 7.5e-5 relative from 0.945; changes
+# of quadrature rule have moved the values by at most 4e-16 relative.
 HEADER_LINES = (
     "relative error vs Hartree-Fock reference kinetic energy, %",
     "  Z atom     T_TF      +T2   +T2+T4  corrected",
 )
 PINNED_ROWS = (
     "  2 He        -11     0.59      3.6       0.95",
+    "  3 Li        -10     0.62      3.1       0.26",
+    "  4 Be       -9.9     0.50      2.9       0.21",
+    "  5 B         -10    -0.53      1.6      -0.52",
+    "  6 C         -11     -1.3     0.67       -1.0",
+    "  7 N         -11     -1.7     0.16       -1.2",
+    "  8 O         -10     -1.6     0.10      -0.95",
+    "  9 F        -9.4     -1.2     0.37      -0.47",
+    " 10 Ne       -8.4    -0.56     0.95       0.28",
+    " 11 Na       -8.1    -0.49     0.94       0.37",
+    " 12 Mg       -7.8    -0.44     0.95       0.43",
+    " 14 Si       -7.5    -0.48     0.83       0.39",
+    " 15 P        -7.4    -0.50     0.77       0.36",
+    " 17 Cl       -7.1    -0.51     0.70       0.35",
     " 18 Ar       -7.0    -0.49     0.69       0.36",
     " 36 Kr       -5.8    -0.69     0.18       0.11",
+    " 54 Xe       -5.2    -0.67    0.072      0.073",
 )
 
 
@@ -146,8 +162,7 @@ def test_table1_default_output_pinned():
     assert tuple(lines[:2]) == HEADER_LINES
     body = lines[2:]
     assert len(body) == 17
-    for pinned in PINNED_ROWS:
-        assert pinned in body
+    assert tuple(body) == PINNED_ROWS
     zs = [int(line.split()[0]) for line in body]
     assert zs == sorted(zs)
 

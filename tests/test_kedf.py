@@ -69,7 +69,7 @@ def grid() -> RadialGrid:
 
 def _grid_integrands(rho, grid: RadialGrid) -> tuple:
     """The charge, T_TF, T_W and T_4 integrands of ``rho`` on every node of ``grid``, and the decay."""
-    r = grid.all_nodes()
+    r = grid.nodes
     return kedf._integrands(r, rho.profile(r))
 
 
@@ -181,12 +181,12 @@ def test_grid_minimum_resolution() -> None:
     # a grid is judged by the values computed on it: 48 points build, and
     # the Kronrod gate refuses what they give for a 1s density
     coarse = make_grid(48, 45.0)
-    assert coarse.nodes.size == 48
+    assert coarse.gauss_weights.size == 48
     refused = r"^T_TF: grid refinement moved .+ \(48 points over 45\.0 bohr\)$"
     with pytest.raises(ConvergenceError, match=refused):
         energies_on(HydrogenicDensity(1), coarse)
     grid = make_grid(64, 45.0)
-    assert grid.nodes.size == 64
+    assert grid.gauss_weights.size == 64
     assert energies_on(HydrogenicDensity(1), grid)[1] == pytest.approx(4.0, rel=1e-10)
 
 
@@ -267,15 +267,15 @@ def kronrod_rule():
 
 
 def test_kronrod_literals_match_mpmath_rule(kronrod_rule) -> None:
-    gauss, kronrod, gauss_weights, kronrod_weights = kronrod_rule
+    gauss, kronrod, on_gauss, on_kronrod = kronrod_rule
     assert [float(x) for x in gauss] == kedf._GL_NODES.tolist()
     for literals, exact in (
         (kedf._KRONROD_NODES, kronrod),
-        (kedf._KRONROD_GAUSS_WEIGHTS, gauss_weights),
-        (kedf._KRONROD_WEIGHTS, kronrod_weights),
+        (kedf._KRONROD_GAUSS_WEIGHTS, on_gauss),
+        (kedf._KRONROD_WEIGHTS, on_kronrod),
     ):
         assert literals.tolist() == [float(x) for x in exact]
-    assert min(gauss_weights + kronrod_weights) > 0
+    assert min(on_gauss + on_kronrod) > 0
 
 
 def test_kronrod_literals_are_exact_through_degree_49() -> None:
@@ -314,9 +314,9 @@ def test_gauss_part_of_grid_is_the_plain_expmap_rule() -> None:
         jac = r_max * 12.0 * e_at / math.expm1(12.0)
         weights = (half[:, None] * kedf._GL_WEIGHTS[None, :]).ravel() * jac
         kronrod_on_gauss = (half[:, None] * kedf._KRONROD_GAUSS_WEIGHTS[None, :]).ravel() * jac
-        assert grid.nodes.tobytes() == nodes.tobytes()
-        assert grid.weights.tobytes() == weights.tobytes()
-        assert grid.kronrod_weights[: nodes.size].tobytes() == kronrod_on_gauss.tobytes()
+        assert grid.nodes[: nodes.size].tobytes() == nodes.tobytes()
+        assert grid.gauss_weights.tobytes() == weights.tobytes()
+        assert grid.weights[: nodes.size].tobytes() == kronrod_on_gauss.tobytes()
 
 
 def test_grids_do_not_import_numpy_polynomial() -> None:
@@ -351,32 +351,43 @@ def test_grid_rejects_bad_parameters(kwargs) -> None:
 
 
 def test_grid_geometry(grid: RadialGrid) -> None:
-    assert len(grid.nodes) % 16 == 0
-    assert len(grid.nodes) >= 2000
-    assert np.all(np.diff(grid.nodes) > 0)
-    assert grid.nodes[0] > 0.0
-    assert grid.nodes[-1] < 45.0
-    assert np.all(grid.weights > 0)
-    # the Gamma(3) integral of r^2 e^{-r}, exactly 2
-    probe = grid.integrate(grid.nodes**2 * np.exp(-grid.nodes))
+    # the Gauss nodes lead, in increasing order
+    n = grid.gauss_weights.size
+    assert n % 16 == 0
+    assert n >= 2000
+    gauss = grid.nodes[:n]
+    assert np.all(np.diff(gauss) > 0)
+    assert gauss[0] > 0.0
+    assert gauss[-1] < 45.0
+    assert np.all(grid.gauss_weights > 0)
+    # the Gamma(3) integral of r^2 e^{-r}, exactly 2, on the Gauss rule
+    probe = float(np.dot(grid.gauss_weights, gauss**2 * np.exp(-gauss)))
     assert abs(probe - 2.0) <= 1e-9
 
 
 def test_grid_refined(grid: RadialGrid) -> None:
-    # the error check's nodes: 17 Kronrod nodes per 16-node Gauss panel
-    n = grid.nodes.size
-    assert grid.kronrod_nodes.size == 17 * n // 16
-    assert grid.all_nodes().size == grid.kronrod_weights.size == 4125
-    assert np.array_equal(grid.all_nodes()[:n], grid.nodes)
-    assert np.all(grid.kronrod_weights > 0)
-    assert 0.0 < grid.kronrod_nodes.min() and grid.kronrod_nodes.max() < 45.0
+    # 17 Kronrod nodes per 16-node Gauss panel follow the Gauss nodes
+    n = grid.gauss_weights.size
+    assert grid.nodes.size == grid.weights.size == 33 * n // 16 == 4125
+    assert np.all(np.diff(grid.nodes[n:]) > 0)
+    assert np.all(grid.weights > 0)
+    assert 0.0 < grid.nodes.min() and grid.nodes.max() < 45.0
     # in each panel the Kronrod nodes interlace the Gauss nodes, one at each end
-    is_kronrod = np.argsort(grid.all_nodes(), kind="stable") >= n
+    is_kronrod = np.argsort(grid.nodes, kind="stable") >= n
     panel = np.array([True, False] * 16 + [True])
     assert np.array_equal(is_kronrod, np.tile(panel, n // 16))
     # the same integral on the Kronrod rule
-    r = grid.all_nodes()
-    assert abs(float(np.dot(grid.kronrod_weights, r**2 * np.exp(-r))) - 2.0) <= 1e-9
+    r = grid.nodes
+    assert abs(grid.integrate(r**2 * np.exp(-r)) - 2.0) <= 1e-9
+
+
+def test_integrate_is_the_reported_rule(grid: RadialGrid) -> None:
+    # grid.integrate is the rule profile_energies reports with, bit for bit:
+    # T_W of e^{-2r}, and the Kronrod rule has 33 nodes per 16 Gauss points
+    field = orbital_density([[(1.0, 0, 1.0)]])
+    weizsacker = _grid_integrands(field, grid)[0][2]
+    assert 4.0 * math.pi * grid.integrate(weizsacker) == energies_on(field, grid)[1]
+    assert grid.nodes.size == 33 * grid.gauss_weights.size // 16
 
 
 def test_integrate_is_weighted_dot(grid: RadialGrid) -> None:
@@ -408,7 +419,7 @@ def test_single_functional_evaluates_grid_and_refinement(grid: RadialGrid) -> No
     field = orbital_density([[(1.0, 0, 1.0)]], CountingField)
     energies_on(field, grid)
     assert len(field.profile_nodes) == 1
-    assert field.profile_nodes[0].tobytes() == grid.all_nodes().tobytes()
+    assert field.profile_nodes[0].tobytes() == grid.nodes.tobytes()
 
 
 # each functional by the name it had as a function of its own, read off the
@@ -428,10 +439,10 @@ def test_single_functionals_evaluate_profile_once(functional: str, n_points: int
     index, closed = SINGLE_FUNCTIONALS[functional]
     field = orbital_density([[(1.0, 0, 10.0)]], CountingField)
     grid = make_grid(n_points, 45.0)
-    assert np.any(field.profile(grid.all_nodes())[0] == 0.0)
+    assert np.any(field.profile(grid.nodes)[0] == 0.0)
     field.profile_nodes.clear()
     value = energies_on(field, grid)[index]
-    assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [sampled]
+    assert field.profile_sizes == [grid.nodes.size] == [sampled]
     assert value == pytest.approx(closed(1.0, 20.0), rel=1e-10)
 
 
@@ -457,7 +468,7 @@ def test_vanishing_density_matches_closed_forms() -> None:
     # the zero nodes are vacuum that holds nothing
     field = orbital_density([[(1e-135, 0, 0.5)]])
     grid = grid_for(field)
-    rho = field.profile(grid.all_nodes())[0]
+    rho = field.profile(grid.nodes)[0]
     assert np.any(rho == 0.0) and np.any((0.0 < rho) & (rho < 2.3e-308))
     t_tf, t_w, t4 = energies_on(field, grid)
     assert t_tf == tf_closed(1e-270, 1.0) == 0.0  # c^{5/3} underflows
@@ -537,7 +548,7 @@ def test_tail_gate_is_silent_on_every_derived_grid(bundled) -> None:
     densities += [atom_density(record) for record in bundled.values()]
     for rho in densities:
         grid = grid_for(rho)
-        assert np.all(rho.profile(grid.all_nodes())[0] > 0.0)
+        assert np.all(rho.profile(grid.nodes)[0] > 0.0)
         assert all(math.isfinite(t) for t in energies_on(rho, grid))
 
 
@@ -582,7 +593,7 @@ def test_slowest_primitive_sets_the_span() -> None:
     assert span_for(rho) == (70.0 + 6.0 * 3) / 0.7
     grid = grid_for(rho)
     assert grid.r_max == span_for(rho)
-    assert grid.nodes.size == kedf.DEFAULT_GRID_POINTS
+    assert grid.gauss_weights.size == kedf.DEFAULT_GRID_POINTS
     # a density without primitives has no extent, and no grid
     with pytest.raises(GridError, match="invalid r_max 0.0"):
         grid_for(orbital_density([]))
@@ -625,7 +636,7 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
     # gradient integrands run with every floating-point error raised.
     field = atom_density(bundled["He"])
     far_grid = make_grid(2000, 150.0)
-    r = far_grid.all_nodes()
+    r = far_grid.nodes
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
         weizsacker, fourth_order, _ = kedf._gradient_integrands(r, values, deriv, deriv2)
@@ -684,7 +695,12 @@ def test_energies_evaluates_profile_once() -> None:
     field = orbital_density([[(1.0, 0, 1.0)], [(0.3, 1, 0.35)]], CountingField)
     grid = grid_for(field)
     energies_on(field, grid)
-    assert field.profile_sizes == [grid.nodes.size + grid.kronrod_nodes.size] == [2079]
+    assert field.profile_sizes == [grid.nodes.size] == [2079]
+
+
+def _gauss_nodes(grid: RadialGrid) -> np.ndarray:
+    """The leading nodes of ``grid``, those of its Gauss rule."""
+    return grid.nodes[: grid.gauss_weights.size]
 
 
 class DriftingField(STODensity):
@@ -710,7 +726,7 @@ def test_energies_refinement_failure_names_functional(
     grid: RadialGrid, component: int, name: str
 ) -> None:
     field = orbital_density(
-        [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=grid.nodes
+        [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=_gauss_nodes(grid)
     )
     with pytest.raises(
         ConvergenceError,
@@ -726,7 +742,7 @@ def test_energies_at_the_cap_fails_as_profile_energies_does(component: int, name
     # Kronrod nodes drift, so 512 points miss the target and the 1008-point
     # grid raises the text profile_energies raises
     span = span_for(orbital_density([[(1.0, 0, 1.0)]]))
-    gauss = np.concatenate([make_grid(n, span).nodes for n in (512, 1008)])
+    gauss = np.concatenate([_gauss_nodes(make_grid(n, span)) for n in (512, 1008)])
     field = orbital_density(
         [[(1.0, 0, 1.0)]], DriftingField, component=component, coarse_nodes=gauss
     )
@@ -821,10 +837,13 @@ def test_sized_energies_match_the_cap_grid(bundled) -> None:
         assert energies(field) == pytest.approx(capped, rel=1e-15, abs=0.0), symbol
 
 
-def test_energies_doubles_the_grid_until_the_target_is_met() -> None:
-    # 20 shells: Kronrod estimates of 2.1e-11 at 512 points and 6.1e-16 at
-    # 1008, where the values are accepted as profile_energies gives them
+def test_energies_takes_the_cap_grid_when_512_points_miss_the_target() -> None:
+    # 20 shells pass every gate at 512 points, with Kronrod estimates of
+    # 3.1e-14 (T_TF), 8.8e-12 (T_W) and 2.1e-11 (T_4), but miss the 1e-14
+    # target there; energies then returns the 1008-point values (estimates
+    # up to 6.1e-16) as profile_energies gives them
     rho = RecordedDensity(HydrogenicDensity(20))
+    assert all(math.isfinite(t) for t in energies_on(rho.rho, make_grid(512, span_for(rho))))
     values = energies(rho)
     assert rho.sizes == [1056, 2079]
     assert values == energies_on(rho.rho, make_grid(1008, span_for(rho)))
@@ -867,7 +886,7 @@ class DippedDensity:
 @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20])
 def test_negative_density_check_is_scale_free(grid: RadialGrid, scale: float) -> None:
     rho = DippedDensity(scale)
-    assert rho.profile(grid.all_nodes())[0].min() < 0.0
+    assert rho.profile(grid.nodes)[0].min() < 0.0
     with pytest.raises(ValueError, match="negative"):
         energies_on(rho, grid)
 

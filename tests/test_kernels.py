@@ -283,7 +283,7 @@ def test_orbital_profile_matches_mpmath_oracle(bundled, atom) -> None:
 @pytest.mark.parametrize("atom", ["He", "Ne", "Xe"])
 def test_orbital_profile_is_independent_of_blocks(bundled, monkeypatch, atom) -> None:
     inputs = _orbital_inputs(atom_density(bundled[atom]))
-    r = make_grid(2000, 45.0).all_nodes()
+    r = make_grid(2000, 45.0).nodes
     whole = np.array(_kernels.orbital_profile(*inputs, r))
     # uneven pieces, single nodes among them, concatenated
     cuts = [0, 1, 2, 7, 300, 1001, 4124, r.size]
@@ -314,7 +314,7 @@ def test_orbital_profile_working_set_is_one_block(bundled) -> None:
 
 def test_orbital_profile_matches_pair_expansion(bundled) -> None:
     # the nodes of a table1 row: its Gauss and Kronrod nodes
-    r = make_grid(2000, 45.0).all_nodes()
+    r = make_grid(2000, 45.0).nodes
     for symbol, record in bundled.items():
         rho, drho, d2rho = atom_density(record).profile(r)
         ref_rho, ref_drho, ref_d2rho = term_profile(pair_field(record), r)
@@ -396,7 +396,7 @@ def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
 def test_every_shell_prefix_is_the_shell_profile(z: float) -> None:
     # on the ladder's shared grid, every prefix k of one pass is the k-shell
     # profile bit for bit, whichever pass it came from
-    r = grid_for(HydrogenicDensity(MAX_SHELLS)).all_nodes()
+    r = grid_for(HydrogenicDensity(MAX_SHELLS)).nodes
     seen = []
     for n, *rows in _kernels.shell_prefixes(z, MAX_SHELLS, r):
         seen.append(n)

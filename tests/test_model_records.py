@@ -26,7 +26,7 @@ from tfshell.kedf import grid_for
 def test_orbital_kernel_matches_shell_kernel_on_model_records(n_max: int) -> None:
     (record,) = parse_sto_text(model_record_text(n_max))
     density = atom_density(record)
-    nodes = grid_for(density).all_nodes()
+    nodes = grid_for(density).nodes
     orbital = _kernels.orbital_profile(
         density.exponents, density.powers, density.coefs, density.weights, nodes
     )
