@@ -8,11 +8,10 @@ The shell-density kernel runs, one shell count per case, on the expmap
 grid over the span of the neutral n_max-shell density, at the library
 default of 1008 points (2079 nodes).  Its default shell counts run past the
 library's 40-shell cap to 60 and 100, the kernel cost a 100-shell pass
-would pay.  Two ladder cases time what ``tfshell asymptotics`` asks of the
-kernel: the six ``shell_profile`` calls of ``LADDER_SHELLS`` (n_max 20..25),
-each on its density's own grid, against the one ``shell_prefixes`` pass to
-25 shells on the shared ladder grid (``kedf.grid_for`` of the
-``MAX_SHELLS``-shell density) from which the command reads all six points.
+would pay.  The ladder case times what ``tfshell asymptotics`` asks of the
+kernel: the one ``shell_prefixes`` pass to 25 shells on the shared ladder
+grid (``kedf.grid_for`` of the ``MAX_SHELLS``-shell density) from which
+the command reads all six points of ``LADDER_SHELLS`` (n_max 20..25).
 The Slater-type orbital kernel runs on the Ne and Xe densities over their
 1008-point ``kedf.grid_for`` grids, the cap ``kedf.energies`` falls back to,
 giving (rho, rho', rho'') as ``STODensity.profile`` does.  One more case
@@ -122,22 +121,11 @@ def ladder_pass(z: float, n_max: int, nodes: np.ndarray) -> None:
 
 
 def ladder_cases() -> list[tuple[str, Callable, tuple]]:
-    """The ``LADDER_SHELLS`` points, each on its own grid, against one pass on the shared grid."""
-    own = [shell_inputs(DEFAULT_GRID_POINTS, n_max) for n_max in LADDER_SHELLS]
-    shared = shell_inputs(DEFAULT_GRID_POINTS, MAX_SHELLS)
-    first, top = LADDER_SHELLS[0], LADDER_SHELLS[-1]
-    return [
-        (
-            f"shell_profile[n_max={first}..{top}, own grids: {own[0][-1].size} nodes]",
-            call_each,
-            (shell_profile, own),
-        ),
-        (
-            f"shell_prefixes[n_max<={top}, shared grid: {shared[-1].size} nodes]",
-            ladder_pass,
-            (shared[0], top, shared[-1]),
-        ),
-    ]
+    """The one pass on the shared grid that gives every ``LADDER_SHELLS`` point."""
+    z, _, nodes = shell_inputs(DEFAULT_GRID_POINTS, MAX_SHELLS)
+    top = LADDER_SHELLS[-1]
+    name = f"shell_prefixes[n_max<={top}, shared grid: {nodes.size} nodes]"
+    return [(name, ladder_pass, (z, top, nodes))]
 
 
 def report(cases: list[tuple[str, Callable, tuple]], medians: list[float]) -> None:

@@ -249,7 +249,7 @@ def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
     top = HydrogenicDensity(MAX_SHELLS)
     grid = grid_for(top)
     # the grid ends at Z_top r / MAX_SHELLS = 70 + 6 (MAX_SHELLS - 1), far
-    # short of where HydrogenicDensity.profile cuts the kernel off
+    # short of the radius where HydrogenicDensity.profile clamps the kernel
     prefixes = _kernels.shell_prefixes(top.z, max(densities), grid.nodes)
     for n_max, *rows in prefixes:
         rho = densities.get(n_max)

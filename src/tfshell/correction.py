@@ -10,13 +10,13 @@ A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
 gives the corrected estimate T_TF + delta_T.  The exact deficits are read
 off the ladder points of ``asymptotics.model_energy_sequence`` (which
-describes their grid).  ``delta_t`` alone decides which Z the correction
-reaches, and how; the command line prints its ValueError as it stands.
+describes their grid).  ``delta_t`` alone gives delta_T and decides which
+Z it reaches; the command line prints its ValueError as it stands.
 
-``cubic_coefficients(mode)`` gives the cubic: 'refit' (the command line's
-default) solves for its coefficients from freshly computed node deltas at
-full precision, while 'published' returns the five-decimal literature
-coefficients for comparison runs.
+``cubic_coefficients(mode)`` gives the cubic and alone judges ``mode``:
+'refit' (the command line's default) solves for its coefficients from
+freshly computed node deltas at full precision, while 'published'
+returns the five-decimal literature coefficients for comparison runs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "PUBLISHED_COEFFICIENTS",
     "cubic_coefficients",
     "delta_t_exact",
-    "delta_t_interpolated",
     "delta_t",
 ]
 
@@ -80,32 +79,17 @@ def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
     raise ValueError(f"unknown interpolation mode {mode!r}; use 'published' or 'refit'")
 
 
-def _cubic(z: int, mode: str) -> float:
-    c0, c1, c2, c3 = cubic_coefficients(mode)
-    z = float(z)
-    return c0 + z * (c1 + z * (c2 + z * c3))
-
-
-def delta_t_interpolated(z: int, mode: str) -> float:
-    """Cubic-interpolated deficit at integer atomic number ``z`` (1..110).
-
-    Beyond the last construction node (Z = ``LAST_NODE_Z`` = 60) this is an
-    extrapolation; the command-line layer warns about it, the library does not.
-    """
-    z = _as_atomic_number(z)
-    if not 1 <= z <= INTERPOLATION_MAX_Z:
-        raise ValueError(f"atomic number out of range [1, {INTERPOLATION_MAX_Z}]: {z}")
-    return _cubic(z, mode)
-
-
 def delta_t(z: int, mode: str) -> float:
     """Deficit delta_T for atomic number ``z``.
 
     The exact node value when ``z`` fills 1..``MAX_SHELLS`` shells
     (2, 10, 28, 60, 110, ...) and the cubic value at any other ``z`` in
-    1..``INTERPOLATION_MAX_Z``.  Every other ``z`` raises ValueError.
+    1..``INTERPOLATION_MAX_Z`` (an extrapolation past ``LAST_NODE_Z``).
+    Every other ``z``, and a ``mode`` unknown to ``cubic_coefficients``,
+    raises ValueError.
     """
     z = _as_atomic_number(z)
+    c0, c1, c2, c3 = cubic_coefficients(mode)
     n_max = shell_count_for(z)
     if n_max is None:
         if not 1 <= z <= INTERPOLATION_MAX_Z:
@@ -114,7 +98,7 @@ def delta_t(z: int, mode: str) -> float:
                 f"Z={z} is not a filled-shell count and lies {side} the "
                 f"interpolation range (1..{INTERPOLATION_MAX_Z})"
             )
-        return _cubic(z, mode)
+        return c0 + z * (c1 + z * (c2 + z * c3))
     if n_max > MAX_SHELLS:
         raise ValueError(
             f"Z={z} fills {n_max} shells; filled-shell counts are "

@@ -127,16 +127,10 @@ class HydrogenicDensity:
         if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
             raise ValueError("radius must be finite and non-negative")
         z, n_max = self.z, self.n_max
-        # past Z r / n_max = _UNDERFLOW_X every shell's e^{-Z r / n} is 0,
-        # while its Laguerre recurrence can overflow to inf (0 * inf = nan)
-        r_far = _UNDERFLOW_X * n_max / z
-        if arr.size == 0 or arr.max() <= r_far:
-            rows = _kernels.shell_profile(z, n_max, arr)
-        else:
-            near = arr <= r_far
-            rows = tuple(np.zeros_like(arr) for _ in range(3))
-            for row, part in zip(rows, _kernels.shell_profile(z, n_max, arr[near])):
-                row[near] = part
+        # past Z r / n_max = _UNDERFLOW_X every shell's e^{-Z r / n} is 0, so
+        # the kernel gives +0.0 there; clamping r there keeps each Laguerre
+        # recurrence from overflowing to inf (0 * inf = nan) further out
+        rows = _kernels.shell_profile(z, n_max, np.minimum(arr, _UNDERFLOW_X * n_max / z))
         if np.asarray(r).ndim == 0:
             return tuple(float(row[0]) for row in rows)
         return rows

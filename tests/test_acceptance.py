@@ -50,17 +50,16 @@ from tfshell.asymptotics import (
     richardson_extrapolate,
     tf_limit_density,
 )
-from tfshell.correction import delta_t_exact, delta_t_interpolated
+from tfshell.correction import delta_t
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     HydrogenicDensity,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
-    shell_count_for,
 )
 from tfshell.atomic_data import atom_density
-from tfshell.kedf import grid_for, make_grid
+from tfshell.kedf import energies, grid_for, make_grid
 from wavefunctions import laguerre_array, radial_wavefunction
 
 
@@ -195,14 +194,10 @@ def _printed_tolerance(entry: str) -> float:
 
 
 def _error_columns(record) -> tuple[float, float, float, float]:
-    field = atom_density(record)
-    t_tf, t_w, t4 = energies_on(field, grid_for(field))
+    # the grid and the correction of the table1 row
+    t_tf, t_w, t4 = energies(atom_density(record))
     t2 = t_w / 9.0
-    n_exact = shell_count_for(record.atomic_number)
-    if n_exact is not None:
-        delta = delta_t_exact(n_exact)
-    else:
-        delta = delta_t_interpolated(record.atomic_number, "refit")
+    delta = delta_t(record.atomic_number, "refit")
     ref = record.reference_hf_kinetic
     return tuple(
         (approx - ref) / ref * 100.0

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from tfshell import _kernels, asymptotics, cli
-from tfshell.correction import delta_t_exact, delta_t_interpolated
+from tfshell.correction import delta_t, delta_t_exact
 from tfshell.hydrogenic import electron_count, model_kinetic_energy_continuous
 from tfshell.kedf import ConvergenceError
 
@@ -384,7 +384,7 @@ def test_model_interpolated_z54():
     payload = json.loads(proc.stdout)
     assert payload["filled_shells"] is None
     assert payload["t_model"] == pytest.approx(model_kinetic_energy_continuous(54), rel=1e-12)
-    assert payload["delta_t"] == pytest.approx(delta_t_interpolated(54, "refit"), rel=1e-12)
+    assert payload["delta_t"] == pytest.approx(delta_t(54, "refit"), rel=1e-12)
     assert "between filled-shell counts 28 and 60" in payload["delta_kind"]
     assert abs(payload["series_relative_gap"]) < 1e-12
     assert payload["interpolation_mode"] == "refit"

@@ -13,11 +13,10 @@ from tfshell.correction import (
     cubic_coefficients,
     delta_t,
     delta_t_exact,
-    delta_t_interpolated,
 )
 from tfshell.atomic_data import load_bundled
 from tfshell.cli import _atom_record
-from tfshell.hydrogenic import HydrogenicDensity
+from tfshell.hydrogenic import MAGIC_NUMBERS, HydrogenicDensity
 from tfshell.kedf import TF_CONSTANT, span_for
 
 # deficits at the first five closed shells, frozen from independent runs of
@@ -68,26 +67,31 @@ def test_refit_rounds_to_published_coefficients() -> None:
 
 def test_published_cubic_at_54() -> None:
     assert cubic_coefficients("published") == PUBLISHED_COEFFICIENTS
-    assert delta_t_interpolated(54, "published") == 378.91949999999997
+    assert delta_t(54, "published") == 378.91949999999997
 
 
 def test_refit_table_nodes() -> None:
     # interpolation property: the refit cubic passes through the exact
     # deficits at the first four filled-shell counts
     for n_max, z in enumerate((2, 10, 28, 60), start=1):
-        assert delta_t_interpolated(z, "refit") == pytest.approx(delta_t_exact(n_max), rel=1e-9)
-        assert delta_t_interpolated(z, "refit") == _cubic(cubic_coefficients("refit"), float(z))
+        cubic = _cubic(cubic_coefficients("refit"), float(z))
+        assert cubic == pytest.approx(delta_t_exact(n_max), rel=1e-9)
 
 
-def test_published_table_is_self_consistent() -> None:
-    # the interpolant evaluates the literature cubic itself
-    for z in (1, 2, 10, 28, 54, 60, 110):
-        assert delta_t_interpolated(z, "published") == _cubic(PUBLISHED_COEFFICIENTS, float(z))
+@pytest.mark.parametrize("mode", ["refit", "published"])
+def test_delta_t_is_node_or_cubic_everywhere(mode: str) -> None:
+    # the exact deficit at each filled-shell count, the cubic itself elsewhere
+    for z in range(1, INTERPOLATION_MAX_Z + 1):
+        if z in MAGIC_NUMBERS:
+            assert delta_t(z, mode) == delta_t_exact(MAGIC_NUMBERS.index(z) + 1)
+        else:
+            assert delta_t(z, mode) == _cubic(cubic_coefficients(mode), float(z))
 
 
 @pytest.mark.parametrize("mode", ["refit", "published"])
 def test_deficit_positive_and_rising(mode: str) -> None:
-    values = np.array([delta_t_interpolated(z, mode) for z in range(1, INTERPOLATION_MAX_Z + 1)])
+    coefficients = cubic_coefficients(mode)
+    values = np.array([_cubic(coefficients, float(z)) for z in range(1, INTERPOLATION_MAX_Z + 1)])
     assert np.all(values > 0.0)
     # strictly increasing across the interpolation window
     window = values[1:60]
@@ -109,17 +113,17 @@ def test_corrected_energy_uses_exact_nodes() -> None:
 def test_delta_t_takes_node_or_cubic() -> None:
     assert delta_t(60, "refit") == delta_t_exact(4)
     assert delta_t(110, "published") == delta_t_exact(5)
-    assert delta_t(54, "published") == delta_t_interpolated(54, "published")
-    assert delta_t(17, "refit") == delta_t_interpolated(17, "refit")
+    assert delta_t(54, "published") == _cubic(PUBLISHED_COEFFICIENTS, 54.0)
+    assert delta_t(17, "refit") == _cubic(cubic_coefficients("refit"), 17.0)
     with pytest.raises(ValueError):
         delta_t(7.5, "refit")
 
 
 def test_corrected_energy_interpolates_between_nodes() -> None:
-    assert _corrected(0.0, 54, "refit") == delta_t_interpolated(54, "refit")
+    assert _corrected(0.0, 54, "refit") == _cubic(cubic_coefficients("refit"), 54.0)
     assert _corrected(0.0, 54, "published") == 378.91949999999997
     assert _corrected(-5.0, 17) == pytest.approx(
-        delta_t_interpolated(17, "refit") - 5.0, rel=1e-15
+        _cubic(cubic_coefficients("refit"), 17.0) - 5.0, rel=1e-15
     )
 
 
@@ -131,13 +135,13 @@ def test_validation_errors() -> None:
     with pytest.raises(ValueError):
         delta_t_exact(True)
     with pytest.raises(ValueError):
-        delta_t_interpolated(0, "refit")
+        delta_t(0, "refit")
     with pytest.raises(ValueError):
-        delta_t_interpolated(INTERPOLATION_MAX_Z + 1, "refit")
+        delta_t(INTERPOLATION_MAX_Z + 1, "refit")
     with pytest.raises(ValueError):
-        delta_t_interpolated(7.5, "refit")
+        delta_t(7.5, "refit")
     with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
-        delta_t_interpolated(5, "cubic")
+        delta_t(5, "cubic")
     with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
         cubic_coefficients("cubic")
     # the texts the command line prints
@@ -147,12 +151,18 @@ def test_validation_errors() -> None:
         delta_t(47642, "refit")
 
 
-@pytest.mark.parametrize("call", [delta_t, delta_t_interpolated])
-def test_bool_is_no_atomic_number(call) -> None:
+def test_bool_is_no_atomic_number() -> None:
     # as hydrogenic.electron_count refuses a bool for a shell count
     for flag in (True, False):
         with pytest.raises(ValueError, match=f"^atomic number must be an integer, got {flag}$"):
-            call(flag, "published")
+            delta_t(flag, "published")
+
+
+@pytest.mark.parametrize("z", [2, 10, 11, 110])
+def test_unknown_mode_fails_at_every_z(z: int) -> None:
+    # a filled-shell Z takes the exact node, yet the mode is still judged
+    with pytest.raises(ValueError, match="^unknown interpolation mode 'cubic'"):
+        delta_t(z, "cubic")
 
 
 @pytest.mark.parametrize("z", [0, -3])

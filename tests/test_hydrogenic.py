@@ -335,3 +335,4 @@ def test_density_is_zero_far_outside() -> None:
         for row, ref in zip(rows, kernel):
             assert np.array_equal(row[near], ref)
             assert not row[~near].any()
+            assert not np.signbit(row[~near]).any()

@@ -423,6 +423,5 @@ def test_kernel_benchmark_script_runs() -> None:
     assert "orbital_profile[17 table1 calls, 1056 nodes]" in proc.stdout
     assert "shell_profile[n_max=2, 3008-point grid: 6204 nodes]" in proc.stdout
     assert "shell_profile[n_max=41, 3008-point grid: 6204 nodes]" in proc.stdout
-    # the ladder cases keep the commands' 1008-point grids whatever --points says
-    assert "shell_profile[n_max=20..25, own grids: 2079 nodes]" in proc.stdout
+    # the ladder case keeps the commands' 1008-point grid whatever --points says
     assert "shell_prefixes[n_max<=25, shared grid: 2079 nodes]" in proc.stdout
