@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -101,8 +100,9 @@ class STOPrimitive:
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
         if not math.isfinite(self.coefficient):
             raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
+        # N = (2 zeta)^{n + 1/2} / sqrt((2n)!), the norm of a lone primitive
         try:
-            normalization = self.normalization
+            normalization = math.sqrt((2.0 * self.zeta) ** (2 * self.n + 1) / math.factorial(2 * self.n))
         except OverflowError:
             normalization = math.inf
         # an underflow to 0 would divide by zero in the norm integral
@@ -111,15 +111,7 @@ class STOPrimitive:
                 f"primitive n={self.n} zeta={self.zeta!r} has a normalization "
                 "outside the float range"
             )
-
-    @cached_property
-    def normalization(self) -> float:
-        """N = (2 zeta)^{n + 1/2} / sqrt((2n)!), unit-norm single primitive.
-
-        Computed once per primitive: the norm check and every density built
-        from the orbital read it.
-        """
-        return math.sqrt((2.0 * self.zeta) ** (2 * self.n + 1) / math.factorial(2 * self.n))
+        object.__setattr__(self, "normalization", normalization)
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,7 @@ class STOOrbital:
             if not isinstance(p, STOPrimitive):
                 raise STOValidationError(f"expected STOPrimitive, got {type(p).__name__}")
         try:
-            norm = self.norm
+            norm = self.norm_integral()
         except ArithmeticError:
             # a pair term (zeta_i + zeta_j)^{n_i + n_j + 1} of valid primitives can overflow
             raise STOValidationError(
@@ -161,6 +153,7 @@ class STOOrbital:
                 f"orbital {self.label} has norm integral {norm:.8f}, "
                 f"off unity by more than {NORM_TOLERANCE:g}"
             )
+        object.__setattr__(self, "norm", norm)
 
     @property
     def label(self) -> str:
@@ -169,11 +162,6 @@ class STOOrbital:
     @property
     def max_occupation(self) -> int:
         return 2 * (2 * self.l + 1)
-
-    @cached_property
-    def norm(self) -> float:
-        """``norm_integral()``, computed once: the validation and every density read it."""
-        return self.norm_integral()
 
     def norm_integral(self) -> float:
         """Closed form of the norm: sum_ij c_i c_j N_i N_j (n_i+n_j)! / (z_i+z_j)^{n_i+n_j+1}.

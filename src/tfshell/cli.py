@@ -27,9 +27,10 @@ else on 1008.  A ladder point of ``model``, ``figures`` and
 value says whether the points resolve it, and the tail gate whether the
 span holds it.
 
-``correction.delta_t`` decides which Z the shell correction reaches;
-``table1`` and ``model`` call it first and report its ValueError as a
-data failure, so an atom it does not reach costs no quadrature.
+``correction`` alone decides the shell correction, with the node it is
+exact at, and its ``--interp`` modes; ``table1`` and ``model`` call it
+first and report its ValueError as a data failure, so an atom it does not
+reach costs no quadrature.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
@@ -60,14 +61,13 @@ from .asymptotics import (
     richardson_extrapolate,
 )
 from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, load_files
-from .correction import LAST_NODE_Z, delta_t
+from .correction import DEFAULT_MODE, INTERPOLATION_MODES, LAST_NODE_Z, delta_t
 from .hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
-    shell_count_for,
 )
 from .kedf import ConvergenceError, GridError, energies
 
@@ -141,15 +141,15 @@ def _select_records(
     return chosen, missing
 
 
-def _shell_correction(z: int, mode: str) -> float:
+def _shell_correction(z: int, mode: str) -> tuple[float, int | None]:
     """``delta_t(z, mode)``, with a warning once it has returned a cubic value past the last node."""
-    delta = delta_t(z, mode)
-    if shell_count_for(z) is None and z > LAST_NODE_Z:
+    delta, n_max = delta_t(z, mode)
+    if n_max is None and z > LAST_NODE_Z:
         _warn(
             f"Z={z} lies beyond the last filled-shell node at {LAST_NODE_Z}; "
             "the interpolated correction is an extrapolation there"
         )
-    return delta
+    return delta, n_max
 
 
 _ERROR_KEYS = ("err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct")
@@ -197,7 +197,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for rec in chosen:
         try:
             try:
-                delta = _shell_correction(rec.atomic_number, args.interp)
+                delta, _ = _shell_correction(rec.atomic_number, args.interp)
             except ValueError as exc:
                 data_failures += 1
                 print(f"error: {rec.element}: {exc}", file=sys.stderr)
@@ -249,12 +249,11 @@ def cmd_model(args: argparse.Namespace) -> int:
             print(f"error: Z must be at least 1, got {z}", file=sys.stderr)
             return EXIT_DATA
     try:
-        delta = _shell_correction(z, args.interp)
+        delta, n_max = _shell_correction(z, args.interp)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    n_max = shell_count_for(z)
     magic = n_max is not None
     if magic:
         t_exact = model_kinetic_energy(n_max)
@@ -407,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = {
-        "--interp": dict(choices=("published", "refit"), default="refit",
-                         help="interpolation coefficients for the shell correction (default refit)"),
+        "--interp": dict(choices=tuple(INTERPOLATION_MODES), default=DEFAULT_MODE,
+                         help=f"interpolation coefficients for the shell correction (default {DEFAULT_MODE})"),
         "--format": dict(choices=("table", "csv", "jsonl"), default="table",
                          help="output format (default table)"),
     }

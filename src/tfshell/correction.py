@@ -10,13 +10,12 @@ A cubic in Z through the first four of those points extends the deficit
 to every integer Z in between; adding it back to a Thomas-Fermi energy
 gives the corrected estimate T_TF + delta_T.  The exact deficits are read
 off the ladder points of ``asymptotics.model_energy_sequence`` (which
-describes their grid).  ``delta_t`` alone gives delta_T and decides which
-Z it reaches; the command line prints its ValueError as it stands.
-
-``cubic_coefficients(mode)`` gives the cubic and alone judges ``mode``:
-'refit' (the command line's default) solves for its coefficients from
-freshly computed node deltas at full precision, while 'published'
-returns the five-decimal literature coefficients for comparison runs.
+describes their grid).  ``delta_t`` alone gives delta_T, decides which Z
+it reaches and reports the node it is exact at; the command line prints
+its ValueError as it stands and offers ``INTERPOLATION_MODES`` as they
+stand.  The refit mode (``DEFAULT_MODE``) solves for the cubic from freshly
+computed node deltas at full precision; the published mode returns the
+five-decimal literature coefficients for comparison runs.
 """
 
 from __future__ import annotations
@@ -29,7 +28,9 @@ from .asymptotics import model_energy_sequence
 from .hydrogenic import MAGIC_NUMBERS, MAX_SHELLS, electron_count, shell_count_for
 
 __all__ = [
+    "DEFAULT_MODE",
     "INTERPOLATION_MAX_Z",
+    "INTERPOLATION_MODES",
     "LAST_NODE_Z",
     "PUBLISHED_COEFFICIENTS",
     "cubic_coefficients",
@@ -59,37 +60,47 @@ def delta_t_exact(n_max: int) -> float:
     return point.t_exact - point.t_tf
 
 
-def _as_atomic_number(z: int) -> int:
-    if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
-        raise ValueError(f"atomic number must be an integer, got {z!r}")
-    return int(z)
+def _refit() -> tuple[float, float, float, float]:
+    """The cubic through the exact deficits at the first four nodes."""
+    nodes = model_energy_sequence(_NODE_SHELLS)
+    zs = np.array([point.z for point in nodes])
+    deltas = [point.t_exact - point.t_tf for point in nodes]
+    coefs = np.linalg.solve(np.vander(zs, 4, increasing=True), deltas)
+    return tuple(float(c) for c in coefs)
+
+
+# the interpolation modes, in the order the command line lists them, each
+# with the source of its cubic; the fit through the nodes is the default
+INTERPOLATION_MODES = {"published": lambda: PUBLISHED_COEFFICIENTS, "refit": _refit}
+DEFAULT_MODE = next(mode for mode, source in INTERPOLATION_MODES.items() if source is _refit)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in INTERPOLATION_MODES:
+        names = " or ".join(repr(name) for name in INTERPOLATION_MODES)
+        raise ValueError(f"unknown interpolation mode {mode!r}; use {names}")
 
 
 @lru_cache(maxsize=None)
 def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
-    """(c0, c1, c2, c3) of the deficit cubic: published, or refit through the exact nodes."""
-    if mode == "published":
-        return PUBLISHED_COEFFICIENTS
-    if mode == "refit":
-        nodes = model_energy_sequence(_NODE_SHELLS)
-        zs = np.array([point.z for point in nodes])
-        deltas = [point.t_exact - point.t_tf for point in nodes]
-        coefs = np.linalg.solve(np.vander(zs, 4, increasing=True), deltas)
-        return tuple(float(c) for c in coefs)
-    raise ValueError(f"unknown interpolation mode {mode!r}; use 'published' or 'refit'")
+    """(c0, c1, c2, c3) of the deficit cubic of ``mode``, computed once per process."""
+    _check_mode(mode)
+    return INTERPOLATION_MODES[mode]()
 
 
-def delta_t(z: int, mode: str) -> float:
-    """Deficit delta_T for atomic number ``z``.
+def delta_t(z: int, mode: str) -> tuple[float, int | None]:
+    """Deficit delta_T for atomic number ``z``, and the node it is exact at.
 
-    The exact node value when ``z`` fills 1..``MAX_SHELLS`` shells
-    (2, 10, 28, 60, 110, ...) and the cubic value at any other ``z`` in
-    1..``INTERPOLATION_MAX_Z`` (an extrapolation past ``LAST_NODE_Z``).
-    Every other ``z``, and a ``mode`` unknown to ``cubic_coefficients``,
-    raises ValueError.
+    The exact node value, with its shell count, when ``z`` fills
+    1..``MAX_SHELLS`` shells (2, 10, 28, 60, 110, ...); the cubic of
+    ``mode``, with None, at any other ``z`` in 1..``INTERPOLATION_MAX_Z``
+    (an extrapolation past ``LAST_NODE_Z``).  Every other ``z``, and an
+    unknown ``mode``, raises ValueError before any quadrature.
     """
-    z = _as_atomic_number(z)
-    c0, c1, c2, c3 = cubic_coefficients(mode)
+    if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
+        raise ValueError(f"atomic number must be an integer, got {z!r}")
+    z = int(z)
+    _check_mode(mode)
     n_max = shell_count_for(z)
     if n_max is None:
         if not 1 <= z <= INTERPOLATION_MAX_Z:
@@ -98,10 +109,11 @@ def delta_t(z: int, mode: str) -> float:
                 f"Z={z} is not a filled-shell count and lies {side} the "
                 f"interpolation range (1..{INTERPOLATION_MAX_Z})"
             )
-        return c0 + z * (c1 + z * (c2 + z * c3))
+        c0, c1, c2, c3 = cubic_coefficients(mode)
+        return c0 + z * (c1 + z * (c2 + z * c3)), None
     if n_max > MAX_SHELLS:
         raise ValueError(
             f"Z={z} fills {n_max} shells; filled-shell counts are "
             f"supported for 1..{MAX_SHELLS} shells"
         )
-    return delta_t_exact(n_max)
+    return delta_t_exact(n_max), n_max

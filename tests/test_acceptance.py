@@ -47,9 +47,9 @@ from tfshell.asymptotics import (
     TARGETS,
     TURNING_POINT,
     model_energy_sequence,
-    richardson_extrapolate,
     tf_limit_density,
 )
+from tfshell.cli import _ERROR_KEYS, _atom_record, _ladder_fits
 from tfshell.correction import delta_t
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
@@ -115,19 +115,9 @@ def test_criterion_2_expansion_coefficients():
 
 def test_criterion_3_extrapolated_ladder_coefficients():
     start = time.perf_counter()
-    points = model_energy_sequence(range(2, 26))
-    tf_fit = richardson_extrapolate(
-        [(p.z, p.t_tf) for p in points],
-        [Fraction(7, 3), Fraction(2), Fraction(5, 3)],
-    )
-    t2_lead = richardson_extrapolate([(p.z, p.t2) for p in points], [Fraction(7, 3)])[0]
-    ratio_powers = [Fraction(-1, 3), Fraction(-2, 3)]
-    t2_gamma = richardson_extrapolate(
-        [(p.z, p.t2 / p.t_exact) for p in points], ratio_powers
-    )[0]
-    t4_gamma = richardson_extrapolate(
-        [(p.z, p.t4 / p.t_exact) for p in points], ratio_powers
-    )[0]
+    # the four fits of `tfshell asymptotics`, on the whole ladder
+    fitted = _ladder_fits(model_energy_sequence(range(2, 26)))
+    tf_fit = [fitted["T_TF", power] for power in ("Z^{7/3}", "Z^2", "Z^{5/3}")]
     elapsed = time.perf_counter() - start
 
     oracle_start = time.perf_counter()
@@ -135,26 +125,26 @@ def test_criterion_3_extrapolated_ladder_coefficients():
     oracle = _core_scaling_z2_coefficient(100, 250.0)
     oracle_elapsed = time.perf_counter() - oracle_start
 
-    def near(series: str, power: str, fitted: float) -> tuple[str, bool]:
+    def near(series: str, power: str) -> tuple[str, bool]:
         target = TARGETS[(series, power)]
         name = f"{series} {power} within {target.tolerance:g} of {target.value!r}"
-        return name, abs(fitted - target.value) <= target.tolerance
+        return name, abs(fitted[series, power] - target.value) <= target.tolerance
 
     t2_lead_target = TARGETS[("T2", "Z^{7/3}")]
     checks = [
-        near("T_TF", "Z^{7/3}", tf_fit[0]),
+        near("T_TF", "Z^{7/3}"),
         ("T_TF Z^2 within 1e-3 of the core-scaling oracle", abs(tf_fit[1] - oracle) <= 1e-3),
         (
             "oracle at (N, X) = (80, 200) within 3e-4 of (100, 250)",
             abs(oracle_coarse - oracle) <= 3e-4,
         ),
-        near("T_TF", "Z^{5/3}", tf_fit[2]),
+        near("T_TF", "Z^{5/3}"),
         (
             "T2 leading coefficient |a| < 1e-4",
-            abs(t2_lead - t2_lead_target.value) < t2_lead_target.tolerance,
+            abs(fitted["T2", "Z^{7/3}"] - t2_lead_target.value) < t2_lead_target.tolerance,
         ),
-        near("T2", "Z^{-1/3}", t2_gamma),
-        near("T4", "Z^{-1/3}", t4_gamma),
+        near("T2", "Z^{-1/3}"),
+        near("T4", "Z^{-1/3}"),
         ("runtime under 300s", elapsed < 300.0),
         ("oracle runtime under 15s", oracle_elapsed < 15.0),
     ]
@@ -194,15 +184,11 @@ def _printed_tolerance(entry: str) -> float:
 
 
 def _error_columns(record) -> tuple[float, float, float, float]:
-    # the grid and the correction of the table1 row
+    # the grid, the correction and the error columns of the table1 row
     t_tf, t_w, t4 = energies(atom_density(record))
-    t2 = t_w / 9.0
-    delta = delta_t(record.atomic_number, "refit")
-    ref = record.reference_hf_kinetic
-    return tuple(
-        (approx - ref) / ref * 100.0
-        for approx in (t_tf, t_tf + t2, t_tf + t2 + t4, t_tf + delta)
-    )
+    delta, _ = delta_t(record.atomic_number, "refit")
+    row = _atom_record(record, t_tf, t_w / 9.0, t4, delta)
+    return tuple(row[key] for key in _ERROR_KEYS)
 
 
 def test_criterion_4_atom_table_reproduction(bundled):

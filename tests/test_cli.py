@@ -8,6 +8,7 @@ expensive, so their outputs are produced once per module and shared.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import importlib
@@ -22,7 +23,13 @@ import numpy as np
 import pytest
 
 from tfshell import _kernels, asymptotics, cli
-from tfshell.correction import delta_t, delta_t_exact
+from tfshell.correction import (
+    DEFAULT_MODE,
+    INTERPOLATION_MODES,
+    cubic_coefficients,
+    delta_t,
+    delta_t_exact,
+)
 from tfshell.hydrogenic import electron_count, model_kinetic_energy_continuous
 from tfshell.kedf import ConvergenceError
 
@@ -107,6 +114,15 @@ def test_options_a_command_does_not_read_exit_2(args, capsys):
         cli.main(list(args))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["table1", "model"])
+def test_interp_choices_are_the_correction_modes(command):
+    # the command line offers the modes of correction's table, as they stand
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (interp,) = (a for a in commands.choices[command]._actions if "--interp" in a.option_strings)
+    assert interp.choices == tuple(INTERPOLATION_MODES)
+    assert interp.default == DEFAULT_MODE
 
 
 def test_console_script_matches_module_invocation():
@@ -384,7 +400,8 @@ def test_model_interpolated_z54():
     payload = json.loads(proc.stdout)
     assert payload["filled_shells"] is None
     assert payload["t_model"] == pytest.approx(model_kinetic_energy_continuous(54), rel=1e-12)
-    assert payload["delta_t"] == pytest.approx(delta_t(54, "refit"), rel=1e-12)
+    delta, _ = delta_t(54, "refit")
+    assert payload["delta_t"] == pytest.approx(delta, rel=1e-12)
     assert "between filled-shell counts 28 and 60" in payload["delta_kind"]
     assert abs(payload["series_relative_gap"]) < 1e-12
     assert payload["interpolation_mode"] == "refit"
@@ -623,6 +640,23 @@ def test_commands_share_one_ladder_cache(monkeypatch):
     assert passes == []
     assert asymptotics._LADDER == cached
     assert asymptotics._LADDER[20] is cached[20]
+
+
+def test_filled_shell_model_makes_one_ladder_pass(monkeypatch, capsys):
+    # the exact node at 10 shells needs no cubic, so its pass is the only one
+    passes = []
+    kernel = _kernels.shell_prefixes
+
+    def counting(z, n_max, r):
+        passes.append(n_max)
+        return kernel(z, n_max, r)
+
+    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    cubic_coefficients.cache_clear()
+    assert cli.main(["model", "--n-max", "10", "--format", "jsonl"]) == 0
+    assert json.loads(capsys.readouterr().out)["filled_shells"] == 10
+    assert passes == [10]
 
 
 # -- output formats ----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from densities import value
+from tfshell import asymptotics
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
     PUBLISHED_COEFFICIENTS,
@@ -67,7 +68,7 @@ def test_refit_rounds_to_published_coefficients() -> None:
 
 def test_published_cubic_at_54() -> None:
     assert cubic_coefficients("published") == PUBLISHED_COEFFICIENTS
-    assert delta_t(54, "published") == 378.91949999999997
+    assert delta_t(54, "published") == (378.91949999999997, None)
 
 
 def test_refit_table_nodes() -> None:
@@ -80,12 +81,14 @@ def test_refit_table_nodes() -> None:
 
 @pytest.mark.parametrize("mode", ["refit", "published"])
 def test_delta_t_is_node_or_cubic_everywhere(mode: str) -> None:
-    # the exact deficit at each filled-shell count, the cubic itself elsewhere
+    # the exact deficit at each filled-shell count with its shell count,
+    # the cubic itself with no node elsewhere
     for z in range(1, INTERPOLATION_MAX_Z + 1):
         if z in MAGIC_NUMBERS:
-            assert delta_t(z, mode) == delta_t_exact(MAGIC_NUMBERS.index(z) + 1)
+            n_max = MAGIC_NUMBERS.index(z) + 1
+            assert delta_t(z, mode) == (delta_t_exact(n_max), n_max)
         else:
-            assert delta_t(z, mode) == _cubic(cubic_coefficients(mode), float(z))
+            assert delta_t(z, mode) == (_cubic(cubic_coefficients(mode), float(z)), None)
 
 
 @pytest.mark.parametrize("mode", ["refit", "published"])
@@ -100,7 +103,8 @@ def test_deficit_positive_and_rising(mode: str) -> None:
 
 def _corrected(t_tf: float, z: int, mode: str = "refit") -> float:
     """The corrected energy T_TF + delta_T as the atom table forms it."""
-    return _atom_record(load_bundled()["He"], t_tf, 0.0, 0.0, delta_t(z, mode))["corrected"]
+    delta, _ = delta_t(z, mode)
+    return _atom_record(load_bundled()["He"], t_tf, 0.0, 0.0, delta)["corrected"]
 
 
 def test_corrected_energy_uses_exact_nodes() -> None:
@@ -111,10 +115,10 @@ def test_corrected_energy_uses_exact_nodes() -> None:
 
 
 def test_delta_t_takes_node_or_cubic() -> None:
-    assert delta_t(60, "refit") == delta_t_exact(4)
-    assert delta_t(110, "published") == delta_t_exact(5)
-    assert delta_t(54, "published") == _cubic(PUBLISHED_COEFFICIENTS, 54.0)
-    assert delta_t(17, "refit") == _cubic(cubic_coefficients("refit"), 17.0)
+    assert delta_t(60, "refit") == (delta_t_exact(4), 4)
+    assert delta_t(110, "published") == (delta_t_exact(5), 5)
+    assert delta_t(54, "published") == (_cubic(PUBLISHED_COEFFICIENTS, 54.0), None)
+    assert delta_t(17, "refit") == (_cubic(cubic_coefficients("refit"), 17.0), None)
     with pytest.raises(ValueError):
         delta_t(7.5, "refit")
 
@@ -159,10 +163,22 @@ def test_bool_is_no_atomic_number() -> None:
 
 
 @pytest.mark.parametrize("z", [2, 10, 11, 110])
-def test_unknown_mode_fails_at_every_z(z: int) -> None:
-    # a filled-shell Z takes the exact node, yet the mode is still judged
+def test_unknown_mode_fails_at_every_z(z: int, monkeypatch) -> None:
+    # a filled-shell Z takes the exact node, yet the mode is still judged,
+    # before any ladder point is computed
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
     with pytest.raises(ValueError, match="^unknown interpolation mode 'cubic'"):
         delta_t(z, "cubic")
+    assert asymptotics._LADDER == {}
+
+
+def test_filled_shell_z_fits_no_cubic(monkeypatch) -> None:
+    # an exact node is read off its own ladder point; the refit cubic,
+    # which needs the points of all four nodes, is not fitted for it
+    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    cubic_coefficients.cache_clear()
+    delta_t(10, "refit")
+    assert sorted(asymptotics._LADDER) == [2]
 
 
 @pytest.mark.parametrize("z", [0, -3])
