@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotics import model_energy_sequence
-from .hydrogenic import MAGIC_NUMBERS, MAX_SHELLS, electron_count, shell_count_for
+from .hydrogenic import MAGIC_NUMBERS, electron_count, shell_count_for
 
 __all__ = [
     "DEFAULT_MODE",
@@ -91,11 +91,13 @@ def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
 def delta_t(z: int, mode: str) -> tuple[float, int | None]:
     """Deficit delta_T for atomic number ``z``, and the node it is exact at.
 
-    The exact node value, with its shell count, when ``z`` fills
-    1..``MAX_SHELLS`` shells (2, 10, 28, 60, 110, ...); the cubic of
-    ``mode``, with None, at any other ``z`` in 1..``INTERPOLATION_MAX_Z``
-    (an extrapolation past ``LAST_NODE_Z``).  Every other ``z``, and an
-    unknown ``mode``, raises ValueError before any quadrature.
+    The exact node value, with its shell count, when ``z`` is a
+    filled-shell count (2, 10, 28, 60, 110, ...); the cubic of ``mode``,
+    with None, at any other ``z`` in 1..``INTERPOLATION_MAX_Z`` (an
+    extrapolation past ``LAST_NODE_Z``).  Every other ``z``, an unknown
+    ``mode`` and a filled-shell count past the cap of
+    ``hydrogenic.HydrogenicDensity``, which words it, raise ValueError
+    before any quadrature.
     """
     if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
         raise ValueError(f"atomic number must be an integer, got {z!r}")
@@ -111,9 +113,4 @@ def delta_t(z: int, mode: str) -> tuple[float, int | None]:
             )
         c0, c1, c2, c3 = cubic_coefficients(mode)
         return c0 + z * (c1 + z * (c2 + z * c3)), None
-    if n_max > MAX_SHELLS:
-        raise ValueError(
-            f"Z={z} fills {n_max} shells; filled-shell counts are "
-            f"supported for 1..{MAX_SHELLS} shells"
-        )
     return delta_t_exact(n_max), n_max

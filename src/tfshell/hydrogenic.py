@@ -23,13 +23,14 @@ charge (``asymptotics.model_energy_sequence`` describes its grid).
 
 This module alone decides what a shell count is: ``electron_count``
 takes a positive integer and no bool, and ``HydrogenicDensity`` also
-caps it at ``MAX_SHELLS``; the ladder and the correction pass counts on
-as given.  The shell kernel (per shell, two Laguerre recurrences of
-length at most n, run in one loop, and a closed form in their last
-values) is checked to 1e-13 against a 32-digit mpmath orbital sum at 25,
-40 and 60 shells and a 40-digit mpmath closed form at 100.  The cap
-stays at 40 until the ladder's 1e-8 quadrature gate and its fits are
-checked beyond that; the kernel itself is not the limit.
+caps it at ``MAX_SHELLS`` and words that cap; the ladder and the
+correction pass counts on as given.  The shell kernel (per shell, two
+Laguerre recurrences of length at most n, run in one loop, and a closed
+form in their last values) is checked to 1e-13 against a 32-digit
+mpmath orbital sum at 25, 40 and 60 shells and a 40-digit mpmath closed
+form at 100.  The cap stays at 40 until the ladder's 1e-8 quadrature
+gate and its fits are checked beyond that; the kernel itself is not the
+limit.
 """
 
 from __future__ import annotations
@@ -115,7 +116,10 @@ class HydrogenicDensity:
     def __init__(self, n_max: int) -> None:
         z = electron_count(n_max)
         if n_max > MAX_SHELLS:
-            raise ValueError(f"n_max = {n_max} beyond supported shell range {MAX_SHELLS}")
+            raise ValueError(
+                f"Z={z} fills {n_max} shells; filled-shell counts are "
+                f"supported for 1..{MAX_SHELLS} shells"
+            )
         self.n_max = int(n_max)
         self.z = float(z)
         self.slowest_primitive = (self.z / self.n_max, self.n_max - 1)

@@ -62,27 +62,29 @@ gates below.
 
 Error check: a functional is evaluated once on all the nodes; the reported
 value is the Kronrod sum over them, as QUADPACK reports it, and the Gauss
-sum on the Gauss nodes alone is the partner of its error estimate |G - K|.
-On the 40-shell ladder grid the Kronrod sums at 1008 points are within
-1.4e-15 of an 8000-point reference, where the Gauss sums are up to 3.2e-12
-off.
-A value whose two sums disagree beyond 1e-8 relative raises
-ConvergenceError; ``profile_energies`` applies that gate to each of its
-three values separately, and the ConvergenceError names the functional
-that failed.  A value that is not finite fails the same gate, and a
-density that is NaN, or negative beyond 1e-12 of its largest value, on
-a grid raises ValueError.  After
-those gates, the Kronrod sum of 4 pi r^2 rho from the same profile call must
-match ``total_charge()`` to 1e-8 relative; a span too short to hold the
-density raises ConvergenceError.  Last comes the tail gate: at the
-outermost node of the same profile call each integrand f decays as
-rho^c with c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral
-beyond the span is about f / (c |rho'/rho|) there.  A tail past 1e-8 of
-its value raises ConvergenceError naming the functional; a density of
-exactly 0 at that node has no tail.  The density check and the Kronrod
-and tail gates are purely relative, with no floor under small values: a
-density scaled by 1e-270 fails where the unscaled one does.  Each ConvergenceError ends
-with the grid's point count and span.
+sum on the Gauss nodes alone is the partner of its error estimate |G - K|,
+which ``_settled`` alone holds to a tolerance.  On the 40-shell ladder
+grid the Kronrod sums at 1008 points are within 1.4e-15 of an 8000-point
+reference, where the Gauss sums are up to 3.2e-12 off.
+
+``_measure`` reads one profile call on a grid into one record; a density
+that is NaN, or negative beyond 1e-12 of its largest value, raises
+ValueError there.  ``_gated`` then raises ConvergenceError at the first
+gate the record fails, in this order:
+
+1. per functional, T_TF, T_W, then T_4: a value or Gauss sum that is not
+   finite, then an estimate beyond 1e-8 of the larger sum;
+2. the charge: the Kronrod sum of 4 pi r^2 rho must match
+   ``total_charge()`` to 1e-8 relative, or the span cuts the density off;
+3. the tail, per functional: each integrand f decays as rho^c with
+   c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral beyond the
+   span is about f / (c |rho'/rho|) at the outermost node; a tail past
+   1e-8 of its value fails, and a density of exactly 0 there has no tail.
+
+A functional's ConvergenceError names it, and each ends with the grid's
+point count and span.  The density check and every gate are purely
+relative, with no floor under small values: a density scaled by 1e-270
+fails where the unscaled one does.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -378,47 +380,6 @@ def _grid_text(grid: RadialGrid) -> str:
     return f"({grid.gauss_weights.size} points over {grid.r_max!r} bohr)"
 
 
-def _check_refinement(
-    grid: RadialGrid,
-    names: tuple[str, ...],
-    values: tuple[float, ...],
-    kronrod_values: tuple[float, ...],
-) -> None:
-    """Raise ConvergenceError naming the first functional that fails the gate.
-
-    ``kronrod_values`` are the Kronrod values of the Gauss ``values`` on
-    ``grid``.  A value fails when it or its Kronrod value is not finite, or
-    when the two differ beyond 1e-8 of the larger, however small both are.
-    """
-    for name, value, kronrod in zip(names, values, kronrod_values):
-        if not (math.isfinite(value) and math.isfinite(kronrod)):
-            bad = kronrod if math.isfinite(value) else value
-            raise ConvergenceError(
-                f"{name}: the result is {bad!r}, not a finite number {_grid_text(grid)}"
-            )
-        if abs(kronrod - value) > _CONVERGENCE_TOL * max(abs(kronrod), abs(value)):
-            raise ConvergenceError(
-                f"{name}: grid refinement moved the result from {value!r} to {kronrod!r} "
-                f"{_grid_text(grid)}"
-            )
-
-
-def _rule_values(
-    grid: RadialGrid, integrands: tuple[np.ndarray, ...]
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """4 pi times the (Gauss, Kronrod) integrals of integrands on ``grid.nodes``."""
-    n = grid.gauss_weights.size
-    return (
-        tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands),
-        tuple(4.0 * math.pi * grid.integrate(f) for f in integrands),
-    )
-
-
-def _tf_integrand(r: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """r^2 tau_0, without the 4 pi."""
-    return r**2 * TF_CONSTANT * values ** (5.0 / 3.0)
-
-
 def _gradient_integrands(
     r: np.ndarray, values: np.ndarray, deriv: np.ndarray, deriv2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -438,68 +399,83 @@ def _gradient_integrands(
     return weizsacker, fourth_order, y
 
 
-def _integrands(r: np.ndarray, rows: tuple) -> tuple[tuple[np.ndarray, ...], float]:
-    """The charge, T_TF, T_W and T_4 integrands of the profile ``rows`` at radii ``r``.
+class _Measured(NamedTuple):
+    """One profile on ``grid.nodes``, measured once for the gates of ``_gated``.
 
-    ``rows`` is (rho, rho', rho'') at ``r``.  Also returns the decay rate
-    |rho'/rho| at the last radius, which on a grid's ``nodes`` is the
-    outermost (the last panel's last Kronrod node), or 0 where the density
-    there is 0.
+    ``integrands`` are those of ``_FUNCTIONALS`` (4 pi r^2 tau without the
+    4 pi), ``gauss`` and ``values`` 4 pi times their Gauss and Kronrod sums,
+    ``held`` the Kronrod sum of 4 pi r^2 rho, and ``decay`` |rho'/rho| at
+    the outermost node (the last panel's last Kronrod node), 0 where the
+    density there is 0.
     """
+
+    grid: RadialGrid
+    integrands: tuple[np.ndarray, np.ndarray, np.ndarray]
+    gauss: tuple[float, float, float]
+    values: tuple[float, float, float]
+    held: float
+    decay: float
+
+
+def _measure(grid: RadialGrid, rows: tuple) -> _Measured:
+    """The record of ``rows`` = (rho, rho', rho'') on ``grid.nodes``, after the density check."""
+    r = grid.nodes
     values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rows)
     values = _checked_density(values)
+    held = 4.0 * math.pi * grid.integrate(r**2 * values)
     weizsacker, fourth_order, y = _gradient_integrands(r, values, deriv, deriv2)
-    integrands = (r**2 * values, _tf_integrand(r, values), weizsacker, fourth_order)
-    return integrands, abs(float(y[-1]))
+    integrands = (r**2 * TF_CONSTANT * values ** (5.0 / 3.0), weizsacker, fourth_order)
+    n = grid.gauss_weights.size
+    return _Measured(
+        grid,
+        integrands,
+        tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands),
+        tuple(4.0 * math.pi * grid.integrate(f) for f in integrands),
+        held,
+        abs(float(y[-1])),
+    )
 
 
-def _check_tail(
-    grid: RadialGrid, integrands: tuple[np.ndarray, ...], decay: float, values: tuple[float, ...]
-) -> None:
-    """Raise ConvergenceError naming the first functional the span cuts short.
+def _settled(gauss: float, kronrod: float, tol: float) -> bool:
+    """Whether the estimate |G - K| is within ``tol`` of the larger sum, with no floor.
 
-    ``integrands`` are those of ``_FUNCTIONALS`` on ``grid.nodes``
-    and ``values`` their integrals.  The integral of each beyond the
-    outermost node is estimated as f / (c |rho'/rho|) there, with c its
-    ``_TAIL_POWERS`` entry; ``decay`` 0 means rho = 0 there, and no tail.
-    A tail past 1e-8 of its value fails, however small both are; a value
-    and tail both exactly 0 pass.
+    False when either sum is NaN.
     """
-    if decay == 0.0:
-        return
-    for name, f, power, value in zip(_FUNCTIONALS, integrands, _TAIL_POWERS, values):
-        tail = 4.0 * math.pi * abs(float(f[-1])) / (power * decay)
-        if tail > _CONVERGENCE_TOL * abs(value):
-            share = tail / abs(value) if value else math.inf
+    return abs(kronrod - gauss) <= tol * max(abs(kronrod), abs(gauss))
+
+
+def _gated(measured: _Measured, charge: float) -> tuple[float, float, float]:
+    """The Kronrod values of ``measured``, once it passes the gates of the module docstring.
+
+    ``charge`` is the density's total charge.  A value and tail both
+    exactly 0 pass the tail gate.
+    """
+    grid, integrands, gauss_values, values, held, decay = measured
+    for name, gauss, value in zip(_FUNCTIONALS, gauss_values, values):
+        if not (math.isfinite(gauss) and math.isfinite(value)):
+            bad = value if math.isfinite(gauss) else gauss
             raise ConvergenceError(
-                f"{name}: about {share:.1e} of the value lies beyond the radial span "
+                f"{name}: the result is {bad!r}, not a finite number {_grid_text(grid)}"
+            )
+        if not _settled(gauss, value, _CONVERGENCE_TOL):
+            raise ConvergenceError(
+                f"{name}: grid refinement moved the result from {gauss!r} to {value!r} "
                 f"{_grid_text(grid)}"
             )
-
-
-def _measure(grid: RadialGrid, rows: tuple) -> tuple:
-    """The integrands of the profile ``rows`` on ``grid.nodes``, their decay and sums.
-
-    Returns the charge, T_TF, T_W and T_4 integrands, the decay rate of
-    ``_integrands``, and their (Gauss, Kronrod) sums from ``_rule_values``.
-    """
-    integrands, decay = _integrands(grid.nodes, rows)
-    return (integrands, decay, *_rule_values(grid, integrands))
-
-
-def _gated_energies(grid: RadialGrid, measured: tuple, charge: float) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) of ``measured = _measure(grid, rows)`` through every gate.
-
-    The values are the Kronrod sums; the Gauss sums serve only the estimates.
-    """
-    integrands, decay, (_, *gauss_values), (held, *values) = measured
-    _check_refinement(grid, _FUNCTIONALS, gauss_values, values)
     if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
         raise ConvergenceError(
             f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
         )
-    _check_tail(grid, integrands[1:], decay, values)
-    return tuple(values)
+    if decay:
+        for name, f, power, value in zip(_FUNCTIONALS, integrands, _TAIL_POWERS, values):
+            tail = 4.0 * math.pi * abs(float(f[-1])) / (power * decay)
+            if tail > _CONVERGENCE_TOL * abs(value):
+                share = tail / abs(value) if value else math.inf
+                raise ConvergenceError(
+                    f"{name}: about {share:.1e} of the value lies beyond the radial span "
+                    f"{_grid_text(grid)}"
+                )
+    return values
 
 
 def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[float, float, float]:
@@ -508,16 +484,11 @@ def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[floa
     ``rows`` is (rho, rho', rho'') on ``grid.nodes`` and ``charge`` the
     density's total charge.  The density check and the three integrands
     run on the rows once, and each value is the Kronrod sum over all the
-    nodes.  T_4 needs exact first and second
-    derivatives; its integrand is the r-regular form of the module
-    docstring, so no explicit 1/r appears.  Each functional must pass the
-    Kronrod gate on its own; the ConvergenceError names the first that
-    fails.  Then the grid's charge must match ``charge``, or
-    ConvergenceError says that the span cuts the density off.  Last, the
-    tail gate: a functional whose integrand beyond the span is estimated
-    past 1e-8 of its value raises ConvergenceError naming it and the span.
+    nodes.  T_4 needs exact first and second derivatives; its integrand is
+    the r-regular form of the module docstring, so no explicit 1/r
+    appears.  The gates, and their order, are ``_gated``'s.
     """
-    return _gated_energies(grid, _measure(grid, rows), charge)
+    return _gated(_measure(grid, rows), charge)
 
 
 def energies(rho: Density) -> tuple[float, float, float]:
@@ -526,18 +497,14 @@ def energies(rho: Density) -> tuple[float, float, float]:
     Both grids span ``span_for(rho)``.  The 512-point grid is measured
     first, with one ``rho.profile`` call on its nodes (a density
     ValueError raises at once).  If each of the three Kronrod values is
-    within 1e-14 relative of its Gauss sum, that grid is gated as
+    ``_settled`` within 1e-14 of its Gauss sum, that grid is gated as
     ``profile_energies`` gates it.  Otherwise the result is
     ``profile_energies`` on the 1008 points of ``grid_for(rho)``, bit for
     bit, values and errors alike.
     """
     grid = make_grid(_TRIAL_POINTS, span_for(rho))
     measured = _measure(grid, rho.profile(grid.nodes))
-    _, _, gauss_values, values = measured
-    if not all(
-        abs(value - gauss) <= _ACCURACY_TARGET * max(abs(value), abs(gauss))
-        for gauss, value in zip(gauss_values[1:], values[1:])
-    ):
+    if not all(_settled(g, k, _ACCURACY_TARGET) for g, k in zip(measured.gauss, measured.values)):
         grid = grid_for(rho)
         measured = _measure(grid, rho.profile(grid.nodes))
-    return _gated_energies(grid, measured, rho.total_charge())
+    return _gated(measured, rho.total_charge())

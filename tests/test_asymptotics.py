@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from tfshell.asymptotics import (
     scaled_model_density,
     tf_limit_density,
 )
+from tfshell.correction import delta_t
 from tfshell.hydrogenic import (
     MAX_SHELLS,
     HydrogenicDensity,
@@ -582,13 +584,34 @@ def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing,
 
 def test_ladder_validates_every_count_before_any_pass(monkeypatch) -> None:
     computed = _counting_energies(monkeypatch)
+    passes = []
+    kernel = _kernels.shell_prefixes
+
+    def counting(z, n_max, r):
+        passes.append(n_max)
+        return kernel(z, n_max, r)
+
+    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
     monkeypatch.setattr(asymptotics, "_LADDER", {})
-    with pytest.raises(ValueError, match="beyond supported shell range"):
-        model_energy_sequence([3, MAX_SHELLS + 1])
+    # HydrogenicDensity alone words the shell cap; the ladder and the
+    # correction raise its one text, before any kernel pass
+    over = MAX_SHELLS + 1
+    cap = re.escape(
+        f"Z={electron_count(over)} fills {over} shells; "
+        f"filled-shell counts are supported for 1..{MAX_SHELLS} shells"
+    )
+    for reach in (
+        lambda: HydrogenicDensity(over),
+        lambda: model_energy_sequence([3, over]),
+        lambda: delta_t(electron_count(over), "refit"),
+    ):
+        with pytest.raises(ValueError, match=f"^{cap}$"):
+            reach()
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="positive integer"):
             model_energy_sequence([3, bad])
     assert computed == []
+    assert passes == []
 
 
 def test_ladder_point_has_the_same_bits_however_requested(monkeypatch) -> None:

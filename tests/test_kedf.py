@@ -1,11 +1,13 @@
 """Quadrature engine and kinetic-energy functionals against closed forms."""
 
+import ast
 import dataclasses
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,12 +67,6 @@ def t4_closed(c: float, beta: float) -> float:
 @pytest.fixture(scope="module")
 def grid() -> RadialGrid:
     return make_grid(2000, 45.0)
-
-
-def _grid_integrands(rho, grid: RadialGrid) -> tuple:
-    """The charge, T_TF, T_W and T_4 integrands of ``rho`` on every node of ``grid``, and the decay."""
-    r = grid.nodes
-    return kedf._integrands(r, rho.profile(r))
 
 
 def test_constants() -> None:
@@ -385,7 +381,7 @@ def test_integrate_is_the_reported_rule(grid: RadialGrid) -> None:
     # grid.integrate is the rule profile_energies reports with, bit for bit:
     # T_W of e^{-2r}, and the Kronrod rule has 33 nodes per 16 Gauss points
     field = orbital_density([[(1.0, 0, 1.0)]])
-    weizsacker = _grid_integrands(field, grid)[0][2]
+    weizsacker = kedf._measure(grid, field.profile(grid.nodes)).integrands[1]
     assert 4.0 * math.pi * grid.integrate(weizsacker) == energies_on(field, grid)[1]
     assert grid.nodes.size == 33 * grid.gauss_weights.size // 16
 
@@ -482,8 +478,8 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     # there, so only the charge check sees the cut
     field = orbital_density([[(1.0, 0, 0.5)]])
     short = make_grid(2000, 10.0)
-    values, kronrod = kedf._rule_values(short, _grid_integrands(field, short)[0][1:])
-    kedf._check_refinement(short, ("T_TF", "T_W", "T_4"), values, kronrod)
+    measured = kedf._measure(short, field.profile(short.nodes))
+    kedf._gated(measured._replace(decay=0.0), measured.held)
     with pytest.raises(ConvergenceError) as exc:
         energies_on(field, short)
     message = re.fullmatch(
@@ -536,7 +532,7 @@ def test_tail_gate_fires_on_a_short_span(bundled, name: str, span: float) -> Non
         str(exc.value),
     )
     assert message is not None, str(exc.value)
-    (truncated,), _ = kedf._rule_values(grid, _grid_integrands(rho, grid)[0][3:])
+    truncated = kedf._measure(grid, rho.profile(grid.nodes)).gauss[2]
     full = energies_on(rho, grid_for(rho))[2]
     assert float(message[1]) == pytest.approx((full - truncated) / full, rel=0.3)
 
@@ -563,17 +559,22 @@ def test_tail_gate_has_no_floor(grid: RadialGrid, c: float) -> None:
         energies_on(field, grid)
 
 
+def _record(grid: RadialGrid, gauss, values, integrands=(np.zeros(3),) * 3, decay=0.0):
+    """A hand-built measurement on ``grid`` that holds its charge of 1."""
+    return kedf._Measured(grid, integrands, gauss, values, 1.0, decay)
+
+
 def test_gates_compare_small_values_relatively(grid: RadialGrid) -> None:
     # 1e-40 and 2e-40 differ by half of the larger: no floor hides it
     with pytest.raises(ConvergenceError, match="^T_W: grid refinement moved the result"):
-        kedf._check_refinement(grid, ("T_W",), (1e-40,), (2e-40,))
-    kedf._check_refinement(grid, ("T_W",), (1e-300,), (1e-300 * (1.0 + 1e-12),))
+        kedf._gated(_record(grid, (1.0, 1e-40, 1.0), (1.0, 2e-40, 1.0)), 1.0)
+    kedf._gated(_record(grid, (1.0, 1e-300, 1.0), (1.0, 1e-300 * (1.0 + 1e-12), 1.0)), 1.0)
     # a value and its tail both exactly 0 pass; a tail on a 0 value does not
-    zero = (np.zeros(3),) * 3
-    kedf._check_tail(grid, zero, 1.0, (0.0, 0.0, 0.0))
+    zeros = (0.0, 0.0, 0.0)
+    kedf._gated(_record(grid, zeros, zeros, decay=1.0), 1.0)
     tail_on_zero = (np.zeros(3), np.array([0.0, 0.0, 1e-300]), np.zeros(3))
     with pytest.raises(ConvergenceError, match="^T_W: about inf of the value"):
-        kedf._check_tail(grid, tail_on_zero, 1.0, (0.0, 0.0, 0.0))
+        kedf._gated(_record(grid, zeros, zeros, tail_on_zero, decay=1.0), 1.0)
 
 
 def test_vacuum_at_the_span_end_has_no_tail() -> None:
@@ -581,7 +582,7 @@ def test_vacuum_at_the_span_end_has_no_tail() -> None:
     # rho'/rho would read 0/0: the gate takes a vacuum node for no tail
     field = orbital_density([[(1.0, 0, 1.0)]])
     grid = make_grid(2000, 400.0)
-    assert _grid_integrands(field, grid)[1] == 0.0
+    assert kedf._measure(grid, field.profile(grid.nodes)).decay == 0.0
     assert energies_on(field, grid)[1] == pytest.approx(tw_closed(1.0, 2.0), rel=1e-10)
 
 
@@ -625,8 +626,9 @@ def test_non_finite_functional_value_names_functional(grid: RadialGrid) -> None:
     with pytest.raises(ConvergenceError, match="^T_4: the result is nan"):
         energies_on(field, grid)
     # T_TF and T_W are finite and pass the gate on their own
-    values, kronrod = kedf._rule_values(grid, _grid_integrands(field, grid)[0][1:])
-    kedf._check_refinement(grid, ("T_TF", "T_W"), values[:2], kronrod[:2])
+    measured = kedf._measure(grid, field.profile(grid.nodes))
+    finite = (1.0,)
+    kedf._gated(_record(grid, measured.gauss[:2] + finite, measured.values[:2] + finite), 1.0)
 
 
 def test_fourth_order_is_finite_far_out(bundled) -> None:
@@ -640,7 +642,7 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
         weizsacker, fourth_order, _ = kedf._gradient_integrands(r, values, deriv, deriv2)
-        _, guarded = kedf._rule_values(far_grid, (weizsacker, fourth_order))
+        guarded = tuple(4.0 * math.pi * far_grid.integrate(f) for f in (weizsacker, fourth_order))
     near = energies_on(field, make_grid(2000, 45.0))[1:]
     far = energies_on(field, far_grid)[1:]
     assert far == guarded
@@ -649,14 +651,68 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_refinement_gate_rejects_non_finite_values(grid: RadialGrid, bad: float) -> None:
-    names = ("T_TF", "T_4")
     with pytest.raises(ConvergenceError, match="^T_4: the result is"):
-        kedf._check_refinement(grid, names, (1.0, bad), (1.0, bad))
-    # a finite value whose Kronrod value is not finite
+        kedf._gated(_record(grid, (1.0, 1.0, bad), (1.0, 1.0, bad)), 1.0)
+    # a finite Gauss sum whose Kronrod value is not finite
     not_finite = r"^T_4: the result is .+ \(2000 points over 45\.0 bohr\)$"
     with pytest.raises(ConvergenceError, match=not_finite):
-        kedf._check_refinement(grid, names, (1.0, 1.0), (1.0, bad))
-    kedf._check_refinement(grid, names, (1.0, 1.0), (1.0, 1.0 + 1e-12))
+        kedf._gated(_record(grid, (1.0, 1.0, 1.0), (1.0, 1.0, bad)), 1.0)
+    kedf._gated(_record(grid, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0 + 1e-12)), 1.0)
+
+
+# (Gauss, Kronrod) pairs of order 1, so that scaled by 1e-300 they stay
+# normal numbers, and whether each is settled at 1e-14 and at 1e-8: equal,
+# 1e-12, 1e-10 and 1e-6 apart relative, of either sign, and of opposite signs
+SUM_PAIRS = [
+    (1.0, 1.0, True, True),
+    (2.5, 2.5 * (1.0 + 1e-12), False, True),
+    (-3.0, -3.0 * (1.0 + 1e-10), False, True),
+    (0.7, 0.7 * (1.0 - 1e-6), False, False),
+    (2.0, -2.0, False, False),
+]
+
+
+@pytest.mark.parametrize("gauss,kronrod,at_target,at_gate", SUM_PAIRS)
+def test_settled_is_symmetric_and_has_no_floor(
+    gauss: float, kronrod: float, at_target: bool, at_gate: bool
+) -> None:
+    for tol, settled in ((kedf._ACCURACY_TARGET, at_target), (kedf._CONVERGENCE_TOL, at_gate)):
+        assert kedf._settled(gauss, kronrod, tol) is settled
+        assert kedf._settled(kronrod, gauss, tol) is settled
+        assert kedf._settled(1e-300 * gauss, 1e-300 * kronrod, tol) is settled
+        for total in (gauss, kronrod):
+            assert kedf._settled(total, total, tol)
+            assert not kedf._settled(total, math.nan, tol)
+            assert not kedf._settled(math.nan, total, tol)
+
+
+@pytest.mark.parametrize("relative", [0.0, 1e-12, 9e-9, 1.1e-8, 1e-6, 0.5])
+def test_refinement_gate_is_settled_at_the_convergence_tolerance(
+    grid: RadialGrid, relative: float
+) -> None:
+    # for finite sums, _gated raises exactly when _settled at 1e-8 is false
+    pairs = ((1.0, 1.0 + relative), (1.0 + relative, 1.0), (1e-300, 1e-300 * (1.0 + relative)))
+    for gauss, value in pairs:
+        record = _record(grid, (1.0, gauss, 1.0), (1.0, value, 1.0))
+        if kedf._settled(gauss, value, kedf._CONVERGENCE_TOL):
+            assert kedf._gated(record, 1.0) == (1.0, value, 1.0)
+        else:
+            with pytest.raises(ConvergenceError, match="^T_W: grid refinement moved the result"):
+                kedf._gated(record, 1.0)
+        assert kedf._settled(gauss, value, kedf._CONVERGENCE_TOL) is (relative < 1e-8)
+
+
+def test_only_kedf_reads_gauss_weights() -> None:
+    # the Gauss sums serve only the estimate rule, _settled; no other module
+    # forms an estimate of its own
+    readers = []
+    for path in sorted(Path(kedf.__file__).parent.glob("*.py")):
+        if path.stem == "kedf":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "gauss_weights":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 # --- shared density pass ----------------------------------------------------
@@ -775,10 +831,10 @@ def test_kronrod_estimate_tracks_doubled_grid(bundled) -> None:
     # error a doubled grid would report, functional by functional
     for rho, n_points, span in _gate_cases(bundled):
         grid = make_grid(n_points, span)
-        values, kronrod = kedf._rule_values(grid, _grid_integrands(rho, grid)[0][1:])
+        measured = kedf._measure(grid, rho.profile(grid.nodes))
         doubled = make_grid(2 * n_points, span)
-        finer, _ = kedf._rule_values(doubled, _grid_integrands(rho, doubled)[0][1:])
-        for value, check, fine in zip(values, kronrod, finer):
+        finer = kedf._measure(doubled, rho.profile(doubled.nodes)).gauss
+        for value, check, fine in zip(measured.gauss, measured.values, finer):
             estimate, reference = abs(check - value), abs(fine - value)
             assert reference > 1e-14 * abs(value)  # well above roundoff
             assert reference / 2 <= estimate <= 2 * reference
