@@ -36,6 +36,10 @@ import math
 
 import numpy as np
 
+# np.exp(-x) is exactly 0 for x above about 745.13, the float64 underflow;
+# both densities clamp their radii where every exponential is 0
+UNDERFLOW_X = 745.2
+
 # ---------------------------------------------------------------------------
 # sums of squared Slater-type orbitals
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .hydrogenic import MAX_SHELLS, HydrogenicDensity, model_kinetic_energy
-from .kedf import grid_for, profile_energies
+from .kedf import Energies, grid_for, profile_energies
 
 __all__ = [
     "TURNING_POINT",
@@ -256,14 +256,14 @@ def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
         if rho is None:
             continue
         scale = rho.z**2 / top.z**2
-        t_tf, t_w, t4 = (scale * t for t in profile_energies(grid, rows, rho.total_charge()))
+        t = Energies._make(scale * e for e in profile_energies(grid, rows, rho.total_charge()))
         _LADDER[n_max] = SequencePoint(
             n_max=n_max,
             z=rho.z,
             t_exact=model_kinetic_energy(n_max),
-            t_tf=t_tf,
-            t2=t_w / 9.0,
-            t4=t4,
+            t_tf=t.t_tf,
+            t2=t.t2,
+            t4=t.t4,
         )
 
 

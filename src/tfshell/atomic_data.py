@@ -380,6 +380,9 @@ class STODensity:
         # a NaN makes min and max NaN, which fails both comparisons
         if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
             raise ValueError("radius must be finite and non-negative")
+        # past zeta_min r = UNDERFLOW_X every primitive's e^{-zeta r} is 0, so
+        # clamping r there changes no value and keeps zeta r from overflowing
+        arr = np.minimum(arr, _kernels.UNDERFLOW_X / self.slowest_primitive[0])
         rows = _kernels.orbital_profile(self.exponents, self.powers, self.coefs, self.weights, arr)
         if np.asarray(r).ndim == 0:
             return tuple(float(row[0]) for row in rows)

@@ -202,13 +202,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 data_failures += 1
                 print(f"error: {rec.element}: {exc}", file=sys.stderr)
                 continue
-            t_tf, t_w, t4 = energies(atom_density(rec))
-            t2 = t_w / 9.0
+            t = energies(atom_density(rec))
         except ConvergenceError as exc:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
             continue
-        rows.append(_atom_record(rec, t_tf, t2, t4, delta))
+        rows.append(_atom_record(rec, t.t_tf, t.t2, t.t4, delta))
 
     if not rows:
         return EXIT_NUMERIC if numeric_failures and not data_failures else EXIT_DATA

@@ -54,9 +54,6 @@ __all__ = [
 
 MAX_SHELLS = 40
 
-# np.exp(-x) is exactly 0 for x above about 745.13, the float64 underflow
-_UNDERFLOW_X = 745.2
-
 
 def electron_count(n_max: int) -> int:
     """Electrons in shells 1..n_max filled completely: sum of 2 n^2."""
@@ -131,10 +128,10 @@ class HydrogenicDensity:
         if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
             raise ValueError("radius must be finite and non-negative")
         z, n_max = self.z, self.n_max
-        # past Z r / n_max = _UNDERFLOW_X every shell's e^{-Z r / n} is 0, so
+        # past Z r / n_max = UNDERFLOW_X every shell's e^{-Z r / n} is 0, so
         # the kernel gives +0.0 there; clamping r there keeps each Laguerre
         # recurrence from overflowing to inf (0 * inf = nan) further out
-        rows = _kernels.shell_profile(z, n_max, np.minimum(arr, _UNDERFLOW_X * n_max / z))
+        rows = _kernels.shell_profile(z, n_max, np.minimum(arr, _kernels.UNDERFLOW_X * n_max / z))
         if np.asarray(r).ndim == 0:
             return tuple(float(row[0]) for row in rows)
         return rows

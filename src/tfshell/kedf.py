@@ -1,11 +1,8 @@
 """Kinetic-energy functionals on radial densities, plus the quadrature engine.
 
-``energies(rho)`` is the entry point.  It returns (T_TF, T_W, T_4),
-each as 4 pi * integral of r^2 * tau dr in hartree, with
-
-* T_TF: tau_0 = (3/10)(3 pi^2)^{2/3} rho^{5/3}
-* T_W:  tau_W = (rho')^2 / (8 rho); the gradient correction is T_2 = T_W / 9
-* T_4:  tau_4 built from rho', rho'' (see below)
+``energies(rho)`` is the entry point.  It returns ``Energies``: T_TF, T_W
+and T_4, each 4 pi * integral of r^2 tau dr in hartree with the tau of the
+table below, and the gradient correction T_2 = T_W / 9 as ``Energies.t2``.
 
 A density is anything with the two methods of the ``Density`` protocol:
 ``profile(r)`` for (rho, rho', rho'') and ``total_charge()``.  Slater-type
@@ -17,36 +14,36 @@ integrates on: R = (70 + 6 p) / zeta.
 
 ``energies`` sizes its own grid over that span.  It measures 512 points
 (``DEFAULT_GRID_POINTS`` // 2, rounded to whole panels) and gates them
-when the error estimate |G - K| (below) of each of the three values is
-within 1e-14 of it, about 20 times the largest estimate measured at
-roundoff level.  Every bundled atom meets that at 512 points, within
-4.2e-16 of its 1008-point values.  Otherwise it takes the 1008-point
-grid, ``grid_for(rho)``, whatever its estimate, so a density that needs
-it gets exactly the values and errors of ``profile_energies`` there.
-The closed-shell ladder keeps one fixed grid instead (see
-``asymptotics.model_energy_sequence``).
+when every value's error estimate |G - K| (below) is within 1e-14 of it,
+about 20 times the largest estimate measured at roundoff level; every
+bundled atom is, within 4.2e-16 of its 1008-point values.  Otherwise it
+takes the 1008-point grid, ``grid_for(rho)``, whatever its estimate, so
+a density that needs it gets exactly the values and errors of
+``profile_energies`` there.  The closed-shell ladder keeps one fixed grid
+instead (see ``asymptotics.model_energy_sequence``).
 
-All three integrands depend on the same (rho, rho', rho'').  ``energies``
-evaluates that profile in one call on the nodes of each grid it measures:
-the density check, the three integrands, the target, every gate below and
-the charge check all read that one evaluation.  A caller that already
-holds a profile on a grid's nodes, as the closed-shell ladder does for
-every prefix of one shell pass, calls ``profile_energies`` directly and
-passes the same gates.
+``_FUNCTIONALS`` is the one table of functionals, in ``Energies`` order.
+A row holds the name the gates print, the power c of rho that the
+integrand decays as far out (f ~ rho^c) and the integrand r^2 tau without
+the 4 pi, from r, rho and the ratios w = s/rho and q = r y^2 that
+``_ratios`` forms once per profile (y = rho'/rho; s = 2 rho' + r rho'' is
+r times the spherical Laplacian of rho):
 
-Both gradient integrands are built from the same ratios y = rho'/rho,
-w = s/rho and q = r y^2, with s = 2 rho' + r rho'' (r times the spherical
-Laplacian of rho):
+    r^2 tau_0 = (3/10) (3 pi^2)^{2/3} r^2 rho^{5/3}     (c = 5/3)
+    r^2 tau_W = r rho q / 8 = r^2 (rho')^2 / (8 rho)      (c = 1)
+    r^2 tau_4 = c4 rho^{1/3} [ w^2 - (9/8) w q + q^2/3 ]  (c = 1/3)
 
-    r^2 tau_W = r rho q / 8
-    r^2 tau_4 = c4 rho^{1/3} [ w^2 - (9/8) w q + q^2/3 ]
+The last is the textbook tau_4 with every explicit 1/r removed, so it is
+finite at r = 0 for cusped densities.  Past rho^{5/3} and rho^{1/3}, no
+power of rho or rho' is formed: (rho')^2 and rho^2 underflow below about
+1e-154 and rho^3 below 1e-103, which would bias T_W low or turn T_4 into
+inf or NaN.  A node where rho is 0 is vacuum and adds nothing to any sum.
 
-The second is the textbook tau_4 with every explicit 1/r removed, so it
-stays finite down to r = 0 for cusped densities.  No power of rho or rho'
-is formed: (rho')^2 and rho^2 underflow below about 1e-154 and rho^3
-below 1e-103, which would bias T_W low or turn T_4 into inf or NaN.  The
-ratios are divided only where rho > 0.  A node where rho is
-exactly 0 is vacuum: it holds no charge and adds nothing to any integral.
+``energies`` evaluates (rho, rho', rho'') in one call on the nodes of
+each grid it measures; every integrand, check and gate reads that one
+evaluation.  A caller that already holds a profile on a grid's nodes, as
+the closed-shell ladder does for every prefix of one shell pass, calls
+``profile_energies`` directly and passes the same gates.
 
 Quadrature: composite 33-point Gauss-Kronrod panels (Kronrod 1965;
 QUADPACK, Piessens et al. 1983) on [0, r_max] in the exponentially mapped
@@ -76,10 +73,10 @@ gate the record fails, in this order:
    finite, then an estimate beyond 1e-8 of the larger sum;
 2. the charge: the Kronrod sum of 4 pi r^2 rho must match
    ``total_charge()`` to 1e-8 relative, or the span cuts the density off;
-3. the tail, per functional: each integrand f decays as rho^c with
-   c = 5/3, 1 and 1/3 for T_TF, T_W and T_4, so the integral beyond the
-   span is about f / (c |rho'/rho|) at the outermost node; a tail past
-   1e-8 of its value fails, and a density of exactly 0 there has no tail.
+3. the tail, per functional: with its row's tail power c, the integral
+   beyond the span is about f / (c |rho'/rho|) at the outermost node; a
+   tail past 1e-8 of its value fails, and a density of exactly 0 there has
+   no tail.
 
 A functional's ConvergenceError names it, and each ends with the grid's
 point count and span.  The density check and every gate are purely
@@ -92,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -101,6 +98,7 @@ __all__ = [
     "GridError",
     "ConvergenceError",
     "Density",
+    "Energies",
     "RadialGrid",
     "make_grid",
     "span_for",
@@ -132,10 +130,35 @@ _CONVERGENCE_TOL = 1e-8
 _ACCURACY_TARGET = 1e-14
 # make_grid rounds it to 512 points
 _TRIAL_POINTS = DEFAULT_GRID_POINTS // 2
-# the functionals as the gates name them, and the power c of rho that
-# each integrand decays as far out (f ~ rho^c)
-_FUNCTIONALS = ("T_TF", "T_W", "T_4")
-_TAIL_POWERS = (5.0 / 3.0, 1.0, 1.0 / 3.0)
+
+
+class Energies(NamedTuple):
+    """(T_TF, T_W, T_4) of one density, in hartree."""
+
+    t_tf: float
+    t_w: float
+    t4: float
+
+    @property
+    def t2(self) -> float:
+        """The second-order gradient correction T_2 = T_W / 9."""
+        return self.t_w / 9.0
+
+
+class _Functional(NamedTuple):
+    """A row of ``_FUNCTIONALS``: gate name, tail power c and integrand f(r, rho, w, q)."""
+
+    name: str
+    power: float
+    integrand: Callable[..., np.ndarray]
+
+
+_FUNCTIONALS = (
+    _Functional("T_TF", 5.0 / 3.0, lambda r, rho, w, q: r**2 * TF_CONSTANT * rho ** (5.0 / 3.0)),
+    _Functional("T_W", 1.0, lambda r, rho, w, q: 0.125 * r * rho * q),
+    _Functional("T_4", 1.0 / 3.0, lambda r, rho, w, q: (
+        FOURTH_ORDER_CONSTANT * rho ** (1.0 / 3.0) * (w * w - 1.125 * w * q + q * q / 3.0))),
+)
 
 
 class Density(Protocol):
@@ -380,23 +403,12 @@ def _grid_text(grid: RadialGrid) -> str:
     return f"({grid.gauss_weights.size} points over {grid.r_max!r} bohr)"
 
 
-def _gradient_integrands(
-    r: np.ndarray, values: np.ndarray, deriv: np.ndarray, deriv2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """r^2 tau_W and r^2 tau_4, without the 4 pi, and y = rho'/rho.
-
-    Both come from the ratios y, w = (2 rho' + r rho'')/rho and q = r y^2,
-    which are divided only where rho > 0 and are 0 in vacuum:
-    r^2 tau_W = r rho q / 8 and r^2 tau_4 = c4 rho^{1/3} (w^2 - (9/8) w q + q^2/3).
-    """
+def _ratios(r: np.ndarray, values: np.ndarray, deriv: np.ndarray, deriv2: np.ndarray) -> tuple:
+    """y = rho'/rho, w = (2 rho' + r rho'')/rho and q = r y^2, divided only where rho > 0, else 0."""
     live = values > 0.0
     y = np.divide(deriv, values, out=np.zeros_like(values), where=live)
     w = np.divide(2.0 * deriv + r * deriv2, values, out=np.zeros_like(values), where=live)
-    q = r * y * y
-    weizsacker = 0.125 * r * values * q
-    bracket = w * w - 1.125 * w * q + q * q / 3.0
-    fourth_order = FOURTH_ORDER_CONSTANT * values ** (1.0 / 3.0) * bracket
-    return weizsacker, fourth_order, y
+    return y, w, r * y * y
 
 
 class _Measured(NamedTuple):
@@ -410,9 +422,9 @@ class _Measured(NamedTuple):
     """
 
     grid: RadialGrid
-    integrands: tuple[np.ndarray, np.ndarray, np.ndarray]
-    gauss: tuple[float, float, float]
-    values: tuple[float, float, float]
+    integrands: tuple[np.ndarray, ...]
+    gauss: tuple[float, ...]
+    values: tuple[float, ...]
     held: float
     decay: float
 
@@ -423,43 +435,35 @@ def _measure(grid: RadialGrid, rows: tuple) -> _Measured:
     values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rows)
     values = _checked_density(values)
     held = 4.0 * math.pi * grid.integrate(r**2 * values)
-    weizsacker, fourth_order, y = _gradient_integrands(r, values, deriv, deriv2)
-    integrands = (r**2 * TF_CONSTANT * values ** (5.0 / 3.0), weizsacker, fourth_order)
+    y, w, q = _ratios(r, values, deriv, deriv2)
+    integrands = tuple(row.integrand(r, values, w, q) for row in _FUNCTIONALS)
     n = grid.gauss_weights.size
-    return _Measured(
-        grid,
-        integrands,
-        tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands),
-        tuple(4.0 * math.pi * grid.integrate(f) for f in integrands),
-        held,
-        abs(float(y[-1])),
-    )
+    gauss = tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands)
+    kronrod = tuple(4.0 * math.pi * grid.integrate(f) for f in integrands)
+    return _Measured(grid, integrands, gauss, kronrod, held, abs(float(y[-1])))
 
 
 def _settled(gauss: float, kronrod: float, tol: float) -> bool:
-    """Whether the estimate |G - K| is within ``tol`` of the larger sum, with no floor.
-
-    False when either sum is NaN.
-    """
+    """Whether the estimate |G - K| is within ``tol`` of the larger sum (no floor; False on NaN)."""
     return abs(kronrod - gauss) <= tol * max(abs(kronrod), abs(gauss))
 
 
-def _gated(measured: _Measured, charge: float) -> tuple[float, float, float]:
+def _gated(measured: _Measured, charge: float) -> Energies:
     """The Kronrod values of ``measured``, once it passes the gates of the module docstring.
 
     ``charge`` is the density's total charge.  A value and tail both
     exactly 0 pass the tail gate.
     """
     grid, integrands, gauss_values, values, held, decay = measured
-    for name, gauss, value in zip(_FUNCTIONALS, gauss_values, values):
+    for row, gauss, value in zip(_FUNCTIONALS, gauss_values, values):
         if not (math.isfinite(gauss) and math.isfinite(value)):
             bad = value if math.isfinite(gauss) else gauss
             raise ConvergenceError(
-                f"{name}: the result is {bad!r}, not a finite number {_grid_text(grid)}"
+                f"{row.name}: the result is {bad!r}, not a finite number {_grid_text(grid)}"
             )
         if not _settled(gauss, value, _CONVERGENCE_TOL):
             raise ConvergenceError(
-                f"{name}: grid refinement moved the result from {gauss!r} to {value!r} "
+                f"{row.name}: grid refinement moved the result from {gauss!r} to {value!r} "
                 f"{_grid_text(grid)}"
             )
     if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
@@ -467,32 +471,30 @@ def _gated(measured: _Measured, charge: float) -> tuple[float, float, float]:
             f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
         )
     if decay:
-        for name, f, power, value in zip(_FUNCTIONALS, integrands, _TAIL_POWERS, values):
-            tail = 4.0 * math.pi * abs(float(f[-1])) / (power * decay)
+        for row, f, value in zip(_FUNCTIONALS, integrands, values):
+            tail = 4.0 * math.pi * abs(float(f[-1])) / (row.power * decay)
             if tail > _CONVERGENCE_TOL * abs(value):
                 share = tail / abs(value) if value else math.inf
                 raise ConvergenceError(
-                    f"{name}: about {share:.1e} of the value lies beyond the radial span "
+                    f"{row.name}: about {share:.1e} of the value lies beyond the radial span "
                     f"{_grid_text(grid)}"
                 )
-    return values
+    return Energies._make(values)
 
 
-def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) of a density profile on ``grid`` (hartree), through every gate.
+def profile_energies(grid: RadialGrid, rows: tuple, charge: float) -> Energies:
+    """The ``Energies`` of a density profile on ``grid`` (hartree), through every gate.
 
-    ``rows`` is (rho, rho', rho'') on ``grid.nodes`` and ``charge`` the
-    density's total charge.  The density check and the three integrands
-    run on the rows once, and each value is the Kronrod sum over all the
-    nodes.  T_4 needs exact first and second derivatives; its integrand is
-    the r-regular form of the module docstring, so no explicit 1/r
-    appears.  The gates, and their order, are ``_gated``'s.
+    ``rows`` is (rho, rho', rho'') on ``grid.nodes``, with the exact
+    derivatives that T_4 needs, and ``charge`` the density's total charge.
+    Each value is the Kronrod sum over all the nodes, and the gates, in
+    their order, are ``_gated``'s.
     """
     return _gated(_measure(grid, rows), charge)
 
 
-def energies(rho: Density) -> tuple[float, float, float]:
-    """(T_TF, T_W, T_4) of ``rho`` on the smallest grid that resolves it (hartree).
+def energies(rho: Density) -> Energies:
+    """The ``Energies`` of ``rho`` on the smallest grid that resolves it (hartree).
 
     Both grids span ``span_for(rho)``.  The 512-point grid is measured
     first, with one ``rho.profile`` call on its nodes (a density

@@ -1,6 +1,7 @@
 """Slater-orbital data: format, validation, and the assembled densities."""
 
 import math
+import warnings
 from importlib import resources
 
 import mpmath
@@ -326,6 +327,19 @@ def test_density_rejects_negative_weights(weights) -> None:
     # a negative weight used to give NaN through its square root
     with pytest.raises(ValueError, match="weights must be non-negative"):
         _density_with(weights=weights)
+
+
+def test_profile_is_zero_at_huge_finite_radii(bundled) -> None:
+    # zeta r used to overflow in the kernel's exponent product once r passed
+    # about 2.3e307 (He's largest zeta is 7.94), warning from inside numpy
+    density = atom_density(bundled["He"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density.profile(1e308) == (0.0, 0.0, 0.0)
+        rows = density.profile(np.array([0.5, 1e308]))
+    for k, near in enumerate(density.profile(0.5)):
+        assert rows[k][0] == near
+        assert rows[k][1] == 0.0
 
 
 @pytest.mark.parametrize(

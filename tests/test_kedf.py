@@ -26,6 +26,7 @@ from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
     TF_CONSTANT,
     ConvergenceError,
+    Energies,
     GridError,
     RadialGrid,
     energies,
@@ -635,14 +636,17 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
     # He's density falls below 1e-103 well inside a 150-bohr span, where
     # (rho')^2, rho^2 and rho^3 of the plain forms underflow; the ratio form
     # does not.  rho^{5/3} of T_TF underflows there harmlessly, so only the
-    # gradient integrands run with every floating-point error raised.
+    # ratios and the T_W and T_4 rows run with every floating-point error raised.
     field = atom_density(bundled["He"])
     far_grid = make_grid(2000, 150.0)
     r = far_grid.nodes
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
-        weizsacker, fourth_order, _ = kedf._gradient_integrands(r, values, deriv, deriv2)
-        guarded = tuple(4.0 * math.pi * far_grid.integrate(f) for f in (weizsacker, fourth_order))
+        _, w, q = kedf._ratios(r, values, deriv, deriv2)
+        guarded = tuple(
+            4.0 * math.pi * far_grid.integrate(row.integrand(r, values, w, q))
+            for row in kedf._FUNCTIONALS[1:]
+        )
     near = energies_on(field, make_grid(2000, 45.0))[1:]
     far = energies_on(field, far_grid)[1:]
     assert far == guarded
@@ -713,6 +717,61 @@ def test_only_kedf_reads_gauss_weights() -> None:
             if isinstance(node, ast.Attribute) and node.attr == "gauss_weights":
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def _divisions_by_nine(path: Path) -> list[str]:
+    """``path:line`` of every division by the constant 9 in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            divisor = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(divisor, ast.Constant) and divisor.value == 9:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_kedf_forms_t2() -> None:
+    # T_2 = T_W / 9 has one owner, Energies.t2; no other module divides by 9
+    package = Path(kedf.__file__).parent
+    assert _divisions_by_nine(package / "kedf.py") != []
+    others = [p for p in sorted(package.glob("*.py")) if p.stem != "kedf"]
+    assert [hit for path in others for hit in _divisions_by_nine(path)] == []
+
+
+# --- the functional table ---------------------------------------------------
+
+
+def test_functional_rows_follow_the_energies_fields() -> None:
+    assert [row.name for row in kedf._FUNCTIONALS] == ["T_TF", "T_W", "T_4"]
+    assert Energies._fields == ("t_tf", "t_w", "t4")
+
+
+def test_tail_powers_match_each_integrands_decay() -> None:
+    # rho = (8/pi) e^{-4 r}; each integrand is rho^c times a polynomial of
+    # degree <= 2 in r, whose log-slope offsets c by about 2/(4 r) = 0.015 at
+    # the outer nodes of the 35-bohr span; the powers are 2/3 or more apart
+    rho = HydrogenicDensity(1)
+    grid = grid_for(rho)
+    assert grid.r_max == 35.0
+    r = np.sort(grid.nodes)[-2:]
+    values, deriv, deriv2 = rho.profile(r)
+    _, w, q = kedf._ratios(r, values, deriv, deriv2)
+    rho_slope = math.log(values[1] / values[0])
+    for row in kedf._FUNCTIONALS:
+        f = row.integrand(r, values, w, q)
+        assert f.min() > 0.0
+        assert math.log(f[1] / f[0]) / rho_slope == pytest.approx(row.power, abs=0.05), row.name
+
+
+def test_energies_are_named_and_own_t2(bundled) -> None:
+    field = atom_density(bundled["Ne"])
+    grid = grid_for(field)
+    profiled = kedf.profile_energies(grid, field.profile(grid.nodes), field.total_charge())
+    for result in (energies(field), profiled):
+        assert type(result) is Energies
+        t_tf, t_w, t4 = result
+        assert (t_tf, t_w, t4) == (result.t_tf, result.t_w, result.t4)
+        assert result.t2 == t_w / 9.0
 
 
 # --- shared density pass ----------------------------------------------------
