@@ -28,6 +28,14 @@ own cancellation is bounded: at large x its two terms n A^2 and x B C
 log10(n) digits there and nothing grows with the degree.  It works in a fixed
 set of preallocated arrays updated in place, so its working set does not
 grow with the shell count.
+
+``shell_profile`` and ``orbital_profile`` own the radius rule of every
+density: a radius must be finite and non-negative (NaN fails), else they
+raise ValueError.  Past the radius where the slowest e^{-zeta r}
+underflows they evaluate at that radius, which gives +0.0 rows and keeps
+the recurrences and zeta r from overflowing.  Their rows are shaped like
+``r``, 0-d for a scalar.  ``shell_prefixes``, the ladder's hot path,
+takes the ladder's grid nodes as given.
 """
 
 from __future__ import annotations
@@ -37,8 +45,18 @@ import math
 import numpy as np
 
 # np.exp(-x) is exactly 0 for x above about 745.13, the float64 underflow;
-# both densities clamp their radii where every exponential is 0
-UNDERFLOW_X = 745.2
+# both profile kernels clamp their radii where every exponential is 0
+_UNDERFLOW_X = 745.2
+
+
+def _radii(r) -> np.ndarray:
+    """``r`` as a float array, if every radius is finite and non-negative."""
+    r = np.asarray(r, dtype=float)
+    # a NaN makes min and max NaN, which fails both comparisons
+    if not (r.min(initial=0.0) >= 0.0 and r.max(initial=0.0) < math.inf):
+        raise ValueError("radius must be finite and non-negative")
+    return r
+
 
 # ---------------------------------------------------------------------------
 # sums of squared Slater-type orbitals
@@ -56,14 +74,15 @@ def orbital_profile(
     powers: np.ndarray,
     coefs: np.ndarray,
     weights: np.ndarray,
-    r: np.ndarray,
+    r,
 ) -> tuple:
-    """(rho, rho', rho'') of sum_k weights[k] phi_k^2, vectorized over r.
+    """(rho, rho', rho'') of sum_k weights[k] phi_k^2 at the radii ``r``.
 
     phi_k = sum_i coefs[k, i] r^{p_i} e^{-zeta_i r} is a sum over P
-    primitives with exponents zeta_i and non-negative integer powers p_i;
-    ``coefs`` has shape (K, P) and the K weights are non-negative.  The
-    three arrays are shaped like ``r``.
+    primitives with positive exponents zeta_i and non-negative integer
+    powers p_i; ``coefs`` has shape (K, P) and the K weights are
+    non-negative.  Each block's radii are clamped at the underflow radius
+    of the smallest exponent as they are copied into the block.
 
     With the primitives ordered by falling power, the P rows r^p e, the
     rows p r^{p-1} e of the powers p >= 1 and the rows p (p-1) r^{p-2} e
@@ -97,6 +116,7 @@ def orbital_profile(
     rounding (and hands a single column to gemv); without the padding a
     node's value would depend on where the block boundaries fall.
     """
+    r = _radii(r)
     n_orb, n_prim = coefs.shape
     nodes = r.reshape(-1)
     lanes = -(-nodes.size // _BLOCK_LANES) * _BLOCK_LANES
@@ -119,6 +139,7 @@ def orbital_profile(
         )
         width = max(_BLOCK_LANES, _BLOCK_ELEMENTS // n_rows // _BLOCK_LANES * _BLOCK_LANES)
         width = min(width, lanes)
+        far = _UNDERFLOW_X / exponents.min()
         rates = -zeta[:, None]
         buffer = np.empty(n_rows * width)
         orbitals = np.empty((3, n_orb * width))
@@ -130,7 +151,7 @@ def orbital_profile(
                 padded = -(-m // _BLOCK_LANES) * _BLOCK_LANES
                 block = buffer[: n_rows * padded].reshape(n_rows, padded)
                 basis, first, second = block[:n_prim], block[n_prim:n_prim + n1], block[n_prim + n1:]
-                row_x[0, :m] = x
+                np.minimum(x, far, out=row_x[0, :m])
                 row_x[0, m:padded] = 0.0
                 xs = row_x[0, :padded]
                 np.dot(rates, row_x[:, :padded], out=basis)
@@ -219,13 +240,14 @@ def _laguerre_tops(k: int, alpha: float, x: np.ndarray, scratch: tuple, tracks: 
             work[:] = cur, nxt, prev
 
 
-def shell_profile(z: float, n_max: int, r: np.ndarray) -> tuple:
-    """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z.
+def shell_profile(z: float, n_max: int, r) -> tuple:
+    """(rho, rho', rho'') of shells 1..n_max filled at nuclear charge z > 0.
 
-    The last prefix of ``shell_prefixes``, for n_max >= 1.
+    The last prefix of ``shell_prefixes``, for n_max >= 1, on the radii
+    clamped at Z r / n_max = ``_UNDERFLOW_X``.
     """
     rows = ()
-    for _, *rows in shell_prefixes(z, n_max, r):
+    for _, *rows in shell_prefixes(z, n_max, np.minimum(_radii(r), _UNDERFLOW_X * n_max / z)):
         pass
     return tuple(rows)
 

@@ -248,8 +248,6 @@ def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
     """Cache the ladder point of each density from one shell pass, in shell order."""
     top = HydrogenicDensity(MAX_SHELLS)
     grid = grid_for(top)
-    # the grid ends at Z_top r / MAX_SHELLS = 70 + 6 (MAX_SHELLS - 1), far
-    # short of the radius where HydrogenicDensity.profile clamps the kernel
     prefixes = _kernels.shell_prefixes(top.z, max(densities), grid.nodes)
     for n_max, *rows in prefixes:
         rho = densities.get(n_max)

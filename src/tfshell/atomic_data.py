@@ -69,6 +69,11 @@ _L_LETTERS = "spdfgh"
 _ORBITAL_LABEL = re.compile(r"(\d+)([a-z])")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class STODataError(ValueError):
     """Base class for atomic-data failures."""
 
@@ -94,7 +99,7 @@ class STOPrimitive:
     coefficient: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise STOValidationError(f"primitive power must be a positive integer, got {self.n!r}")
         if not (math.isfinite(self.zeta) and self.zeta > 0.0):
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
@@ -124,14 +129,14 @@ class STOOrbital:
     primitives: tuple[STOPrimitive, ...]
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise STOValidationError(f"orbital n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.l, int) and 0 <= self.l < len(_L_LETTERS)):
+        if not (_is_int(self.l) and 0 <= self.l < len(_L_LETTERS)):
             raise STOValidationError(f"orbital l must lie in 0..{len(_L_LETTERS) - 1}, got {self.l!r}")
         if self.l >= self.n:
             raise STOValidationError(f"orbital l must be below n, got n={self.n} l={self.l}")
         cap = self.max_occupation
-        if not (isinstance(self.occupation, int) and 0 <= self.occupation <= cap):
+        if not (_is_int(self.occupation) and 0 <= self.occupation <= cap):
             raise STOValidationError(
                 f"occupation of {self.label} must be an integer in 0..{cap}, got {self.occupation!r}"
             )
@@ -191,7 +196,7 @@ class STOAtomRecord:
     def __post_init__(self) -> None:
         if not (self.element and self.element.isalpha()):
             raise STOValidationError(f"element symbol must be alphabetic, got {self.element!r}")
-        if not (isinstance(self.atomic_number, int) and self.atomic_number >= 1):
+        if not (_is_int(self.atomic_number) and self.atomic_number >= 1):
             raise STOValidationError(f"atomic number must be a positive integer, got {self.atomic_number!r}")
         if not self.orbitals:
             raise STOValidationError(f"atom {self.element} has no orbitals")
@@ -322,13 +327,11 @@ class STODensity:
     Holds the atom's P distinct primitives r^p e^{-zeta r} (``exponents``,
     ``powers`` p = n - 1), one row of normalized coefficients c_i N_i per
     occupied orbital (``coefs``, shape (K, P)) and the weights occ_k / 4 pi.
-    Answers the density protocol of ``kedf``: ``profile`` gives
-    (rho, rho', rho'') from one ``_kernels.orbital_profile`` call, with
-    exact derivatives, and ``total_charge`` is sum_k occ_k times the
-    orbital's norm integral.  ``slowest_primitive`` is (zeta, p) of the
-    smallest exponent and the largest power at it, or (inf, 0) when there
-    is no primitive.  It is the package's only exponential-type density
-    and has no term list and no term-list operations.
+    Answers the density protocol of ``kedf``: ``profile`` is one
+    ``_kernels.orbital_profile`` call, and ``total_charge`` is sum_k occ_k
+    times the orbital's norm integral.  ``slowest_primitive`` is (zeta, p)
+    of the smallest exponent and the largest power at it, or (inf, 0) when
+    there is no primitive.
 
     The constructor keeps read-only copies of the four arrays and raises
     ValueError unless the powers are non-negative integers, the exponents
@@ -375,18 +378,8 @@ class STODensity:
         self.slowest_primitive = (zeta, int(powers[exponents == zeta].max(initial=0)))
 
     def profile(self, r):
-        """(rho, rho', rho'') in one kernel call: arrays, or floats for a scalar r."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        # a NaN makes min and max NaN, which fails both comparisons
-        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
-            raise ValueError("radius must be finite and non-negative")
-        # past zeta_min r = UNDERFLOW_X every primitive's e^{-zeta r} is 0, so
-        # clamping r there changes no value and keeps zeta r from overflowing
-        arr = np.minimum(arr, _kernels.UNDERFLOW_X / self.slowest_primitive[0])
-        rows = _kernels.orbital_profile(self.exponents, self.powers, self.coefs, self.weights, arr)
-        if np.asarray(r).ndim == 0:
-            return tuple(float(row[0]) for row in rows)
-        return rows
+        """(rho, rho', rho'') shaped like ``r``, from one kernel call."""
+        return _kernels.orbital_profile(self.exponents, self.powers, self.coefs, self.weights, r)
 
     def total_charge(self) -> float:
         return self._total_charge

@@ -237,17 +237,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    if args.n_max is not None:
-        if not 1 <= args.n_max <= MAX_SHELLS:
-            print(f"error: n-max must lie in 1..{MAX_SHELLS}", file=sys.stderr)
-            return EXIT_DATA
-        z = electron_count(args.n_max)
-    else:
-        z = args.z
-        if z < 1:
-            print(f"error: Z must be at least 1, got {z}", file=sys.stderr)
-            return EXIT_DATA
     try:
+        z = args.z if args.n_max is None else electron_count(args.n_max)
         delta, n_max = _shell_correction(z, args.interp)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,11 +103,12 @@ def model_kinetic_energy_continuous(z: float) -> float:
 
 
 class HydrogenicDensity:
-    """Density of the neutral n_max-shell system, evaluated by the closed-form shell kernel.
+    """Density of the neutral n_max-shell system.
 
-    Answers the density protocol of ``kedf`` (``profile``,
-    ``total_charge`` and ``slowest_primitive``, here (Z / n_max,
-    n_max - 1): the outermost shell's r^{n_max - 1} e^{-Z r / n_max}).
+    Answers the density protocol of ``kedf``: ``profile`` is one
+    ``_kernels.shell_profile`` call, and ``slowest_primitive`` is
+    (Z / n_max, n_max - 1), the outermost shell's r^{n_max - 1}
+    e^{-Z r / n_max}.
     """
 
     def __init__(self, n_max: int) -> None:
@@ -122,19 +123,8 @@ class HydrogenicDensity:
         self.slowest_primitive = (self.z / self.n_max, self.n_max - 1)
 
     def profile(self, r):
-        """(rho, rho', rho'') from one kernel call: arrays, or floats for a scalar r."""
-        arr = np.atleast_1d(np.asarray(r, dtype=float))
-        # a NaN makes min and max NaN, which fails both comparisons
-        if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf):
-            raise ValueError("radius must be finite and non-negative")
-        z, n_max = self.z, self.n_max
-        # past Z r / n_max = UNDERFLOW_X every shell's e^{-Z r / n} is 0, so
-        # the kernel gives +0.0 there; clamping r there keeps each Laguerre
-        # recurrence from overflowing to inf (0 * inf = nan) further out
-        rows = _kernels.shell_profile(z, n_max, np.minimum(arr, _kernels.UNDERFLOW_X * n_max / z))
-        if np.asarray(r).ndim == 0:
-            return tuple(float(row[0]) for row in rows)
-        return rows
+        """(rho, rho', rho'') shaped like ``r``, from one kernel call."""
+        return _kernels.shell_profile(self.z, self.n_max, r)
 
     def total_charge(self) -> float:
         return self.z

@@ -164,7 +164,7 @@ _FUNCTIONALS = (
 class Density(Protocol):
     """What the functionals ask of a radial density.
 
-    ``profile`` returns (rho, rho', rho'') at an array of radii and
+    ``profile`` returns (rho, rho', rho'') shaped like its radii and
     ``total_charge`` the integral of 4 pi r^2 rho.  ``slowest_primitive``
     is (zeta, p) of the orbital primitive r^p e^{-zeta r} that decays
     slowest, so rho ~ r^{2p} e^{-2 zeta r} at large r; only ``span_for``

@@ -6,7 +6,7 @@ from tfshell.kedf import profile_energies
 
 
 def value(density, r):
-    """rho(r) alone, scalar or array: the first row of ``density.profile(r)``."""
+    """rho(r) alone, shaped like ``r``: the first row of ``density.profile(r)``."""
     return density.profile(r)[0]
 
 

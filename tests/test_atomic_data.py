@@ -148,6 +148,25 @@ def test_orbital_validation() -> None:
     assert STOOrbital(2, 1, 6, (STOPrimitive(2, 2.0, 1.0),)).max_occupation == 6
 
 
+ONE_S = (STOPrimitive(1, 2.0, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: STOPrimitive(True, 2.0, 1.0), "primitive power"),
+        (lambda: STOOrbital(True, 0, 1, ONE_S), "orbital n"),
+        (lambda: STOOrbital(1, False, 1, ONE_S), "orbital l"),
+        (lambda: STOOrbital(1, 0, True, ONE_S), "occupation"),
+        (lambda: STOAtomRecord("H", True, (STOOrbital(1, 0, 1, ONE_S),), 0.5), "atomic number"),
+    ],
+)
+def test_integer_fields_reject_bool(build, fragment) -> None:
+    # bool subclasses int, so True would pass an isinstance(..., int) check
+    with pytest.raises(STOValidationError, match=fragment):
+        build()
+
+
 def test_atom_record_validation() -> None:
     orb = STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
     with pytest.raises(STOValidationError, match="alphabetic"):
@@ -270,9 +289,9 @@ def test_density_radius_checks_and_scalars(bundled) -> None:
     with pytest.raises(ValueError, match="non-negative"):
         rho.profile(np.array([0.5, -1e-9]))
     scalar = value(rho, 0.7)
-    assert type(scalar) is float
+    assert scalar.shape == ()
     profile = rho.profile(0.7)
-    assert [type(v) for v in profile] == [float] * 3
+    assert [v.shape for v in profile] == [()] * 3
     assert profile[0] == scalar
     rows = rho.profile(np.array([0.3, 0.7]))
     assert [row[1] for row in rows] == list(profile)

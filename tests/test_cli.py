@@ -439,8 +439,8 @@ def test_model_z_below_first_node_runs():
     "args, fragment",
     [
         (("--z", "111"), "interpolation range"),
-        (("--n-max", "41"), "must lie in 1..40"),
-        (("--z", "0"), "Z must be at least 1"),
+        (("--n-max", "41"), "fills 41 shells; filled-shell counts are supported for 1..40 shells"),
+        (("--z", "0"), "below the interpolation range (1..110)"),
         (("--z", "47642"), "fills 41 shells; filled-shell counts are supported for 1..40 shells"),
         (("--z", str(10**30)), "interpolation range"),
     ],
@@ -456,7 +456,16 @@ def test_model_rejects_out_of_range_inputs(args, fragment):
 def test_model_z_below_one_names_the_bound(z):
     proc = run_cli("model", "--z", z)
     assert proc.returncode == 2
-    assert proc.stderr == f"error: Z must be at least 1, got {z}\n"
+    assert proc.stderr == (
+        f"error: Z={z} is not a filled-shell count and lies below the interpolation range (1..110)\n"
+    )
+    assert proc.stdout == ""
+
+
+def test_model_n_max_zero_names_the_bound():
+    proc = run_cli("model", "--n-max", "0")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: n_max must be a positive integer, got 0\n"
     assert proc.stdout == ""
 
 

@@ -302,7 +302,7 @@ def test_profile_consistency() -> None:
     np.testing.assert_array_equal(drho, density.profile(r)[1])
     np.testing.assert_array_equal(d2rho, density.profile(r)[2])
     scalar = density.profile(1.0)
-    assert all(isinstance(x, float) for x in scalar)
+    assert [x.shape for x in scalar] == [()] * 3
     assert scalar[0] == value(density, 1.0)
 
 

@@ -1,10 +1,12 @@
 """The vectorized kernels against pointwise scalar references."""
 
+import functools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -310,6 +312,36 @@ def test_orbital_profile_working_set_is_one_block(bundled) -> None:
     assert [row.shape for row in rows] == [r.shape] * 3
     # one block of basis rows (256 KiB) and the three (K, M) orbital rows
     assert peak - sum(row.nbytes for row in rows) < 2**20
+
+
+@pytest.mark.parametrize("kernel", ["shell", "orbital"])
+def test_profile_kernels_check_and_clamp_any_radius(bundled, kernel) -> None:
+    # two filled shells at Z = 10, or the Slater-type orbitals of He
+    profile = {
+        "shell": functools.partial(_kernels.shell_profile, 10.0, 2),
+        "orbital": functools.partial(_kernels.orbital_profile, *_orbital_inputs(atom_density(bundled["He"]))),
+    }[kernel]
+    for bad in (math.nan, math.inf, -math.inf, -1e-9):
+        for r in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="^radius must be finite and non-negative$"):
+                profile(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = [profile(1e300), [row[1] for row in profile(np.array([0.5, 1e300]))]]
+        scalar, single = profile(0.7), profile(np.array([0.7]))
+    for rows in far:
+        # +0.0, not -0.0
+        assert [(float(v), math.copysign(1.0, v)) for v in rows] == [(0.0, 1.0)] * 3
+    assert [row.shape for row in scalar] == [()] * 3
+    assert [float(row) for row in scalar] == [float(row[0]) for row in single]
+
+
+def test_only_the_kernels_hold_the_radius_rule() -> None:
+    # the radius check and the underflow clamp have one owner, _kernels
+    package = Path(_kernels.__file__).parent
+    for text in ("radius must be finite and non-negative", "UNDERFLOW_X"):
+        holders = [p.name for p in sorted(package.glob("*.py")) if text in p.read_text(encoding="utf-8")]
+        assert holders == ["_kernels.py"], text
 
 
 def test_orbital_profile_matches_pair_expansion(bundled) -> None:
