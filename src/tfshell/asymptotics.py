@@ -55,6 +55,8 @@ LADDER_SHELLS = tuple(range(25 - _MAX_ELIMINATION_DEPTH, 25 + 1))
 # fig1.csv: the scaled densities of these shell counts at this many points
 _FIG1_SHELLS = (1, 2, 3, 5)
 _FIG1_POINTS = 500
+# fig1a.csv: the functional errors of every supported shell count
+_FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
 
 
 class FitTarget(NamedTuple):
@@ -167,7 +169,7 @@ def richardson_extrapolate(
     coefficients = []
     for p in plist:
         scaled = [r / z**p for r, z in zip(residual, zs)]
-        a = _extrapolate_constant(u[:], scaled)
+        a = _extrapolate_constant(u, scaled)
         coefficients.append(a)
         residual = [r - a * z**p for r, z in zip(residual, zs)]
     return coefficients
@@ -214,48 +216,37 @@ class SequencePoint:
     t4: float
 
 
-# every ladder point computed in this process, by shell count
-_LADDER: dict[int, SequencePoint] = {}
-
-
 def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
     """Exact, Thomas-Fermi, and gradient energies for each shell count.
 
     Every shell count goes to ``HydrogenicDensity`` as given, which checks
-    it, before any is computed.  The points not yet cached come from one
-    pass of the shell kernel (``_kernels.shell_prefixes``) at Z_top =
+    it, before any is computed.  The points come from one pass of the
+    shell kernel (``_kernels.shell_prefixes``) at Z_top =
     ``electron_count(MAX_SHELLS)`` on ``grid_for`` of the
     ``MAX_SHELLS``-shell density, the one grid of every ladder point.  A
     density of k filled shells is rho_k(r; Z) = Z^3 P_k(Z r) for one
     unit-charge profile P_k (Heilmann & Lieb), so the running sum after
     shell k is the k-shell density at Z_top, with charge N(k); its energies
     times (Z_k / Z_top)^2 are those of the neutral k-shell system.  Points
-    are computed in shell order, only at the requested prefixes, and cached
-    per shell count for the process, so a point is integrated at most once
-    and has the same bits whichever call asked for it.  Raising
+    are integrated in shell order, only at the requested prefixes, and
+    returned in request order; a point has the same bits whichever call
+    asks for it, and nothing is kept between calls.  Raising
     ``MAX_SHELLS`` moves every point and must re-run
     ``test_every_prefix_matches_its_own_grid``.  A failing point raises for
-    the first failing shell count, after the points below it are cached.
+    the first failing shell count.
     """
     densities = [HydrogenicDensity(n_max) for n_max in shell_counts]
-    missing = {rho.n_max: rho for rho in densities if rho.n_max not in _LADDER}
-    if missing:
-        _ladder_pass(missing)
-    return [_LADDER[rho.n_max] for rho in densities]
-
-
-def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
-    """Cache the ladder point of each density from one shell pass, in shell order."""
+    wanted = {rho.n_max: rho for rho in densities}
     top = HydrogenicDensity(MAX_SHELLS)
     grid = grid_for(top)
-    prefixes = _kernels.shell_prefixes(top.z, max(densities), grid.nodes)
-    for n_max, *rows in prefixes:
-        rho = densities.get(n_max)
+    points = {}
+    for n_max, *rows in _kernels.shell_prefixes(top.z, max(wanted, default=0), grid.nodes):
+        rho = wanted.get(n_max)
         if rho is None:
             continue
         scale = rho.z**2 / top.z**2
         t = Energies._make(scale * e for e in profile_energies(grid, rows, rho.total_charge()))
-        _LADDER[n_max] = SequencePoint(
+        points[n_max] = SequencePoint(
             n_max=n_max,
             z=rho.z,
             t_exact=model_kinetic_energy(n_max),
@@ -263,6 +254,7 @@ def _ladder_pass(densities: dict[int, HydrogenicDensity]) -> None:
             t2=t.t2,
             t4=t.t4,
         )
+    return [points[rho.n_max] for rho in densities]
 
 
 def figure_density_rows() -> list[dict]:
@@ -287,8 +279,8 @@ def figure_density_rows() -> list[dict]:
     return rows
 
 
-def figure_error_rows(shell_counts: Iterable[int]) -> list[dict]:
-    """Rows (n_max, Z, rel_err_T0, rel_err_T2, rel_err_T4) for error plots.
+def figure_error_rows() -> list[dict]:
+    """Rows (n_max, Z, rel_err_T0, rel_err_T2, rel_err_T4) of ``_FIG1A_SHELLS`` for error plots.
 
     Errors follow the underestimate-positive convention
     (reference - approximation)/reference, where the approximations are
@@ -300,7 +292,7 @@ def figure_error_rows(shell_counts: Iterable[int]) -> list[dict]:
     from three shells and the T4 column only from eight.
     """
     rows = []
-    for pt in model_energy_sequence(shell_counts):
+    for pt in model_energy_sequence(_FIG1A_SHELLS):
         rows.append(
             {
                 "n_max": pt.n_max,

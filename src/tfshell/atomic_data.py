@@ -101,9 +101,9 @@ class STOPrimitive:
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 1):
             raise STOValidationError(f"primitive power must be a positive integer, got {self.n!r}")
-        if not (math.isfinite(self.zeta) and self.zeta > 0.0):
+        if isinstance(self.zeta, bool) or not (math.isfinite(self.zeta) and self.zeta > 0.0):
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
-        if not math.isfinite(self.coefficient):
+        if isinstance(self.coefficient, bool) or not math.isfinite(self.coefficient):
             raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
         # N = (2 zeta)^{n + 1/2} / sqrt((2n)!), the norm of a lone primitive
         try:
@@ -209,9 +209,10 @@ class STOAtomRecord:
                 f"charge mismatch for {self.element}: occupations sum to {total}, "
                 f"atomic number is {self.atomic_number}"
             )
-        if not (math.isfinite(self.reference_hf_kinetic) and self.reference_hf_kinetic > 0.0):
+        ref = self.reference_hf_kinetic
+        if isinstance(ref, bool) or not (math.isfinite(ref) and ref > 0.0):
             raise STOValidationError(
-                f"reference kinetic energy must be positive, got {self.reference_hf_kinetic!r}"
+                f"reference kinetic energy must be positive, got {ref!r}"
             )
 
     @property

@@ -64,7 +64,6 @@ from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled
 from .correction import DEFAULT_MODE, INTERPOLATION_MODES, LAST_NODE_Z, delta_t
 from .hydrogenic import (
     MAGIC_NUMBERS,
-    MAX_SHELLS,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
@@ -77,8 +76,6 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
-_FIG2A_SHELLS = tuple(range(2, MAX_SHELLS + 1, 2))
 # an --atoms token that names an atomic number; every other token is a symbol
 _ATOMIC_NUMBER = re.compile(r"[+-]?[0-9]+")
 
@@ -299,8 +296,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print(f"wrote {path}")
 
     write("fig1.csv", figure_density_rows())
-    for name, shells in (("fig1a.csv", _FIG1A_SHELLS), ("fig2a.csv", _FIG2A_SHELLS)):
-        write(name, figure_error_rows(shells))
+    rows = figure_error_rows()
+    write("fig1a.csv", rows)
+    write("fig2a.csv", [row for row in rows if row["n_max"] % 2 == 0])
     return EXIT_OK
 
 
@@ -328,9 +326,8 @@ def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float
     tf_seq = [(p.z, p.t_tf) for p in points]
     fitted_tf = richardson_extrapolate(tf_seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
     t2_lead = richardson_extrapolate([(p.z, p.t2) for p in points], [Fraction(7, 3)])
-    ratio_powers = [Fraction(-1, 3), Fraction(-2, 3)]
-    t2_ratio = richardson_extrapolate([(p.z, p.t2 / p.t_exact) for p in points], ratio_powers)
-    t4_ratio = richardson_extrapolate([(p.z, p.t4 / p.t_exact) for p in points], ratio_powers)
+    t2_ratio = richardson_extrapolate([(p.z, p.t2 / p.t_exact) for p in points], [Fraction(-1, 3)])
+    t4_ratio = richardson_extrapolate([(p.z, p.t4 / p.t_exact) for p in points], [Fraction(-1, 3)])
     return {
         ("T_TF", "Z^{7/3}"): fitted_tf[0],
         ("T_TF", "Z^2"): fitted_tf[1],

@@ -53,8 +53,8 @@ def delta_t_exact(n_max: int) -> float:
 
     T_shell - T_TF[rho_shell] for the neutral configuration (Z equal to the
     electron count), read off the ladder point of
-    ``asymptotics.model_energy_sequence``, which computes and caches the
-    energies and checks the shell count.  Quadrature failures propagate.
+    ``asymptotics.model_energy_sequence``, which computes the energies and
+    checks the shell count.  Quadrature failures propagate.
     """
     (point,) = model_energy_sequence([n_max])
     return point.t_exact - point.t_tf

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from tfshell import _kernels
 from tfshell.atomic_data import load_bundled
 
 # Filled by test_acceptance via record_criterion; printed after the run so
@@ -16,6 +17,20 @@ ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 @pytest.fixture(scope="session")
 def bundled():
     return load_bundled()
+
+
+@pytest.fixture
+def shell_passes(monkeypatch):
+    """(z, n_max) of every ``_kernels.shell_prefixes`` call the test makes, in call order."""
+    passes = []
+    kernel = _kernels.shell_prefixes
+
+    def counting(z, n_max, r):
+        passes.append((z, n_max))
+        return kernel(z, n_max, r)
+
+    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
+    return passes
 
 
 @pytest.fixture(autouse=True)

@@ -512,7 +512,7 @@ def test_oscillation_validation() -> None:
 def test_sequence_points_are_cached_and_exact() -> None:
     first = model_energy_sequence([3])[0]
     second = model_energy_sequence([3])[0]
-    assert first is second
+    assert first == second
     assert first.z == 28.0
     assert first.t_exact == 3 * 28.0**2
     assert first.n_max == 3
@@ -527,15 +527,18 @@ def test_ladder_point_evaluates_density_once_per_grid(monkeypatch) -> None:
         return kernel(z, n_max, r)
 
     monkeypatch.setattr(_kernels, "shell_prefixes", counting)
-    # an empty cache, so the points are computed here
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
     model_energy_sequence([3, 5, 4])
     # one kernel pass up to the largest count, at the top charge, covers
     # every point; it runs on the Gauss nodes and their Kronrod extension
     assert passes == [(float(electron_count(MAX_SHELLS)), 5, 1008 + 1071)]
-    # cached points run no pass
-    model_energy_sequence([4, 3, 5])
-    assert len(passes) == 1
+
+
+def test_every_call_makes_its_own_pass(shell_passes) -> None:
+    # nothing outlives a call: asking for the same points again runs the
+    # kernel again, and returns equal points
+    first = model_energy_sequence([3, 5])
+    assert model_energy_sequence([3, 5]) == first
+    assert shell_passes == [(float(electron_count(MAX_SHELLS)), 5)] * 2
 
 
 def _counting_energies(monkeypatch, failing=frozenset()) -> list[int]:
@@ -555,44 +558,18 @@ def _counting_energies(monkeypatch, failing=frozenset()) -> list[int]:
     return computed
 
 
-def test_ladder_counts_cache_hits_and_keeps_cached_points(monkeypatch) -> None:
-    # start from an empty cache, so every point starts uncached
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
-    cached = model_energy_sequence([3, 5])
-    computed = _counting_energies(monkeypatch)
-    points = model_energy_sequence(range(2, 9))
-    assert [p.n_max for p in points] == list(range(2, 9))
-    assert points[1] is cached[0] and points[3] is cached[1]
-    # each requested point is counted once: two hits, five computed
-    assert computed == [2, 4, 6, 7, 8]
-    assert len(points) - len(computed) == 2
-    assert sorted(asymptotics._LADDER) == list(range(2, 9))
-
-
 @pytest.mark.parametrize("failing,first", [({5}, 5), ({3, 4}, 3), ({4, 6}, 4)])
 def test_ladder_failure_raises_for_the_first_failing_point(monkeypatch, failing, first) -> None:
     computed = _counting_energies(monkeypatch, failing)
-    # an empty cache, so every point up to the failure is computed here
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
     with pytest.raises(ConvergenceError, match=f"^T_TF: forced failure at n_max = {first}$"):
         model_energy_sequence([7, 2, 6, 3, 5, 4])
     # the points run in shell order, whatever the input order, and the pass
-    # stops at the first failure with the points below it cached
+    # stops at the first failure
     assert computed == list(range(2, first + 1))
-    assert sorted(asymptotics._LADDER) == list(range(2, first))
 
 
-def test_ladder_validates_every_count_before_any_pass(monkeypatch) -> None:
+def test_ladder_validates_every_count_before_any_pass(monkeypatch, shell_passes) -> None:
     computed = _counting_energies(monkeypatch)
-    passes = []
-    kernel = _kernels.shell_prefixes
-
-    def counting(z, n_max, r):
-        passes.append(n_max)
-        return kernel(z, n_max, r)
-
-    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
     # HydrogenicDensity alone words the shell cap; the ladder and the
     # correction raise its one text, before any kernel pass
     over = MAX_SHELLS + 1
@@ -611,20 +588,18 @@ def test_ladder_validates_every_count_before_any_pass(monkeypatch) -> None:
         with pytest.raises(ValueError, match="positive integer"):
             model_energy_sequence([3, bad])
     assert computed == []
-    assert passes == []
+    assert shell_passes == []
 
 
-def test_ladder_point_has_the_same_bits_however_requested(monkeypatch) -> None:
+def test_ladder_point_has_the_same_bits_however_requested() -> None:
     # a point is a prefix of one pass on one grid: alone, in the full
     # ladder, in a pass that runs past it or after a higher pass, it keeps
     # its bits (the repr of a float round-trips them)
     def fresh(*requests) -> str:
-        monkeypatch.setattr(asymptotics, "_LADDER", {})
         for request in requests:
             point = model_energy_sequence(request)[0]
         return repr(point)
 
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
     full = {p.n_max: repr(p) for p in model_energy_sequence(range(1, MAX_SHELLS + 1))}
     for n_max in (1, 2, 7, 20, 39, 40):
         alone = fresh([n_max])
@@ -709,8 +684,8 @@ def test_figure_density_rows_structure() -> None:
         )
 
 
-def test_figure_error_rows_signs(ladder) -> None:
-    rows = figure_error_rows(range(1, 9))
+def test_figure_error_rows_signs() -> None:
+    rows = figure_error_rows()[:8]
     assert [row["n_max"] for row in rows] == list(range(1, 9))
     for row in rows:
         assert row["rel_err_T0"] > 0.0

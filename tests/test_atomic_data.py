@@ -167,6 +167,20 @@ def test_integer_fields_reject_bool(build, fragment) -> None:
         build()
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: STOPrimitive(1, True, 1.0), "primitive exponent"),
+        (lambda: STOPrimitive(1, 1.0, True), "primitive coefficient"),
+        (lambda: STOAtomRecord("He", 2, (STOOrbital(1, 0, 2, ONE_S),), True), "reference kinetic energy"),
+    ],
+)
+def test_float_fields_reject_bool(build, fragment) -> None:
+    # True passes math.isfinite and compares above zero, so it needs its own check
+    with pytest.raises(STOValidationError, match=fragment):
+        build()
+
+
 def test_atom_record_validation() -> None:
     orb = STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
     with pytest.raises(STOValidationError, match="alphabetic"):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfshell import _kernels, asymptotics, cli
+from tfshell import asymptotics, cli
 from tfshell.correction import (
     DEFAULT_MODE,
     INTERPOLATION_MODES,
@@ -30,7 +30,7 @@ from tfshell.correction import (
     delta_t,
     delta_t_exact,
 )
-from tfshell.hydrogenic import electron_count, model_kinetic_energy_continuous
+from tfshell.hydrogenic import MAX_SHELLS, electron_count, model_kinetic_energy_continuous
 from tfshell.kedf import ConvergenceError
 
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
@@ -579,11 +579,21 @@ def test_figures_convergence_failure_exits_numeric(monkeypatch, capsys, tmp_path
         raise ConvergenceError("T_TF: forced failure")
 
     monkeypatch.setattr(asymptotics, "profile_energies", failing_energies)
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
     assert cli.main(["figures", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == "error: T_TF: forced failure\n"
     assert (tmp_path / "fig1.csv").exists()
     assert not (tmp_path / "fig1a.csv").exists()
+
+
+def test_figures_make_one_ladder_pass(tmp_path: Path, shell_passes):
+    # fig1a's forty points come from one pass at the top charge, and fig2a
+    # is fig1a's even rows, not a second ladder request
+    assert cli.main(["figures", "--out", str(tmp_path)]) == 0
+    top = float(electron_count(MAX_SHELLS))
+    assert [n_max for z, n_max in shell_passes if z == top] == [MAX_SHELLS]
+    fig1a = (tmp_path / "fig1a.csv").read_text().splitlines()
+    fig2a = (tmp_path / "fig2a.csv").read_text().splitlines()
+    assert fig2a == fig1a[:1] + fig1a[2::2]
 
 
 # -- asymptotics -----------------------------------------------------------
@@ -632,40 +642,12 @@ def test_asymptotics_csv_reports_failed_self_test(monkeypatch, capsys):
     assert err == "error: self-test identity series failed (forced)\n"
 
 
-def test_commands_share_one_ladder_cache(monkeypatch):
-    # model's exact node at 20 shells is the point asymptotics computed
-    assert cli.main(["asymptotics", "--format", "jsonl"]) == 0
-    passes = []
-    kernel = _kernels.shell_prefixes
-
-    def counting(z, n_max, r):
-        passes.append(n_max)
-        return kernel(z, n_max, r)
-
-    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
-    cached = dict(asymptotics._LADDER)
-    assert cli.main(["model", "--n-max", "20"]) == 0
-    # no kernel pass, and the cache still holds the same point objects
-    assert passes == []
-    assert asymptotics._LADDER == cached
-    assert asymptotics._LADDER[20] is cached[20]
-
-
-def test_filled_shell_model_makes_one_ladder_pass(monkeypatch, capsys):
+def test_filled_shell_model_makes_one_ladder_pass(capsys, shell_passes):
     # the exact node at 10 shells needs no cubic, so its pass is the only one
-    passes = []
-    kernel = _kernels.shell_prefixes
-
-    def counting(z, n_max, r):
-        passes.append(n_max)
-        return kernel(z, n_max, r)
-
-    monkeypatch.setattr(_kernels, "shell_prefixes", counting)
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
     cubic_coefficients.cache_clear()
     assert cli.main(["model", "--n-max", "10", "--format", "jsonl"]) == 0
     assert json.loads(capsys.readouterr().out)["filled_shells"] == 10
-    assert passes == [10]
+    assert [n_max for _, n_max in shell_passes] == [10]
 
 
 # -- output formats ----------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from densities import value
-from tfshell import asymptotics
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
     PUBLISHED_COEFFICIENTS,
@@ -163,22 +162,20 @@ def test_bool_is_no_atomic_number() -> None:
 
 
 @pytest.mark.parametrize("z", [2, 10, 11, 110])
-def test_unknown_mode_fails_at_every_z(z: int, monkeypatch) -> None:
+def test_unknown_mode_fails_at_every_z(z: int, shell_passes) -> None:
     # a filled-shell Z takes the exact node, yet the mode is still judged,
-    # before any ladder point is computed
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    # before any ladder pass
     with pytest.raises(ValueError, match="^unknown interpolation mode 'cubic'"):
         delta_t(z, "cubic")
-    assert asymptotics._LADDER == {}
+    assert shell_passes == []
 
 
-def test_filled_shell_z_fits_no_cubic(monkeypatch) -> None:
+def test_filled_shell_z_fits_no_cubic(shell_passes) -> None:
     # an exact node is read off its own ladder point; the refit cubic,
-    # which needs the points of all four nodes, is not fitted for it
-    monkeypatch.setattr(asymptotics, "_LADDER", {})
+    # which needs a pass to the fourth node, is not fitted for it
     cubic_coefficients.cache_clear()
     delta_t(10, "refit")
-    assert sorted(asymptotics._LADDER) == [2]
+    assert [n_max for _, n_max in shell_passes] == [2]
 
 
 @pytest.mark.parametrize("z", [0, -3])
