@@ -13,19 +13,20 @@ off the ladder points of ``asymptotics.model_energy_sequence`` (which
 describes their grid).  ``delta_t`` alone gives delta_T, decides which Z
 it reaches and reports the node it is exact at; the command line prints
 its ValueError as it stands and offers ``INTERPOLATION_MODES`` as they
-stand.  The refit mode (``DEFAULT_MODE``) solves for the cubic from freshly
-computed node deltas at full precision; the published mode returns the
-five-decimal literature coefficients for comparison runs.
+stand.  Each mode is the cubic's coefficients, held as constants: the
+refit mode (``DEFAULT_MODE``) at full precision, as solving the
+Vandermonde system on the four exact node deficits gives them, and the
+published mode to the five decimals of the literature, for comparison
+runs.  A Z between the nodes thus costs no quadrature; the test suite
+repeats the refit on the ladder and holds the constants to it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .asymptotics import model_energy_sequence
-from .hydrogenic import MAGIC_NUMBERS, electron_count, shell_count_for
+from .hydrogenic import MAGIC_NUMBERS, shell_count_for
 
 __all__ = [
     "DEFAULT_MODE",
@@ -33,7 +34,6 @@ __all__ = [
     "INTERPOLATION_MODES",
     "LAST_NODE_Z",
     "PUBLISHED_COEFFICIENTS",
-    "cubic_coefficients",
     "delta_t_exact",
     "delta_t",
 ]
@@ -41,9 +41,22 @@ __all__ = [
 # cubic c0 + c1 Z + c2 Z^2 + c3 Z^3 through the deficits at Z = 2, 10, 28, 60
 PUBLISHED_COEFFICIENTS = (0.21210, -0.19860, 0.12815, 0.00010)
 
-_NODE_SHELLS = (1, 2, 3, 4)
+# the interpolation modes, in the order the command line lists them, each
+# with its cubic; the refit, the default, is the cubic through the exact
+# deficits delta_t_exact(1..4), in the digits that round-trip its floats
+INTERPOLATION_MODES = {
+    "published": PUBLISHED_COEFFICIENTS,
+    "refit": (
+        0.21209857870156784,
+        -0.19860129586614697,
+        0.1281455374180465,
+        0.00010426308295771889,
+    ),
+}
+DEFAULT_MODE = "refit"
+
 # the charge of the last node, 60: beyond it the cubic extrapolates
-LAST_NODE_Z = electron_count(_NODE_SHELLS[-1])
+LAST_NODE_Z = MAGIC_NUMBERS[3]
 # the cubic serves every Z up to the last closed-shell count, 110
 INTERPOLATION_MAX_Z = MAGIC_NUMBERS[-1]
 
@@ -60,34 +73,6 @@ def delta_t_exact(n_max: int) -> float:
     return point.t_exact - point.t_tf
 
 
-def _refit() -> tuple[float, float, float, float]:
-    """The cubic through the exact deficits at the first four nodes."""
-    nodes = model_energy_sequence(_NODE_SHELLS)
-    zs = np.array([point.z for point in nodes])
-    deltas = [point.t_exact - point.t_tf for point in nodes]
-    coefs = np.linalg.solve(np.vander(zs, 4, increasing=True), deltas)
-    return tuple(float(c) for c in coefs)
-
-
-# the interpolation modes, in the order the command line lists them, each
-# with the source of its cubic; the fit through the nodes is the default
-INTERPOLATION_MODES = {"published": lambda: PUBLISHED_COEFFICIENTS, "refit": _refit}
-DEFAULT_MODE = next(mode for mode, source in INTERPOLATION_MODES.items() if source is _refit)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in INTERPOLATION_MODES:
-        names = " or ".join(repr(name) for name in INTERPOLATION_MODES)
-        raise ValueError(f"unknown interpolation mode {mode!r}; use {names}")
-
-
-@lru_cache(maxsize=None)
-def cubic_coefficients(mode: str) -> tuple[float, float, float, float]:
-    """(c0, c1, c2, c3) of the deficit cubic of ``mode``, computed once per process."""
-    _check_mode(mode)
-    return INTERPOLATION_MODES[mode]()
-
-
 def delta_t(z: int, mode: str) -> tuple[float, int | None]:
     """Deficit delta_T for atomic number ``z``, and the node it is exact at.
 
@@ -102,7 +87,11 @@ def delta_t(z: int, mode: str) -> tuple[float, int | None]:
     if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
         raise ValueError(f"atomic number must be an integer, got {z!r}")
     z = int(z)
-    _check_mode(mode)
+    try:
+        c0, c1, c2, c3 = INTERPOLATION_MODES[mode]
+    except KeyError:
+        names = " or ".join(repr(name) for name in INTERPOLATION_MODES)
+        raise ValueError(f"unknown interpolation mode {mode!r}; use {names}") from None
     n_max = shell_count_for(z)
     if n_max is None:
         if not 1 <= z <= INTERPOLATION_MAX_Z:
@@ -111,6 +100,5 @@ def delta_t(z: int, mode: str) -> tuple[float, int | None]:
                 f"Z={z} is not a filled-shell count and lies {side} the "
                 f"interpolation range (1..{INTERPOLATION_MAX_Z})"
             )
-        c0, c1, c2, c3 = cubic_coefficients(mode)
         return c0 + z * (c1 + z * (c2 + z * c3)), None
     return delta_t_exact(n_max), n_max

@@ -59,7 +59,8 @@ def electron_count(n_max: int) -> int:
     """Electrons in shells 1..n_max filled completely: sum of 2 n^2."""
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    return int(n_max) * (n_max + 1) * (2 * n_max + 1) // 3
+    n = int(n_max)
+    return n * (n + 1) * (2 * n + 1) // 3
 
 
 # the closed-shell counts of one to five filled shells: 2, 10, 28, 60, 110

@@ -26,7 +26,6 @@ from tfshell import asymptotics, cli
 from tfshell.correction import (
     DEFAULT_MODE,
     INTERPOLATION_MODES,
-    cubic_coefficients,
     delta_t,
     delta_t_exact,
 )
@@ -181,6 +180,14 @@ def test_table1_default_output_pinned():
     assert tuple(body) == PINNED_ROWS
     zs = [int(line.split()[0]) for line in body]
     assert zs == sorted(zs)
+
+
+def test_table1_makes_ladder_passes_for_its_filled_shell_atoms_alone(capsys, shell_passes):
+    # He and Ne read their exact nodes off one pass each; every other atom
+    # takes a constant cubic and no pass
+    assert cli.main(["table1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 17
+    assert [n_max for _, n_max in shell_passes] == [1, 2]
 
 
 def test_table1_atom_selection_folds_case_and_accepts_z():
@@ -644,7 +651,6 @@ def test_asymptotics_csv_reports_failed_self_test(monkeypatch, capsys):
 
 def test_filled_shell_model_makes_one_ladder_pass(capsys, shell_passes):
     # the exact node at 10 shells needs no cubic, so its pass is the only one
-    cubic_coefficients.cache_clear()
     assert cli.main(["model", "--n-max", "10", "--format", "jsonl"]) == 0
     assert json.loads(capsys.readouterr().out)["filled_shells"] == 10
     assert [n_max for _, n_max in shell_passes] == [10]

@@ -7,10 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 from densities import value
+from tfshell.asymptotics import model_energy_sequence
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
+    INTERPOLATION_MODES,
     PUBLISHED_COEFFICIENTS,
-    cubic_coefficients,
     delta_t,
     delta_t_exact,
 )
@@ -61,12 +62,12 @@ def _cubic(coefficients, z: float) -> float:
 
 
 def test_refit_rounds_to_published_coefficients() -> None:
-    coefficients = cubic_coefficients("refit")
+    coefficients = INTERPOLATION_MODES["refit"]
     assert tuple(round(c, 5) for c in coefficients) == PUBLISHED_COEFFICIENTS
 
 
 def test_published_cubic_at_54() -> None:
-    assert cubic_coefficients("published") == PUBLISHED_COEFFICIENTS
+    assert INTERPOLATION_MODES["published"] == PUBLISHED_COEFFICIENTS
     assert delta_t(54, "published") == (378.91949999999997, None)
 
 
@@ -74,8 +75,21 @@ def test_refit_table_nodes() -> None:
     # interpolation property: the refit cubic passes through the exact
     # deficits at the first four filled-shell counts
     for n_max, z in enumerate((2, 10, 28, 60), start=1):
-        cubic = _cubic(cubic_coefficients("refit"), float(z))
-        assert cubic == pytest.approx(delta_t_exact(n_max), rel=1e-9)
+        cubic = _cubic(INTERPOLATION_MODES["refit"], float(z))
+        assert cubic == pytest.approx(FROZEN_DELTAS[n_max], rel=1e-9)
+
+
+def test_refit_literals_match_a_fresh_refit() -> None:
+    # the oracle of the refit constants: solve the Vandermonde system on
+    # the four exact node deficits as the ladder gives them now.  A 1e-15
+    # relative change of the deficits moves the solution by about 3e-13
+    nodes = model_energy_sequence((1, 2, 3, 4))
+    zs = np.array([point.z for point in nodes])
+    deltas = [point.t_exact - point.t_tf for point in nodes]
+    refit = np.linalg.solve(np.vander(zs, 4, increasing=True), deltas)
+    literals = INTERPOLATION_MODES["refit"]
+    assert all(type(c) is float for c in literals)
+    assert literals == pytest.approx(tuple(refit), rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("mode", ["refit", "published"])
@@ -87,12 +101,12 @@ def test_delta_t_is_node_or_cubic_everywhere(mode: str) -> None:
             n_max = MAGIC_NUMBERS.index(z) + 1
             assert delta_t(z, mode) == (delta_t_exact(n_max), n_max)
         else:
-            assert delta_t(z, mode) == (_cubic(cubic_coefficients(mode), float(z)), None)
+            assert delta_t(z, mode) == (_cubic(INTERPOLATION_MODES[mode], float(z)), None)
 
 
 @pytest.mark.parametrize("mode", ["refit", "published"])
 def test_deficit_positive_and_rising(mode: str) -> None:
-    coefficients = cubic_coefficients(mode)
+    coefficients = INTERPOLATION_MODES[mode]
     values = np.array([_cubic(coefficients, float(z)) for z in range(1, INTERPOLATION_MAX_Z + 1)])
     assert np.all(values > 0.0)
     # strictly increasing across the interpolation window
@@ -117,16 +131,16 @@ def test_delta_t_takes_node_or_cubic() -> None:
     assert delta_t(60, "refit") == (delta_t_exact(4), 4)
     assert delta_t(110, "published") == (delta_t_exact(5), 5)
     assert delta_t(54, "published") == (_cubic(PUBLISHED_COEFFICIENTS, 54.0), None)
-    assert delta_t(17, "refit") == (_cubic(cubic_coefficients("refit"), 17.0), None)
+    assert delta_t(17, "refit") == (_cubic(INTERPOLATION_MODES["refit"], 17.0), None)
     with pytest.raises(ValueError):
         delta_t(7.5, "refit")
 
 
 def test_corrected_energy_interpolates_between_nodes() -> None:
-    assert _corrected(0.0, 54, "refit") == _cubic(cubic_coefficients("refit"), 54.0)
+    assert _corrected(0.0, 54, "refit") == _cubic(INTERPOLATION_MODES["refit"], 54.0)
     assert _corrected(0.0, 54, "published") == 378.91949999999997
     assert _corrected(-5.0, 17) == pytest.approx(
-        _cubic(cubic_coefficients("refit"), 17.0) - 5.0, rel=1e-15
+        _cubic(INTERPOLATION_MODES["refit"], 17.0) - 5.0, rel=1e-15
     )
 
 
@@ -143,10 +157,10 @@ def test_validation_errors() -> None:
         delta_t(INTERPOLATION_MAX_Z + 1, "refit")
     with pytest.raises(ValueError):
         delta_t(7.5, "refit")
-    with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
+    with pytest.raises(
+        ValueError, match=r"^unknown interpolation mode 'cubic'; use 'published' or 'refit'$"
+    ):
         delta_t(5, "cubic")
-    with pytest.raises(ValueError, match="unknown interpolation mode 'cubic'"):
-        cubic_coefficients("cubic")
     # the texts the command line prints
     with pytest.raises(ValueError, match=r"^Z=111 is not a filled-shell count and lies beyond"):
         delta_t(111, "published")
@@ -170,12 +184,17 @@ def test_unknown_mode_fails_at_every_z(z: int, shell_passes) -> None:
     assert shell_passes == []
 
 
-def test_filled_shell_z_fits_no_cubic(shell_passes) -> None:
-    # an exact node is read off its own ladder point; the refit cubic,
-    # which needs a pass to the fourth node, is not fitted for it
-    cubic_coefficients.cache_clear()
+def test_filled_shell_z_makes_one_pass_to_its_own_node(shell_passes) -> None:
+    # an exact node is read off its own ladder point and nothing more
     delta_t(10, "refit")
     assert [n_max for _, n_max in shell_passes] == [2]
+
+
+@pytest.mark.parametrize("mode", ["refit", "published"])
+def test_cubic_z_makes_no_ladder_pass(mode: str, shell_passes) -> None:
+    # both modes are constants, so a Z between the nodes costs no quadrature
+    delta_t(54, mode)
+    assert shell_passes == []
 
 
 @pytest.mark.parametrize("z", [0, -3])

@@ -41,6 +41,15 @@ def test_shell_count_for_inverts_the_sequence() -> None:
         assert shell_count_for(z) is None
 
 
+@pytest.mark.parametrize("n_max", [3, 3_000_000])
+def test_electron_count_of_a_numpy_integer_is_a_python_int(n_max: int) -> None:
+    # a numpy shell count is counted in Python ints: no int64 result, and
+    # no wrap past 2**63 (3e6 shells hold about 1.8e19 electrons)
+    count = electron_count(np.int64(n_max))
+    assert type(count) is int
+    assert count == electron_count(n_max) == sum(2 * k * k for k in range(1, n_max + 1))
+
+
 @pytest.mark.parametrize("bad", [0, -2, 2.5, "3", True])
 def test_electron_count_rejects_bad_input(bad) -> None:
     with pytest.raises(ValueError):
