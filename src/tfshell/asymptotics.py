@@ -6,7 +6,9 @@ Three strands live here:
   of Z^{1/3} (``MODEL_SERIES``, summed by ``model_series``), with every
   coefficient an exact surd;
 * Richardson extrapolation of finite-shell energy sequences to asymptotic
-  coefficients (``richardson_extrapolate``, ``model_energy_sequence``);
+  coefficients (``richardson_extrapolate``, ``model_energy_sequence``),
+  with ``FITS``, the one table of the ladder fits ``tfshell asymptotics``
+  reports, their powers and targets (run by ``fit_rows``);
 * the semiclassical limit of the scaled density (``tf_limit_density``)
   and the finite-Z scaled density sampled against it
   (``scaled_model_density``, ``figure_density_rows``).
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,11 +33,13 @@ from .kedf import Energies, grid_for, profile_energies
 
 __all__ = [
     "TURNING_POINT",
-    "TARGETS",
+    "FITS",
     "LADDER_SHELLS",
     "ExtrapolationError",
     "MODEL_SERIES",
     "SequencePoint",
+    "Fit",
+    "fit_rows",
     "model_series",
     "richardson_extrapolate",
     "tf_limit_density",
@@ -57,29 +61,6 @@ _FIG1_SHELLS = (1, 2, 3, 5)
 _FIG1_POINTS = 500
 # fig1a.csv: the functional errors of every supported shell count
 _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
-
-
-class FitTarget(NamedTuple):
-    """Regression target of one extrapolated ladder quantity."""
-
-    quantity: str
-    value: float
-    tolerance: float
-
-
-# Regression targets of the Richardson fits on the closed-shell ladder, keyed
-# by (series, power), in report order.  Every value is the paper's printed
-# number.  The T_TF Z^2 entry (-0.625856) is not the Z^2 coefficient of the
-# ladder's local-density energy: an independent core-scaling oracle puts that
-# at -0.65282, and the acceptance tests check the fit against the oracle.
-TARGETS: dict[tuple[str, str], FitTarget] = {
-    ("T_TF", "Z^{7/3}"): FitTarget("coefficient", 1.144714, 1e-5),
-    ("T_TF", "Z^2"): FitTarget("coefficient", -0.625856, 1e-3),
-    ("T_TF", "Z^{5/3}"): FitTarget("coefficient", 0.146878, 1e-2),
-    ("T2", "Z^{7/3}"): FitTarget("coefficient", 0.0, 1e-4),
-    ("T2", "Z^{-1/3}"): FitTarget("fraction of exact energy", 0.10942, 1e-3),
-    ("T4", "Z^{-1/3}"): FitTarget("fraction of exact energy", 0.015052, 1e-3),
-}
 
 
 class ExtrapolationError(RuntimeError):
@@ -149,8 +130,9 @@ def richardson_extrapolate(
     strictly decreasing order.  Coefficients are extracted one at a time:
     divide the running residual by Z^{p_i}, accelerate the resulting
     sequence to its u -> 0 limit in u = Z^{-1/3}, subtract, repeat.
-    Requires at least len(powers) + 2 points; raises ExtrapolationError
-    when an acceleration tableau diverges instead of settling.
+    Requires at least len(powers) + 2 points, every Z, value and power
+    finite; raises ExtrapolationError when an acceleration tableau
+    diverges instead of settling.
     """
     pts = [(float(z), float(v)) for z, v in sequence]
     if len(pts) < len(powers) + 2:
@@ -158,11 +140,14 @@ def richardson_extrapolate(
             f"need at least {len(powers) + 2} points for {len(powers)} powers, got {len(pts)}"
         )
     zs = [z for z, _ in pts]
-    if any(b <= a for a, b in zip(zs, zs[1:])) or zs[0] <= 0:
-        raise ValueError("sequence must have positive, strictly increasing Z values")
+    # written so that a NaN fails each check
+    if not (zs[0] > 0.0 and zs[-1] < math.inf and all(a < b for a, b in zip(zs, zs[1:]))):
+        raise ValueError("sequence must have finite, positive, strictly increasing Z values")
+    if not all(math.isfinite(v) for _, v in pts):
+        raise ValueError("sequence values must be finite")
     plist = [float(p) for p in powers]
-    if any(b >= a for a, b in zip(plist, plist[1:])):
-        raise ValueError("powers must be strictly decreasing")
+    if not (all(map(math.isfinite, plist)) and all(a > b for a, b in zip(plist, plist[1:]))):
+        raise ValueError("powers must be finite and strictly decreasing")
 
     u = [z ** (-1.0 / 3.0) for z in zs]
     residual = [v for _, v in pts]
@@ -255,6 +240,50 @@ def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
             t4=t.t4,
         )
     return [points[rho.n_max] for rho in densities]
+
+
+class Fit(NamedTuple):
+    """One Richardson fit on the ladder, with the paper's target for each power it fits."""
+
+    series: str
+    quantity: str
+    value: Callable[[SequencePoint], float]
+    # (power, printed label, target, tolerance) per fitted power, decreasing
+    terms: tuple[tuple[Fraction, str, float, float], ...]
+
+
+# The fits of `tfshell asymptotics` in report order, with the paper's printed
+# targets.  The T_TF Z^2 target (-0.625856) is not the Z^2 coefficient of the
+# ladder's local-density energy, which an independent core-scaling oracle in
+# the acceptance tests puts at -0.65282.
+FITS: tuple[Fit, ...] = (
+    Fit("T_TF", "coefficient", lambda p: p.t_tf, (
+        (Fraction(7, 3), "Z^{7/3}", 1.144714, 1e-5),
+        (Fraction(2), "Z^2", -0.625856, 1e-3),
+        (Fraction(5, 3), "Z^{5/3}", 0.146878, 1e-2),
+    )),
+    Fit("T2", "coefficient", lambda p: p.t2, ((Fraction(7, 3), "Z^{7/3}", 0.0, 1e-4),)),
+    Fit("T2", "fraction of exact energy", lambda p: p.t2 / p.t_exact,
+        ((Fraction(-1, 3), "Z^{-1/3}", 0.10942, 1e-3),)),
+    Fit("T4", "fraction of exact energy", lambda p: p.t4 / p.t_exact,
+        ((Fraction(-1, 3), "Z^{-1/3}", 0.015052, 1e-3),)),
+)
+
+
+def fit_rows(points: Sequence[SequencePoint]) -> list[dict]:
+    """The records of ``tfshell asymptotics``: one per fitted power of ``FITS`` on ``points``."""
+    rows = []
+    for fit in FITS:
+        sequence = [(p.z, fit.value(p)) for p in points]
+        fitted = richardson_extrapolate(sequence, [power for power, *_ in fit.terms])
+        for value, (_, label, target, tolerance) in zip(fitted, fit.terms):
+            deviation = abs(value - target)
+            rows.append({
+                "series": fit.series, "quantity": fit.quantity, "power": label, "fitted": value,
+                "target": target, "deviation": deviation, "tolerance": tolerance,
+                "within_tolerance": deviation <= tolerance,
+            })
+    return rows
 
 
 def figure_density_rows() -> list[dict]:

@@ -70,8 +70,8 @@ _ORBITAL_LABEL = re.compile(r"(\d+)([a-z])")
 
 
 def _is_int(value) -> bool:
-    """True for an int that is not a bool (bool subclasses int)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """True for an int or numpy integer that is not a bool (bool subclasses int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class STODataError(ValueError):
@@ -101,6 +101,7 @@ class STOPrimitive:
     def __post_init__(self) -> None:
         if not (_is_int(self.n) and self.n >= 1):
             raise STOValidationError(f"primitive power must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if isinstance(self.zeta, bool) or not (math.isfinite(self.zeta) and self.zeta > 0.0):
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
         if isinstance(self.coefficient, bool) or not math.isfinite(self.coefficient):
@@ -140,6 +141,8 @@ class STOOrbital:
             raise STOValidationError(
                 f"occupation of {self.label} must be an integer in 0..{cap}, got {self.occupation!r}"
             )
+        for name in ("n", "l", "occupation"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not self.primitives:
             raise STOValidationError(f"orbital {self.label} has no primitives")
         for p in self.primitives:
@@ -198,6 +201,7 @@ class STOAtomRecord:
             raise STOValidationError(f"element symbol must be alphabetic, got {self.element!r}")
         if not (_is_int(self.atomic_number) and self.atomic_number >= 1):
             raise STOValidationError(f"atomic number must be a positive integer, got {self.atomic_number!r}")
+        object.__setattr__(self, "atomic_number", int(self.atomic_number))
         if not self.orbitals:
             raise STOValidationError(f"atom {self.element} has no orbitals")
         for orb in self.orbitals:

@@ -14,8 +14,8 @@ Four subcommands cover the batch workflows:
     (fig1.csv) and relative functional errors along the filled-shell
     ladder (fig1a.csv, fig2a.csv).
 ``asymptotics``
-    Extrapolated large-Z coefficients of the ladder energies rendered
-    against their regression targets.
+    The rows of ``asymptotics.fit_rows``: extrapolated large-Z coefficients
+    of the ladder energies against the targets of ``asymptotics.FITS``.
 
 Every quadrature grid spans ``kedf.span_for`` of its density, read off
 the density's slowest primitive.  Every value is the Kronrod sum of its
@@ -51,11 +51,10 @@ from typing import IO, Callable, Sequence
 
 from .asymptotics import (
     LADDER_SHELLS,
-    TARGETS,
     ExtrapolationError,
-    SequencePoint,
     figure_density_rows,
     figure_error_rows,
+    fit_rows,
     model_energy_sequence,
     model_series,
     richardson_extrapolate,
@@ -321,41 +320,8 @@ def _self_tests() -> list[tuple[str, bool, str]]:
     ]
 
 
-def _ladder_fits(points: Sequence[SequencePoint]) -> dict[tuple[str, str], float]:
-    """The fitted coefficients of ``TARGETS`` from four fits on the ladder ``points``."""
-    tf_seq = [(p.z, p.t_tf) for p in points]
-    fitted_tf = richardson_extrapolate(tf_seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
-    t2_lead = richardson_extrapolate([(p.z, p.t2) for p in points], [Fraction(7, 3)])
-    t2_ratio = richardson_extrapolate([(p.z, p.t2 / p.t_exact) for p in points], [Fraction(-1, 3)])
-    t4_ratio = richardson_extrapolate([(p.z, p.t4 / p.t_exact) for p in points], [Fraction(-1, 3)])
-    return {
-        ("T_TF", "Z^{7/3}"): fitted_tf[0],
-        ("T_TF", "Z^2"): fitted_tf[1],
-        ("T_TF", "Z^{5/3}"): fitted_tf[2],
-        ("T2", "Z^{7/3}"): t2_lead[0],
-        ("T2", "Z^{-1/3}"): t2_ratio[0],
-        ("T4", "Z^{-1/3}"): t4_ratio[0],
-    }
-
-
 def cmd_asymptotics(args: argparse.Namespace) -> int:
-    fitted = _ladder_fits(model_energy_sequence(LADDER_SHELLS))
-    rows = []
-    for (series, power), target in TARGETS.items():
-        value = fitted[series, power]
-        deviation = abs(value - target.value)
-        rows.append(
-            {
-                "series": series,
-                "quantity": target.quantity,
-                "power": power,
-                "fitted": value,
-                "target": target.value,
-                "deviation": deviation,
-                "tolerance": target.tolerance,
-                "within_tolerance": deviation <= target.tolerance,
-            }
-        )
+    rows = fit_rows(model_energy_sequence(LADDER_SHELLS))
     checks = _self_tests()
 
     if args.format == "jsonl":

@@ -1,5 +1,6 @@
 """Large-Z series, extrapolation machinery, and the scaled-density limit."""
 
+import ast
 import importlib.util
 import math
 import re
@@ -14,15 +15,16 @@ from scipy.integrate import quad
 
 from densities import energies_on, value
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
-from tfshell import _kernels, asymptotics, cli
+from tfshell import _kernels, asymptotics
 from tfshell.asymptotics import (
+    FITS,
     LADDER_SHELLS,
     MODEL_SERIES,
-    TARGETS,
     TURNING_POINT,
     ExtrapolationError,
     figure_density_rows,
     figure_error_rows,
+    fit_rows,
     model_energy_sequence,
     model_series,
     richardson_extrapolate,
@@ -183,6 +185,20 @@ def test_extrapolation_validation() -> None:
         richardson_extrapolate([(-1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], [Fraction(0)])
     with pytest.raises(ValueError, match="decreasing"):
         richardson_extrapolate(good, [Fraction(1), Fraction(2)])
+    # a constant series on Z = 2..408; Neville reads only the last six points,
+    # so each of these was fitted (to 3.75 or 3.749999999999876) before the
+    # finite checks
+    constant = [(z, 3.75) for z in _ladder_zs(1, 8)]
+    with pytest.raises(ValueError, match="finite"):
+        richardson_extrapolate(constant[:-1] + [(math.inf, 3.75)], [Fraction(0)])
+    with pytest.raises(ValueError, match="finite"):
+        richardson_extrapolate([(math.nan, 3.75)] + constant[1:], [Fraction(0)])
+    with pytest.raises(ValueError, match="finite"):
+        richardson_extrapolate([(constant[0][0], math.nan)] + constant[1:], [Fraction(0)])
+    # a power of inf fitted 0.0, and -inf divided by zero
+    for powers in ([math.inf], [-math.inf], [math.nan], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            richardson_extrapolate(constant, powers)
 
 
 def test_divergence_pole_inside_window() -> None:
@@ -212,9 +228,21 @@ def test_divergence_overflow_is_nonfinite() -> None:
 # --- fits along the closed-shell ladder ------------------------------------
 
 
+def _paper_target(series: str, power: str) -> tuple[float, float]:
+    """(target, tolerance) of one fitted power of ``FITS``."""
+    (found,) = [
+        (target, tolerance)
+        for fit in FITS
+        if fit.series == series
+        for _, label, target, tolerance in fit.terms
+        if label == power
+    ]
+    return found
+
+
 def _near_target(series: str, power: str):
-    target = TARGETS[(series, power)]
-    return pytest.approx(target.value, abs=target.tolerance)
+    target, tolerance = _paper_target(series, power)
+    return pytest.approx(target, abs=tolerance)
 
 
 @pytest.fixture(scope="module")
@@ -244,8 +272,8 @@ def test_two_power_fit_biases_subleading_term(ladder) -> None:
 def test_gradient_terms_are_subleading(ladder) -> None:
     seq = [(p.z, p.t2) for p in ladder]
     (lead,) = richardson_extrapolate(seq, [Fraction(7, 3)])
-    target = TARGETS[("T2", "Z^{7/3}")]
-    assert abs(lead - target.value) < target.tolerance
+    target, tolerance = _paper_target("T2", "Z^{7/3}")
+    assert abs(lead - target) < tolerance
 
 
 def test_gradient_correction_ratio_coefficients(ladder) -> None:
@@ -264,7 +292,7 @@ def test_resummation_of_z2_coefficients(ladder) -> None:
     # literature arithmetic: the three printed Z^2-level numbers sum to
     # within 0.3% of the -1/2 expected from the exact series
     printed = sum(
-        TARGETS[key].value for key in (("T_TF", "Z^2"), ("T2", "Z^{-1/3}"), ("T4", "Z^{-1/3}"))
+        _paper_target(*key)[0] for key in (("T_TF", "Z^2"), ("T2", "Z^{-1/3}"), ("T4", "Z^{-1/3}"))
     )
     assert printed == pytest.approx(-0.5, abs=0.0015)
 
@@ -288,10 +316,51 @@ def test_cli_ladder_gives_the_fits_of_the_full_ladder(ladder) -> None:
     assert [p.n_max for p in short] == list(LADDER_SHELLS)
     assert short[-1] is ladder[-1]
 
-    def bits(fits):
-        return {key: float.hex(value) for key, value in fits.items()}
+    def bits(rows):
+        return [{**row, "fitted": float.hex(row["fitted"])} for row in rows]
 
-    assert bits(cli._ladder_fits(short)) == bits(cli._ladder_fits(ladder))
+    assert bits(fit_rows(short)) == bits(fit_rows(ladder))
+
+
+def test_fit_labels_name_their_powers() -> None:
+    # each printed label is its power, and each fit's powers decrease
+    for fit in FITS:
+        powers = [power for power, *_ in fit.terms]
+        assert powers == sorted(powers, reverse=True)
+        for power, label, *_ in fit.terms:
+            text = str(power) if power.denominator == 1 else f"{{{power}}}"
+            assert label == f"Z^{text}"
+
+
+def _label_constants(path: Path, labels: set[str]) -> list[str]:
+    """``path:line`` of every string constant in ``labels`` outside docstrings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value in labels
+        and id(node) not in docstrings
+    ]
+
+
+def test_only_asymptotics_knows_the_fits() -> None:
+    # FITS is the one table of ladder fits; no other module names a fitted power
+    labels = {label for fit in FITS for _, label, *_ in fit.terms}
+    assert labels == {"Z^{7/3}", "Z^2", "Z^{5/3}", "Z^{-1/3}"}
+    package = Path(asymptotics.__file__).parent
+    assert _label_constants(package / "asymptotics.py", labels) != []
+    others = [p for p in sorted(package.glob("*.py")) if p.stem != "asymptotics"]
+    assert [hit for path in others for hit in _label_constants(path, labels)] == []
 
 
 def test_vanishing_powers_float_fits(ladder) -> None:

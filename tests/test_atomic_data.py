@@ -167,6 +167,20 @@ def test_integer_fields_reject_bool(build, fragment) -> None:
         build()
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+def test_integer_fields_take_numpy_integers(integer) -> None:
+    # the five integer fields take a numpy integer and store it as an int
+    def build(i):
+        orbital = STOOrbital(i(1), i(0), i(2), (STOPrimitive(i(1), 2.0, 1.0),))
+        return STOAtomRecord("He", i(2), (orbital,), 4.0)
+
+    record = build(integer)
+    assert record == build(int)
+    (orbital,) = record.orbitals
+    fields = (orbital.primitives[0].n, orbital.n, orbital.l, orbital.occupation, record.atomic_number)
+    assert [type(value) for value in fields] == [int] * 5
+
+
 @pytest.mark.parametrize(
     "build, fragment",
     [
