@@ -314,7 +314,7 @@ def figure_error_rows() -> list[dict]:
     Errors follow the underestimate-positive convention
     (reference - approximation)/reference, where the approximations are
     the cumulative sums T0, T0+T2, T0+T2+T4.  That is the opposite sign of
-    ``tfshell table1`` (``cli._atom_record``), on purpose: the
+    ``tfshell table1`` (``correction.table1_row``), on purpose: the
     local-density energy of the ladder always underestimates, and its error
     curve is plotted positive.  The T0 column is always positive; the
     corrected sums overshoot small systems, so the T2 column goes positive

@@ -74,6 +74,17 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    """True for a finite int, float or numpy number that is not a bool; False for NaN or a string."""
+    # concrete types, not numbers.Real, whose ABC check is several times slower on every parsed field
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 class STODataError(ValueError):
     """Base class for atomic-data failures."""
 
@@ -102,9 +113,9 @@ class STOPrimitive:
         if not (_is_int(self.n) and self.n >= 1):
             raise STOValidationError(f"primitive power must be a positive integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if isinstance(self.zeta, bool) or not (math.isfinite(self.zeta) and self.zeta > 0.0):
+        if not (_is_finite_real(self.zeta) and self.zeta > 0.0):
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
-        if isinstance(self.coefficient, bool) or not math.isfinite(self.coefficient):
+        if not _is_finite_real(self.coefficient):
             raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
         # N = (2 zeta)^{n + 1/2} / sqrt((2n)!), the norm of a lone primitive
         try:
@@ -197,7 +208,7 @@ class STOAtomRecord:
     reference_hf_kinetic: float
 
     def __post_init__(self) -> None:
-        if not (self.element and self.element.isalpha()):
+        if not (isinstance(self.element, str) and self.element.isalpha()):
             raise STOValidationError(f"element symbol must be alphabetic, got {self.element!r}")
         if not (_is_int(self.atomic_number) and self.atomic_number >= 1):
             raise STOValidationError(f"atomic number must be a positive integer, got {self.atomic_number!r}")
@@ -214,7 +225,7 @@ class STOAtomRecord:
                 f"atomic number is {self.atomic_number}"
             )
         ref = self.reference_hf_kinetic
-        if isinstance(ref, bool) or not (math.isfinite(ref) and ref > 0.0):
+        if not (_is_finite_real(ref) and ref > 0.0):
             raise STOValidationError(
                 f"reference kinetic energy must be positive, got {ref!r}"
             )

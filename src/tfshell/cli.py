@@ -17,15 +17,20 @@ Four subcommands cover the batch workflows:
     The rows of ``asymptotics.fit_rows``: extrapolated large-Z coefficients
     of the ladder energies against the targets of ``asymptotics.FITS``.
 
+Each command renders library records and builds none of its own:
+``correction.table1_row`` and ``correction.model_row``, the figure rows of
+``asymptotics`` and ``asymptotics.fit_rows``.
+
 Every quadrature grid spans ``kedf.span_for`` of its density, read off
 the density's slowest primitive.  Every value is the Kronrod sum of its
 grid.  A ``table1`` atom is integrated by ``kedf.energies`` on 512 points
 when their Gauss-Kronrod estimates meet 1e-14 (every bundled atom's do),
 else on 1008.  A ladder point of ``model``, ``figures`` and
-``asymptotics`` is read off one shared shell pass on 1008 points
-(``asymptotics.model_energy_sequence``).  The Gauss-Kronrod check on each
-value says whether the points resolve it, and the tail gate whether the
-span holds it.
+``asymptotics``, and the exact deficit of a ``table1`` atom at a
+filled-shell count (He and Ne), is read off one shared shell pass on 1008
+points (``asymptotics.model_energy_sequence``).  The Gauss-Kronrod check
+on each value says whether the points resolve it, and the tail gate
+whether the span holds it.
 
 ``correction`` alone decides the shell correction, with the node it is
 exact at, and its ``--interp`` modes; ``table1`` and ``model`` call it
@@ -56,18 +61,20 @@ from .asymptotics import (
     figure_error_rows,
     fit_rows,
     model_energy_sequence,
-    model_series,
     richardson_extrapolate,
 )
-from .atomic_data import STOAtomRecord, STODataError, atom_density, load_bundled, load_files
-from .correction import DEFAULT_MODE, INTERPOLATION_MODES, LAST_NODE_Z, delta_t
-from .hydrogenic import (
-    MAGIC_NUMBERS,
-    electron_count,
-    model_kinetic_energy,
-    model_kinetic_energy_continuous,
+from .atomic_data import STOAtomRecord, STODataError, load_bundled, load_files
+from .correction import (
+    DEFAULT_MODE,
+    INTERPOLATION_MODES,
+    LAST_NODE_Z,
+    TABLE1_ERROR_KEYS,
+    delta_t,
+    model_row,
+    table1_row,
 )
-from .kedf import ConvergenceError, GridError, energies
+from .hydrogenic import electron_count
+from .kedf import ConvergenceError, GridError
 
 __all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
@@ -148,33 +155,6 @@ def _shell_correction(z: int, mode: str) -> tuple[float, int | None]:
     return delta, n_max
 
 
-_ERROR_KEYS = ("err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct")
-
-
-def _atom_record(record: STOAtomRecord, t_tf: float, t2: float, t4: float, delta: float) -> dict:
-    """The json-lines record of one ``table1`` row: energies and percent errors.
-
-    Errors follow (approximation - reference)/reference, so a functional
-    that underestimates the Hartree-Fock kinetic energy reports a negative
-    error.  The gradient columns grade the cumulative sums T_TF + T_2 and
-    T_TF + T_2 + T_4; the corrected energy is T_TF + delta_T.
-    """
-    ref = record.reference_hf_kinetic
-    corrected = t_tf + delta
-    approximations = (t_tf, t_tf + t2, t_tf + t2 + t4, corrected)
-    return {
-        "z": record.atomic_number,
-        "atom": record.element,
-        "reference_hf_kinetic": ref,
-        "t_tf": t_tf,
-        "t2": t2,
-        "t4": t4,
-        "delta_t": delta,
-        "corrected": corrected,
-        **{key: 100.0 * ((approx - ref) / ref) for key, approx in zip(_ERROR_KEYS, approximations)},
-    }
-
-
 def cmd_table1(args: argparse.Namespace) -> int:
     atoms = None
     if args.atoms is not None:
@@ -198,12 +178,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 data_failures += 1
                 print(f"error: {rec.element}: {exc}", file=sys.stderr)
                 continue
-            t = energies(atom_density(rec))
+            rows.append(table1_row(rec, delta))
         except ConvergenceError as exc:
             numeric_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
-            continue
-        rows.append(_atom_record(rec, t.t_tf, t.t2, t.t4, delta))
 
     if not rows:
         return EXIT_NUMERIC if numeric_failures and not data_failures else EXIT_DATA
@@ -213,14 +191,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print("relative error vs Hartree-Fock reference kinetic energy, %", file=out)
         print(f"{'Z':>3} {'atom':<4} {'T_TF':>8} {'+T2':>8} {'+T2+T4':>8} {'corrected':>10}", file=out)
         for row in rows:
-            tf, t2, t4, corrected = (format_percent(row[key]) for key in _ERROR_KEYS)
+            tf, t2, t4, corrected = (format_percent(row[key]) for key in TABLE1_ERROR_KEYS)
             print(
                 f"{row['z']:>3} {row['atom']:<4} {tf:>8} {t2:>8} {t4:>8} {corrected:>10}",
                 file=out,
             )
     elif args.format == "csv":
         cells = [
-            {"Z": row["z"], "atom": row["atom"], **{key: format_percent(row[key]) for key in _ERROR_KEYS}}
+            {"Z": row["z"], "atom": row["atom"], **{key: format_percent(row[key]) for key in TABLE1_ERROR_KEYS}}
             for row in rows
         ]
         _write_records(out, cells, "csv")
@@ -240,44 +218,19 @@ def cmd_model(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    magic = n_max is not None
-    if magic:
-        t_exact = model_kinetic_energy(n_max)
-        delta_kind = f"exact at {n_max} filled shells"
-    else:
-        t_exact = model_kinetic_energy_continuous(z)
-        lower = [n for n in MAGIC_NUMBERS if n < z]
-        above = min(n for n in MAGIC_NUMBERS if n > z)
-        if lower:
-            delta_kind = f"interpolated, not exact (Z between filled-shell counts {lower[-1]} and {above})"
-        else:
-            delta_kind = f"interpolated, not exact (Z below the first filled-shell count {above})"
-    t_tf = t_exact - delta
-
-    series_value = model_series(z)
-    series_gap = (series_value - t_exact) / t_exact
-
-    payload = {
-        "z": z,
-        "electrons": z,
-        "filled_shells": n_max,
-        "t_model": t_exact,
-        "t_tf_model": t_tf,
-        "delta_t": delta,
-        "delta_kind": delta_kind,
-        "series_value": series_value,
-        "series_relative_gap": series_gap,
-        "interpolation_mode": args.interp,
-    }
+    row = model_row(z, delta, n_max, args.interp)
     if args.format != "table":
-        _write_records(sys.stdout, [payload], args.format)
+        _write_records(sys.stdout, [row], args.format)
     else:
+        magic = n_max is not None
         shells = f"{n_max} filled shells" if magic else "not a filled-shell count"
         print(f"Z = N = {z} ({shells})")
-        print(f"exact kinetic energy      {t_exact!r}")
-        print(f"local-density energy      {t_tf!r}" + ("" if magic else "  (via interpolated correction)"))
-        print(f"shell correction delta_T  {delta!r}  [{delta_kind}]")
-        print(f"large-Z series (5 terms)  {series_value!r}  relative gap {series_gap:.3e}")
+        print(f"exact kinetic energy      {row['t_model']!r}")
+        via = "" if magic else "  (via interpolated correction)"
+        print(f"local-density energy      {row['t_tf_model']!r}{via}")
+        print(f"shell correction delta_T  {delta!r}  [{row['delta_kind']}]")
+        gap = row["series_relative_gap"]
+        print(f"large-Z series (5 terms)  {row['series_value']!r}  relative gap {gap:.3e}")
     return EXIT_OK
 
 

@@ -19,14 +19,20 @@ Vandermonde system on the four exact node deficits gives them, and the
 published mode to the five decimals of the literature, for comparison
 runs.  A Z between the nodes thus costs no quadrature; the test suite
 repeats the refit on the ladder and holds the constants to it.
+
+``table1_row`` and ``model_row`` build the records of ``tfshell table1``
+and ``tfshell model`` from the deficit ``delta_t`` returned; the first
+holds Table 1's one error convention, the columns ``TABLE1_ERROR_KEYS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .asymptotics import model_energy_sequence
-from .hydrogenic import MAGIC_NUMBERS, shell_count_for
+from .asymptotics import model_energy_sequence, model_series
+from .atomic_data import STOAtomRecord, atom_density
+from .hydrogenic import MAGIC_NUMBERS, model_kinetic_energy, model_kinetic_energy_continuous, shell_count_for
+from .kedf import Energies, energies
 
 __all__ = [
     "DEFAULT_MODE",
@@ -34,8 +40,11 @@ __all__ = [
     "INTERPOLATION_MODES",
     "LAST_NODE_Z",
     "PUBLISHED_COEFFICIENTS",
+    "TABLE1_ERROR_KEYS",
     "delta_t_exact",
     "delta_t",
+    "model_row",
+    "table1_row",
 ]
 
 # cubic c0 + c1 Z + c2 Z^2 + c3 Z^3 through the deficits at Z = 2, 10, 28, 60
@@ -102,3 +111,63 @@ def delta_t(z: int, mode: str) -> tuple[float, int | None]:
             )
         return c0 + z * (c1 + z * (c2 + z * c3)), None
     return delta_t_exact(n_max), n_max
+
+
+# the error columns of a table1 row, in the order the table prints them
+TABLE1_ERROR_KEYS = ("err_tf_pct", "err_tf_t2_pct", "err_tf_t2_t4_pct", "err_corrected_pct")
+
+
+def table1_row(record: STOAtomRecord, delta: float, t: Energies | None = None) -> dict:
+    """The ``table1`` record of one atom: energies and percent errors.
+
+    ``t`` defaults to ``energies(atom_density(record))``.  Errors follow
+    (approximation - reference)/reference, so a functional that
+    underestimates the Hartree-Fock kinetic energy reports a negative
+    error.  The gradient columns grade the cumulative sums T_TF + T_2 and
+    T_TF + T_2 + T_4; the corrected energy is T_TF + delta_T.
+    """
+    if t is None:
+        t = energies(atom_density(record))
+    ref = record.reference_hf_kinetic
+    corrected = t.t_tf + delta
+    approximations = (t.t_tf, t.t_tf + t.t2, t.t_tf + t.t2 + t.t4, corrected)
+    return {
+        "z": record.atomic_number,
+        "atom": record.element,
+        "reference_hf_kinetic": ref,
+        "t_tf": t.t_tf,
+        "t2": t.t2,
+        "t4": t.t4,
+        "delta_t": delta,
+        "corrected": corrected,
+        **{key: 100.0 * ((approx - ref) / ref) for key, approx in zip(TABLE1_ERROR_KEYS, approximations)},
+    }
+
+
+def model_row(z: int, delta: float, n_max: int | None, mode: str) -> dict:
+    """The ``model`` record of charge ``z``: exact energy, deficit and large-Z series.
+
+    ``delta`` and ``n_max`` are what ``delta_t(z, mode)`` returned; the
+    exact energy is continued between the filled-shell counts.
+    """
+    if n_max is not None:
+        t_exact = model_kinetic_energy(n_max)
+        delta_kind = f"exact at {n_max} filled shells"
+    else:
+        t_exact = model_kinetic_energy_continuous(z)
+        below = [n for n in MAGIC_NUMBERS if n < z]
+        where = f"between filled-shell counts {below[-1]} and" if below else "below the first filled-shell count"
+        delta_kind = f"interpolated, not exact (Z {where} {MAGIC_NUMBERS[len(below)]})"
+    series_value = model_series(z)
+    return {
+        "z": z,
+        "electrons": z,
+        "filled_shells": n_max,
+        "t_model": t_exact,
+        "t_tf_model": t_exact - delta,
+        "delta_t": delta,
+        "delta_kind": delta_kind,
+        "series_value": series_value,
+        "series_relative_gap": (series_value - t_exact) / t_exact,
+        "interpolation_mode": mode,
+    }

@@ -49,8 +49,7 @@ from tfshell.asymptotics import (
     model_energy_sequence,
     tf_limit_density,
 )
-from tfshell.cli import _ERROR_KEYS, _atom_record
-from tfshell.correction import delta_t
+from tfshell.correction import TABLE1_ERROR_KEYS, delta_t, table1_row
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     HydrogenicDensity,
@@ -186,10 +185,9 @@ def _printed_tolerance(entry: str) -> float:
 
 def _error_columns(record) -> tuple[float, float, float, float]:
     # the grid, the correction and the error columns of the table1 row
-    t_tf, t_w, t4 = energies(atom_density(record))
     delta, _ = delta_t(record.atomic_number, "refit")
-    row = _atom_record(record, t_tf, t_w / 9.0, t4, delta)
-    return tuple(row[key] for key in _ERROR_KEYS)
+    row = table1_row(record, delta, energies(atom_density(record)))
+    return tuple(row[key] for key in TABLE1_ERROR_KEYS)
 
 
 def test_criterion_4_atom_table_reproduction(bundled):

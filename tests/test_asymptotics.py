@@ -1,6 +1,5 @@
 """Large-Z series, extrapolation machinery, and the scaled-density limit."""
 
-import ast
 import importlib.util
 import math
 import re
@@ -15,6 +14,7 @@ from scipy.integrate import quad
 
 from densities import energies_on, value
 from oscillations import oscillation_amplitude, shell_oscillation_maxima
+from source_constants import constant_hits
 from tfshell import _kernels, asymptotics
 from tfshell.asymptotics import (
     FITS,
@@ -332,35 +332,14 @@ def test_fit_labels_name_their_powers() -> None:
             assert label == f"Z^{text}"
 
 
-def _label_constants(path: Path, labels: set[str]) -> list[str]:
-    """``path:line`` of every string constant in ``labels`` outside docstrings."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    docstrings = {
-        id(node.body[0].value)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.body
-        and isinstance(node.body[0], ast.Expr)
-        and isinstance(node.body[0].value, ast.Constant)
-    }
-    return [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant)
-        and isinstance(node.value, str)
-        and node.value in labels
-        and id(node) not in docstrings
-    ]
-
-
 def test_only_asymptotics_knows_the_fits() -> None:
     # FITS is the one table of ladder fits; no other module names a fitted power
     labels = {label for fit in FITS for _, label, *_ in fit.terms}
     assert labels == {"Z^{7/3}", "Z^2", "Z^{5/3}", "Z^{-1/3}"}
     package = Path(asymptotics.__file__).parent
-    assert _label_constants(package / "asymptotics.py", labels) != []
+    assert constant_hits(package / "asymptotics.py", labels.__contains__) != []
     others = [p for p in sorted(package.glob("*.py")) if p.stem != "asymptotics"]
-    assert [hit for path in others for hit in _label_constants(path, labels)] == []
+    assert [hit for path in others for hit in constant_hits(path, labels.__contains__)] == []
 
 
 def test_vanishing_powers_float_fits(ladder) -> None:

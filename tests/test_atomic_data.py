@@ -195,6 +195,27 @@ def test_float_fields_reject_bool(build, fragment) -> None:
         build()
 
 
+@pytest.mark.parametrize(
+    "build, fragment",
+    [
+        (lambda: STOAtomRecord(5, 2, (), 1.0), "element symbol"),
+        (lambda: STOPrimitive(1, "2.0", 1.0), "primitive exponent"),
+        (lambda: STOPrimitive(1, 2.0, "1.0"), "primitive coefficient"),
+        (lambda: STOAtomRecord("He", 2, (STOOrbital(1, 0, 2, ONE_S),), "4"), "reference kinetic energy"),
+        (lambda: STOPrimitive(1, math.nan, 1.0), "primitive exponent"),
+        (lambda: STOPrimitive(1, 10**400, 1.0), "primitive exponent"),
+        (lambda: STOAtomRecord("He", 2, (STOOrbital(1, 0, 2, ONE_S),), math.nan), "reference kinetic energy"),
+    ],
+    ids=["element-int", "zeta-str", "coefficient-str", "reference-str", "zeta-nan",
+         "zeta-past-float-range", "reference-nan"],
+)
+def test_wrongly_typed_fields_raise_validation_errors(build, fragment) -> None:
+    # a caller that catches STODataError, as the command line does, sees these
+    # too; NaN and an int past the float range are not finite reals either
+    with pytest.raises(STOValidationError, match=fragment):
+        build()
+
+
 def test_atom_record_validation() -> None:
     orb = STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
     with pytest.raises(STOValidationError, match="alphabetic"):

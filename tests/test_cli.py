@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfshell import asymptotics, cli
+from tfshell import asymptotics, cli, correction
 from tfshell.correction import (
     DEFAULT_MODE,
     INTERPOLATION_MODES,
@@ -164,6 +164,26 @@ def test_only_kedf_calls_make_grid():
             if name == "make_grid":
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
+
+
+def test_cli_snapshot_script_runs(tmp_path: Path):
+    # tests/cli_snapshot.py writes the byte gates' snapshots; two of its
+    # invocations keep it in step with the command line
+    script = Path(__file__).with_name("cli_snapshot.py")
+    names = ["model_z2_jsonl", "table1_atoms_og"]
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path), *names], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == names
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    model, og = (tmp_path / name for name in names)
+    assert (model / "exit_code").read_text() == "0\n"
+    assert (model / "stderr").read_text() == ""
+    assert json.loads((model / "stdout").read_text())["delta_kind"] == "exact at 1 filled shells"
+    assert (og / "exit_code").read_text() == "2\n"
+    assert (og / "stderr").read_text() == "error: no data for atom 'Og'\n"
+    assert (og / "stdout").read_text() == ""
 
 
 # -- table1 ----------------------------------------------------------------
@@ -371,7 +391,7 @@ def test_table1_all_rows_failing_numerically_exits_3(monkeypatch, capsys):
     def boom(field):
         raise ConvergenceError("forced failure")
 
-    monkeypatch.setattr(cli, "energies", boom)
+    monkeypatch.setattr(correction, "energies", boom)
     code = cli.main(["table1", "--atoms", "He"])
     assert code == 3
     err = capsys.readouterr().err

@@ -1,12 +1,16 @@
 """Shell-correction deficits: exact nodes, the cubic, and its two modes."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from densities import value
+from source_constants import constant_hits
+from tfshell import correction
 from tfshell.asymptotics import model_energy_sequence
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
@@ -14,11 +18,11 @@ from tfshell.correction import (
     PUBLISHED_COEFFICIENTS,
     delta_t,
     delta_t_exact,
+    table1_row,
 )
 from tfshell.atomic_data import load_bundled
-from tfshell.cli import _atom_record
 from tfshell.hydrogenic import MAGIC_NUMBERS, HydrogenicDensity
-from tfshell.kedf import TF_CONSTANT, span_for
+from tfshell.kedf import TF_CONSTANT, Energies, span_for
 
 # deficits at the first five closed shells, frozen from independent runs of
 # the quadrature pipeline at doubled resolution
@@ -117,7 +121,7 @@ def test_deficit_positive_and_rising(mode: str) -> None:
 def _corrected(t_tf: float, z: int, mode: str = "refit") -> float:
     """The corrected energy T_TF + delta_T as the atom table forms it."""
     delta, _ = delta_t(z, mode)
-    return _atom_record(load_bundled()["He"], t_tf, 0.0, 0.0, delta)["corrected"]
+    return table1_row(load_bundled()["He"], delta, Energies(t_tf, 0.0, 0.0))["corrected"]
 
 
 def test_corrected_energy_uses_exact_nodes() -> None:
@@ -205,3 +209,21 @@ def test_z_under_the_range_lies_below_it(z: int) -> None:
         r"range \(1\.\.110\)$",
     ):
         delta_t(z, "refit")
+
+
+# an error column's key of the table1 row, or the opening words of a model
+# row's delta_kind
+_RECORD_WORDING = re.compile(r"err_\w+_pct|exact at |interpolated, not exact")
+
+
+def test_only_correction_words_the_table1_and_model_rows() -> None:
+    # Table 1's error convention and the deficit's wording have one owner;
+    # the command line renders the keys and texts the records carry
+    package = Path(correction.__file__).parent
+
+    def match(text: str) -> bool:
+        return _RECORD_WORDING.search(text) is not None
+
+    assert constant_hits(package / "correction.py", match) != []
+    others = [p for p in sorted(package.glob("*.py")) if p.stem != "correction"]
+    assert [hit for path in others for hit in constant_hits(path, match)] == []

@@ -19,8 +19,8 @@ from orbitals import orbital_density
 from pair_reference import pair_field
 from tfshell import _kernels, cli, kedf
 from tfshell.asymptotics import model_energy_sequence
+from tfshell.correction import table1_row
 from tfshell.atomic_data import STODensity, atom_density
-from tfshell.cli import _atom_record
 from tfshell.hydrogenic import HydrogenicDensity
 from tfshell.kedf import (
     FOURTH_ORDER_CONSTANT,
@@ -1006,12 +1006,13 @@ def test_negative_density_check_is_scale_free(grid: RadialGrid, scale: float) ->
         energies_on(rho, grid)
 
 
-# --- energy breakdown of a table1 row (cli._atom_record) ---------------------
+# --- energy breakdown of a table1 row (correction.table1_row) ----------------
 
 
 def test_breakdown_arithmetic(bundled) -> None:
     he = dataclasses.replace(bundled["He"], reference_hf_kinetic=100.0)
-    b = _atom_record(he, t_tf=90.0, t2=5.0, t4=1.0, delta=12.0)
+    # T_W = 9 T_2 exactly, so T_2 is 5.0
+    b = table1_row(he, 12.0, Energies(t_tf=90.0, t_w=45.0, t4=1.0))
     assert b["corrected"] == 102.0
     assert b["err_tf_pct"] == -10.0
     assert b["err_tf_t2_pct"] == -5.0
@@ -1021,7 +1022,7 @@ def test_breakdown_arithmetic(bundled) -> None:
 
 def test_breakdown_signs_track_reference(bundled) -> None:
     he = dataclasses.replace(bundled["He"], reference_hf_kinetic=100.0)
-    b = _atom_record(he, t_tf=80.0, t2=2.0, t4=0.5, delta=25.0)
+    b = table1_row(he, 25.0, Energies(t_tf=80.0, t_w=18.0, t4=0.5))
     assert b["err_tf_pct"] < 0 < b["err_corrected_pct"]
     assert b["err_tf_pct"] < b["err_tf_t2_pct"] < b["err_tf_t2_t4_pct"]
 

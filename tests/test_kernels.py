@@ -86,6 +86,10 @@ def _shell_profile_reference(z: float, n_max: int, r: np.ndarray) -> tuple:
     return rho, drho, d2rho
 
 
+# working digits of the orbital-sum oracle
+ORBITAL_SUM_DPS = 32
+
+
 def _shell_profile_oracle(z: float, n_max: int, r: np.ndarray) -> tuple:
     """(rho, rho', rho'') summed orbital by orbital in 32-digit mpmath.
 
@@ -93,7 +97,7 @@ def _shell_profile_oracle(z: float, n_max: int, r: np.ndarray) -> tuple:
     dL_k^a/dx = -L_{k-1}^{a+1}, each evaluated by mpmath on its own.
     """
     out = np.empty((3, r.size))
-    with mpmath.workdps(32):
+    with mpmath.workdps(ORBITAL_SUM_DPS):
         big_z = mpmath.mpf(z)
         for i, ri in enumerate(r):
             sums = [mpmath.mpf(0)] * 3
@@ -406,16 +410,40 @@ def test_shell_closed_form_is_the_orbital_sum() -> None:
         assert (closed.diff((x, 2)) - second).is_zero, n
 
 
-@pytest.mark.parametrize("n_max", [25, 40, 60, 100])
-def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
+def oracle_radii(n_max: int) -> tuple[float, np.ndarray]:
+    """(Z, r) of the neutral n_max-shell density at the oracle test's six radii.
+
+    The cusp, the shell region and the tail out to the quadrature cutoff.
+    """
     z = n_max * (n_max + 1) * (2 * n_max + 1) / 3.0
     r_max = (6.0 * n_max**2 + 40.0) / z
-    # the cusp, the shell region and the tail out to the quadrature cutoff;
-    # 60 and 100 shells lie beyond MAX_SHELLS and check the kernel alone, and
-    # 100 shells is checked against the closed form, not the orbital sum
-    r = r_max * np.array([1e-7, 1e-4, 1e-2, 0.1, 0.5, 1.0])
+    return z, r_max * np.array([1e-7, 1e-4, 1e-2, 0.1, 0.5, 1.0])
+
+
+# the orbital-sum oracle at n_max 40 and 60, tabulated: summing it takes
+# seconds, so tests/shell_profile_oracle.py writes it once, by hand
+ORACLE_TABLE = Path(__file__).with_name("shell_profile_oracle.txt")
+
+
+def _tabulated_oracle(z: float, n_max: int, r: np.ndarray) -> tuple:
+    """(rho, rho', rho'') of ``_shell_profile_oracle`` as ``ORACLE_TABLE`` holds them."""
+    lines = ORACLE_TABLE.read_text(encoding="utf-8").splitlines()
+    rows = np.array(
+        [[float(v) for v in line.split()[1:]] for line in lines if line.split()[0] == str(n_max)]
+    )
+    # the table was summed at these very radii
+    np.testing.assert_array_equal(rows[:, 0], r)
+    return tuple(rows[:, 1:].T)
+
+
+@pytest.mark.parametrize("n_max", [25, 40, 60, 100])
+def test_shell_profile_matches_mpmath_oracle(n_max: int) -> None:
+    # 60 and 100 shells lie beyond MAX_SHELLS and check the kernel alone;
+    # 100 shells is checked against the closed form, not the orbital sum,
+    # and 40 and 60 against the orbital sum's table
+    z, r = oracle_radii(n_max)
     rho, drho, d2rho = _kernels.shell_profile(z, n_max, r)
-    oracle = _shell_profile_oracle if n_max <= 60 else _shell_closed_form_oracle
+    oracle = {25: _shell_profile_oracle, 100: _shell_closed_form_oracle}.get(n_max, _tabulated_oracle)
     ref_rho, ref_drho, ref_d2rho = oracle(z, n_max, r)
     live = ref_rho > 1e-250
     assert live.all()
