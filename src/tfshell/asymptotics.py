@@ -21,7 +21,6 @@ r_hat = 18^{1/3}, and integrates (times 4 pi r_hat^2) to exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -189,20 +188,17 @@ def scaled_model_density(n_max: int, r_hat) -> np.ndarray:
     return np.asarray(rho.profile(r_hat * z ** (-1.0 / 3.0))[0] / z**2, dtype=float)
 
 
-@dataclass(frozen=True)
-class SequencePoint:
-    """Energies of one closed-shell system along the magic-number sequence."""
+class SequencePoint(NamedTuple):
+    """One closed-shell system of the magic-number sequence: exact energy and ``kedf.Energies`` ``t``."""
 
     n_max: int
     z: float
     t_exact: float
-    t_tf: float
-    t2: float
-    t4: float
+    t: Energies
 
 
 def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
-    """Exact, Thomas-Fermi, and gradient energies for each shell count.
+    """Exact energy and ``kedf.Energies`` (field ``t``) for each shell count.
 
     Every shell count goes to ``HydrogenicDensity`` as given, which checks
     it, before any is computed.  The points come from one pass of the
@@ -231,14 +227,7 @@ def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
             continue
         scale = rho.z**2 / top.z**2
         t = Energies._make(scale * e for e in profile_energies(grid, rows, rho.total_charge()))
-        points[n_max] = SequencePoint(
-            n_max=n_max,
-            z=rho.z,
-            t_exact=model_kinetic_energy(n_max),
-            t_tf=t.t_tf,
-            t2=t.t2,
-            t4=t.t4,
-        )
+        points[n_max] = SequencePoint(n_max, rho.z, model_kinetic_energy(n_max), t)
     return [points[rho.n_max] for rho in densities]
 
 
@@ -257,15 +246,15 @@ class Fit(NamedTuple):
 # ladder's local-density energy, which an independent core-scaling oracle in
 # the acceptance tests puts at -0.65282.
 FITS: tuple[Fit, ...] = (
-    Fit("T_TF", "coefficient", lambda p: p.t_tf, (
+    Fit("T_TF", "coefficient", lambda p: p.t.t_tf, (
         (Fraction(7, 3), "Z^{7/3}", 1.144714, 1e-5),
         (Fraction(2), "Z^2", -0.625856, 1e-3),
         (Fraction(5, 3), "Z^{5/3}", 0.146878, 1e-2),
     )),
-    Fit("T2", "coefficient", lambda p: p.t2, ((Fraction(7, 3), "Z^{7/3}", 0.0, 1e-4),)),
-    Fit("T2", "fraction of exact energy", lambda p: p.t2 / p.t_exact,
+    Fit("T2", "coefficient", lambda p: p.t.t2, ((Fraction(7, 3), "Z^{7/3}", 0.0, 1e-4),)),
+    Fit("T2", "fraction of exact energy", lambda p: p.t.t2 / p.t_exact,
         ((Fraction(-1, 3), "Z^{-1/3}", 0.10942, 1e-3),)),
-    Fit("T4", "fraction of exact energy", lambda p: p.t4 / p.t_exact,
+    Fit("T4", "fraction of exact energy", lambda p: p.t.t4 / p.t_exact,
         ((Fraction(-1, 3), "Z^{-1/3}", 0.015052, 1e-3),)),
 )
 
@@ -321,14 +310,14 @@ def figure_error_rows() -> list[dict]:
     from three shells and the T4 column only from eight.
     """
     rows = []
-    for pt in model_energy_sequence(_FIG1A_SHELLS):
+    for n_max, z, t_exact, t in model_energy_sequence(_FIG1A_SHELLS):
         rows.append(
             {
-                "n_max": pt.n_max,
-                "Z": pt.z,
-                "rel_err_T0": (pt.t_exact - pt.t_tf) / pt.t_exact,
-                "rel_err_T2": (pt.t_exact - (pt.t_tf + pt.t2)) / pt.t_exact,
-                "rel_err_T4": (pt.t_exact - (pt.t_tf + pt.t2 + pt.t4)) / pt.t_exact,
+                "n_max": n_max,
+                "Z": z,
+                "rel_err_T0": (t_exact - t.t_tf) / t_exact,
+                "rel_err_T2": (t_exact - (t.t_tf + t.t2)) / t_exact,
+                "rel_err_T4": (t_exact - (t.t_tf + t.t2 + t.t4)) / t_exact,
             }
         )
     return rows

@@ -154,6 +154,10 @@ class STOOrbital:
             )
         for name in ("n", "l", "occupation"):
             object.__setattr__(self, name, int(getattr(self, name)))
+        if not isinstance(self.primitives, tuple):
+            raise STOValidationError(
+                f"primitives of {self.label} must be a tuple, got {type(self.primitives).__name__}"
+            )
         if not self.primitives:
             raise STOValidationError(f"orbital {self.label} has no primitives")
         for p in self.primitives:
@@ -213,6 +217,10 @@ class STOAtomRecord:
         if not (_is_int(self.atomic_number) and self.atomic_number >= 1):
             raise STOValidationError(f"atomic number must be a positive integer, got {self.atomic_number!r}")
         object.__setattr__(self, "atomic_number", int(self.atomic_number))
+        if not isinstance(self.orbitals, tuple):
+            raise STOValidationError(
+                f"orbitals of {self.element} must be a tuple, got {type(self.orbitals).__name__}"
+            )
         if not self.orbitals:
             raise STOValidationError(f"atom {self.element} has no orbitals")
         for orb in self.orbitals:
@@ -235,21 +243,26 @@ class STOAtomRecord:
         return sum(orb.occupation for orb in self.orbitals)
 
 
-def _parse_int(line_no: int, token: str, what: str) -> int:
-    try:
-        value = float(token)
-    except ValueError:
-        raise STOParseError(line_no, f"{what} must be numeric, got {token!r}") from None
-    if not value.is_integer():
-        raise STOParseError(line_no, f"{what} must be an integer, got {token!r}")
-    return int(value)
-
-
 def _parse_float(line_no: int, token: str, what: str) -> float:
     try:
         return float(token)
     except ValueError:
         raise STOParseError(line_no, f"{what} must be numeric, got {token!r}") from None
+
+
+def _parse_int(line_no: int, token: str, what: str) -> int:
+    value = _parse_float(line_no, token, what)
+    if not value.is_integer():
+        raise STOParseError(line_no, f"{what} must be an integer, got {token!r}")
+    return int(value)
+
+
+def _record_at(line_no: int, record_type: type, *fields):
+    """``record_type(*fields)``, its STODataError raised as an STOValidationError naming ``line_no``."""
+    try:
+        return record_type(*fields)
+    except STODataError as exc:
+        raise STOValidationError(f"line {line_no}: {exc}") from None
 
 
 def parse_sto_text(text: str) -> list[STOAtomRecord]:
@@ -270,10 +283,7 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
         if pending is None:
             return
         line_no, n, l, occ = pending
-        try:
-            orbitals.append(STOOrbital(n, l, occ, tuple(prims)))
-        except STODataError as exc:
-            raise STOValidationError(f"line {line_no}: {exc}") from None
+        orbitals.append(_record_at(line_no, STOOrbital, n, l, occ, tuple(prims)))
         pending = None
         prims = []
 
@@ -283,10 +293,7 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
         if header is None:
             return
         line_no, element, z, reference = header
-        try:
-            records.append(STOAtomRecord(element, z, tuple(orbitals), reference))
-        except STODataError as exc:
-            raise STOValidationError(f"line {line_no}: {exc}") from None
+        records.append(_record_at(line_no, STOAtomRecord, element, z, tuple(orbitals), reference))
         header = None
         orbitals = []
 
@@ -325,10 +332,7 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
             n = _parse_int(line_no, fields[1], "primitive power")
             zeta = _parse_float(line_no, fields[2], "primitive exponent")
             coef = _parse_float(line_no, fields[3], "primitive coefficient")
-            try:
-                prims.append(STOPrimitive(n, zeta, coef))
-            except STODataError as exc:
-                raise STOValidationError(f"line {line_no}: {exc}") from None
+            prims.append(_record_at(line_no, STOPrimitive, n, zeta, coef))
         else:
             raise STOParseError(line_no, f"unknown directive {tag!r}")
     close_atom()

@@ -17,9 +17,12 @@ Four subcommands cover the batch workflows:
     The rows of ``asymptotics.fit_rows``: extrapolated large-Z coefficients
     of the ladder energies against the targets of ``asymptotics.FITS``.
 
-Each command renders library records and builds none of its own:
-``correction.table1_row`` and ``correction.model_row``, the figure rows of
-``asymptotics`` and ``asymptotics.fit_rows``.
+Each command renders library records: ``correction.table1_row`` and
+``correction.model_row``, the figure rows of ``asymptotics`` and
+``asymptotics.fit_rows``.  ``cli`` itself builds three things: the
+``table1`` csv cells (the error columns at two significant figures), the
+two extrapolation self-tests of ``asymptotics`` and their records, and
+fig2a.csv, the fig1a.csv rows with an even shell count.
 
 Every quadrature grid spans ``kedf.span_for`` of its density, read off
 the density's slowest primitive.  Every value is the Kronrod sum of its
@@ -52,7 +55,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 from .asymptotics import (
     LADDER_SHELLS,
@@ -329,33 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--data", action="append", metavar="PATH",
                          help=".sto data file replacing the bundled set (repeatable)")
     add_common(p_table, "--interp", "--format")
+    p_table.set_defaults(run=cmd_table1)
 
     p_model = sub.add_parser("model", help="exact ladder energies and the shell correction")
     group = p_model.add_mutually_exclusive_group(required=True)
     group.add_argument("--z", type=int, help="nuclear charge (= electron count)")
     group.add_argument("--n-max", type=int, help="number of filled shells")
     add_common(p_model, "--interp", "--format")
+    p_model.set_defaults(run=cmd_model)
 
     p_fig = sub.add_parser("figures", help="write fig1.csv, fig1a.csv, fig2a.csv")
     p_fig.add_argument("--out", default=".", metavar="DIR", help="output directory (default .)")
+    p_fig.set_defaults(run=cmd_figures)
 
     p_asym = sub.add_parser("asymptotics", help="large-Z coefficients vs targets")
     add_common(p_asym, "--format")
+    p_asym.set_defaults(run=cmd_asymptotics)
     return parser
-
-
-COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
-    "table1": cmd_table1,
-    "model": cmd_model,
-    "figures": cmd_figures,
-    "asymptotics": cmd_asymptotics,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except (STODataError, GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -79,7 +79,7 @@ def delta_t_exact(n_max: int) -> float:
     checks the shell count.  Quadrature failures propagate.
     """
     (point,) = model_energy_sequence([n_max])
-    return point.t_exact - point.t_tf
+    return point.t_exact - point.t.t_tf
 
 
 def delta_t(z: int, mode: str) -> tuple[float, int | None]:

@@ -38,6 +38,12 @@ def _invocations() -> dict[str, list[str]]:
                 runs[f"model_{flag.strip('-')}{value}_{fmt}"] = ["model", flag, str(value), "--format", fmt]
     runs.update({f"asymptotics_{fmt}": ["asymptotics", "--format", fmt] for fmt in FORMATS})
     runs["figures"] = ["figures", "--out", "figures"]
+    runs["help"] = ["--help"]
+    for command in ("table1", "model", "figures", "asymptotics"):
+        runs[f"{command}_help"] = [command, "--help"]
+    runs["no_command"] = []
+    runs["table1_bogus"] = ["table1", "--bogus"]
+    runs["model_no_selector"] = ["model"]
     return runs
 
 
@@ -47,7 +53,8 @@ def snapshot(out_dir: Path, names: list[str] | None = None) -> list[str]:
     unknown = sorted(set(names or ()) - set(runs))
     if unknown:
         raise ValueError(f"unknown invocation {', '.join(unknown)}; known: {', '.join(runs)}")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # argparse wraps help and usage text to COLUMNS
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
     chosen = names or list(runs)
     for name in chosen:
         run_dir = out_dir / name

@@ -251,7 +251,7 @@ def ladder():
 
 
 def test_three_power_fit_of_tf_energy(ladder) -> None:
-    seq = [(p.z, p.t_tf) for p in ladder]
+    seq = [(p.z, p.t.t_tf) for p in ladder]
     a, b, c = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
     assert abs(a - SURD_LEADING) <= 1e-5
     # the fitted Z^2 coefficient; frozen from this pipeline, stable to the
@@ -263,26 +263,26 @@ def test_three_power_fit_of_tf_energy(ladder) -> None:
 def test_two_power_fit_biases_subleading_term(ladder) -> None:
     # with the Z^{5/3} term unmodeled its weight aliases into the Z^2
     # coefficient, pushing it well below -1/2
-    seq = [(p.z, p.t_tf) for p in ladder]
+    seq = [(p.z, p.t.t_tf) for p in ladder]
     a, b = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2)])
     assert abs(a - SURD_LEADING) / SURD_LEADING <= 1e-4
     assert 0.29 <= abs(b - (-0.5)) / 0.5 <= 0.32
 
 
 def test_gradient_terms_are_subleading(ladder) -> None:
-    seq = [(p.z, p.t2) for p in ladder]
+    seq = [(p.z, p.t.t2) for p in ladder]
     (lead,) = richardson_extrapolate(seq, [Fraction(7, 3)])
     target, tolerance = _paper_target("T2", "Z^{7/3}")
     assert abs(lead - target) < tolerance
 
 
 def test_gradient_correction_ratio_coefficients(ladder) -> None:
-    t2_ratio = [(p.z, p.t2 / p.t_exact) for p in ladder]
+    t2_ratio = [(p.z, p.t.t2 / p.t_exact) for p in ladder]
     g1, g2 = richardson_extrapolate(t2_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
     assert g1 == _near_target("T2", "Z^{-1/3}")
     assert g2 == pytest.approx(0.045, abs=0.009)
 
-    t4_ratio = [(p.z, p.t4 / p.t_exact) for p in ladder]
+    t4_ratio = [(p.z, p.t.t4 / p.t_exact) for p in ladder]
     g1, g2 = richardson_extrapolate(t4_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
     assert g1 == _near_target("T4", "Z^{-1/3}")
     assert g2 == pytest.approx(0.0078, abs=0.00156)
@@ -298,11 +298,11 @@ def test_resummation_of_z2_coefficients(ladder) -> None:
 
     # the same sum rebuilt from this pipeline's fits lands close to, but
     # measurably off, -1/2; the residual is real, not noise
-    seq = [(p.z, p.t_tf) for p in ladder]
+    seq = [(p.z, p.t.t_tf) for p in ladder]
     a, b, _ = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
-    t2_ratio = [(p.z, p.t2 / p.t_exact) for p in ladder]
+    t2_ratio = [(p.z, p.t.t2 / p.t_exact) for p in ladder]
     g1_t2, _ = richardson_extrapolate(t2_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
-    t4_ratio = [(p.z, p.t4 / p.t_exact) for p in ladder]
+    t4_ratio = [(p.z, p.t.t4 / p.t_exact) for p in ladder]
     g1_t4, _ = richardson_extrapolate(t4_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
     total = b + a * (g1_t2 + g1_t4)
     assert total == pytest.approx(-0.5104, abs=1.5e-3)
@@ -662,8 +662,7 @@ def test_every_prefix_matches_its_own_grid() -> None:
     for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
         rho = HydrogenicDensity(point.n_max)
         own = energies_on(rho, grid_for(rho))
-        shared = (point.t_tf, 9.0 * point.t2, point.t4)
-        assert shared == pytest.approx(own, rel=1e-14, abs=0.0), point.n_max
+        assert point.t == pytest.approx(own, rel=1e-14, abs=0.0), point.n_max
 
 
 def _reference_ladder(n_points: int = 8000, order: int = 40) -> dict[int, tuple]:
@@ -714,11 +713,10 @@ def test_ladder_matches_an_8000_point_reference() -> None:
     # rounding (2.3e-15 measured)
     reference = _reference_ladder()
     for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
-        shared = (point.t_tf, 9.0 * point.t2, point.t4)
-        assert shared == pytest.approx(reference[point.n_max], rel=3e-15, abs=0.0), point.n_max
+        assert point.t == pytest.approx(reference[point.n_max], rel=3e-15, abs=0.0), point.n_max
     (one,) = model_energy_sequence([1])
-    assert 9.0 * one.t2 == pytest.approx(4.0, rel=1e-15, abs=0.0)
-    assert one.t_tf == pytest.approx(4.0 * (1.0 - _one_shell_rel_err_t0()), rel=5e-15, abs=0.0)
+    assert one.t.t_w == pytest.approx(4.0, rel=1e-15, abs=0.0)
+    assert one.t.t_tf == pytest.approx(4.0 * (1.0 - _one_shell_rel_err_t0()), rel=5e-15, abs=0.0)
 
 
 def test_figure_density_rows_structure() -> None:

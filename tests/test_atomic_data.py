@@ -205,13 +205,19 @@ def test_float_fields_reject_bool(build, fragment) -> None:
         (lambda: STOPrimitive(1, math.nan, 1.0), "primitive exponent"),
         (lambda: STOPrimitive(1, 10**400, 1.0), "primitive exponent"),
         (lambda: STOAtomRecord("He", 2, (STOOrbital(1, 0, 2, ONE_S),), math.nan), "reference kinetic energy"),
+        (lambda: STOOrbital(1, 0, 2, 5), "primitives of 1s must be a tuple, got int"),
+        (lambda: STOOrbital(1, 0, 2, list(ONE_S)), "primitives of 1s must be a tuple, got list"),
+        (lambda: STOAtomRecord("He", 2, 5, 2.8), "orbitals of He must be a tuple, got int"),
+        (lambda: STOAtomRecord("He", 2, [STOOrbital(1, 0, 2, ONE_S)], 2.8), "orbitals of He .* got list"),
     ],
     ids=["element-int", "zeta-str", "coefficient-str", "reference-str", "zeta-nan",
-         "zeta-past-float-range", "reference-nan"],
+         "zeta-past-float-range", "reference-nan", "primitives-int", "primitives-list",
+         "orbitals-int", "orbitals-list"],
 )
 def test_wrongly_typed_fields_raise_validation_errors(build, fragment) -> None:
     # a caller that catches STODataError, as the command line does, sees these
-    # too; NaN and an int past the float range are not finite reals either
+    # too; NaN and an int past the float range are not finite reals either, and
+    # a list would be accepted and then break hash() of the frozen record
     with pytest.raises(STOValidationError, match=fragment):
         build()
 

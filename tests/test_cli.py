@@ -124,6 +124,15 @@ def test_interp_choices_are_the_correction_modes(command):
     assert interp.default == DEFAULT_MODE
 
 
+def test_each_subcommand_parses_to_its_handler():
+    # the subparser carries its command's handler; main keeps no second table
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    selector = {"model": ["--z", "2"]}
+    for name in commands.choices:
+        assert parser.parse_args([name, *selector.get(name, [])]).run is getattr(cli, f"cmd_{name}"), name
+
+
 def test_console_script_matches_module_invocation():
     proc = subprocess.run(["tfshell", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -89,7 +89,7 @@ def test_refit_literals_match_a_fresh_refit() -> None:
     # relative change of the deficits moves the solution by about 3e-13
     nodes = model_energy_sequence((1, 2, 3, 4))
     zs = np.array([point.z for point in nodes])
-    deltas = [point.t_exact - point.t_tf for point in nodes]
+    deltas = [point.t_exact - point.t.t_tf for point in nodes]
     refit = np.linalg.solve(np.vander(zs, 4, increasing=True), deltas)
     literals = INTERPOLATION_MODES["refit"]
     assert all(type(c) is float for c in literals)

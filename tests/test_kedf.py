@@ -508,7 +508,7 @@ def test_ladder_t4_matches_the_half_line() -> None:
     # the T_4 of fig1a/fig2a at three shells against mpmath on [0, inf); the
     # span (6 n^2 + 40) / Z cut 3.9e-6 of it off
     reference = half_line_t4(hydrogenic_terms(3))
-    assert model_energy_sequence([3])[0].t4 == pytest.approx(reference, rel=1e-8)
+    assert model_energy_sequence([3])[0].t.t4 == pytest.approx(reference, rel=1e-8)
 
 
 def test_table1_t4_matches_the_half_line(bundled, capsys) -> None:
@@ -736,6 +736,21 @@ def test_only_kedf_forms_t2() -> None:
     assert _divisions_by_nine(package / "kedf.py") != []
     others = [p for p in sorted(package.glob("*.py")) if p.stem != "kedf"]
     assert [hit for path in others for hit in _divisions_by_nine(path)] == []
+
+
+def test_only_energies_declares_the_functional_fields() -> None:
+    # a record of a density's functionals holds a kedf.Energies, as
+    # asymptotics.SequencePoint does, rather than copies of its fields
+    names = {"t_tf", "t_w", "t2", "t4"}
+    owners = []
+    for path in sorted(Path(kedf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {s.target.id for s in node.body if isinstance(s, ast.AnnAssign)}
+            if names & fields:
+                owners.append(f"{path.stem}.{node.name}")
+    assert owners == ["kedf.Energies"]
 
 
 # --- the functional table ---------------------------------------------------
