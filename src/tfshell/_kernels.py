@@ -65,7 +65,7 @@ def _radii(r) -> np.ndarray:
 # Elements in one block of basis rows, rows by M nodes (see orbital_profile
 # for why it is small).
 _BLOCK_ELEMENTS = 1 << 15
-# Every block is padded to a multiple of this many nodes.
+# The radii are padded, and every block cut, to a multiple of this many nodes.
 _BLOCK_LANES = 16
 
 
@@ -81,14 +81,14 @@ def orbital_profile(
     phi_k = sum_i coefs[k, i] r^{p_i} e^{-zeta_i r} is a sum over P
     primitives with positive exponents zeta_i and non-negative integer
     powers p_i; ``coefs`` has shape (K, P) and the K weights are
-    non-negative.  Each block's radii are clamped at the underflow radius
-    of the smallest exponent as they are copied into the block.
+    non-negative.  The radii are clamped at the underflow radius of the
+    smallest exponent as they are copied, once, into a zero-padded row.
 
     With the primitives ordered by falling power, the P rows r^p e, the
     rows p r^{p-1} e of the powers p >= 1 and the rows p (p-1) r^{p-2} e
     of the powers p >= 2 (e = e^{-zeta r}) fill one buffer of at most
-    ``_BLOCK_ELEMENTS`` elements per block of M nodes, padded to a multiple
-    of ``_BLOCK_LANES``.  Per block there is one
+    ``_BLOCK_ELEMENTS`` elements per block of M nodes, M a multiple of
+    ``_BLOCK_LANES``.  Per block there is one
     in-place ``np.exp`` over the P M exponentials, a few scalings and
     multiplications by r that build the other rows, and then one product
     per derivative order over a prefix of the buffer, which gives
@@ -110,11 +110,11 @@ def orbital_profile(
     under 3e5) the two agreed, 16.7 and 16.8 ms.
 
     Each node's values depend on its radius alone, not on the other nodes
-    of the call or on where the blocks fall.  A block is padded with r = 0
-    to a multiple of ``_BLOCK_LANES`` nodes because BLAS may compute a
-    ragged last few columns of a product by another code path, with other
-    rounding (and hands a single column to gemv); without the padding a
-    node's value would depend on where the block boundaries fall.
+    of the call or on where the blocks fall.  The radii are padded with
+    r = 0 to a multiple of ``_BLOCK_LANES``, and so is every block, because
+    BLAS may compute a ragged last few columns of a product by another code
+    path, with other rounding (and hands a single column to gemv); without
+    the padding a node's value would depend on where the blocks fall.
     """
     r = _radii(r)
     n_orb, n_prim = coefs.shape
@@ -137,24 +137,19 @@ def orbital_profile(
             np.hstack([-zc, c[:, :n1]]),
             np.hstack([zc * zeta, -2.0 * zc[:, :n1], c[:, :n2]]),
         )
-        width = max(_BLOCK_LANES, _BLOCK_ELEMENTS // n_rows // _BLOCK_LANES * _BLOCK_LANES)
-        width = min(width, lanes)
-        far = _UNDERFLOW_X / exponents.min()
+        width = min(lanes, max(_BLOCK_LANES, _BLOCK_ELEMENTS // n_rows // _BLOCK_LANES * _BLOCK_LANES))
+        radii = np.zeros((1, lanes))
+        np.minimum(nodes, _UNDERFLOW_X / exponents.min(), out=radii[0, : nodes.size])
         rates = -zeta[:, None]
         buffer = np.empty(n_rows * width)
         orbitals = np.empty((3, n_orb * width))
-        row_x = np.empty((1, width))
         with np.errstate(under="ignore"):
-            for start in range(0, nodes.size, width):
-                x = nodes[start:start + width]
-                m = x.size
-                padded = -(-m // _BLOCK_LANES) * _BLOCK_LANES
-                block = buffer[: n_rows * padded].reshape(n_rows, padded)
+            for start in range(0, lanes, width):
+                x = radii[:, start:start + width]
+                m = x.shape[1]
+                block = buffer[: n_rows * m].reshape(n_rows, m)
                 basis, first, second = block[:n_prim], block[n_prim:n_prim + n1], block[n_prim + n1:]
-                np.minimum(x, far, out=row_x[0, :m])
-                row_x[0, m:padded] = 0.0
-                xs = row_x[0, :padded]
-                np.dot(rates, row_x[:, :padded], out=basis)
+                np.dot(rates, x, out=basis)
                 np.exp(basis, out=basis)
                 # before its j-th factor r, the row of a primitive holds
                 # r^{j-1} e: the power-j rows give p r^{p-1} e and the
@@ -164,9 +159,9 @@ def orbital_profile(
                     np.multiply(basis[lo:hi], j, out=first[lo:hi])
                     if above[j + 2] < lo:
                         np.multiply(basis[above[j + 2]:lo], (j + 1) * j, out=second[above[j + 2]:lo])
-                    basis[:hi] *= xs
-                phi, dphi, scratch = (a[: n_orb * padded].reshape(n_orb, padded) for a in orbitals)
-                rho, drho, d2rho = (row[start:start + padded] for row in out)
+                    basis[:hi] *= x
+                phi, dphi, scratch = (a[: n_orb * m].reshape(n_orb, m) for a in orbitals)
+                rho, drho, d2rho = (row[start:start + m] for row in out)
                 # the orbital sums are row reductions in a fixed order, not a
                 # vector product: BLAS may split a gemv's columns across threads
                 np.dot(mats[0], basis, out=phi)

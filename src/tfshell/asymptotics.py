@@ -174,7 +174,9 @@ def tf_limit_density(r_hat):
     const = 2.0 * math.sqrt(2.0) / (3.0 * math.pi**2)
     inside = arr < TURNING_POINT
     out = np.zeros_like(arr)
-    out[inside] = const * (1.0 / arr[inside] - 18.0 ** (-1.0 / 3.0)) ** 1.5
+    # below about 1e-308, 1 / r_hat overflows to +inf, the density's value there
+    with np.errstate(over="ignore"):
+        out[inside] = const * (1.0 / arr[inside] - 18.0 ** (-1.0 / 3.0)) ** 1.5
     if np.isscalar(r_hat) or arr.ndim == 0:
         return float(out)
     return out

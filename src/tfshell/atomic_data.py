@@ -69,9 +69,24 @@ _L_LETTERS = "spdfgh"
 _ORBITAL_LABEL = re.compile(r"(\d+)([a-z])")
 
 
-def _is_int(value) -> bool:
-    """True for an int or numpy integer that is not a bool (bool subclasses int)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _store_int(record, name: str, lo: int, hi: float, rule: str) -> None:
+    """Store field ``name`` as an int if an int or numpy integer (no bool) in lo..hi, else raise ``rule``."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise STOValidationError(f"{rule.format(record=record, hi=hi)}, got {value!r}")
+    object.__setattr__(record, name, int(value))
+
+
+def _check_records(record, name: str, record_type: type, kind: str, label: str) -> None:
+    """Raise unless field ``name`` is a non-empty tuple of ``record_type``; ``kind label`` names the record."""
+    items = getattr(record, name)
+    if not isinstance(items, tuple):
+        raise STOValidationError(f"{name} of {label} must be a tuple, got {type(items).__name__}")
+    if not items:
+        raise STOValidationError(f"{kind} {label} has no {name}")
+    for item in items:
+        if not isinstance(item, record_type):
+            raise STOValidationError(f"expected {record_type.__name__}, got {type(item).__name__}")
 
 
 def _is_finite_real(value) -> bool:
@@ -110,9 +125,7 @@ class STOPrimitive:
     coefficient: float
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 1):
-            raise STOValidationError(f"primitive power must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        _store_int(self, "n", 1, math.inf, "primitive power must be a positive integer")
         if not (_is_finite_real(self.zeta) and self.zeta > 0.0):
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
         if not _is_finite_real(self.coefficient):
@@ -141,28 +154,15 @@ class STOOrbital:
     primitives: tuple[STOPrimitive, ...]
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 1):
-            raise STOValidationError(f"orbital n must be a positive integer, got {self.n!r}")
-        if not (_is_int(self.l) and 0 <= self.l < len(_L_LETTERS)):
-            raise STOValidationError(f"orbital l must lie in 0..{len(_L_LETTERS) - 1}, got {self.l!r}")
+        _store_int(self, "n", 1, math.inf, "orbital n must be a positive integer")
+        _store_int(self, "l", 0, len(_L_LETTERS) - 1, "orbital l must lie in 0..{hi}")
         if self.l >= self.n:
             raise STOValidationError(f"orbital l must be below n, got n={self.n} l={self.l}")
-        cap = self.max_occupation
-        if not (_is_int(self.occupation) and 0 <= self.occupation <= cap):
-            raise STOValidationError(
-                f"occupation of {self.label} must be an integer in 0..{cap}, got {self.occupation!r}"
-            )
-        for name in ("n", "l", "occupation"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not isinstance(self.primitives, tuple):
-            raise STOValidationError(
-                f"primitives of {self.label} must be a tuple, got {type(self.primitives).__name__}"
-            )
-        if not self.primitives:
-            raise STOValidationError(f"orbital {self.label} has no primitives")
-        for p in self.primitives:
-            if not isinstance(p, STOPrimitive):
-                raise STOValidationError(f"expected STOPrimitive, got {type(p).__name__}")
+        _store_int(
+            self, "occupation", 0, self.max_occupation,
+            "occupation of {record.label} must be an integer in 0..{hi}",
+        )
+        _check_records(self, "primitives", STOPrimitive, "orbital", self.label)
         try:
             norm = self.norm_integral()
         except ArithmeticError:
@@ -214,18 +214,8 @@ class STOAtomRecord:
     def __post_init__(self) -> None:
         if not (isinstance(self.element, str) and self.element.isalpha()):
             raise STOValidationError(f"element symbol must be alphabetic, got {self.element!r}")
-        if not (_is_int(self.atomic_number) and self.atomic_number >= 1):
-            raise STOValidationError(f"atomic number must be a positive integer, got {self.atomic_number!r}")
-        object.__setattr__(self, "atomic_number", int(self.atomic_number))
-        if not isinstance(self.orbitals, tuple):
-            raise STOValidationError(
-                f"orbitals of {self.element} must be a tuple, got {type(self.orbitals).__name__}"
-            )
-        if not self.orbitals:
-            raise STOValidationError(f"atom {self.element} has no orbitals")
-        for orb in self.orbitals:
-            if not isinstance(orb, STOOrbital):
-                raise STOValidationError(f"expected STOOrbital, got {type(orb).__name__}")
+        _store_int(self, "atomic_number", 1, math.inf, "atomic number must be a positive integer")
+        _check_records(self, "orbitals", STOOrbital, "atom", self.element)
         total = self.electron_count
         if total != self.atomic_number:
             raise STOValidationError(
@@ -413,31 +403,23 @@ def atom_density(record: STOAtomRecord) -> STODensity:
     """The spherically averaged density (1/4pi) sum occ R^2 of ``record``.
 
     Primitives shared by several orbitals (one Slater basis per angular
-    momentum) enter once; orbitals with zero occupation are left out.
-    Built in one pass over the occupied orbitals' primitives.
+    momentum) enter once, as columns in order of first appearance, and
+    each occupied orbital adds its c_i N_i straight into its row of the
+    coefficient matrix; orbitals with zero occupation are left out.
     """
-    index: dict[tuple[int, float], int] = {}
-    rows: list[dict[int, float]] = []
-    weights: list[float] = []
+    occupied = [orb for orb in record.orbitals if orb.occupation]
+    keys = list(dict.fromkeys((p.n, p.zeta) for orb in occupied for p in orb.primitives))
+    coefs = np.zeros((len(occupied), len(keys)))
     charge = 0.0
-    for orb in record.orbitals:
-        if orb.occupation == 0:
-            continue
-        row: dict[int, float] = {}
+    for k, orb in enumerate(occupied):
         for p in orb.primitives:
-            i = index.setdefault((p.n, p.zeta), len(index))
-            row[i] = row.get(i, 0.0) + p.coefficient * p.normalization
-        rows.append(row)
-        weights.append(orb.occupation / (4.0 * math.pi))
+            coefs[k, keys.index((p.n, p.zeta))] += p.coefficient * p.normalization
         charge += orb.occupation * orb.norm
-    coefs = np.zeros((len(rows), len(index)))
-    for k, row in enumerate(rows):
-        coefs[k, list(row)] = list(row.values())
     return STODensity(
-        np.array([zeta for _, zeta in index]),
-        np.array([n - 1 for n, _ in index]),
+        np.array([zeta for _, zeta in keys]),
+        np.array([n - 1 for n, _ in keys]),
         coefs,
-        np.array(weights),
+        np.array([orb.occupation for orb in occupied]) / (4.0 * math.pi),
         charge,
     )
 

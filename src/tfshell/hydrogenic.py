@@ -35,7 +35,6 @@ limit.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -70,13 +69,15 @@ MAGIC_NUMBERS = tuple(electron_count(n) for n in range(1, 6))
 def shell_count_for(z: int) -> int | None:
     """Inverse of electron_count on the closed-shell sequence, else None.
 
-    Doubles a bound on the shell count, then bisects: O(log z) steps.
+    Doubles a bound on the shell count, then bisects on plain ints: O(log z) steps.
     """
-    hi = 1
+    lo, hi = 1, 1
     while electron_count(hi) < z:
-        hi *= 2
-    n = bisect.bisect_left(range(1, hi + 1), z, key=electron_count) + 1
-    return n if electron_count(n) == z else None
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if electron_count(mid) < z else (lo, mid)
+    return hi if electron_count(hi) == z else None
 
 
 def model_kinetic_energy(n_max: int) -> float:

@@ -36,6 +36,10 @@ def _invocations() -> dict[str, list[str]]:
         for value in values:
             for fmt in FORMATS:
                 runs[f"model_{flag.strip('-')}{value}_{fmt}"] = ["model", flag, str(value), "--format", fmt]
+    # 10**60 electrons and 10**19 shells: the shell search outgrows sys.maxsize
+    for flag, power in (("--z", 60), ("--n-max", 19)):
+        for fmt in FORMATS:
+            runs[f"model_{flag.strip('-')}1e{power}_{fmt}"] = ["model", flag, str(10**power), "--format", fmt]
     runs.update({f"asymptotics_{fmt}": ["asymptotics", "--format", fmt] for fmt in FORMATS})
     runs["figures"] = ["figures", "--out", "figures"]
     runs["help"] = ["--help"]

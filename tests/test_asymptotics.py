@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -464,6 +465,15 @@ def test_tf_limit_rejects_origin() -> None:
         tf_limit_density(-1.0)
     with pytest.raises(ValueError):
         tf_limit_density(np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("r_hat", [1e-310, 5e-324])
+def test_tf_limit_is_infinite_where_the_reciprocal_overflows(r_hat: float) -> None:
+    # a subnormal r_hat is a finite r_hat > 0, so it gets a value and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tf_limit_density(r_hat) == math.inf
+        assert tf_limit_density(np.array([r_hat, 1.0]))[0] == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

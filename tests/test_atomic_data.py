@@ -1,8 +1,10 @@
 """Slater-orbital data: format, validation, and the assembled densities."""
 
+import ast
 import math
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from densities import value
 from orbitals import radial_value
 from sto_text import serialize_records
-from tfshell import cli
+from tfshell import atomic_data, cli
 from tfshell.atomic_data import (
     NORM_TOLERANCE,
     STOAtomRecord,
@@ -193,6 +195,24 @@ def test_float_fields_reject_bool(build, fragment) -> None:
     # True passes math.isfinite and compares above zero, so it needs its own check
     with pytest.raises(STOValidationError, match=fragment):
         build()
+
+
+def test_only_one_helper_stores_integer_fields() -> None:
+    # every integer record field goes through one rule: object.__setattr__(..., int(...))
+    # appears in one function of atomic_data
+    tree = ast.parse(Path(atomic_data.__file__).read_text(encoding="utf-8"))
+    storers = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__setattr__"
+        and len(node.args) == 3
+        and isinstance(node.args[2], ast.Call)
+        and ast.unparse(node.args[2].func) == "int"
+    ]
+    assert storers == ["_store_int"]
 
 
 @pytest.mark.parametrize(

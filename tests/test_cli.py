@@ -488,6 +488,22 @@ def test_model_rejects_out_of_range_inputs(args, fragment):
     assert fragment in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        (("--z", str(10**60)), "interpolation range (1..110)"),
+        (("--n-max", str(10**19)), "fills 10000000000000000000 shells; filled-shell counts are supported"),
+    ],
+)
+def test_model_past_the_index_range_is_one_error_line(args, fragment, capsys):
+    # the filled-shell search must not index a range longer than sys.maxsize
+    assert cli.main(["model", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 @pytest.mark.parametrize("z", ["0", "-3"])
 def test_model_z_below_one_names_the_bound(z):
     proc = run_cli("model", "--z", z)

@@ -41,6 +41,14 @@ def test_shell_count_for_inverts_the_sequence() -> None:
         assert shell_count_for(z) is None
 
 
+def test_shell_count_for_inverts_counts_past_the_index_range() -> None:
+    # from 10**19 shells on, the search interval is longer than sys.maxsize
+    for k in range(41):
+        n = 10**k
+        assert shell_count_for(electron_count(n)) == n
+        assert shell_count_for(electron_count(n) + 1) is None
+
+
 @pytest.mark.parametrize("n_max", [3, 3_000_000])
 def test_electron_count_of_a_numpy_integer_is_a_python_int(n_max: int) -> None:
     # a numpy shell count is counted in Python ints: no int64 result, and
