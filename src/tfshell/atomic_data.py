@@ -10,6 +10,9 @@ the nuclear charge and a reference Hartree-Fock kinetic energy, then one
     ORB <n><l-letter> <occupation>
     PRM <n_i> <zeta_i> <c_i>
 
+Files are UTF-8 text, with or without a byte-order mark; lines end at LF,
+CR LF or CR only, and all structure is checked before any record is built.
+
 Each orbital's radial part is R(r) = sum_i c_i N_i r^{n_i - 1} e^{-zeta_i r}
 with N_i = (2 zeta_i)^{n_i + 1/2} / sqrt((2 n_i)!), so occupation-weighted
 squares assemble the spherically averaged density
@@ -67,6 +70,9 @@ NORM_TOLERANCE = 5e-5
 
 _L_LETTERS = "spdfgh"
 _ORBITAL_LABEL = re.compile(r"(\d+)([a-z])")
+# each directive's fields after its tag, as its field-count message names them
+_DIRECTIVE_FIELDS = {"ATOM": ("<symbol>", "<Z>", "<kinetic>"), "ORB": ("<label>", "<occupation>"),
+                     "PRM": ("<n>", "<zeta>", "<coefficient>")}
 
 
 def _store_int(record, name: str, lo: int, hi: float, rule: str) -> None:
@@ -256,79 +262,55 @@ def _record_at(line_no: int, record_type: type, *fields):
 
 
 def parse_sto_text(text: str) -> list[STOAtomRecord]:
-    """Parse .sto-format text into validated records.
+    """Parse .sto-format text, whose lines end at LF, CR LF or CR only, into validated records.
 
-    Raises ``STOParseError`` for structural problems and
-    ``STOValidationError`` when a completed orbital or atom fails its
-    invariants; both messages name the offending line.
+    The whole text is read into a tree of atoms, orbitals and primitives,
+    raising ``STOParseError`` at a structural fault, before any record is
+    built (raising ``STOValidationError``); both messages name the line.
     """
-    records: list[STOAtomRecord] = []
-    header: tuple[int, str, int, float] | None = None
-    orbitals: list[STOOrbital] = []
-    pending: tuple[int, int, int, int] | None = None
-    prims: list[STOPrimitive] = []
-
-    def close_orbital() -> None:
-        nonlocal pending, prims
-        if pending is None:
-            return
-        line_no, n, l, occ = pending
-        orbitals.append(_record_at(line_no, STOOrbital, n, l, occ, tuple(prims)))
-        pending = None
-        prims = []
-
-    def close_atom() -> None:
-        nonlocal header, orbitals
-        close_orbital()
-        if header is None:
-            return
-        line_no, element, z, reference = header
-        records.append(_record_at(line_no, STOAtomRecord, element, z, tuple(orbitals), reference))
-        header = None
-        orbitals = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    atoms = []
+    orbitals = primitives = None  # the lists of the open atom and the open orbital
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        tag = fields[0]
+        tag, values = fields[0], fields[1:]
+        names = _DIRECTIVE_FIELDS.get(tag)
+        if names is None:
+            raise STOParseError(line_no, f"unknown directive {tag!r}")
+        if tag == "ORB" and orbitals is None:
+            raise STOParseError(line_no, "ORB before any ATOM header")
+        if tag == "PRM" and primitives is None:
+            raise STOParseError(line_no, "PRM before any ORB line")
+        if len(values) != len(names):
+            raise STOParseError(line_no, f"{tag} needs {' '.join(names)}, got {len(values)} fields")
         if tag == "ATOM":
-            close_atom()
-            if len(fields) != 4:
-                raise STOParseError(line_no, f"ATOM needs <symbol> <Z> <kinetic>, got {len(fields) - 1} fields")
-            z = _parse_int(line_no, fields[2], "atomic number")
-            reference = _parse_float(line_no, fields[3], "reference kinetic energy")
-            header = (line_no, fields[1], z, reference)
+            z = _parse_int(line_no, values[1], "atomic number")
+            orbitals, primitives = [], None
+            atoms.append((line_no, values[0], z, _parse_float(line_no, values[2], "reference kinetic energy"), orbitals))
         elif tag == "ORB":
-            if header is None:
-                raise STOParseError(line_no, "ORB before any ATOM header")
-            close_orbital()
-            if len(fields) != 3:
-                raise STOParseError(line_no, f"ORB needs <label> <occupation>, got {len(fields) - 1} fields")
-            match = _ORBITAL_LABEL.fullmatch(fields[1])
+            match = _ORBITAL_LABEL.fullmatch(values[0])
             if match is None:
-                raise STOParseError(line_no, f"orbital label must look like 2p, got {fields[1]!r}")
+                raise STOParseError(line_no, f"orbital label must look like 2p, got {values[0]!r}")
             letter = match.group(2)
             if letter not in _L_LETTERS:
-                raise STOParseError(line_no, f"unknown angular letter {letter!r} in {fields[1]!r}")
-            occ = _parse_int(line_no, fields[2], "occupation")
-            pending = (line_no, int(match.group(1)), _L_LETTERS.index(letter), occ)
-        elif tag == "PRM":
-            if pending is None:
-                raise STOParseError(line_no, "PRM before any ORB line")
-            if len(fields) != 4:
-                raise STOParseError(line_no, f"PRM needs <n> <zeta> <coefficient>, got {len(fields) - 1} fields")
-            n = _parse_int(line_no, fields[1], "primitive power")
-            zeta = _parse_float(line_no, fields[2], "primitive exponent")
-            coef = _parse_float(line_no, fields[3], "primitive coefficient")
-            prims.append(_record_at(line_no, STOPrimitive, n, zeta, coef))
+                raise STOParseError(line_no, f"unknown angular letter {letter!r} in {values[0]!r}")
+            occ = _parse_int(line_no, values[1], "occupation")
+            primitives = []
+            orbitals.append((line_no, int(match.group(1)), _L_LETTERS.index(letter), occ, primitives))
         else:
-            raise STOParseError(line_no, f"unknown directive {tag!r}")
-    close_atom()
-    if not records:
+            primitives.append((line_no, (_parse_int(line_no, values[0], "primitive power"),
+                                         _parse_float(line_no, values[1], "primitive exponent"),
+                                         _parse_float(line_no, values[2], "primitive coefficient"))))
+    if not atoms:
         raise STODataError("no ATOM records in input")
-    return records
+    return [
+        _record_at(line_no, STOAtomRecord, symbol, z, tuple([
+            _record_at(orb_line, STOOrbital, n, l, occ, tuple([_record_at(p, STOPrimitive, *prm) for p, prm in prims]))
+            for orb_line, n, l, occ, prims in orbs
+        ]), reference)
+        for line_no, symbol, z, reference, orbs in atoms
+    ]
 
 
 class STODensity:
@@ -433,7 +415,7 @@ def _load(sources: Iterable) -> dict[str, STOAtomRecord]:
     keyed: dict[str, STOAtomRecord] = {}
     for source in sources:
         try:
-            records = parse_sto_text(source.read_text(encoding="utf-8"))
+            records = parse_sto_text(source.read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError:
             raise STODataError(f"{source}: not UTF-8 text") from None
         except STODataError as exc:

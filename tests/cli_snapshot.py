@@ -5,7 +5,10 @@ Usage: python tests/cli_snapshot.py OUTDIR [NAME ...]
 Each invocation runs ``python -m tfshell.cli`` from the ``src`` tree next
 to this script, in its own directory ``OUTDIR/NAME``, and leaves there its
 ``stdout``, ``stderr`` and ``exit_code``; the ``figures`` run also leaves
-its three CSV files under ``figures/``.  Give NAMEs to run only those.
+its three CSV files under ``figures/``, and each ``table1_data_*`` run
+reads the ``bad.sto`` written into its directory first, by a relative
+path, so that no byte depends on where the tree sits.  Give NAMEs to run
+only those.
 Copy the script into another checkout to snapshot that tree too; two
 snapshots are then compared byte for byte with ``diff -r``.
 """
@@ -19,6 +22,42 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FORMATS = ("table", "csv", "jsonl")
+HELIUM = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
+
+
+def _data_files() -> dict[str, bytes]:
+    """Snapshot name -> the ``bad.sto`` its ``table1 --data bad.sto`` run reads.
+
+    One file per distinct parse, empty-input or decode message, one per
+    record fault, two where a structural fault follows a record fault, a
+    form feed on a line of its own, and the bundled he.sto behind a UTF-8
+    byte-order mark.
+    """
+    texts = {
+        "unknown_directive": "WAT He 2 4.0\n",
+        "orb_before_atom": "ORB 1s 2\n",
+        "prm_before_orb": "ATOM He 2 4.0\nPRM 1 2.0 1.0\n",
+        "atom_fields": "ATOM He 2\n",
+        "orb_fields": "ATOM He 2 4.0\nORB 1s\n",
+        "prm_fields": "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0\n",
+        "not_numeric": "ATOM He two 4.0\n",
+        "not_integer": "ATOM He 2.5 4.0\n",
+        "orbital_label": "ATOM He 2 4.0\nORB s1 2\n",
+        "angular_letter": "ATOM He 2 4.0\nORB 1k 2\n",
+        "no_atom": "# only a comment\n",
+        "occupation": HELIUM.replace("ORB 1s 2", "ORB 1s 3"),
+        "exponent": HELIUM.replace("PRM 1 2.0", "PRM 1 -2.0"),
+        "norm": HELIUM.replace("1.0\n", "1.1\n"),
+        "charge_mismatch": HELIUM.replace("He 2", "He 3"),
+        "reference_energy": HELIUM.replace("4.0", "-4.0"),
+        "norm_then_directive": HELIUM.replace("1.0\n", "1.1\n") + "ORB 2s 0\nWAT\n",
+        "exponent_then_directive": HELIUM.replace("PRM 1 2.0", "PRM 1 -2.0") + "WAT\n",
+        "form_feed": "# page one\n\f\n" + HELIUM + "BAD\n",
+    }
+    files = {f"table1_data_{key}": text.encode() for key, text in texts.items()}
+    files["table1_data_not_utf8"] = HELIUM.encode("utf-16")
+    files["table1_data_byte_order_mark"] = b"\xef\xbb\xbf" + (SRC / "tfshell" / "data" / "he.sto").read_bytes()
+    return files
 
 
 def _invocations() -> dict[str, list[str]]:
@@ -48,12 +87,13 @@ def _invocations() -> dict[str, list[str]]:
     runs["no_command"] = []
     runs["table1_bogus"] = ["table1", "--bogus"]
     runs["model_no_selector"] = ["model"]
+    runs.update((name, ["table1", "--data", "bad.sto"]) for name in _data_files())
     return runs
 
 
 def snapshot(out_dir: Path, names: list[str] | None = None) -> list[str]:
     """Run the invocations called ``names`` (all by default) into ``out_dir``; return their names."""
-    runs = _invocations()
+    runs, data_files = _invocations(), _data_files()
     unknown = sorted(set(names or ()) - set(runs))
     if unknown:
         raise ValueError(f"unknown invocation {', '.join(unknown)}; known: {', '.join(runs)}")
@@ -63,6 +103,8 @@ def snapshot(out_dir: Path, names: list[str] | None = None) -> list[str]:
     for name in chosen:
         run_dir = out_dir / name
         run_dir.mkdir(parents=True, exist_ok=True)
+        if name in data_files:
+            (run_dir / "bad.sto").write_bytes(data_files[name])
         proc = subprocess.run(
             [sys.executable, "-m", "tfshell.cli", *runs[name]],
             capture_output=True,

@@ -56,26 +56,58 @@ def test_comments_and_blanks_ignored() -> None:
 
 
 @pytest.mark.parametrize(
-    "text,line_no,fragment",
+    "text,line_no,message",
     [
-        ("WAT He 2 4.0", 1, "unknown directive"),
-        ("ORB 1s 2", 1, "ORB before any ATOM"),
-        ("ATOM He 2 4.0\nPRM 1 2.0 1.0", 2, "PRM before any ORB"),
-        ("ATOM He 2", 1, "ATOM needs"),
-        ("ATOM He 2 4.0\nORB 1s", 2, "ORB needs"),
-        ("ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0", 3, "PRM needs"),
-        ("ATOM He two 4.0", 1, "must be numeric"),
-        ("ATOM He 2.5 4.0", 1, "must be an integer"),
-        ("ATOM He 2 4.0\nORB s1 2", 2, "label"),
-        ("ATOM He 2 4.0\nORB 1k 2", 2, "angular letter"),
-        ("ATOM He 2 4.0\nORB 1s 2\nPRM 1 abc 1.0", 3, "must be numeric"),
+        # a short label after the text and line number names each case
+        pytest.param(text, line_no, message, id=f"{text}-{line_no}-{label}")
+        for text, line_no, label, message in [
+            ("WAT He 2 4.0", 1, "unknown directive", "unknown directive 'WAT'"),
+            ("ORB 1s 2", 1, "ORB before any ATOM", "ORB before any ATOM header"),
+            ("ORB 1s", 1, "ORB before any ATOM, a field short", "ORB before any ATOM header"),
+            ("ATOM He 2 4.0\nPRM 1 2.0 1.0", 2, "PRM before any ORB", "PRM before any ORB line"),
+            ("ATOM He 2", 1, "ATOM needs", "ATOM needs <symbol> <Z> <kinetic>, got 2 fields"),
+            ("ATOM He 2 4.0\nORB 1s", 2, "ORB needs", "ORB needs <label> <occupation>, got 1 fields"),
+            ("ATOM He 2 4.0\nORB 1s 2 3", 2, "ORB needs, a field over", "ORB needs <label> <occupation>, got 3 fields"),
+            ("ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0", 3, "PRM needs", "PRM needs <n> <zeta> <coefficient>, got 2 fields"),
+            ("ATOM He two 4.0", 1, "must be numeric", "atomic number must be numeric, got 'two'"),
+            ("ATOM He 2.5 4.0", 1, "must be an integer", "atomic number must be an integer, got '2.5'"),
+            ("ATOM He 2 4.0\nORB s1 2", 2, "label", "orbital label must look like 2p, got 's1'"),
+            ("ATOM He 2 4.0\nORB 1k 2", 2, "angular letter", "unknown angular letter 'k' in '1k'"),
+            ("ATOM He 2 4.0\nORB 1s 2\nPRM 1 abc 1.0", 3, "must be numeric", "primitive exponent must be numeric, got 'abc'"),
+        ]
     ],
 )
-def test_parse_errors_carry_line_numbers(text: str, line_no: int, fragment: str) -> None:
-    with pytest.raises(STOParseError, match=fragment) as excinfo:
+def test_parse_errors_carry_line_numbers(text: str, line_no: int, message: str) -> None:
+    with pytest.raises(STOParseError) as excinfo:
         parse_sto_text(text)
     assert excinfo.value.line_no == line_no
-    assert f"line {line_no}:" in str(excinfo.value)
+    assert str(excinfo.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # record faults at line 2 (a 1s norm integral of 1.21) and at line 3 (a negative exponent)
+        ("ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.1\nORB 2s 0\nWAT", "line 5: unknown directive 'WAT'"),
+        ("ATOM He 2 4.0\nORB 1s 2\nPRM 1 -2.0 1.0\nWAT", "line 4: unknown directive 'WAT'"),
+    ],
+)
+def test_structure_is_checked_before_any_record(text: str, message: str) -> None:
+    # a structural fault anywhere wins over a record fault on an earlier line
+    with pytest.raises(STOParseError) as excinfo:
+        parse_sto_text(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_break_only_where_an_editor_breaks_them(separator: str) -> None:
+    # str.splitlines() also breaks at these; LF, CR LF and CR alone end a line
+    lines = [f"# page{separator}one", separator, *MINIMAL.splitlines()]
+    for newline in ("\n", "\r\n", "\r"):
+        assert parse_sto_text(newline.join(lines)) == parse_sto_text(MINIMAL)
+        with pytest.raises(STOParseError) as excinfo:
+            parse_sto_text(newline.join([*lines, "BAD"]))
+        assert str(excinfo.value) == f"line {len(lines) + 1}: unknown directive 'BAD'"
 
 
 def test_empty_input_rejected() -> None:
@@ -559,6 +591,12 @@ def test_load_files_orders_by_charge_and_later_file_wins(tmp_path) -> None:
     records = load_files([str(first), str(second)])
     assert list(records) == ["He", "Li"]
     assert records["He"].reference_hf_kinetic == 4.0
+
+
+def test_load_files_skips_a_byte_order_mark(bundled, tmp_path) -> None:
+    marked = tmp_path / "he.sto"
+    marked.write_bytes(b"\xef\xbb\xbf" + (resources.files("tfshell") / "data" / "he.sto").read_bytes())
+    assert load_files([str(marked)]) == {"He": bundled["He"]}
 
 
 def test_norm_tolerance_is_needed_but_not_slack(bundled) -> None:

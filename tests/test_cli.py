@@ -331,6 +331,15 @@ def test_table1_data_parse_error_names_its_file(tmp_path: Path):
     assert proc.stdout == ""
 
 
+def test_table1_data_file_may_start_with_a_byte_order_mark(tmp_path: Path, capsys):
+    data = tmp_path / "he.sto"
+    data.write_bytes(b"\xef\xbb\xbf" + (Path(cli.__file__).with_name("data") / "he.sto").read_bytes())
+    assert cli.main(["table1", "--data", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [*HEADER_LINES, PINNED_ROWS[0]]
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("zeta", ["1e160", "1e-170", "1e-200"])
 def test_table1_rejects_an_exponent_outside_the_float_range(zeta, tmp_path, capsys):
     data = tmp_path / "bad.sto"
