@@ -12,6 +12,8 @@ the nuclear charge and a reference Hartree-Fock kinetic energy, then one
 
 Files are UTF-8 text, with or without a byte-order mark; lines end at LF,
 CR LF or CR only, and all structure is checked before any record is built.
+Numbers, orbital labels and element symbols are ASCII (a number without
+digit-group underscores); a comment may hold any UTF-8.
 
 Each orbital's radial part is R(r) = sum_i c_i N_i r^{n_i - 1} e^{-zeta_i r}
 with N_i = (2 zeta_i)^{n_i + 1/2} / sqrt((2 n_i)!), so occupation-weighted
@@ -69,7 +71,7 @@ __all__ = [
 NORM_TOLERANCE = 5e-5
 
 _L_LETTERS = "spdfgh"
-_ORBITAL_LABEL = re.compile(r"(\d+)([a-z])")
+_ORBITAL_LABEL = re.compile(r"([0-9]+)([a-z])")
 # each directive's fields after its tag, as its field-count message names them
 _DIRECTIVE_FIELDS = {"ATOM": ("<symbol>", "<Z>", "<kinetic>"), "ORB": ("<label>", "<occupation>"),
                      "PRM": ("<n>", "<zeta>", "<coefficient>")}
@@ -218,8 +220,8 @@ class STOAtomRecord:
     reference_hf_kinetic: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.element, str) and self.element.isalpha()):
-            raise STOValidationError(f"element symbol must be alphabetic, got {self.element!r}")
+        if not (isinstance(self.element, str) and self.element.isascii() and self.element.isalpha()):
+            raise STOValidationError(f"element symbol must be ASCII letters, got {self.element!r}")
         _store_int(self, "atomic_number", 1, math.inf, "atomic number must be a positive integer")
         _check_records(self, "orbitals", STOOrbital, "atom", self.element)
         total = self.electron_count
@@ -240,10 +242,13 @@ class STOAtomRecord:
 
 
 def _parse_float(line_no: int, token: str, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise STOParseError(line_no, f"{what} must be numeric, got {token!r}") from None
+    # float() also reads digit-group underscores and non-ASCII digits
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise STOParseError(line_no, f"{what} must be numeric, got {token!r}")
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:

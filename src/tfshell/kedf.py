@@ -50,12 +50,12 @@ QUADPACK, Piessens et al. 1983) on [0, r_max] in the exponentially mapped
 coordinate r = r_max (e^{a t} - 1)/(e^a - 1), t in [0, 1], which crowds
 nodes near the nucleus where the cusp lives.  Each panel holds the 16
 Gauss-Legendre nodes and the 17 nodes of their Kronrod extension, which
-integrates polynomials exactly through degree 49; both rules are held as
-float literals.  A grid of n points has n Gauss nodes, so 33 n / 16 nodes
-in all.  What a grid does not owe to its span (the exponential map at the
-panel abscissae and the panel-scaled weights) is computed once per
-n_points.  A grid is judged only by the values computed on it, by the
-gates below.
+integrates polynomials exactly through degree 49; each rule is stored
+once, in QUADPACK's half-rule layout, and mirrored at import.  A grid of n
+points has n Gauss nodes, so 33 n / 16 nodes in all.  What a grid does not
+owe to its span (the exponential map at the panel abscissae and the
+panel-scaled weights) is computed once per n_points.  A grid is judged
+only by the values computed on it, by the gates below.
 
 Error check: a functional is evaluated once on all the nodes; the reported
 value is the Kronrod sum over them, as QUADPACK reports it, and the Gauss
@@ -208,118 +208,82 @@ class RadialGrid:
         return float(np.dot(self.weights, values))
 
 
-# The 16-point Gauss-Legendre rule on [-1, 1] as round-trip float literals,
-# equal bit for bit to numpy.polynomial.legendre.leggauss(16), which a test
-# checks; holding them here keeps numpy.polynomial out of every run.
-_GL_NODES = np.array(
-    [
-        -0.9894009349916499,
-        -0.9445750230732326,
-        -0.8656312023878318,
-        -0.755404408355003,
-        -0.6178762444026438,
-        -0.45801677765722737,
-        -0.2816035507792589,
-        -0.09501250983763744,
-        0.09501250983763744,
-        0.2816035507792589,
-        0.45801677765722737,
-        0.6178762444026438,
-        0.755404408355003,
-        0.8656312023878318,
-        0.9445750230732326,
-        0.9894009349916499,
-    ]
+# The 16-point Gauss-Legendre rule and its 33-point Kronrod extension on
+# [-1, 1], each number stated once in QUADPACK's half-rule layout: _XGK
+# holds the 17 non-negative abscissae from the edge in to the centre 0.0,
+# the Gauss nodes at the odd positions and the zeros of the Stieltjes
+# polynomial E_17 at the even ones; _WGK holds the Kronrod weights at them
+# and _WG the Gauss weights.  The literals equal numpy.polynomial's
+# leggauss(16) bit for bit, and the extension computed in exact and
+# 80-digit arithmetic rounded once, which tests check; holding them here
+# keeps numpy.polynomial out of every run.
+_XGK = (
+    0.9982392741454446,
+    0.9894009349916499,
+    0.9715059509693926,
+    0.9445750230732326,
+    0.9091576670123429,
+    0.8656312023878318,
+    0.8142402870624444,
+    0.755404408355003,
+    0.6897411066817623,
+    0.6178762444026438,
+    0.5404076763521397,
+    0.45801677765722737,
+    0.37148378087841627,
+    0.2816035507792589,
+    0.18916857901808373,
+    0.09501250983763744,
+    0.0,
 )
-_GL_WEIGHTS = np.array(
-    [
-        0.027152459411754176,
-        0.062253523938647456,
-        0.0951585116824926,
-        0.12462897125553407,
-        0.1495959888165767,
-        0.16915651939500265,
-        0.18260341504492364,
-        0.18945061045506864,
-        0.18945061045506864,
-        0.18260341504492364,
-        0.16915651939500265,
-        0.1495959888165767,
-        0.12462897125553407,
-        0.0951585116824926,
-        0.062253523938647456,
-        0.027152459411754176,
-    ]
+_WGK = (
+    0.004742777049247318,
+    0.013257930688091158,
+    0.022498859440049444,
+    0.031260543647380526,
+    0.039512951202421966,
+    0.047506215976407015,
+    0.055205633095422174,
+    0.062358806011834855,
+    0.06886299519153125,
+    0.07476982388559955,
+    0.08005394126371929,
+    0.08459580379259064,
+    0.08833750257911273,
+    0.09129203282819166,
+    0.09343867406092123,
+    0.09472840124723005,
+    0.0951542160804983,
 )
-# The 33-point Kronrod extension of that rule: the 17 nodes it adds (the
-# zeros of the Stieltjes polynomial E_17) and its weights on the Gauss and
-# on the Kronrod nodes, as round-trip float literals of the rule computed in
-# exact and 80-digit arithmetic; a test rebuilds them in mpmath.
-_KRONROD_NODES = np.array(
-    [
-        -0.9982392741454446,
-        -0.9715059509693926,
-        -0.9091576670123429,
-        -0.8142402870624444,
-        -0.6897411066817623,
-        -0.5404076763521397,
-        -0.37148378087841627,
-        -0.18916857901808373,
-        0.0,
-        0.18916857901808373,
-        0.37148378087841627,
-        0.5404076763521397,
-        0.6897411066817623,
-        0.8142402870624444,
-        0.9091576670123429,
-        0.9715059509693926,
-        0.9982392741454446,
-    ]
+_WG = (
+    0.027152459411754176,
+    0.062253523938647456,
+    0.0951585116824926,
+    0.12462897125553407,
+    0.1495959888165767,
+    0.16915651939500265,
+    0.18260341504492364,
+    0.18945061045506864,
 )
-_KRONROD_GAUSS_WEIGHTS = np.array(
-    [
-        0.013257930688091158,
-        0.031260543647380526,
-        0.047506215976407015,
-        0.062358806011834855,
-        0.07476982388559955,
-        0.08459580379259064,
-        0.09129203282819166,
-        0.09472840124723005,
-        0.09472840124723005,
-        0.09129203282819166,
-        0.08459580379259064,
-        0.07476982388559955,
-        0.062358806011834855,
-        0.047506215976407015,
-        0.031260543647380526,
-        0.013257930688091158,
-    ]
-)
-_KRONROD_WEIGHTS = np.array(
-    [
-        0.004742777049247318,
-        0.022498859440049444,
-        0.039512951202421966,
-        0.055205633095422174,
-        0.06886299519153125,
-        0.08005394126371929,
-        0.08833750257911273,
-        0.09343867406092123,
-        0.0951542160804983,
-        0.09343867406092123,
-        0.08833750257911273,
-        0.08005394126371929,
-        0.06886299519153125,
-        0.055205633095422174,
-        0.039512951202421966,
-        0.022498859440049444,
-        0.004742777049247318,
-    ]
-)
-for _rule in (_GL_NODES, _GL_WEIGHTS, _KRONROD_NODES, _KRONROD_GAUSS_WEIGHTS, _KRONROD_WEIGHTS):
-    _rule.setflags(write=False)
-del _rule
+
+
+def _mirrored(xgk: tuple, wgk: tuple, wg: tuple) -> tuple[np.ndarray, ...]:
+    """The five rule arrays, each ascending on [-1, 1] and read-only, from the half-rule tables.
+
+    They are the Gauss nodes and weights, the Kronrod nodes, and the Kronrod
+    weights on the Gauss and on the Kronrod nodes.  Abscissae are negated
+    exactly, and the centre enters once, as +0.0.
+    """
+    # all 33 abscissae in ascending order keep the Gauss nodes at the odd positions
+    x = np.concatenate((-np.array(xgk[:-1]), xgk[::-1]))
+    w = np.array(wgk[:-1] + wgk[::-1])
+    rules = (x[1::2], np.array(wg + wg[::-1]), x[0::2], w[1::2], w[0::2])
+    for rule in rules:
+        rule.setflags(write=False)
+    return rules
+
+
+_GL_NODES, _GL_WEIGHTS, _KRONROD_NODES, _KRONROD_GAUSS_WEIGHTS, _KRONROD_WEIGHTS = _mirrored(_XGK, _WGK, _WG)
 
 
 @lru_cache(maxsize=256)

@@ -30,8 +30,9 @@ def _data_files() -> dict[str, bytes]:
 
     One file per distinct parse, empty-input or decode message, one per
     record fault, two where a structural fault follows a record fault, a
-    form feed on a line of its own, and the bundled he.sto behind a UTF-8
-    byte-order mark.
+    form feed on a line of its own, one per non-ASCII or underscored token,
+    and the bundled he.sto behind a UTF-8 byte-order mark and behind a
+    non-ASCII comment.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -53,10 +54,17 @@ def _data_files() -> dict[str, bytes]:
         "norm_then_directive": HELIUM.replace("1.0\n", "1.1\n") + "ORB 2s 0\nWAT\n",
         "exponent_then_directive": HELIUM.replace("PRM 1 2.0", "PRM 1 -2.0") + "WAT\n",
         "form_feed": "# page one\n\f\n" + HELIUM + "BAD\n",
+        "underscore": HELIUM.replace("4.0", "4_0.0"),
+        "arabic_indic_digit": HELIUM.replace("He 2", "He \u0662"),
+        "fullwidth_digit": HELIUM.replace("2.0 1.0", "2.0 \uff11.0"),
+        "arabic_indic_label": HELIUM.replace("1s", "\u0661s"),
+        "greek_symbol": HELIUM.replace("He", "\u0397e"),
     }
     files = {f"table1_data_{key}": text.encode() for key, text in texts.items()}
     files["table1_data_not_utf8"] = HELIUM.encode("utf-16")
-    files["table1_data_byte_order_mark"] = b"\xef\xbb\xbf" + (SRC / "tfshell" / "data" / "he.sto").read_bytes()
+    helium = (SRC / "tfshell" / "data" / "he.sto").read_bytes()
+    files["table1_data_byte_order_mark"] = b"\xef\xbb\xbf" + helium
+    files["table1_data_utf8_comment"] = "# H\u00e9lium, \u0396 = \u0662\n".encode() + helium
     return files
 
 

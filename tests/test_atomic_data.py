@@ -51,7 +51,8 @@ def test_parse_minimal_record() -> None:
 
 
 def test_comments_and_blanks_ignored() -> None:
-    noisy = "\n# leading comment\n\n" + MINIMAL.replace("ORB 1s 2", "ORB 1s 2  # full shell")
+    # a comment may hold any UTF-8, even what a number or a label may not
+    noisy = "\n# leading comment\n\n" + MINIMAL.replace("ORB 1s 2", "ORB 1s 2  # full shell: \u0661s, \u0397e, 4_0.0")
     assert parse_sto_text(noisy) == parse_sto_text(MINIMAL)
 
 
@@ -82,6 +83,28 @@ def test_parse_errors_carry_line_numbers(text: str, line_no: int, message: str) 
         parse_sto_text(text)
     assert excinfo.value.line_no == line_no
     assert str(excinfo.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param(MINIMAL.replace("4.0", "4_0.0"),
+                     "line 2: reference kinetic energy must be numeric, got '4_0.0'", id="underscore"),
+        pytest.param(MINIMAL.replace("He 2", "He \u0662"),
+                     "line 2: atomic number must be numeric, got '\u0662'", id="arabic-indic-two"),
+        pytest.param(MINIMAL.replace("2.0 1.0", "2.0 \uff11.0"),
+                     "line 4: primitive coefficient must be numeric, got '\uff11.0'", id="fullwidth-one"),
+        pytest.param(MINIMAL.replace("1s", "\u0661s"),
+                     "line 3: orbital label must look like 2p, got '\u0661s'", id="arabic-indic-label"),
+        pytest.param(MINIMAL.replace("He", "\u0397e"),
+                     "line 2: element symbol must be ASCII letters, got '\u0397e'", id="greek-eta"),
+    ],
+)
+def test_tokens_are_ascii(text: str, message: str) -> None:
+    # float() and \d read underscores and any Unicode digit, and str.isalpha() any letter
+    with pytest.raises(STODataError) as excinfo:
+        parse_sto_text(text)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -276,7 +299,7 @@ def test_wrongly_typed_fields_raise_validation_errors(build, fragment) -> None:
 
 def test_atom_record_validation() -> None:
     orb = STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
-    with pytest.raises(STOValidationError, match="alphabetic"):
+    with pytest.raises(STOValidationError, match="ASCII letters"):
         STOAtomRecord("X1", 2, (orb,), 4.0)
     with pytest.raises(STOValidationError, match="no orbitals"):
         STOAtomRecord("He", 2, (), 4.0)

@@ -297,23 +297,32 @@ def test_kronrod_literals_are_exact_through_degree_49() -> None:
 
 def test_gauss_part_of_grid_is_the_plain_expmap_rule() -> None:
     # the Gauss nodes and weights, bit for bit, from the map written out;
-    # the Kronrod weights on them too.  Spans that share a resolution share
-    # its span-free half, so 2000 points run at four spans
+    # the Kronrod weights on them, and the Kronrod extension's nodes and
+    # weights, too.  Spans that share a resolution share its span-free
+    # half, so 2000 points run at four spans
     cases = ((2000, 45.0), (2000, 100.3), (2000, 15.2), (2000, 140.0), (3008, 130.0), (64, 5.0))
     for n_points, r_max in cases:
         grid = make_grid(n_points, r_max)
         edges = np.linspace(0.0, 1.0, -(-n_points // 16) + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
-        t = (mid[:, None] + half[:, None] * kedf._GL_NODES[None, :]).ravel()
-        e_at = np.exp(12.0 * t)
-        nodes = r_max * (e_at - 1.0) / math.expm1(12.0)
-        jac = r_max * 12.0 * e_at / math.expm1(12.0)
-        weights = (half[:, None] * kedf._GL_WEIGHTS[None, :]).ravel() * jac
-        kronrod_on_gauss = (half[:, None] * kedf._KRONROD_GAUSS_WEIGHTS[None, :]).ravel() * jac
-        assert grid.nodes[: nodes.size].tobytes() == nodes.tobytes()
-        assert grid.gauss_weights.tobytes() == weights.tobytes()
-        assert grid.weights[: nodes.size].tobytes() == kronrod_on_gauss.tobytes()
+
+        def mapped(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # the nodes at abscissae x of every panel, and the map's Jacobian there
+            e_at = np.exp(12.0 * (mid[:, None] + half[:, None] * x[None, :]).ravel())
+            return r_max * (e_at - 1.0) / math.expm1(12.0), r_max * 12.0 * e_at / math.expm1(12.0)
+
+        def scaled(w: np.ndarray) -> np.ndarray:
+            return (half[:, None] * w[None, :]).ravel()
+
+        nodes, jac = mapped(kedf._GL_NODES)
+        n = nodes.size
+        assert grid.nodes[:n].tobytes() == nodes.tobytes()
+        assert grid.gauss_weights.tobytes() == (scaled(kedf._GL_WEIGHTS) * jac).tobytes()
+        assert grid.weights[:n].tobytes() == (scaled(kedf._KRONROD_GAUSS_WEIGHTS) * jac).tobytes()
+        nodes, jac = mapped(kedf._KRONROD_NODES)
+        assert grid.nodes[n:].tobytes() == nodes.tobytes()
+        assert grid.weights[n:].tobytes() == (scaled(kedf._KRONROD_WEIGHTS) * jac).tobytes()
 
 
 def test_grids_do_not_import_numpy_polynomial() -> None:
