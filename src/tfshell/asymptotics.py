@@ -237,10 +237,11 @@ class Fit(NamedTuple):
     """One Richardson fit on the ladder, with the paper's target for each power it fits."""
 
     series: str
-    quantity: str
-    value: Callable[[SequencePoint], float]
-    # (power, printed label, target, tolerance) per fitted power, decreasing
-    terms: tuple[tuple[Fraction, str, float, float], ...]
+    value: Callable[[Energies], float]
+    # True to fit value / t_exact, the fraction of the exact energy
+    relative: bool
+    # (power, target, tolerance) per fitted power, decreasing
+    terms: tuple[tuple[Fraction, float, float], ...]
 
 
 # The fits of `tfshell asymptotics` in report order, with the paper's printed
@@ -248,29 +249,36 @@ class Fit(NamedTuple):
 # ladder's local-density energy, which an independent core-scaling oracle in
 # the acceptance tests puts at -0.65282.
 FITS: tuple[Fit, ...] = (
-    Fit("T_TF", "coefficient", lambda p: p.t.t_tf, (
-        (Fraction(7, 3), "Z^{7/3}", 1.144714, 1e-5),
-        (Fraction(2), "Z^2", -0.625856, 1e-3),
-        (Fraction(5, 3), "Z^{5/3}", 0.146878, 1e-2),
+    Fit("T_TF", lambda t: t.t_tf, False, (
+        (Fraction(7, 3), 1.144714, 1e-5),
+        (Fraction(2), -0.625856, 1e-3),
+        (Fraction(5, 3), 0.146878, 1e-2),
     )),
-    Fit("T2", "coefficient", lambda p: p.t.t2, ((Fraction(7, 3), "Z^{7/3}", 0.0, 1e-4),)),
-    Fit("T2", "fraction of exact energy", lambda p: p.t.t2 / p.t_exact,
-        ((Fraction(-1, 3), "Z^{-1/3}", 0.10942, 1e-3),)),
-    Fit("T4", "fraction of exact energy", lambda p: p.t.t4 / p.t_exact,
-        ((Fraction(-1, 3), "Z^{-1/3}", 0.015052, 1e-3),)),
+    Fit("T2", lambda t: t.t2, False, ((Fraction(7, 3), 0.0, 1e-4),)),
+    Fit("T2", lambda t: t.t2, True, ((Fraction(-1, 3), 0.10942, 1e-3),)),
+    Fit("T4", lambda t: t.t4, True, ((Fraction(-1, 3), 0.015052, 1e-3),)),
 )
 
 
 def fit_rows(points: Sequence[SequencePoint]) -> list[dict]:
-    """The records of ``tfshell asymptotics``: one per fitted power of ``FITS`` on ``points``."""
+    """The records of ``tfshell asymptotics``: one per fitted power of ``FITS`` on ``points``.
+
+    A record's ``power`` reads ``Z^2`` for a whole power and ``Z^{7/3}``
+    otherwise; its ``quantity`` says whether the fit is of the energy or of
+    its fraction of the exact energy.
+    """
     rows = []
     for fit in FITS:
-        sequence = [(p.z, fit.value(p)) for p in points]
+        sequence = [
+            (p.z, fit.value(p.t) / p.t_exact if fit.relative else fit.value(p.t)) for p in points
+        ]
         fitted = richardson_extrapolate(sequence, [power for power, *_ in fit.terms])
-        for value, (_, label, target, tolerance) in zip(fitted, fit.terms):
+        quantity = "fraction of exact energy" if fit.relative else "coefficient"
+        for value, (power, target, tolerance) in zip(fitted, fit.terms):
+            label = f"Z^{power}" if power.denominator == 1 else f"Z^{{{power}}}"
             deviation = abs(value - target)
             rows.append({
-                "series": fit.series, "quantity": fit.quantity, "power": label, "fitted": value,
+                "series": fit.series, "quantity": quantity, "power": label, "fitted": value,
                 "target": target, "deviation": deviation, "tolerance": tolerance,
                 "within_tolerance": deviation <= tolerance,
             })

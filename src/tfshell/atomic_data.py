@@ -94,7 +94,9 @@ def _check_records(record, name: str, record_type: type, kind: str, label: str) 
         raise STOValidationError(f"{kind} {label} has no {name}")
     for item in items:
         if not isinstance(item, record_type):
-            raise STOValidationError(f"expected {record_type.__name__}, got {type(item).__name__}")
+            raise STOValidationError(
+                f"{name} of {label} must hold {record_type.__name__} records, got {type(item).__name__}"
+            )
 
 
 def _is_finite_real(value) -> bool:

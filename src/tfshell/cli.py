@@ -59,6 +59,7 @@ from typing import IO, Sequence
 
 from .asymptotics import (
     LADDER_SHELLS,
+    MODEL_SERIES,
     ExtrapolationError,
     figure_density_rows,
     figure_error_rows,
@@ -233,7 +234,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         print(f"local-density energy      {row['t_tf_model']!r}{via}")
         print(f"shell correction delta_T  {delta!r}  [{row['delta_kind']}]")
         gap = row["series_relative_gap"]
-        print(f"large-Z series (5 terms)  {row['series_value']!r}  relative gap {gap:.3e}")
+        print(f"large-Z series ({len(MODEL_SERIES)} terms)  {row['series_value']!r}  relative gap {gap:.3e}")
     return EXIT_OK
 
 
@@ -262,14 +263,18 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def _self_tests() -> list[tuple[str, bool, str]]:
     zs = [float(electron_count(n)) for n in range(2, 9)]
-    identity = richardson_extrapolate([(z, 3.75) for z in zs], [Fraction(0)])
-    synthetic = richardson_extrapolate(
-        [(z, 2.5 * z ** (7.0 / 3.0) - 0.7 * z**2) for z in zs],
-        [Fraction(7, 3), Fraction(2)],
-    )
-    err = max(abs(synthetic[0] - 2.5), abs(synthetic[1] + 0.7))
+
+    def deviations(terms: tuple[tuple[Fraction, float], ...]) -> list[float]:
+        """|fitted - coefficient| per term of the fit of the series sum(c Z^p) over ``terms``."""
+        sequence = [(z, sum(c * z ** float(p) for p, c in terms)) for z in zs]
+        fitted = richardson_extrapolate(sequence, [p for p, _ in terms])
+        return [abs(a - c) for a, (_, c) in zip(fitted, terms)]
+
+    identity = ((Fraction(0), 3.75),)
+    synthetic = ((Fraction(7, 3), 2.5), (Fraction(2), -0.7))
     # tableau arithmetic rounds, so "exact" means full double precision here
-    id_err = abs(identity[0] - 3.75) / 3.75
+    id_err = deviations(identity)[0] / identity[0][1]
+    err = max(deviations(synthetic))
     return [
         ("identity series", id_err <= 1e-12, f"constant recovered to {id_err:.1e} relative"),
         ("synthetic two-term series", err <= 1e-8, f"max coefficient error {err:.2e}"),

@@ -1,31 +1,34 @@
 """Write what the command line prints for a fixed list of invocations.
 
-Usage: python tests/cli_snapshot.py OUTDIR [NAME ...]
+Usage: python tests/cli_snapshot.py [--src PATH] OUTDIR [NAME ...]
 
-Each invocation runs ``python -m tfshell.cli`` from the ``src`` tree next
-to this script, in its own directory ``OUTDIR/NAME``, and leaves there its
-``stdout``, ``stderr`` and ``exit_code``; the ``figures`` run also leaves
-its three CSV files under ``figures/``, and each ``table1_data_*`` run
-reads the ``bad.sto`` written into its directory first, by a relative
-path, so that no byte depends on where the tree sits.  Give NAMEs to run
-only those.
-Copy the script into another checkout to snapshot that tree too; two
-snapshots are then compared byte for byte with ``diff -r``.
+Each invocation runs ``python -m tfshell.cli`` from the ``src`` tree of
+the checkout at PATH (by default the one holding this script), in its own
+directory ``OUTDIR/NAME``, and leaves there its ``stdout``, ``stderr`` and
+``exit_code``; the ``figures`` run also leaves its three CSV files under
+``figures/``, and each ``table1_data_*`` run reads the ``bad.sto`` written
+into its directory first, by a relative path, so that no byte depends on
+where the tree sits.  The bundled he.sto and ne.sto that some runs read
+come from PATH too.  Give NAMEs to run only those.
+One invocation list thus serves both sides of a byte gate: snapshot this
+checkout, then another with ``--src``, and compare the two output
+directories byte for byte with ``diff -r``.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TREE = Path(__file__).resolve().parents[1]
 FORMATS = ("table", "csv", "jsonl")
 HELIUM = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 
 
-def _data_files() -> dict[str, bytes]:
+def _data_files(src: Path) -> dict[str, bytes]:
     """Snapshot name -> the ``bad.sto`` its ``table1 --data bad.sto`` run reads.
 
     One file per distinct parse, empty-input or decode message, one per
@@ -62,15 +65,15 @@ def _data_files() -> dict[str, bytes]:
     }
     files = {f"table1_data_{key}": text.encode() for key, text in texts.items()}
     files["table1_data_not_utf8"] = HELIUM.encode("utf-16")
-    helium = (SRC / "tfshell" / "data" / "he.sto").read_bytes()
+    helium = (src / "tfshell" / "data" / "he.sto").read_bytes()
     files["table1_data_byte_order_mark"] = b"\xef\xbb\xbf" + helium
     files["table1_data_utf8_comment"] = "# H\u00e9lium, \u0396 = \u0662\n".encode() + helium
     return files
 
 
-def _invocations() -> dict[str, list[str]]:
+def _invocations(src: Path) -> dict[str, list[str]]:
     """Snapshot name -> CLI arguments."""
-    bundled_neon = str(SRC / "tfshell" / "data" / "ne.sto")
+    bundled_neon = str(src / "tfshell" / "data" / "ne.sto")
     runs = {
         **{f"table1_{fmt}": ["table1", "--format", fmt] for fmt in FORMATS},
         "table1_published": ["table1", "--interp", "published"],
@@ -95,18 +98,22 @@ def _invocations() -> dict[str, list[str]]:
     runs["no_command"] = []
     runs["table1_bogus"] = ["table1", "--bogus"]
     runs["model_no_selector"] = ["model"]
-    runs.update((name, ["table1", "--data", "bad.sto"]) for name in _data_files())
+    runs.update((name, ["table1", "--data", "bad.sto"]) for name in _data_files(src))
     return runs
 
 
-def snapshot(out_dir: Path, names: list[str] | None = None) -> list[str]:
-    """Run the invocations called ``names`` (all by default) into ``out_dir``; return their names."""
-    runs, data_files = _invocations(), _data_files()
+def snapshot(out_dir: Path, names: list[str] | None = None, tree: Path = TREE) -> list[str]:
+    """Run the invocations called ``names`` (all by default) into ``out_dir``; return their names.
+
+    Each runs the command line of the ``src`` tree of the checkout ``tree``.
+    """
+    src = tree / "src"
+    runs, data_files = _invocations(src), _data_files(src)
     unknown = sorted(set(names or ()) - set(runs))
     if unknown:
         raise ValueError(f"unknown invocation {', '.join(unknown)}; known: {', '.join(runs)}")
     # argparse wraps help and usage text to COLUMNS
-    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
     chosen = names or list(runs)
     for name in chosen:
         run_dir = out_dir / name
@@ -126,7 +133,11 @@ def snapshot(out_dir: Path, names: list[str] | None = None) -> list[str]:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit(__doc__.split("\n\n")[1])
-    for name in snapshot(Path(sys.argv[1]), sys.argv[2:]):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=TREE, metavar="PATH",
+                        help="checkout whose src tree runs (default: the one holding this script)")
+    parser.add_argument("out_dir", type=Path, metavar="OUTDIR")
+    parser.add_argument("names", nargs="*", default=[], metavar="NAME")
+    args = parser.parse_args()
+    for name in snapshot(args.out_dir, args.names, args.src.resolve()):
         print(name)

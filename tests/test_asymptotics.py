@@ -229,14 +229,16 @@ def test_divergence_overflow_is_nonfinite() -> None:
 # --- fits along the closed-shell ladder ------------------------------------
 
 
-def _paper_target(series: str, power: str) -> tuple[float, float]:
-    """(target, tolerance) of one fitted power of ``FITS``."""
+def _paper_target(series: str, power: str | Fraction) -> tuple[float, float]:
+    """(target, tolerance) of one fitted power of ``FITS``, named by its printed label or by the power."""
+    if isinstance(power, str):
+        power = Fraction(power.removeprefix("Z^").strip("{}"))
     (found,) = [
         (target, tolerance)
         for fit in FITS
         if fit.series == series
-        for _, label, target, tolerance in fit.terms
-        if label == power
+        for fitted_power, target, tolerance in fit.terms
+        if fitted_power == power
     ]
     return found
 
@@ -323,24 +325,30 @@ def test_cli_ladder_gives_the_fits_of_the_full_ladder(ladder) -> None:
     assert bits(fit_rows(short)) == bits(fit_rows(ladder))
 
 
-def test_fit_labels_name_their_powers() -> None:
+def test_fit_labels_name_their_powers(ladder) -> None:
     # each printed label is its power, and each fit's powers decrease
     for fit in FITS:
         powers = [power for power, *_ in fit.terms]
         assert powers == sorted(powers, reverse=True)
-        for power, label, *_ in fit.terms:
-            text = str(power) if power.denominator == 1 else f"{{{power}}}"
-            assert label == f"Z^{text}"
+    rows = fit_rows(ladder)
+    assert [row["power"] for row in rows] == [
+        "Z^{7/3}", "Z^2", "Z^{5/3}", "Z^{7/3}", "Z^{-1/3}", "Z^{-1/3}"
+    ]
+    assert [Fraction(row["power"].removeprefix("Z^").strip("{}")) for row in rows] == [
+        power for fit in FITS for power, *_ in fit.terms
+    ]
+    assert [row["quantity"] for row in rows] == ["coefficient"] * 4 + ["fraction of exact energy"] * 2
 
 
-def test_only_asymptotics_knows_the_fits() -> None:
-    # FITS is the one table of ladder fits; no other module names a fitted power
-    labels = {label for fit in FITS for _, label, *_ in fit.terms}
+def test_only_asymptotics_knows_the_fits(ladder) -> None:
+    # FITS is the one table of ladder fits, and it holds powers, not labels:
+    # fit_rows words every label, so no module writes one as a string
+    labels = {row["power"] for row in fit_rows(ladder)}
     assert labels == {"Z^{7/3}", "Z^2", "Z^{5/3}", "Z^{-1/3}"}
     package = Path(asymptotics.__file__).parent
-    assert constant_hits(package / "asymptotics.py", labels.__contains__) != []
-    others = [p for p in sorted(package.glob("*.py")) if p.stem != "asymptotics"]
-    assert [hit for path in others for hit in constant_hits(path, labels.__contains__)] == []
+    modules = sorted(package.glob("*.py"))
+    assert "asymptotics.py" in [path.name for path in modules]
+    assert [hit for path in modules for hit in constant_hits(path, labels.__contains__)] == []
 
 
 def test_vanishing_powers_float_fits(ladder) -> None:

@@ -284,10 +284,13 @@ def test_only_one_helper_stores_integer_fields() -> None:
         (lambda: STOOrbital(1, 0, 2, list(ONE_S)), "primitives of 1s must be a tuple, got list"),
         (lambda: STOAtomRecord("He", 2, 5, 2.8), "orbitals of He must be a tuple, got int"),
         (lambda: STOAtomRecord("He", 2, [STOOrbital(1, 0, 2, ONE_S)], 2.8), "orbitals of He .* got list"),
+        (lambda: STOOrbital(1, 0, 2, ((1, 2.0, 1.0),)),
+         "^primitives of 1s must hold STOPrimitive records, got tuple$"),
+        (lambda: STOAtomRecord("He", 2, ("x",), 2.8), "^orbitals of He must hold STOOrbital records, got str$"),
     ],
     ids=["element-int", "zeta-str", "coefficient-str", "reference-str", "zeta-nan",
          "zeta-past-float-range", "reference-nan", "primitives-int", "primitives-list",
-         "orbitals-int", "orbitals-list"],
+         "orbitals-int", "orbitals-list", "primitive-tuple", "orbital-str"],
 )
 def test_wrongly_typed_fields_raise_validation_errors(build, fragment) -> None:
     # a caller that catches STODataError, as the command line does, sees these

@@ -177,16 +177,22 @@ def test_only_kedf_calls_make_grid():
 
 def test_cli_snapshot_script_runs(tmp_path: Path):
     # tests/cli_snapshot.py writes the byte gates' snapshots; two of its
-    # invocations keep it in step with the command line
+    # invocations keep it in step with the command line, and --src pointed at
+    # this checkout writes the same files as the default run
     script = Path(__file__).with_name("cli_snapshot.py")
     names = ["model_z2_jsonl", "table1_atoms_og"]
-    proc = subprocess.run(
-        [sys.executable, str(script), str(tmp_path), *names], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == names
-    assert sorted(path.name for path in tmp_path.iterdir()) == names
-    model, og = (tmp_path / name for name in names)
+    written = {}
+    for run, options in (("default", []), ("src", ["--src", str(Path(__file__).resolve().parents[1])])):
+        out = tmp_path / run
+        proc = subprocess.run(
+            [sys.executable, str(script), *options, str(out), *names], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == names
+        assert sorted(path.name for path in out.iterdir()) == names
+        written[run] = {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert written["src"] == written["default"]
+    model, og = (tmp_path / "default" / name for name in names)
     assert (model / "exit_code").read_text() == "0\n"
     assert (model / "stderr").read_text() == ""
     assert json.loads((model / "stdout").read_text())["delta_kind"] == "exact at 1 filled shells"
