@@ -77,9 +77,9 @@ MODEL_SERIES: tuple[tuple[Fraction, float], ...] = (
 )
 
 
-def model_series(z: float) -> float:
-    """The large-Z series of the closed-shell model energy, summed at ``z``."""
-    return float(sum(c * float(z) ** float(p) for p, c in MODEL_SERIES))
+def model_series(terms: Sequence[tuple[Fraction, float]], z: float) -> float:
+    """The series sum(c z^p) over ``terms``, pairs (p, c) such as ``MODEL_SERIES``, summed at ``z``."""
+    return float(sum(c * float(z) ** float(p) for p, c in terms))
 
 
 def _extrapolate_constant(u: list[float], s: list[float]) -> float:

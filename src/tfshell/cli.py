@@ -38,11 +38,14 @@ whether the span holds it.
 ``correction`` alone decides the shell correction, with the node it is
 exact at, and its ``--interp`` modes; ``table1`` and ``model`` call it
 first and report its ValueError as a data failure, so an atom it does not
-reach costs no quadrature.
+reach costs no quadrature.  ``table1`` skips an atom whose row fails,
+with one error line: a ValueError is a data failure, a ConvergenceError a
+numerical one.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
-carry two significant figures; json-lines output keeps full precision.
+carry two significant figures at any size; json-lines output keeps full
+precision.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +67,7 @@ from .asymptotics import (
     figure_error_rows,
     fit_rows,
     model_energy_sequence,
+    model_series,
     richardson_extrapolate,
 )
 from .atomic_data import STOAtomRecord, STODataError, load_bundled, load_files
@@ -86,14 +89,6 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-# an --atoms token that names an atomic number; every other token is a symbol
-_ATOMIC_NUMBER = re.compile(r"[+-]?[0-9]+")
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def format_percent(value: float) -> str:
     """Two significant figures, plain decimal: -11, 0.59, 3.6, 0.067.
 
@@ -105,14 +100,14 @@ def format_percent(value: float) -> str:
         return repr(value)
     rounded = round(value, 1 - math.floor(math.log10(abs(value))))
     decimals = max(0, 1 - math.floor(math.log10(abs(rounded))))
-    return f"{value:.{decimals}f}"
+    return f"{rounded:.{decimals}f}"
 
 
 def _write_records(out: IO[str], records: Sequence[dict], fmt: str) -> None:
     """Write ``records`` as json lines, or as csv under a header of their keys.
 
-    Csv cells render floats as their repr, bools as True/False and None as
-    an empty cell.
+    Csv cells are the ``str`` of each value, so a float prints as its repr,
+    a bool as True/False and None as an empty cell.
     """
     if fmt == "jsonl":
         for record in records:
@@ -120,8 +115,7 @@ def _write_records(out: IO[str], records: Sequence[dict], fmt: str) -> None:
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(records[0])
-    for record in records:
-        writer.writerow(repr(v) if isinstance(v, float) else v for v in record.values())
+    writer.writerows(record.values() for record in records)
 
 
 # -- table1 ----------------------------------------------------------------
@@ -130,17 +124,23 @@ def _write_records(out: IO[str], records: Sequence[dict], fmt: str) -> None:
 def _select_records(
     atoms: Sequence[str] | None, records: dict[str, STOAtomRecord]
 ) -> tuple[list[STOAtomRecord], list[str]]:
+    """The records ``atoms`` names, in its order, and the tokens that name none.
+
+    A token of ASCII digits, after an optional ``+``, names an atomic
+    number; any other token names an element symbol, whatever its case.
+    """
     if atoms is None:
         return list(records.values()), []
-    by_fold = {sym.lower(): rec for sym, rec in records.items()}
-    by_z = {rec.atomic_number: rec for rec in records.values()}
+    by_name: dict[str, STOAtomRecord] = {}
+    for rec in records.values():
+        by_name[rec.element.lower()] = rec
+        by_name[str(rec.atomic_number)] = rec
     chosen: list[STOAtomRecord] = []
     missing: list[str] = []
     for token in atoms:
-        if _ATOMIC_NUMBER.fullmatch(token):
-            rec = by_z.get(int(token))
-        else:
-            rec = by_fold.get(token.lower())
+        number = token.removeprefix("+")
+        key = number.lstrip("0") if number.isascii() and number.isdigit() else token.lower()
+        rec = by_name.get(key)
         if rec is None:
             missing.append(token)
         else:
@@ -152,9 +152,10 @@ def _shell_correction(z: int, mode: str) -> tuple[float, int | None]:
     """``delta_t(z, mode)``, with a warning once it has returned a cubic value past the last node."""
     delta, n_max = delta_t(z, mode)
     if n_max is None and z > LAST_NODE_Z:
-        _warn(
-            f"Z={z} lies beyond the last filled-shell node at {LAST_NODE_Z}; "
-            "the interpolated correction is an extrapolation there"
+        print(
+            f"warning: Z={z} lies beyond the last filled-shell node at {LAST_NODE_Z}; "
+            "the interpolated correction is an extrapolation there",
+            file=sys.stderr,
         )
     return delta, n_max
 
@@ -176,15 +177,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
     data_failures = len(missing)
     for rec in chosen:
         try:
-            try:
-                delta, _ = _shell_correction(rec.atomic_number, args.interp)
-            except ValueError as exc:
-                data_failures += 1
-                print(f"error: {rec.element}: {exc}", file=sys.stderr)
-                continue
+            delta, _ = _shell_correction(rec.atomic_number, args.interp)
             rows.append(table1_row(rec, delta))
         except ConvergenceError as exc:
             numeric_failures += 1
+            print(f"error: {rec.element}: {exc}", file=sys.stderr)
+        except ValueError as exc:
+            data_failures += 1
             print(f"error: {rec.element}: {exc}", file=sys.stderr)
 
     if not rows:
@@ -265,8 +264,8 @@ def _self_tests() -> list[tuple[str, bool, str]]:
     zs = [float(electron_count(n)) for n in range(2, 9)]
 
     def deviations(terms: tuple[tuple[Fraction, float], ...]) -> list[float]:
-        """|fitted - coefficient| per term of the fit of the series sum(c Z^p) over ``terms``."""
-        sequence = [(z, sum(c * z ** float(p) for p, c in terms)) for z in zs]
+        """|fitted - coefficient| per term of the fit of the series ``model_series(terms, Z)``."""
+        sequence = [(z, model_series(terms, z)) for z in zs]
         fitted = richardson_extrapolate(sequence, [p for p, _ in terms])
         return [abs(a - c) for a, (_, c) in zip(fitted, terms)]
 
@@ -319,31 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = {
-        "--interp": dict(choices=tuple(INTERPOLATION_MODES), default=DEFAULT_MODE,
-                         help=f"interpolation coefficients for the shell correction (default {DEFAULT_MODE})"),
-        "--format": dict(choices=("table", "csv", "jsonl"), default="table",
-                         help="output format (default table)"),
-    }
-
-    def add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-        """Give ``p`` the shared ``flags`` its command reads, and no others."""
-        for flag in flags:
-            p.add_argument(flag, **common[flag])
-
     p_table = sub.add_parser("table1", help="per-atom relative errors of the functionals")
     p_table.add_argument("--atoms", action="append",
                          help="comma-separated element symbols or atomic numbers (repeatable)")
     p_table.add_argument("--data", action="append", metavar="PATH",
                          help=".sto data file replacing the bundled set (repeatable)")
-    add_common(p_table, "--interp", "--format")
     p_table.set_defaults(run=cmd_table1)
 
     p_model = sub.add_parser("model", help="exact ladder energies and the shell correction")
     group = p_model.add_mutually_exclusive_group(required=True)
     group.add_argument("--z", type=int, help="nuclear charge (= electron count)")
     group.add_argument("--n-max", type=int, help="number of filled shells")
-    add_common(p_model, "--interp", "--format")
     p_model.set_defaults(run=cmd_model)
 
     p_fig = sub.add_parser("figures", help="write fig1.csv, fig1a.csv, fig2a.csv")
@@ -351,8 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(run=cmd_figures)
 
     p_asym = sub.add_parser("asymptotics", help="large-Z coefficients vs targets")
-    add_common(p_asym, "--format")
     p_asym.set_defaults(run=cmd_asymptotics)
+
+    # the shared options follow each command's own, on the commands that read them
+    for p in (p_table, p_model):
+        p.add_argument("--interp", choices=tuple(INTERPOLATION_MODES), default=DEFAULT_MODE,
+                       help=f"interpolation coefficients for the shell correction (default {DEFAULT_MODE})")
+    for p in (p_table, p_model, p_asym):
+        p.add_argument("--format", choices=("table", "csv", "jsonl"), default="table",
+                       help="output format (default table)")
     return parser
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .asymptotics import model_energy_sequence, model_series
+from .asymptotics import MODEL_SERIES, model_energy_sequence, model_series
 from .atomic_data import STOAtomRecord, atom_density
 from .hydrogenic import MAGIC_NUMBERS, model_kinetic_energy, model_kinetic_energy_continuous, shell_count_for
 from .kedf import Energies, energies
@@ -39,7 +39,6 @@ __all__ = [
     "INTERPOLATION_MAX_Z",
     "INTERPOLATION_MODES",
     "LAST_NODE_Z",
-    "PUBLISHED_COEFFICIENTS",
     "TABLE1_ERROR_KEYS",
     "delta_t_exact",
     "delta_t",
@@ -47,14 +46,12 @@ __all__ = [
     "table1_row",
 ]
 
-# cubic c0 + c1 Z + c2 Z^2 + c3 Z^3 through the deficits at Z = 2, 10, 28, 60
-PUBLISHED_COEFFICIENTS = (0.21210, -0.19860, 0.12815, 0.00010)
-
 # the interpolation modes, in the order the command line lists them, each
 # with its cubic; the refit, the default, is the cubic through the exact
 # deficits delta_t_exact(1..4), in the digits that round-trip its floats
 INTERPOLATION_MODES = {
-    "published": PUBLISHED_COEFFICIENTS,
+    # cubic c0 + c1 Z + c2 Z^2 + c3 Z^3 through the deficits at Z = 2, 10, 28, 60
+    "published": (0.21210, -0.19860, 0.12815, 0.00010),
     "refit": (
         0.21209857870156784,
         -0.19860129586614697,
@@ -158,7 +155,7 @@ def model_row(z: int, delta: float, n_max: int | None, mode: str) -> dict:
         below = [n for n in MAGIC_NUMBERS if n < z]
         where = f"between filled-shell counts {below[-1]} and" if below else "below the first filled-shell count"
         delta_kind = f"interpolated, not exact (Z {where} {MAGIC_NUMBERS[len(below)]})"
-    series_value = model_series(z)
+    series_value = model_series(MODEL_SERIES, z)
     return {
         "z": z,
         "electrons": z,

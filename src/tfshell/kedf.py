@@ -121,7 +121,6 @@ _SPAN_PER_POWER = 6.0
 # sharpness a of the exponential map
 _ALPHA = 12.0
 
-_PANEL_ORDER = 16
 _CONVERGENCE_TOL = 1e-8
 # energies gates the _TRIAL_POINTS grid when every value's estimate
 # |G - K| is within this of it, else the DEFAULT_GRID_POINTS grid; about
@@ -284,6 +283,8 @@ def _mirrored(xgk: tuple, wgk: tuple, wg: tuple) -> tuple[np.ndarray, ...]:
 
 
 _GL_NODES, _GL_WEIGHTS, _KRONROD_NODES, _KRONROD_GAUSS_WEIGHTS, _KRONROD_WEIGHTS = _mirrored(_XGK, _WGK, _WG)
+# the Gauss nodes of one panel: a grid's n_points are whole panels of them
+_PANEL_ORDER = _GL_NODES.size
 
 
 @lru_cache(maxsize=256)
@@ -323,8 +324,8 @@ def make_grid(n_points: int, r_max: float) -> RadialGrid:
     ``GridError``.  Whether the grid resolves a density is judged on the
     values ``energies`` returns, not here.
     """
-    if not isinstance(n_points, (int, np.integer)) or n_points < 16:
-        raise GridError(f"n_points must be an integer >= 16, got {n_points!r}")
+    if not isinstance(n_points, (int, np.integer)) or n_points < _PANEL_ORDER:
+        raise GridError(f"n_points must be an integer >= {_PANEL_ORDER}, got {n_points!r}")
     r_max = float(r_max)
     if not (math.isfinite(r_max) and r_max > 0.0):
         raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")

@@ -34,8 +34,9 @@ def _data_files(src: Path) -> dict[str, bytes]:
     One file per distinct parse, empty-input or decode message, one per
     record fault, two where a structural fault follows a record fault, a
     form feed on a line of its own, one per non-ASCII or underscored token,
-    and the bundled he.sto behind a UTF-8 byte-order mark and behind a
-    non-ASCII comment.
+    the bundled he.sto behind a UTF-8 byte-order mark and behind a
+    non-ASCII comment, and he.sto under a reference energy low enough that
+    its errors pass 100%.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -68,6 +69,7 @@ def _data_files(src: Path) -> dict[str, bytes]:
     helium = (src / "tfshell" / "data" / "he.sto").read_bytes()
     files["table1_data_byte_order_mark"] = b"\xef\xbb\xbf" + helium
     files["table1_data_utf8_comment"] = "# H\u00e9lium, \u0396 = \u0662\n".encode() + helium
+    files["table1_data_low_reference"] = helium.replace(b"ATOM He 2 2.8617128", b"ATOM He 2 1.0")
     return files
 
 
@@ -80,6 +82,9 @@ def _invocations(src: Path) -> dict[str, list[str]]:
         "table1_published_jsonl": ["table1", "--interp", "published", "--format", "jsonl"],
         "table1_atoms": ["table1", "--atoms", "Xe,Li,Ne,He"],
         "table1_atoms_og": ["table1", "--atoms", "Og"],
+        "table1_atoms_numbers": ["table1", "--atoms", "+010,02,36,-2,Og"],
+        # past int()'s 4300-digit limit
+        "table1_atoms_long_number": ["table1", "--atoms", "1" * 5000],
         "table1_data_ne_jsonl": ["table1", "--data", bundled_neon, "--format", "jsonl"],
     }
     for flag, values in (("--z", (1, 2, 54, 61, 110, 111, 0)), ("--n-max", (1, 10, 40, 41))):

@@ -97,7 +97,7 @@ def test_expansion_validation() -> None:
 def test_evaluate_sums_terms() -> None:
     z = 28.0
     manual = sum(c * z ** float(p) for p, c in MODEL_SERIES)
-    assert model_series(z) == pytest.approx(manual, rel=1e-15)
+    assert model_series(MODEL_SERIES, z) == pytest.approx(manual, rel=1e-15)
 
 
 def test_series_reversion_recovers_every_coefficient() -> None:

@@ -30,7 +30,7 @@ from tfshell.correction import (
     delta_t_exact,
 )
 from tfshell.hydrogenic import MAX_SHELLS, electron_count, model_kinetic_energy_continuous
-from tfshell.kedf import ConvergenceError
+from tfshell.kedf import ConvergenceError, GridError
 
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 
@@ -139,15 +139,21 @@ def test_console_script_matches_module_invocation():
     assert proc.stdout == run_cli("--help").stdout
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is a test dependency only; the package never imports it
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, tfshell.cli; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        check=True,
+def test_cli_import_leaves_scipy_unloaded(tmp_path: Path):
+    # scipy, sympy, mpmath, hypothesis and pytest are test dependencies only;
+    # neither the import nor any command loads them
+    commands = [["table1"], ["model", "--z", "54"], ["asymptotics"], ["figures", "--out", str(tmp_path)]]
+    script = (
+        "import sys\n"
+        "from tfshell import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "test_only = ('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest')\n"
+        "print('loaded:', [name for name in test_only if name in sys.modules])\n"
     )
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
 @pytest.mark.parametrize(
@@ -226,10 +232,11 @@ def test_table1_makes_ladder_passes_for_its_filled_shell_atoms_alone(capsys, she
 
 
 def test_table1_atom_selection_folds_case_and_accepts_z():
-    proc = run_cli("table1", "--atoms", "ne,18", "--atoms", "KR")
+    # a number may carry a + and leading zeros
+    proc = run_cli("table1", "--atoms", "ne,18", "--atoms", "KR", "--atoms", "+010,02")
     assert proc.returncode == 0
     symbols = [line.split()[1] for line in proc.stdout.splitlines()[2:]]
-    assert symbols == ["Ne", "Ar", "Kr"]
+    assert symbols == ["Ne", "Ar", "Kr", "Ne", "He"]
 
 
 def test_table1_unknown_atom_exits_data():
@@ -237,8 +244,9 @@ def test_table1_unknown_atom_exits_data():
     assert proc.returncode == 2
     assert "no data for atom 'Al'" in proc.stderr
     assert proc.stdout == ""
-    # only ASCII digits after one optional sign name an atomic number
-    for token in ("+-5", "²", "٣"):
+    # only ASCII digits after an optional + name an atomic number, and a
+    # number past int()'s 4300-digit limit is looked up like any other
+    for token in ("-2", "+-5", "²", "٣", "1" * 5000):
         proc = run_cli("table1", f"--atoms={token}")
         assert proc.returncode == 2
         assert proc.stderr == f"error: no data for atom {token!r}\n"
@@ -283,6 +291,10 @@ def test_table1_csv_runs_are_byte_identical():
         (-9.96, "-10"),
         (0.0996, "0.10"),
         (0.00999, "0.010"),
+        # past 100 the figures are rounded too, not printed as they stand
+        (123.456, "120"),
+        (995.0, "1000"),
+        (1234.5, "1200"),
     ],
 )
 def test_format_percent_two_significant_figures(value: float, text: str):
@@ -409,6 +421,23 @@ def test_table1_long_span_gives_finite_t4():
     assert "RuntimeWarning" not in proc.stderr
     (row,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert math.isfinite(row["t4"])
+
+
+def test_table1_row_value_error_is_that_atoms_error(monkeypatch, capsys):
+    # a ValueError (here a GridError) raised while one atom's row is built
+    # is that atom's error line; the other atoms are still reported
+    build_row = cli.table1_row
+
+    def row(record, delta):
+        if record.element == "He":
+            raise GridError("forced grid failure")
+        return build_row(record, delta)
+
+    monkeypatch.setattr(cli, "table1_row", row)
+    assert cli.main(["table1", "--atoms", "He,Ne", "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "error: He: forced grid failure\n"
+    assert [line.split(",")[1] for line in captured.out.splitlines()[1:]] == ["Ne"]
 
 
 def test_table1_all_rows_failing_numerically_exits_3(monkeypatch, capsys):

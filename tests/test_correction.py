@@ -15,7 +15,6 @@ from tfshell.asymptotics import model_energy_sequence
 from tfshell.correction import (
     INTERPOLATION_MAX_Z,
     INTERPOLATION_MODES,
-    PUBLISHED_COEFFICIENTS,
     delta_t,
     delta_t_exact,
     table1_row,
@@ -67,11 +66,10 @@ def _cubic(coefficients, z: float) -> float:
 
 def test_refit_rounds_to_published_coefficients() -> None:
     coefficients = INTERPOLATION_MODES["refit"]
-    assert tuple(round(c, 5) for c in coefficients) == PUBLISHED_COEFFICIENTS
+    assert tuple(round(c, 5) for c in coefficients) == INTERPOLATION_MODES["published"]
 
 
 def test_published_cubic_at_54() -> None:
-    assert INTERPOLATION_MODES["published"] == PUBLISHED_COEFFICIENTS
     assert delta_t(54, "published") == (378.91949999999997, None)
 
 
@@ -134,7 +132,7 @@ def test_corrected_energy_uses_exact_nodes() -> None:
 def test_delta_t_takes_node_or_cubic() -> None:
     assert delta_t(60, "refit") == (delta_t_exact(4), 4)
     assert delta_t(110, "published") == (delta_t_exact(5), 5)
-    assert delta_t(54, "published") == (_cubic(PUBLISHED_COEFFICIENTS, 54.0), None)
+    assert delta_t(54, "published") == (_cubic(INTERPOLATION_MODES["published"], 54.0), None)
     assert delta_t(17, "refit") == (_cubic(INTERPOLATION_MODES["refit"], 17.0), None)
     with pytest.raises(ValueError):
         delta_t(7.5, "refit")
