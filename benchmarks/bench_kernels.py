@@ -68,8 +68,8 @@ def peak_call(func: Callable, args: tuple) -> float:
 
 
 def orbital_inputs(density, nodes: np.ndarray) -> tuple:
-    """(exponents, powers, coefs, weights, nodes) of an ``STODensity`` at ``nodes``."""
-    return density.exponents, density.powers, density.coefs, density.weights, nodes
+    """(exponents, powers, coefs, nodes) of an ``STODensity`` at ``nodes``."""
+    return density.exponents, density.powers, density.coefs, nodes
 
 
 class RecordedDensity:

@@ -2,7 +2,7 @@
 
 Two kernels evaluate every density the functionals of this package see:
 
-* sums of squared Slater-type orbitals, rho = sum_k w_k phi_k^2 with
+* sums of squared Slater-type orbitals, rho = sum_k phi_k^2 with
   phi_k = sum_i c_ki r^{p_i} e^{-zeta_i r}, and their first two radial
   derivatives.  Each primitive's exponential is computed once per node and
   shared by every orbital, and one matrix product per derivative order
@@ -73,16 +73,15 @@ def orbital_profile(
     exponents: np.ndarray,
     powers: np.ndarray,
     coefs: np.ndarray,
-    weights: np.ndarray,
     r,
 ) -> tuple:
-    """(rho, rho', rho'') of sum_k weights[k] phi_k^2 at the radii ``r``.
+    """(rho, rho', rho'') of sum_k phi_k^2 at the radii ``r``.
 
     phi_k = sum_i coefs[k, i] r^{p_i} e^{-zeta_i r} is a sum over P
-    primitives with positive exponents zeta_i and non-negative integer
-    powers p_i; ``coefs`` has shape (K, P) and the K weights are
-    non-negative.  The radii are clamped at the underflow radius of the
-    smallest exponent as they are copied, once, into a zero-padded row.
+    primitives with positive exponents zeta_i and powers p_i, an integer
+    array of non-negative values; ``coefs`` has shape (K, P).  The radii
+    are clamped at the underflow radius of the smallest exponent as they
+    are copied, once, into a zero-padded row.
 
     With the primitives ordered by falling power, the P rows r^p e, the
     rows p r^{p-1} e of the powers p >= 1 and the rows p (p-1) r^{p-2} e
@@ -91,11 +90,11 @@ def orbital_profile(
     ``_BLOCK_LANES``.  Per block there is one
     in-place ``np.exp`` over the P M exponentials, a few scalings and
     multiplications by r that build the other rows, and then one product
-    per derivative order over a prefix of the buffer, which gives
-    sqrt(w_k) times phi_k, phi_k' or phi_k'' for every orbital at once.
-    rho = sum w phi^2, rho' = 2 sum w phi phi' and
-    rho'' = 2 sum w (phi'^2 + phi phi'') are then summed over the orbitals
-    straight into the output, row by row in a fixed order.
+    per derivative order over a prefix of the buffer, which gives phi_k,
+    phi_k' or phi_k'' for every orbital at once.  rho = sum phi^2,
+    rho' = 2 sum phi phi' and rho'' = 2 sum (phi'^2 + phi phi'') are then
+    summed over the orbitals straight into the output, row by row in a
+    fixed order.
 
     The block is small because each product must stay below the size at
     which OpenBLAS splits a product across threads (of the order of
@@ -123,14 +122,14 @@ def orbital_profile(
     out = np.zeros((3, lanes), dtype=float)
     if n_orb and n_prim and nodes.size:
         order = np.argsort(-powers, kind="stable")
-        counts = np.bincount(powers[order].astype(int))
+        counts = np.bincount(powers[order])
         # above[j] = number of primitives with power >= j, for j = 0..top+2
         above = np.append(np.cumsum(counts[::-1])[::-1], [0, 0])
         top = counts.size - 1
         n1, n2 = int(above[1]), int(above[2])
         n_rows = n_prim + n1 + n2
         zeta = exponents[order]
-        c = coefs[:, order] * np.sqrt(weights)[:, None]
+        c = coefs[:, order]
         zc = c * zeta
         mats = (
             c,

@@ -13,7 +13,9 @@ the nuclear charge and a reference Hartree-Fock kinetic energy, then one
 Files are UTF-8 text, with or without a byte-order mark; lines end at LF,
 CR LF or CR only, and all structure is checked before any record is built.
 Numbers, orbital labels and element symbols are ASCII (a number without
-digit-group underscores); a comment may hold any UTF-8.
+digit-group underscores); a comment may hold any UTF-8.  An integer field
+written in digits is read exactly, at any size; one written as a float,
+such as 2.0 or 1e2, must have an integral value.
 
 Each orbital's radial part is R(r) = sum_i c_i N_i r^{n_i - 1} e^{-zeta_i r}
 with N_i = (2 zeta_i)^{n_i + 1/2} / sqrt((2 n_i)!), so occupation-weighted
@@ -23,7 +25,8 @@ squares assemble the spherically averaged density
 
 ``atom_density`` returns it as an ``STODensity``, which keeps the orbitals
 as they are, one row of coefficients over the atom's distinct primitives
-per occupied orbital, and evaluates rho, rho' and rho'' exactly through the
+per occupied orbital, scaled by sqrt(occ_orb / 4 pi) so that rho is the sum
+of the rows' squares, and evaluates rho, rho' and rho'' exactly through the
 ``_kernels.orbital_profile`` kernel: one exponential per primitive and node,
 where the squares expanded into pair terms e^{-(zeta_i + zeta_j) r} would
 take one per distinct pair exponent (874 against 216 for the 17 bundled
@@ -257,7 +260,13 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
     value = _parse_float(line_no, token, what)
     if not value.is_integer():
         raise STOParseError(line_no, f"{what} must be an integer, got {token!r}")
-    return int(value)
+    digits = token.lstrip("+-")
+    if not digits.isdigit():  # 2.0 or 1e2
+        return int(value)
+    # read exactly, past float's 53 bits; a finite float has at most 309
+    # digits once its leading zeros, which int() would count, are stripped
+    magnitude = int(digits.lstrip("0") or "0")
+    return -magnitude if token.startswith("-") else magnitude
 
 
 def _record_at(line_no: int, record_type: type, *fields):
@@ -321,21 +330,21 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
 
 
 class STODensity:
-    """Spherically averaged density (1/4 pi) sum_k occ_k R_k(r)^2 of one atom.
+    """Spherically averaged density sum_k phi_k(r)^2 of one atom.
 
     Holds the atom's P distinct primitives r^p e^{-zeta r} (``exponents``,
-    ``powers`` p = n - 1), one row of normalized coefficients c_i N_i per
-    occupied orbital (``coefs``, shape (K, P)) and the weights occ_k / 4 pi.
-    Answers the density protocol of ``kedf``: ``profile`` is one
-    ``_kernels.orbital_profile`` call, and ``total_charge`` is sum_k occ_k
-    times the orbital's norm integral.  ``slowest_primitive`` is (zeta, p)
-    of the smallest exponent and the largest power at it, or (inf, 0) when
-    there is no primitive.
+    ``powers`` p = n - 1) and one row of coefficients per occupied orbital
+    (``coefs``, shape (K, P)): row k holds sqrt(occ_k / 4 pi) c_i N_i, so
+    phi_k^2 = (occ_k / 4 pi) R_k^2.  Answers the density protocol of
+    ``kedf``: ``profile`` is one ``_kernels.orbital_profile`` call, and
+    ``total_charge`` is sum_k occ_k times the orbital's norm integral.
+    ``slowest_primitive`` is (zeta, p) of the smallest exponent and the
+    largest power at it, or (inf, 0) when there is no primitive.
 
-    The constructor keeps read-only copies of the four arrays and raises
-    ValueError unless the powers are non-negative integers, the exponents
-    positive and finite, the coefficients finite, the weights non-negative
-    and finite, and the shapes (P,), (P,), (K, P) and (K,).
+    The constructor keeps read-only copies of the three arrays, the powers
+    as integers, and raises ValueError unless the powers are non-negative
+    integers, the exponents positive and finite, the coefficients finite,
+    and the shapes (P,), (P,) and (K, P).
     """
 
     def __init__(
@@ -343,22 +352,18 @@ class STODensity:
         exponents: np.ndarray,
         powers: np.ndarray,
         coefs: np.ndarray,
-        weights: np.ndarray,
         total_charge: float,
     ) -> None:
-        exponents, powers, coefs, weights = (
-            np.array(a, dtype=float) for a in (exponents, powers, coefs, weights)
-        )
+        exponents, powers, coefs = (np.array(a, dtype=float) for a in (exponents, powers, coefs))
         if not (
             exponents.ndim == 1
             and powers.shape == exponents.shape
             and coefs.ndim == 2
             and coefs.shape[1] == exponents.size
-            and weights.shape == coefs.shape[:1]
         ):
             raise ValueError(
-                "shapes must be (P,), (P,), (K, P) and (K,), got "
-                f"{exponents.shape}, {powers.shape}, {coefs.shape} and {weights.shape}"
+                "shapes must be (P,), (P,) and (K, P), got "
+                f"{exponents.shape}, {powers.shape} and {coefs.shape}"
             )
         if not np.all(np.isfinite(powers) & (powers >= 0) & (powers == np.floor(powers))):
             raise ValueError(f"powers must be non-negative integers, got {powers}")
@@ -366,19 +371,17 @@ class STODensity:
             raise ValueError(f"exponents must be positive and finite, got {exponents}")
         if not np.all(np.isfinite(coefs)):
             raise ValueError("coefficients must be finite")
-        if not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise ValueError(f"weights must be non-negative and finite, got {weights}")
         powers = powers.astype(int)
-        for arr in (exponents, powers, coefs, weights):
+        for arr in (exponents, powers, coefs):
             arr.setflags(write=False)
-        self.exponents, self.powers, self.coefs, self.weights = exponents, powers, coefs, weights
+        self.exponents, self.powers, self.coefs = exponents, powers, coefs
         self._total_charge = total_charge
         zeta = float(exponents.min(initial=math.inf))
         self.slowest_primitive = (zeta, int(powers[exponents == zeta].max(initial=0)))
 
     def profile(self, r):
         """(rho, rho', rho'') shaped like ``r``, from one kernel call."""
-        return _kernels.orbital_profile(self.exponents, self.powers, self.coefs, self.weights, r)
+        return _kernels.orbital_profile(self.exponents, self.powers, self.coefs, r)
 
     def total_charge(self) -> float:
         return self._total_charge
@@ -394,7 +397,9 @@ def atom_density(record: STOAtomRecord) -> STODensity:
     Primitives shared by several orbitals (one Slater basis per angular
     momentum) enter once, as columns in order of first appearance, and
     each occupied orbital adds its c_i N_i straight into its row of the
-    coefficient matrix; orbitals with zero occupation are left out.
+    coefficient matrix; orbitals with zero occupation are left out.  Row k
+    is then scaled by sqrt(occ_k / 4 pi), which makes the density the sum
+    of the rows' squared orbitals.
     """
     occupied = [orb for orb in record.orbitals if orb.occupation]
     keys = list(dict.fromkeys((p.n, p.zeta) for orb in occupied for p in orb.primitives))
@@ -404,11 +409,11 @@ def atom_density(record: STOAtomRecord) -> STODensity:
         for p in orb.primitives:
             coefs[k, keys.index((p.n, p.zeta))] += p.coefficient * p.normalization
         charge += orb.occupation * orb.norm
+    occupations = np.array([orb.occupation for orb in occupied])
     return STODensity(
         np.array([zeta for _, zeta in keys]),
         np.array([n - 1 for n, _ in keys]),
-        coefs,
-        np.array([orb.occupation for orb in occupied]) / (4.0 * math.pi),
+        coefs * np.sqrt(occupations / (4.0 * math.pi))[:, None],
         charge,
     )
 

@@ -95,11 +95,14 @@ def model_kinetic_energy_continuous(z: float) -> float:
         D = (54 Z + sqrt(2916 Z^2 - 3))^{1/3},
 
     which coincides with n_max * Z^2 whenever Z is a closed-shell count.
+    Its domain is the finite Z >= (3/2916)^{1/2}; any other Z, NaN
+    included, raises ValueError.
     """
     z = float(z)
     radicand = 2916.0 * z * z - 3.0
-    if radicand < 0.0:
-        raise ValueError(f"charge {z} below the domain of the closed form (2916 Z^2 >= 3)")
+    # NaN fails every comparison
+    if not (0.0 < z < math.inf and radicand >= 0.0):
+        raise ValueError(f"charge {z} outside the domain of the closed form (finite Z > 0, 2916 Z^2 >= 3)")
     d = (54.0 * z + math.sqrt(radicand)) ** (1.0 / 3.0)
     return 0.5 * (3.0 ** (-1.0 / 3.0) / d + 3.0 ** (-2.0 / 3.0) * d - 1.0) * z * z
 

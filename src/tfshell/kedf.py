@@ -71,7 +71,7 @@ gate the record fails, in this order:
 
 1. per functional, T_TF, T_W, then T_4: a value or Gauss sum that is not
    finite, then an estimate beyond 1e-8 of the larger sum;
-2. the charge: the Kronrod sum of 4 pi r^2 rho must match
+2. the charge: the Kronrod sum of 4 pi r^2 rho must match a finite
    ``total_charge()`` to 1e-8 relative, or the span cuts the density off;
 3. the tail, per functional: with its row's tail power c, the integral
    beyond the span is about f / (c |rho'/rho|) at the outermost node; a
@@ -431,7 +431,8 @@ def _gated(measured: _Measured, charge: float) -> Energies:
                 f"{row.name}: grid refinement moved the result from {gauss!r} to {value!r} "
                 f"{_grid_text(grid)}"
             )
-    if abs(held - charge) > _CONVERGENCE_TOL * abs(charge):
+    # NaN fails the first comparison, an infinite charge the second
+    if not abs(held - charge) <= _CONVERGENCE_TOL * abs(charge) < math.inf:
         raise ConvergenceError(
             f"the grid holds {held!r} of the density's {charge!r} electrons {_grid_text(grid)}"
         )

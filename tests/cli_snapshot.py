@@ -35,8 +35,9 @@ def _data_files(src: Path) -> dict[str, bytes]:
     record fault, two where a structural fault follows a record fault, a
     form feed on a line of its own, one per non-ASCII or underscored token,
     the bundled he.sto behind a UTF-8 byte-order mark and behind a
-    non-ASCII comment, and he.sto under a reference energy low enough that
-    its errors pass 100%.
+    non-ASCII comment, he.sto under a reference energy low enough that its
+    errors pass 100%, and an atomic number past 2^53 that float() would
+    round.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -54,6 +55,7 @@ def _data_files(src: Path) -> dict[str, bytes]:
         "exponent": HELIUM.replace("PRM 1 2.0", "PRM 1 -2.0"),
         "norm": HELIUM.replace("1.0\n", "1.1\n"),
         "charge_mismatch": HELIUM.replace("He 2", "He 3"),
+        "huge_atomic_number": HELIUM.replace("He 2", "He 9007199254740993"),
         "reference_energy": HELIUM.replace("4.0", "-4.0"),
         "norm_then_directive": HELIUM.replace("1.0\n", "1.1\n") + "ORB 2s 0\nWAT\n",
         "exponent_then_directive": HELIUM.replace("PRM 1 2.0", "PRM 1 -2.0") + "WAT\n",

@@ -12,8 +12,8 @@ from tfshell.atomic_data import STODensity, STOOrbital
 def orbital_density(orbitals, cls=STODensity, **extra) -> STODensity:
     """sum_k phi_k^2 with phi_k = sum_i c_i r^{p_i} e^{-zeta_i r}.
 
-    Each orbital lists its primitives as (coefficient, power, zeta) triples
-    and has weight 1; primitives with the same (power, zeta) share a column.
+    Each orbital lists its primitives as (coefficient, power, zeta) triples;
+    primitives with the same (power, zeta) share a column.
     The total charge is the closed form
     4 pi sum_k sum_ij c_i c_j Gamma(p_i + p_j + 3) / (zeta_i + zeta_j)^(p_i + p_j + 3).
     ``cls`` and ``extra`` build a subclass of ``STODensity`` the same way.
@@ -35,7 +35,6 @@ def orbital_density(orbitals, cls=STODensity, **extra) -> STODensity:
         np.array([zeta for _, zeta in columns]),
         np.array([p for p, _ in columns]),
         coefs,
-        np.ones(len(orbitals)),
         4.0 * math.pi * charge,
         **extra,
     )

@@ -85,6 +85,15 @@ def test_parse_errors_carry_line_numbers(text: str, line_no: int, message: str) 
     assert str(excinfo.value) == f"line {line_no}: {message}"
 
 
+@pytest.mark.parametrize("token", ["2", "+2", "2.0", "0.02e2", "0" * 5000 + "2"],
+                         ids=["digits", "signed", "float", "exponent", "5000-zeros"])
+def test_integer_fields_read_integral_floats(token: str) -> None:
+    # a float token of integral value reads as its value, and leading zeros,
+    # which int() would count against its 4300-digit limit, are dropped
+    (record,) = parse_sto_text(MINIMAL.replace("He 2", f"He {token}"))
+    assert record.atomic_number == 2
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -161,6 +170,10 @@ def test_empty_input_rejected() -> None:
             MINIMAL.replace("PRM 1 2.0 1.0", "PRM 1 1.0 1e200\nPRM 2 1.0 -1e200"),
             r"^line 3: orbital 1s has norm integral nan",
         ),
+        # 2^53 + 1, which float() rounds to 2^53
+        (MINIMAL.replace("He 2", "He 9007199254740993"), r"atomic number is 9007199254740993$"),
+        (MINIMAL.replace("PRM 1", "PRM -9007199254740993"), r"positive integer, got -9007199254740993$"),
+        (MINIMAL.replace("PRM 1", "PRM +9007199254740993"), r"^line 4: primitive n=9007199254740993 zeta"),
     ],
 )
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:
@@ -442,13 +455,35 @@ def test_density_ignores_empty_orbitals() -> None:
     assert rho.total_charge() == ref.total_charge()
 
 
-# one primitive r^p e^{-zeta r} in one orbital of weight 1: (exponents,
-# powers, coefs, weights) for the constructor checks below
-ONE_PRIMITIVE = ([1.0], [1], [[1.0]], [1.0])
+@pytest.mark.parametrize("atom", ["bundled", "padded"])
+def test_density_rows_fold_the_occupations(bundled, atom) -> None:
+    # row k is sqrt(occ_k / 4 pi) times orbital k's merged c_i N_i, computed
+    # the same way bit for bit, so that rho is the sum of the rows' squares;
+    # an orbital with zero occupation has no row
+    if atom == "bundled":
+        records = list(bundled.values())
+    else:
+        records = parse_sto_text(MINIMAL + "ORB 2s 0\nPRM 2 1.0 1.0\n")
+    for record in records:
+        density = atom_density(record)
+        occupied = [orb for orb in record.orbitals if orb.occupation]
+        columns = list(zip(density.powers.tolist(), density.exponents.tolist()))
+        assert density.coefs.shape == (len(occupied), len(columns))
+        for row, orb in zip(density.coefs, occupied):
+            merged = np.zeros(len(columns))
+            for p in orb.primitives:
+                merged[columns.index((p.n - 1, p.zeta))] += p.coefficient * p.normalization
+            scale = math.sqrt(orb.occupation / (4.0 * math.pi))
+            assert row.tobytes() == (merged * scale).tobytes(), (record.element, orb.label)
+
+
+# one primitive r^p e^{-zeta r} in one orbital: (exponents, powers, coefs)
+# for the constructor checks below
+ONE_PRIMITIVE = ([1.0], [1], [[1.0]])
 
 
 def _density_with(**changes) -> STODensity:
-    names = ("exponents", "powers", "coefs", "weights")
+    names = ("exponents", "powers", "coefs")
     args = [changes.get(name, value) for name, value in zip(names, ONE_PRIMITIVE)]
     return STODensity(*(np.array(a) for a in args), 1.0)
 
@@ -474,13 +509,6 @@ def test_density_rejects_non_finite_coefficients(coefs) -> None:
         _density_with(coefs=coefs)
 
 
-@pytest.mark.parametrize("weights", [[-0.5], [np.nan], [np.inf]])
-def test_density_rejects_negative_weights(weights) -> None:
-    # a negative weight used to give NaN through its square root
-    with pytest.raises(ValueError, match="weights must be non-negative"):
-        _density_with(weights=weights)
-
-
 def test_profile_is_zero_at_huge_finite_radii(bundled) -> None:
     # zeta r used to overflow in the kernel's exponent product once r passed
     # about 2.3e307 (He's largest zeta is 7.94), warning from inside numpy
@@ -501,7 +529,6 @@ def test_profile_is_zero_at_huge_finite_radii(bundled) -> None:
         {"powers": [1, 1]},
         {"coefs": [1.0]},
         {"coefs": [[1.0, 2.0]]},
-        {"weights": [1.0, 1.0]},
         {"exponents": [[1.0]], "powers": [[1]]},
     ],
 )
@@ -519,7 +546,7 @@ def test_density_leaves_caller_arrays_writeable() -> None:
     for a in args:
         a *= 2.0
     assert value(rho, 1.0) == before
-    for a in (rho.exponents, rho.powers, rho.coefs, rho.weights):
+    for a in (rho.exponents, rho.powers, rho.coefs):
         assert not a.flags.writeable
 
 

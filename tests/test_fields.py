@@ -68,9 +68,9 @@ def test_profile_is_one_kernel_call(monkeypatch):
     calls = []
     kernel = _kernels.orbital_profile
 
-    def counting(exponents, powers, coefs, weights, r):
+    def counting(exponents, powers, coefs, r):
         calls.append(np.shape(r))
-        return kernel(exponents, powers, coefs, weights, r)
+        return kernel(exponents, powers, coefs, r)
 
     monkeypatch.setattr(_kernels, "orbital_profile", counting)
     field = orbital_density(RICH_ORBITALS)
@@ -127,12 +127,12 @@ def test_merged_is_equivalent_and_canonical():
     prims = [(k, p) for k, orb in enumerate(record.orbitals) for p in orb.primitives]
     coefs = np.zeros((len(record.orbitals), len(prims)))
     for column, (k, p) in enumerate(prims):
-        coefs[k, column] = p.coefficient * p.normalization
+        occupation = record.orbitals[k].occupation
+        coefs[k, column] = p.coefficient * p.normalization * math.sqrt(occupation / (4.0 * math.pi))
     unmerged = STODensity(
         np.array([p.zeta for _, p in prims]),
         np.array([p.n - 1 for _, p in prims]),
         coefs,
-        np.array([orb.occupation / (4.0 * math.pi) for orb in record.orbitals]),
         merged.total_charge(),
     )
     assert merged.coefs.shape[1] < unmerged.coefs.shape[1]
@@ -166,9 +166,9 @@ def test_addition_is_pointwise():
 
 
 def scalar_profile(field: STODensity, r: float) -> tuple[float, float, float]:
-    """(rho, rho', rho'') at one radius, orbital by orbital in plain floats."""
+    """(rho, rho', rho'') of sum_k phi_k^2 at one radius, orbital by orbital in plain floats."""
     sums = [0.0, 0.0, 0.0]
-    for row, w in zip(field.coefs, field.weights):
+    for row in field.coefs:
         phi = [0.0, 0.0, 0.0]
         for c, p, z in zip(row, field.powers, field.exponents):
             e = c * math.exp(-z * r)
@@ -178,9 +178,9 @@ def scalar_profile(field: STODensity, r: float) -> tuple[float, float, float]:
             phi[0] += e * q0
             phi[1] += e * (q1 - z * q0)
             phi[2] += e * (q2 - 2.0 * z * q1 + z * z * q0)
-        sums[0] += w * phi[0] * phi[0]
-        sums[1] += w * 2.0 * phi[0] * phi[1]
-        sums[2] += w * 2.0 * (phi[1] * phi[1] + phi[0] * phi[2])
+        sums[0] += phi[0] * phi[0]
+        sums[1] += 2.0 * phi[0] * phi[1]
+        sums[2] += 2.0 * (phi[1] * phi[1] + phi[0] * phi[2])
     return tuple(sums)
 
 
@@ -238,7 +238,7 @@ def test_density_rejects_non_finite_radii(bundled, atom: str, bad: float) -> Non
 
 
 def test_integer_like_inputs_are_normalized():
-    field = STODensity([3], [2.0], [[1]], [1], 1.0)
+    field = STODensity([3], [2.0], [[1]], 1.0)
     assert field.powers.dtype.kind == "i" and field.powers.tolist() == [2]
-    for arr in (field.exponents, field.coefs, field.weights):
+    for arr in (field.exponents, field.coefs):
         assert arr.dtype == np.float64

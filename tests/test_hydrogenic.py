@@ -91,6 +91,10 @@ def test_continuous_energy_domain() -> None:
     with pytest.raises(ValueError):
         model_kinetic_energy_continuous(0.01)
     assert model_kinetic_energy_continuous(0.04) > 0.0
+    # a negative charge used to give a complex number, and NaN and inf came back
+    for z in (-1.0, -0.04, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"outside the domain of the closed form \(finite Z > 0"):
+            model_kinetic_energy_continuous(z)
 
 
 # Span 260 holds every orbital of the z=1 ladder up to n=6 including the

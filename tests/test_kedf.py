@@ -510,6 +510,19 @@ def test_span_short_of_the_density_fails_the_charge_check() -> None:
     energies_on(field, grid_for(field))
 
 
+@pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+def test_non_finite_charge_fails_the_charge_check(charge: float) -> None:
+    # the gate's |held - charge| > 1e-8 |charge| used to be False for all
+    # three, and the energies came back as if the charge had been held
+    field = STODensity([1.0], [0], [[1.0]], charge)
+    held = rf"^the grid holds \S+ of the density's {re.escape(repr(charge))} electrons \(\d+ points over \S+ bohr\)$"
+    grid = grid_for(field)
+    with pytest.raises(ConvergenceError, match=held):
+        kedf.profile_energies(grid, field.profile(grid.nodes), charge)
+    with pytest.raises(ConvergenceError, match=held):
+        energies(field)
+
+
 # --- the radial span and its tail gate ---------------------------------------
 
 

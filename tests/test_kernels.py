@@ -187,13 +187,13 @@ def test_orbital_profile_stacked_rows_match_single_rows(bundled, atom) -> None:
     # the K orbital rows of one orbital_profile call against K one-orbital calls
     density = orbital_density([]) if atom is None else atom_density(bundled[atom])
     inputs = _orbital_inputs(density)
-    exponents, powers, coefs, weights = inputs
+    exponents, powers, coefs = inputs
     r = make_grid(2000, 45.0).nodes
     rows = np.array(_kernels.orbital_profile(*inputs, r))
     assert rows.shape == (3, r.size)
     singles = np.zeros_like(rows)
     for k in range(coefs.shape[0]):
-        singles += _kernels.orbital_profile(exponents, powers, coefs[k:k + 1], weights[k:k + 1], r)
+        singles += _kernels.orbital_profile(exponents, powers, coefs[k:k + 1], r)
     np.testing.assert_allclose(rows[0], singles[0], rtol=1e-13, atol=0.0)
     for got, ref in zip(rows[1:], singles[1:]):
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.max(np.abs(ref)))
@@ -270,7 +270,7 @@ def _orbital_oracle(record, r: np.ndarray) -> np.ndarray:
 
 
 def _orbital_inputs(density) -> tuple:
-    return density.exponents, density.powers, density.coefs, density.weights
+    return density.exponents, density.powers, density.coefs
 
 
 @pytest.mark.parametrize("atom", ["Ne", "Xe"])

@@ -27,9 +27,7 @@ def test_orbital_kernel_matches_shell_kernel_on_model_records(n_max: int) -> Non
     (record,) = parse_sto_text(model_record_text(n_max))
     density = atom_density(record)
     nodes = grid_for(density).nodes
-    orbital = _kernels.orbital_profile(
-        density.exponents, density.powers, density.coefs, density.weights, nodes
-    )
+    orbital = _kernels.orbital_profile(density.exponents, density.powers, density.coefs, nodes)
     shell = _kernels.shell_profile(float(electron_count(n_max)), n_max, nodes)
     for name, got, want in zip(("rho", "rho'", "rho''"), orbital, shell):
         scale = np.max(np.abs(want))
