@@ -13,6 +13,10 @@ Three strands live here:
   and the finite-Z scaled density sampled against it
   (``scaled_model_density``, ``figure_density_rows``).
 
+Every power in ``MODEL_SERIES`` and ``FITS`` is a whole number of thirds,
+the unit of the extrapolation variable u = Z^{-1/3}, and is written as the
+integer k of Z^{k/3}.
+
 Scaling conventions: r_hat = Z^{1/3} r and rho_hat = rho / Z^2, in which
 the limit density is Z-independent, vanishes at the turning point
 r_hat = 18^{1/3}, and integrates (times 4 pi r_hat^2) to exactly 1.
@@ -21,7 +25,6 @@ r_hat = 18^{1/3}, and integrates (times 4 pi r_hat^2) to exactly 1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -66,20 +69,21 @@ class ExtrapolationError(RuntimeError):
     """The extrapolation tableau diverged instead of settling."""
 
 
-# Exact coefficients of the shell-model energy in descending powers of Z^{1/3};
-# every power missing from this list (4/3, 1, 2/3, 0) is identically zero.
-MODEL_SERIES: tuple[tuple[Fraction, float], ...] = (
-    (Fraction(7, 3), (3.0 / 2.0) ** (1.0 / 3.0)),
-    (Fraction(2, 1), -0.5),
-    (Fraction(5, 3), 1.0 / (6.0 * 12.0 ** (1.0 / 3.0))),
-    (Fraction(1, 3), -1.0 / (3888.0 * 18.0 ** (1.0 / 3.0))),
-    (Fraction(-1, 3), 1.0 / (69984.0 * 12.0 ** (1.0 / 3.0))),
+# Exact coefficients of the shell-model energy in descending powers of Z^{1/3}:
+# a pair (k, c) is the term c Z^{k/3}.  Every power missing from this list
+# (k = 4, 3, 2, 0) is identically zero.
+MODEL_SERIES: tuple[tuple[int, float], ...] = (
+    (7, (3.0 / 2.0) ** (1.0 / 3.0)),
+    (6, -0.5),
+    (5, 1.0 / (6.0 * 12.0 ** (1.0 / 3.0))),
+    (1, -1.0 / (3888.0 * 18.0 ** (1.0 / 3.0))),
+    (-1, 1.0 / (69984.0 * 12.0 ** (1.0 / 3.0))),
 )
 
 
-def model_series(terms: Sequence[tuple[Fraction, float]], z: float) -> float:
-    """The series sum(c z^p) over ``terms``, pairs (p, c) such as ``MODEL_SERIES``, summed at ``z``."""
-    return float(sum(c * float(z) ** float(p) for p, c in terms))
+def model_series(terms: Sequence[tuple[int, float]], z: float) -> float:
+    """The series sum(c z^{k/3}) over ``terms``, pairs (k, c) such as ``MODEL_SERIES``, summed at ``z``."""
+    return float(sum(c * float(z) ** (k / 3) for k, c in terms))
 
 
 def _extrapolate_constant(u: list[float], s: list[float]) -> float:
@@ -121,7 +125,7 @@ def _extrapolate_constant(u: list[float], s: list[float]) -> float:
 
 
 def richardson_extrapolate(
-    sequence: Sequence[tuple[float, float]], powers: Sequence[Fraction | float]
+    sequence: Sequence[tuple[float, float]], powers: Sequence[float]
 ) -> list[float]:
     """Fit value(Z) ~ sum(a_i Z^{p_i}) from a finite increasing-Z sequence.
 
@@ -234,14 +238,14 @@ def model_energy_sequence(shell_counts: Iterable[int]) -> list[SequencePoint]:
 
 
 class Fit(NamedTuple):
-    """One Richardson fit on the ladder, with the paper's target for each power it fits."""
+    """One Richardson fit on the ladder, with the paper's target for each power Z^{k/3} it fits."""
 
     series: str
     value: Callable[[Energies], float]
     # True to fit value / t_exact, the fraction of the exact energy
     relative: bool
-    # (power, target, tolerance) per fitted power, decreasing
-    terms: tuple[tuple[Fraction, float, float], ...]
+    # (k, target, tolerance) per fitted power Z^{k/3}, k decreasing
+    terms: tuple[tuple[int, float, float], ...]
 
 
 # The fits of `tfshell asymptotics` in report order, with the paper's printed
@@ -250,32 +254,32 @@ class Fit(NamedTuple):
 # the acceptance tests puts at -0.65282.
 FITS: tuple[Fit, ...] = (
     Fit("T_TF", lambda t: t.t_tf, False, (
-        (Fraction(7, 3), 1.144714, 1e-5),
-        (Fraction(2), -0.625856, 1e-3),
-        (Fraction(5, 3), 0.146878, 1e-2),
+        (7, 1.144714, 1e-5),
+        (6, -0.625856, 1e-3),
+        (5, 0.146878, 1e-2),
     )),
-    Fit("T2", lambda t: t.t2, False, ((Fraction(7, 3), 0.0, 1e-4),)),
-    Fit("T2", lambda t: t.t2, True, ((Fraction(-1, 3), 0.10942, 1e-3),)),
-    Fit("T4", lambda t: t.t4, True, ((Fraction(-1, 3), 0.015052, 1e-3),)),
+    Fit("T2", lambda t: t.t2, False, ((7, 0.0, 1e-4),)),
+    Fit("T2", lambda t: t.t2, True, ((-1, 0.10942, 1e-3),)),
+    Fit("T4", lambda t: t.t4, True, ((-1, 0.015052, 1e-3),)),
 )
 
 
 def fit_rows(points: Sequence[SequencePoint]) -> list[dict]:
     """The records of ``tfshell asymptotics``: one per fitted power of ``FITS`` on ``points``.
 
-    A record's ``power`` reads ``Z^2`` for a whole power and ``Z^{7/3}``
-    otherwise; its ``quantity`` says whether the fit is of the energy or of
-    its fraction of the exact energy.
+    A record's ``power`` reads ``Z^2`` when k is a multiple of 3 and
+    ``Z^{7/3}`` otherwise; its ``quantity`` says whether the fit is of the
+    energy or of its fraction of the exact energy.
     """
     rows = []
     for fit in FITS:
         sequence = [
             (p.z, fit.value(p.t) / p.t_exact if fit.relative else fit.value(p.t)) for p in points
         ]
-        fitted = richardson_extrapolate(sequence, [power for power, *_ in fit.terms])
+        fitted = richardson_extrapolate(sequence, [k / 3 for k, *_ in fit.terms])
         quantity = "fraction of exact energy" if fit.relative else "coefficient"
-        for value, (power, target, tolerance) in zip(fitted, fit.terms):
-            label = f"Z^{power}" if power.denominator == 1 else f"Z^{{{power}}}"
+        for value, (k, target, tolerance) in zip(fitted, fit.terms):
+            label = f"Z^{k // 3}" if k % 3 == 0 else f"Z^{{{k}/3}}"
             deviation = abs(value - target)
             rows.append({
                 "series": fit.series, "quantity": quantity, "power": label, "fitted": value,

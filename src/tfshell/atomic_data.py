@@ -143,8 +143,12 @@ class STOPrimitive:
             raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
         if not _is_finite_real(self.coefficient):
             raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
-        # N = (2 zeta)^{n + 1/2} / sqrt((2n)!), the norm of a lone primitive
+        # N = (2 zeta)^{n + 1/2} / sqrt((2n)!), the norm of a lone primitive;
+        # (2n)! is past the float range from n = 86 on (171! > 1.8e308), so
+        # such an n is rejected before math.factorial spends superlinear time
         try:
+            if 2 * self.n > 170:
+                raise OverflowError
             normalization = math.sqrt((2.0 * self.zeta) ** (2 * self.n + 1) / math.factorial(2 * self.n))
         except OverflowError:
             normalization = math.inf
@@ -311,9 +315,10 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
             letter = match.group(2)
             if letter not in _L_LETTERS:
                 raise STOParseError(line_no, f"unknown angular letter {letter!r} in {values[0]!r}")
+            n = _parse_int(line_no, match.group(1), "orbital n")
             occ = _parse_int(line_no, values[1], "occupation")
             primitives = []
-            orbitals.append((line_no, int(match.group(1)), _L_LETTERS.index(letter), occ, primitives))
+            orbitals.append((line_no, n, _L_LETTERS.index(letter), occ, primitives))
         else:
             primitives.append((line_no, (_parse_int(line_no, values[0], "primitive power"),
                                          _parse_float(line_no, values[1], "primitive exponent"),

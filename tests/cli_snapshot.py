@@ -36,8 +36,9 @@ def _data_files(src: Path) -> dict[str, bytes]:
     form feed on a line of its own, one per non-ASCII or underscored token,
     the bundled he.sto behind a UTF-8 byte-order mark and behind a
     non-ASCII comment, he.sto under a reference energy low enough that its
-    errors pass 100%, and an atomic number past 2^53 that float() would
-    round.
+    errors pass 100%, an atomic number past 2^53 that float() would
+    round, an orbital label whose 5,000-digit number is past int()'s
+    digit limit, and a primitive power whose (2n)! is past the float range.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -56,6 +57,8 @@ def _data_files(src: Path) -> dict[str, bytes]:
         "norm": HELIUM.replace("1.0\n", "1.1\n"),
         "charge_mismatch": HELIUM.replace("He 2", "He 3"),
         "huge_atomic_number": HELIUM.replace("He 2", "He 9007199254740993"),
+        "long_label": HELIUM.replace("1s", "9" * 5000 + "s"),
+        "huge_power": HELIUM.replace("PRM 1 2.0 1.0", "PRM 100000 0.5 1.0"),
         "reference_energy": HELIUM.replace("4.0", "-4.0"),
         "norm_then_directive": HELIUM.replace("1.0\n", "1.1\n") + "ORB 2s 0\nWAT\n",
         "exponent_then_directive": HELIUM.replace("PRM 1 2.0", "PRM 1 -2.0") + "WAT\n",

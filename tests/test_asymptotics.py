@@ -4,7 +4,6 @@ import importlib.util
 import math
 import re
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -43,15 +42,16 @@ from tfshell.kedf import ConvergenceError, grid_for, make_grid, span_for
 
 SURD_LEADING = (3.0 / 2.0) ** (1.0 / 3.0)
 
-# printed six-figure values of the non-zero series coefficients
+# printed six-figure values of the non-zero series coefficients, keyed by
+# the k of Z^{k/3}
 PRINTED_COEFFICIENTS = {
-    Fraction(7, 3): 1.144714,
-    Fraction(2, 1): -0.5,
-    Fraction(5, 3): 0.0727984,
-    Fraction(1, 3): -9.81408e-5,
-    Fraction(-1, 3): 6.241287e-6,
+    7: 1.144714,
+    6: -0.5,
+    5: 0.0727984,
+    1: -9.81408e-5,
+    -1: 6.241287e-6,
 }
-VANISHING_POWERS = (Fraction(4, 3), Fraction(1, 1), Fraction(2, 3), Fraction(0, 1))
+VANISHING_POWERS = (4, 3, 2, 0)
 
 
 # --- the closed-form expansion ---------------------------------------------
@@ -71,8 +71,8 @@ def test_vanishing_powers_are_explicit_zeros() -> None:
 
 def test_power_list_descends_in_thirds() -> None:
     # kept and vanishing powers together are every third from 7/3 to -1/3
-    powers = [p for p, _ in MODEL_SERIES] + list(VANISHING_POWERS)
-    expected = [Fraction(7, 3) - Fraction(k, 3) for k in range(9)]
+    powers = [k for k, _ in MODEL_SERIES] + list(VANISHING_POWERS)
+    expected = [7 - k for k in range(9)]
     assert sorted(powers, reverse=True) == expected
 
 
@@ -81,7 +81,7 @@ def test_truncation_orders(order: int, n_terms: int) -> None:
     # the first `order` non-zero terms span n_terms powers in steps of 1/3,
     # the vanishing ones between them included
     kept = MODEL_SERIES[:order]
-    assert (kept[0][0] - kept[-1][0]) * 3 + 1 == n_terms
+    assert kept[0][0] - kept[-1][0] + 1 == n_terms
     between = [p for p in VANISHING_POWERS if kept[-1][0] < p < kept[0][0]]
     assert len(kept) + len(between) == n_terms
 
@@ -96,7 +96,7 @@ def test_expansion_validation() -> None:
 
 def test_evaluate_sums_terms() -> None:
     z = 28.0
-    manual = sum(c * z ** float(p) for p, c in MODEL_SERIES)
+    manual = sum(c * z ** (k / 3) for k, c in MODEL_SERIES)
     assert model_series(MODEL_SERIES, z) == pytest.approx(manual, rel=1e-15)
 
 
@@ -121,20 +121,21 @@ def test_series_reversion_recovers_every_coefficient() -> None:
             root = sp.solve(sp.Eq(coeff_eq, 0), b)[0]
         sol[b] = sp.simplify(root)
 
+    # keyed by the k of Z^{k/3}
     exact = {
-        Fraction(7, 3): sp.root(sp.Rational(3, 2), 3),
-        Fraction(2, 1): sp.Rational(-1, 2),
-        Fraction(5, 3): 1 / (6 * sp.root(12, 3)),
-        Fraction(4, 3): sp.Integer(0),
-        Fraction(1, 1): sp.Integer(0),
-        Fraction(2, 3): sp.Integer(0),
-        Fraction(1, 3): -1 / (3888 * sp.root(18, 3)),
-        Fraction(0, 1): sp.Integer(0),
-        Fraction(-1, 3): 1 / (69984 * sp.root(12, 3)),
+        7: sp.root(sp.Rational(3, 2), 3),
+        6: sp.Rational(-1, 2),
+        5: 1 / (6 * sp.root(12, 3)),
+        4: sp.Integer(0),
+        3: sp.Integer(0),
+        2: sp.Integer(0),
+        1: -1 / (3888 * sp.root(18, 3)),
+        0: sp.Integer(0),
+        -1: 1 / (69984 * sp.root(12, 3)),
     }
     # T = n w^6, so the coefficient of Z^{(7-k)/3} is b_k itself
     for k, b in enumerate(bs):
-        assert sp.simplify(sol[b] - exact[Fraction(7 - k, 3)]) == 0
+        assert sp.simplify(sol[b] - exact[7 - k]) == 0
 
     # the five kept powers are exactly the non-vanishing ones
     kept = dict(MODEL_SERIES)
@@ -152,7 +153,7 @@ def _ladder_zs(lo: int = 2, hi: int = 12) -> list[float]:
 
 def test_extrapolation_single_power_identity() -> None:
     seq = [(z, 3.75 * z ** (7.0 / 3.0)) for z in _ladder_zs()]
-    (a,) = richardson_extrapolate(seq, [Fraction(7, 3)])
+    (a,) = richardson_extrapolate(seq, [7 / 3])
     # the deep tableau amplifies ulp jitter in x*y/y by a few orders; the
     # recovery is identity-grade but not exact
     assert a == pytest.approx(3.75, rel=1e-11)
@@ -160,7 +161,7 @@ def test_extrapolation_single_power_identity() -> None:
 
 def test_extrapolation_two_power_synthetic() -> None:
     seq = [(z, 2.5 * z ** (7.0 / 3.0) - 0.7 * z * z) for z in _ladder_zs()]
-    a, b = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2)])
+    a, b = richardson_extrapolate(seq, [7 / 3, 2.0])
     assert a == pytest.approx(2.5, rel=1e-8)
     assert b == pytest.approx(-0.7, rel=1e-8)
 
@@ -172,30 +173,30 @@ def test_extrapolation_exact_for_polynomial_in_u() -> None:
     for z in _ladder_zs():
         u = z ** (-1.0 / 3.0)
         seq.append((z, 4.0 - 2.0 * u + 0.5 * u * u - 0.1 * u**3))
-    (limit,) = richardson_extrapolate(seq, [Fraction(0)])
+    (limit,) = richardson_extrapolate(seq, [0.0])
     assert limit == pytest.approx(4.0, rel=1e-12)
 
 
 def test_extrapolation_validation() -> None:
     good = [(z, z * z) for z in _ladder_zs()]
     with pytest.raises(ValueError, match="at least"):
-        richardson_extrapolate(good[:3], [Fraction(2), Fraction(1)])
+        richardson_extrapolate(good[:3], [2.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
-        richardson_extrapolate([(10.0, 1.0), (2.0, 1.0), (20.0, 1.0), (30.0, 1.0)], [Fraction(0)])
+        richardson_extrapolate([(10.0, 1.0), (2.0, 1.0), (20.0, 1.0), (30.0, 1.0)], [0.0])
     with pytest.raises(ValueError, match="increasing"):
-        richardson_extrapolate([(-1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], [Fraction(0)])
+        richardson_extrapolate([(-1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], [0.0])
     with pytest.raises(ValueError, match="decreasing"):
-        richardson_extrapolate(good, [Fraction(1), Fraction(2)])
+        richardson_extrapolate(good, [1.0, 2.0])
     # a constant series on Z = 2..408; Neville reads only the last six points,
     # so each of these was fitted (to 3.75 or 3.749999999999876) before the
     # finite checks
     constant = [(z, 3.75) for z in _ladder_zs(1, 8)]
     with pytest.raises(ValueError, match="finite"):
-        richardson_extrapolate(constant[:-1] + [(math.inf, 3.75)], [Fraction(0)])
+        richardson_extrapolate(constant[:-1] + [(math.inf, 3.75)], [0.0])
     with pytest.raises(ValueError, match="finite"):
-        richardson_extrapolate([(math.nan, 3.75)] + constant[1:], [Fraction(0)])
+        richardson_extrapolate([(math.nan, 3.75)] + constant[1:], [0.0])
     with pytest.raises(ValueError, match="finite"):
-        richardson_extrapolate([(constant[0][0], math.nan)] + constant[1:], [Fraction(0)])
+        richardson_extrapolate([(constant[0][0], math.nan)] + constant[1:], [0.0])
     # a power of inf fitted 0.0, and -inf divided by zero
     for powers in ([math.inf], [-math.inf], [math.nan], [1.0, math.nan]):
         with pytest.raises(ValueError, match="finite"):
@@ -205,40 +206,46 @@ def test_extrapolation_validation() -> None:
 def test_divergence_pole_inside_window() -> None:
     seq = [(z, 1.0 / (z ** (-1.0 / 3.0) - 0.12)) for z in _ladder_zs()]
     with pytest.raises(ExtrapolationError, match="diverges"):
-        richardson_extrapolate(seq, [Fraction(0)])
+        richardson_extrapolate(seq, [0.0])
 
 
 def test_divergence_alternating_blowup() -> None:
     seq = [(z, (-1.0) ** i * 10.0**i) for i, z in enumerate(_ladder_zs())]
     with pytest.raises(ExtrapolationError, match="diverges"):
-        richardson_extrapolate(seq, [Fraction(0)])
+        richardson_extrapolate(seq, [0.0])
 
 
 def test_divergence_noisy_constant() -> None:
     seq = [(z, 1.0 + 0.5 * (-1.0) ** i) for i, z in enumerate(_ladder_zs())]
     with pytest.raises(ExtrapolationError, match="diverges"):
-        richardson_extrapolate(seq, [Fraction(0)])
+        richardson_extrapolate(seq, [0.0])
 
 
 def test_divergence_overflow_is_nonfinite() -> None:
     seq = [(z, (-1.0) ** i * 1e308) for i, z in enumerate(_ladder_zs())]
     with pytest.raises(ExtrapolationError, match="non-finite"):
-        richardson_extrapolate(seq, [Fraction(0)])
+        richardson_extrapolate(seq, [0.0])
 
 
 # --- fits along the closed-shell ladder ------------------------------------
 
 
-def _paper_target(series: str, power: str | Fraction) -> tuple[float, float]:
-    """(target, tolerance) of one fitted power of ``FITS``, named by its printed label or by the power."""
+def _label_thirds(label: str) -> int:
+    """The k of a printed power label ``Z^2`` (k = 6) or ``Z^{7/3}`` (k = 7)."""
+    exponent = label.removeprefix("Z^").strip("{}")
+    return int(exponent.removesuffix("/3")) if exponent.endswith("/3") else 3 * int(exponent)
+
+
+def _paper_target(series: str, power: str | int) -> tuple[float, float]:
+    """(target, tolerance) of one fitted power of ``FITS``, named by its printed label or by its k."""
     if isinstance(power, str):
-        power = Fraction(power.removeprefix("Z^").strip("{}"))
+        power = _label_thirds(power)
     (found,) = [
         (target, tolerance)
         for fit in FITS
         if fit.series == series
-        for fitted_power, target, tolerance in fit.terms
-        if fitted_power == power
+        for k, target, tolerance in fit.terms
+        if k == power
     ]
     return found
 
@@ -255,7 +262,7 @@ def ladder():
 
 def test_three_power_fit_of_tf_energy(ladder) -> None:
     seq = [(p.z, p.t.t_tf) for p in ladder]
-    a, b, c = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
+    a, b, c = richardson_extrapolate(seq, [7 / 3, 2.0, 5 / 3])
     assert abs(a - SURD_LEADING) <= 1e-5
     # the fitted Z^2 coefficient; frozen from this pipeline, stable to the
     # grid and ladder choices at the 1e-3 level
@@ -267,26 +274,26 @@ def test_two_power_fit_biases_subleading_term(ladder) -> None:
     # with the Z^{5/3} term unmodeled its weight aliases into the Z^2
     # coefficient, pushing it well below -1/2
     seq = [(p.z, p.t.t_tf) for p in ladder]
-    a, b = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2)])
+    a, b = richardson_extrapolate(seq, [7 / 3, 2.0])
     assert abs(a - SURD_LEADING) / SURD_LEADING <= 1e-4
     assert 0.29 <= abs(b - (-0.5)) / 0.5 <= 0.32
 
 
 def test_gradient_terms_are_subleading(ladder) -> None:
     seq = [(p.z, p.t.t2) for p in ladder]
-    (lead,) = richardson_extrapolate(seq, [Fraction(7, 3)])
+    (lead,) = richardson_extrapolate(seq, [7 / 3])
     target, tolerance = _paper_target("T2", "Z^{7/3}")
     assert abs(lead - target) < tolerance
 
 
 def test_gradient_correction_ratio_coefficients(ladder) -> None:
     t2_ratio = [(p.z, p.t.t2 / p.t_exact) for p in ladder]
-    g1, g2 = richardson_extrapolate(t2_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
+    g1, g2 = richardson_extrapolate(t2_ratio, [-1 / 3, -2 / 3])
     assert g1 == _near_target("T2", "Z^{-1/3}")
     assert g2 == pytest.approx(0.045, abs=0.009)
 
     t4_ratio = [(p.z, p.t.t4 / p.t_exact) for p in ladder]
-    g1, g2 = richardson_extrapolate(t4_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
+    g1, g2 = richardson_extrapolate(t4_ratio, [-1 / 3, -2 / 3])
     assert g1 == _near_target("T4", "Z^{-1/3}")
     assert g2 == pytest.approx(0.0078, abs=0.00156)
 
@@ -302,11 +309,11 @@ def test_resummation_of_z2_coefficients(ladder) -> None:
     # the same sum rebuilt from this pipeline's fits lands close to, but
     # measurably off, -1/2; the residual is real, not noise
     seq = [(p.z, p.t.t_tf) for p in ladder]
-    a, b, _ = richardson_extrapolate(seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3)])
+    a, b, _ = richardson_extrapolate(seq, [7 / 3, 2.0, 5 / 3])
     t2_ratio = [(p.z, p.t.t2 / p.t_exact) for p in ladder]
-    g1_t2, _ = richardson_extrapolate(t2_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
+    g1_t2, _ = richardson_extrapolate(t2_ratio, [-1 / 3, -2 / 3])
     t4_ratio = [(p.z, p.t.t4 / p.t_exact) for p in ladder]
-    g1_t4, _ = richardson_extrapolate(t4_ratio, [Fraction(-1, 3), Fraction(-2, 3)])
+    g1_t4, _ = richardson_extrapolate(t4_ratio, [-1 / 3, -2 / 3])
     total = b + a * (g1_t2 + g1_t4)
     assert total == pytest.approx(-0.5104, abs=1.5e-3)
     assert 0.005 < abs(total + 0.5) < 0.02
@@ -328,15 +335,13 @@ def test_cli_ladder_gives_the_fits_of_the_full_ladder(ladder) -> None:
 def test_fit_labels_name_their_powers(ladder) -> None:
     # each printed label is its power, and each fit's powers decrease
     for fit in FITS:
-        powers = [power for power, *_ in fit.terms]
+        powers = [k for k, *_ in fit.terms]
         assert powers == sorted(powers, reverse=True)
     rows = fit_rows(ladder)
     assert [row["power"] for row in rows] == [
         "Z^{7/3}", "Z^2", "Z^{5/3}", "Z^{7/3}", "Z^{-1/3}", "Z^{-1/3}"
     ]
-    assert [Fraction(row["power"].removeprefix("Z^").strip("{}")) for row in rows] == [
-        power for fit in FITS for power, *_ in fit.terms
-    ]
+    assert [_label_thirds(row["power"]) for row in rows] == [k for fit in FITS for k, *_ in fit.terms]
     assert [row["quantity"] for row in rows] == ["coefficient"] * 4 + ["fraction of exact energy"] * 2
 
 
@@ -356,11 +361,11 @@ def test_vanishing_powers_float_fits(ladder) -> None:
     # can fit; these bounds are honest for this grid and ladder
     seq = [(p.z, p.t_exact) for p in ladder]
     four = richardson_extrapolate(
-        seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3), Fraction(4, 3)]
+        seq, [7 / 3, 2.0, 5 / 3, 4 / 3]
     )
     assert abs(four[3]) <= 5e-5
     five = richardson_extrapolate(
-        seq, [Fraction(7, 3), Fraction(2), Fraction(5, 3), Fraction(4, 3), Fraction(1)]
+        seq, [7 / 3, 2.0, 5 / 3, 4 / 3, 1.0]
     )
     assert abs(five[4]) <= 6e-4
 

@@ -94,6 +94,18 @@ def test_integer_fields_read_integral_floats(token: str) -> None:
     assert record.atomic_number == 2
 
 
+def test_orbital_label_number_reads_like_an_integer_field() -> None:
+    # the label's digits go through the same reader as every integer field:
+    # leading zeros past int()'s 4300-digit limit are dropped, and a number
+    # past the float range is a parse error that names its line
+    (record,) = parse_sto_text(MINIMAL.replace("1s", "0" * 4400 + "1s"))
+    assert record.orbitals[0].label == "1s"
+    with pytest.raises(STOParseError) as excinfo:
+        parse_sto_text(MINIMAL.replace("1s", "9" * 5000 + "s"))
+    assert excinfo.value.line_no == 3
+    assert str(excinfo.value).startswith("line 3: orbital n must be an integer, got '999")
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -199,6 +211,23 @@ def test_primitive_validation() -> None:
         STOPrimitive(1, math.inf, 1.0)
     with pytest.raises(STOValidationError):
         STOPrimitive(1, 1.0, math.nan)
+
+
+def test_power_past_the_factorial_range_is_rejected_before_the_factorial(monkeypatch) -> None:
+    # 171! is past the float range, so every n >= 86 has no finite
+    # normalization; (2n)! takes time superlinear in n and is never built
+    factorial = math.factorial
+
+    def float_range_factorial(k: int) -> int:
+        if k > 170:
+            raise AssertionError(f"factorial({k}) was built")
+        return factorial(k)
+
+    monkeypatch.setattr(math, "factorial", float_range_factorial)
+    assert STOPrimitive(85, 0.5, 1.0).normalization == math.sqrt(1.0 / factorial(170))
+    for n in (86, 100_000):
+        with pytest.raises(STOValidationError, match=f"n={n} zeta=0.5 has a normalization outside the float range"):
+            STOPrimitive(n, 0.5, 1.0)
 
 
 def test_nan_norm_fails_the_unit_norm_check(monkeypatch) -> None:

@@ -141,19 +141,60 @@ def test_console_script_matches_module_invocation():
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path: Path):
     # scipy, sympy, mpmath, hypothesis and pytest are test dependencies only;
-    # neither the import nor any command loads them
+    # neither the import nor any command loads them.  Every power of Z is an
+    # integer count of thirds, so fractions, and the decimal module that it
+    # imports, stay unloaded too
     commands = [["table1"], ["model", "--z", "54"], ["asymptotics"], ["figures", "--out", str(tmp_path)]]
     script = (
         "import sys\n"
         "from tfshell import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "test_only = ('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest')\n"
-        "print('loaded:', [name for name in test_only if name in sys.modules])\n"
+        "unloaded = ('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest', 'fractions', 'decimal')\n"
+        "print('loaded:', [name for name in unloaded if name in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+
+_LONG_NUMBER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "option, sto",
+    [
+        ("--z", None),
+        ("--n-max", None),
+        (None, MINIMAL_STO.replace("He 2", f"He {_LONG_NUMBER}")),
+        (None, MINIMAL_STO.replace("4.0", _LONG_NUMBER)),
+        (None, MINIMAL_STO.replace("1s", f"{_LONG_NUMBER}s")),
+        (None, MINIMAL_STO.replace("1s 2", f"1s {_LONG_NUMBER}")),
+        (None, MINIMAL_STO.replace("PRM 1", f"PRM {_LONG_NUMBER}")),
+        (None, MINIMAL_STO.replace("2.0 1.0", f"{_LONG_NUMBER} 1.0")),
+        (None, MINIMAL_STO.replace("1.0\n", f"{_LONG_NUMBER}\n")),
+    ],
+    ids=["model-z", "model-n-max", "sto-atomic-number", "sto-reference-energy", "sto-label-number",
+         "sto-occupation", "sto-primitive-power", "sto-exponent", "sto-coefficient"],
+)
+def test_a_number_past_the_int_digit_limit_is_one_error_line(option, sto, tmp_path, capsys):
+    # a 5000-digit number is past int()'s 4300-digit limit and past the float
+    # range; each numeric input answers it with exit 2 and one error line
+    if sto is None:
+        argv = ["model", option, _LONG_NUMBER]
+    else:
+        data = tmp_path / "long.sto"
+        data.write_text(sto)
+        argv = ["table1", "--data", str(data)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
 
 
 @pytest.mark.parametrize(
