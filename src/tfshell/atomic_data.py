@@ -14,8 +14,8 @@ Files are UTF-8 text, with or without a byte-order mark; lines end at LF,
 CR LF or CR only, and all structure is checked before any record is built.
 Numbers, orbital labels and element symbols are ASCII (a number without
 digit-group underscores); a comment may hold any UTF-8.  An integer field
-written in digits is read exactly, at any size; one written as a float,
-such as 2.0 or 1e2, must have an integral value.
+written in digits is read exactly, up to 4300 significant digits; one
+written as a float, such as 2.0 or 1e2, must have an integral value.
 
 Each orbital's radial part is R(r) = sum_i c_i N_i r^{n_i - 1} e^{-zeta_i r}
 with N_i = (2 zeta_i)^{n_i + 1/2} / sqrt((2 n_i)!), so occupation-weighted
@@ -73,6 +73,8 @@ __all__ = [
 # catch a mistyped coefficient or exponent.
 NORM_TOLERANCE = 5e-5
 
+# significant digits an integer field may have: int()'s default limit on a string
+_INT_DIGITS = 4300
 _L_LETTERS = "spdfgh"
 _ORBITAL_LABEL = re.compile(r"([0-9]+)([a-z])")
 # each directive's fields after its tag, as its field-count message names them
@@ -261,16 +263,20 @@ def _parse_float(line_no: int, token: str, what: str) -> float:
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
-    value = _parse_float(line_no, token, what)
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        # read exactly, past float's 53 bits and its range; leading zeros
+        # would count against int()'s limit, so they are stripped first
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > _INT_DIGITS:
+            raise STOParseError(line_no, f"{what} has {len(digits)} significant digits, "
+                                         f"more than the {_INT_DIGITS} read")
+        magnitude = int(digits)
+        return -magnitude if token[0] == "-" else magnitude
+    value = _parse_float(line_no, token, what)  # 2.0 or 1e2
     if not value.is_integer():
         raise STOParseError(line_no, f"{what} must be an integer, got {token!r}")
-    digits = token.lstrip("+-")
-    if not digits.isdigit():  # 2.0 or 1e2
-        return int(value)
-    # read exactly, past float's 53 bits; a finite float has at most 309
-    # digits once its leading zeros, which int() would count, are stripped
-    magnitude = int(digits.lstrip("0") or "0")
-    return -magnitude if token.startswith("-") else magnitude
+    return int(value)
 
 
 def _record_at(line_no: int, record_type: type, *fields):

@@ -37,10 +37,14 @@ whether the span holds it.
 
 ``correction`` alone decides the shell correction, with the node it is
 exact at, and its ``--interp`` modes; ``table1`` and ``model`` call it
-first and report its ValueError as a data failure, so an atom it does not
-reach costs no quadrature.  ``table1`` skips an atom whose row fails,
-with one error line: a ValueError is a data failure, a ConvergenceError a
-numerical one.
+first, so an atom it does not reach costs no quadrature.
+
+``main`` alone turns a failure into an exit code, with one error line: a
+ValueError or OSError is a data failure, a ConvergenceError or
+ExtrapolationError a numerical one.  ``table1`` alone catches a failure
+earlier, in one atom's row: it skips that atom with the same error line,
+a ValueError counted as a data failure and a ConvergenceError as a
+numerical one, and reports the rest.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
@@ -69,7 +73,7 @@ from .asymptotics import (
     model_series,
     richardson_extrapolate,
 )
-from .atomic_data import STOAtomRecord, STODataError, load_bundled, load_files
+from .atomic_data import STOAtomRecord, load_bundled, load_files
 from .correction import (
     DEFAULT_MODE,
     INTERPOLATION_MODES,
@@ -80,7 +84,7 @@ from .correction import (
     table1_row,
 )
 from .hydrogenic import electron_count
-from .kedf import ConvergenceError, GridError
+from .kedf import ConvergenceError
 
 __all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
 
@@ -164,8 +168,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if args.atoms is not None:
         atoms = [t.strip() for chunk in args.atoms for t in chunk.split(",") if t.strip()]
         if not atoms:
-            print("error: --atoms names no atom", file=sys.stderr)
-            return EXIT_DATA
+            raise ValueError("--atoms names no atom")
     records = load_files(args.data) if args.data else load_bundled()
     chosen, missing = _select_records(atoms, records)
     for token in missing:
@@ -213,13 +216,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    try:
-        z = args.z if args.n_max is None else electron_count(args.n_max)
-        delta, n_max = _shell_correction(z, args.interp)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-
+    z = args.z if args.n_max is None else electron_count(args.n_max)
+    delta, n_max = _shell_correction(z, args.interp)
     row = model_row(z, delta, n_max, args.interp)
     if args.format != "table":
         _write_records(sys.stdout, [row], args.format)
@@ -351,7 +349,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (STODataError, GridError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConvergenceError, ExtrapolationError) as exc:

@@ -38,7 +38,8 @@ def _data_files(src: Path) -> dict[str, bytes]:
     non-ASCII comment, he.sto under a reference energy low enough that its
     errors pass 100%, an atomic number past 2^53 that float() would
     round, an orbital label whose 5,000-digit number is past int()'s
-    digit limit, and a primitive power whose (2n)! is past the float range.
+    digit limit, an occupation of 400 digits, past the float range but
+    read exactly, and a primitive power whose (2n)! is past the float range.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -58,6 +59,7 @@ def _data_files(src: Path) -> dict[str, bytes]:
         "charge_mismatch": HELIUM.replace("He 2", "He 3"),
         "huge_atomic_number": HELIUM.replace("He 2", "He 9007199254740993"),
         "long_label": HELIUM.replace("1s", "9" * 5000 + "s"),
+        "long_occupation": HELIUM.replace("ORB 1s 2", "ORB 1s " + "9" * 400),
         "huge_power": HELIUM.replace("PRM 1 2.0 1.0", "PRM 100000 0.5 1.0"),
         "reference_energy": HELIUM.replace("4.0", "-4.0"),
         "norm_then_directive": HELIUM.replace("1.0\n", "1.1\n") + "ORB 2s 0\nWAT\n",

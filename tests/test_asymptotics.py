@@ -179,7 +179,7 @@ def test_extrapolation_exact_for_polynomial_in_u() -> None:
 
 def test_extrapolation_validation() -> None:
     good = [(z, z * z) for z in _ladder_zs()]
-    with pytest.raises(ValueError, match="at least"):
+    with pytest.raises(ValueError, match="need at least 4 points for 2 powers, got 3"):
         richardson_extrapolate(good[:3], [2.0, 1.0])
     with pytest.raises(ValueError, match="increasing"):
         richardson_extrapolate([(10.0, 1.0), (2.0, 1.0), (20.0, 1.0), (30.0, 1.0)], [0.0])
@@ -204,9 +204,12 @@ def test_extrapolation_validation() -> None:
 
 
 def test_divergence_pole_inside_window() -> None:
-    seq = [(z, 1.0 / (z ** (-1.0 / 3.0) - 0.12)) for z in _ladder_zs()]
-    with pytest.raises(ExtrapolationError, match="diverges"):
-        richardson_extrapolate(seq, [0.0])
+    # at an offset of 1e6 every correction is small beside a sum of two
+    # estimates, so only their differences show the divergence
+    for offset in (0.0, 1e6):
+        seq = [(z, offset + 1.0 / (z ** (-1.0 / 3.0) - 0.12)) for z in _ladder_zs()]
+        with pytest.raises(ExtrapolationError, match="diverges"):
+            richardson_extrapolate(seq, [0.0])
 
 
 def test_divergence_alternating_blowup() -> None:
@@ -216,9 +219,31 @@ def test_divergence_alternating_blowup() -> None:
 
 
 def test_divergence_noisy_constant() -> None:
-    seq = [(z, 1.0 + 0.5 * (-1.0) ** i) for i, z in enumerate(_ladder_zs())]
+    # at an offset of 1e6 every correction is small beside a sum of two
+    # estimates, so only their differences show the divergence
+    for offset in (0.0, 1e6):
+        seq = [(z, offset + 1.0 + 0.5 * (-1.0) ** i) for i, z in enumerate(_ladder_zs())]
+        with pytest.raises(ExtrapolationError, match="diverges"):
+            richardson_extrapolate(seq, [0.0])
+
+
+def test_divergence_one_jump_past_a_settled_start() -> None:
+    # six points whose tableau estimates step by 1e-6, 0.9, 0.8, 0.5, 0.6: the
+    # steps never grow three in a row, so only the last step's jump past
+    # 1e3 times the first calls the tableau divergent
+    zs = _ladder_zs(2, 7)
+    u = [z ** (-1.0 / 3.0) for z in zs]
+    estimates = [1.0, 1.000001, 1.900001, 2.700001, 3.200001, 3.800001]
+    # estimate k is the value at u = 0 of the polynomial through the last
+    # k + 1 points, so each estimate fixes one more point, from the last back
+    s = [0.0] * len(zs)
+    for k, estimate in enumerate(estimates):
+        window = range(len(zs) - 1 - k, len(zs))
+        weight = {j: math.prod(u[m] / (u[m] - u[j]) for m in window if m != j) for j in window}
+        first = window[0]
+        s[first] = (estimate - sum(weight[j] * s[j] for j in window[1:])) / weight[first]
     with pytest.raises(ExtrapolationError, match="diverges"):
-        richardson_extrapolate(seq, [0.0])
+        richardson_extrapolate(list(zip(zs, s)), [0.0])
 
 
 def test_divergence_overflow_is_nonfinite() -> None:

@@ -97,13 +97,16 @@ def test_integer_fields_read_integral_floats(token: str) -> None:
 def test_orbital_label_number_reads_like_an_integer_field() -> None:
     # the label's digits go through the same reader as every integer field:
     # leading zeros past int()'s 4300-digit limit are dropped, and a number
-    # past the float range is a parse error that names its line
+    # past that limit is a parse error that names its line and its length
     (record,) = parse_sto_text(MINIMAL.replace("1s", "0" * 4400 + "1s"))
     assert record.orbitals[0].label == "1s"
+    (record,) = parse_sto_text(MINIMAL.replace("1s", "9" * 400 + "s"))
+    assert record.orbitals[0].n == 10**400 - 1
     with pytest.raises(STOParseError) as excinfo:
         parse_sto_text(MINIMAL.replace("1s", "9" * 5000 + "s"))
     assert excinfo.value.line_no == 3
-    assert str(excinfo.value).startswith("line 3: orbital n must be an integer, got '999")
+    assert str(excinfo.value) == "line 3: orbital n has 5000 significant digits, more than the 4300 read"
+
 
 
 @pytest.mark.parametrize(
@@ -186,6 +189,10 @@ def test_empty_input_rejected() -> None:
         (MINIMAL.replace("He 2", "He 9007199254740993"), r"atomic number is 9007199254740993$"),
         (MINIMAL.replace("PRM 1", "PRM -9007199254740993"), r"positive integer, got -9007199254740993$"),
         (MINIMAL.replace("PRM 1", "PRM +9007199254740993"), r"^line 4: primitive n=9007199254740993 zeta"),
+        # 400 digits, past the float range, which float() reads as inf
+        (MINIMAL.replace("He 2", "He " + "9" * 400), "^line 2: charge mismatch for He: .* is 9{400}$"),
+        (MINIMAL.replace("1s 2", "1s " + "9" * 400), r"^line 3: occupation of 1s must be an integer in 0\.\.2, got 9{400}$"),
+        (MINIMAL.replace("PRM 1", "PRM " + "9" * 400), "^line 4: primitive n=9{400} zeta=2.0 has a normalization"),
     ],
 )
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:

@@ -574,6 +574,18 @@ def test_model_rejects_out_of_range_inputs(args, fragment):
 
 
 @pytest.mark.parametrize(
+    "argv", [["table1", "--data", "bad\0.sto"], ["figures", "--out", "o\0ut"]], ids=["table1-data", "figures-out"]
+)
+def test_a_path_with_a_null_byte_is_one_error_line(argv, capsys):
+    # no path may hold a null byte, and open() and mkdir() say so with a bare
+    # ValueError, which main reports as a data failure like any other
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: embedded null byte\n"
+
+
+@pytest.mark.parametrize(
     "args, fragment",
     [
         (("--z", str(10**60)), "interpolation range (1..110)"),
