@@ -14,8 +14,9 @@ Files are UTF-8 text, with or without a byte-order mark; lines end at LF,
 CR LF or CR only, and all structure is checked before any record is built.
 Numbers, orbital labels and element symbols are ASCII (a number without
 digit-group underscores); a comment may hold any UTF-8.  An integer field
-written in digits is read exactly, up to 4300 significant digits; one
-written as a float, such as 2.0 or 1e2, must have an integral value.
+written in digits is read exactly, up to the interpreter's int limit
+(``sys.get_int_max_str_digits()``, 4300 significant digits by default);
+one written as a float, such as 2.0 or 1e2, must have an integral value.
 
 Each orbital's radial part is R(r) = sum_i c_i N_i r^{n_i - 1} e^{-zeta_i r}
 with N_i = (2 zeta_i)^{n_i + 1/2} / sqrt((2 n_i)!), so occupation-weighted
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -51,6 +53,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
+from .hydrogenic import _int_text
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -73,8 +76,6 @@ __all__ = [
 # catch a mistyped coefficient or exponent.
 NORM_TOLERANCE = 5e-5
 
-# significant digits an integer field may have: int()'s default limit on a string
-_INT_DIGITS = 4300
 _L_LETTERS = "spdfgh"
 _ORBITAL_LABEL = re.compile(r"([0-9]+)([a-z])")
 # each directive's fields after its tag, as its field-count message names them
@@ -86,7 +87,7 @@ def _store_int(record, name: str, lo: int, hi: float, rule: str) -> None:
     """Store field ``name`` as an int if an int or numpy integer (no bool) in lo..hi, else raise ``rule``."""
     value = getattr(record, name)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        raise STOValidationError(f"{rule.format(record=record, hi=hi)}, got {value!r}")
+        raise STOValidationError(f"{rule.format(record=record, hi=hi)}, got {_int_text(value)}")
     object.__setattr__(record, name, int(value))
 
 
@@ -157,7 +158,7 @@ class STOPrimitive:
         # an underflow to 0 would divide by zero in the norm integral
         if not 0.0 < normalization < math.inf:
             raise STOValidationError(
-                f"primitive n={self.n} zeta={self.zeta!r} has a normalization "
+                f"primitive n={_int_text(self.n)} zeta={self.zeta!r} has a normalization "
                 "outside the float range"
             )
         object.__setattr__(self, "normalization", normalization)
@@ -238,8 +239,8 @@ class STOAtomRecord:
         total = self.electron_count
         if total != self.atomic_number:
             raise STOValidationError(
-                f"charge mismatch for {self.element}: occupations sum to {total}, "
-                f"atomic number is {self.atomic_number}"
+                f"charge mismatch for {self.element}: occupations sum to {_int_text(total)}, "
+                f"atomic number is {_int_text(self.atomic_number)}"
             )
         ref = self.reference_hf_kinetic
         if not (_is_finite_real(ref) and ref > 0.0):
@@ -268,9 +269,11 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
         # read exactly, past float's 53 bits and its range; leading zeros
         # would count against int()'s limit, so they are stripped first
         digits = digits.lstrip("0") or "0"
-        if len(digits) > _INT_DIGITS:
+        # int()'s own limit on a string; 0, or an interpreter before 3.10.7, sets none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit:
             raise STOParseError(line_no, f"{what} has {len(digits)} significant digits, "
-                                         f"more than the {_INT_DIGITS} read")
+                                         f"more than the {limit} read")
         magnitude = int(digits)
         return -magnitude if token[0] == "-" else magnitude
     value = _parse_float(line_no, token, what)  # 2.0 or 1e2

@@ -31,7 +31,13 @@ import numpy as np
 
 from .asymptotics import MODEL_SERIES, model_energy_sequence, model_series
 from .atomic_data import STOAtomRecord, atom_density
-from .hydrogenic import MAGIC_NUMBERS, model_kinetic_energy, model_kinetic_energy_continuous, shell_count_for
+from .hydrogenic import (
+    MAGIC_NUMBERS,
+    _int_text,
+    model_kinetic_energy,
+    model_kinetic_energy_continuous,
+    shell_count_for,
+)
 from .kedf import Energies, energies
 
 __all__ = [
@@ -103,7 +109,7 @@ def delta_t(z: int, mode: str) -> tuple[float, int | None]:
         if not 1 <= z <= INTERPOLATION_MAX_Z:
             side = "below" if z < 1 else "beyond"
             raise ValueError(
-                f"Z={z} is not a filled-shell count and lies {side} the "
+                f"Z={_int_text(z)} is not a filled-shell count and lies {side} the "
                 f"interpolation range (1..{INTERPOLATION_MAX_Z})"
             )
         return c0 + z * (c1 + z * (c2 + z * c3)), None

@@ -53,11 +53,30 @@ __all__ = [
 
 MAX_SHELLS = 40
 
+# the widest integer a message prints in full: far below the interpreter's
+# int-to-str limit (640 digits at the least), so str() never raises there
+_MESSAGE_DIGITS = 100
+
+
+def _int_text(value) -> str:
+    """``repr(value)``, but an int of more than 100 digits as its digit count.
+
+    The messages that show an input integer, or one computed from it, call
+    this, so none outgrows a line or fails in str().
+    """
+    if not isinstance(value, int) or abs(value) < 10**_MESSAGE_DIGITS:
+        return repr(value)
+    magnitude = abs(value)
+    # log10 rounds, so one comparison settles the count at a power of ten
+    power = round(math.log10(magnitude))
+    digits = power + (magnitude >= 10**power)
+    return f"a {digits}-digit {'negative ' if value < 0 else ''}number"
+
 
 def electron_count(n_max: int) -> int:
     """Electrons in shells 1..n_max filled completely: sum of 2 n^2."""
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+        raise ValueError(f"n_max must be a positive integer, got {_int_text(n_max)}")
     n = int(n_max)
     return n * (n + 1) * (2 * n + 1) // 3
 
@@ -120,7 +139,7 @@ class HydrogenicDensity:
         z = electron_count(n_max)
         if n_max > MAX_SHELLS:
             raise ValueError(
-                f"Z={z} fills {n_max} shells; filled-shell counts are "
+                f"Z={_int_text(z)} fills {_int_text(n_max)} shells; filled-shell counts are "
                 f"supported for 1..{MAX_SHELLS} shells"
             )
         self.n_max = int(n_max)

@@ -39,7 +39,9 @@ def _data_files(src: Path) -> dict[str, bytes]:
     errors pass 100%, an atomic number past 2^53 that float() would
     round, an orbital label whose 5,000-digit number is past int()'s
     digit limit, an occupation of 400 digits, past the float range but
-    read exactly, and a primitive power whose (2n)! is past the float range.
+    read exactly, one of 4,300 digits, at int()'s default limit, which the
+    record check names by its digit count, and a primitive power whose
+    (2n)! is past the float range.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -60,6 +62,7 @@ def _data_files(src: Path) -> dict[str, bytes]:
         "huge_atomic_number": HELIUM.replace("He 2", "He 9007199254740993"),
         "long_label": HELIUM.replace("1s", "9" * 5000 + "s"),
         "long_occupation": HELIUM.replace("ORB 1s 2", "ORB 1s " + "9" * 400),
+        "limit_occupation": HELIUM.replace("ORB 1s 2", "ORB 1s " + "9" * 4300),
         "huge_power": HELIUM.replace("PRM 1 2.0 1.0", "PRM 100000 0.5 1.0"),
         "reference_energy": HELIUM.replace("4.0", "-4.0"),
         "norm_then_directive": HELIUM.replace("1.0\n", "1.1\n") + "ORB 2s 0\nWAT\n",
@@ -102,6 +105,8 @@ def _invocations(src: Path) -> dict[str, list[str]]:
     for flag, power in (("--z", 60), ("--n-max", 19)):
         for fmt in FORMATS:
             runs[f"model_{flag.strip('-')}1e{power}_{fmt}"] = ["model", flag, str(10**power), "--format", fmt]
+    # 2,000 shells hold a 6,000-digit Z, past str()'s limit, before the 40-shell cap refuses them
+    runs["model_n-max_2000_digits"] = ["model", "--n-max", "9" * 2000]
     runs.update({f"asymptotics_{fmt}": ["asymptotics", "--format", fmt] for fmt in FORMATS})
     runs["figures"] = ["figures", "--out", "figures"]
     runs["help"] = ["--help"]

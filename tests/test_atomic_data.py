@@ -189,10 +189,12 @@ def test_empty_input_rejected() -> None:
         (MINIMAL.replace("He 2", "He 9007199254740993"), r"atomic number is 9007199254740993$"),
         (MINIMAL.replace("PRM 1", "PRM -9007199254740993"), r"positive integer, got -9007199254740993$"),
         (MINIMAL.replace("PRM 1", "PRM +9007199254740993"), r"^line 4: primitive n=9007199254740993 zeta"),
-        # 400 digits, past the float range, which float() reads as inf
-        (MINIMAL.replace("He 2", "He " + "9" * 400), "^line 2: charge mismatch for He: .* is 9{400}$"),
-        (MINIMAL.replace("1s 2", "1s " + "9" * 400), r"^line 3: occupation of 1s must be an integer in 0\.\.2, got 9{400}$"),
-        (MINIMAL.replace("PRM 1", "PRM " + "9" * 400), "^line 4: primitive n=9{400} zeta=2.0 has a normalization"),
+        # 400 digits, past the float range, which float() reads as inf; a
+        # message names an integer of more than 100 digits by its digit count
+        (MINIMAL.replace("He 2", "He " + "9" * 400), "^line 2: charge mismatch for He: .* is a 400-digit number$"),
+        (MINIMAL.replace("1s 2", "1s " + "9" * 400),
+         r"^line 3: occupation of 1s must be an integer in 0\.\.2, got a 400-digit number$"),
+        (MINIMAL.replace("PRM 1", "PRM " + "9" * 400), "^line 4: primitive n=a 400-digit number zeta=2.0 has a normalization"),
     ],
 )
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:

@@ -14,6 +14,7 @@ import csv
 import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 import types
@@ -162,39 +163,61 @@ _LONG_NUMBER = "9" * 5000
 
 
 @pytest.mark.parametrize(
-    "option, sto",
+    "argv, sto, says",
     [
-        ("--z", None),
-        ("--n-max", None),
-        (None, MINIMAL_STO.replace("He 2", f"He {_LONG_NUMBER}")),
-        (None, MINIMAL_STO.replace("4.0", _LONG_NUMBER)),
-        (None, MINIMAL_STO.replace("1s", f"{_LONG_NUMBER}s")),
-        (None, MINIMAL_STO.replace("1s 2", f"1s {_LONG_NUMBER}")),
-        (None, MINIMAL_STO.replace("PRM 1", f"PRM {_LONG_NUMBER}")),
-        (None, MINIMAL_STO.replace("2.0 1.0", f"{_LONG_NUMBER} 1.0")),
-        (None, MINIMAL_STO.replace("1.0\n", f"{_LONG_NUMBER}\n")),
+        (["model", "--z", _LONG_NUMBER], None, "error:"),
+        (["model", "--n-max", _LONG_NUMBER], None, "error:"),
+        (None, MINIMAL_STO.replace("He 2", f"He {_LONG_NUMBER}"), "error:"),
+        (None, MINIMAL_STO.replace("4.0", _LONG_NUMBER), "error:"),
+        (None, MINIMAL_STO.replace("1s", f"{_LONG_NUMBER}s"), "error:"),
+        (None, MINIMAL_STO.replace("1s 2", f"1s {_LONG_NUMBER}"), "error:"),
+        (None, MINIMAL_STO.replace("PRM 1", f"PRM {_LONG_NUMBER}"), "error:"),
+        (None, MINIMAL_STO.replace("2.0 1.0", f"{_LONG_NUMBER} 1.0"), "error:"),
+        (None, MINIMAL_STO.replace("1.0\n", f"{_LONG_NUMBER}\n"), "error:"),
+        # 2,000 shells hold a 6,000-digit Z, past str()'s limit
+        (["model", "--n-max", "9" * 2000], None, "supported for 1..40 shells"),
+        # 4,300 digits, at int()'s limit: read, then refused by the record check
+        (None, MINIMAL_STO.replace("1s 2", "1s " + "9" * 4300), "got a 4300-digit number"),
     ],
     ids=["model-z", "model-n-max", "sto-atomic-number", "sto-reference-energy", "sto-label-number",
-         "sto-occupation", "sto-primitive-power", "sto-exponent", "sto-coefficient"],
+         "sto-occupation", "sto-primitive-power", "sto-exponent", "sto-coefficient",
+         "model-n-max-2000-digits", "sto-occupation-4300-digits"],
 )
-def test_a_number_past_the_int_digit_limit_is_one_error_line(option, sto, tmp_path, capsys):
+def test_a_number_past_the_int_digit_limit_is_one_error_line(argv, sto, says, tmp_path, capsys):
     # a 5000-digit number is past int()'s 4300-digit limit and past the float
-    # range; each numeric input answers it with exit 2 and one error line
-    if sto is None:
-        argv = ["model", option, _LONG_NUMBER]
-    else:
+    # range; each numeric input answers it with exit 2 and one short error
+    # line, which names a long integer by its digit count
+    if argv is None:
         data = tmp_path / "long.sto"
         data.write_text(sto)
         argv = ["table1", "--data", str(data)]
     try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects a bad option value itself
-        code = exc.code
+        code, width = cli.main(argv), 300
+    except SystemExit as exc:  # argparse rejects a bad option value itself, and echoes it whole
+        code, width = exc.code, math.inf
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert says in err.splitlines()[-1]
+    assert len(err.splitlines()[-1].encode()) < width
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7")
+def test_a_lowered_int_digit_limit_names_the_file_and_line(tmp_path):
+    # int() obeys PYTHONINTMAXSTRDIGITS, so the parser reads its limit from the interpreter
+    data = tmp_path / "z.sto"
+    data.write_text(MINIMAL_STO.replace("He 2", "He " + "9" * 1000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tfshell.cli", "table1", "--data", str(data)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640"),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {data}: line 1: atomic number has 1000 significant digits, more than the 640 read\n"
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
     MAX_SHELLS,
     HydrogenicDensity,
+    _int_text,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
@@ -62,6 +63,28 @@ def test_electron_count_of_a_numpy_integer_is_a_python_int(n_max: int) -> None:
 def test_electron_count_rejects_bad_input(bad) -> None:
     with pytest.raises(ValueError):
         electron_count(bad)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**100 - 1, "9" * 100),
+        (-(10**100) + 1, "-" + "9" * 100),
+        (10**100, "a 101-digit number"),
+        (10**999 - 1, "a 999-digit number"),
+        (10**999, "a 1000-digit number"),
+        (-(10**5999), "a 6000-digit negative number"),
+        (np.int64(7), repr(np.int64(7))),
+        (2.5, "2.5"),
+        ("3", "'3'"),
+    ],
+    ids=["100-digits", "negative-100-digits", "101-digits", "999-digits", "1000-digits",
+         "negative-6000-digits", "numpy-int", "float", "str"],
+)
+def test_int_text_names_a_long_integer_by_its_digit_count(value, text) -> None:
+    # up to 100 digits a message prints repr(); past them, a digit count that
+    # is exact on both sides of a power of ten, without calling str()
+    assert _int_text(value) == text
 
 
 def test_configuration_validation() -> None:
