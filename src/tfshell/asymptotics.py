@@ -31,13 +31,12 @@ import numpy as np
 
 from . import _kernels
 from .hydrogenic import MAX_SHELLS, HydrogenicDensity, model_kinetic_energy
-from .kedf import Energies, grid_for, profile_energies
+from .kedf import ConvergenceError, Energies, grid_for, profile_energies
 
 __all__ = [
     "TURNING_POINT",
     "FITS",
     "LADDER_SHELLS",
-    "ExtrapolationError",
     "MODEL_SERIES",
     "SequencePoint",
     "Fit",
@@ -63,10 +62,6 @@ _FIG1_SHELLS = (1, 2, 3, 5)
 _FIG1_POINTS = 500
 # fig1a.csv: the functional errors of every supported shell count
 _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
-
-
-class ExtrapolationError(RuntimeError):
-    """The extrapolation tableau diverged instead of settling."""
 
 
 # Exact coefficients of the shell-model energy in descending powers of Z^{1/3}:
@@ -104,7 +99,7 @@ def _extrapolate_constant(u: list[float], s: list[float]) -> float:
         ]
         value = column[-1]
         if not math.isfinite(value):
-            raise ExtrapolationError("extrapolation tableau produced a non-finite value")
+            raise ConvergenceError("extrapolation tableau produced a non-finite value")
         estimates.append(value)
     # Settling tableaus have shrinking corrections; divergence shows up as
     # corrections that keep growing toward the deepest levels.  Roundoff
@@ -117,7 +112,7 @@ def _extrapolate_constant(u: list[float], s: list[float]) -> float:
         (growing_tail and deltas[-1] > 10.0 * min(nonzero))
         or deltas[-1] > 1e3 * min(nonzero)
     ):
-        raise ExtrapolationError(
+        raise ConvergenceError(
             "extrapolation tableau diverges: correction sizes grew from "
             f"{min(nonzero):.3e} to {deltas[-1]:.3e}"
         )
@@ -134,7 +129,7 @@ def richardson_extrapolate(
     divide the running residual by Z^{p_i}, accelerate the resulting
     sequence to its u -> 0 limit in u = Z^{-1/3}, subtract, repeat.
     Requires at least len(powers) + 2 points, every Z, value and power
-    finite; raises ExtrapolationError when an acceleration tableau
+    finite; raises ConvergenceError when an acceleration tableau
     diverges instead of settling.
     """
     pts = [(float(z), float(v)) for z, v in sequence]

@@ -59,7 +59,6 @@ __all__ = [
     "NORM_TOLERANCE",
     "STODataError",
     "STOParseError",
-    "STOValidationError",
     "STOPrimitive",
     "STOOrbital",
     "STOAtomRecord",
@@ -87,7 +86,7 @@ def _store_int(record, name: str, lo: int, hi: float, rule: str) -> None:
     """Store field ``name`` as an int if an int or numpy integer (no bool) in lo..hi, else raise ``rule``."""
     value = getattr(record, name)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        raise STOValidationError(f"{rule.format(record=record, hi=hi)}, got {_int_text(value)}")
+        raise STODataError(f"{rule.format(record=record, hi=hi)}, got {_int_text(value)}")
     object.__setattr__(record, name, int(value))
 
 
@@ -95,12 +94,12 @@ def _check_records(record, name: str, record_type: type, kind: str, label: str) 
     """Raise unless field ``name`` is a non-empty tuple of ``record_type``; ``kind label`` names the record."""
     items = getattr(record, name)
     if not isinstance(items, tuple):
-        raise STOValidationError(f"{name} of {label} must be a tuple, got {type(items).__name__}")
+        raise STODataError(f"{name} of {label} must be a tuple, got {type(items).__name__}")
     if not items:
-        raise STOValidationError(f"{kind} {label} has no {name}")
+        raise STODataError(f"{kind} {label} has no {name}")
     for item in items:
         if not isinstance(item, record_type):
-            raise STOValidationError(
+            raise STODataError(
                 f"{name} of {label} must hold {record_type.__name__} records, got {type(item).__name__}"
             )
 
@@ -117,19 +116,15 @@ def _is_finite_real(value) -> bool:
 
 
 class STODataError(ValueError):
-    """Base class for atomic-data failures."""
+    """An atomic-data failure: a record that violates a physical or normalization invariant."""
 
 
 class STOParseError(STODataError):
-    """Structural error in .sto text; message carries the source line."""
+    """A fault at one line of .sto text, in its structure or in its record; the message names the line."""
 
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class STOValidationError(STODataError):
-    """A parsed record violates a physical or normalization invariant."""
 
 
 @dataclass(frozen=True)
@@ -143,9 +138,9 @@ class STOPrimitive:
     def __post_init__(self) -> None:
         _store_int(self, "n", 1, math.inf, "primitive power must be a positive integer")
         if not (_is_finite_real(self.zeta) and self.zeta > 0.0):
-            raise STOValidationError(f"primitive exponent must be positive, got {self.zeta!r}")
+            raise STODataError(f"primitive exponent must be positive, got {self.zeta!r}")
         if not _is_finite_real(self.coefficient):
-            raise STOValidationError(f"primitive coefficient must be finite, got {self.coefficient!r}")
+            raise STODataError(f"primitive coefficient must be finite, got {self.coefficient!r}")
         # N = (2 zeta)^{n + 1/2} / sqrt((2n)!), the norm of a lone primitive;
         # (2n)! is past the float range from n = 86 on (171! > 1.8e308), so
         # such an n is rejected before math.factorial spends superlinear time
@@ -157,7 +152,7 @@ class STOPrimitive:
             normalization = math.inf
         # an underflow to 0 would divide by zero in the norm integral
         if not 0.0 < normalization < math.inf:
-            raise STOValidationError(
+            raise STODataError(
                 f"primitive n={_int_text(self.n)} zeta={self.zeta!r} has a normalization "
                 "outside the float range"
             )
@@ -177,7 +172,7 @@ class STOOrbital:
         _store_int(self, "n", 1, math.inf, "orbital n must be a positive integer")
         _store_int(self, "l", 0, len(_L_LETTERS) - 1, "orbital l must lie in 0..{hi}")
         if self.l >= self.n:
-            raise STOValidationError(f"orbital l must be below n, got n={self.n} l={self.l}")
+            raise STODataError(f"orbital l must be below n, got n={self.n} l={self.l}")
         _store_int(
             self, "occupation", 0, self.max_occupation,
             "occupation of {record.label} must be an integer in 0..{hi}",
@@ -187,12 +182,12 @@ class STOOrbital:
             norm = self.norm_integral()
         except ArithmeticError:
             # a pair term (zeta_i + zeta_j)^{n_i + n_j + 1} of valid primitives can overflow
-            raise STOValidationError(
+            raise STODataError(
                 f"orbital {self.label} has a norm integral outside the float range"
             ) from None
         # written so that a NaN norm fails it
         if not abs(norm - 1.0) <= NORM_TOLERANCE:
-            raise STOValidationError(
+            raise STODataError(
                 f"orbital {self.label} has norm integral {norm:.8f}, "
                 f"off unity by more than {NORM_TOLERANCE:g}"
             )
@@ -233,18 +228,18 @@ class STOAtomRecord:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.element, str) and self.element.isascii() and self.element.isalpha()):
-            raise STOValidationError(f"element symbol must be ASCII letters, got {self.element!r}")
+            raise STODataError(f"element symbol must be ASCII letters, got {self.element!r}")
         _store_int(self, "atomic_number", 1, math.inf, "atomic number must be a positive integer")
         _check_records(self, "orbitals", STOOrbital, "atom", self.element)
         total = self.electron_count
         if total != self.atomic_number:
-            raise STOValidationError(
+            raise STODataError(
                 f"charge mismatch for {self.element}: occupations sum to {_int_text(total)}, "
                 f"atomic number is {_int_text(self.atomic_number)}"
             )
         ref = self.reference_hf_kinetic
         if not (_is_finite_real(ref) and ref > 0.0):
-            raise STOValidationError(
+            raise STODataError(
                 f"reference kinetic energy must be positive, got {ref!r}"
             )
 
@@ -283,19 +278,20 @@ def _parse_int(line_no: int, token: str, what: str) -> int:
 
 
 def _record_at(line_no: int, record_type: type, *fields):
-    """``record_type(*fields)``, its STODataError raised as an STOValidationError naming ``line_no``."""
+    """``record_type(*fields)``, its STODataError raised as an STOParseError naming ``line_no``."""
     try:
         return record_type(*fields)
     except STODataError as exc:
-        raise STOValidationError(f"line {line_no}: {exc}") from None
+        raise STOParseError(line_no, str(exc)) from None
 
 
 def parse_sto_text(text: str) -> list[STOAtomRecord]:
     """Parse .sto-format text, whose lines end at LF, CR LF or CR only, into validated records.
 
     The whole text is read into a tree of atoms, orbitals and primitives,
-    raising ``STOParseError`` at a structural fault, before any record is
-    built (raising ``STOValidationError``); both messages name the line.
+    its structure checked, before any record is built; a fault at either
+    step raises ``STOParseError`` naming the line, and text with no
+    ``ATOM`` record raises ``STODataError``.
     """
     atoms = []
     orbitals = primitives = None  # the lists of the open atom and the open orbital

@@ -40,11 +40,11 @@ exact at, and its ``--interp`` modes; ``table1`` and ``model`` call it
 first, so an atom it does not reach costs no quadrature.
 
 ``main`` alone turns a failure into an exit code, with one error line: a
-ValueError or OSError is a data failure, a ConvergenceError or
-ExtrapolationError a numerical one.  ``table1`` alone catches a failure
-earlier, in one atom's row: it skips that atom with the same error line,
-a ValueError counted as a data failure and a ConvergenceError as a
-numerical one, and reports the rest.
+ValueError or OSError is a data failure, a ConvergenceError (a quadrature
+gate or an extrapolation tableau) a numerical one.  ``table1`` alone
+catches a failure earlier, in one atom's row: it skips that atom with the
+same error line, a ValueError counted as a data failure and a
+ConvergenceError as a numerical one, and reports the rest.
 
 Exit codes: 0 on success, 2 for data or configuration problems, 3 when a
 numerical routine fails to converge.  Percentages in table and csv output
@@ -65,7 +65,6 @@ from typing import IO, Sequence
 from .asymptotics import (
     LADDER_SHELLS,
     MODEL_SERIES,
-    ExtrapolationError,
     figure_density_rows,
     figure_error_rows,
     fit_rows,
@@ -308,6 +307,20 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+def _integer(token: str) -> int:
+    """An integer option's value: ASCII digits after an optional sign, up to int()'s digit limit."""
+    sign, digits = (token[:1], token[1:]) if token[:1] in ("+", "-") else ("", token)
+    if digits.isascii() and digits.isdigit():
+        try:
+            # leading zeros would count against int()'s digit limit, so they are dropped first
+            return int(sign + (digits.lstrip("0") or "0"))
+        except ValueError:  # past int()'s digit limit
+            pass
+    # a token of more than 100 characters is named by its length, so the error line stays short
+    shown = repr(token) if len(token) <= 100 else f"a {len(token)}-character token"
+    raise argparse.ArgumentTypeError(f"invalid int value: {shown}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tfshell",
@@ -324,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_model = sub.add_parser("model", help="exact ladder energies and the shell correction")
     group = p_model.add_mutually_exclusive_group(required=True)
-    group.add_argument("--z", type=int, help="nuclear charge (= electron count)")
-    group.add_argument("--n-max", type=int, help="number of filled shells")
+    group.add_argument("--z", type=_integer, help="nuclear charge (= electron count)")
+    group.add_argument("--n-max", type=_integer, help="number of filled shells")
     p_model.set_defaults(run=cmd_model)
 
     p_fig = sub.add_parser("figures", help="write fig1.csv, fig1a.csv, fig2a.csv")
@@ -349,12 +362,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConvergenceError, ExtrapolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(exc, ConvergenceError) else EXIT_DATA
 
 
 if __name__ == "__main__":

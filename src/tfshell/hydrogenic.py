@@ -88,15 +88,18 @@ MAGIC_NUMBERS = tuple(electron_count(n) for n in range(1, 6))
 def shell_count_for(z: int) -> int | None:
     """Inverse of electron_count on the closed-shell sequence, else None.
 
-    Doubles a bound on the shell count, then bisects on plain ints: O(log z) steps.
+    3 electron_count(n) / 2 = n^3 + 3n^2/2 + n/2 lies in [n^3, (n+1)^3), so
+    the only candidate is the integer cube root of 3z // 2, found by
+    Newton's method on plain ints in O(log log z) steps.
     """
-    lo, hi = 1, 1
-    while electron_count(hi) < z:
-        lo, hi = hi, 2 * hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if electron_count(mid) < z else (lo, mid)
-    return hi if electron_count(hi) == z else None
+    m = 3 * z // 2
+    if m < 1:
+        return None
+    # from any x >= m^{1/3}, x -> (2x + m // x^2) // 3 falls to floor(m^{1/3}) and stops there
+    root = 1 << -(-m.bit_length() // 3)
+    while (step := (2 * root + m // (root * root)) // 3) < root:
+        root = step
+    return root if electron_count(root) == z else None
 
 
 def model_kinetic_energy(n_max: int) -> float:

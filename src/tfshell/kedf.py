@@ -95,7 +95,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
-    "GridError",
     "ConvergenceError",
     "Density",
     "Energies",
@@ -177,12 +176,8 @@ class Density(Protocol):
     def total_charge(self) -> float: ...
 
 
-class GridError(ValueError):
-    """Grid parameters that describe no grid."""
-
-
 class ConvergenceError(RuntimeError):
-    """A functional value failed its quadrature error check."""
+    """A numerical result failed its convergence check (a quadrature gate or an extrapolation tableau)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,14 +316,14 @@ def make_grid(n_points: int, r_max: float) -> RadialGrid:
 
     ``n_points`` is rounded up to a whole number of 16-point panels.  A bad
     ``n_points`` or a span that is not a finite radius > 0 raises
-    ``GridError``.  Whether the grid resolves a density is judged on the
+    ValueError.  Whether the grid resolves a density is judged on the
     values ``energies`` returns, not here.
     """
     if not isinstance(n_points, (int, np.integer)) or n_points < _PANEL_ORDER:
-        raise GridError(f"n_points must be an integer >= {_PANEL_ORDER}, got {n_points!r}")
+        raise ValueError(f"n_points must be an integer >= {_PANEL_ORDER}, got {n_points!r}")
     r_max = float(r_max)
     if not (math.isfinite(r_max) and r_max > 0.0):
-        raise GridError(f"invalid r_max {r_max!r}: need a finite radius > 0")
+        raise ValueError(f"invalid r_max {r_max!r}: need a finite radius > 0")
 
     e_at, w_kronrod, w_gauss = _panels(int(n_points))
     denom = math.expm1(_ALPHA)

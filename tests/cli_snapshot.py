@@ -101,12 +101,17 @@ def _invocations(src: Path) -> dict[str, list[str]]:
         for value in values:
             for fmt in FORMATS:
                 runs[f"model_{flag.strip('-')}{value}_{fmt}"] = ["model", flag, str(value), "--format", fmt]
-    # 10**60 electrons and 10**19 shells: the shell search outgrows sys.maxsize
+    # 10**60 electrons and 10**19 shells: shell counts past sys.maxsize
     for flag, power in (("--z", 60), ("--n-max", 19)):
         for fmt in FORMATS:
             runs[f"model_{flag.strip('-')}1e{power}_{fmt}"] = ["model", flag, str(10**power), "--format", fmt]
     # 2,000 shells hold a 6,000-digit Z, past str()'s limit, before the 40-shell cap refuses them
     runs["model_n-max_2000_digits"] = ["model", "--n-max", "9" * 2000]
+    # 4,300 shells, at int()'s digit limit, hold a 12,900-digit Z
+    runs["model_n-max_4300_digits"] = ["model", "--n-max", "9" * 4300]
+    # an integer option takes ASCII digits after a sign only, and names a long token by its length
+    runs["model_z_underscore"] = ["model", "--z", "5_4"]
+    runs["model_z_5000_digits"] = ["model", "--z", "9" * 5000]
     runs.update({f"asymptotics_{fmt}": ["asymptotics", "--format", fmt] for fmt in FORMATS})
     runs["figures"] = ["figures", "--out", "figures"]
     runs["help"] = ["--help"]

@@ -22,7 +22,6 @@ from tfshell.atomic_data import (
     STOOrbital,
     STOParseError,
     STOPrimitive,
-    STOValidationError,
     atom_density,
     load_files,
     parse_sto_text,
@@ -198,8 +197,9 @@ def test_empty_input_rejected() -> None:
     ],
 )
 def test_validation_failures_surface_through_parse(text: str, fragment: str) -> None:
-    with pytest.raises(STOValidationError, match=fragment):
+    with pytest.raises(STOParseError, match=fragment) as excinfo:
         parse_sto_text(text)
+    assert str(excinfo.value).startswith(f"line {excinfo.value.line_no}: ")
 
 
 # --- direct construction invariants ----------------------------------------
@@ -212,13 +212,13 @@ def test_primitive_normalization_closed_form() -> None:
 
 
 def test_primitive_validation() -> None:
-    with pytest.raises(STOValidationError):
+    with pytest.raises(STODataError, match="^primitive power must be a positive integer, got 0$"):
         STOPrimitive(0, 1.0, 1.0)
-    with pytest.raises(STOValidationError):
+    with pytest.raises(STODataError, match="^primitive exponent must be positive, got 0.0$"):
         STOPrimitive(1, 0.0, 1.0)
-    with pytest.raises(STOValidationError):
+    with pytest.raises(STODataError, match="^primitive exponent must be positive, got inf$"):
         STOPrimitive(1, math.inf, 1.0)
-    with pytest.raises(STOValidationError):
+    with pytest.raises(STODataError, match="^primitive coefficient must be finite, got nan$"):
         STOPrimitive(1, 1.0, math.nan)
 
 
@@ -235,23 +235,23 @@ def test_power_past_the_factorial_range_is_rejected_before_the_factorial(monkeyp
     monkeypatch.setattr(math, "factorial", float_range_factorial)
     assert STOPrimitive(85, 0.5, 1.0).normalization == math.sqrt(1.0 / factorial(170))
     for n in (86, 100_000):
-        with pytest.raises(STOValidationError, match=f"n={n} zeta=0.5 has a normalization outside the float range"):
+        with pytest.raises(STODataError, match=f"n={n} zeta=0.5 has a normalization outside the float range"):
             STOPrimitive(n, 0.5, 1.0)
 
 
 def test_nan_norm_fails_the_unit_norm_check(monkeypatch) -> None:
     monkeypatch.setattr(STOOrbital, "norm_integral", lambda self: math.nan)
-    with pytest.raises(STOValidationError, match="norm integral nan"):
+    with pytest.raises(STODataError, match="norm integral nan"):
         STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
 
 
 def test_orbital_validation() -> None:
     prim = (STOPrimitive(1, 2.0, 1.0),)
-    with pytest.raises(STOValidationError, match="below n"):
+    with pytest.raises(STODataError, match="below n"):
         STOOrbital(1, 1, 2, prim)
-    with pytest.raises(STOValidationError, match="no primitives"):
+    with pytest.raises(STODataError, match="no primitives"):
         STOOrbital(1, 0, 2, ())
-    with pytest.raises(STOValidationError, match="occupation"):
+    with pytest.raises(STODataError, match="occupation"):
         STOOrbital(2, 1, 7, (STOPrimitive(2, 2.0, 1.0),))
     assert STOOrbital(2, 1, 6, (STOPrimitive(2, 2.0, 1.0),)).max_occupation == 6
 
@@ -271,7 +271,7 @@ ONE_S = (STOPrimitive(1, 2.0, 1.0),)
 )
 def test_integer_fields_reject_bool(build, fragment) -> None:
     # bool subclasses int, so True would pass an isinstance(..., int) check
-    with pytest.raises(STOValidationError, match=fragment):
+    with pytest.raises(STODataError, match=fragment):
         build()
 
 
@@ -299,7 +299,7 @@ def test_integer_fields_take_numpy_integers(integer) -> None:
 )
 def test_float_fields_reject_bool(build, fragment) -> None:
     # True passes math.isfinite and compares above zero, so it needs its own check
-    with pytest.raises(STOValidationError, match=fragment):
+    with pytest.raises(STODataError, match=fragment):
         build()
 
 
@@ -347,19 +347,19 @@ def test_wrongly_typed_fields_raise_validation_errors(build, fragment) -> None:
     # a caller that catches STODataError, as the command line does, sees these
     # too; NaN and an int past the float range are not finite reals either, and
     # a list would be accepted and then break hash() of the frozen record
-    with pytest.raises(STOValidationError, match=fragment):
+    with pytest.raises(STODataError, match=fragment):
         build()
 
 
 def test_atom_record_validation() -> None:
     orb = STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
-    with pytest.raises(STOValidationError, match="ASCII letters"):
+    with pytest.raises(STODataError, match="ASCII letters"):
         STOAtomRecord("X1", 2, (orb,), 4.0)
-    with pytest.raises(STOValidationError, match="no orbitals"):
+    with pytest.raises(STODataError, match="no orbitals"):
         STOAtomRecord("He", 2, (), 4.0)
-    with pytest.raises(STOValidationError, match="charge mismatch"):
+    with pytest.raises(STODataError, match="charge mismatch"):
         STOAtomRecord("He", 4, (orb,), 4.0)
-    with pytest.raises(STOValidationError, match="positive"):
+    with pytest.raises(STODataError, match="positive"):
         STOAtomRecord("He", 2, (orb,), 0.0)
 
 

@@ -31,7 +31,7 @@ from tfshell.correction import (
     delta_t_exact,
 )
 from tfshell.hydrogenic import MAX_SHELLS, electron_count, model_kinetic_energy_continuous
-from tfshell.kedf import ConvergenceError, GridError
+from tfshell.kedf import ConvergenceError
 
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 
@@ -176,12 +176,14 @@ _LONG_NUMBER = "9" * 5000
         (None, MINIMAL_STO.replace("1.0\n", f"{_LONG_NUMBER}\n"), "error:"),
         # 2,000 shells hold a 6,000-digit Z, past str()'s limit
         (["model", "--n-max", "9" * 2000], None, "supported for 1..40 shells"),
+        # 4,300 shells, at int()'s limit, hold a 12,900-digit Z
+        (["model", "--n-max", "9" * 4300], None, "supported for 1..40 shells"),
         # 4,300 digits, at int()'s limit: read, then refused by the record check
         (None, MINIMAL_STO.replace("1s 2", "1s " + "9" * 4300), "got a 4300-digit number"),
     ],
     ids=["model-z", "model-n-max", "sto-atomic-number", "sto-reference-energy", "sto-label-number",
          "sto-occupation", "sto-primitive-power", "sto-exponent", "sto-coefficient",
-         "model-n-max-2000-digits", "sto-occupation-4300-digits"],
+         "model-n-max-2000-digits", "model-n-max-4300-digits", "sto-occupation-4300-digits"],
 )
 def test_a_number_past_the_int_digit_limit_is_one_error_line(argv, sto, says, tmp_path, capsys):
     # a 5000-digit number is past int()'s 4300-digit limit and past the float
@@ -192,16 +194,53 @@ def test_a_number_past_the_int_digit_limit_is_one_error_line(argv, sto, says, tm
         data.write_text(sto)
         argv = ["table1", "--data", str(data)]
     try:
-        code, width = cli.main(argv), 300
-    except SystemExit as exc:  # argparse rejects a bad option value itself, and echoes it whole
-        code, width = exc.code, math.inf
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option value itself
+        code = exc.code
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
     assert says in err.splitlines()[-1]
-    assert len(err.splitlines()[-1].encode()) < width
+    assert len(err.splitlines()[-1].encode()) < 300
+
+
+@pytest.mark.parametrize("flag", ["--z", "--n-max"])
+@pytest.mark.parametrize(
+    "token, shown",
+    [
+        # int() reads each of these as a number; an option takes ASCII digits after a sign only
+        ("5_4", "'5_4'"),
+        ("\u0665\u0664", "'\u0665\u0664'"),
+        ("\uff15\uff14", "'\uff15\uff14'"),
+        (" 54", "' 54'"),
+        ("54.0", "'54.0'"),
+        ("x" * 100, repr("x" * 100)),
+        # a longer token is named by its length
+        ("x" * 101, "a 101-character token"),
+        ("9" * 5000, "a 5000-character token"),
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth", "space", "float", "100-characters",
+         "101-characters", "5000-digits"],
+)
+def test_an_integer_option_takes_ascii_digits_after_a_sign(flag, token, shown, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["model", flag, token])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == f"tfshell model: error: argument {flag}: invalid int value: {shown}"
+
+
+def test_an_integer_option_reads_a_sign_and_leading_zeros(capsys):
+    outputs = []
+    # leading zeros do not count against int()'s digit limit, as in .sto files
+    for token in ("54", "+54", "054", "0" * 5000 + "54"):
+        assert cli.main(["model", "--z", token, "--format", "jsonl"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1:] == outputs[:1] * 3
+    assert json.loads(outputs[0].out)["z"] == 54
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7")
@@ -488,13 +527,13 @@ def test_table1_long_span_gives_finite_t4():
 
 
 def test_table1_row_value_error_is_that_atoms_error(monkeypatch, capsys):
-    # a ValueError (here a GridError) raised while one atom's row is built
+    # a ValueError raised while one atom's row is built
     # is that atom's error line; the other atoms are still reported
     build_row = cli.table1_row
 
     def row(record, delta):
         if record.element == "He":
-            raise GridError("forced grid failure")
+            raise ValueError("forced grid failure")
         return build_row(record, delta)
 
     monkeypatch.setattr(cli, "table1_row", row)
@@ -502,6 +541,26 @@ def test_table1_row_value_error_is_that_atoms_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: He: forced grid failure\n"
     assert [line.split(",")[1] for line in captured.out.splitlines()[1:]] == ["Ne"]
+
+
+def test_a_diverging_extrapolation_tableau_exits_3(monkeypatch, capsys):
+    # ladder energies with alternating 0.1% noise: the tableau of the first
+    # fit diverges, and main reports it as a numerical failure
+    ladder = cli.model_energy_sequence
+
+    def noisy(shell_counts):
+        return [
+            point._replace(t=point.t._replace(t_tf=point.t.t_tf * (1.0 + 1e-3 * (-1) ** i)))
+            for i, point in enumerate(ladder(shell_counts))
+        ]
+
+    monkeypatch.setattr(cli, "model_energy_sequence", noisy)
+    for fmt in ("table", "csv", "jsonl"):
+        assert cli.main(["asymptotics", "--format", fmt]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: extrapolation tableau diverges: correction sizes grew from ")
+        assert err.count("\n") == 1
 
 
 def test_table1_all_rows_failing_numerically_exits_3(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -36,18 +37,27 @@ def test_magic_numbers() -> None:
 
 
 def test_shell_count_for_inverts_the_sequence() -> None:
-    for n in range(1, 13):
-        assert shell_count_for(electron_count(n)) == n
-    for z in (1, 3, 9, 11, 27, 29, 59, 61, 109, 111):
-        assert shell_count_for(z) is None
+    # every charge up to 30,000: 44 shells hold 58,740 electrons
+    counts = {electron_count(n): n for n in range(1, 45)}
+    for z in range(-5, 30_000):
+        assert shell_count_for(z) == counts.get(z)
 
 
 def test_shell_count_for_inverts_counts_past_the_index_range() -> None:
-    # from 10**19 shells on, the search interval is longer than sys.maxsize
+    # from 10**19 shells on, the shell count is past sys.maxsize
     for k in range(41):
         n = 10**k
         assert shell_count_for(electron_count(n)) == n
         assert shell_count_for(electron_count(n) + 1) is None
+
+
+def test_shell_count_for_a_12900_digit_charge_is_quick() -> None:
+    # one integer cube root: a search that bisects over Z takes seconds here
+    n = 10**4299
+    started = time.perf_counter()
+    assert shell_count_for(electron_count(n)) == n
+    assert shell_count_for(electron_count(n) + 1) is None
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("n_max", [3, 3_000_000])
