@@ -14,9 +14,9 @@ Files are UTF-8 text, with or without a byte-order mark; lines end at LF,
 CR LF or CR only, and all structure is checked before any record is built.
 Numbers, orbital labels and element symbols are ASCII (a number without
 digit-group underscores); a comment may hold any UTF-8.  An integer field
-written in digits is read exactly, up to the interpreter's int limit
-(``sys.get_int_max_str_digits()``, 4300 significant digits by default);
-one written as a float, such as 2.0 or 1e2, must have an integral value.
+in digits is read exactly by ``hydrogenic._read_int``; one written as a
+float (2.0, 1e2) must have an integral value.  A message that quotes a
+token names one of more than 100 characters by its length.
 
 Each orbital's radial part is R(r) = sum_i c_i N_i r^{n_i - 1} e^{-zeta_i r}
 with N_i = (2 zeta_i)^{n_i + 1/2} / sqrt((2 n_i)!), so occupation-weighted
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -53,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .hydrogenic import _int_text
+from .hydrogenic import _int_text, _is_int, _read_int
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -85,7 +84,7 @@ _DIRECTIVE_FIELDS = {"ATOM": ("<symbol>", "<Z>", "<kinetic>"), "ORB": ("<label>"
 def _store_int(record, name: str, lo: int, hi: float, rule: str) -> None:
     """Store field ``name`` as an int if an int or numpy integer (no bool) in lo..hi, else raise ``rule``."""
     value = getattr(record, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+    if not _is_int(value) or not lo <= value <= hi:
         raise STODataError(f"{rule.format(record=record, hi=hi)}, got {_int_text(value)}")
     object.__setattr__(record, name, int(value))
 
@@ -228,7 +227,7 @@ class STOAtomRecord:
 
     def __post_init__(self) -> None:
         if not (isinstance(self.element, str) and self.element.isascii() and self.element.isalpha()):
-            raise STODataError(f"element symbol must be ASCII letters, got {self.element!r}")
+            raise STODataError(f"element symbol must be ASCII letters, got {_int_text(self.element)}")
         _store_int(self, "atomic_number", 1, math.inf, "atomic number must be a positive integer")
         _check_records(self, "orbitals", STOOrbital, "atom", self.element)
         total = self.electron_count
@@ -255,25 +254,19 @@ def _parse_float(line_no: int, token: str, what: str) -> float:
             return float(token)
         except ValueError:
             pass
-    raise STOParseError(line_no, f"{what} must be numeric, got {token!r}")
+    raise STOParseError(line_no, f"{what} must be numeric, got {_int_text(token)}")
 
 
 def _parse_int(line_no: int, token: str, what: str) -> int:
-    digits = token[1:] if token[:1] in ("+", "-") else token
-    if digits.isascii() and digits.isdigit():
-        # read exactly, past float's 53 bits and its range; leading zeros
-        # would count against int()'s limit, so they are stripped first
-        digits = digits.lstrip("0") or "0"
-        # int()'s own limit on a string; 0, or an interpreter before 3.10.7, sets none
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and len(digits) > limit:
-            raise STOParseError(line_no, f"{what} has {len(digits)} significant digits, "
-                                         f"more than the {limit} read")
-        magnitude = int(digits)
-        return -magnitude if token[0] == "-" else magnitude
+    try:
+        value = _read_int(token)
+    except ValueError as exc:  # past int()'s digit limit
+        raise STOParseError(line_no, f"{what} has {exc}") from None
+    if value is not None:
+        return value
     value = _parse_float(line_no, token, what)  # 2.0 or 1e2
     if not value.is_integer():
-        raise STOParseError(line_no, f"{what} must be an integer, got {token!r}")
+        raise STOParseError(line_no, f"{what} must be an integer, got {_int_text(token)}")
     return int(value)
 
 
@@ -302,7 +295,7 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
         tag, values = fields[0], fields[1:]
         names = _DIRECTIVE_FIELDS.get(tag)
         if names is None:
-            raise STOParseError(line_no, f"unknown directive {tag!r}")
+            raise STOParseError(line_no, f"unknown directive {_int_text(tag)}")
         if tag == "ORB" and orbitals is None:
             raise STOParseError(line_no, "ORB before any ATOM header")
         if tag == "PRM" and primitives is None:
@@ -316,10 +309,10 @@ def parse_sto_text(text: str) -> list[STOAtomRecord]:
         elif tag == "ORB":
             match = _ORBITAL_LABEL.fullmatch(values[0])
             if match is None:
-                raise STOParseError(line_no, f"orbital label must look like 2p, got {values[0]!r}")
+                raise STOParseError(line_no, f"orbital label must look like 2p, got {_int_text(values[0])}")
             letter = match.group(2)
             if letter not in _L_LETTERS:
-                raise STOParseError(line_no, f"unknown angular letter {letter!r} in {values[0]!r}")
+                raise STOParseError(line_no, f"unknown angular letter {letter!r} in {_int_text(values[0])}")
             n = _parse_int(line_no, match.group(1), "orbital n")
             occ = _parse_int(line_no, values[1], "occupation")
             primitives = []

@@ -82,7 +82,7 @@ from .correction import (
     model_row,
     table1_row,
 )
-from .hydrogenic import electron_count
+from .hydrogenic import _int_text, _read_int, electron_count
 from .kedf import ConvergenceError
 
 __all__ = ["main", "cmd_table1", "cmd_model", "cmd_figures", "cmd_asymptotics"]
@@ -128,21 +128,21 @@ def _select_records(
 ) -> tuple[list[STOAtomRecord], list[str]]:
     """The records ``atoms`` names, in its order, and the tokens that name none.
 
-    A token of ASCII digits, after an optional ``+``, names an atomic
-    number; any other token names an element symbol, whatever its case.
+    A token that ``hydrogenic._read_int`` reads names an atomic number (a
+    negative one none); any other names an element symbol, whatever its case.
     """
     if atoms is None:
         return list(records.values()), []
-    by_name: dict[str, STOAtomRecord] = {}
-    for rec in records.values():
-        by_name[rec.element.lower()] = rec
-        by_name[str(rec.atomic_number)] = rec
+    by_symbol = {rec.element.lower(): rec for rec in records.values()}
+    by_number = {rec.atomic_number: rec for rec in records.values()}
     chosen: list[STOAtomRecord] = []
     missing: list[str] = []
     for token in atoms:
-        number = token.removeprefix("+")
-        key = number.lstrip("0") if number.isascii() and number.isdigit() else token.lower()
-        rec = by_name.get(key)
+        try:
+            number = _read_int(token)
+            rec = by_symbol.get(token.lower()) if number is None else by_number.get(number)
+        except ValueError:  # past int()'s digit limit
+            rec = None
         if rec is None:
             missing.append(token)
         else:
@@ -171,7 +171,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     records = load_files(args.data) if args.data else load_bundled()
     chosen, missing = _select_records(atoms, records)
     for token in missing:
-        print(f"error: no data for atom {token!r}", file=sys.stderr)
+        print(f"error: no data for atom {_int_text(token)}", file=sys.stderr)
 
     rows: list[dict] = []
     numeric_failures = 0
@@ -308,17 +308,14 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
 
 
 def _integer(token: str) -> int:
-    """An integer option's value: ASCII digits after an optional sign, up to int()'s digit limit."""
-    sign, digits = (token[:1], token[1:]) if token[:1] in ("+", "-") else ("", token)
-    if digits.isascii() and digits.isdigit():
-        try:
-            # leading zeros would count against int()'s digit limit, so they are dropped first
-            return int(sign + (digits.lstrip("0") or "0"))
-        except ValueError:  # past int()'s digit limit
-            pass
-    # a token of more than 100 characters is named by its length, so the error line stays short
-    shown = repr(token) if len(token) <= 100 else f"a {len(token)}-character token"
-    raise argparse.ArgumentTypeError(f"invalid int value: {shown}")
+    """An integer option's value: the int that ``hydrogenic._read_int`` reads from ``token``."""
+    try:
+        value = _read_int(token)
+    except ValueError:  # past int()'s digit limit
+        value = None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_int_text(token)}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

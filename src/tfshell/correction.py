@@ -27,13 +27,12 @@ holds Table 1's one error convention, the columns ``TABLE1_ERROR_KEYS``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .asymptotics import MODEL_SERIES, model_energy_sequence, model_series
 from .atomic_data import STOAtomRecord, atom_density
 from .hydrogenic import (
     MAGIC_NUMBERS,
     _int_text,
+    _is_int,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
     shell_count_for,
@@ -96,7 +95,7 @@ def delta_t(z: int, mode: str) -> tuple[float, int | None]:
     ``hydrogenic.HydrogenicDensity``, which words it, raise ValueError
     before any quadrature.
     """
-    if isinstance(z, bool) or not isinstance(z, (int, np.integer)):
+    if not _is_int(z):
         raise ValueError(f"atomic number must be an integer, got {z!r}")
     z = int(z)
     try:

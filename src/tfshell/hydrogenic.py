@@ -24,18 +24,21 @@ charge (``asymptotics.model_energy_sequence`` describes its grid).
 This module alone decides what a shell count is: ``electron_count``
 takes a positive integer and no bool, and ``HydrogenicDensity`` also
 caps it at ``MAX_SHELLS`` and words that cap; the ladder and the
-correction pass counts on as given.  The shell kernel (per shell, two
-Laguerre recurrences of length at most n, run in one loop, and a closed
-form in their last values) is checked to 1e-13 against a 32-digit
-mpmath orbital sum at 25, 40 and 60 shells and a 40-digit mpmath closed
-form at 100.  The cap stays at 40 until the ladder's 1e-8 quadrature
-gate and its fits are checked beyond that; the kernel itself is not the
-limit.
+correction pass counts on as given.  It also owns the input rules of
+every module: ``_read_int`` reads each integer token, ``_is_int`` says
+what value is an integer, and ``_int_text`` shows either in a message.
+The shell kernel (per shell, two Laguerre recurrences of length at most
+n, run in one loop, and a closed form in their last values) is checked
+to 1e-13 against a 32-digit mpmath orbital sum at 25, 40 and 60 shells
+and a 40-digit mpmath closed form at 100.  The cap stays at 40 until the
+ladder's 1e-8 quadrature gate and its fits are checked beyond that; the
+kernel itself is not the limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -53,18 +56,20 @@ __all__ = [
 
 MAX_SHELLS = 40
 
-# the widest integer a message prints in full: far below the interpreter's
+# the widest integer or token a message prints in full: far below the
 # int-to-str limit (640 digits at the least), so str() never raises there
-_MESSAGE_DIGITS = 100
+_MESSAGE_WIDTH = 100
 
 
 def _int_text(value) -> str:
-    """``repr(value)``, but an int of more than 100 digits as its digit count.
+    """``repr(value)``, but an int past 100 digits or a str past 100 characters by its size.
 
-    The messages that show an input integer, or one computed from it, call
-    this, so none outgrows a line or fails in str().
+    The messages that show an input integer or token, or an integer
+    computed from one, call this, so none outgrows a line or fails in str().
     """
-    if not isinstance(value, int) or abs(value) < 10**_MESSAGE_DIGITS:
+    if isinstance(value, str):
+        return repr(value) if len(value) <= _MESSAGE_WIDTH else f"a {len(value)}-character token"
+    if not isinstance(value, int) or abs(value) < 10**_MESSAGE_WIDTH:
         return repr(value)
     magnitude = abs(value)
     # log10 rounds, so one comparison settles the count at a power of ten
@@ -73,9 +78,30 @@ def _int_text(value) -> str:
     return f"a {digits}-digit {'negative ' if value < 0 else ''}number"
 
 
+def _is_int(value) -> bool:
+    """True for an int or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _read_int(token: str) -> int | None:
+    """The int ``token`` writes in ASCII digits after an optional sign, else None.
+
+    ValueError counts its significant digits if int() would refuse them.
+    """
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    digits = digits.lstrip("0") or "0"  # leading zeros would count against int()'s limit
+    # that limit on a string; 0, or an interpreter before 3.10.7, sets none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise ValueError(f"{len(digits)} significant digits, more than the {limit} read")
+    return -int(digits) if token[0] == "-" else int(digits)
+
+
 def electron_count(n_max: int) -> int:
     """Electrons in shells 1..n_max filled completely: sum of 2 n^2."""
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {_int_text(n_max)}")
     n = int(n_max)
     return n * (n + 1) * (2 * n + 1) // 3

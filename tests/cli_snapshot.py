@@ -9,7 +9,10 @@ directory ``OUTDIR/NAME``, and leaves there its ``stdout``, ``stderr`` and
 ``figures/``, and each ``table1_data_*`` run reads the ``bad.sto`` written
 into its directory first, by a relative path, so that no byte depends on
 where the tree sits.  The bundled he.sto and ne.sto that some runs read
-come from PATH too.  Give NAMEs to run only those.
+come from PATH too.  Give NAMEs to run only those.  Three runs,
+``table1_data_long_directive``, ``table1_data_long_exponent`` and
+``table1_atoms_101_letters``, show that an error message names a token of
+more than 100 characters by its length.
 One invocation list thus serves both sides of a byte gate: snapshot this
 checkout, then another with ``--src``, and compare the two output
 directories byte for byte with ``diff -r``.
@@ -40,8 +43,9 @@ def _data_files(src: Path) -> dict[str, bytes]:
     round, an orbital label whose 5,000-digit number is past int()'s
     digit limit, an occupation of 400 digits, past the float range but
     read exactly, one of 4,300 digits, at int()'s default limit, which the
-    record check names by its digit count, and a primitive power whose
-    (2n)! is past the float range.
+    record check names by its digit count, a primitive power whose (2n)!
+    is past the float range, and a 5,000-character directive and exponent,
+    which their messages name by length.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -73,6 +77,8 @@ def _data_files(src: Path) -> dict[str, bytes]:
         "fullwidth_digit": HELIUM.replace("2.0 1.0", "2.0 \uff11.0"),
         "arabic_indic_label": HELIUM.replace("1s", "\u0661s"),
         "greek_symbol": HELIUM.replace("He", "\u0397e"),
+        "long_directive": HELIUM.replace("ATOM", "W" * 5000),
+        "long_exponent": HELIUM.replace("PRM 1 2.0", "PRM 1 " + "x" * 5000),
     }
     files = {f"table1_data_{key}": text.encode() for key, text in texts.items()}
     files["table1_data_not_utf8"] = HELIUM.encode("utf-16")
@@ -93,8 +99,9 @@ def _invocations(src: Path) -> dict[str, list[str]]:
         "table1_atoms": ["table1", "--atoms", "Xe,Li,Ne,He"],
         "table1_atoms_og": ["table1", "--atoms", "Og"],
         "table1_atoms_numbers": ["table1", "--atoms", "+010,02,36,-2,Og"],
-        # past int()'s 4300-digit limit
+        # past int()'s 4300-digit limit; this token and one of 101 letters are named by length
         "table1_atoms_long_number": ["table1", "--atoms", "1" * 5000],
+        "table1_atoms_101_letters": ["table1", "--atoms", "x" * 101],
         "table1_data_ne_jsonl": ["table1", "--data", bundled_neon, "--format", "jsonl"],
     }
     for flag, values in (("--z", (1, 2, 54, 61, 110, 111, 0)), ("--n-max", (1, 10, 40, 41))):

@@ -15,6 +15,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -30,7 +31,7 @@ from tfshell.correction import (
     delta_t,
     delta_t_exact,
 )
-from tfshell.hydrogenic import MAX_SHELLS, electron_count, model_kinetic_energy_continuous
+from tfshell.hydrogenic import MAX_SHELLS, _int_text, electron_count, model_kinetic_energy_continuous
 from tfshell.kedf import ConvergenceError
 
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
@@ -159,6 +160,25 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path: Path):
     assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
+def _assert_one_short_error_line(argv, sto, says, tmp_path, capsys):
+    """Run ``argv``, or ``table1`` on the .sto text ``sto``: exit 2 and one error line saying ``says``."""
+    if argv is None:
+        data = tmp_path / "long.sto"
+        data.write_text(sto)
+        argv = ["table1", "--data", str(data)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a bad option value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert says in err.splitlines()[-1]
+    assert len(err.splitlines()[-1].encode()) < 300
+
+
 _LONG_NUMBER = "9" * 5000
 
 
@@ -189,21 +209,34 @@ def test_a_number_past_the_int_digit_limit_is_one_error_line(argv, sto, says, tm
     # a 5000-digit number is past int()'s 4300-digit limit and past the float
     # range; each numeric input answers it with exit 2 and one short error
     # line, which names a long integer by its digit count
-    if argv is None:
-        data = tmp_path / "long.sto"
-        data.write_text(sto)
-        argv = ["table1", "--data", str(data)]
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects a bad option value itself
-        code = exc.code
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
-    assert says in err.splitlines()[-1]
-    assert len(err.splitlines()[-1].encode()) < 300
+    _assert_one_short_error_line(argv, sto, says, tmp_path, capsys)
+
+
+_LONG_WORD = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, sto",
+    [
+        (None, MINIMAL_STO.replace("ATOM", "W" * 5000)),
+        (None, MINIMAL_STO.replace("1s", "s" * 5000)),
+        (None, MINIMAL_STO.replace("1s", "1" * 4999 + "k")),
+        (None, MINIMAL_STO.replace("2.0 1.0", f"{_LONG_WORD} 1.0")),
+        (None, MINIMAL_STO.replace("4.0", _LONG_WORD)),
+        (None, MINIMAL_STO.replace("1s 2", f"1s {_LONG_WORD}")),
+        (None, MINIMAL_STO.replace("1s 2", "1s 2." + "5" * 4998)),
+        (None, MINIMAL_STO.replace("He", "H" * 4999 + "1")),
+        (["table1", "--atoms", _LONG_WORD], None),
+        (["table1", "--atoms", "1" * 5000], None),
+    ],
+    ids=["sto-directive", "sto-orbital-label", "sto-angular-letter", "sto-exponent",
+         "sto-reference-energy", "sto-occupation", "sto-non-integral-occupation",
+         "sto-element-symbol", "atoms-letters", "atoms-digits"],
+)
+def test_a_long_token_is_one_error_line(argv, sto, tmp_path, capsys):
+    # every message that quotes a token of more than 100 characters, from
+    # the command line or a .sto file, names it by its length instead
+    _assert_one_short_error_line(argv, sto, "a 5000-character token", tmp_path, capsys)
 
 
 @pytest.mark.parametrize("flag", ["--z", "--n-max"])
@@ -241,6 +274,77 @@ def test_an_integer_option_reads_a_sign_and_leading_zeros(capsys):
         outputs.append(capsys.readouterr())
     assert outputs[1:] == outputs[:1] * 3
     assert json.loads(outputs[0].out)["z"] == 54
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="the 4301-digit token is past int()'s default digit limit only")
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("10", 10),
+        ("+010", 10),
+        ("0" * 700 + "10", 10),
+        ("-10", -10),
+        ("1_0", None),
+        ("\u0661\u0660", None),
+        ("\uff11\uff10", None),
+        ("+", None),
+        ("-", None),
+        ("9" * 4300, 10**4300 - 1),
+        ("9" * 4301, None),
+    ],
+    ids=["plain", "sign-and-zero", "700-zeros", "negative", "underscore", "arabic-indic", "fullwidth",
+         "plus", "minus", "4300-nines", "4301-nines"],
+)
+def test_every_integer_site_reads_a_token_alike(token, value, tmp_path, capsys):
+    # model --z, table1 --atoms and a .sto atomic number share one reader:
+    # each reads the int ``value`` from ``token``, or, where it is None,
+    # refuses the token with that site's own not-an-integer message
+    shown = _int_text(token)
+    try:
+        code = cli.main(["model", "--z", token, "--format", "jsonl"])
+    except SystemExit as exc:  # argparse refuses the value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    if value is None:
+        assert (code, err.splitlines()[-1]) == (2, f"tfshell model: error: argument --z: invalid int value: {shown}")
+    elif value == 10:
+        assert (code, json.loads(out)["z"]) == (0, 10)
+    else:
+        side = "below" if value < 1 else "beyond"
+        assert (code, err) == (
+            2, f"error: Z={_int_text(value)} is not a filled-shell count and lies {side} "
+               "the interpolation range (1..110)\n"
+        )
+
+    # --atoms prints the same line for a number that names no atom and for an
+    # unknown symbol, so stand-in records at every read value show the reading
+    stand_ins = {
+        symbol: types.SimpleNamespace(element=symbol, atomic_number=z)
+        for symbol, z in (("Ne", 10), ("Neg", -10), ("Big", 10**4300 - 1))
+    }
+    chosen, _ = cli._select_records([token], stand_ins)
+    assert [rec.atomic_number for rec in chosen] == ([] if value is None else [value])
+    code = cli.main(["table1", "--atoms", token, "--format", "jsonl"])
+    out, err = capsys.readouterr()
+    if value == 10:
+        assert (code, json.loads(out)["atom"]) == (0, "Ne")
+    else:
+        assert (code, out, err) == (2, "", f"error: no data for atom {shown}\n")
+
+    data = tmp_path / "z.sto"
+    data.write_text(MINIMAL_STO.replace("He 2", f"He {token}"), encoding="utf-8")
+    assert cli.main(["table1", "--data", str(data)]) == 2
+    err = capsys.readouterr().err.removeprefix(f"error: {data}: line 1: ")
+    if value is None:
+        assert re.fullmatch(
+            rf"atomic number (must be numeric, got {re.escape(shown)}|has \d+ significant digits, more than the 4300 read)\n",
+            err,
+        )
+    elif value < 1:
+        assert err == f"atomic number must be a positive integer, got {value}\n"
+    else:
+        assert err == f"charge mismatch for He: occupations sum to 2, atomic number is {_int_text(value)}\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7")
@@ -347,12 +451,14 @@ def test_table1_unknown_atom_exits_data():
     assert proc.returncode == 2
     assert "no data for atom 'Al'" in proc.stderr
     assert proc.stdout == ""
-    # only ASCII digits after an optional + name an atomic number, and a
-    # number past int()'s 4300-digit limit is looked up like any other
-    for token in ("-2", "+-5", "²", "٣", "1" * 5000):
+    # only ASCII digits after an optional sign name an atomic number, a
+    # negative one none, and a number past int()'s 4300-digit limit names
+    # none either; a token of more than 100 characters is named by its length
+    for token, shown in (("-2", "'-2'"), ("+-5", "'+-5'"), ("²", "'²'"), ("٣", "'٣'"),
+                         ("1" * 5000, "a 5000-character token")):
         proc = run_cli("table1", f"--atoms={token}")
         assert proc.returncode == 2
-        assert proc.stderr == f"error: no data for atom {token!r}\n"
+        assert proc.stderr == f"error: no data for atom {shown}\n"
         assert proc.stdout == ""
 
 

@@ -1,10 +1,13 @@
 """Closed-shell model: shell counting, orbitals, and the assembled density."""
 
+import ast
 import functools
 import math
+import sys
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from tfshell.hydrogenic import (
     MAX_SHELLS,
     HydrogenicDensity,
     _int_text,
+    _is_int,
+    _read_int,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
@@ -87,14 +92,84 @@ def test_electron_count_rejects_bad_input(bad) -> None:
         (np.int64(7), repr(np.int64(7))),
         (2.5, "2.5"),
         ("3", "'3'"),
+        ("x" * 100, repr("x" * 100)),
+        ("x" * 101, "a 101-character token"),
+        ("9" * 5000, "a 5000-character token"),
     ],
     ids=["100-digits", "negative-100-digits", "101-digits", "999-digits", "1000-digits",
-         "negative-6000-digits", "numpy-int", "float", "str"],
+         "negative-6000-digits", "numpy-int", "float", "str", "100-characters", "101-characters",
+         "5000-characters"],
 )
 def test_int_text_names_a_long_integer_by_its_digit_count(value, text) -> None:
     # up to 100 digits a message prints repr(); past them, a digit count that
-    # is exact on both sides of a power of ten, without calling str()
+    # is exact on both sides of a power of ten, without calling str(); a str
+    # of more than 100 characters is named by its length
     assert _int_text(value) == text
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("54", 54),
+        ("+054", 54),
+        ("-054", -54),
+        ("-0", 0),
+        ("0" * 5000 + "7", 7),
+        ("", None),
+        ("+", None),
+        ("+-5", None),
+        ("5_4", None),
+        (" 54", None),
+        ("54.0", None),
+        ("\u0665\u0664", None),
+        ("\uff15\uff14", None),
+        ("\u00b2", None),
+    ],
+)
+def test_read_int_takes_ascii_digits_after_a_sign(token, value) -> None:
+    assert _read_int(token) == value
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit before 3.10.7")
+def test_read_int_counts_the_digits_past_the_limit() -> None:
+    # leading zeros do not count; one significant digit past the limit raises
+    limit = sys.get_int_max_str_digits()
+    assert _read_int("0" * 10 + "9" * limit) == 10**limit - 1
+    with pytest.raises(ValueError, match=rf"^{limit + 1} significant digits, more than the {limit} read$"):
+        _read_int("-" + "0" * 10 + "9" * (limit + 1))
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(7, True), (-(10**400), True), (np.int64(7), True), (np.uint8(7), True), (True, False),
+     (np.bool_(True), False), (7.0, False), ("7", False), (None, False)],
+)
+def test_is_int_takes_ints_and_numpy_integers_but_no_bool(value, expected) -> None:
+    assert _is_int(value) is expected
+
+
+def test_one_function_owns_each_input_rule() -> None:
+    # the digit rule, the int-not-bool check and the integer-in-a-message rule
+    # each live in one function of hydrogenic; atomic_data._is_finite_real
+    # keeps its own bool test for real values
+    owners = set()
+    for path in sorted(Path(_kernels.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Constant) and "-character token" in str(node.value):
+                    owners.add(f"{path.stem}.{func.name}")
+                if not isinstance(node, ast.Call):
+                    continue
+                text = ast.unparse(node)
+                if (text.endswith(".isdigit()") or "get_int_max_str_digits" in text
+                        or (text.startswith("isinstance(") and text.endswith(", bool)"))):
+                    owners.add(f"{path.stem}.{func.name}")
+    assert owners == {
+        "hydrogenic._read_int", "hydrogenic._is_int", "hydrogenic._int_text", "atomic_data._is_finite_real"
+    }
 
 
 def test_configuration_validation() -> None:
