@@ -52,7 +52,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .hydrogenic import _int_text, _is_int, _read_int
+from .hydrogenic import _MESSAGE_WIDTH, _int_text, _is_int, _read_int
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -228,6 +228,10 @@ class STOAtomRecord:
     def __post_init__(self) -> None:
         if not (isinstance(self.element, str) and self.element.isascii() and self.element.isalpha()):
             raise STODataError(f"element symbol must be ASCII letters, got {_int_text(self.element)}")
+        if len(self.element) > _MESSAGE_WIDTH:
+            raise STODataError(
+                f"element symbol must be at most {_MESSAGE_WIDTH} letters, got {_int_text(self.element)}"
+            )
         _store_int(self, "atomic_number", 1, math.inf, "atomic number must be a positive integer")
         _check_records(self, "orbitals", STOOrbital, "atom", self.element)
         total = self.electron_count

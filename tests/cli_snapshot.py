@@ -1,37 +1,48 @@
-"""Write what the command line prints for a fixed list of invocations.
+"""Run a fixed list of command-line invocations and keep what they print in one golden file.
 
-Usage: python tests/cli_snapshot.py [--src PATH] OUTDIR [NAME ...]
+Usage: python tests/cli_snapshot.py GOLDEN [NAME ...]
 
-Each invocation runs ``python -m tfshell.cli`` from the ``src`` tree of
-the checkout at PATH (by default the one holding this script), in its own
-directory ``OUTDIR/NAME``, and leaves there its ``stdout``, ``stderr`` and
-``exit_code``; the ``figures`` run also leaves its three CSV files under
-``figures/``, and each ``table1_data_*`` run reads the ``bad.sto`` written
-into its directory first, by a relative path, so that no byte depends on
-where the tree sits.  The bundled he.sto and ne.sto that some runs read
-come from PATH too.  Give NAMEs to run only those.  Three runs,
-``table1_data_long_directive``, ``table1_data_long_exponent`` and
-``table1_atoms_101_letters``, show that an error message names a token of
-more than 100 characters by its length.
-One invocation list thus serves both sides of a byte gate: snapshot this
-checkout, then another with ``--src``, and compare the two output
-directories byte for byte with ``diff -r``.
+Each invocation calls ``tfshell.cli.main`` in this process, in a temporary
+working directory of its own, with ``COLUMNS=80``.  GOLDEN, a JSON file keyed
+by invocation name, keeps its exit code, stdout, stderr and each CSV file it
+wrote (``figures``', by path), each as a list of lines.  Each
+``table1_data_*`` run reads the ``bad.sto`` written into its directory first,
+by a relative path, so that no byte depends on where the tree sits.  Give
+NAMEs to rewrite only their entries.  ``differences`` compares two such files
+by value (README, "Reproducibility"); Tier-1 checks ``cli_golden.json`` so.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import itertools
+import json
+import math
 import os
-import subprocess
-import sys
+import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
-TREE = Path(__file__).resolve().parents[1]
+from tfshell import cli
+
+DATA = Path(cli.__file__).parent / "data"
 FORMATS = ("table", "csv", "jsonl")
 HELIUM = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
+# BLAS kernels and SIMD loops moved numbers by <= 2.45e-12 relative, asymptotics fits by 1.85e-7
+REL_TOL, ASYMPTOTICS_ABS_TOL = 1e-11, 1e-6
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# entries that argparse words in part, and Python versions word differently
+_USAGE_ENTRY = re.compile(r"help|\w+_help|no_command|table1_bogus|model_no_selector|model_z_\w+")
+# its usage block, blank lines, section headings, -h's help and command list
+_ARGPARSE_LINE = re.compile(r"usage: .*|\s+[\[(].*|\s*|[a-z ]+:|  -h, --help .*|  \{.*\}")
+# its error lines, where only a message after "argument --z: " is the package's
+_ARGPARSE_ERROR = re.compile(r"tfshell(?: \w+)?: error: (?:argument \S+: (?P<package>.*\n?))?")
 
 
-def _data_files(src: Path) -> dict[str, bytes]:
+def _data_files() -> dict[str, bytes]:
     """Snapshot name -> the ``bad.sto`` its ``table1 --data bad.sto`` run reads.
 
     One file per distinct parse, empty-input or decode message, one per
@@ -44,8 +55,8 @@ def _data_files(src: Path) -> dict[str, bytes]:
     digit limit, an occupation of 400 digits, past the float range but
     read exactly, one of 4,300 digits, at int()'s default limit, which the
     record check names by its digit count, a primitive power whose (2n)!
-    is past the float range, and a 5,000-character directive and exponent,
-    which their messages name by length.
+    is past the float range, and a 5,000-character directive, exponent and
+    element symbol, which their messages name by length.
     """
     texts = {
         "unknown_directive": "WAT He 2 4.0\n",
@@ -79,19 +90,20 @@ def _data_files(src: Path) -> dict[str, bytes]:
         "greek_symbol": HELIUM.replace("He", "\u0397e"),
         "long_directive": HELIUM.replace("ATOM", "W" * 5000),
         "long_exponent": HELIUM.replace("PRM 1 2.0", "PRM 1 " + "x" * 5000),
+        "long_symbol": HELIUM.replace("He", "X" * 5000),
     }
     files = {f"table1_data_{key}": text.encode() for key, text in texts.items()}
     files["table1_data_not_utf8"] = HELIUM.encode("utf-16")
-    helium = (src / "tfshell" / "data" / "he.sto").read_bytes()
+    helium = (DATA / "he.sto").read_bytes()
     files["table1_data_byte_order_mark"] = b"\xef\xbb\xbf" + helium
     files["table1_data_utf8_comment"] = "# H\u00e9lium, \u0396 = \u0662\n".encode() + helium
     files["table1_data_low_reference"] = helium.replace(b"ATOM He 2 2.8617128", b"ATOM He 2 1.0")
     return files
 
 
-def _invocations(src: Path) -> dict[str, list[str]]:
+def _invocations() -> dict[str, list[str]]:
     """Snapshot name -> CLI arguments."""
-    bundled_neon = str(src / "tfshell" / "data" / "ne.sto")
+    bundled_neon = str(DATA / "ne.sto")
     runs = {
         **{f"table1_{fmt}": ["table1", "--format", fmt] for fmt in FORMATS},
         "table1_published": ["table1", "--interp", "published"],
@@ -127,46 +139,73 @@ def _invocations(src: Path) -> dict[str, list[str]]:
     runs["no_command"] = []
     runs["table1_bogus"] = ["table1", "--bogus"]
     runs["model_no_selector"] = ["model"]
-    runs.update((name, ["table1", "--data", "bad.sto"]) for name in _data_files(src))
+    runs.update((name, ["table1", "--data", "bad.sto"]) for name in _data_files())
     return runs
 
 
-def snapshot(out_dir: Path, names: list[str] | None = None, tree: Path = TREE) -> list[str]:
-    """Run the invocations called ``names`` (all by default) into ``out_dir``; return their names.
-
-    Each runs the command line of the ``src`` tree of the checkout ``tree``.
-    """
-    src = tree / "src"
-    runs, data_files = _invocations(src), _data_files(src)
-    unknown = sorted(set(names or ()) - set(runs))
-    if unknown:
-        raise ValueError(f"unknown invocation {', '.join(unknown)}; known: {', '.join(runs)}")
+def run(names: list[str] | None = None) -> dict[str, dict]:
+    """Golden entries of the invocations called ``names`` (all by default), run in this process."""
+    runs, data_files, entries, home = _invocations(), _data_files(), {}, os.getcwd()
     # argparse wraps help and usage text to COLUMNS
-    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
-    chosen = names or list(runs)
-    for name in chosen:
-        run_dir = out_dir / name
-        run_dir.mkdir(parents=True, exist_ok=True)
-        if name in data_files:
-            (run_dir / "bad.sto").write_bytes(data_files[name])
-        proc = subprocess.run(
-            [sys.executable, "-m", "tfshell.cli", *runs[name]],
-            capture_output=True,
-            cwd=run_dir,
-            env=env,
-        )
-        (run_dir / "stdout").write_bytes(proc.stdout)
-        (run_dir / "stderr").write_bytes(proc.stderr)
-        (run_dir / "exit_code").write_text(f"{proc.returncode}\n")
-    return chosen
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for name in names or runs:
+            out, err = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as work:
+                os.chdir(work)
+                try:
+                    if name in data_files:
+                        Path("bad.sto").write_bytes(data_files[name])
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(runs[name])
+                except SystemExit as exc:  # argparse exits after help and usage
+                    code = exc.code
+                finally:
+                    os.chdir(home)
+                texts = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+                csvs = sorted(Path(work).rglob("*.csv"))
+                texts.update((path.relative_to(work).as_posix(), path.read_bytes().decode()) for path in csvs)
+            entries[name] = {"exit_code": code, **{part: text.splitlines(keepends=True) for part, text in texts.items()}}
+    return entries
+
+
+def _package_lines(lines: list[str]) -> list[str]:
+    """``lines`` without what argparse words: ``_ARGPARSE_LINE`` and the head of ``_ARGPARSE_ERROR``."""
+    lines = [(error["package"] or "") if (error := _ARGPARSE_ERROR.match(line)) else line for line in lines]
+    return [line for line in lines if not _ARGPARSE_LINE.fullmatch(line.rstrip("\n"))]
+
+
+def _difference(name: str, want: dict | None, got: dict | None) -> str | None:
+    """How entry ``got`` first differs from the golden ``want``, or None."""
+    if want is None or got is None:
+        return "not run" if got is None else "not in the golden file"
+    if (got["exit_code"], sorted(got)) != (want["exit_code"], sorted(want)):
+        return f"exit code {got['exit_code']} with {sorted(got)}, not {want['exit_code']} with {sorted(want)}"
+    abs_tol = ASYMPTOTICS_ABS_TOL if name.startswith("asymptotics_") else 0.0
+    for part in sorted(want.keys() - {"exit_code"}):
+        lines = [_package_lines(entry[part]) if _USAGE_ENTRY.fullmatch(name) else entry[part] for entry in (want, got)]
+        for number, (a, b) in enumerate(itertools.zip_longest(*lines, fillvalue=""), 1):
+            # the same text between number tokens, and each number, unless it reads as inf, within tolerance
+            if _NUMBER.split(a) != _NUMBER.split(b) or not all(
+                x == y or math.isfinite(float(x)) and math.isclose(float(x), float(y), rel_tol=REL_TOL, abs_tol=abs_tol)
+                for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))
+            ):
+                return f"{part} line {number} is {b!r}, not {a!r}"
+    return None
+
+
+def differences(golden: dict[str, dict], entries: dict[str, dict]) -> dict[str, str]:
+    """Name -> how the entry differs, for each entry of ``golden`` or ``entries`` that differs or is missing."""
+    names = sorted(golden.keys() | entries.keys())
+    return {name: found for name in names if (found := _difference(name, golden.get(name), entries.get(name)))}
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=TREE, metavar="PATH",
-                        help="checkout whose src tree runs (default: the one holding this script)")
-    parser.add_argument("out_dir", type=Path, metavar="OUTDIR")
+    parser.add_argument("golden", type=Path, metavar="GOLDEN")
     parser.add_argument("names", nargs="*", default=[], metavar="NAME")
     args = parser.parse_args()
-    for name in snapshot(args.out_dir, args.names, args.src.resolve()):
-        print(name)
+    entries = json.loads(args.golden.read_text()) if args.names and args.golden.exists() else {}
+    entries.update(run(args.names))
+    # one line per output line, so a moved number is one changed line in a diff
+    args.golden.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(*(args.names or entries), sep="\n")

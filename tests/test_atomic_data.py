@@ -355,6 +355,9 @@ def test_atom_record_validation() -> None:
     orb = STOOrbital(1, 0, 2, (STOPrimitive(1, 2.0, 1.0),))
     with pytest.raises(STODataError, match="ASCII letters"):
         STOAtomRecord("X1", 2, (orb,), 4.0)
+    assert STOAtomRecord("X" * 100, 2, (orb,), 4.0).element == "X" * 100
+    with pytest.raises(STODataError, match="^element symbol must be at most 100 letters, got a 101-character token$"):
+        STOAtomRecord("X" * 101, 2, (orb,), 4.0)
     with pytest.raises(STODataError, match="no orbitals"):
         STOAtomRecord("He", 2, (), 4.0)
     with pytest.raises(STODataError, match="charge mismatch"):

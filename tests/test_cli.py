@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_snapshot
 from tfshell import asymptotics, cli, correction
 from tfshell.correction import (
     DEFAULT_MODE,
@@ -226,12 +227,13 @@ _LONG_WORD = "x" * 5000
         (None, MINIMAL_STO.replace("1s 2", f"1s {_LONG_WORD}")),
         (None, MINIMAL_STO.replace("1s 2", "1s 2." + "5" * 4998)),
         (None, MINIMAL_STO.replace("He", "H" * 4999 + "1")),
+        (None, MINIMAL_STO.replace("He", "X" * 5000)),
         (["table1", "--atoms", _LONG_WORD], None),
         (["table1", "--atoms", "1" * 5000], None),
     ],
     ids=["sto-directive", "sto-orbital-label", "sto-angular-letter", "sto-exponent",
          "sto-reference-energy", "sto-occupation", "sto-non-integral-occupation",
-         "sto-element-symbol", "atoms-letters", "atoms-digits"],
+         "sto-element-symbol", "sto-long-element-symbol", "atoms-letters", "atoms-digits"],
 )
 def test_a_long_token_is_one_error_line(argv, sto, tmp_path, capsys):
     # every message that quotes a token of more than 100 characters, from
@@ -388,30 +390,54 @@ def test_only_kedf_calls_make_grid():
     assert callers == []
 
 
+_GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+def test_every_invocation_matches_the_golden_file():
+    # the command line's one byte gate; cli_snapshot.py regenerates it (README, "Reproducibility")
+    assert cli_snapshot.differences(_GOLDEN, cli_snapshot.run()) == {}
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        pytest.param("table1_table", "0.59      3.6", "0.59      3.7", id="he-t4-cell-digit"),
+        pytest.param("asymptotics_table", "fitted  1.14471433", "fitted  1.14472433", id="fit-moved-1e-5"),
+        pytest.param("table1_atoms_og", "for atom 'Og'", "for atoms 'Og'", id="text-byte"),
+        pytest.param("figures", '"exit_code": 0', '"exit_code": 1', id="exit-code"),
+    ],
+)
+def test_the_golden_comparison_names_a_changed_entry(name, old, new):
+    entry = json.dumps(_GOLDEN[name])
+    assert old in entry
+    moved = {**_GOLDEN, name: json.loads(entry.replace(old, new))}
+    assert list(cli_snapshot.differences(_GOLDEN, moved)) == [name]
+
+
+def test_the_golden_comparison_passes_numbers_within_its_tolerance():
+    def scaled(line):
+        return cli_snapshot._NUMBER.sub(lambda m: repr(float(m[0]) * (1 + 1e-13)), line)
+
+    moved = {name: {part: value if part == "exit_code" else [*map(scaled, value)] for part, value in entry.items()}
+             for name, entry in _GOLDEN.items()}
+    assert moved != _GOLDEN
+    assert cli_snapshot.differences(_GOLDEN, moved) == {}
+
+
 def test_cli_snapshot_script_runs(tmp_path: Path):
-    # tests/cli_snapshot.py writes the byte gates' snapshots; two of its
-    # invocations keep it in step with the command line, and --src pointed at
-    # this checkout writes the same files as the default run
+    # the script writes the golden entries it is named, and python -m prints what they hold
     script = Path(__file__).with_name("cli_snapshot.py")
     names = ["model_z2_jsonl", "table1_atoms_og"]
-    written = {}
-    for run, options in (("default", []), ("src", ["--src", str(Path(__file__).resolve().parents[1])])):
-        out = tmp_path / run
-        proc = subprocess.run(
-            [sys.executable, str(script), *options, str(out), *names], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == names
-        assert sorted(path.name for path in out.iterdir()) == names
-        written[run] = {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*") if path.is_file()}
-    assert written["src"] == written["default"]
-    model, og = (tmp_path / "default" / name for name in names)
-    assert (model / "exit_code").read_text() == "0\n"
-    assert (model / "stderr").read_text() == ""
-    assert json.loads((model / "stdout").read_text())["delta_kind"] == "exact at 1 filled shells"
-    assert (og / "exit_code").read_text() == "2\n"
-    assert (og / "stderr").read_text() == "error: no data for atom 'Og'\n"
-    assert (og / "stdout").read_text() == ""
+    out = tmp_path / "golden.json"
+    proc = subprocess.run([sys.executable, str(script), str(out), *names], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == names
+    written = json.loads(out.read_text())
+    assert cli_snapshot.differences({name: _GOLDEN[name] for name in names}, written) == {}
+    for name in names:
+        proc = run_cli(*cli_snapshot._invocations()[name])
+        streams = {"stdout": proc.stdout.splitlines(True), "stderr": proc.stderr.splitlines(True)}
+        assert written[name] == {"exit_code": proc.returncode, **streams}
 
 
 # -- table1 ----------------------------------------------------------------
