@@ -2,9 +2,10 @@
 
 Usage: python tests/cli_snapshot.py GOLDEN [NAME ...]
 
-Each invocation calls ``tfshell.cli.main`` in this process, in a temporary
-working directory of its own, with ``COLUMNS=80``.  GOLDEN, a JSON file keyed
-by invocation name, keeps its exit code, stdout, stderr and each CSV file it
+Each invocation calls ``tfshell.cli.main`` in this process through
+``invoke``, the runner the command-line tests share, in a temporary working
+directory of its own, with ``COLUMNS=80``.  GOLDEN, a JSON file keyed by
+invocation name, keeps its exit code, stdout, stderr and each CSV file it
 wrote (``figures``', by path), each as a list of lines.  Each
 ``table1_data_*`` run reads the ``bad.sto`` written into its directory first,
 by a relative path, so that no byte depends on where the tree sits.  Give
@@ -143,25 +144,32 @@ def _invocations() -> dict[str, list[str]]:
     return runs
 
 
+def invoke(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``tfshell.cli.main(argv)``, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:  # argparse exits after help and usage
+        code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def run(names: list[str] | None = None) -> dict[str, dict]:
     """Golden entries of the invocations called ``names`` (all by default), run in this process."""
     runs, data_files, entries, home = _invocations(), _data_files(), {}, os.getcwd()
     # argparse wraps help and usage text to COLUMNS
     with mock.patch.dict(os.environ, COLUMNS="80"):
         for name in names or runs:
-            out, err = io.StringIO(), io.StringIO()
             with tempfile.TemporaryDirectory() as work:
                 os.chdir(work)
                 try:
                     if name in data_files:
                         Path("bad.sto").write_bytes(data_files[name])
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(runs[name])
-                except SystemExit as exc:  # argparse exits after help and usage
-                    code = exc.code
+                    code, out, err = invoke(runs[name])
                 finally:
                     os.chdir(home)
-                texts = {"stdout": out.getvalue(), "stderr": err.getvalue()}
+                texts = {"stdout": out, "stderr": err}
                 csvs = sorted(Path(work).rglob("*.csv"))
                 texts.update((path.relative_to(work).as_posix(), path.read_bytes().decode()) for path in csvs)
             entries[name] = {"exit_code": code, **{part: text.splitlines(keepends=True) for part, text in texts.items()}}

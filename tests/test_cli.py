@@ -1,9 +1,20 @@
 """End-to-end checks of the command-line interface.
 
-Most tests drive ``python -m tfshell.cli`` in a real subprocess so that
-argument parsing, stream separation, and exit codes are exercised the
-way a shell user sees them.  The two energy-ladder subcommands are
-expensive, so their outputs are produced once per module and shared.
+The tests run ``tfshell.cli.main`` in this process, directly or through the
+golden file's runner ``cli_snapshot.invoke``, which captures both streams
+and the exit code, argparse's too.  Five tests start a fresh interpreter,
+because the process is what they check:
+
+- ``test_console_script_matches_module_invocation``: the installed
+  ``tfshell`` script prints what ``python -m tfshell.cli`` prints;
+- ``test_cli_import_leaves_scipy_unloaded``: the modules a fresh
+  interpreter loads for every command;
+- ``test_a_lowered_int_digit_limit_names_the_file_and_line``: an
+  environment variable the interpreter reads at start-up;
+- ``test_cli_snapshot_script_runs``: the golden file's script and
+  ``python -m`` write what the in-process runner captures;
+- ``test_model_rejects_out_of_range_inputs``: a huge Z fails within a
+  10 s bound on the whole process.
 """
 
 from __future__ import annotations
@@ -37,6 +48,8 @@ from tfshell.kedf import ConvergenceError
 
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 
+_GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
 # Rows of the default table, all 17, frozen byte for byte.  Two
 # significant figures of the full-precision errors; He's local-density
 # error is -10.52 and prints as -11.  The value nearest a rounding
@@ -67,13 +80,14 @@ PINNED_ROWS = (
 )
 
 
-def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "tfshell.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``tfshell ARGS``, run in this process."""
+    return subprocess.CompletedProcess(args, *cli_snapshot.invoke(list(args)))
+
+
+def run_module(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m tfshell.cli ARGS`` in a fresh interpreter, for a test of the process itself."""
+    return subprocess.run([sys.executable, "-m", "tfshell.cli", *args], capture_output=True, text=True, **kwargs)
 
 
 # -- parser and entry points ----------------------------------------------
@@ -84,6 +98,7 @@ def test_help_lists_all_subcommands():
     assert proc.returncode == 0
     for name in ("table1", "model", "figures", "asymptotics"):
         assert name in proc.stdout
+
 
 
 def test_missing_subcommand_is_usage_error():
@@ -110,12 +125,11 @@ def test_unknown_subcommand_and_bad_choice_exit_2():
         ("table1", "--r-max", "45"),
     ],
 )
-def test_options_a_command_does_not_read_exit_2(args, capsys):
+def test_options_a_command_does_not_read_exit_2(args):
     # each subcommand takes only the flags its command reads
-    with pytest.raises(SystemExit) as exc:
-        cli.main(list(args))
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["table1", "model"])
@@ -139,21 +153,22 @@ def test_each_subcommand_parses_to_its_handler():
 def test_console_script_matches_module_invocation():
     proc = subprocess.run(["tfshell", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout == run_cli("--help").stdout
+    assert proc.stdout == run_module("--help").stdout
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path: Path):
     # scipy, sympy, mpmath, hypothesis and pytest are test dependencies only;
     # neither the import nor any command loads them.  Every power of Z is an
     # integer count of thirds, so fractions, and the decimal module that it
-    # imports, stay unloaded too
+    # imports, stay unloaded too, and the grids' Gauss-Kronrod nodes are
+    # tabulated, so numpy.polynomial is never imported for them
     commands = [["table1"], ["model", "--z", "54"], ["asymptotics"], ["figures", "--out", str(tmp_path)]]
     script = (
         "import sys\n"
         "from tfshell import cli\n"
         f"for argv in {commands!r}:\n"
         "    assert cli.main(argv) == 0, argv\n"
-        "unloaded = ('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest', 'fractions', 'decimal')\n"
+        "unloaded = ('scipy', 'sympy', 'mpmath', 'hypothesis', 'pytest', 'fractions', 'decimal', 'numpy.polynomial')\n"
         "print('loaded:', [name for name in unloaded if name in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -161,17 +176,13 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path: Path):
     assert proc.stdout.splitlines()[-1] == "loaded: []"
 
 
-def _assert_one_short_error_line(argv, sto, says, tmp_path, capsys):
+def _assert_one_short_error_line(argv, sto, says, tmp_path):
     """Run ``argv``, or ``table1`` on the .sto text ``sto``: exit 2 and one error line saying ``says``."""
     if argv is None:
         data = tmp_path / "long.sto"
         data.write_text(sto)
         argv = ["table1", "--data", str(data)]
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects a bad option value itself
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = cli_snapshot.invoke(argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
@@ -206,11 +217,11 @@ _LONG_NUMBER = "9" * 5000
          "sto-occupation", "sto-primitive-power", "sto-exponent", "sto-coefficient",
          "model-n-max-2000-digits", "model-n-max-4300-digits", "sto-occupation-4300-digits"],
 )
-def test_a_number_past_the_int_digit_limit_is_one_error_line(argv, sto, says, tmp_path, capsys):
+def test_a_number_past_the_int_digit_limit_is_one_error_line(argv, sto, says, tmp_path):
     # a 5000-digit number is past int()'s 4300-digit limit and past the float
     # range; each numeric input answers it with exit 2 and one short error
     # line, which names a long integer by its digit count
-    _assert_one_short_error_line(argv, sto, says, tmp_path, capsys)
+    _assert_one_short_error_line(argv, sto, says, tmp_path)
 
 
 _LONG_WORD = "x" * 5000
@@ -235,10 +246,10 @@ _LONG_WORD = "x" * 5000
          "sto-reference-energy", "sto-occupation", "sto-non-integral-occupation",
          "sto-element-symbol", "sto-long-element-symbol", "atoms-letters", "atoms-digits"],
 )
-def test_a_long_token_is_one_error_line(argv, sto, tmp_path, capsys):
+def test_a_long_token_is_one_error_line(argv, sto, tmp_path):
     # every message that quotes a token of more than 100 characters, from
     # the command line or a .sto file, names it by its length instead
-    _assert_one_short_error_line(argv, sto, "a 5000-character token", tmp_path, capsys)
+    _assert_one_short_error_line(argv, sto, "a 5000-character token", tmp_path)
 
 
 @pytest.mark.parametrize("flag", ["--z", "--n-max"])
@@ -259,13 +270,11 @@ def test_a_long_token_is_one_error_line(argv, sto, tmp_path, capsys):
     ids=["underscore", "arabic-indic", "fullwidth", "space", "float", "100-characters",
          "101-characters", "5000-digits"],
 )
-def test_an_integer_option_takes_ascii_digits_after_a_sign(flag, token, shown, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["model", flag, token])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out == ""
-    assert err.splitlines()[-1] == f"tfshell model: error: argument {flag}: invalid int value: {shown}"
+def test_an_integer_option_takes_ascii_digits_after_a_sign(flag, token, shown):
+    proc = run_cli("model", flag, token)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"tfshell model: error: argument {flag}: invalid int value: {shown}"
 
 
 def test_an_integer_option_reads_a_sign_and_leading_zeros(capsys):
@@ -303,11 +312,7 @@ def test_every_integer_site_reads_a_token_alike(token, value, tmp_path, capsys):
     # each reads the int ``value`` from ``token``, or, where it is None,
     # refuses the token with that site's own not-an-integer message
     shown = _int_text(token)
-    try:
-        code = cli.main(["model", "--z", token, "--format", "jsonl"])
-    except SystemExit as exc:  # argparse refuses the value itself
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = cli_snapshot.invoke(["model", "--z", token, "--format", "jsonl"])
     if value is None:
         assert (code, err.splitlines()[-1]) == (2, f"tfshell model: error: argument --z: invalid int value: {shown}")
     elif value == 10:
@@ -354,12 +359,7 @@ def test_a_lowered_int_digit_limit_names_the_file_and_line(tmp_path):
     # int() obeys PYTHONINTMAXSTRDIGITS, so the parser reads its limit from the interpreter
     data = tmp_path / "z.sto"
     data.write_text(MINIMAL_STO.replace("He 2", "He " + "9" * 1000))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tfshell.cli", "table1", "--data", str(data)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640"),
-    )
+    proc = run_module("table1", "--data", str(data), env=dict(os.environ, PYTHONINTMAXSTRDIGITS="640"))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {data}: line 1: atomic number has 1000 significant digits, more than the 640 read\n"
@@ -388,9 +388,6 @@ def test_only_kedf_calls_make_grid():
             if name == "make_grid":
                 callers.append(f"{path.name}:{node.lineno}")
     assert callers == []
-
-
-_GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def test_every_invocation_matches_the_golden_file():
@@ -425,9 +422,10 @@ def test_the_golden_comparison_passes_numbers_within_its_tolerance():
 
 
 def test_cli_snapshot_script_runs(tmp_path: Path):
-    # the script writes the golden entries it is named, and python -m prints what they hold
+    # the script writes the golden entries it is named, and python -m prints what they hold,
+    # a usage error too, which argparse wraps to the COLUMNS the script sets
     script = Path(__file__).with_name("cli_snapshot.py")
-    names = ["model_z2_jsonl", "table1_atoms_og"]
+    names = ["model_z2_jsonl", "table1_atoms_og", "table1_bogus"]
     out = tmp_path / "golden.json"
     proc = subprocess.run([sys.executable, str(script), str(out), *names], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -435,7 +433,7 @@ def test_cli_snapshot_script_runs(tmp_path: Path):
     written = json.loads(out.read_text())
     assert cli_snapshot.differences({name: _GOLDEN[name] for name in names}, written) == {}
     for name in names:
-        proc = run_cli(*cli_snapshot._invocations()[name])
+        proc = run_module(*cli_snapshot._invocations()[name], env=dict(os.environ, COLUMNS="80"))
         streams = {"stdout": proc.stdout.splitlines(True), "stderr": proc.stderr.splitlines(True)}
         assert written[name] == {"exit_code": proc.returncode, **streams}
 
@@ -782,7 +780,7 @@ def test_model_z_below_first_node_runs():
 )
 def test_model_rejects_out_of_range_inputs(args, fragment):
     # the filled-shell search takes O(log Z) steps, so even a huge Z is quick
-    proc = run_cli("model", *args, timeout=10)
+    proc = run_module("model", *args, timeout=10)
     assert proc.returncode == 2
     assert fragment in proc.stderr
 
