@@ -25,16 +25,18 @@ instead (see ``asymptotics.model_energy_sequence``).
 ``_FUNCTIONALS`` is the one table of functionals, in ``Energies`` order.
 A row holds the name the gates print, the power c of rho that the
 integrand decays as far out (f ~ rho^c) and the integrand r^2 tau without
-the 4 pi, from r, rho and the ratios w = s/rho and q = r y^2 that
-``_ratios`` forms once per profile (y = rho'/rho; s = 2 rho' + r rho'' is
-r times the spherical Laplacian of rho):
+the 4 pi, from r, rho, its cube root u = rho^{1/3} and the ratios w = s/rho
+and q = r y^2 that ``_ratios`` forms once per profile (y = rho'/rho;
+s = 2 rho' + r rho'' is r times the spherical Laplacian of rho):
 
-    r^2 tau_0 = (3/10) (3 pi^2)^{2/3} r^2 rho^{5/3}     (c = 5/3)
+    r^2 tau_0 = (3/10) (3 pi^2)^{2/3} r^2 rho u^2         (c = 5/3)
     r^2 tau_W = r rho q / 8 = r^2 (rho')^2 / (8 rho)      (c = 1)
-    r^2 tau_4 = c4 rho^{1/3} [ w^2 - (9/8) w q + q^2/3 ]  (c = 1/3)
+    r^2 tau_4 = c4 u [ w^2 - (9/8) w q + q^2/3 ]          (c = 1/3)
 
 The last is the textbook tau_4 with every explicit 1/r removed, so it is
-finite at r = 0 for cusped densities.  Past rho^{5/3} and rho^{1/3}, no
+finite at r = 0 for cusped densities.  u, one ``np.cbrt`` per profile, is
+the only fractional power: the float exponent 5.0/3, 7.4e-17 above 5/3,
+would set T_TF 2e-15 high where the ladder's density nears 1e13.  No other
 power of rho or rho' is formed: (rho')^2 and rho^2 underflow below about
 1e-154 and rho^3 below 1e-103, which would bias T_W low or turn T_4 into
 inf or NaN.  A node where rho is 0 is vacuum and adds nothing to any sum.
@@ -61,8 +63,8 @@ Error check: a functional is evaluated once on all the nodes; the reported
 value is the Kronrod sum over them, as QUADPACK reports it, and the Gauss
 sum on the Gauss nodes alone is the partner of its error estimate |G - K|,
 which ``_settled`` alone holds to a tolerance.  On the 40-shell ladder
-grid the Kronrod sums at 1008 points are within 1.4e-15 of an 8000-point
-reference, where the Gauss sums are up to 3.2e-12 off.
+grid the Kronrod sums at 1008 points are within 1.1e-15 of an 8000-point
+reference in T_W and T_4, where the Gauss sums are up to 3.2e-12 off.
 
 ``_measure`` reads one profile call on a grid into one record; a density
 that is NaN, or negative beyond 1e-12 of its largest value, raises
@@ -144,7 +146,7 @@ class Energies(NamedTuple):
 
 
 class _Functional(NamedTuple):
-    """A row of ``_FUNCTIONALS``: gate name, tail power c and integrand f(r, rho, w, q)."""
+    """A row of ``_FUNCTIONALS``: gate name, tail power c and integrand f(r, rho, u, w, q)."""
 
     name: str
     power: float
@@ -152,10 +154,10 @@ class _Functional(NamedTuple):
 
 
 _FUNCTIONALS = (
-    _Functional("T_TF", 5.0 / 3.0, lambda r, rho, w, q: r**2 * TF_CONSTANT * rho ** (5.0 / 3.0)),
-    _Functional("T_W", 1.0, lambda r, rho, w, q: 0.125 * r * rho * q),
-    _Functional("T_4", 1.0 / 3.0, lambda r, rho, w, q: (
-        FOURTH_ORDER_CONSTANT * rho ** (1.0 / 3.0) * (w * w - 1.125 * w * q + q * q / 3.0))),
+    _Functional("T_TF", 5.0 / 3.0, lambda r, rho, u, w, q: r**2 * TF_CONSTANT * rho * (u * u)),
+    _Functional("T_W", 1.0, lambda r, rho, u, w, q: 0.125 * r * rho * q),
+    _Functional("T_4", 1.0 / 3.0, lambda r, rho, u, w, q: (
+        FOURTH_ORDER_CONSTANT * u * (w * w - 1.125 * w * q + q * q / 3.0))),
 )
 
 
@@ -396,7 +398,8 @@ def _measure(grid: RadialGrid, rows: tuple) -> _Measured:
     values = _checked_density(values)
     held = 4.0 * math.pi * grid.integrate(r**2 * values)
     y, w, q = _ratios(r, values, deriv, deriv2)
-    integrands = tuple(row.integrand(r, values, w, q) for row in _FUNCTIONALS)
+    u = np.cbrt(values)
+    integrands = tuple(row.integrand(r, values, u, w, q) for row in _FUNCTIONALS)
     n = grid.gauss_weights.size
     gauss = tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands)
     kronrod = tuple(4.0 * math.pi * grid.integrate(f) for f in integrands)

@@ -32,7 +32,8 @@ from tfshell import cli
 DATA = Path(cli.__file__).parent / "data"
 FORMATS = ("table", "csv", "jsonl")
 HELIUM = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
-# BLAS kernels and SIMD loops moved numbers by <= 2.45e-12 relative, asymptotics fits by 1.85e-7
+# BLAS kernels and SIMD loops moved numbers by <= 2.45e-12 relative, asymptotics fits by 1.85e-7;
+# with kedf's np.cbrt, Haswell and Prescott exceed both (README, "Reproducibility")
 REL_TOL, ASYMPTOTICS_ABS_TOL = 1e-11, 1e-6
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 # entries that argparse words in part, and Python versions word differently

@@ -744,26 +744,41 @@ def _reference_ladder(n_points: int = 8000, order: int = 40) -> dict[int, tuple]
     return ladder
 
 
-def _one_shell_rel_err_t0() -> float:
-    """``ONE_SHELL_REL_ERR_T0``, the closed-form 1 - T_TF/T of one filled shell, from perfbench."""
+def _perfbench_checks():
+    """``perfbench/checks.py``: the closed-form and the mpmath 1 - T_TF/T of the ladder."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
     spec = importlib.util.spec_from_file_location("perfbench_checks", path)
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
-    return checks.ONE_SHELL_REL_ERR_T0
+    return checks
 
 
 def test_ladder_matches_an_8000_point_reference() -> None:
     # the Kronrod sums on the shared 1008-point grid against 8000 points
-    # (1.4e-15 measured), and the one-shell point against its closed forms:
-    # T_W = T = 4 with one orbital, and T_TF within the closed form's own
-    # rounding (2.3e-15 measured)
+    # (2.3e-15 measured under four BLAS and SIMD settings, in T_TF, whose
+    # reference keeps rho ** (5.0 / 3.0), 2e-15 high), and the one-shell point
+    # against its closed forms: T_W = T = 4 with one orbital, and T_TF within
+    # 1.2e-16 of the float closed form, itself 2.7e-16 below its 30-digit
+    # value; a float exponent 5.0 / 3.0 in kedf would read 2.3e-15 here
     reference = _reference_ladder()
     for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
         assert point.t == pytest.approx(reference[point.n_max], rel=3e-15, abs=0.0), point.n_max
     (one,) = model_energy_sequence([1])
     assert one.t.t_w == pytest.approx(4.0, rel=1e-15, abs=0.0)
-    assert one.t.t_tf == pytest.approx(4.0 * (1.0 - _one_shell_rel_err_t0()), rel=5e-15, abs=0.0)
+    one_shell = 4.0 * (1.0 - _perfbench_checks().ONE_SHELL_REL_ERR_T0)
+    assert one.t.t_tf == pytest.approx(one_shell, rel=1e-15, abs=0.0)
+
+
+def test_ladder_tf_matches_an_mpmath_orbital_sum() -> None:
+    # T_TF at 2 and 3 shells against a 20-digit sum of mpmath.laguerre
+    # orbitals on tanh-sinh quadrature, which shares no density, grid or
+    # power with the program: within 6.1e-16 measured under four BLAS and
+    # SIMD settings, where a float exponent 5.0 / 3.0 in kedf reads 1.5e-15
+    # and 1.6e-15 high
+    checks = _perfbench_checks()
+    for point in model_energy_sequence([2, 3]):
+        tf = point.t_exact * (1.0 - checks.tf_relative_error(point.n_max))
+        assert point.t.t_tf == pytest.approx(tf, rel=1e-15, abs=0.0), point.n_max
 
 
 def test_figure_density_rows_structure() -> None:
