@@ -366,11 +366,11 @@ def _grid_text(grid: RadialGrid) -> str:
 
 
 def _ratios(r: np.ndarray, values: np.ndarray, deriv: np.ndarray, deriv2: np.ndarray) -> tuple:
-    """y = rho'/rho, w = (2 rho' + r rho'')/rho and q = r y^2, divided only where rho > 0, else 0."""
+    """y = rho'/rho, u = rho^{1/3}, w = (2 rho' + r rho'')/rho and q = r y^2; y, w, q are 0 where rho is."""
     live = values > 0.0
     y = np.divide(deriv, values, out=np.zeros_like(values), where=live)
     w = np.divide(2.0 * deriv + r * deriv2, values, out=np.zeros_like(values), where=live)
-    return y, w, r * y * y
+    return y, np.cbrt(values), w, r * y * y
 
 
 class _Measured(NamedTuple):
@@ -397,8 +397,7 @@ def _measure(grid: RadialGrid, rows: tuple) -> _Measured:
     values, deriv, deriv2 = (np.asarray(a, dtype=float) for a in rows)
     values = _checked_density(values)
     held = 4.0 * math.pi * grid.integrate(r**2 * values)
-    y, w, q = _ratios(r, values, deriv, deriv2)
-    u = np.cbrt(values)
+    y, u, w, q = _ratios(r, values, deriv, deriv2)
     integrands = tuple(row.integrand(r, values, u, w, q) for row in _FUNCTIONALS)
     n = grid.gauss_weights.size
     gauss = tuple(4.0 * math.pi * float(np.dot(grid.gauss_weights, f[:n])) for f in integrands)

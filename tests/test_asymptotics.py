@@ -735,7 +735,7 @@ def _reference_ladder(n_points: int = 8000, order: int = 40) -> dict[int, tuple]
         live = rho > 0.0
         y = np.divide(d1, rho, out=np.zeros_like(rho), where=live)
         lap = np.divide(d2 + 2.0 * d1 / r, rho, out=np.zeros_like(rho), where=live)
-        tau_tf = c_tf * rho ** (5.0 / 3.0)
+        tau_tf = c_tf * rho * np.cbrt(rho) ** 2
         tau_w = rho * y * y / 8.0
         tau_4 = c_4 * np.cbrt(rho) * (lap * lap - 1.125 * lap * y * y + y**4 / 3.0)
         scale = (electron_count(n_max) / top.z) ** 2
@@ -755,11 +755,11 @@ def _perfbench_checks():
 
 def test_ladder_matches_an_8000_point_reference() -> None:
     # the Kronrod sums on the shared 1008-point grid against 8000 points
-    # (2.3e-15 measured under four BLAS and SIMD settings, in T_TF, whose
-    # reference keeps rho ** (5.0 / 3.0), 2e-15 high), and the one-shell point
-    # against its closed forms: T_W = T = 4 with one orbital, and T_TF within
-    # 1.2e-16 of the float closed form, itself 2.7e-16 below its 30-digit
-    # value; a float exponent 5.0 / 3.0 in kedf would read 2.3e-15 here
+    # (1.8e-15 measured under seven BLAS and SIMD settings, in T_4), and the
+    # one-shell point against its closed forms: T_W = T = 4 with one orbital,
+    # and T_TF within 1.2e-16 of the float closed form, itself 2.7e-16 below
+    # its 30-digit value; a float exponent 5.0 / 3.0 in kedf would read
+    # 2.3e-15 here
     reference = _reference_ladder()
     for point in model_energy_sequence(range(1, MAX_SHELLS + 1)):
         assert point.t == pytest.approx(reference[point.n_max], rel=3e-15, abs=0.0), point.n_max
@@ -772,7 +772,7 @@ def test_ladder_matches_an_8000_point_reference() -> None:
 def test_ladder_tf_matches_an_mpmath_orbital_sum() -> None:
     # T_TF at 2 and 3 shells against a 20-digit sum of mpmath.laguerre
     # orbitals on tanh-sinh quadrature, which shares no density, grid or
-    # power with the program: within 6.1e-16 measured under four BLAS and
+    # power with the program: within 6.1e-16 measured under seven BLAS and
     # SIMD settings, where a float exponent 5.0 / 3.0 in kedf reads 1.5e-15
     # and 1.6e-15 high
     checks = _perfbench_checks()

@@ -664,9 +664,9 @@ def test_fourth_order_is_finite_far_out(bundled) -> None:
     r = far_grid.nodes
     with np.errstate(all="raise"):
         values, deriv, deriv2 = field.profile(r)
-        _, w, q = kedf._ratios(r, values, deriv, deriv2)
+        _, u, w, q = kedf._ratios(r, values, deriv, deriv2)
         guarded = tuple(
-            4.0 * math.pi * far_grid.integrate(row.integrand(r, values, np.cbrt(values), w, q))
+            4.0 * math.pi * far_grid.integrate(row.integrand(r, values, u, w, q))
             for row in kedf._FUNCTIONALS[1:]
         )
     near = energies_on(field, make_grid(2000, 45.0))[1:]
@@ -792,10 +792,10 @@ def test_tail_powers_match_each_integrands_decay() -> None:
     assert grid.r_max == 35.0
     r = np.sort(grid.nodes)[-2:]
     values, deriv, deriv2 = rho.profile(r)
-    _, w, q = kedf._ratios(r, values, deriv, deriv2)
+    _, u, w, q = kedf._ratios(r, values, deriv, deriv2)
     rho_slope = math.log(values[1] / values[0])
     for row in kedf._FUNCTIONALS:
-        f = row.integrand(r, values, np.cbrt(values), w, q)
+        f = row.integrand(r, values, u, w, q)
         assert f.min() > 0.0
         assert math.log(f[1] / f[0]) / rho_slope == pytest.approx(row.power, abs=0.05), row.name
 
