@@ -15,7 +15,7 @@ Three strands live here:
 
 Every power in ``MODEL_SERIES`` and ``FITS`` is a whole number of thirds,
 the unit of the extrapolation variable u = Z^{-1/3}, and is written as the
-integer k of Z^{k/3}.
+integer k of Z^{k/3}; ``hydrogenic._thirds`` forms each such power.
 
 Scaling conventions: r_hat = Z^{1/3} r and rho_hat = rho / Z^2, in which
 the limit density is Z-independent, vanishes at the turning point
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .hydrogenic import MAX_SHELLS, HydrogenicDensity, model_kinetic_energy
+from .hydrogenic import MAX_SHELLS, HydrogenicDensity, _is_int, _thirds, model_kinetic_energy
 from .kedf import ConvergenceError, Energies, grid_for, profile_energies
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "figure_error_rows",
 ]
 
-TURNING_POINT = 18.0 ** (1.0 / 3.0)
+TURNING_POINT = _thirds(18.0, 1)
 
 _MAX_ELIMINATION_DEPTH = 5
 # The ladder the asymptotics command fits: Neville at that depth reads only
@@ -68,17 +68,19 @@ _FIG1A_SHELLS = tuple(range(1, MAX_SHELLS + 1))
 # a pair (k, c) is the term c Z^{k/3}.  Every power missing from this list
 # (k = 4, 3, 2, 0) is identically zero.
 MODEL_SERIES: tuple[tuple[int, float], ...] = (
-    (7, (3.0 / 2.0) ** (1.0 / 3.0)),
+    (7, _thirds(1.5, 1)),
     (6, -0.5),
-    (5, 1.0 / (6.0 * 12.0 ** (1.0 / 3.0))),
-    (1, -1.0 / (3888.0 * 18.0 ** (1.0 / 3.0))),
-    (-1, 1.0 / (69984.0 * 12.0 ** (1.0 / 3.0))),
+    (5, _thirds(12.0, -1) / 6.0),
+    (1, -_thirds(18.0, -1) / 3888.0),
+    (-1, _thirds(12.0, -1) / 69984.0),
 )
 
 
 def model_series(terms: Sequence[tuple[int, float]], z: float) -> float:
-    """The series sum(c z^{k/3}) over ``terms``, pairs (k, c) such as ``MODEL_SERIES``, summed at ``z``."""
-    return float(sum(c * float(z) ** (k / 3) for k, c in terms))
+    """The series sum(c z^{k/3}) over ``terms``, pairs (k, c) such as ``MODEL_SERIES``, at finite ``z`` > 0."""
+    if not 0.0 < (z := float(z)) < math.inf:
+        raise ValueError(f"z must be finite and > 0, got {z!r}")
+    return float(sum(c * _thirds(z, k) for k, c in terms))
 
 
 def _extrapolate_constant(u: list[float], s: list[float]) -> float:
@@ -120,17 +122,16 @@ def _extrapolate_constant(u: list[float], s: list[float]) -> float:
 
 
 def richardson_extrapolate(
-    sequence: Sequence[tuple[float, float]], powers: Sequence[float]
+    sequence: Sequence[tuple[float, float]], powers: Sequence[int]
 ) -> list[float]:
-    """Fit value(Z) ~ sum(a_i Z^{p_i}) from a finite increasing-Z sequence.
+    """Fit value(Z) ~ sum(a_i Z^{k_i/3}) from a finite increasing-Z sequence.
 
-    ``sequence`` holds (Z, value) pairs; ``powers`` the powers p_i in
-    strictly decreasing order.  Coefficients are extracted one at a time:
-    divide the running residual by Z^{p_i}, accelerate the resulting
-    sequence to its u -> 0 limit in u = Z^{-1/3}, subtract, repeat.
-    Requires at least len(powers) + 2 points, every Z, value and power
-    finite; raises ConvergenceError when an acceleration tableau
-    diverges instead of settling.
+    ``sequence`` holds (Z, value) pairs; ``powers`` the integers k_i (no
+    bool) in strictly decreasing order.  Coefficients are extracted one at
+    a time: divide the running residual by Z^{k_i/3}, accelerate the
+    resulting sequence to its u -> 0 limit in u = Z^{-1/3}, subtract,
+    repeat.  Requires at least len(powers) + 2 points, every Z and value
+    finite; raises ConvergenceError when a tableau diverges instead of settling.
     """
     pts = [(float(z), float(v)) for z, v in sequence]
     if len(pts) < len(powers) + 2:
@@ -143,18 +144,17 @@ def richardson_extrapolate(
         raise ValueError("sequence must have finite, positive, strictly increasing Z values")
     if not all(math.isfinite(v) for _, v in pts):
         raise ValueError("sequence values must be finite")
-    plist = [float(p) for p in powers]
-    if not (all(map(math.isfinite, plist)) and all(a > b for a, b in zip(plist, plist[1:]))):
-        raise ValueError("powers must be finite and strictly decreasing")
+    if not (all(map(_is_int, powers)) and all(a > b for a, b in zip(powers, powers[1:]))):
+        raise ValueError("powers must be integers k of Z^{k/3}, no bool, strictly decreasing")
 
-    u = [z ** (-1.0 / 3.0) for z in zs]
+    u = [_thirds(z, -1) for z in zs]
     residual = [v for _, v in pts]
     coefficients = []
-    for p in plist:
-        scaled = [r / z**p for r, z in zip(residual, zs)]
-        a = _extrapolate_constant(u, scaled)
+    for k in powers:
+        zk = [_thirds(z, int(k)) for z in zs]
+        a = _extrapolate_constant(u, [r / w for r, w in zip(residual, zk)])
         coefficients.append(a)
-        residual = [r - a * z**p for r, z in zip(residual, zs)]
+        residual = [r - a * w for r, w in zip(residual, zk)]
     return coefficients
 
 
@@ -175,7 +175,7 @@ def tf_limit_density(r_hat):
     out = np.zeros_like(arr)
     # below about 1e-308, 1 / r_hat overflows to +inf, the density's value there
     with np.errstate(over="ignore"):
-        out[inside] = const * (1.0 / arr[inside] - 18.0 ** (-1.0 / 3.0)) ** 1.5
+        out[inside] = const * (1.0 / arr[inside] - _thirds(18.0, -1)) ** 1.5
     if np.isscalar(r_hat) or arr.ndim == 0:
         return float(out)
     return out
@@ -186,7 +186,7 @@ def scaled_model_density(n_max: int, r_hat) -> np.ndarray:
     r_hat = np.asarray(r_hat, dtype=float)
     rho = HydrogenicDensity(n_max)
     z = rho.z
-    return np.asarray(rho.profile(r_hat * z ** (-1.0 / 3.0))[0] / z**2, dtype=float)
+    return np.asarray(rho.profile(r_hat * _thirds(z, -1))[0] / z**2, dtype=float)
 
 
 class SequencePoint(NamedTuple):
@@ -271,7 +271,7 @@ def fit_rows(points: Sequence[SequencePoint]) -> list[dict]:
         sequence = [
             (p.z, fit.value(p.t) / p.t_exact if fit.relative else fit.value(p.t)) for p in points
         ]
-        fitted = richardson_extrapolate(sequence, [k / 3 for k, *_ in fit.terms])
+        fitted = richardson_extrapolate(sequence, [k for k, *_ in fit.terms])
         quantity = "fraction of exact energy" if fit.relative else "coefficient"
         for value, (k, target, tolerance) in zip(fitted, fit.terms):
             label = f"Z^{k // 3}" if k % 3 == 0 else f"Z^{{{k}/3}}"

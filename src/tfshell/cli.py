@@ -262,7 +262,7 @@ def _self_tests() -> list[tuple[str, bool, str]]:
     def deviations(terms: tuple[tuple[int, float], ...]) -> list[float]:
         """|fitted - coefficient| per term of the fit of the series ``model_series(terms, Z)``."""
         sequence = [(z, model_series(terms, z)) for z in zs]
-        fitted = richardson_extrapolate(sequence, [k / 3 for k, _ in terms])
+        fitted = richardson_extrapolate(sequence, [k for k, _ in terms])
         return [abs(a - c) for a, (_, c) in zip(fitted, terms)]
 
     identity = ((0, 3.75),)

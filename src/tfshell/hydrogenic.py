@@ -83,6 +83,18 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _thirds(x: float, k: int) -> float:
+    """x^{k/3}, rounded once, for finite x > 0 and integer k: every power in thirds of the package.
+
+    One Newton step for c^3 = x^k from the float estimate a / b, taken in
+    exact integers, is within about 1e-30 relative, so the one int / int
+    division rounds it; only an exact halfway power may round up, not to even.
+    """
+    (p, q), (a, b) = x.as_integer_ratio(), (x ** (k / 3)).as_integer_ratio()
+    n, d = (p**k, q**k) if k >= 0 else (q**-k, p**-k)  # x^k = n / d
+    return (2 * a**3 * d + n * b**3) / (3 * a * a * b * d)
+
+
 def _read_int(token: str) -> int | None:
     """The int ``token`` writes in ASCII digits after an optional sign, else None.
 
@@ -143,16 +155,16 @@ def model_kinetic_energy_continuous(z: float) -> float:
         D = (54 Z + sqrt(2916 Z^2 - 3))^{1/3},
 
     which coincides with n_max * Z^2 whenever Z is a closed-shell count.
-    Its domain is the finite Z >= (3/2916)^{1/2}; any other Z, NaN
-    included, raises ValueError.
+    Its domain is (3/2916)^{1/2} <= Z < 2.48e152, where 2916 Z^2 - 3 is a
+    finite float; any other Z, NaN included, raises ValueError.
     """
     z = float(z)
     radicand = 2916.0 * z * z - 3.0
     # NaN fails every comparison
-    if not (0.0 < z < math.inf and radicand >= 0.0):
-        raise ValueError(f"charge {z} outside the domain of the closed form (finite Z > 0, 2916 Z^2 >= 3)")
-    d = (54.0 * z + math.sqrt(radicand)) ** (1.0 / 3.0)
-    return 0.5 * (3.0 ** (-1.0 / 3.0) / d + 3.0 ** (-2.0 / 3.0) * d - 1.0) * z * z
+    if not (0.0 < z < math.inf and 0.0 <= radicand < math.inf):
+        raise ValueError(f"charge {z} outside the domain of the closed form (finite Z > 0, 3 <= 2916 Z^2 < inf)")
+    d = _thirds(54.0 * z + math.sqrt(radicand), 1)
+    return 0.5 * (_thirds(3.0, -1) / d + _thirds(3.0, -2) * d - 1.0) * z * z
 
 
 class HydrogenicDensity:

@@ -95,6 +95,8 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
+from .hydrogenic import _thirds
+
 __all__ = [
     "DEFAULT_GRID_POINTS",
     "ConvergenceError",
@@ -108,8 +110,8 @@ __all__ = [
     "profile_energies",
 ]
 
-TF_CONSTANT = 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0)
-FOURTH_ORDER_CONSTANT = (3.0 * math.pi**2) ** (-2.0 / 3.0) / 540.0
+TF_CONSTANT = 0.3 * _thirds(3.0 * math.pi**2, 2)
+FOURTH_ORDER_CONSTANT = _thirds(3.0 * math.pi**2, -2) / 540.0
 
 DEFAULT_GRID_POINTS = 1008
 # span_for: at zeta R = 70 + 6 p the slowest integrand, r^2 tau_4 ~

@@ -34,19 +34,19 @@ FORMATS = ("table", "csv", "jsonl")
 HELIUM = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 # Each number is held to REL_TOL of the values it is computed from, which BLAS kernels and SIMD
 # loops move by a few ulps (README, "Reproducibility", for the settings and the moves measured):
-# - most numbers are those values: REL_TOL relative (moves up to 3.95e-13);
+# - most numbers are those values: REL_TOL relative (moves up to 1.98e-13);
 # - the asymptotics fits: their T_TF Z^{5/3} coefficient moves 7.8e9 times a relative move of the
 #   ladder's energies, and the ladder moves up to two ulps (4.4e-16), so 3.5e-6: 5e-6 absolute
-#   (moves up to 9.2e-7);
+#   (moves up to 1.05e-6);
 # - fig1a.csv and fig2a.csv: (t - t_k) / t, a difference of values near t scaled by t, so a cell
-#   near 0 (1.5e-6 at n_max 8) moves by 1e-10 relative: REL_TOL absolute (moves up to 5.5e-16).
+#   near 0 (1.5e-6 at n_max 8) moves by 1e-10 relative: REL_TOL absolute (moves up to 5.7e-16).
 REL_TOL, ASYMPTOTICS_ABS_TOL = 1e-11, 5e-6
 _DIFFERENCE_FILES = ("figures/fig1a.csv", "figures/fig2a.csv")
 # A table prints fixed digits, so a value within its bound of a rounding edge prints one unit apart
 # in its last digit, with odds of 2 bound / unit a run. That unit is slack where it is at most 1000
-# bounds, such as the asymptotics |dev| at three digits (1e-5 against 5e-6; 1.47489e-3 reads
-# 1.48e-03 under OPENBLAS_CORETYPE=Haswell). It is held exactly where it is coarser, such as a
-# table1 percentage at two digits (0.1 against 4e-11).
+# bounds, such as the asymptotics |dev| at three digits (1e-5 against 5e-6; 1.47614e-3 reads
+# 1.48e-03, but comes within 8.6e-8 of the edge under Prescott with numpy's baseline loops). It is
+# held exactly where it is coarser, such as a table1 percentage at two digits (0.1 against 4e-11).
 _SLACK_RATIO = 1000.0
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 _FRACTION = re.compile(r"\.(\d+)(?:[eE]([-+]?\d+))?")

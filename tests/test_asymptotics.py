@@ -99,6 +99,30 @@ def test_evaluate_sums_terms() -> None:
     assert model_series(MODEL_SERIES, z) == pytest.approx(manual, rel=1e-15)
 
 
+def test_model_series_matches_an_mpmath_sum() -> None:
+    # the surds and powers each rounded once: within 2.07e-16 of the 40-digit
+    # sum at every ladder charge, where float exponents k / 3 read up to 1.65e-15
+    with mpmath.workdps(40):
+        exact = [
+            (7, mpmath.cbrt(mpmath.mpf(3) / 2)),
+            (6, -mpmath.mpf(1) / 2),
+            (5, 1 / (6 * mpmath.cbrt(12))),
+            (1, -1 / (3888 * mpmath.cbrt(18))),
+            (-1, 1 / (69984 * mpmath.cbrt(12))),
+        ]
+        for n in range(1, MAX_SHELLS + 1):
+            z = electron_count(n)
+            reference = sum(c * mpmath.cbrt(z) ** k for k, c in exact)
+            assert abs(model_series(MODEL_SERIES, z) / reference - 1) <= 2.5e-16, n
+
+
+@pytest.mark.parametrize("z", [0, 0.0, -8.0, math.inf, -math.inf, math.nan])
+def test_model_series_rejects_z_outside_its_domain(z) -> None:
+    # 0 divided by zero, -8.0 raised a complex power and inf summed to nan
+    with pytest.raises(ValueError, match=r"^z must be finite and > 0, got "):
+        model_series(MODEL_SERIES, z)
+
+
 def test_series_reversion_recovers_every_coefficient() -> None:
     """Independent derivation of the full coefficient set.
 
@@ -152,7 +176,7 @@ def _ladder_zs(lo: int = 2, hi: int = 12) -> list[float]:
 
 def test_extrapolation_single_power_identity() -> None:
     seq = [(z, 3.75 * z ** (7.0 / 3.0)) for z in _ladder_zs()]
-    (a,) = richardson_extrapolate(seq, [7 / 3])
+    (a,) = richardson_extrapolate(seq, [7])
     # the deep tableau amplifies ulp jitter in x*y/y by a few orders; the
     # recovery is identity-grade but not exact
     assert a == pytest.approx(3.75, rel=1e-11)
@@ -160,7 +184,7 @@ def test_extrapolation_single_power_identity() -> None:
 
 def test_extrapolation_two_power_synthetic() -> None:
     seq = [(z, 2.5 * z ** (7.0 / 3.0) - 0.7 * z * z) for z in _ladder_zs()]
-    a, b = richardson_extrapolate(seq, [7 / 3, 2.0])
+    a, b = richardson_extrapolate(seq, [7, 6])
     assert a == pytest.approx(2.5, rel=1e-8)
     assert b == pytest.approx(-0.7, rel=1e-8)
 
@@ -172,33 +196,35 @@ def test_extrapolation_exact_for_polynomial_in_u() -> None:
     for z in _ladder_zs():
         u = z ** (-1.0 / 3.0)
         seq.append((z, 4.0 - 2.0 * u + 0.5 * u * u - 0.1 * u**3))
-    (limit,) = richardson_extrapolate(seq, [0.0])
+    (limit,) = richardson_extrapolate(seq, [0])
     assert limit == pytest.approx(4.0, rel=1e-12)
 
 
 def test_extrapolation_validation() -> None:
     good = [(z, z * z) for z in _ladder_zs()]
     with pytest.raises(ValueError, match="need at least 4 points for 2 powers, got 3"):
-        richardson_extrapolate(good[:3], [2.0, 1.0])
+        richardson_extrapolate(good[:3], [6, 3])
     with pytest.raises(ValueError, match="increasing"):
-        richardson_extrapolate([(10.0, 1.0), (2.0, 1.0), (20.0, 1.0), (30.0, 1.0)], [0.0])
+        richardson_extrapolate([(10.0, 1.0), (2.0, 1.0), (20.0, 1.0), (30.0, 1.0)], [0])
     with pytest.raises(ValueError, match="increasing"):
-        richardson_extrapolate([(-1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], [0.0])
+        richardson_extrapolate([(-1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (4.0, 1.0)], [0])
     with pytest.raises(ValueError, match="decreasing"):
-        richardson_extrapolate(good, [1.0, 2.0])
+        richardson_extrapolate(good, [3, 6])
     # a constant series on Z = 2..408; Neville reads only the last six points,
     # so each of these was fitted (to 3.75 or 3.749999999999876) before the
     # finite checks
     constant = [(z, 3.75) for z in _ladder_zs(1, 8)]
     with pytest.raises(ValueError, match="finite"):
-        richardson_extrapolate(constant[:-1] + [(math.inf, 3.75)], [0.0])
+        richardson_extrapolate(constant[:-1] + [(math.inf, 3.75)], [0])
     with pytest.raises(ValueError, match="finite"):
-        richardson_extrapolate([(math.nan, 3.75)] + constant[1:], [0.0])
+        richardson_extrapolate([(math.nan, 3.75)] + constant[1:], [0])
     with pytest.raises(ValueError, match="finite"):
-        richardson_extrapolate([(constant[0][0], math.nan)] + constant[1:], [0.0])
-    # a power of inf fitted 0.0, and -inf divided by zero
-    for powers in ([math.inf], [-math.inf], [math.nan], [1.0, math.nan]):
-        with pytest.raises(ValueError, match="finite"):
+        richardson_extrapolate([(constant[0][0], math.nan)] + constant[1:], [0])
+    # a power is the integer k of Z^{k/3}: as floats, a power of inf fitted
+    # 0.0 and -inf divided by zero, and 7 / 3 rounds; a whole float and a
+    # bool are no integer k either
+    for powers in ([math.inf], [-math.inf], [math.nan], [3, math.nan], [7 / 3], [2.0], [True], [6, True]):
+        with pytest.raises(ValueError, match=r"^powers must be integers k of Z\^\{k/3\}"):
             richardson_extrapolate(constant, powers)
 
 
@@ -208,13 +234,13 @@ def test_divergence_pole_inside_window() -> None:
     for offset in (0.0, 1e6):
         seq = [(z, offset + 1.0 / (z ** (-1.0 / 3.0) - 0.12)) for z in _ladder_zs()]
         with pytest.raises(ConvergenceError, match="^extrapolation tableau diverges: correction sizes grew from "):
-            richardson_extrapolate(seq, [0.0])
+            richardson_extrapolate(seq, [0])
 
 
 def test_divergence_alternating_blowup() -> None:
     seq = [(z, (-1.0) ** i * 10.0**i) for i, z in enumerate(_ladder_zs())]
     with pytest.raises(ConvergenceError, match="^extrapolation tableau diverges: correction sizes grew from "):
-        richardson_extrapolate(seq, [0.0])
+        richardson_extrapolate(seq, [0])
 
 
 def test_divergence_noisy_constant() -> None:
@@ -223,7 +249,7 @@ def test_divergence_noisy_constant() -> None:
     for offset in (0.0, 1e6):
         seq = [(z, offset + 1.0 + 0.5 * (-1.0) ** i) for i, z in enumerate(_ladder_zs())]
         with pytest.raises(ConvergenceError, match="^extrapolation tableau diverges: correction sizes grew from "):
-            richardson_extrapolate(seq, [0.0])
+            richardson_extrapolate(seq, [0])
 
 
 def test_divergence_one_jump_past_a_settled_start() -> None:
@@ -242,13 +268,13 @@ def test_divergence_one_jump_past_a_settled_start() -> None:
         first = window[0]
         s[first] = (estimate - sum(weight[j] * s[j] for j in window[1:])) / weight[first]
     with pytest.raises(ConvergenceError, match="^extrapolation tableau diverges: correction sizes grew from "):
-        richardson_extrapolate(list(zip(zs, s)), [0.0])
+        richardson_extrapolate(list(zip(zs, s)), [0])
 
 
 def test_divergence_overflow_is_nonfinite() -> None:
     seq = [(z, (-1.0) ** i * 1e308) for i, z in enumerate(_ladder_zs())]
     with pytest.raises(ConvergenceError, match="^extrapolation tableau produced a non-finite value$"):
-        richardson_extrapolate(seq, [0.0])
+        richardson_extrapolate(seq, [0])
 
 
 # --- fits along the closed-shell ladder ------------------------------------
@@ -286,7 +312,7 @@ def ladder():
 
 def test_three_power_fit_of_tf_energy(ladder) -> None:
     seq = [(p.z, p.t.t_tf) for p in ladder]
-    a, b, c = richardson_extrapolate(seq, [7 / 3, 2.0, 5 / 3])
+    a, b, c = richardson_extrapolate(seq, [7, 6, 5])
     assert abs(a - SURD_LEADING) <= 1e-5
     # the fitted Z^2 coefficient; frozen from this pipeline, stable to the
     # grid and ladder choices at the 1e-3 level
@@ -298,26 +324,26 @@ def test_two_power_fit_biases_subleading_term(ladder) -> None:
     # with the Z^{5/3} term unmodeled its weight aliases into the Z^2
     # coefficient, pushing it well below -1/2
     seq = [(p.z, p.t.t_tf) for p in ladder]
-    a, b = richardson_extrapolate(seq, [7 / 3, 2.0])
+    a, b = richardson_extrapolate(seq, [7, 6])
     assert abs(a - SURD_LEADING) / SURD_LEADING <= 1e-4
     assert 0.29 <= abs(b - (-0.5)) / 0.5 <= 0.32
 
 
 def test_gradient_terms_are_subleading(ladder) -> None:
     seq = [(p.z, p.t.t2) for p in ladder]
-    (lead,) = richardson_extrapolate(seq, [7 / 3])
+    (lead,) = richardson_extrapolate(seq, [7])
     target, tolerance = _paper_target("T2", "Z^{7/3}")
     assert abs(lead - target) < tolerance
 
 
 def test_gradient_correction_ratio_coefficients(ladder) -> None:
     t2_ratio = [(p.z, p.t.t2 / p.t_exact) for p in ladder]
-    g1, g2 = richardson_extrapolate(t2_ratio, [-1 / 3, -2 / 3])
+    g1, g2 = richardson_extrapolate(t2_ratio, [-1, -2])
     assert g1 == _near_target("T2", "Z^{-1/3}")
     assert g2 == pytest.approx(0.045, abs=0.009)
 
     t4_ratio = [(p.z, p.t.t4 / p.t_exact) for p in ladder]
-    g1, g2 = richardson_extrapolate(t4_ratio, [-1 / 3, -2 / 3])
+    g1, g2 = richardson_extrapolate(t4_ratio, [-1, -2])
     assert g1 == _near_target("T4", "Z^{-1/3}")
     assert g2 == pytest.approx(0.0078, abs=0.00156)
 
@@ -333,11 +359,11 @@ def test_resummation_of_z2_coefficients(ladder) -> None:
     # the same sum rebuilt from this pipeline's fits lands close to, but
     # measurably off, -1/2; the residual is real, not noise
     seq = [(p.z, p.t.t_tf) for p in ladder]
-    a, b, _ = richardson_extrapolate(seq, [7 / 3, 2.0, 5 / 3])
+    a, b, _ = richardson_extrapolate(seq, [7, 6, 5])
     t2_ratio = [(p.z, p.t.t2 / p.t_exact) for p in ladder]
-    g1_t2, _ = richardson_extrapolate(t2_ratio, [-1 / 3, -2 / 3])
+    g1_t2, _ = richardson_extrapolate(t2_ratio, [-1, -2])
     t4_ratio = [(p.z, p.t.t4 / p.t_exact) for p in ladder]
-    g1_t4, _ = richardson_extrapolate(t4_ratio, [-1 / 3, -2 / 3])
+    g1_t4, _ = richardson_extrapolate(t4_ratio, [-1, -2])
     total = b + a * (g1_t2 + g1_t4)
     assert total == pytest.approx(-0.5104, abs=1.5e-3)
     assert 0.005 < abs(total + 0.5) < 0.02
@@ -384,13 +410,9 @@ def test_vanishing_powers_float_fits(ladder) -> None:
     # double-precision cascades limit how small the aliased coefficients
     # can fit; these bounds are honest for this grid and ladder
     seq = [(p.z, p.t_exact) for p in ladder]
-    four = richardson_extrapolate(
-        seq, [7 / 3, 2.0, 5 / 3, 4 / 3]
-    )
+    four = richardson_extrapolate(seq, [7, 6, 5, 4])
     assert abs(four[3]) <= 5e-5
-    five = richardson_extrapolate(
-        seq, [7 / 3, 2.0, 5 / 3, 4 / 3, 1.0]
-    )
+    five = richardson_extrapolate(seq, [7, 6, 5, 4, 3])
     assert abs(five[4]) <= 6e-4
 
 

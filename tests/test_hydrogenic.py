@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -22,6 +23,7 @@ from tfshell.hydrogenic import (
     _int_text,
     _is_int,
     _read_int,
+    _thirds,
     electron_count,
     model_kinetic_energy,
     model_kinetic_energy_continuous,
@@ -195,12 +197,25 @@ def test_continuous_energy_matches_at_closed_shells() -> None:
         assert abs(model_kinetic_energy_continuous(z) - exact) <= 1e-9 * exact
 
 
+@pytest.mark.parametrize("x", [float(electron_count(n)) for n in range(1, MAX_SHELLS + 1)]
+                         + [1.5, 3.0, 12.0, 18.0, 3.0 * math.pi**2, 3.7e-5])
+def test_thirds_round_as_mpmath(x: float) -> None:
+    # every ladder charge (2..44280), every radicand of the package's
+    # constants and a small x, bit for bit against a 40-digit power rounded
+    # once; the float exponent k / 3 is 1 ulp off at 3^{-1/3}, 3^{-2/3} and
+    # (3 pi^2)^{+-2/3}
+    with mpmath.workdps(40):
+        for k in range(-4, 9):
+            assert _thirds(x, k) == float(mpmath.mpf(x) ** (mpmath.mpf(k) / 3)), k
+
+
 def test_continuous_energy_domain() -> None:
     with pytest.raises(ValueError):
         model_kinetic_energy_continuous(0.01)
     assert model_kinetic_energy_continuous(0.04) > 0.0
-    # a negative charge used to give a complex number, and NaN and inf came back
-    for z in (-1.0, -0.04, math.nan, math.inf, -math.inf):
+    # a negative charge used to give a complex number, and NaN and inf came
+    # back; so did inf where 2916 Z^2 - 3 overflows, above Z = 2.48e152
+    for z in (-1.0, -0.04, math.nan, math.inf, -math.inf, 2.49e152, 1e200, 1.7e308):
         with pytest.raises(ValueError, match=r"outside the domain of the closed form \(finite Z > 0"):
             model_kinetic_energy_continuous(z)
 
