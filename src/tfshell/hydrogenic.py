@@ -89,10 +89,14 @@ def _thirds(x: float, k: int) -> float:
     One Newton step for c^3 = x^k from the float estimate a / b, taken in
     exact integers, is within about 1e-30 relative, so the one int / int
     division rounds it; only an exact halfway power may round up, not to even.
+    A power that is 0 or past the float range raises ValueError.
     """
-    (p, q), (a, b) = x.as_integer_ratio(), (x ** (k / 3)).as_integer_ratio()
-    n, d = (p**k, q**k) if k >= 0 else (q**-k, p**-k)  # x^k = n / d
-    return (2 * a**3 * d + n * b**3) / (3 * a * a * b * d)
+    try:
+        (p, q), (a, b) = x.as_integer_ratio(), (x ** (k / 3)).as_integer_ratio()
+        n, d = (p**k, q**k) if k >= 0 else (q**-k, p**-k)  # x^k = n / d
+        return (2 * a**3 * d + n * b**3) / (3 * a * a * b * d)
+    except (OverflowError, ZeroDivisionError):  # the estimate or the result leaves the float range
+        raise ValueError(f"{x!r}^({k}/3) is 0 or past the float range") from None
 
 
 def _read_int(token: str) -> int | None:
@@ -155,16 +159,19 @@ def model_kinetic_energy_continuous(z: float) -> float:
         D = (54 Z + sqrt(2916 Z^2 - 3))^{1/3},
 
     which coincides with n_max * Z^2 whenever Z is a closed-shell count.
-    Its domain is (3/2916)^{1/2} <= Z < 2.48e152, where 2916 Z^2 - 3 is a
-    finite float; any other Z, NaN included, raises ValueError.
+    Its domain is (3/2916)^{1/2} <= Z < 1.2134e132, where T(Z), about
+    1.14 Z^{7/3}, is a finite float; any other Z, NaN included, raises
+    ValueError.
     """
     z = float(z)
     radicand = 2916.0 * z * z - 3.0
-    # NaN fails every comparison
-    if not (0.0 < z < math.inf and 0.0 <= radicand < math.inf):
-        raise ValueError(f"charge {z} outside the domain of the closed form (finite Z > 0, 3 <= 2916 Z^2 < inf)")
-    d = _thirds(54.0 * z + math.sqrt(radicand), 1)
-    return 0.5 * (_thirds(3.0, -1) / d + _thirds(3.0, -2) * d - 1.0) * z * z
+    # NaN fails every comparison; past Z = 2.48e152 the radicand is inf, which _thirds refuses
+    if 0.0 < z < math.inf and 0.0 <= radicand < math.inf:
+        d = _thirds(54.0 * z + math.sqrt(radicand), 1)
+        energy = 0.5 * (_thirds(3.0, -1) / d + _thirds(3.0, -2) * d - 1.0) * z * z
+        if energy < math.inf:
+            return energy
+    raise ValueError(f"charge {z} outside the domain of the closed form (finite Z > 0, 3 <= 2916 Z^2, finite T)")
 
 
 class HydrogenicDensity:

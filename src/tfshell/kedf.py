@@ -95,7 +95,7 @@ from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
-from .hydrogenic import _thirds
+from .hydrogenic import _is_int, _thirds
 
 __all__ = [
     "DEFAULT_GRID_POINTS",
@@ -323,7 +323,7 @@ def make_grid(n_points: int, r_max: float) -> RadialGrid:
     ValueError.  Whether the grid resolves a density is judged on the
     values ``energies`` returns, not here.
     """
-    if not isinstance(n_points, (int, np.integer)) or n_points < _PANEL_ORDER:
+    if not _is_int(n_points) or n_points < _PANEL_ORDER:
         raise ValueError(f"n_points must be an integer >= {_PANEL_ORDER}, got {n_points!r}")
     r_max = float(r_max)
     if not (math.isfinite(r_max) and r_max > 0.0):

@@ -1,12 +1,13 @@
 """T_4 on the whole half-line by mpmath: a reference no radial span enters.
 
 A density is given as a term list, c r^p e^{-b r} summed, whose first two
-derivatives follow term by term.  ``half_line_t4`` integrates the textbook
-Laplacian form of the fourth-order integrand over [0, inf) with mpmath's
-tanh-sinh rule, split at the fastest and the slowest scale 1/b of the
-terms.  ``hydrogenic_terms`` writes the filled-shell density as such a list
-in exact sympy numbers from sympy's associated Laguerre polynomials;
-``pair_reference.pair_field`` does the same for a Slater-type atom.
+derivatives ``pair_reference.mpmath_term_profile`` sums term by term.
+``half_line_t4`` integrates the textbook Laplacian form of the fourth-order
+integrand over [0, inf) with mpmath's tanh-sinh rule, split at the fastest
+and the slowest scale 1/b of the terms.  ``hydrogenic_terms`` writes the
+filled-shell density as such a list in exact sympy numbers from sympy's
+associated Laguerre polynomials; ``pair_reference.pair_field`` does the
+same for a Slater-type atom.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import mpmath
 import sympy as sp
 
+from pair_reference import mpmath_term_profile
 from tfshell.hydrogenic import electron_count
 
 
@@ -48,15 +50,7 @@ def half_line_t4(terms) -> float:
         c4 = (3 * mpmath.pi**2) ** (-mpmath.mpf(2) / 3) / 540
 
         def integrand(r):
-            rho = d1 = d2 = mpmath.mpf(0)
-            for c, p, b in terms:
-                e = c * mpmath.exp(-b * r)
-                q0 = r**p
-                q1 = p * r ** (p - 1)
-                q2 = p * (p - 1) * r ** (p - 2)
-                rho += e * q0
-                d1 += e * (q1 - b * q0)
-                d2 += e * (q2 - 2 * b * q1 + b * b * q0)
+            rho, d1, d2 = mpmath_term_profile(terms, r)
             lap = d2 + 2 * d1 / r
             y = d1 / rho
             bracket = (lap / rho) ** 2 - mpmath.mpf(9) / 8 * (lap / rho) * y**2 + y**4 / 3

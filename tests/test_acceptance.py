@@ -33,7 +33,6 @@ import time
 
 import numpy as np
 import pytest
-import sympy as sp
 from scipy import integrate, special
 
 import conftest
@@ -58,7 +57,7 @@ from tfshell.hydrogenic import (
 )
 from tfshell.atomic_data import atom_density
 from tfshell.kedf import energies, grid_for, make_grid
-from wavefunctions import laguerre_array, radial_wavefunction
+from wavefunctions import laguerre_array, radial_wavefunction, symbolic_orbital_kinetic
 
 
 def record_criterion(number: int, label: str, ok: bool, detail: str) -> None:
@@ -310,26 +309,6 @@ def _core_scaling_z2_coefficient(n_shells: int, x_max: float) -> float:
     return 0.3 * (3.0 * math.pi**2) ** (2.0 / 3.0) * c_inf
 
 
-def _symbolic_orbital_kinetic(z: float, n: int, l: int, grid) -> float:
-    # independent route: differentiate the closed-form radial function
-    # symbolically, then integrate (R'^2 r^2 + l(l+1) R^2) / 2 by quadrature
-    r = sp.Symbol("r", positive=True)
-    rho = 2 * z * r / n
-    norm = sp.sqrt(
-        (2 * z / sp.Integer(n)) ** 3
-        * sp.factorial(n - l - 1)
-        / (2 * n * sp.factorial(n + l))
-    )
-    radial = norm * rho**l * sp.exp(-rho / 2) * sp.assoc_laguerre(n - l - 1, 2 * l + 1, rho)
-    radial_fn = sp.lambdify(r, radial, "numpy")
-    deriv_fn = sp.lambdify(r, sp.diff(radial, r), "numpy")
-    nodes = grid.nodes
-    integrand = (
-        deriv_fn(nodes) ** 2 * nodes**2 + l * (l + 1) * radial_fn(nodes) ** 2
-    ) / 2.0
-    return grid.integrate(integrand)
-
-
 def test_criterion_7_property_suite():
     start = time.perf_counter()
     failures = []
@@ -370,7 +349,7 @@ def test_criterion_7_property_suite():
     z_sum, n_max = 28.0, 3
     kin_grid = make_grid(2048, (6.0 * n_max**2 + 40.0) / z_sum)
     total = sum(
-        2 * (2 * l + 1) * _symbolic_orbital_kinetic(z_sum, n, l, kin_grid)
+        2 * (2 * l + 1) * symbolic_orbital_kinetic(z_sum, n, l, kin_grid)
         for n in range(1, n_max + 1)
         for l in range(n)
     )

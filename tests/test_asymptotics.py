@@ -116,10 +116,12 @@ def test_model_series_matches_an_mpmath_sum() -> None:
             assert abs(model_series(MODEL_SERIES, z) / reference - 1) <= 2.5e-16, n
 
 
-@pytest.mark.parametrize("z", [0, 0.0, -8.0, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("z", [0, 0.0, -8.0, math.inf, -math.inf, math.nan, 1e300, 1e-300, 5e-324])
 def test_model_series_rejects_z_outside_its_domain(z) -> None:
-    # 0 divided by zero, -8.0 raised a complex power and inf summed to nan
-    with pytest.raises(ValueError, match=r"^z must be finite and > 0, got "):
+    # 0 divided by zero, -8.0 raised a complex power and inf summed to nan;
+    # a Z^{7/3} past the float range or at 0 raised OverflowError or ZeroDivisionError
+    refused = "z must be finite and > 0, got " if not 0 < z < math.inf else re.escape(f"{z!r}^(7/3) is 0 or past")
+    with pytest.raises(ValueError, match="^" + refused):
         model_series(MODEL_SERIES, z)
 
 
@@ -226,6 +228,10 @@ def test_extrapolation_validation() -> None:
     for powers in ([math.inf], [-math.inf], [math.nan], [3, math.nan], [7 / 3], [2.0], [True], [6, True]):
         with pytest.raises(ValueError, match=r"^powers must be integers k of Z\^\{k/3\}"):
             richardson_extrapolate(constant, powers)
+    # a Z^{7/3} past the float range or at 0 raised OverflowError or ZeroDivisionError
+    for scale in (1e300, 1e-300):
+        with pytest.raises(ValueError, match=re.escape(f"{scale!r}^(7/3) is 0 or past the float range")):
+            richardson_extrapolate([(i * scale, 1.0) for i in range(1, 5)], [7])
 
 
 def test_divergence_pole_inside_window() -> None:

@@ -40,6 +40,7 @@ from tfshell import asymptotics, cli, correction
 from tfshell.correction import (
     DEFAULT_MODE,
     INTERPOLATION_MODES,
+    TABLE1_ERROR_KEYS,
     delta_t,
     delta_t_exact,
 )
@@ -49,36 +50,6 @@ from tfshell.kedf import ConvergenceError
 MINIMAL_STO = "ATOM He 2 4.0\nORB 1s 2\nPRM 1 2.0 1.0\n"
 
 _GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
-
-# Rows of the default table, all 17, frozen byte for byte.  Two
-# significant figures of the full-precision errors; He's local-density
-# error is -10.52 and prints as -11.  The value nearest a rounding
-# boundary is Mg's +T2+T4, 0.94507, 7.5e-5 relative from 0.945; changes
-# of quadrature rule have moved the values by at most 4e-16 relative.
-HEADER_LINES = (
-    "relative error vs Hartree-Fock reference kinetic energy, %",
-    "  Z atom     T_TF      +T2   +T2+T4  corrected",
-)
-PINNED_ROWS = (
-    "  2 He        -11     0.59      3.6       0.95",
-    "  3 Li        -10     0.62      3.1       0.26",
-    "  4 Be       -9.9     0.50      2.9       0.21",
-    "  5 B         -10    -0.53      1.6      -0.52",
-    "  6 C         -11     -1.3     0.67       -1.0",
-    "  7 N         -11     -1.7     0.16       -1.2",
-    "  8 O         -10     -1.6     0.10      -0.95",
-    "  9 F        -9.4     -1.2     0.37      -0.47",
-    " 10 Ne       -8.4    -0.56     0.95       0.28",
-    " 11 Na       -8.1    -0.49     0.94       0.37",
-    " 12 Mg       -7.8    -0.44     0.95       0.43",
-    " 14 Si       -7.5    -0.48     0.83       0.39",
-    " 15 P        -7.4    -0.50     0.77       0.36",
-    " 17 Cl       -7.1    -0.51     0.70       0.35",
-    " 18 Ar       -7.0    -0.49     0.69       0.36",
-    " 36 Kr       -5.8    -0.69     0.18       0.11",
-    " 54 Xe       -5.2    -0.67    0.072      0.073",
-)
-
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``tfshell ARGS``, run in this process."""
@@ -449,16 +420,20 @@ def test_cli_snapshot_script_runs(tmp_path: Path):
 
 
 def test_table1_default_output_pinned():
+    # the golden file holds the bytes; here each row must print its own
+    # atom's jsonl record: Z, the symbol and format_percent of each error
     proc = run_cli("table1")
     assert proc.returncode == 0
     assert proc.stderr == ""
-    lines = proc.stdout.splitlines()
-    assert tuple(lines[:2]) == HEADER_LINES
-    body = lines[2:]
-    assert len(body) == 17
-    assert tuple(body) == PINNED_ROWS
-    zs = [int(line.split()[0]) for line in body]
-    assert zs == sorted(zs)
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert len(rows) == 17
+    jsonl = run_cli("table1", "--format", "jsonl").stdout
+    records = {record["z"]: record for record in map(json.loads, jsonl.splitlines())}
+    assert [int(row[0]) for row in rows] == sorted(records)
+    for row in rows:
+        record = records[int(row[0])]
+        percents = [cli.format_percent(record[key]) for key in TABLE1_ERROR_KEYS]
+        assert row == [str(record["z"]), record["atom"], *percents]
 
 
 def test_table1_makes_ladder_passes_for_its_filled_shell_atoms_alone(capsys, shell_passes):
@@ -504,7 +479,7 @@ def test_table1_empty_atom_selection_exits_data(selection: str):
 def test_table1_partial_selection_still_reports_known_atoms():
     proc = run_cli("table1", "--atoms", "He,Al")
     assert proc.returncode == 0
-    assert PINNED_ROWS[0] in proc.stdout
+    assert _GOLDEN["table1_table"]["stdout"][2] in proc.stdout
     assert "no data for atom 'Al'" in proc.stderr
 
 
@@ -513,10 +488,9 @@ def test_table1_csv_runs_are_byte_identical():
     second = run_cli("table1", "--format", "csv")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
-    lines = first.stdout.splitlines()
-    assert lines[0] == "Z,atom,err_tf_pct,err_tf_t2_pct,err_tf_t2_t4_pct,err_corrected_pct"
-    assert lines[1] == "2,He,-11,0.59,3.6,0.95"
-    assert len(lines) == 18
+    # below its header the csv holds the table's cells
+    table = run_cli("table1").stdout.splitlines()[2:]
+    assert [line.split(",") for line in first.stdout.splitlines()[1:]] == [line.split() for line in table]
 
 
 @pytest.mark.parametrize(
@@ -594,7 +568,7 @@ def test_table1_data_file_may_start_with_a_byte_order_mark(tmp_path: Path, capsy
     data.write_bytes(b"\xef\xbb\xbf" + (Path(cli.__file__).with_name("data") / "he.sto").read_bytes())
     assert cli.main(["table1", "--data", str(data)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines() == [*HEADER_LINES, PINNED_ROWS[0]]
+    assert captured.out.splitlines(True) == _GOLDEN["table1_table"]["stdout"][:3]
     assert captured.err == ""
 
 

@@ -6,15 +6,15 @@ import math
 import sys
 import time
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-import sympy as sp
 
 from densities import value
+from half_line import hydrogenic_terms
+from pair_reference import term_profile
 from tfshell import _kernels
 from tfshell.hydrogenic import (
     MAGIC_NUMBERS,
@@ -30,7 +30,7 @@ from tfshell.hydrogenic import (
     shell_count_for,
 )
 from tfshell.kedf import make_grid, span_for
-from wavefunctions import radial_wavefunction
+from wavefunctions import radial_wavefunction, symbolic_orbital_kinetic
 
 
 def test_electron_count_closed_form() -> None:
@@ -214,8 +214,10 @@ def test_continuous_energy_domain() -> None:
         model_kinetic_energy_continuous(0.01)
     assert model_kinetic_energy_continuous(0.04) > 0.0
     # a negative charge used to give a complex number, and NaN and inf came
-    # back; so did inf where 2916 Z^2 - 3 overflows, above Z = 2.48e152
-    for z in (-1.0, -0.04, math.nan, math.inf, -math.inf, 2.49e152, 1e200, 1.7e308):
+    # back; so did inf where the energy overflows, from Z = 1.2134e132, and
+    # where 2916 Z^2 - 3 does, above Z = 2.48e152
+    assert model_kinetic_energy_continuous(1.2134e132) < math.inf
+    for z in (-1.0, -0.04, math.nan, math.inf, -math.inf, 1.3e132, 2.49e152, 1e200, 1.7e308):
         with pytest.raises(ValueError, match=r"outside the domain of the closed form \(finite Z > 0"):
             model_kinetic_energy_continuous(z)
 
@@ -259,21 +261,6 @@ def test_radial_node_count(n: int, l: int) -> None:
     assert flips == n - l - 1
 
 
-def _sympy_orbital_kinetic(z: int, n: int, l: int, grid) -> float:
-    """Radial kinetic integral of one orbital from an independent construction.
-
-    Builds R_{n,l} symbolically, differentiates exactly, and evaluates
-    (1/2) integral of (R')^2 r^2 + l(l+1) R^2 by quadrature.
-    """
-    r = sp.symbols("r", positive=True)
-    g = sp.Integer(2) * z / n
-    norm = sp.sqrt(g**3 * sp.factorial(n - l - 1) / (2 * n * sp.factorial(n + l)))
-    big_r = norm * sp.exp(-g * r / 2) * (g * r) ** l * sp.assoc_laguerre(n - l - 1, 2 * l + 1, g * r)
-    d_big_r = sp.diff(big_r, r)
-    integrand = sp.lambdify(r, (d_big_r**2 * r**2 + l * (l + 1) * big_r**2) / 2, "numpy")
-    return grid.integrate(integrand(grid.nodes))
-
-
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_kinetic_sum_matches_closed_form(n_max: int) -> None:
     z = electron_count(n_max)
@@ -281,54 +268,9 @@ def test_kinetic_sum_matches_closed_form(n_max: int) -> None:
     total = 0.0
     for n in range(1, n_max + 1):
         for l in range(n):
-            total += 2 * (2 * l + 1) * _sympy_orbital_kinetic(z, n, l, grid)
+            total += 2 * (2 * l + 1) * symbolic_orbital_kinetic(z, n, l, grid)
     exact = n_max * z * z
     assert abs(total - exact) <= 1e-7 * exact
-
-
-def _exact_shell_terms(z: Fraction, n_max: int) -> list[tuple[float, int, float]]:
-    """Exponential-polynomial terms (coef, power, exponent) of the filled shells.
-
-    Built in exact rational arithmetic: the coefficients are accumulated as
-    Fractions, merged per shell since all orbitals of a shell share the
-    decay 2Z/n, and converted to float (with the 1/(4 pi) factor) last.
-    """
-    terms = []
-    four_pi = 4.0 * math.pi
-    for n in range(1, n_max + 1):
-        g = 2 * z / n
-        poly: dict[int, Fraction] = {}
-        for l in range(n):
-            k = n - l - 1
-            # Laguerre coefficients of L_k^{2l+1}: a_i = (-1)^i C(k+a, k-i)/i!
-            a = [
-                Fraction((-1) ** i * math.comb(k + 2 * l + 1, k - i), math.factorial(i))
-                for i in range(k + 1)
-            ]
-            # normalization^2 times occupation 2(2l+1)
-            norm_sq = (
-                g**3
-                * Fraction(math.factorial(k), 2 * n * math.factorial(n + l))
-                * 2
-                * (2 * l + 1)
-            )
-            for j in range(2 * k + 1):
-                b_j = sum(a[i] * a[j - i] for i in range(max(0, j - k), min(k, j) + 1))
-                power = 2 * l + j
-                poly[power] = poly.get(power, Fraction(0)) + norm_sq * b_j * g**power
-        for power in sorted(poly):
-            terms.append((float(poly[power]) / four_pi, power, float(g)))
-    return terms
-
-
-def _eval_terms(terms, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rho = np.zeros_like(r)
-    drho = np.zeros_like(r)
-    for coef, power, beta in terms:
-        e = coef * np.exp(-beta * r)
-        rho += e * r**power
-        drho += e * (power * r ** (power - 1) if power else 0.0) - beta * e * r**power
-    return rho, drho
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
@@ -337,7 +279,8 @@ def test_terms_agree_with_kernel_evaluation(n_max: int) -> None:
     # dependable at small shell counts; check the kernel against it there
     density = HydrogenicDensity(n_max)
     r = np.geomspace(1e-3, 20.0 / n_max, 60)
-    rho_t, drho_t = _eval_terms(_exact_shell_terms(Fraction(density.z), n_max), r)
+    terms = [(float(c), int(p), float(b)) for c, p, b in hydrogenic_terms(n_max)]
+    rho_t, drho_t, _ = term_profile(terms, r)
     peak = float(np.max(np.abs(rho_t)))
     np.testing.assert_allclose(value(density, r), rho_t, rtol=1e-9, atol=1e-13 * peak)
     dpeak = float(np.max(np.abs(drho_t)))

@@ -346,6 +346,7 @@ def test_grids_do_not_import_numpy_polynomial() -> None:
         {"r_max": 0.0},
         {"r_max": math.inf},
         {"r_max": math.nan},
+        {"n_points": True},
     ],
 )
 def test_grid_rejects_bad_parameters(kwargs) -> None:

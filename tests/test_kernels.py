@@ -12,7 +12,7 @@ import pytest
 import sympy as sp
 
 from orbitals import orbital_density
-from pair_reference import pair_field, term_profile
+from pair_reference import mpmath_term_profile, pair_field, term_profile
 from tfshell import _kernels
 from tfshell.atomic_data import atom_density
 from tfshell.hydrogenic import MAX_SHELLS, HydrogenicDensity, electron_count
@@ -198,27 +198,6 @@ def test_orbital_profile_stacked_rows_match_single_rows(bundled, atom) -> None:
         assert not rows.any()
 
 
-def _exp_poly_oracle(terms, r: np.ndarray) -> np.ndarray:
-    """(rho, rho', rho'') of a term list c r^p e^{-b r}, summed in 30-digit mpmath."""
-    out = np.empty((3, r.size))
-    with mpmath.workdps(30):
-        for i, ri in enumerate(r):
-            x = mpmath.mpf(float(ri))
-            sums = [mpmath.mpf(0)] * 3
-            for c, p, b in terms:
-                b = mpmath.mpf(b)
-                e = mpmath.mpf(c) * mpmath.exp(-b * x)
-                # r^p and its first two r-derivatives
-                q0 = x**p
-                q1 = p * x ** (p - 1) if p >= 1 else 0
-                q2 = p * (p - 1) * x ** (p - 2) if p >= 2 else 0
-                sums[0] += e * q0
-                sums[1] += e * (q1 - b * q0)
-                sums[2] += e * (q2 - 2 * b * q1 + b * b * q0)
-            out[:, i] = [float(v) for v in sums]
-    return out
-
-
 @pytest.mark.parametrize("atom", ["Ne", "Xe"])
 def test_pair_reference_matches_mpmath_oracle(bundled, atom) -> None:
     # the pair-expansion reference that test_orbital_profile_matches_pair_expansion reads
@@ -226,7 +205,10 @@ def test_pair_reference_matches_mpmath_oracle(bundled, atom) -> None:
     # the cusp, the shell region and the tail out to the table1 cutoff
     r = np.array([1e-6, 1e-3, 0.05, 0.3, 1.0, 3.0, 10.0, 45.0])
     rho, drho, d2rho = term_profile(terms, r)
-    ref_rho, ref_drho, ref_d2rho = _exp_poly_oracle(terms, r)
+    with mpmath.workdps(30):
+        ref_rho, ref_drho, ref_d2rho = np.array(
+            [[float(v) for v in mpmath_term_profile(terms, mpmath.mpf(float(ri)))] for ri in r]
+        ).T
     live = ref_rho > 1e-250
     assert live.all()
     np.testing.assert_allclose(rho[live], ref_rho[live], rtol=1e-13, atol=0.0)

@@ -4,6 +4,8 @@
 (``_kernels._laguerre_tops``) with one track, so the tests that check it
 check the kernel.  ``radial_wavefunction`` builds single orbitals from it:
 the oracle for the closed-form shell sum and for orthonormality.
+``symbolic_orbital_kinetic`` builds the same orbital in sympy instead, an
+independent route to each orbital's kinetic energy.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import sympy as sp
 
 from tfshell import _kernels
 from tfshell.hydrogenic import MAX_SHELLS
@@ -62,3 +65,18 @@ def radial_wavefunction(z: float, n: int, l: int, r):
     if np.ndim(r) == 0:
         return float(out[0])
     return out
+
+
+def symbolic_orbital_kinetic(z: float, n: int, l: int, grid) -> float:
+    """Radial kinetic integral of one orbital, independently of the kernels.
+
+    Builds R_{n,l} in sympy at the exact value of ``z``, differentiates it
+    exactly, and integrates (1/2) [(R')^2 r^2 + l(l+1) R^2] on ``grid``.
+    """
+    r = sp.symbols("r", positive=True)
+    g = 2 * sp.Rational(z) / n
+    norm = sp.sqrt(g**3 * sp.factorial(n - l - 1) / (2 * n * sp.factorial(n + l)))
+    big_r = norm * sp.exp(-g * r / 2) * (g * r) ** l * sp.assoc_laguerre(n - l - 1, 2 * l + 1, g * r)
+    d_big_r = sp.diff(big_r, r)
+    integrand = sp.lambdify(r, (d_big_r**2 * r**2 + l * (l + 1) * big_r**2) / 2, "numpy")
+    return grid.integrate(integrand(grid.nodes))
